@@ -13,6 +13,14 @@ pub const RADIUS: i64 = 1 << 15;
 /// Total number of quantization symbols (including the escape code 0).
 pub const NUM_CODES: usize = (2 * RADIUS) as usize;
 
+/// `x.round() as i64`, without the libm call that would sit inside the
+/// serial Lorenzo feedback loop. The addend is the largest double below 0.5:
+/// adding 0.5 itself would carry `0.49999999999999994` up to 1.
+#[inline]
+fn round_half_away(x: f64) -> i64 {
+    (x + 0.499_999_999_999_999_94_f64.copysign(x)) as i64
+}
+
 /// Linear quantizer with bin width `2ε`.
 #[derive(Debug, Clone, Copy)]
 pub struct Quantizer {
@@ -49,12 +57,12 @@ impl Quantizer {
         if !value.is_finite() {
             return None;
         }
-        let diff = value as f64 - pred as f64;
-        let q = (diff / self.bin).round();
-        if q.abs() >= RADIUS as f64 {
+        let x = (value as f64 - pred as f64) / self.bin;
+        // `x.round()` rounds to `±RADIUS` or beyond exactly when this holds.
+        if x.abs() >= RADIUS as f64 - 0.5 {
             return None;
         }
-        let qi = q as i64;
+        let qi = round_half_away(x);
         let recon = (pred as f64 + qi as f64 * self.bin) as f32;
         // Guard: f32 rounding of the reconstruction could exceed the bound
         // near the bin edge; fall back to literal storage when it does.
@@ -159,6 +167,112 @@ mod tests {
             let (code, recon) = q.quantize(value, pred).unwrap();
             assert_eq!(q.reconstruct(pred, code), recon);
             assert!((recon - value).abs() <= 0.003 + 1e-9);
+        }
+    }
+
+    /// `Quantizer::quantize` as it was written with libm's `round`.
+    fn quantize_with_libm_round(q: &Quantizer, value: f32, pred: f32) -> Option<(u32, f32)> {
+        if !value.is_finite() {
+            return None;
+        }
+        let r = ((value as f64 - pred as f64) / q.bin).round();
+        if r.abs() >= RADIUS as f64 {
+            return None;
+        }
+        let qi = r as i64;
+        let recon = (pred as f64 + qi as f64 * q.bin) as f32;
+        if (recon as f64 - value as f64).abs() > q.abs_eb {
+            return None;
+        }
+        Some(((qi + RADIUS) as u32, recon))
+    }
+
+    fn next_up(x: f64) -> f64 {
+        f64::from_bits(x.to_bits() + 1)
+    }
+
+    fn next_down(x: f64) -> f64 {
+        f64::from_bits(x.to_bits() - 1)
+    }
+
+    #[test]
+    fn inline_rounding_equals_libm_round() {
+        let edge = RADIUS as f64 - 0.5;
+        let mut cases = vec![
+            0.0,
+            -0.0,
+            next_down(0.5),
+            0.5,
+            next_up(0.5),
+            next_down(edge),
+            edge,
+            next_up(edge),
+            f64::MIN_POSITIVE,
+            (1u64 << 51) as f64 + 0.5,
+            (1u64 << 52) as f64 + 1.0,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        // Every tie in the code book and both of its neighbours.
+        for k in 0..RADIUS + 2 {
+            let tie = k as f64 + 0.5;
+            cases.extend([next_down(tie), tie, next_up(tie), k as f64]);
+        }
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..200_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let unit = (state >> 11) as f64 / (1u64 << 53) as f64;
+            cases.push(unit * 2.0 * RADIUS as f64);
+            cases.push(unit);
+        }
+        for x in cases {
+            for x in [x, -x] {
+                assert_eq!(round_half_away(x), x.round() as i64, "x = {x:?}");
+                assert_eq!(
+                    x.abs() >= edge,
+                    x.round().abs() >= RADIUS as f64,
+                    "range test diverged at x = {x:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn quantize_equals_the_libm_round_form() {
+        let mut state = 0xD1B5_4A32_D192_ED03u64;
+        let mut unit = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 40) as f32 / (1u32 << 24) as f32
+        };
+        for eb in [1e-6, 1e-4, 3e-3, 0.5] {
+            let q = Quantizer::new(eb);
+            let bin = (2.0 * eb) as f32;
+            for i in 0..100_000i32 {
+                let pred = unit() - 0.5;
+                // Random offsets, exact bin ties, and the code-book edge.
+                let value = match i % 4 {
+                    0 => pred + (unit() - 0.5) * bin * 10.0,
+                    1 => pred + ((i % 41 - 20) as f32 + 0.5) * bin,
+                    2 => pred + (RADIUS as f32 - unit()) * bin,
+                    _ => unit() * 1e3,
+                };
+                for (v, p) in [(value, pred), (pred, value), (value, f32::NAN)] {
+                    let got = q.quantize(v, p).map(|(c, r)| (c, r.to_bits()));
+                    let want = quantize_with_libm_round(&q, v, p).map(|(c, r)| (c, r.to_bits()));
+                    assert_eq!(got, want, "eb {eb} value {v:?} pred {p:?}");
+                }
+            }
+            for v in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                assert_eq!(q.quantize(v, 0.0), None);
+                assert_eq!(
+                    q.quantize(1.0, v).map(|(c, r)| (c, r.to_bits())),
+                    quantize_with_libm_round(&q, 1.0, v).map(|(c, r)| (c, r.to_bits()))
+                );
+            }
         }
     }
 }

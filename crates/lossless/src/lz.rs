@@ -1,21 +1,19 @@
-//! Shared LZ77 tokenizer with hash-chain match finding.
+//! Shared LZ77 matcher with hash-chain match finding.
 //!
 //! All byte-oriented codecs in this crate (zlib/gzip/zstd/xz analogues) share
-//! this tokenizer and differ only in their [`MatcherParams`] (window size,
-//! chain depth, lazy evaluation) and in how tokens are entropy-coded.
+//! this matcher and differ only in their [`MatcherParams`] (window size,
+//! chain depth, lazy evaluation) and in how sequences are entropy-coded.
 
-/// One LZ77 token.
+/// One LZ77 sequence: a run of literal bytes taken straight from the input,
+/// followed by one match. Inputs are addressed with `u32` positions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Token {
-    /// A raw byte.
-    Literal(u8),
-    /// Copy `len` bytes from `dist` bytes back in the output.
-    Match {
-        /// Match length in bytes (`>= MatcherParams::min_match`).
-        len: u32,
-        /// Backwards distance in bytes (`>= 1`).
-        dist: u32,
-    },
+pub struct Sequence {
+    /// Literal bytes preceding the match.
+    pub lit_len: u32,
+    /// Match length in bytes (`>= MatcherParams::min_match`).
+    pub match_len: u32,
+    /// Backwards distance of the match in bytes (`>= 1`).
+    pub dist: u32,
 }
 
 /// Tuning knobs for the hash-chain matcher.
@@ -34,17 +32,6 @@ pub struct MatcherParams {
 }
 
 impl MatcherParams {
-    /// Fast profile: small window, shallow chains (blosc-lz-like interior).
-    pub fn fast() -> Self {
-        Self {
-            window_log: 13,
-            chain_depth: 1,
-            min_match: 4,
-            max_match: 1 << 12,
-            lazy: false,
-        }
-    }
-
     /// Deflate-like profile (zlib analogue).
     pub fn deflate() -> Self {
         Self {
@@ -171,93 +158,147 @@ impl Chains {
     }
 }
 
-/// Tokenize `data` with the given parameters.
-pub fn tokenize(data: &[u8], p: &MatcherParams) -> Vec<Token> {
-    let mut tokens = Vec::with_capacity(data.len() / 4 + 16);
-    let mut chains = Chains::new(data.len(), p.min_match);
-    let mut i = 0usize;
-    while i < data.len() {
-        let found = chains.find(data, i, p);
-        match found {
-            Some((len, dist)) => {
-                let (len, dist) = if p.lazy && i + 1 < data.len() {
-                    // Peek one position ahead; prefer a strictly longer match.
-                    chains.insert(data, i);
-                    match chains.find(data, i + 1, p) {
-                        Some((len2, dist2)) if len2 > len + 1 => {
-                            tokens.push(Token::Literal(data[i]));
-                            i += 1;
-                            (len2, dist2)
-                        }
-                        _ => (len, dist),
-                    }
-                } else {
-                    (len, dist)
-                };
-                tokens.push(Token::Match { len, dist });
-                // Insert every covered position so future matches can start here.
-                let end = (i + len as usize).min(data.len());
-                // Position i may already be inserted by the lazy path; inserting
-                // twice is harmless but wasteful, so track it.
-                let start = if p.lazy { i + 1 } else { i };
-                if !p.lazy {
-                    chains.insert(data, i);
-                }
-                for j in start..end {
-                    chains.insert(data, j);
-                }
-                i = end;
-            }
-            None => {
-                tokens.push(Token::Literal(data[i]));
-                chains.insert(data, i);
-                i += 1;
-            }
-        }
-    }
-    tokens
+/// In the greedy profile, after `n` consecutive unmatched bytes only every
+/// `1 + (n >> SEARCH_STRENGTH)`-th position is searched (zstd's
+/// `kSearchStrength`): input the matcher cannot match costs one hash insert
+/// per byte instead of a chain walk.
+const SEARCH_STRENGTH: u32 = 8;
+
+/// Split `data` into sequences. Bytes after the last sequence's match are
+/// trailing literals.
+pub fn sequences(data: &[u8], p: &MatcherParams) -> Vec<Sequence> {
+    scan(data, p, !p.lazy)
 }
 
-/// Expand tokens back into bytes.
-///
-/// Returns `None` if a match reaches before the start of the output or the
-/// result would exceed `expected_len`.
-pub fn detokenize(tokens: &[Token], expected_len: usize) -> Option<Vec<u8>> {
-    let mut out = Vec::with_capacity(expected_len);
-    for t in tokens {
-        match *t {
-            Token::Literal(b) => out.push(b),
-            Token::Match { len, dist } => {
-                let dist = dist as usize;
-                let len = len as usize;
-                if dist == 0 || dist > out.len() || out.len() + len > expected_len {
-                    return None;
-                }
-                let start = out.len() - dist;
-                // Overlapping copies (dist < len) must run byte-by-byte.
-                for k in 0..len {
-                    let b = out[start + k];
-                    out.push(b);
+/// `sparse == false` searches every position; the lazy profiles always do
+/// (their streams are pinned byte for byte), and tests use it as the
+/// reference for the greedy profile.
+fn scan(data: &[u8], p: &MatcherParams, sparse: bool) -> Vec<Sequence> {
+    let mut seqs = Vec::new();
+    let mut chains = Chains::new(data.len(), p.min_match);
+    // Start of the pending literal run.
+    let mut anchor = 0usize;
+    let mut i = 0usize;
+    while i < data.len() {
+        let Some((mut len, mut dist)) = chains.find(data, i, p) else {
+            // Every skipped position still enters the chains, so a later
+            // repeat of this region is found at its first probe.
+            let step = if sparse {
+                1 + ((i - anchor) >> SEARCH_STRENGTH)
+            } else {
+                1
+            };
+            let end = (i + step).min(data.len());
+            for j in i..end {
+                chains.insert(data, j);
+            }
+            i = end;
+            continue;
+        };
+        chains.insert(data, i);
+        if p.lazy {
+            // Peek one position ahead; prefer a strictly longer match and
+            // leave the current byte to the literal run.
+            if let Some((len2, dist2)) = chains.find(data, i + 1, p) {
+                if len2 > len + 1 {
+                    i += 1;
+                    (len, dist) = (len2, dist2);
                 }
             }
         }
+        seqs.push(Sequence {
+            lit_len: (i - anchor) as u32,
+            match_len: len,
+            dist,
+        });
+        // Insert every covered position so future matches can start here.
+        let end = i + len as usize;
+        for j in i + 1..end {
+            chains.insert(data, j);
+        }
+        i = end;
+        anchor = end;
     }
-    (out.len() == expected_len).then_some(out)
+    seqs
+}
+
+/// Walk `seqs` over `data`: one `(literals, Some(sequence))` per sequence,
+/// then `(trailing literals, None)`.
+pub fn literal_runs<'a>(
+    data: &'a [u8],
+    seqs: &'a [Sequence],
+) -> impl Iterator<Item = (&'a [u8], Option<&'a Sequence>)> {
+    let mut pos = 0usize;
+    seqs.iter()
+        .map(Some)
+        .chain(std::iter::once(None))
+        .map(move |s| {
+            let end = s.map_or(data.len(), |s| pos + s.lit_len as usize);
+            let literals = &data[pos..end];
+            pos = end + s.map_or(0, |s| s.match_len as usize);
+            (literals, s)
+        })
+}
+
+/// Append `len` bytes to `out`, copied from `dist` bytes back in it.
+///
+/// Returns `false`, leaving `out` untouched, if the match reaches before the
+/// start of the output or the result would exceed `max_len`.
+pub fn copy_match(out: &mut Vec<u8>, dist: usize, len: usize, max_len: usize) -> bool {
+    if dist == 0 || dist > out.len() || len > max_len.saturating_sub(out.len()) {
+        return false;
+    }
+    let start = out.len() - dist;
+    // An overlapping copy (dist < len) repeats a period of `dist` bytes;
+    // every chunk starts a whole number of periods in, so it can re-read
+    // from `start` and double in size.
+    let mut remaining = len;
+    while remaining > 0 {
+        let chunk = remaining.min(out.len() - start);
+        out.extend_from_within(start..start + chunk);
+        remaining -= chunk;
+    }
+    true
+}
+
+/// The every-position search the greedy profile used before sparse probing:
+/// the reference its compressed size is held against.
+#[cfg(test)]
+pub(crate) fn sequences_dense(data: &[u8], p: &MatcherParams) -> Vec<Sequence> {
+    scan(data, p, false)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Literals plus sequences: what the coder emits one symbol for.
+    fn token_count(data: &[u8], seqs: &[Sequence]) -> usize {
+        let matched: usize = seqs.iter().map(|s| s.match_len as usize).sum();
+        data.len() - matched + seqs.len()
+    }
+
+    fn expand(data: &[u8], seqs: &[Sequence]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for (literals, seq) in literal_runs(data, seqs) {
+            out.extend_from_slice(literals);
+            if let Some(s) = seq {
+                assert!(
+                    copy_match(&mut out, s.dist as usize, s.match_len as usize, data.len()),
+                    "bad sequence {s:?}"
+                );
+            }
+        }
+        out
+    }
+
     fn round_trip(data: &[u8], p: &MatcherParams) {
-        let tokens = tokenize(data, p);
-        let back = detokenize(&tokens, data.len()).expect("detokenize failed");
-        assert_eq!(back, data);
+        assert_eq!(expand(data, &sequences(data, p)), data);
+        assert_eq!(expand(data, &sequences_dense(data, p)), data);
     }
 
     fn profiles() -> Vec<MatcherParams> {
         vec![
-            MatcherParams::fast(),
             MatcherParams::deflate(),
             MatcherParams::deflate_deep(),
             MatcherParams::wide(),
@@ -279,9 +320,8 @@ mod tests {
     fn repetitive_input_produces_matches() {
         let data: Vec<u8> = b"abcdefgh".iter().copied().cycle().take(4096).collect();
         for p in profiles() {
-            let tokens = tokenize(&data, &p);
             assert!(
-                tokens.iter().any(|t| matches!(t, Token::Match { .. })),
+                !sequences(&data, &p).is_empty(),
                 "profile {p:?} found no matches in periodic data"
             );
             round_trip(&data, &p);
@@ -292,10 +332,12 @@ mod tests {
     fn run_of_one_byte_uses_overlapping_match() {
         let data = vec![0x42u8; 1000];
         let p = MatcherParams::deflate();
-        let tokens = tokenize(&data, &p);
+        let seqs = sequences(&data, &p);
         // A run should need only a handful of tokens (literals then one or
         // two overlapping matches).
-        assert!(tokens.len() < 20, "run encoded as {} tokens", tokens.len());
+        let tokens = token_count(&data, &seqs);
+        assert!(tokens < 20, "run encoded as {tokens} tokens");
+        assert!(seqs.iter().any(|s| s.dist < s.match_len));
         round_trip(&data, &p);
     }
 
@@ -326,15 +368,39 @@ mod tests {
     }
 
     #[test]
-    fn detokenize_rejects_bad_distance() {
-        let tokens = vec![Token::Literal(1), Token::Match { len: 4, dist: 9 }];
-        assert!(detokenize(&tokens, 5).is_none());
+    fn copy_match_rejects_bad_distance() {
+        let mut out = vec![1u8];
+        assert!(!copy_match(&mut out, 9, 4, 5));
+        assert!(!copy_match(&mut out, 0, 4, 5));
+        assert_eq!(out, [1]);
     }
 
     #[test]
-    fn detokenize_rejects_overflow() {
-        let tokens = vec![Token::Literal(1), Token::Match { len: 100, dist: 1 }];
-        assert!(detokenize(&tokens, 5).is_none());
+    fn copy_match_rejects_overflow() {
+        let mut out = vec![1u8];
+        assert!(!copy_match(&mut out, 1, 100, 5));
+        assert!(!copy_match(&mut out, 1, usize::MAX, usize::MAX));
+        assert_eq!(out, [1]);
+        assert!(copy_match(&mut out, 1, 4, 5));
+        assert_eq!(out, [1; 5]);
+    }
+
+    #[test]
+    fn copy_match_handles_every_overlap() {
+        // Against the byte-by-byte definition, for every period and for
+        // lengths on both sides of each doubling step.
+        let seed: Vec<u8> = (0..40u8).map(|i| i.wrapping_mul(37)).collect();
+        for dist in 1..=seed.len() {
+            for len in 0..200 {
+                let mut fast = seed.clone();
+                assert!(copy_match(&mut fast, dist, len, usize::MAX));
+                let mut slow = seed.clone();
+                for k in 0..len {
+                    slow.push(slow[seed.len() - dist + k]);
+                }
+                assert_eq!(fast, slow, "dist {dist} len {len}");
+            }
+        }
     }
 
     #[test]
@@ -342,8 +408,40 @@ mod tests {
         let data: Vec<u8> = (0..20_000u32)
             .flat_map(|i| ((i * i) % 251).to_le_bytes())
             .collect();
-        let shallow = tokenize(&data, &MatcherParams::deflate());
-        let deep = tokenize(&data, &MatcherParams::deflate_deep());
-        assert!(deep.len() <= shallow.len() + shallow.len() / 20);
+        let shallow = token_count(&data, &sequences(&data, &MatcherParams::deflate()));
+        let deep = token_count(&data, &sequences(&data, &MatcherParams::deflate_deep()));
+        assert!(deep <= shallow + shallow / 20);
+    }
+
+    #[test]
+    fn sparse_probing_skips_only_inside_long_literal_runs() {
+        let mut state = 9u64;
+        let noise: Vec<u8> = (0..20_000)
+            .map(|_| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                (state >> 33) as u8
+            })
+            .collect();
+        let p = MatcherParams::wide();
+        // A far repeat is still found at its first probe, because skipped
+        // positions were inserted: all but the bytes of one stride match.
+        let mut data = noise.clone();
+        data.extend_from_slice(&noise);
+        let seqs = sequences(&data, &p);
+        let matched: usize = seqs.iter().map(|s| s.match_len as usize).sum();
+        let max_stride = 1 + (noise.len() >> SEARCH_STRENGTH);
+        assert!(
+            matched + max_stride >= noise.len(),
+            "matched {matched} of {}",
+            noise.len()
+        );
+        round_trip(&data, &p);
+        // Within the first 256 literals every position is searched.
+        let short = &data[..200];
+        assert_eq!(sequences(short, &p), sequences_dense(short, &p));
+        // The lazy profiles never skip.
+        for lazy in [MatcherParams::deflate(), MatcherParams::thorough()] {
+            assert_eq!(sequences(&data, &lazy), sequences_dense(&data, &lazy));
+        }
     }
 }

@@ -5,7 +5,7 @@
 use fedsz_entropy::rangecoder::{BitModel, RangeDecoder, RangeEncoder};
 use fedsz_entropy::{varint, CodecError};
 
-use crate::lz::{tokenize, MatcherParams, Token};
+use crate::lz::{copy_match, literal_runs, sequences, MatcherParams};
 
 const LIT_CONTEXTS: usize = 8; // previous byte's top 3 bits
 const SLOT_BITS: u32 = 5;
@@ -67,31 +67,28 @@ fn unslot(slot: u32, extra: u32) -> u32 {
 /// Compress. Format: `[varint orig_len][u8 min_match][range-coded payload]`.
 pub fn compress(data: &[u8]) -> Vec<u8> {
     let params = MatcherParams::thorough();
-    let tokens = tokenize(data, &params);
+    let seqs = sequences(data, &params);
     let mut models = Models::new();
     let mut enc = RangeEncoder::new();
     let mut prev_byte = 0u8;
-    for t in &tokens {
-        match *t {
-            Token::Literal(b) => {
-                enc.encode_bit(&mut models.is_match, 0);
-                let ctx = ctx_of(prev_byte);
-                encode_tree(&mut enc, &mut models.literal[ctx], 8, b as u32);
-                prev_byte = b;
-            }
-            Token::Match { len, dist } => {
-                enc.encode_bit(&mut models.is_match, 1);
-                let (ls, lbits, lextra) = slot_of(len - params.min_match as u32);
-                encode_tree(&mut enc, &mut models.len_slot, SLOT_BITS, ls);
-                enc.encode_direct(lextra, lbits);
-                let (ds, dbits, dextra) = slot_of(dist - 1);
-                encode_tree(&mut enc, &mut models.dist_slot, SLOT_BITS, ds);
-                enc.encode_direct(dextra, dbits);
-                // Context for the next literal: last byte of the match is
-                // unknown to the encoder loop here, so reset. The decoder
-                // mirrors this exactly; symmetry is what matters.
-                prev_byte = 0;
-            }
+    for (literals, seq) in literal_runs(data, &seqs) {
+        for &b in literals {
+            enc.encode_bit(&mut models.is_match, 0);
+            let ctx = ctx_of(prev_byte);
+            encode_tree(&mut enc, &mut models.literal[ctx], 8, b as u32);
+            prev_byte = b;
+        }
+        if let Some(s) = seq {
+            enc.encode_bit(&mut models.is_match, 1);
+            let (ls, lbits, lextra) = slot_of(s.match_len - params.min_match as u32);
+            encode_tree(&mut enc, &mut models.len_slot, SLOT_BITS, ls);
+            enc.encode_direct(lextra, lbits);
+            let (ds, dbits, dextra) = slot_of(s.dist - 1);
+            encode_tree(&mut enc, &mut models.dist_slot, SLOT_BITS, ds);
+            enc.encode_direct(dextra, dbits);
+            // The literal context restarts after a match; the decoder
+            // mirrors this exactly, and symmetry is what matters.
+            prev_byte = 0;
         }
     }
     let payload = enc.finish();
@@ -138,14 +135,8 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>, CodecError> {
             let ds = decode_tree(&mut dec, &mut models.dist_slot, SLOT_BITS);
             let dextra = dec.decode_direct(ds);
             let dist = (unslot(ds, dextra) + 1) as usize;
-            let end = out.len().checked_add(len);
-            if dist > out.len() || end.is_none_or(|e| e > orig_len) {
+            if !copy_match(&mut out, dist, len, orig_len) {
                 return Err(CodecError::Corrupt("bad xz match"));
-            }
-            let start = out.len() - dist;
-            for k in 0..len {
-                let b = out[start + k];
-                out.push(b);
             }
             prev_byte = 0;
         }

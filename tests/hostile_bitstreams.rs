@@ -361,6 +361,112 @@ fn xz_claimed_length_bomb_terminates_with_an_error() {
     }
 }
 
+/// `stream` with the varint at `at` (a deflate body's claimed output length)
+/// replaced by `claimed`.
+fn with_claimed_len(stream: &[u8], at: usize, claimed: usize) -> Vec<u8> {
+    let mut end = at;
+    fedsz_entropy::varint::read_usize(stream, &mut end).expect("length varint");
+    let mut out = stream[..at].to_vec();
+    fedsz_entropy::varint::write_usize(&mut out, claimed);
+    out.extend_from_slice(&stream[end..]);
+    out
+}
+
+const CLAIMED_LENGTH_BOMBS: [usize; 3] = [1 << 32, 1 << 40, usize::MAX];
+
+#[test]
+fn deflate_claimed_length_bombs_are_errors_not_allocations() {
+    // The deflate-family decoders used to size the output buffer from the
+    // stream's own claimed length, so an otherwise valid 40-byte stream
+    // claiming 2^40 output bytes aborted the process ("memory allocation of
+    // 1099511627776 bytes failed") instead of returning an error. The claim
+    // is now only a bound: the stream ends short of it and is refused.
+    use fedsz_lossless::{gzip, zlib, zstd};
+    let data = b"hello world hello world hello world".to_vec();
+    for bomb in CLAIMED_LENGTH_BOMBS {
+        let z = with_claimed_len(&zlib::compress(&data), 2, bomb);
+        assert!(zlib::decompress(&z).is_err(), "zlib claimed {bomb}");
+        let g = with_claimed_len(&gzip::compress(&data), 3, bomb);
+        assert!(gzip::decompress(&g).is_err(), "gzip claimed {bomb}");
+        let s = with_claimed_len(&zstd::compress(&data), 2, bomb);
+        assert!(zstd::decompress(&s).is_err(), "zstd claimed {bomb}");
+    }
+    // The unpatched streams are what the patch positions were read from.
+    assert_eq!(zlib::decompress(&zlib::compress(&data)).unwrap(), data);
+    assert_eq!(gzip::decompress(&gzip::compress(&data)).unwrap(), data);
+    assert_eq!(zstd::decompress(&zstd::compress(&data)).unwrap(), data);
+}
+
+#[test]
+fn eblc_backend_claimed_length_bombs_are_errors() {
+    // SZ2 and SZ3 NORMAL streams are `[mode=1][zstd magic][varint len]...`:
+    // the same bomb, one layer up.
+    let mut rng = SplitMix64::new(0x5EED_0B0B);
+    let data: Vec<f32> = (0..4096)
+        .map(|_| rng.normal_with(0.0, 0.05) as f32)
+        .collect();
+    let bound = fedsz_eblc::ErrorBound::Rel(1e-2);
+    let sz2 = fedsz_eblc::sz2::compress(&data, bound);
+    let sz3 = fedsz_eblc::sz3::compress(&data, bound);
+    assert_eq!((sz2[0], sz3[0]), (1, 1), "expected NORMAL-mode streams");
+    assert!(fedsz_eblc::sz2::decompress(&sz2).is_ok());
+    assert!(fedsz_eblc::sz3::decompress(&sz3).is_ok());
+    for bomb in CLAIMED_LENGTH_BOMBS {
+        let bad = with_claimed_len(&sz2, 3, bomb);
+        assert!(fedsz_eblc::sz2::decompress(&bad).is_err(), "sz2 {bomb}");
+        let bad = with_claimed_len(&sz3, 3, bomb);
+        assert!(fedsz_eblc::sz3::decompress(&bad).is_err(), "sz3 {bomb}");
+    }
+}
+
+#[test]
+fn an_update_frame_with_a_claimed_length_bomb_is_rejected_at_ingest() {
+    // One client's update is enough to reach the decoder on the server:
+    // `ingest_update` must hand back `Reject`, never take the process down.
+    use fedsz_entropy::varint;
+    use fedsz_fl::ingest::{ingest_update, Verdict};
+    let mut rng = SplitMix64::new(0x0B0B_5EED);
+    let w: Vec<f32> = (0..4096)
+        .map(|_| rng.normal_with(0.0, 0.05) as f32)
+        .collect();
+    let mut global = StateDict::new();
+    global.insert("conv.weight", TensorKind::Weight, Tensor::from_vec(w));
+    let update = compress(&global, &FedSzConfig::default());
+    let (verdict, _) = ingest_update(&update, &global, 10);
+    assert!(
+        matches!(verdict, Verdict::Accept(_)),
+        "honest update refused"
+    );
+
+    // Walk the single entry's header (magic, codec tags, entry count, name,
+    // kind, shape, route) to the payload-length varint.
+    let bytes = update.as_bytes();
+    let mut pos = 6usize;
+    assert_eq!(varint::read_usize(bytes, &mut pos).unwrap(), 1);
+    pos += varint::read_usize(bytes, &mut pos).unwrap() + 1;
+    for _ in 0..varint::read_usize(bytes, &mut pos).unwrap() {
+        varint::read_usize(bytes, &mut pos).unwrap();
+    }
+    assert_eq!(bytes[pos], 1, "expected the lossy route");
+    pos += 1;
+    let header = &bytes[..pos];
+    let payload_len = varint::read_usize(bytes, &mut pos).unwrap();
+    let payload = &bytes[pos..];
+    assert_eq!(payload.len(), payload_len);
+
+    for bomb in CLAIMED_LENGTH_BOMBS {
+        let bad_payload = with_claimed_len(payload, 3, bomb);
+        let mut frame = header.to_vec();
+        varint::write_usize(&mut frame, bad_payload.len());
+        frame.extend_from_slice(&bad_payload);
+        let (verdict, _) = ingest_update(&CompressedUpdate::from_bytes(frame), &global, 10);
+        assert!(
+            matches!(verdict, Verdict::Reject(_)),
+            "claimed {bomb}: {verdict:?}"
+        );
+    }
+}
+
 #[test]
 fn streamed_hostile_bytes_never_hang_the_frame_reader() {
     // Random bytes fed through the streaming reader (not just the in-memory
