@@ -9,7 +9,12 @@
 //!   every update before averaging — O(clients × model) — so this is the
 //!   memory the streaming fold refuses to spend; the report includes what
 //!   materializing the same round would have buffered. A 128-update prefix
-//!   is cross-checked bit-for-bit against the materialized [`fedavg`].
+//!   is cross-checked bit-for-bit against the materialized [`fedavg`]. The
+//!   accumulator's size is what it reports itself
+//!   ([`StreamingFedAvg::accumulator_bytes`]); the run fails if the window
+//!   policy promoted any of the synthetic tensors to the 384-bit form, and
+//!   a deliberately wide-spread tensor checks that promotion still happens
+//!   where it must.
 //! * **round** — a full loopback round over the channel transport with
 //!   `--population` registered clients (default 10 000) and a sampled
 //!   cohort of ~16, end to end through training, compression, ingest, and
@@ -20,7 +25,11 @@
 //! only comparable across hosts with that field in hand.
 //!
 //! Run: `cargo run -p fedsz-bench --release --bin scale [--smoke]
-//!       [--folds N] [--population N] [--out BENCH_scale.json]`
+//!       [--folds N] [--population N] [--parent-fold-seconds S]
+//!       [--out BENCH_scale.json]`
+//!
+//! `--parent-fold-seconds` records the fold time of a same-day run of the
+//! parent commit on the same box next to this run's, as the before/after.
 
 use std::time::Instant;
 
@@ -63,6 +72,7 @@ struct FoldReport {
     folds: usize,
     distinct: usize,
     accumulator_bytes: usize,
+    wide_tensors: usize,
     materialized_bytes: usize,
     rss_before_kb: u64,
     rss_after_kb: u64,
@@ -70,7 +80,8 @@ struct FoldReport {
 }
 
 /// Stream `folds` updates through one accumulator; panics if the streamed
-/// aggregate of the 128-update prefix diverges from the materialized one.
+/// aggregate of the 128-update prefix diverges from the materialized one,
+/// or if any tensor left the 128-bit window.
 fn bench_fold(params: usize, folds: usize) -> FoldReport {
     let distinct = 32.min(folds.max(1));
     let sources: Vec<(StateDict, usize)> = (0..distinct)
@@ -100,6 +111,8 @@ fn bench_fold(params: usize, folds: usize) -> FoldReport {
         agg.fold(sd, *n).expect("fold");
     }
     assert_eq!(agg.folded(), folds);
+    let accumulator_bytes = agg.accumulator_bytes();
+    let wide_tensors = agg.wide_tensors();
     let global = agg.finish().expect("finish");
     let seconds = t0.elapsed().as_secs_f64();
     let rss_after_kb = proc_status_kb("VmRSS");
@@ -109,17 +122,63 @@ fn bench_fold(params: usize, folds: usize) -> FoldReport {
         .all(|e| e.tensor.data().iter().all(|v| v.is_finite())));
 
     let model_bytes = global.nbytes();
+    // A window-policy regression that promotes everything would only show
+    // as "slower"; make it a failure. Narrow is 16 B per parameter.
+    assert_eq!(
+        wide_tensors, 0,
+        "synthetic updates must stay in the 128-bit window"
+    );
+    assert!(
+        accumulator_bytes < 24 * global.num_params() + model_bytes,
+        "accumulator is {accumulator_bytes} B for {params} params"
+    );
     FoldReport {
         params,
         folds,
         distinct,
-        // 6 limbs of 8 bytes per element, plus the f32 prototype.
-        accumulator_bytes: global.num_params() * 48 + model_bytes,
+        accumulator_bytes,
+        wide_tensors,
         materialized_bytes: folds * model_bytes,
         rss_before_kb,
         rss_after_kb,
         seconds,
     }
+}
+
+/// Window-policy guard: a tensor holding both 1.0 and 2^-100 cannot fit
+/// the 128-bit window, so exactly that tensor must be promoted — and the
+/// aggregate must not care.
+fn check_wide_spread_tensor() {
+    let update = |seed: u64| {
+        let mut sd = synth_update(64, seed);
+        let mut spread = vec![1.0f32; 8];
+        spread[seed as usize % 8] = f32::from_bits((127 - 100) << 23);
+        sd.insert(
+            "spread.weight",
+            TensorKind::Weight,
+            Tensor::from_vec(spread),
+        );
+        sd
+    };
+    let updates: Vec<(StateDict, usize)> = (0..5).map(|i| (update(i), 10 + i as usize)).collect();
+    let mut agg = StreamingFedAvg::new(&updates[0].0);
+    for (sd, n) in updates.iter().rev() {
+        agg.fold(sd, *n).expect("fold");
+    }
+    assert_eq!(
+        agg.wide_tensors(),
+        1,
+        "exactly the wide-spread tensor must be promoted"
+    );
+    assert_eq!(
+        agg.accumulator_bytes(),
+        64 * 16 + 8 * 48 + updates[0].0.nbytes()
+    );
+    assert_eq!(
+        agg.finish().expect("finish"),
+        fedavg(&updates).expect("fedavg"),
+        "promotion changed the aggregate"
+    );
 }
 
 struct RoundReport {
@@ -175,22 +234,25 @@ fn main() {
     let folds: usize = args.value("--folds", if smoke { 1_000 } else { 10_000 });
     let params: usize = args.value("--params", if smoke { 16_384 } else { 65_536 });
     let population: usize = args.value("--population", if smoke { 1_000 } else { 10_000 });
+    let parent_fold_seconds: f64 = args.value("--parent-fold-seconds", 0.0);
     let out: String = args.value("--out", "BENCH_scale.json".to_string());
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     println!("# streaming-aggregator scale benchmark ({cores} cores available)");
 
+    check_wide_spread_tensor();
     let fold = bench_fold(params, folds);
     let saved = fold
         .materialized_bytes
         .saturating_sub(fold.accumulator_bytes);
     println!(
-        "fold: {} updates x {} params in {:.2}s; accumulator {:.1} kB vs {:.1} MB materialized \
-         (saves {:.1} MB); rss {} -> {} kB",
+        "fold: {} updates x {} params in {:.2}s; accumulator {:.1} kB ({} wide tensors) vs \
+         {:.1} MB materialized (saves {:.1} MB); rss {} -> {} kB",
         fold.folds,
         fold.params,
         fold.seconds,
         fold.accumulator_bytes as f64 / 1e3,
+        fold.wide_tensors,
         fold.materialized_bytes as f64 / 1e6,
         saved as f64 / 1e6,
         fold.rss_before_kb,
@@ -217,11 +279,19 @@ fn main() {
         proc_status_kb("VmHWM"),
     );
 
+    let parent = if parent_fold_seconds > 0.0 {
+        format!(
+            "\n    \"parent_seconds\": {parent_fold_seconds:.4}, \"speedup\": {:.2},",
+            parent_fold_seconds / fold.seconds
+        )
+    } else {
+        String::new()
+    };
     let json = format!(
         "{{\n  \"benchmark\": \"scale\",\n  \"available_parallelism\": {cores},\n  \"smoke\": {smoke},\n\
          \n  \"fold\": {{\n    \"folds\": {}, \"params\": {}, \"distinct_updates\": {},\n    \
-         \"accumulator_bytes\": {}, \"materialized_bytes\": {},\n    \
-         \"rss_before_kb\": {}, \"rss_after_kb\": {}, \"seconds\": {:.4},\n    \
+         \"accumulator_bytes\": {}, \"wide_tensors\": {}, \"materialized_bytes\": {},\n    \
+         \"rss_before_kb\": {}, \"rss_after_kb\": {}, \"seconds\": {:.4},{}\n    \
          \"matches_materialized_fedavg\": true\n  }},\n\
          \n  \"round\": {{\n    \"population\": {}, \"cohort\": {}, \"rounds\": {},\n    \
          \"accuracy\": {:.6}, \"seconds\": {:.4},\n    \
@@ -230,10 +300,12 @@ fn main() {
         fold.params,
         fold.distinct,
         fold.accumulator_bytes,
+        fold.wide_tensors,
         fold.materialized_bytes,
         fold.rss_before_kb,
         fold.rss_after_kb,
         fold.seconds,
+        parent,
         round.population,
         round.cohort,
         round.rounds,

@@ -63,29 +63,47 @@ impl std::fmt::Display for UpdateRejection {
     }
 }
 
+/// The structural half of the gate, stated once for the ingest worker
+/// ([`validate_update`]) and the collector (`aggregate::check_update`):
+/// the declared sample count is in `(0, MAX_SAMPLES]` and the update has
+/// exactly the reference's entries (same names, kinds, and shapes, in the
+/// same order — aggregation is positional). On a mismatch of one entry
+/// the error carries its index, so a caller can name it.
+pub(crate) fn check_structure(
+    update: &StateDict,
+    reference: &StateDict,
+    samples: usize,
+) -> Result<(), (UpdateRejection, Option<usize>)> {
+    if samples == 0 || samples > MAX_SAMPLES {
+        return Err((UpdateRejection::BadSampleCount, None));
+    }
+    if update.len() != reference.len() {
+        return Err((UpdateRejection::StructureMismatch, None));
+    }
+    let mismatch = update
+        .entries()
+        .iter()
+        .zip(reference.entries())
+        .position(|(u, r)| {
+            u.name != r.name || u.kind != r.kind || u.tensor.shape() != r.tensor.shape()
+        });
+    match mismatch {
+        Some(i) => Err((UpdateRejection::StructureMismatch, Some(i))),
+        None => Ok(()),
+    }
+}
+
 /// Validate one decoded update against the broadcast global model.
 ///
-/// Checks, in order: the declared sample count is in `(0, MAX_SAMPLES]`;
-/// the update has exactly the reference's entries (same names, kinds, and
-/// shapes, in the same order — aggregation is positional); every value is
-/// finite. Returns the first failure, or `Ok(())` for an aggregatable
-/// update.
+/// Checks, in order: the structure ([`check_structure`]: sample count,
+/// then entry-by-entry names, kinds, and shapes); every value is finite.
+/// Returns the first failure, or `Ok(())` for an aggregatable update.
 pub fn validate_update(
     update: &StateDict,
     reference: &StateDict,
     samples: usize,
 ) -> Result<(), UpdateRejection> {
-    if samples == 0 || samples > MAX_SAMPLES {
-        return Err(UpdateRejection::BadSampleCount);
-    }
-    if update.len() != reference.len() {
-        return Err(UpdateRejection::StructureMismatch);
-    }
-    for (u, r) in update.entries().iter().zip(reference.entries()) {
-        if u.name != r.name || u.kind != r.kind || u.tensor.shape() != r.tensor.shape() {
-            return Err(UpdateRejection::StructureMismatch);
-        }
-    }
+    check_structure(update, reference, samples).map_err(|(rejection, _)| rejection)?;
     for e in update.entries() {
         if !e.tensor.data().iter().all(|v| v.is_finite()) {
             return Err(UpdateRejection::NonFinite);

@@ -1,7 +1,8 @@
 //! Property-based tests (proptest) over the compression stack's core
 //! invariants: lossless codecs are bit-exact on arbitrary bytes, strict
-//! EBLCs honour their bound on arbitrary finite floats, and the FedSZ
-//! pipeline preserves arbitrary state-dict structure.
+//! EBLCs honour their bound on arbitrary finite floats, the FedSZ
+//! pipeline preserves arbitrary state-dict structure, and the aggregator's
+//! 128-bit window lands on the bits of its 384-bit form.
 
 use fedsz::{compress, decompress, FedSzConfig};
 use fedsz_eblc::{value_range, ErrorBound, LossyKind};
@@ -132,6 +133,102 @@ proptest! {
             let lo = a[i].min(b[i]) - 1e-4;
             let hi = a[i].max(b[i]) + 1e-4;
             prop_assert!(out[i] >= lo && out[i] <= hi, "index {}: {} outside [{}, {}]", i, out[i], lo, hi);
+        }
+    }
+
+    /// The narrow (128-bit window) fold against the 384-bit limb path,
+    /// through the public API only. Both sides fold the multiset `M` to
+    /// the same exact sum over the same total weight:
+    ///
+    /// * narrow side — `M` plus an all-zero update of weight 2 (zeros
+    ///   never touch a tensor, so `M` alone decides the form);
+    /// * limb side — a forcing update `F` of weight 1 first (each tensor
+    ///   holds 2^100 and 2^-100, so it is promoted before anything is
+    ///   stored), then `M`, then `−F` of weight 1, which cancels `F`
+    ///   exactly. Every value of `M` goes through the 384-bit code.
+    #[test]
+    fn windowed_fold_matches_the_384_bit_path(
+        raw in proptest::collection::vec(any::<u32>(), 8..520),
+        spread_pick in 0usize..8,
+        low_pick in any::<u32>(),
+        weight_class in 0usize..3,
+        weight_picks in proptest::collection::vec(0usize..4, 64),
+    ) {
+        use fedsz_fl::{StreamingFedAvg, MAX_SAMPLES};
+
+        let mk = |band: &[f32], free: &[f32]| {
+            let mut sd = StateDict::new();
+            sd.insert("band.weight", TensorKind::Weight, Tensor::from_vec(band.to_vec()));
+            sd.insert("free.weight", TensorKind::Weight, Tensor::from_vec(free.to_vec()));
+            sd
+        };
+        let spread = [0u32, 1, 8, 16, 40, 69, 120, 253][spread_pick];
+        let low = low_pick % (254 - spread);
+        let weights = [
+            [1usize, 2, 3, 600],
+            [1, 600, 1 << 16, 1 << 20],
+            [1, 600, MAX_SAMPLES - 1, MAX_SAMPLES],
+        ][weight_class];
+        let updates: Vec<(StateDict, usize)> = raw
+            .chunks_exact(8)
+            .zip(&weight_picks)
+            .map(|(bits, &w)| {
+                // Four values with exponents confined to [low, low+spread]…
+                let band: Vec<f32> = bits[..4]
+                    .iter()
+                    .map(|&b| {
+                        let biased = 1 + low + (b >> 8) % (spread + 1);
+                        f32::from_bits((b & 0x807F_FFFF) | (biased << 23))
+                    })
+                    .collect();
+                // …and four raw bit patterns, non-finite ones made subnormal.
+                let free: Vec<f32> = bits[4..]
+                    .iter()
+                    .map(|&b| {
+                        let v = f32::from_bits(b);
+                        if v.is_finite() { v } else { f32::from_bits(b & 0x807F_FFFF) }
+                    })
+                    .collect();
+                (mk(&band, &free), weights[w])
+            })
+            .collect();
+
+        let fold = |order: &[&(StateDict, usize)]| {
+            let mut acc = StreamingFedAvg::new(&order[0].0);
+            for (sd, n) in order {
+                acc.fold(sd, *n).unwrap();
+            }
+            let wide = acc.wide_tensors();
+            let bytes = acc.accumulator_bytes();
+            (acc.finish().unwrap().to_bytes(), wide, bytes)
+        };
+
+        let big = f32::from_bits((100 + 127) << 23);
+        let small = f32::from_bits((127 - 100) << 23);
+        let force = (mk(&[big, small, 0.0, -big], &[-small, big, small, 0.0]), 1);
+        let unforce = (mk(&[-big, -small, 0.0, big], &[small, -big, -small, 0.0]), 1);
+        let zeros = (mk(&[0.0; 4], &[-0.0; 4]), 2);
+
+        let mut limb_order = vec![&force];
+        limb_order.extend(&updates);
+        limb_order.push(&unforce);
+        let (want, wide, bytes) = fold(&limb_order);
+        prop_assert_eq!(wide, 2, "the forcing update must promote both tensors");
+        prop_assert_eq!(bytes, 8 * 48 + 8 * 4);
+
+        let mut narrow_order: Vec<&(StateDict, usize)> = updates.iter().collect();
+        narrow_order.push(&zeros);
+        let (forward, wide_fwd, bytes_fwd) = fold(&narrow_order);
+        prop_assert_eq!(&forward, &want, "forward, {} tensors promoted", wide_fwd);
+        prop_assert_eq!(bytes_fwd, (2 - wide_fwd) * 4 * 16 + wide_fwd * 4 * 48 + 8 * 4);
+        narrow_order.reverse();
+        let (reverse, wide_rev, _) = fold(&narrow_order);
+        prop_assert_eq!(&reverse, &want, "reverse, {} tensors promoted", wide_rev);
+        // `free` is raw bit patterns and may promote. `band` may not when
+        // growth is small: its window keeps 70 bits below and 32 above the
+        // first update's top, and here the total weight stays under 2^16.
+        if weight_class == 0 && spread <= 16 {
+            prop_assert!(wide_fwd <= 1 && wide_rev <= 1);
         }
     }
 }
