@@ -9,52 +9,68 @@ use fedsz_entropy::huffman::{HuffmanDecoder, HuffmanEncoder};
 use fedsz_entropy::rangecoder::{BitModel, RangeDecoder, RangeEncoder};
 use fedsz_tensor::SplitMix64;
 
-/// Quantization-code-like symbols: a narrow Gaussian over a 2^16 alphabet.
-fn quant_codes(n: usize) -> Vec<u32> {
+/// Quantization-code-like symbols: a Gaussian of `sigma` bins over a 2^16
+/// alphabet.
+fn quant_codes(n: usize, sigma: f64) -> Vec<u32> {
     let mut rng = SplitMix64::new(11);
     (0..n)
-        .map(|_| (32768.0 + rng.normal_with(0.0, 40.0)).clamp(1.0, 65534.0) as u32)
+        .map(|_| (32768.0 + rng.normal_with(0.0, sigma)).clamp(1.0, 65534.0) as u32)
         .collect()
 }
 
 fn bench_huffman(c: &mut Criterion) {
-    let syms = quant_codes(1 << 20);
-    let mut freqs = vec![0u64; 1 << 16];
-    for &s in &syms {
-        freqs[s as usize] += 1;
-    }
-    let enc = HuffmanEncoder::from_frequencies(&freqs);
-
     let mut group = c.benchmark_group("huffman");
-    group.throughput(Throughput::Elements(syms.len() as u64));
     group.sample_size(10);
-    group.bench_function(BenchmarkId::from_parameter("encode"), |b| {
-        b.iter(|| {
-            let mut w = BitWriter::with_capacity(syms.len() / 2);
-            for &s in &syms {
-                enc.encode(&mut w, s);
-            }
-            w.finish()
+    // "wide": ~7 bits per symbol, one symbol per table hit (a tight bound).
+    // "narrow": ~3 bits per symbol, as SZ2 codes at rel 1e-2, where a table
+    // hit of the bulk path yields two symbols.
+    for (shape, sigma) in [("wide", 40.0), ("narrow", 2.5)] {
+        let syms = quant_codes(1 << 20, sigma);
+        let mut freqs = vec![0u64; 1 << 16];
+        for &s in &syms {
+            freqs[s as usize] += 1;
+        }
+        let enc = HuffmanEncoder::from_frequencies(&freqs);
+        group.throughput(Throughput::Elements(syms.len() as u64));
+        group.bench_function(BenchmarkId::new("encode", shape), |b| {
+            b.iter(|| {
+                let mut w = BitWriter::with_capacity(syms.len() / 2);
+                for &s in &syms {
+                    enc.encode(&mut w, s);
+                }
+                w.finish()
+            });
         });
-    });
 
-    let mut w = BitWriter::with_capacity(syms.len() / 2);
-    enc.write_table(&mut w);
-    for &s in &syms {
-        enc.encode(&mut w, s);
-    }
-    let bytes = w.finish();
-    group.bench_function(BenchmarkId::from_parameter("decode"), |b| {
-        b.iter(|| {
-            let mut r = BitReader::new(&bytes);
-            let dec = HuffmanDecoder::read_table(&mut r).unwrap();
-            let mut out = 0u64;
-            for _ in 0..syms.len() {
-                out = out.wrapping_add(dec.decode(&mut r).unwrap() as u64);
-            }
-            out
+        let mut w = BitWriter::with_capacity(syms.len() / 2);
+        enc.write_table(&mut w);
+        for &s in &syms {
+            enc.encode(&mut w, s);
+        }
+        let bytes = w.finish();
+        // Both rows decode the same stream into the same buffer, table read
+        // included: per-symbol `decode` against bulk `decode_run`.
+        let mut out = vec![0u32; syms.len()];
+        group.bench_function(BenchmarkId::new("decode", shape), |b| {
+            b.iter(|| {
+                let mut r = BitReader::new(&bytes);
+                let dec = HuffmanDecoder::read_table(&mut r).unwrap();
+                for slot in out.iter_mut() {
+                    *slot = dec.decode(&mut r).unwrap();
+                }
+            });
         });
-    });
+        assert_eq!(out, syms, "decode must reproduce the encoded symbols");
+        out.fill(0);
+        group.bench_function(BenchmarkId::new("decode_run", shape), |b| {
+            b.iter(|| {
+                let mut r = BitReader::new(&bytes);
+                let dec = HuffmanDecoder::read_table(&mut r).unwrap();
+                dec.decode_run(&mut r, &mut out).unwrap();
+            });
+        });
+        assert_eq!(out, syms, "decode_run must reproduce the encoded symbols");
+    }
     group.finish();
 }
 

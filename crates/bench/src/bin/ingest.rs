@@ -21,7 +21,11 @@
 //! those fields before judging the numbers.
 //!
 //! Run: `cargo run -p fedsz-bench --release --bin ingest [--smoke] [--reps N]
-//!       [--out BENCH_ingest.json]`
+//!       [--parent-serial-seconds S] [--out BENCH_ingest.json]`
+//!
+//! `--parent-serial-seconds` records, next to the largest cell's serial
+//! round time, that of a same-day run of the parent commit on the same box,
+//! as the before/after.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -221,6 +225,7 @@ fn main() {
     let args = Args::parse();
     let smoke = args.flag("--smoke");
     let reps: usize = args.value("--reps", if smoke { 2 } else { 5 });
+    let parent_serial_seconds: f64 = args.value("--parent-serial-seconds", 0.0);
     let out: String = args.value("--out", "BENCH_ingest.json".to_string());
     let cores = ingest::default_workers();
     let simd_level = fedsz_simd::detected_level().name();
@@ -276,8 +281,18 @@ fn main() {
                     m.workers, m.seconds, speedup
                 ));
             }
+            let is_largest = (Some(&clients), Some(&params))
+                == (client_counts.iter().max(), param_counts.iter().max());
+            let parent = if is_largest && parent_serial_seconds > 0.0 {
+                format!(
+                    " \"parent_serial_seconds\": {parent_serial_seconds:.6}, \"speedup_vs_parent\": {:.2},",
+                    parent_serial_seconds / serial_s
+                )
+            } else {
+                String::new()
+            };
             cells_json.push(format!(
-                "    {{\"clients\": {clients}, \"params\": {params}, \"payload_bytes\": {payload_bytes}, \"serial_seconds\": {serial_s:.6}, \"runs\": [{}]}}",
+                "    {{\"clients\": {clients}, \"params\": {params}, \"payload_bytes\": {payload_bytes}, \"serial_seconds\": {serial_s:.6},{parent} \"runs\": [{}]}}",
                 rows_json.join(", ")
             ));
         }

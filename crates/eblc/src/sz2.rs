@@ -229,12 +229,35 @@ pub fn decompress(bytes: &[u8]) -> Result<Vec<f32>, CodecError> {
     }
 }
 
-fn decode_payload(payload: &[u8]) -> Result<Vec<f32>, CodecError> {
+/// Blocks Huffman-decoded into the scratch and reconstructed together: 64 KB
+/// of codes, still in L2 when the reconstruct pass reads them back.
+const GROUP_BLOCKS: usize = 64;
+
+/// Everything in the payload ahead of the Huffman bitstream.
+struct PayloadHeader<'a> {
+    n: usize,
+    q: Quantizer,
+    /// Bit `i` set = block `i` uses the regression predictor.
+    bitmap: &'a [u8],
+    /// `(a, b)` per regression block, in block order.
+    coeffs: Vec<(f32, f32)>,
+    literals: Vec<f32>,
+    /// Huffman table followed by the `n` coded symbols.
+    bitstream: &'a [u8],
+}
+
+fn is_regression(bitmap: &[u8], block: usize) -> bool {
+    bitmap
+        .get(block / 8)
+        .is_some_and(|&b| b & (1 << (block % 8)) != 0)
+}
+
+fn decode_header(payload: &[u8]) -> Result<PayloadHeader<'_>, CodecError> {
     let mut pos = 0usize;
     let n = varint::read_usize(payload, &mut pos)?;
     // A stream of L bytes cannot code more than 8·L elements (every code is
-    // at least one bit), so bomb-sized counts are rejected before any
-    // allocation sized from them.
+    // at least one bit). `n` alone sizes nothing in any case: it only caps
+    // a reservation made from what the bitstream has really coded.
     if n > payload.len().saturating_mul(8) {
         return Err(CodecError::Corrupt("SZ2 element count exceeds stream"));
     }
@@ -242,19 +265,15 @@ fn decode_payload(payload: &[u8]) -> Result<Vec<f32>, CodecError> {
     if !(abs_eb.is_finite() && abs_eb > 0.0) {
         return Err(CodecError::Corrupt("invalid SZ2 error bound"));
     }
-    let q = Quantizer::new(abs_eb);
 
     let n_blocks = varint::read_usize(payload, &mut pos)?;
     if n_blocks != n.div_ceil(BLOCK) {
         return Err(CodecError::Corrupt("SZ2 block count mismatch"));
     }
-    let bitmap_len = n_blocks.div_ceil(8);
-    let bitmap = reader::take(payload, &mut pos, bitmap_len)?;
-    let is_regression =
-        |i: usize| -> bool { bitmap.get(i / 8).is_some_and(|&b| b & (1 << (i % 8)) != 0) };
+    let bitmap = reader::take(payload, &mut pos, n_blocks.div_ceil(8))?;
 
-    let n_regression = (0..n_blocks).filter(|&i| is_regression(i)).count();
-    let mut coeffs = Vec::with_capacity(n_regression);
+    let n_regression = (0..n_blocks).filter(|&i| is_regression(bitmap, i)).count();
+    let mut coeffs = Vec::new();
     for _ in 0..n_regression {
         let a = reader::read_f32_le(payload, &mut pos)?;
         let b = reader::read_f32_le(payload, &mut pos)?;
@@ -264,54 +283,144 @@ fn decode_payload(payload: &[u8]) -> Result<Vec<f32>, CodecError> {
     let n_literals = varint::read_usize(payload, &mut pos)?;
     let lit_span = reader::claimed_span(n_literals, 4, payload.len().saturating_sub(pos))?;
     let literals = reader::f32s_from_le_bytes(reader::take(payload, &mut pos, lit_span)?);
+    Ok(PayloadHeader {
+        n,
+        q: Quantizer::new(abs_eb),
+        bitmap,
+        coeffs,
+        literals,
+        bitstream: payload.get(pos..).ok_or(CodecError::UnexpectedEof)?,
+    })
+}
 
-    let mut r = BitReader::new(&payload[pos..]);
+/// One Lorenzo block of a group, mid-reconstruction.
+struct LorenzoChain<'a> {
+    codes: &'a [u32],
+    out: &'a mut [f32],
+    /// Exactly the literals this block's zero codes consume.
+    literals: std::slice::Iter<'a, f32>,
+    /// The value reconstructed last; a block's first element is predicted
+    /// by 0.
+    prev: f32,
+}
+
+/// Fused decode: per group of [`GROUP_BLOCKS`] blocks, Huffman-decode into a
+/// fixed scratch, then reconstruct the group into an output that has grown
+/// by exactly that many elements.
+fn decode_payload(payload: &[u8]) -> Result<Vec<f32>, CodecError> {
+    let h = decode_header(payload)?;
+    let mut r = BitReader::new(h.bitstream);
     let dec = HuffmanDecoder::read_table(&mut r)?;
-    let mut codes = Vec::with_capacity(n);
-    for _ in 0..n {
-        codes.push(dec.decode(&mut r)?);
-    }
+    let table_bits = r.bits_consumed();
 
-    // ---- reconstruct ----
-    let mut out = Vec::with_capacity(n);
-    let mut lit_iter = literals.iter();
-    let mut coeff_iter = coeffs.iter();
-    for (bi, block_codes) in codes.chunks(BLOCK).enumerate() {
-        if is_regression(bi) {
-            let &(a, b) = coeff_iter
-                .next()
-                .ok_or(CodecError::Corrupt("missing regression coefficients"))?;
-            let m = block_codes.len();
-            let mut preds = [0.0f32; BLOCK];
-            fedsz_simd::linear_preds(a, b, 0, &mut preds[..m]);
-            let start = out.len();
-            out.resize(start + m, 0.0);
-            q.reconstruct_slice(&preds[..m], block_codes, &mut out[start..]);
-            // Escape lanes come back as 0.0; patch them from the literal
-            // stream in order.
-            for (i, &code) in block_codes.iter().enumerate() {
-                if code == 0 {
-                    out[start + i] = *lit_iter
-                        .next()
-                        .ok_or(CodecError::Corrupt("missing literal"))?;
-                }
+    let mut scratch = vec![0u32; GROUP_BLOCKS * BLOCK];
+    let mut out: Vec<f32> = Vec::new();
+    let mut coeffs = h.coeffs.iter();
+    let mut literal_at = 0usize;
+    for first_block in (0..h.n.div_ceil(BLOCK)).step_by(GROUP_BLOCKS) {
+        let start = out.len();
+        let codes = &mut scratch[..(h.n - start).min(GROUP_BLOCKS * BLOCK)];
+        dec.decode_run(&mut r, codes)?;
+        if start == 0 {
+            let spent_bits = r.bits_consumed();
+            out.reserve_exact(crate::decode_capacity(
+                h.n,
+                codes.len(),
+                spent_bits - table_bits,
+                h.bitstream
+                    .len()
+                    .saturating_mul(8)
+                    .saturating_sub(spent_bits),
+            ));
+        }
+        out.resize(start.saturating_add(codes.len()), 0.0);
+        let fresh = &mut out[start..];
+
+        let mut chains = Vec::with_capacity(GROUP_BLOCKS);
+        for (block, (codes, out)) in
+            (first_block..).zip(codes.chunks(BLOCK).zip(fresh.chunks_mut(BLOCK)))
+        {
+            // A block's literals start where the zero codes before it end.
+            // Handing each block its own checked sub-slice keeps every
+            // literal read of the reconstruct loops in range, so they carry
+            // no per-element `Result`.
+            let from = literal_at;
+            literal_at += codes.iter().filter(|&&c| c == 0).count();
+            let literals = h
+                .literals
+                .get(from..literal_at)
+                .ok_or(CodecError::Corrupt("missing literal"))?;
+            if is_regression(h.bitmap, block) {
+                let &(a, b) = coeffs
+                    .next()
+                    .ok_or(CodecError::Corrupt("missing regression coefficients"))?;
+                decode_regression_block(codes, out, literals, a, b, &h.q);
+            } else {
+                chains.push(LorenzoChain {
+                    codes,
+                    out,
+                    literals: literals.iter(),
+                    prev: 0.0,
+                });
             }
-        } else {
-            let mut prev = 0.0f32;
-            for &code in block_codes {
-                let v = if code == 0 {
-                    *lit_iter
-                        .next()
-                        .ok_or(CodecError::Corrupt("missing literal"))?
-                } else {
-                    q.reconstruct(prev, code)
-                };
-                out.push(v);
-                prev = v;
+        }
+        decode_lorenzo_chains(&mut chains, &h.q);
+    }
+    Ok(out)
+}
+
+fn decode_regression_block(
+    codes: &[u32],
+    out: &mut [f32],
+    literals: &[f32],
+    a: f32,
+    b: f32,
+    q: &Quantizer,
+) {
+    let mut preds = [0.0f32; BLOCK];
+    let preds = &mut preds[..codes.len()];
+    fedsz_simd::linear_preds(a, b, 0, preds);
+    q.reconstruct_slice(preds, codes, out);
+    // Escape lanes come back as 0.0; patch them from the literals in order.
+    if !literals.is_empty() {
+        let mut literals = literals.iter();
+        for (v, &code) in out.iter_mut().zip(codes) {
+            if code == 0 {
+                *v = literals.next().copied().unwrap_or(0.0);
             }
         }
     }
-    Ok(out)
+}
+
+/// Lorenzo chains stepped side by side. One chain is a serial
+/// `f32 → f64, add, → f32` dependency of ~14 cycles per element; eight in
+/// flight keep the adder busy, and their sixteen cache lines (blocks lie 1 KB
+/// apart, so they share few L1 sets) still fit the ways of those sets.
+const LANES: usize = 8;
+
+/// Reconstruct a group's Lorenzo blocks, [`LANES`] at a time.
+///
+/// Every block restarts from `prev = 0` and reads only its own codes and
+/// literals, so the chains are independent: stepping them side by side
+/// performs, per block, exactly the operations of a block-at-a-time loop in
+/// the same order — the bits agree — while their latencies overlap.
+fn decode_lorenzo_chains(chains: &mut [LorenzoChain<'_>], q: &Quantizer) {
+    for lanes in chains.chunks_mut(LANES) {
+        for i in 0..BLOCK {
+            for chain in lanes.iter_mut() {
+                // Only the tensor's last block can be short.
+                let (Some(&code), Some(v)) = (chain.codes.get(i), chain.out.get_mut(i)) else {
+                    continue;
+                };
+                chain.prev = if code == 0 {
+                    chain.literals.next().copied().unwrap_or(0.0)
+                } else {
+                    q.reconstruct(chain.prev, code)
+                };
+                *v = chain.prev;
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -435,5 +544,280 @@ mod tests {
         let data = smooth(5000);
         let c = compress(&data, ErrorBound::Rel(1e-3));
         assert!(decompress(&c[..c.len() / 2]).is_err());
+    }
+
+    // -----------------------------------------------------------------------
+    // The fused decoder against a naive reference: all codes first, through
+    // the per-symbol `decode`, then one block at a time with a fallible
+    // literal read per element — the decoder this module had before the
+    // group-fused one, kept as the oracle for outputs and errors.
+    // -----------------------------------------------------------------------
+
+    fn decode_payload_reference(payload: &[u8]) -> Result<Vec<f32>, CodecError> {
+        let h = decode_header(payload)?;
+        let mut r = BitReader::new(h.bitstream);
+        let dec = HuffmanDecoder::read_table(&mut r)?;
+        let mut codes = Vec::new();
+        for _ in 0..h.n {
+            codes.push(dec.decode(&mut r)?);
+        }
+
+        let mut out = Vec::new();
+        let mut lit_iter = h.literals.iter();
+        let mut coeff_iter = h.coeffs.iter();
+        let mut literal = || {
+            lit_iter
+                .next()
+                .copied()
+                .ok_or(CodecError::Corrupt("missing literal"))
+        };
+        for (bi, block_codes) in codes.chunks(BLOCK).enumerate() {
+            if is_regression(h.bitmap, bi) {
+                let &(a, b) = coeff_iter
+                    .next()
+                    .ok_or(CodecError::Corrupt("missing regression coefficients"))?;
+                let mut preds = vec![0.0f32; block_codes.len()];
+                fedsz_simd::linear_preds(a, b, 0, &mut preds);
+                for (&pred, &code) in preds.iter().zip(block_codes) {
+                    out.push(if code == 0 {
+                        literal()?
+                    } else {
+                        h.q.reconstruct(pred, code)
+                    });
+                }
+            } else {
+                let mut prev = 0.0f32;
+                for &code in block_codes {
+                    prev = if code == 0 {
+                        literal()?
+                    } else {
+                        h.q.reconstruct(prev, code)
+                    };
+                    out.push(prev);
+                }
+            }
+        }
+        Ok(out)
+    }
+
+    fn bits(decoded: Result<Vec<f32>, CodecError>) -> Result<Vec<u32>, CodecError> {
+        decoded.map(|v| v.iter().map(|x| x.to_bits()).collect())
+    }
+
+    fn assert_matches_reference(payload: &[u8], ctx: &str) -> Result<Vec<f32>, CodecError> {
+        let fused = decode_payload(payload);
+        assert_eq!(
+            bits(fused.clone()),
+            bits(decode_payload_reference(payload)),
+            "{ctx}"
+        );
+        fused
+    }
+
+    /// A payload as `compress` lays it out, from parts a test chooses:
+    /// which blocks are regression blocks, the codes, and the literals (one
+    /// per zero code, unless the test wants the stream short).
+    fn assemble(regression: &[bool], codes: &[u32], literals: &[f32]) -> Vec<u8> {
+        assert_eq!(regression.len(), codes.len().div_ceil(BLOCK));
+        let mut rng = xorshift(0xC0EF);
+        let mut payload = Vec::new();
+        varint::write_usize(&mut payload, codes.len());
+        payload.extend_from_slice(&0.0125f64.to_le_bytes());
+        varint::write_usize(&mut payload, regression.len());
+        let mut bitmap = vec![0u8; regression.len().div_ceil(8)];
+        for (i, _) in regression.iter().enumerate().filter(|(_, &r)| r) {
+            bitmap[i / 8] |= 1 << (i % 8);
+        }
+        payload.extend_from_slice(&bitmap);
+        for _ in regression.iter().filter(|&&r| r) {
+            let a = (rng() % 2001) as f32 * 1e-3 - 1.0;
+            let b = (rng() % 2001) as f32 * 1e-1 - 100.0;
+            payload.extend_from_slice(&a.to_le_bytes());
+            payload.extend_from_slice(&b.to_le_bytes());
+        }
+        varint::write_usize(&mut payload, literals.len());
+        for v in literals {
+            payload.extend_from_slice(&v.to_le_bytes());
+        }
+        let mut freqs = vec![0u64; NUM_CODES];
+        for &c in codes {
+            freqs[c as usize] += 1;
+        }
+        let enc = HuffmanEncoder::from_frequencies(&freqs);
+        let mut w = BitWriter::new();
+        enc.write_table(&mut w);
+        for &c in codes {
+            enc.encode(&mut w, c);
+        }
+        payload.extend_from_slice(&w.finish());
+        payload
+    }
+
+    fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+        let mut state = seed;
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        }
+    }
+
+    /// `n` codes near the centre of the code book with a far one now and
+    /// then, and a zero (an escape) wherever `escape` says so.
+    fn codes_with_escapes(n: usize, seed: u64, escape: impl Fn(usize) -> bool) -> Vec<u32> {
+        let mut rng = xorshift(seed);
+        (0..n)
+            .map(|i| match rng() % 64 {
+                _ if escape(i) => 0,
+                0 => 1 + (rng() % (NUM_CODES as u64 - 1)) as u32,
+                r => (RADIUS_CODE + r % 9) as u32 - 4,
+            })
+            .collect()
+    }
+
+    const RADIUS_CODE: u64 = NUM_CODES as u64 / 2;
+
+    /// One literal per zero code: NaN, the infinities, outliers, ordinary
+    /// values.
+    fn literals_for(codes: &[u32]) -> Vec<f32> {
+        let pool = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            1.0e30,
+            -3.5e-9,
+            0.25,
+        ];
+        let zeros = codes.iter().filter(|&&c| c == 0).count();
+        (0..zeros).map(|i| pool[i % pool.len()]).collect()
+    }
+
+    const GROUP: usize = GROUP_BLOCKS * BLOCK;
+
+    #[test]
+    fn fused_decode_matches_reference_for_every_block_mix_and_length() {
+        let lengths = [
+            1,
+            255,
+            256,
+            257,
+            LANES * BLOCK - 1,
+            LANES * BLOCK + 1,
+            GROUP - 1,
+            GROUP,
+            GROUP + 1,
+            2 * GROUP + 3 * BLOCK + 17,
+        ];
+        type Mix = (&'static str, fn(usize) -> bool);
+        let mixes: [Mix; 4] = [
+            ("all Lorenzo", |_| false),
+            ("all regression", |_| true),
+            ("alternating", |b| b % 2 == 1),
+            // Few Lorenzo blocks per group: never a full set of lanes.
+            ("sparse Lorenzo", |b| b % GROUP_BLOCKS >= 3),
+        ];
+        for n in lengths {
+            for (name, pick) in mixes {
+                let regression: Vec<bool> = (0..n.div_ceil(BLOCK)).map(pick).collect();
+                let codes = codes_with_escapes(n, n as u64, |i| i % 97 == 5);
+                let payload = assemble(&regression, &codes, &literals_for(&codes));
+                let out = assert_matches_reference(&payload, &format!("{name}, n = {n}"));
+                assert_eq!(out.map(|v| v.len()), Ok(n), "{name}, n = {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn fused_decode_matches_reference_on_escapes_at_block_edges() {
+        // Escapes in the first and last lane of blocks, and in the same
+        // lanes of LANES neighbouring Lorenzo blocks at once, where the
+        // interleaved chains all take the literal branch in the same step.
+        let n = 3 * LANES * BLOCK + 100;
+        let edge = |i: usize| matches!(i % BLOCK, 0 | 255) || i == n - 1;
+        let together = |i: usize| (BLOCK..(LANES + 1) * BLOCK).contains(&i) && i % BLOCK == 77;
+        for (name, pick) in [
+            ("Lorenzo", (|_| false) as fn(usize) -> bool),
+            ("regression", |_| true),
+            ("alternating", |b| b % 2 == 0),
+        ] {
+            let regression: Vec<bool> = (0..n.div_ceil(BLOCK)).map(pick).collect();
+            let codes = codes_with_escapes(n, 7, |i| edge(i) || together(i));
+            let payload = assemble(&regression, &codes, &literals_for(&codes));
+            assert_matches_reference(&payload, name).unwrap();
+        }
+        // A block of nothing but escapes.
+        let codes = codes_with_escapes(2 * BLOCK + 9, 3, |i| i >= BLOCK);
+        let payload = assemble(&[false, true, false], &codes, &literals_for(&codes));
+        assert_matches_reference(&payload, "all-escape blocks").unwrap();
+    }
+
+    #[test]
+    fn a_stream_one_literal_short_is_a_missing_literal_error() {
+        for (n, regression) in [
+            (100, false),
+            (100, true),
+            (GROUP + 5 * BLOCK, false),
+            (GROUP + 5 * BLOCK, true),
+        ] {
+            let regression = vec![regression; n.div_ceil(BLOCK)];
+            // The last escape sits in the last block, so every group before
+            // it decodes in full first.
+            let codes = codes_with_escapes(n, 11, |i| i % 50 == 49 || i == n - 1);
+            let mut literals = literals_for(&codes);
+            literals.pop();
+            let payload = assemble(&regression, &codes, &literals);
+            let got = assert_matches_reference(&payload, "one literal short");
+            assert_eq!(got, Err(CodecError::Corrupt("missing literal")));
+        }
+    }
+
+    #[test]
+    fn truncated_payloads_fail_like_the_reference() {
+        let n = GROUP + 3 * BLOCK + 40;
+        let regression: Vec<bool> = (0..n.div_ceil(BLOCK)).map(|b| b % 3 == 0).collect();
+        let codes = codes_with_escapes(n, 23, |i| i % 31 == 0);
+        let payload = assemble(&regression, &codes, &literals_for(&codes));
+        assert_matches_reference(&payload, "intact").unwrap();
+        // Cut anywhere — header, coefficients, literals, table, bitstream.
+        let mut rng = xorshift(0x7A11);
+        let cuts = (0..400).map(|_| (rng() % payload.len() as u64) as usize);
+        for cut in cuts.chain(payload.len() - 64..payload.len()) {
+            let ctx = format!("cut to {cut} of {}", payload.len());
+            let got = assert_matches_reference(&payload[..cut], &ctx);
+            assert!(got.is_err(), "{ctx} decoded");
+        }
+    }
+
+    /// The payload inside a NORMAL-mode stream.
+    fn payload_of(stream: &[u8]) -> Vec<u8> {
+        assert_eq!(stream[0], MODE_NORMAL);
+        fedsz_lossless::zstd::decompress(&stream[1..]).unwrap()
+    }
+
+    #[test]
+    fn fused_decode_matches_reference_on_model_tensors() {
+        // Every tensor of the benchmark's models at its bounds, seed 42: the
+        // fused decoder reproduces the block-at-a-time decoder bit for bit.
+        use fedsz_models::ModelKind;
+        for (kind, rel) in [
+            (ModelKind::ResNet50, 1e-2),
+            (ModelKind::MobileNetV2, 1e-4),
+            (ModelKind::MobileNetV2, 1e-2),
+            (ModelKind::AlexNet, 1e-3),
+        ] {
+            let model = kind.synthesize(10, 42);
+            let mut lossy = 0usize;
+            for entry in model.entries() {
+                let stream = compress(entry.tensor.data(), ErrorBound::Rel(rel));
+                if stream[0] != MODE_NORMAL {
+                    continue;
+                }
+                lossy += 1;
+                let ctx = format!("{} {rel:e} {}", kind.name(), entry.name);
+                assert_matches_reference(&payload_of(&stream), &ctx).unwrap();
+            }
+            assert!(lossy > 10, "{}: {lossy} NORMAL-mode tensors", kind.name());
+        }
     }
 }

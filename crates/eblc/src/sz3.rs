@@ -342,11 +342,23 @@ pub fn decompress(bytes: &[u8]) -> Result<Vec<f32>, CodecError> {
     }
 }
 
-fn decode_payload(payload: &[u8]) -> Result<Vec<f32>, CodecError> {
+/// Everything in the payload ahead of the Huffman bitstream.
+struct PayloadHeader<'a> {
+    n: usize,
+    q: Quantizer,
+    /// Cubic-level mask per chunk.
+    masks: Vec<u16>,
+    literals: Vec<f32>,
+    /// Huffman table followed by the `n` coded symbols.
+    bitstream: &'a [u8],
+}
+
+fn decode_header(payload: &[u8]) -> Result<PayloadHeader<'_>, CodecError> {
     let mut pos = 0usize;
     let n = varint::read_usize(payload, &mut pos)?;
-    // Reject bomb-sized element counts before sizing any allocation: L
-    // bytes cannot code more than 8·L one-bit symbols.
+    // L bytes cannot code more than 8·L one-bit symbols. `n` alone sizes
+    // nothing in any case: it only caps a reservation made from what the
+    // bitstream has really coded.
     if n > payload.len().saturating_mul(8) {
         return Err(CodecError::Corrupt("SZ3 element count exceeds stream"));
     }
@@ -354,13 +366,12 @@ fn decode_payload(payload: &[u8]) -> Result<Vec<f32>, CodecError> {
     if !(abs_eb.is_finite() && abs_eb > 0.0) {
         return Err(CodecError::Corrupt("invalid SZ3 error bound"));
     }
-    let q = Quantizer::new(abs_eb);
 
     let n_chunks = varint::read_usize(payload, &mut pos)?;
     if n_chunks != n.div_ceil(CHUNK) {
         return Err(CodecError::Corrupt("SZ3 chunk count mismatch"));
     }
-    let mut masks = Vec::with_capacity(n_chunks);
+    let mut masks = Vec::new();
     for _ in 0..n_chunks {
         let b = reader::take_array::<2>(payload, &mut pos)?;
         masks.push(u16::from_le_bytes(b));
@@ -369,22 +380,42 @@ fn decode_payload(payload: &[u8]) -> Result<Vec<f32>, CodecError> {
     let n_literals = varint::read_usize(payload, &mut pos)?;
     let lit_span = reader::claimed_span(n_literals, 4, payload.len().saturating_sub(pos))?;
     let literals = reader::f32s_from_le_bytes(reader::take(payload, &mut pos, lit_span)?);
+    Ok(PayloadHeader {
+        n,
+        q: Quantizer::new(abs_eb),
+        masks,
+        literals,
+        bitstream: payload.get(pos..).ok_or(CodecError::UnexpectedEof)?,
+    })
+}
 
-    let mut r = BitReader::new(&payload[pos..]);
+/// Fused decode: Huffman-decode one chunk's codes into a fixed scratch, then
+/// interpolate that chunk onto the end of the output.
+fn decode_payload(payload: &[u8]) -> Result<Vec<f32>, CodecError> {
+    let h = decode_header(payload)?;
+    let mut r = BitReader::new(h.bitstream);
     let dec = HuffmanDecoder::read_table(&mut r)?;
-    let mut codes = Vec::with_capacity(n);
-    for _ in 0..n {
-        codes.push(dec.decode(&mut r)?);
-    }
+    let table_bits = r.bits_consumed();
 
-    let mut out = Vec::with_capacity(n);
-    let mut lit_iter = literals.iter();
-    let mut code_off = 0usize;
-    for (chunk_idx, &mask) in masks.iter().enumerate() {
-        let m = (n - chunk_idx * CHUNK).min(CHUNK);
-        let chunk_codes = &codes[code_off..code_off + m];
-        code_off += m;
-        out.extend(decode_chunk(m, mask, chunk_codes, &mut lit_iter, &q)?);
+    let mut scratch = vec![0u32; CHUNK];
+    let mut out = Vec::new();
+    let mut lit_iter = h.literals.iter();
+    for &mask in &h.masks {
+        let codes = &mut scratch[..(h.n - out.len()).min(CHUNK)];
+        dec.decode_run(&mut r, codes)?;
+        if out.is_empty() {
+            let spent_bits = r.bits_consumed();
+            out.reserve_exact(crate::decode_capacity(
+                h.n,
+                codes.len(),
+                spent_bits - table_bits,
+                h.bitstream
+                    .len()
+                    .saturating_mul(8)
+                    .saturating_sub(spent_bits),
+            ));
+        }
+        out.extend(decode_chunk(codes.len(), mask, codes, &mut lit_iter, &h.q)?);
     }
     Ok(out)
 }
@@ -521,5 +552,125 @@ mod tests {
             }
             assert!(seen.iter().all(|&x| x), "m={m} not fully covered");
         }
+    }
+
+    /// The decoder this module had before the chunk-fused one: every code
+    /// through the per-symbol `decode` into one `n`-sized vector, then the
+    /// chunks. Kept as the oracle for outputs and errors.
+    fn decode_payload_reference(payload: &[u8]) -> Result<Vec<f32>, CodecError> {
+        let h = decode_header(payload)?;
+        let mut r = BitReader::new(h.bitstream);
+        let dec = HuffmanDecoder::read_table(&mut r)?;
+        let mut codes = Vec::new();
+        for _ in 0..h.n {
+            codes.push(dec.decode(&mut r)?);
+        }
+        let mut out = Vec::new();
+        let mut lit_iter = h.literals.iter();
+        for (chunk_codes, &mask) in codes.chunks(CHUNK).zip(&h.masks) {
+            out.extend(decode_chunk(
+                chunk_codes.len(),
+                mask,
+                chunk_codes,
+                &mut lit_iter,
+                &h.q,
+            )?);
+        }
+        Ok(out)
+    }
+
+    fn assert_matches_reference(payload: &[u8], ctx: &str) -> Result<Vec<f32>, CodecError> {
+        let bits = |decoded: Result<Vec<f32>, CodecError>| {
+            decoded.map(|v| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+        };
+        let fused = decode_payload(payload);
+        assert_eq!(
+            bits(fused.clone()),
+            bits(decode_payload_reference(payload)),
+            "{ctx}"
+        );
+        fused
+    }
+
+    /// The payload inside a NORMAL-mode stream.
+    fn payload_of(stream: &[u8]) -> Vec<u8> {
+        assert_eq!(stream[0], MODE_NORMAL);
+        fedsz_lossless::zstd::decompress(&stream[1..]).unwrap()
+    }
+
+    #[test]
+    fn fused_decode_matches_reference_around_the_chunk_size() {
+        for n in [1usize, 2, 255, 4095, 4096, 4097, 8191, 8192, 8193, 20_000] {
+            let mut data = smooth(n);
+            // Escapes of every kind, at chunk edges among other places.
+            for (k, v) in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1.0e30]
+                .into_iter()
+                .enumerate()
+            {
+                for at in [k, 4095 - k, 4096 + k, n.saturating_sub(k + 1)] {
+                    if let Some(x) = data.get_mut(at) {
+                        *x = v;
+                    }
+                }
+            }
+            let stream = compress(&data, ErrorBound::Abs(1e-3));
+            if stream[0] != MODE_NORMAL {
+                continue;
+            }
+            let payload = payload_of(&stream);
+            let out = assert_matches_reference(&payload, &format!("n = {n}")).unwrap();
+            assert_eq!(out.len(), n);
+
+            // Every cut of a short payload, a seeded sample of a long one:
+            // the same typed error as the reference, never a panic.
+            let step = payload.len() / 300 + 1;
+            for cut in (0..payload.len()).step_by(step) {
+                let ctx = format!("n = {n} cut to {cut} of {}", payload.len());
+                assert!(
+                    assert_matches_reference(&payload[..cut], &ctx).is_err(),
+                    "{ctx}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_stream_one_literal_short_is_a_missing_literal_error() {
+        let mut data = smooth(3 * CHUNK);
+        data[2 * CHUNK + 77] = f32::NAN;
+        let payload = payload_of(&compress(&data, ErrorBound::Abs(1e-3)));
+        // Re-lay the payload with its last literal dropped.
+        let h = decode_header(&payload).unwrap();
+        let tail = h.bitstream.len() + 4 * h.literals.len();
+        let mut count_at = payload.len() - tail - 1;
+        let mut short = payload[..count_at].to_vec();
+        assert_eq!(
+            varint::read_usize(&payload, &mut count_at),
+            Ok(h.literals.len()),
+            "the literal count is a one-byte varint in this stream"
+        );
+        varint::write_usize(&mut short, h.literals.len() - 1);
+        short.extend_from_slice(&payload[count_at..count_at + 4 * (h.literals.len() - 1)]);
+        short.extend_from_slice(h.bitstream);
+        assert_eq!(
+            assert_matches_reference(&short, "one literal short"),
+            Err(CodecError::Corrupt("missing literal"))
+        );
+    }
+
+    #[test]
+    fn fused_decode_matches_reference_on_model_tensors() {
+        use fedsz_models::ModelKind;
+        let model = ModelKind::MobileNetV2.synthesize(10, 42);
+        let mut lossy = 0usize;
+        for entry in model.entries() {
+            let stream = compress(entry.tensor.data(), ErrorBound::Rel(1e-2));
+            if stream[0] != MODE_NORMAL {
+                continue;
+            }
+            lossy += 1;
+            assert_matches_reference(&payload_of(&stream), &entry.name).unwrap();
+        }
+        assert!(lossy > 10, "{lossy} NORMAL-mode tensors");
     }
 }

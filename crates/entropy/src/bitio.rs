@@ -75,6 +75,11 @@ impl BitWriter {
 }
 
 /// Reads bits most-significant-first from a byte slice.
+///
+/// The accumulator is left-aligned: its top `nbits` bits are the next
+/// unread bits of the stream. Whatever sits below them is either zero or
+/// the stream's own following bits (a word refill loads more than it
+/// counts), so a later refill ORs the same values over them.
 #[derive(Debug)]
 pub struct BitReader<'a> {
     data: &'a [u8],
@@ -95,15 +100,49 @@ impl<'a> BitReader<'a> {
         }
     }
 
+    /// Top the accumulator up to at least 56 bits from one big-endian
+    /// 8-byte load. Returns `false`, leaving the reader untouched, when
+    /// fewer than 8 bytes remain; the byte loops below serve that tail.
     #[inline]
-    fn refill(&mut self, need: u32) -> Result<(), CodecError> {
-        while self.nbits < need {
-            let byte = *self.data.get(self.pos).ok_or(CodecError::UnexpectedEof)?;
-            self.pos += 1;
-            self.acc = (self.acc << 8) | byte as u64;
-            self.nbits += 8;
+    pub(crate) fn refill_word(&mut self) -> bool {
+        debug_assert!(self.nbits < 64);
+        let Some(word) = self.data.get(self.pos..).and_then(|s| s.first_chunk::<8>()) else {
+            return false;
+        };
+        self.acc |= u64::from_be_bytes(*word) >> self.nbits;
+        self.pos += ((63 - self.nbits) >> 3) as usize;
+        self.nbits |= 56;
+        true
+    }
+
+    /// Pull bytes until `need <= 57` bits are buffered or the input ends.
+    #[inline]
+    fn fill(&mut self, need: u32) {
+        if self.nbits < need {
+            self.refill_word();
+            while self.nbits < need {
+                let Some(&byte) = self.data.get(self.pos) else {
+                    return;
+                };
+                self.pos += 1;
+                self.acc |= u64::from(byte) << (56 - self.nbits);
+                self.nbits += 8;
+            }
         }
-        Ok(())
+    }
+
+    /// The next `n` bits (`1..=57`), zero-padded past the end of the input.
+    #[inline]
+    pub(crate) fn top_bits(&self, n: u32) -> u64 {
+        self.acc >> (64 - n)
+    }
+
+    /// Drop `n` buffered bits (`n <= nbits`, `n < 64`).
+    #[inline]
+    pub(crate) fn skip(&mut self, n: u32) {
+        debug_assert!(n <= self.nbits);
+        self.acc <<= n;
+        self.nbits -= n;
     }
 
     /// Read `n` bits (`n <= 57`), MSB first.
@@ -115,9 +154,12 @@ impl<'a> BitReader<'a> {
         if n == 0 {
             return Ok(0);
         }
-        self.refill(n)?;
-        self.nbits -= n;
-        let v = (self.acc >> self.nbits) & ((1u64 << n) - 1);
+        self.fill(n);
+        if self.nbits < n {
+            return Err(CodecError::UnexpectedEof);
+        }
+        let v = self.top_bits(n);
+        self.skip(n);
         Ok(v)
     }
 
@@ -138,24 +180,18 @@ impl<'a> BitReader<'a> {
     #[inline]
     pub fn peek_bits(&mut self, n: u32) -> u64 {
         debug_assert!((1..=56).contains(&n));
-        while self.nbits < n && self.pos < self.data.len() {
-            self.acc = (self.acc << 8) | self.data[self.pos] as u64;
-            self.pos += 1;
-            self.nbits += 8;
-        }
-        let mask = (1u64 << n) - 1;
-        if self.nbits >= n {
-            (self.acc >> (self.nbits - n)) & mask
-        } else {
-            (self.acc << (n - self.nbits)) & mask
-        }
+        self.fill(n);
+        self.top_bits(n)
     }
 
     /// Consume `n` bits previously peeked.
     #[inline]
     pub fn consume(&mut self, n: u32) -> Result<(), CodecError> {
-        self.refill(n)?;
-        self.nbits -= n;
+        self.fill(n);
+        if self.nbits < n {
+            return Err(CodecError::UnexpectedEof);
+        }
+        self.skip(n);
         Ok(())
     }
 
@@ -246,6 +282,88 @@ mod tests {
         let mut r = BitReader::new(&bytes);
         for (v, n) in items {
             assert_eq!(r.read_bits(n).unwrap(), v);
+        }
+    }
+
+    /// Bit-at-a-time model of the reader: no accumulator, no refill.
+    struct BitwiseReader<'a> {
+        data: &'a [u8],
+        at: usize,
+    }
+
+    impl BitwiseReader<'_> {
+        fn bit(&self, i: usize) -> u64 {
+            self.data
+                .get(i / 8)
+                .map_or(0, |b| u64::from(b >> (7 - i % 8) & 1))
+        }
+
+        fn peek_bits(&self, n: u32) -> u64 {
+            (0..n as usize).fold(0, |v, i| v << 1 | self.bit(self.at + i))
+        }
+
+        fn consume(&mut self, n: u32) -> Result<(), CodecError> {
+            if self.at + n as usize > self.data.len() * 8 {
+                return Err(CodecError::UnexpectedEof);
+            }
+            self.at += n as usize;
+            Ok(())
+        }
+
+        fn read_bits(&mut self, n: u32) -> Result<u64, CodecError> {
+            let v = self.peek_bits(n);
+            self.consume(n).map(|()| v)
+        }
+    }
+
+    #[test]
+    fn word_refill_matches_a_bitwise_reader_at_every_alignment() {
+        // Streams from empty to well past one word, so the 8-byte load, the
+        // byte-loop tail and the hand-over between them are all crossed, and
+        // an initial skew of 0..=64 bits puts the first refill at every bit
+        // alignment. Mixed reads, peeks and consumes must agree with the
+        // model value for value and error for error, and report the same
+        // position after every step.
+        let mut state = 0x0DDB_1A5E_5BAD_5EEDu64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for len in 0..=40usize {
+            let data: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+            for skew in 0..=64u32 {
+                let mut fast = BitReader::new(&data);
+                let mut model = BitwiseReader { data: &data, at: 0 };
+                let ctx = format!("len {len} skew {skew}");
+                if skew > 0 {
+                    let (a, b) = (skew.min(57), skew.saturating_sub(57));
+                    assert_eq!(fast.read_bits(a), model.read_bits(a), "{ctx}");
+                    assert_eq!(fast.read_bits(b), model.read_bits(b), "{ctx}");
+                }
+                // Long enough to run every stream dry: the failing steps at
+                // the end must fail alike, and shorter reads after a failed
+                // wide one must still succeed alike.
+                for _ in 0..48 {
+                    let n = (next() % 57 + 1) as u32;
+                    match next() % 3 {
+                        0 => assert_eq!(fast.read_bits(n), model.read_bits(n), "{ctx} read {n}"),
+                        1 => {
+                            let n = n.min(56);
+                            assert_eq!(fast.peek_bits(n), model.peek_bits(n), "{ctx} peek {n}");
+                            // Consume part of what was peeked, as a table
+                            // hit does.
+                            let used = (next() % u64::from(n) + 1) as u32;
+                            assert_eq!(fast.consume(used), model.consume(used), "{ctx}");
+                        }
+                        _ => {
+                            assert_eq!(fast.read_bit(), model.read_bits(1).map(|b| b == 1), "{ctx}")
+                        }
+                    }
+                    assert_eq!(fast.bits_consumed(), model.at, "{ctx}");
+                }
+            }
         }
     }
 }

@@ -168,6 +168,69 @@ impl HuffmanEncoder {
 /// Bits resolved by the primary decode lookup table.
 const LOOKUP_BITS: u32 = 12;
 
+/// Largest alphabet [`HuffmanDecoder::read_table`] admits. No format in the
+/// workspace codes more than the 2^16 SZ quantization symbols, and a table
+/// header is a few bytes per 65 535-symbol run, so without a cap a
+/// 150-byte stream could demand a 2^26-entry sort before being refused.
+const MAX_ALPHABET: usize = 1 << 16;
+
+/// Table hits [`HuffmanDecoder::decode_run`] takes per refill: a refilled
+/// accumulator holds at least 56 bits.
+const HITS_PER_REFILL: usize = (56 / LOOKUP_BITS) as usize;
+
+/// One primary-table entry: the one or two symbols a [`LOOKUP_BITS`]-bit
+/// prefix fully determines. Symbols fit 16 bits under [`MAX_ALPHABET`].
+///
+/// | bits   | field                                                    |
+/// |--------|----------------------------------------------------------|
+/// | 0..6   | bits all symbols of the entry consume; 0 = a longer code |
+/// | 6..8   | symbols in the entry, 1 or 2                             |
+/// | 8..16  | bits the first symbol alone consumes                     |
+/// | 16..32 | first symbol                                             |
+/// | 32..48 | second symbol                                            |
+///
+/// The total sits in the low six bits, all a 64-bit shift reads of its
+/// count, so the bulk loop's shift can take the entry as loaded.
+#[derive(Debug, Clone, Copy, Default)]
+struct Entry(u64);
+
+impl Entry {
+    fn one(sym: u32, len: u8) -> Self {
+        Self(u64::from(len) | 1 << 6 | u64::from(len) << 8 | u64::from(sym) << 16)
+    }
+
+    /// `self` followed by the single-symbol entry `next`.
+    fn then(self, next: Entry) -> Self {
+        let total = u64::from(self.first_len() + next.first_len());
+        Self(total | 2 << 6 | (self.0 & 0xFFFF_FF00) | u64::from(next.first()) << 32)
+    }
+
+    #[inline]
+    fn total_len(self) -> u32 {
+        (self.0 & 63) as u32
+    }
+
+    #[inline]
+    fn symbols(self) -> usize {
+        (self.0 >> 6 & 3) as usize
+    }
+
+    #[inline]
+    fn first_len(self) -> u8 {
+        (self.0 >> 8) as u8
+    }
+
+    #[inline]
+    fn first(self) -> u32 {
+        u32::from((self.0 >> 16) as u16)
+    }
+
+    #[inline]
+    fn second(self) -> u32 {
+        u32::from((self.0 >> 32) as u16)
+    }
+}
+
 /// Decoder side of a canonical Huffman code.
 ///
 /// Decoding is table-accelerated: codes up to [`LOOKUP_BITS`] long resolve
@@ -175,9 +238,8 @@ const LOOKUP_BITS: u32 = 12;
 /// length-first walk.
 #[derive(Debug, Clone)]
 pub struct HuffmanDecoder {
-    /// Primary table: `(symbol, code_len)` per LOOKUP_BITS-bit prefix;
-    /// `code_len == 0` marks a long code needing the slow path.
-    lookup: Vec<(u32, u8)>,
+    /// Primary table, one [`Entry`] per LOOKUP_BITS-bit prefix.
+    lookup: Box<[Entry; 1 << LOOKUP_BITS]>,
     /// Symbols sorted by (len, symbol).
     syms: Vec<u32>,
     /// For each length 1..=MAX_LEN: canonical code of the first symbol.
@@ -193,7 +255,7 @@ impl HuffmanDecoder {
     /// Rebuild the decoder from a serialized table.
     pub fn read_table(r: &mut BitReader<'_>) -> Result<Self, CodecError> {
         let n = r.read_u32()? as usize;
-        if n > (1 << 26) {
+        if n > MAX_ALPHABET {
             return Err(CodecError::Corrupt("huffman alphabet too large"));
         }
         let mut lens = vec![0u8; n];
@@ -214,6 +276,9 @@ impl HuffmanDecoder {
 
     /// Build directly from code lengths.
     pub fn from_lengths(lens: &[u8]) -> Result<Self, CodecError> {
+        if lens.len() > MAX_ALPHABET {
+            return Err(CodecError::Corrupt("huffman alphabet too large"));
+        }
         let mut syms: Vec<u32> = (0..lens.len() as u32)
             .filter(|&s| lens[s as usize] > 0)
             .collect();
@@ -246,8 +311,8 @@ impl HuffmanDecoder {
             }
             idx += count[l as usize];
         }
-        // Primary lookup table for short codes.
-        let mut lookup = vec![(0u32, 0u8); 1 << LOOKUP_BITS];
+        // Primary lookup table: first every prefix's leading short code ...
+        let mut lookup = Box::new([Entry::default(); 1 << LOOKUP_BITS]);
         {
             let mut code = 0u32;
             let mut idx = 0usize;
@@ -256,12 +321,23 @@ impl HuffmanDecoder {
                 for k in 0..count[l as usize] {
                     let sym = syms[idx + k as usize];
                     let prefix = ((code + k) as usize) << (LOOKUP_BITS - l as u32);
-                    for slot in &mut lookup[prefix..prefix + (1usize << (LOOKUP_BITS - l as u32))] {
-                        *slot = (sym, l);
-                    }
+                    lookup[prefix..prefix + (1usize << (LOOKUP_BITS - l as u32))]
+                        .fill(Entry::one(sym, l));
                 }
                 code += count[l as usize];
                 idx += count[l as usize] as usize;
+            }
+        }
+        // ... then the second code, where the bits left over hold all of it.
+        // Shifting the prefix pads with zeros, so the padded lookup is only
+        // trusted when the code it finds ends inside the real bits.
+        for prefix in 0..lookup.len() {
+            let first = lookup[prefix];
+            let rest = (prefix << first.first_len()) & (lookup.len() - 1);
+            let next = lookup[rest];
+            let spare = LOOKUP_BITS as u8 - first.first_len();
+            if first.symbols() == 1 && next.symbols() >= 1 && next.first_len() <= spare {
+                lookup[prefix] = first.then(next);
             }
         }
         Ok(Self {
@@ -277,13 +353,47 @@ impl HuffmanDecoder {
     /// Decode one symbol.
     #[inline]
     pub fn decode(&self, r: &mut BitReader<'_>) -> Result<u32, CodecError> {
-        let prefix = r.peek_bits(LOOKUP_BITS) as usize;
-        let (sym, len) = self.lookup[prefix];
-        if len != 0 {
-            r.consume(len as u32)?;
-            return Ok(sym);
+        let entry = self.lookup[r.peek_bits(LOOKUP_BITS) as usize];
+        if entry.total_len() != 0 {
+            r.consume(u32::from(entry.first_len()))?;
+            return Ok(entry.first());
         }
         self.decode_slow(r)
+    }
+
+    /// Decode `out.len()` symbols into `out`: the results, the error and the
+    /// reader position are those of calling [`Self::decode`] once per slot.
+    ///
+    /// While eight input bytes remain, one word refill serves
+    /// [`HITS_PER_REFILL`] table hits of one or two symbols each, with no
+    /// per-symbol refill or end-of-input check. A code longer than
+    /// [`LOOKUP_BITS`], and the last bytes of the stream and of `out`, go
+    /// through [`Self::decode`].
+    pub fn decode_run(&self, r: &mut BitReader<'_>, out: &mut [u32]) -> Result<(), CodecError> {
+        let mut done = 0usize;
+        // Every hit stores two slots and keeps as many as its entry holds.
+        while out.len() - done >= 2 * HITS_PER_REFILL && r.refill_word() {
+            for _ in 0..HITS_PER_REFILL {
+                let entry = self.lookup[r.top_bits(LOOKUP_BITS) as usize];
+                if entry.total_len() == 0 {
+                    if let Some(slot) = out.get_mut(done) {
+                        *slot = self.decode_slow(r)?;
+                        done += 1;
+                    }
+                    break;
+                }
+                if let Some([a, b]) = out.get_mut(done..).and_then(|o| o.first_chunk_mut()) {
+                    *a = entry.first();
+                    *b = entry.second();
+                }
+                done += entry.symbols();
+                r.skip(entry.total_len());
+            }
+        }
+        for slot in out.iter_mut().skip(done) {
+            *slot = self.decode(r)?;
+        }
+        Ok(())
     }
 
     /// Length-first canonical walk for codes longer than the lookup table.
@@ -422,5 +532,169 @@ mod tests {
             })
             .sum();
         assert!(kraft <= 1.0 + 1e-12, "kraft {kraft}");
+    }
+
+    /// Code lengths for `alphabet` symbols that force the last `deep` of
+    /// them past [`LOOKUP_BITS`]: symbol 0 takes half the code space, the
+    /// next a quarter, ..., and the deep symbols share the final sliver.
+    fn lengths_with_long_codes(alphabet: usize, deep: usize) -> Vec<u8> {
+        let shallow = alphabet - deep;
+        let mut lens: Vec<u8> = (1..=shallow as u8).collect();
+        // `deep` codes of equal length under the all-ones prefix.
+        let extra = deep.next_power_of_two().trailing_zeros() as u8;
+        lens.extend(std::iter::repeat_n(shallow as u8 + extra, deep));
+        lens
+    }
+
+    /// A coded stream of `symbols` (no table), and its decoder.
+    fn coded(lens: &[u8], symbols: &[u32]) -> (HuffmanDecoder, Vec<u8>) {
+        let enc = HuffmanEncoder {
+            codes: canonical_codes(lens),
+        };
+        let mut w = BitWriter::new();
+        for &s in symbols {
+            enc.encode(&mut w, s);
+        }
+        (HuffmanDecoder::from_lengths(lens).unwrap(), w.finish())
+    }
+
+    /// What calling `decode` once per slot gives: the symbols decoded before
+    /// the first error, that error, and the reader position at the end.
+    fn per_symbol(
+        dec: &HuffmanDecoder,
+        bytes: &[u8],
+        count: usize,
+    ) -> (Vec<u32>, Option<CodecError>, usize) {
+        let mut r = BitReader::new(bytes);
+        let mut out = Vec::new();
+        for _ in 0..count {
+            match dec.decode(&mut r) {
+                Ok(s) => out.push(s),
+                Err(e) => return (out, Some(e), r.bits_consumed()),
+            }
+        }
+        (out, None, r.bits_consumed())
+    }
+
+    /// `decode_run` against `per_symbol` on one stream and slot count.
+    fn assert_run_matches(dec: &HuffmanDecoder, bytes: &[u8], count: usize, ctx: &str) {
+        let (want, want_err, want_at) = per_symbol(dec, bytes, count);
+        let mut r = BitReader::new(bytes);
+        let mut got = vec![u32::MAX; count];
+        let got_err = dec.decode_run(&mut r, &mut got).err();
+        assert_eq!(got_err, want_err, "{ctx}: error");
+        assert_eq!(got[..want.len()], want[..], "{ctx}: decoded prefix");
+        if want_err.is_none() {
+            assert_eq!(r.bits_consumed(), want_at, "{ctx}: reader position");
+        }
+    }
+
+    fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+        let mut state = seed;
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        }
+    }
+
+    /// Symbols drawn so that short and long codes both occur: mostly the
+    /// code's own probabilities, with a uniform draw mixed in.
+    fn draw(lens: &[u8], count: usize, next: &mut impl FnMut() -> u64) -> Vec<u32> {
+        let coded: Vec<u32> = (0..lens.len() as u32)
+            .filter(|&s| lens[s as usize] > 0)
+            .collect();
+        (0..count)
+            .map(|_| {
+                if next().is_multiple_of(4) {
+                    return coded[(next() % coded.len() as u64) as usize];
+                }
+                let depth = (next().trailing_zeros() as usize).min(coded.len() - 1);
+                coded[depth]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn decode_run_equals_per_symbol_decode_on_every_alphabet_shape() {
+        let mut next = xorshift(0xC0DE_D1FF);
+        // One coded symbol; two; 300 with the deepest 290 past the lookup
+        // table; the full 2^16 alphabet, sparse and all coded.
+        let mut sparse = vec![0u8; 65_536];
+        for (sym, len) in [
+            (0, 1),
+            (1, 2),
+            (255, 3),
+            (32_768, 4),
+            (32_769, 5),
+            (65_535, 5),
+        ] {
+            sparse[sym] = len;
+        }
+        let shapes: Vec<(&str, Vec<u8>)> = vec![
+            ("one symbol", vec![0, 0, 1, 0]),
+            ("two symbols", vec![1, 1]),
+            ("300 symbols, long codes", lengths_with_long_codes(300, 290)),
+            ("65536 sparse", sparse),
+            ("65536 dense", vec![16u8; 65_536]),
+        ];
+        for (name, lens) in &shapes {
+            for count in (0..=9).chain([11, 12, 13, 15, 16, 17, 63, 64, 65, 1000]) {
+                let symbols = draw(lens, count, &mut next);
+                let (dec, bytes) = coded(lens, &symbols);
+                let ctx = format!("{name}, {count} symbols in {} bytes", bytes.len());
+                assert_eq!(per_symbol(&dec, &bytes, count).0, symbols, "{ctx}");
+                assert_run_matches(&dec, &bytes, count, &ctx);
+                // Asking for more than the stream holds: both run into the
+                // zero padding and then the end of input the same way.
+                assert_run_matches(&dec, &bytes, count + 9, &format!("{ctx} (+9)"));
+            }
+        }
+    }
+
+    #[test]
+    fn decode_run_equals_per_symbol_decode_at_every_truncation_point() {
+        let mut next = xorshift(0x7B0C_A7ED);
+        for (name, lens) in [
+            ("short codes", vec![2u8, 2, 3, 3, 3, 4, 4]),
+            ("long codes", lengths_with_long_codes(40, 30)),
+        ] {
+            let symbols = draw(&lens, 120, &mut next);
+            let (dec, bytes) = coded(&lens, &symbols);
+            for cut in 0..=bytes.len() {
+                let ctx = format!("{name} cut to {cut} of {} bytes", bytes.len());
+                assert_run_matches(&dec, &bytes[..cut], symbols.len(), &ctx);
+            }
+        }
+    }
+
+    #[test]
+    fn decode_run_rejects_what_decode_rejects() {
+        // An incomplete code: the all-ones prefix is assigned to no symbol.
+        let dec = HuffmanDecoder::from_lengths(&[1, 2]).unwrap();
+        for bytes in [
+            vec![0xFFu8; 32],
+            vec![0x00, 0x5F, 0xFF, 0xFF, 0, 0, 0, 0, 0, 0, 0, 0],
+        ] {
+            for count in [1usize, 4, 8, 9, 40] {
+                assert_run_matches(&dec, &bytes, count, &format!("{count} of {bytes:02x?}"));
+            }
+        }
+    }
+
+    #[test]
+    fn table_bomb_alphabet_is_refused_before_anything_is_built() {
+        // 2^16 symbols is the SZ code book and must stay admissible; one more
+        // is refused from the four header bytes alone, with no run read.
+        let mut w = BitWriter::new();
+        w.write_u32(MAX_ALPHABET as u32 + 1);
+        let bytes = w.finish();
+        assert_eq!(
+            HuffmanDecoder::read_table(&mut BitReader::new(&bytes)).err(),
+            Some(CodecError::Corrupt("huffman alphabet too large"))
+        );
+        assert!(HuffmanDecoder::from_lengths(&vec![0u8; MAX_ALPHABET + 1]).is_err());
+        assert!(HuffmanDecoder::from_lengths(&vec![16u8; MAX_ALPHABET]).is_ok());
     }
 }

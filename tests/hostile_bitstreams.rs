@@ -419,6 +419,27 @@ fn eblc_backend_claimed_length_bombs_are_errors() {
     }
 }
 
+/// A one-entry update split at its payload-length varint: everything before
+/// it (magic, codec tags, entry count, name, kind, shape, the lossy route
+/// byte), and the codec payload after it.
+fn split_single_lossy_entry(update: &CompressedUpdate) -> (Vec<u8>, Vec<u8>) {
+    use fedsz_entropy::varint;
+    let bytes = update.as_bytes();
+    let mut pos = 6usize;
+    assert_eq!(varint::read_usize(bytes, &mut pos).unwrap(), 1);
+    pos += varint::read_usize(bytes, &mut pos).unwrap() + 1;
+    for _ in 0..varint::read_usize(bytes, &mut pos).unwrap() {
+        varint::read_usize(bytes, &mut pos).unwrap();
+    }
+    assert_eq!(bytes[pos], 1, "expected the lossy route");
+    pos += 1;
+    let header = bytes[..pos].to_vec();
+    let payload_len = varint::read_usize(bytes, &mut pos).unwrap();
+    let payload = bytes[pos..].to_vec();
+    assert_eq!(payload.len(), payload_len);
+    (header, payload)
+}
+
 #[test]
 fn an_update_frame_with_a_claimed_length_bomb_is_rejected_at_ingest() {
     // One client's update is enough to reach the decoder on the server:
@@ -438,21 +459,8 @@ fn an_update_frame_with_a_claimed_length_bomb_is_rejected_at_ingest() {
         "honest update refused"
     );
 
-    // Walk the single entry's header (magic, codec tags, entry count, name,
-    // kind, shape, route) to the payload-length varint.
-    let bytes = update.as_bytes();
-    let mut pos = 6usize;
-    assert_eq!(varint::read_usize(bytes, &mut pos).unwrap(), 1);
-    pos += varint::read_usize(bytes, &mut pos).unwrap() + 1;
-    for _ in 0..varint::read_usize(bytes, &mut pos).unwrap() {
-        varint::read_usize(bytes, &mut pos).unwrap();
-    }
-    assert_eq!(bytes[pos], 1, "expected the lossy route");
-    pos += 1;
-    let header = &bytes[..pos];
-    let payload_len = varint::read_usize(bytes, &mut pos).unwrap();
-    let payload = &bytes[pos..];
-    assert_eq!(payload.len(), payload_len);
+    let (header, payload) = split_single_lossy_entry(&update);
+    let (header, payload) = (&header[..], &payload[..]);
 
     for bomb in CLAIMED_LENGTH_BOMBS {
         let bad_payload = with_claimed_len(payload, 3, bomb);
@@ -465,6 +473,162 @@ fn an_update_frame_with_a_claimed_length_bomb_is_rejected_at_ingest() {
             "claimed {bomb}: {verdict:?}"
         );
     }
+}
+
+type Decompress = fn(&[u8]) -> Result<Vec<f32>, fedsz_entropy::CodecError>;
+
+/// An SZ2/SZ3 NORMAL-mode stream around `payload`: the mode byte, then the
+/// zstd-analogue wrapper both codecs use.
+fn normal_mode_stream(payload: &[u8]) -> Vec<u8> {
+    let mut stream = vec![1u8];
+    stream.extend_from_slice(&fedsz_lossless::zstd::compress(payload));
+    stream
+}
+
+/// A one-element SZ2 (`sz3 == false`) or SZ3 stream whose Huffman table
+/// header claims 2^26 symbols, all of length 27, in 1025 RLE runs.
+fn huffman_table_bomb(sz3: bool) -> Vec<u8> {
+    use fedsz_entropy::{varint, BitWriter};
+    let mut payload = Vec::new();
+    varint::write_usize(&mut payload, 1); // n
+    payload.extend_from_slice(&1e-3f64.to_le_bytes());
+    varint::write_usize(&mut payload, 1); // blocks / chunks
+    payload.extend_from_slice(if sz3 { &[0, 0] } else { &[0] }); // mask / bitmap
+    varint::write_usize(&mut payload, 0); // literals
+    let mut w = BitWriter::new();
+    let mut left = 1usize << 26;
+    w.write_u32(left as u32);
+    while left > 0 {
+        let run = left.min(u16::MAX as usize);
+        w.write_bits(27, 6);
+        w.write_bits(run as u64, 16);
+        left -= run;
+    }
+    payload.extend_from_slice(&w.finish());
+    normal_mode_stream(&payload)
+}
+
+#[test]
+fn a_huffman_table_bomb_is_refused_from_its_header() {
+    // 2^26 equal-length codes satisfy Kraft, so the decoder used to build
+    // and sort a 2^26-entry symbol list (0.6 s, 330 MB) for a stream of
+    // about 150 bytes before anything refused it. The alphabet is now
+    // capped at the 2^16 quantization symbols, from the header's first
+    // four bytes.
+    use fedsz_fl::ingest::{ingest_update, Verdict};
+    let started = Instant::now();
+    let codecs: [(bool, Decompress); 2] = [
+        (false, fedsz_eblc::sz2::decompress),
+        (true, fedsz_eblc::sz3::decompress),
+    ];
+    for (sz3, decompress) in codecs {
+        let bomb = huffman_table_bomb(sz3);
+        assert!(bomb.len() < 200, "the bomb is {} bytes", bomb.len());
+        assert_eq!(
+            decompress(&bomb),
+            Err(fedsz_entropy::CodecError::Corrupt(
+                "huffman alphabet too large"
+            ))
+        );
+    }
+
+    // The same stream in place of an honest update's payload, at the
+    // server's door.
+    let mut global = StateDict::new();
+    global.insert(
+        "conv.weight",
+        TensorKind::Weight,
+        Tensor::from_vec(vec![0.25; 4096]),
+    );
+    let honest = compress(&global, &FedSzConfig::default());
+    let (mut frame, _) = split_single_lossy_entry(&honest);
+    let bomb = huffman_table_bomb(false);
+    fedsz_entropy::varint::write_usize(&mut frame, bomb.len());
+    frame.extend_from_slice(&bomb);
+    let (verdict, _) = ingest_update(&CompressedUpdate::from_bytes(frame), &global, 10);
+    assert!(matches!(verdict, Verdict::Reject(_)), "{verdict:?}");
+    assert!(
+        started.elapsed() < Duration::from_millis(50),
+        "table bomb took {:?} to refuse",
+        started.elapsed()
+    );
+}
+
+/// An SZ2 (`sz3 == false`) or SZ3 payload that claims the most elements its
+/// own length admits, `n = 8·L`, and really codes `coded` of them. The bulk
+/// of `L` is unused literals; every coded symbol is one bit.
+fn overclaiming_payload(sz3: bool, coded: usize) -> Vec<u8> {
+    use fedsz_entropy::{varint, BitWriter, HuffmanEncoder};
+    let mut freqs = vec![0u64; 65_536];
+    freqs[32_768] = 1;
+    let enc = HuffmanEncoder::from_frequencies(&freqs);
+    let mut w = BitWriter::new();
+    enc.write_table(&mut w);
+    for _ in 0..coded {
+        enc.encode(&mut w, 32_768);
+    }
+    let bitstream = w.finish();
+
+    let build = |n: usize| {
+        let mut payload = Vec::new();
+        varint::write_usize(&mut payload, n);
+        payload.extend_from_slice(&1e-3f64.to_le_bytes());
+        if sz3 {
+            varint::write_usize(&mut payload, n.div_ceil(4096));
+            payload.resize(payload.len() + 2 * n.div_ceil(4096), 0); // linear masks
+        } else {
+            varint::write_usize(&mut payload, n.div_ceil(256));
+            payload.resize(payload.len() + n.div_ceil(256).div_ceil(8), 0); // all Lorenzo
+        }
+        varint::write_usize(&mut payload, 50_000);
+        payload.resize(payload.len() + 4 * 50_000, 0); // literals nobody reads
+        payload.extend_from_slice(&bitstream);
+        payload
+    };
+    // The header grows with `n`, far slower than `8·L` does: iterate to the
+    // fixed point.
+    let mut n = 0usize;
+    loop {
+        let payload = build(n);
+        if n == 8 * payload.len() {
+            return payload;
+        }
+        n = 8 * payload.len();
+    }
+}
+
+#[test]
+fn nothing_is_sized_from_the_claimed_element_count() {
+    // `n` may be as large as 8× the payload. The decoders used to reserve
+    // `8·n` bytes (codes and output) on that claim; now the scratch is fixed
+    // and the output grows by what was decoded, so a stream that stops after
+    // one group fails having allocated for one group.
+    let codecs: [(bool, Decompress, usize); 2] = [
+        (false, fedsz_eblc::sz2::decompress, 64 * 256),
+        (true, fedsz_eblc::sz3::decompress, 4096),
+    ];
+    for (sz3, decompress, group) in codecs {
+        for coded in [0, group, group + 1] {
+            let payload = overclaiming_payload(sz3, coded);
+            assert!(payload.len() > 200_000);
+            assert_eq!(
+                decompress(&normal_mode_stream(&payload)),
+                Err(fedsz_entropy::CodecError::UnexpectedEof),
+                "sz3 {sz3}, {coded} coded of {} claimed",
+                8 * payload.len()
+            );
+        }
+    }
+    // One byte fewer and the same claim is over the limit: refused before
+    // the table is read.
+    let mut payload = overclaiming_payload(false, 0);
+    payload.pop();
+    assert_eq!(
+        fedsz_eblc::sz2::decompress(&normal_mode_stream(&payload)),
+        Err(fedsz_entropy::CodecError::Corrupt(
+            "SZ2 element count exceeds stream"
+        ))
+    );
 }
 
 #[test]
