@@ -65,6 +65,13 @@ fn model_bytes(cfg: &FlConfig) -> usize {
         .nbytes()
 }
 
+/// Emitted next to the parity cells: what the in-process seconds have
+/// paid for since in-process became a loopback over the one round engine.
+const IN_PROCESS_NOTE: &str = "in-process cells act every planned fault out (the client \
+trains, poisons or mangles, encodes; the server really decodes) where they used to classify \
+it by table and skip that client's training, so their seconds are not comparable with files \
+written before the loopback";
+
 /// Hold duration for wedged connections: comfortably past the wire rate
 /// grace so a rate-enforcing server sheds before the client lets go.
 const HOLD: Duration = Duration::from_millis(600);
@@ -464,7 +471,8 @@ fn main() {
         "{{\n  \"benchmark\": \"soak\",\n  \"available_parallelism\": {cores},\n  \"smoke\": {smoke},\n\
          \n  \"parity\": {{\n    \"population\": {population}, \"rounds\": {rounds},\n    \
          \"budget_bytes\": {budget}, \"model_bytes\": {model},\n    \
-         \"shed_per_run\": {parity_shed}, \"bit_identical\": true,\n    \"cells\": [\n{}\n    ]\n  }},\n\
+         \"shed_per_run\": {parity_shed}, \"bit_identical\": true,\n    \
+         \"note\": \"{IN_PROCESS_NOTE}\",\n    \"cells\": [\n{}\n    ]\n  }},\n\
          \n  \"adversarial\": {{\n    \"clients\": 8, \"byzantine\": 3, \"rounds\": 2,\n    \
          \"bit_identical\": true,\n    \"cells\": [\n{}\n    ]\n  }},\n\
          \n  \"scale\": {{\n    \"population\": {scale_population}, \"cohort\": {cohort},\n    \

@@ -244,7 +244,8 @@ pub fn cmd_inspect(input: &Path, threshold: usize) -> Result<String, CliError> {
 /// Which FL transport the `fl` subcommand drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlTransport {
-    /// Single-process simulation loop (Rayon-parallel clients).
+    /// Single-process loopback: the one round engine with each client's
+    /// turn run in sequence on the server's collector thread.
     InProcess,
     /// One OS thread per client, serialized updates over channels.
     Threaded,
@@ -488,6 +489,21 @@ pub fn cmd_fl(opts: &FlOpts) -> Result<String, CliError> {
         return Err(CliError::Usage(
             "--listen/--connect/--client-id require --transport tcp".into(),
         ));
+    }
+    // The in-process transport has no stragglers, retries or idle clients,
+    // so the policy flags that govern them would be silently meaningless.
+    if opts.transport == FlTransport::InProcess {
+        let policy_flags = [
+            ("--deadline-ms", opts.deadline_ms.is_some()),
+            ("--min-quorum", opts.min_quorum > 1),
+            ("--retries", opts.retries > 0),
+            ("--idle-timeout-ms", opts.idle_timeout_ms.is_some()),
+        ];
+        if let Some((flag, _)) = policy_flags.iter().find(|(_, set)| *set) {
+            return Err(CliError::Usage(format!(
+                "{flag} requires --transport threaded or tcp"
+            )));
+        }
     }
     if opts.listen.is_some() && opts.connect.is_some() {
         return Err(CliError::Usage(
@@ -981,6 +997,57 @@ mod tests {
             }),
             Err(CliError::Usage(_))
         ));
+    }
+
+    #[test]
+    fn fl_in_process_refuses_transport_policy_flags_by_name() {
+        // These used to be accepted and silently dropped.
+        let cases = [
+            (
+                "--deadline-ms",
+                FlOpts {
+                    deadline_ms: Some(500),
+                    ..FlOpts::default()
+                },
+            ),
+            (
+                "--min-quorum",
+                FlOpts {
+                    min_quorum: 2,
+                    ..FlOpts::default()
+                },
+            ),
+            (
+                "--retries",
+                FlOpts {
+                    retries: 1,
+                    ..FlOpts::default()
+                },
+            ),
+            (
+                "--idle-timeout-ms",
+                FlOpts {
+                    idle_timeout_ms: Some(500),
+                    ..FlOpts::default()
+                },
+            ),
+        ];
+        for (flag, opts) in cases {
+            assert_eq!(opts.transport, FlTransport::InProcess);
+            match cmd_fl(&opts) {
+                Err(CliError::Usage(m)) => assert!(m.contains(flag), "{flag}: {m}"),
+                other => panic!("{flag} accepted in-process: {other:?}"),
+            }
+            // The same flag is fine on a transport that has the policy.
+            let threaded = FlOpts {
+                rounds: 1,
+                clients: 2,
+                samples: 16,
+                transport: FlTransport::Threaded,
+                ..opts
+            };
+            assert!(cmd_fl(&threaded).is_ok(), "{flag} refused when threaded");
+        }
     }
 
     #[test]

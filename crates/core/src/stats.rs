@@ -86,6 +86,18 @@ impl FaultCounters {
     }
 }
 
+impl std::ops::AddAssign for FaultCounters {
+    fn add_assign(&mut self, rhs: Self) {
+        self.delivered += rhs.delivered;
+        self.rejected += rhs.rejected;
+        self.quarantined += rhs.quarantined;
+        self.suspected += rhs.suspected;
+        self.shed += rhs.shed;
+        self.late += rhs.late;
+        self.dropped += rhs.dropped;
+    }
+}
+
 /// Per-reason breakdown of the `quarantined` counter: which semantic
 /// validation gate rejected the decoded update.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -104,6 +116,14 @@ impl QuarantineReasons {
     /// Total quarantined updates across all reasons.
     pub fn total(&self) -> usize {
         self.non_finite + self.wrong_shape + self.bad_count
+    }
+}
+
+impl std::ops::AddAssign for QuarantineReasons {
+    fn add_assign(&mut self, rhs: Self) {
+        self.non_finite += rhs.non_finite;
+        self.wrong_shape += rhs.wrong_shape;
+        self.bad_count += rhs.bad_count;
     }
 }
 
@@ -250,6 +270,29 @@ mod tests {
         assert_eq!(s.total(), 3);
         assert_eq!(QuarantineReasons::default().total(), 0);
         assert_eq!(SuspectReasons::default().total(), 0);
+    }
+
+    #[test]
+    fn counters_accumulate_field_by_field() {
+        let mut f = FaultCounters::full(3);
+        f += FaultCounters {
+            delivered: 1,
+            rejected: 2,
+            quarantined: 3,
+            suspected: 4,
+            shed: 5,
+            late: 6,
+            dropped: 7,
+        };
+        assert_eq!((f.delivered, f.rejected, f.quarantined), (4, 2, 3));
+        assert_eq!((f.suspected, f.shed, f.late, f.dropped), (4, 5, 6, 7));
+        let mut q = QuarantineReasons {
+            non_finite: 1,
+            wrong_shape: 2,
+            bad_count: 3,
+        };
+        q += q;
+        assert_eq!((q.non_finite, q.wrong_shape, q.bad_count), (2, 4, 6));
     }
 
     #[test]

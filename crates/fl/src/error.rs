@@ -42,8 +42,10 @@ pub enum FlError {
         /// Minimum required by the transport configuration.
         required: usize,
     },
-    /// An update failed to decode on the in-process (non-threaded) path,
-    /// where there is no per-client quorum to fall back on.
+    /// An update failed to decode where there is no per-client quorum to
+    /// fall back on. No transport produces this — a decode failure counts
+    /// `rejected` on every path, the in-process one included — so it only
+    /// arises from `?` on a direct [`fedsz::decompress`] call.
     Codec(CodecError),
     /// The TCP transport could not start or keep the session alive:
     /// binding the listener failed, no client joined within the join

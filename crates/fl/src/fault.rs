@@ -1,10 +1,11 @@
-//! Deterministic fault injection for the threaded transport.
+//! Deterministic fault injection for every transport.
 //!
 //! A [`FaultPlan`] makes client failure *testable*: it names exactly which
-//! client misbehaves in which round and how. The transport consults the
-//! plan on the client side, so the server observes the faults through the
-//! same code paths a real deployment would (a corrupt bitstream on the
-//! uplink, a closed channel, a message that arrives after the deadline).
+//! client misbehaves in which round and how. Every transport — the
+//! in-process loopback included — consults the plan on the client side, so
+//! the server observes the faults through the same code paths a real
+//! deployment would (a corrupt bitstream on the uplink, a closed channel, a
+//! message that arrives after the deadline).
 
 use std::time::Duration;
 
@@ -357,6 +358,12 @@ impl FaultPlan {
             .iter()
             .find(|s| s.client == client && s.round == round)
             .map(|s| s.kind)
+    }
+
+    /// The fault `client` acts out on `attempt` of `round`: the planned one
+    /// on the first attempt, none on a quorum retry (see the type docs).
+    pub(crate) fn firing(&self, client: usize, round: usize, attempt: usize) -> Option<FaultKind> {
+        self.fault_for(client, round).filter(|_| attempt == 0)
     }
 
     /// Number of planned client faults (the server kill is not counted).

@@ -59,10 +59,9 @@ pub enum Verdict {
     /// structure, insane sample count) so the round metrics can break
     /// `quarantined` down per reason.
     Quarantine(UpdateRejection),
-    /// The payload failed to decode. The transports count this as
-    /// `rejected`; the in-process session, which has no per-client
-    /// transport to blame, surfaces the carried error as
-    /// [`FlError::Codec`](crate::error::FlError).
+    /// The payload failed to decode; counted `rejected` on every
+    /// transport. Carries the decoder's error for callers that ingest
+    /// directly.
     Reject(CodecError),
 }
 
@@ -123,10 +122,9 @@ pub struct Outcome {
 /// Decode and validate one payload, timing the decompression alone.
 ///
 /// This is the ingest routine shared by the worker pool and the serial
-/// path (the in-process session mirrors the same discipline with its own
-/// error semantics), so all paths account `decompress_s_total` identically:
-/// the timer covers `fedsz::decompress` only (not validation) and is
-/// charged for rejected and quarantined payloads too.
+/// path, on every transport, so all paths account `decompress_s_total`
+/// identically: the timer covers `fedsz::decompress` only (not validation)
+/// and is charged for rejected and quarantined payloads too.
 pub fn ingest_update(
     payload: &CompressedUpdate,
     global: &StateDict,

@@ -3,24 +3,29 @@
 //! communication experiments.
 //!
 //! A [`session::run`] executes the full loop of Figure 1: broadcast the
-//! global model, train locally on each client's shard (Rayon-parallel),
-//! compress each client's state dict with FedSZ, decompress and
-//! FedAvg-aggregate at the server, and evaluate on a held-out set. All
-//! timing and size measurements needed by Tables I/V and Figures 4–7 are
-//! recorded per round.
-
+//! global model, train locally on each client's shard, compress each
+//! client's state dict with FedSZ, decompress and FedAvg-aggregate at the
+//! server, and evaluate on a held-out set. All timing and size
+//! measurements needed by Tables I/V and Figures 4–7 are recorded per
+//! round.
 //!
-//! The transports are fault-tolerant: corrupt, dead, and straggling
-//! clients are counted per round ([`RoundMetrics::faults`]) and excluded
-//! from the aggregate, which runs over the quorum of valid on-time
-//! updates. [`fault::FaultPlan`] injects such failures deterministically,
-//! and [`error::FlError`] is the typed alternative to the server
-//! panicking. The server round loop is generic over a transport: the
-//! channel-backed threaded transport ([`transport`]) and the socket-backed
-//! TCP transport ([`net`]) — which speaks the length-prefixed,
-//! CRC-32-checked frames of [`wire`] and gives clients reconnect with
-//! exponential backoff — run identical round semantics and, with the same
-//! seeds, produce bit-identical accuracies.
+//! There is one round engine ([`transport`]'s `serve`), generic over a
+//! transport, and one client turn every transport runs. [`session::run`]
+//! drives it over an in-process loopback that takes each cohort member's
+//! turn on the collector thread; the channel-backed threaded transport
+//! ([`transport`]) and the socket-backed TCP transport ([`net`]) — which
+//! speaks the length-prefixed, CRC-32-checked frames of [`wire`] and gives
+//! clients reconnect with exponential backoff — give every client an OS
+//! thread. All three run identical round semantics and, with the same
+//! seeds, produce bit-identical models.
+//!
+//! The engine is fault-tolerant: corrupt, dead, and straggling clients are
+//! counted per round ([`RoundMetrics::faults`]) and excluded from the
+//! aggregate, which runs over the quorum of valid on-time updates.
+//! [`fault::FaultPlan`] injects such failures deterministically — on the
+//! loopback too, where a faulted client really produces the bad bytes and
+//! the server really refuses them — and [`error::FlError`] is the typed
+//! alternative to the server panicking.
 //!
 //! The round loop is also crash-safe: with a [`FlConfig::checkpoint_dir`]
 //! set, every completed round can be persisted as an atomic, CRC-32-trailed

@@ -4,7 +4,10 @@
 //! The server side implements [`ServerTransport`], so the round loop —
 //! broadcast → collect under a deadline → quorum/retry → FedAvg — is the
 //! *same code* ([`crate::transport::serve`]) that drives the channel
-//! transport; only the byte-moving differs. The pieces:
+//! transport and the in-process loopback; only the byte-moving differs.
+//! The client side runs the shared client turn
+//! ([`train_turn`] + [`encode_turn`]) and keeps to itself only the faults
+//! that damage a *frame* — which takes a socket. The pieces:
 //!
 //! * An **acceptor thread** owns the listener. Each accepted connection is
 //!   handshaken (the client's first frame must be a [`Frame::Hello`] naming
@@ -13,7 +16,7 @@
 //! * A **reader thread per connection** decodes uplink frames. Frames with
 //!   a bad CRC or body stay on the connection (the length prefix keeps the
 //!   stream framed) and surface as `Garbage` — counted `rejected`, exactly
-//!   like a corrupt in-process payload. A mid-frame EOF or stall is
+//!   like a payload that fails to decode. A mid-frame EOF or stall is
 //!   `Garbage` + `Gone`; a clean close is just `Gone`.
 //! * **Generation counters** per slot make reconnects race-free: control
 //!   events (`Garbage`/`Gone`) from a replaced connection are discarded,
@@ -47,8 +50,8 @@ use crate::error::FlError;
 use crate::fault::{FaultKind, FaultPlan};
 use crate::session::{FlConfig, FlRunResult};
 use crate::transport::{
-    broadcast_config, byzantine_payload, local_round, model_size_bytes, poisoned_payload, serve,
-    setup_data, BroadcastOutcome, ClientMsg, RecvEnd, ServerTransport, TransportConfig, Uplink,
+    build_net, encode_turn, lossless_config, model_size_bytes, serve, setup_data, train_turn,
+    BroadcastOutcome, ClientMsg, RecvEnd, ServerTransport, TransportConfig, Turn, Uplink,
 };
 use crate::wire::{self, Frame, WireError};
 
@@ -178,6 +181,8 @@ struct TcpServer {
     acceptor: Option<std::thread::JoinHandle<()>>,
     readers: Vec<std::thread::JoinHandle<()>>,
     ncfg: NetConfig,
+    /// Lossless codec the broadcast model is encoded with.
+    bcast_cfg: fedsz::FedSzConfig,
     ledger: Arc<Ledger>,
     gate: Arc<RoundGate>,
     stopped: bool,
@@ -188,6 +193,7 @@ impl TcpServer {
         listener: TcpListener,
         n_clients: usize,
         ncfg: NetConfig,
+        bcast_cfg: fedsz::FedSzConfig,
         ledger: Arc<Ledger>,
     ) -> Result<Self, FlError> {
         listener
@@ -219,6 +225,7 @@ impl TcpServer {
             acceptor: Some(acceptor),
             readers: Vec::new(),
             ncfg,
+            bcast_cfg,
             ledger,
             gate: Arc::new(RoundGate::new(n_clients)),
             stopped: false,
@@ -352,7 +359,7 @@ impl ServerTransport for TcpServer {
         round: usize,
         attempt: usize,
         cohort: &[usize],
-        model: &fedsz::CompressedUpdate,
+        model: &Arc<fedsz_tensor::StateDict>,
     ) -> BroadcastOutcome {
         // Adopt rejoins and disconnects that happened between rounds.
         while let Ok(ev) = self.events_rx.try_recv() {
@@ -398,7 +405,7 @@ impl ServerTransport for TcpServer {
         let bytes = wire::encode(&Frame::Broadcast {
             round,
             attempt,
-            model: model.clone(),
+            model: fedsz::compress(model, &self.bcast_cfg),
         });
         let mut reached = vec![false; self.slots.len()];
         let mut bytes_down = 0usize;
@@ -728,10 +735,9 @@ fn tcp_client_loop(
     idle: Option<Duration>,
     ncfg: &NetConfig,
 ) {
-    let (c, h, _, classes) = cfg.dataset.dims();
     // Built on the first broadcast, not at connect: a registered client the
     // cohort never samples must not pay for (or hold) a model. Bit-identical
-    // to an eager build — `load_state_dict` resets optimizer state.
+    // to an eager build — every broadcast fully determines the network.
     let mut net: Option<fedsz_dnn::Network> = None;
     // Every client derives the same deterministic shards from the shared
     // seed and takes its own — data never crosses the wire.
@@ -800,19 +806,27 @@ fn tcp_client_loop(
         let Ok(sd) = fedsz::decompress(&model) else {
             continue; // corrupt model: wait for the next broadcast
         };
-        let net =
-            net.get_or_insert_with(|| cfg.arch.build(c, h, classes, cfg.seed ^ (id as u64 + 1)));
-        net.load_state_dict(&sd);
-        let out = local_round(net, cfg, &shard, id, round);
-
-        // Faults fire on the first attempt of their round only (matching
-        // the channel transport), so quorum retries see a healthy client.
-        let fault = if attempt == 0 {
-            plan.fault_for(id, round)
-        } else {
-            None
+        let net = net.get_or_insert_with(|| build_net(cfg, cfg.seed ^ (id as u64 + 1)));
+        // Wire-level faults damage the *frame* of an honestly built update,
+        // which only a socket can do; they are acted out below. Every other
+        // kind acts on the update or its payload, inside the client turn
+        // all transports share.
+        let (wire_fault, turn_fault) = match plan.firing(id, round, attempt) {
+            Some(
+                kind @ (FaultKind::Disconnect
+                | FaultKind::TruncateFrame
+                | FaultKind::FlipBytes(_)
+                | FaultKind::SlowDrip
+                | FaultKind::HoldConnection(_)),
+            ) => (Some(kind), None),
+            other => (None, other),
         };
-        let mut update = Frame::Update {
+        let Turn::Trained(trained) = train_turn(net, cfg, &shard, id, round, &sd, turn_fault)
+        else {
+            return; // Crash
+        };
+        let out = encode_turn(trained, cfg.compression, turn_fault);
+        let mut bytes = wire::encode(&Frame::Update {
             round,
             attempt,
             client_id: id,
@@ -821,147 +835,67 @@ fn tcp_client_loop(
             compress_s: out.compress_s,
             raw_bytes: out.raw_bytes,
             payload: out.payload,
-        };
-        match fault {
-            Some(FaultKind::Crash) => return,
-            Some(FaultKind::Disconnect) => {
-                // Drop the connection without answering, then rejoin via
-                // backoff: the server counts this round late and serves
-                // the new connection from the next broadcast.
-                let _ = stream.shutdown(Shutdown::Both);
-                reconnect_or_return!();
-            }
-            Some(FaultKind::TruncateFrame) => {
-                // Send half a frame, then die mid-stream: the server sees
-                // an unexpected EOF (rejected) on this connection.
-                let bytes = wire::encode(&update);
-                let half = &bytes[..bytes.len() / 2];
-                let _ = wire::write_frame_bytes(&mut stream, half);
-                let _ = stream.shutdown(Shutdown::Both);
-                reconnect_or_return!();
-            }
+        });
+        // `false` once the connection is gone: dropped on purpose by the
+        // fault, or dead under a write.
+        let alive = match wire_fault {
+            // A `Replay` fault's copies are byte-identical frames: each
+            // passes its CRC and would decode, but the server's first-wins
+            // admission discards all but the first unread.
+            None => (0..out.copies).all(|_| wire::write_frame_bytes(&mut stream, &bytes).is_ok()),
             Some(FaultKind::FlipBytes(n)) => {
                 // Corrupt the body *after* the CRC was computed, leaving
                 // the header intact: the frame arrives whole, fails its
                 // checksum, and is rejected without costing the
                 // connection.
-                let mut bytes = wire::encode(&update);
                 let body = wire::HEADER_LEN..bytes.len().saturating_sub(wire::TRAILER_LEN);
                 let upto = body.start + n.min(body.len());
                 for b in &mut bytes[body.start..upto] {
                     *b ^= 0xA5;
                 }
-                if wire::write_frame_bytes(&mut stream, &bytes).is_err() {
-                    reconnect_or_return!();
-                }
+                wire::write_frame_bytes(&mut stream, &bytes).is_ok()
             }
-            Some(FaultKind::Corrupt) => {
-                // Corrupt the *payload* before framing: the frame passes
-                // its CRC (the wire is innocent) but FedSZ decoding fails
-                // at the server — the in-process Corrupt semantics.
-                if let Frame::Update { payload, .. } = &mut update {
-                    let empty = fedsz::CompressedUpdate::from_bytes(Vec::new());
-                    let mut raw = std::mem::replace(payload, empty).into_bytes();
-                    if let Some(b) = raw.first_mut() {
-                        *b ^= 0xFF;
+            Some(kind) => {
+                match kind {
+                    // Send half a frame, then die mid-stream: the server
+                    // sees an unexpected EOF (rejected) on this connection.
+                    FaultKind::TruncateFrame => {
+                        let _ = wire::write_frame_bytes(&mut stream, &bytes[..bytes.len() / 2]);
                     }
-                    *payload = fedsz::CompressedUpdate::from_bytes(raw);
-                }
-                if wire::write_frame(&mut stream, &update).is_err() {
-                    reconnect_or_return!();
-                }
-            }
-            Some(FaultKind::Delay(d)) => {
-                std::thread::sleep(d);
-                if wire::write_frame(&mut stream, &update).is_err() {
-                    reconnect_or_return!();
-                }
-            }
-            Some(kind @ (FaultKind::NonFiniteUpdate | FaultKind::WrongShape)) => {
-                // Swap in the cleanly-decoding poisoned payload: the frame
-                // passes its CRC and the FedSZ decode, and only the
-                // server's semantic validation quarantines it.
-                if let Frame::Update { payload, .. } = &mut update {
-                    *payload = poisoned_payload(net, kind);
-                }
-                if wire::write_frame(&mut stream, &update).is_err() {
-                    reconnect_or_return!();
-                }
-            }
-            Some(
-                kind @ (FaultKind::SignFlip | FaultKind::ScaleUpdate(_) | FaultKind::DriftToward),
-            ) => {
-                // Byzantine poison on the real uplink codec (matching the
-                // channel transport bit for bit): structurally clean, so
-                // only a robust aggregation mode screens it.
-                if let Frame::Update { payload, .. } = &mut update {
-                    *payload = byzantine_payload(net, cfg, &sd, kind);
-                }
-                if wire::write_frame(&mut stream, &update).is_err() {
-                    reconnect_or_return!();
-                }
-            }
-            Some(FaultKind::SlowDrip) => {
-                // Trickle a single byte of the frame, then stall well past
-                // the rate grace: a rate-enforcing server sheds the update
-                // and kills the connection (TooSlow); without enforcement
-                // the stall runs into the frame budget and is rejected.
-                let bytes = wire::encode(&update);
-                if stream.write_all(&bytes[..1]).is_ok() {
-                    let _ = stream.flush();
-                }
-                std::thread::sleep(wire::RATE_GRACE.saturating_mul(4));
-                let _ = stream.shutdown(Shutdown::Both);
-                reconnect_or_return!();
-            }
-            Some(FaultKind::HoldConnection(d)) => {
-                // Announce a full frame (header plus a sliver of body),
-                // then hold the connection wedged for `d`: rate
-                // enforcement sheds it; otherwise the frame budget expires
-                // and the half-frame is rejected.
-                let bytes = wire::encode(&update);
-                let upto = (wire::HEADER_LEN + 8).min(bytes.len());
-                if stream.write_all(&bytes[..upto]).is_ok() {
-                    let _ = stream.flush();
-                }
-                std::thread::sleep(d);
-                let _ = stream.shutdown(Shutdown::Both);
-                reconnect_or_return!();
-            }
-            Some(FaultKind::FloodOversized(n)) => {
-                // A CRC-valid update frame carrying `n` junk payload
-                // bytes: admission control sheds it at the header when it
-                // could never fit the ingest budget; with budgeting
-                // disabled it is read whole and rejected in decode.
-                if let Frame::Update { payload, .. } = &mut update {
-                    *payload = fedsz::CompressedUpdate::from_bytes(vec![0xA5; n]);
-                }
-                if wire::write_frame(&mut stream, &update).is_err() {
-                    reconnect_or_return!();
-                }
-            }
-            Some(FaultKind::Replay(n)) => {
-                // Send the valid frame, then replay the identical bytes n
-                // more times: every copy passes its CRC and would decode,
-                // but the server's first-wins admission discards all but
-                // the first unread.
-                let bytes = wire::encode(&update);
-                let mut died = false;
-                for _ in 0..=n {
-                    if wire::write_frame_bytes(&mut stream, &bytes).is_err() {
-                        died = true;
-                        break;
+                    // Trickle a single byte of the frame, then stall well
+                    // past the rate grace: a rate-enforcing server sheds
+                    // the update and kills the connection (TooSlow);
+                    // without enforcement the stall runs into the frame
+                    // budget and is rejected.
+                    FaultKind::SlowDrip => {
+                        if stream.write_all(&bytes[..1]).is_ok() {
+                            let _ = stream.flush();
+                        }
+                        std::thread::sleep(wire::RATE_GRACE.saturating_mul(4));
                     }
+                    // Announce a full frame (header plus a sliver of body),
+                    // then hold the connection wedged for `d`: rate
+                    // enforcement sheds it; otherwise the frame budget
+                    // expires and the half-frame is rejected.
+                    FaultKind::HoldConnection(d) => {
+                        let upto = (wire::HEADER_LEN + 8).min(bytes.len());
+                        if stream.write_all(&bytes[..upto]).is_ok() {
+                            let _ = stream.flush();
+                        }
+                        std::thread::sleep(d);
+                    }
+                    // `Disconnect`: drop the connection without answering.
+                    // The server counts this round late and serves the new
+                    // connection from the next broadcast.
+                    _ => {}
                 }
-                if died {
-                    reconnect_or_return!();
-                }
+                // All four then drop the connection and rejoin via backoff.
+                let _ = stream.shutdown(Shutdown::Both);
+                false
             }
-            None => {
-                if wire::write_frame(&mut stream, &update).is_err() {
-                    reconnect_or_return!();
-                }
-            }
+        };
+        if !alive {
+            reconnect_or_return!();
         }
     }
 }
@@ -974,12 +908,17 @@ fn serve_on(
     ncfg: &NetConfig,
 ) -> Result<FlRunResult, FlError> {
     let (test, _) = setup_data(cfg);
-    let bcast_cfg = broadcast_config(&cfg.compression);
     let registered = cfg.registered();
     let ledger = Arc::new(Ledger::new(
         cfg.resolve_ingest_budget(model_size_bytes(cfg)),
     ));
-    let mut server = TcpServer::start(listener, registered, ncfg.clone(), Arc::clone(&ledger))?;
+    let mut server = TcpServer::start(
+        listener,
+        registered,
+        ncfg.clone(),
+        lossless_config(cfg.compression),
+        Arc::clone(&ledger),
+    )?;
     let joined = server.await_joins(registered, ncfg.join_timeout);
     if joined == 0 {
         server.stop();
@@ -987,7 +926,7 @@ fn serve_on(
             "no client joined within the join timeout".into(),
         ));
     }
-    let result = serve(cfg, tcfg, &test, &bcast_cfg, &mut server, &ledger);
+    let result = serve(cfg, tcfg, &test, &mut server, &ledger);
     server.stop();
     result
 }

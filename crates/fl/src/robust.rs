@@ -214,8 +214,8 @@ impl RobustFold {
         }
     }
 
-    /// Number of updates accepted so far — the pre-screen count quorum is
-    /// checked against (the screen runs at `finish`, after quorum).
+    /// Number of updates accepted so far (the screen runs at `finish`).
+    #[cfg(test)]
     pub(crate) fn folded(&self) -> usize {
         match self {
             RobustFold::Mean(agg) => agg.folded(),

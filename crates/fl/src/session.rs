@@ -1,23 +1,24 @@
 //! FedAvg orchestration with optional FedSZ compression of client updates —
 //! the simulation loop behind Table I's accuracy columns and Figures 4–7.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
-use fedsz::{CompressedUpdate, FaultCounters, FedSzConfig, QuarantineReasons, SuspectReasons};
+use fedsz::{FaultCounters, FedSzConfig, QuarantineReasons, SuspectReasons};
 use fedsz_dnn::{DatasetKind, ModelArch};
-use fedsz_tensor::{SplitMix64, StateDict};
-use rayon::prelude::*;
+use fedsz_tensor::StateDict;
 
+use crate::budget::Ledger;
 use crate::checkpoint::{self, Checkpoint};
 use crate::error::FlError;
-use crate::fault::{poison_update, FaultKind, FaultPlan};
-use crate::ingest::{self, IngestPool, Verdict};
-use crate::partition;
-use crate::robust::{Aggregation, RobustFold};
-use crate::validate::validate_update;
+use crate::fault::{FaultKind, FaultPlan};
+use crate::robust::Aggregation;
+use crate::transport::{
+    build_net, damages_payload, encode_turn, serve, setup_data, train_turn, BroadcastOutcome,
+    ClientMsg, RecvEnd, ServerTransport, TransportConfig, Turn, Uplink,
+};
 use crate::wire;
 
 /// FedSZ partition threshold for the scaled model analogues: their conv
@@ -310,22 +311,27 @@ impl FlRunResult {
         self.rounds.last().map_or(0.0, |r| r.accuracy)
     }
 
-    /// Mean per-client compression time per round.
-    pub fn mean_compress_s(&self) -> f64 {
+    /// One per-round quantity summed over the whole run.
+    fn total<T: std::iter::Sum>(&self, f: impl Fn(&RoundMetrics) -> T) -> T {
+        self.rounds.iter().map(f).sum()
+    }
+
+    /// `total` spread over every update of the run (rounds × clients).
+    fn per_update(&self, total: f64) -> f64 {
         if self.rounds.is_empty() {
             return 0.0;
         }
-        self.rounds.iter().map(|r| r.compress_s_total).sum::<f64>()
-            / (self.rounds.len() * self.n_clients) as f64
+        total / (self.rounds.len() * self.n_clients) as f64
+    }
+
+    /// Mean per-client compression time per round.
+    pub fn mean_compress_s(&self) -> f64 {
+        self.per_update(self.total(|r| r.compress_s_total))
     }
 
     /// Mean per-client training time per round.
     pub fn mean_train_s(&self) -> f64 {
-        if self.rounds.is_empty() {
-            return 0.0;
-        }
-        self.rounds.iter().map(|r| r.train_s_total).sum::<f64>()
-            / (self.rounds.len() * self.n_clients) as f64
+        self.per_update(self.total(|r| r.train_s_total))
     }
 
     /// `(final accuracy, total wire bytes, total compress seconds)` — the
@@ -333,43 +339,33 @@ impl FlRunResult {
     pub fn summary(&self) -> (f64, usize, f64) {
         (
             self.final_accuracy(),
-            self.rounds.iter().map(|r| r.bytes_on_wire).sum(),
-            self.rounds.iter().map(|r| r.compress_s_total).sum(),
+            self.total_bytes_up(),
+            self.total(|r| r.compress_s_total),
         )
     }
 
     /// Total uplink bytes on the wire over the whole run.
     pub fn total_bytes_up(&self) -> usize {
-        self.rounds.iter().map(|r| r.bytes_on_wire).sum()
+        self.total(|r| r.bytes_on_wire)
     }
 
     /// Total downlink broadcast bytes on the wire over the whole run.
     pub fn total_bytes_down(&self) -> usize {
-        self.rounds.iter().map(|r| r.bytes_down_wire).sum()
+        self.total(|r| r.bytes_down_wire)
     }
 
     /// Mean per-update bytes on the wire.
     pub fn mean_update_bytes(&self) -> f64 {
-        if self.rounds.is_empty() {
-            return 0.0;
-        }
-        self.rounds.iter().map(|r| r.bytes_on_wire).sum::<usize>() as f64
-            / (self.rounds.len() * self.n_clients) as f64
+        self.per_update(self.total_bytes_up() as f64)
     }
 
     /// Participation outcome summed over all rounds.
     pub fn fault_summary(&self) -> FaultCounters {
-        self.rounds
-            .iter()
-            .fold(FaultCounters::default(), |acc, r| FaultCounters {
-                delivered: acc.delivered + r.faults.delivered,
-                rejected: acc.rejected + r.faults.rejected,
-                quarantined: acc.quarantined + r.faults.quarantined,
-                suspected: acc.suspected + r.faults.suspected,
-                shed: acc.shed + r.faults.shed,
-                late: acc.late + r.faults.late,
-                dropped: acc.dropped + r.faults.dropped,
-            })
+        let mut sum = FaultCounters::default();
+        for r in &self.rounds {
+            sum += r.faults;
+        }
+        sum
     }
 }
 
@@ -380,427 +376,182 @@ pub fn run(cfg: &FlConfig) -> Result<FlRunResult, FlError> {
 
 /// Run a federated session with a per-round compression configuration —
 /// the hook behind the error-bound scheduling ablation (paper §VIII-B).
-/// `schedule(round)` returning `None` disables compression for that round.
-///
-/// The in-process path has no per-client transport, so a decode failure is
-/// a programming error rather than a network event; it is surfaced as
-/// [`FlError::Codec`] instead of a panic, consistent with
-/// [`run_threaded`](crate::transport::run_threaded)'s error handling.
+/// `schedule(round)` returning `None` disables compression for that round:
+/// clients hand over their state dict itself, so the round's wire bytes
+/// equal its raw bytes and no compression time is spent.
 pub fn run_scheduled(
     cfg: &FlConfig,
     schedule: impl Fn(usize) -> Option<FedSzConfig> + Sync,
 ) -> Result<FlRunResult, FlError> {
-    run_impl(cfg, schedule, None)
+    run_loopback(cfg, &schedule, FaultPlan::new())
 }
 
 /// Run a federated session in-process under a deterministic [`FaultPlan`]
 /// — the oracle the chaos soak compares the channel and TCP transports
 /// against.
 ///
-/// The in-process path has no wire, so each planned fault is classified
-/// directly into the outcome the transports converge on: `Corrupt`,
-/// `TruncateFrame`, and `FlipBytes` count `rejected`; `NonFiniteUpdate`
-/// and `WrongShape` count `quarantined`; `SlowDrip` and `HoldConnection`
-/// count `shed` (the rate enforcer's verdict); `FloodOversized(n)` counts
-/// `shed` when a junk frame of `n` payload bytes could never fit the
-/// ingest budget and `rejected` otherwise — the exact
-/// [`wire::update_body_len`](crate::wire::update_body_len) admission the
-/// transports apply. `Crash` and `Disconnect` count `late` for the
-/// planned round only (there is no thread to kill, so the client
-/// participates again next round — model a persistent crash by planning
-/// it into consecutive rounds); `Delay` and `Replay` are no-ops (no
-/// deadline to miss, and first-wins admission makes replays invisible).
-/// Faulted clients skip local training entirely: their update could never
-/// fold into the aggregate, so the final model is bit-identical to the
-/// transports', where the faulty bytes are really produced and refused.
+/// Nothing is classified by hand: a faulted client runs the same turn the
+/// channel transport's clients run ([`train_turn`] + [`encode_turn`]) —
+/// it trains, poisons or mangles its update as planned — and the server
+/// reaches the counters by really decoding and validating what came out.
+/// So every kind counts exactly as it does over channels, and the final
+/// model is bit-identical to both transports'. What the in-process path
+/// cannot act out it resolves the way a channel does: `SlowDrip` and
+/// `HoldConnection` count `shed` (the rate enforcer's verdict; there is
+/// no byte stream to trickle), and `TruncateFrame` / `FlipBytes` damage
+/// the payload rather than a frame. Three kinds have less to do here than
+/// on a transport: `Crash` and `Disconnect` count `late` for the planned
+/// round only (there is no thread to kill, so the client participates
+/// again next round — model a persistent crash by planning it into
+/// consecutive rounds), `Delay` does not sleep (no deadline to miss), and
+/// `Replay` sends no extra copies (first-wins admission would discard them
+/// before they are decoded, buffered or counted).
 pub fn run_with_faults(cfg: &FlConfig, plan: &FaultPlan) -> Result<FlRunResult, FlError> {
-    run_impl(cfg, |_| cfg.compression, Some(plan))
+    run_loopback(cfg, &|_| cfg.compression, plan.clone())
 }
 
-fn run_impl(
+/// Drive the one round engine ([`serve`]) over the in-process [`Loopback`]
+/// under the default transport policy: no deadline, a quorum of one, no
+/// retries.
+fn run_loopback(
     cfg: &FlConfig,
-    schedule: impl Fn(usize) -> Option<FedSzConfig> + Sync,
-    plan: Option<&FaultPlan>,
+    schedule: &dyn Fn(usize) -> Option<FedSzConfig>,
+    faults: FaultPlan,
 ) -> Result<FlRunResult, FlError> {
-    let (c, h, _, classes) = cfg.dataset.dims();
-    let registered = cfg.registered();
-    let total_train = registered * cfg.samples_per_client;
-    let (train, test) = cfg
-        .dataset
-        .generate(total_train, cfg.test_samples, cfg.seed);
-
-    let mut rng = SplitMix64::new(cfg.seed ^ 0xF17E_57A7);
-    let shards = match cfg.dirichlet_alpha {
-        Some(alpha) => partition::dirichlet(&train, registered, alpha, &mut rng),
-        None => partition::iid(&train, registered, &mut rng),
+    let (test, shards) = setup_data(cfg);
+    let tcfg = TransportConfig {
+        faults,
+        ..TransportConfig::default()
     };
+    let net = build_net(cfg, cfg.seed);
+    // Resolved against the model size exactly as the transports resolve
+    // it, so the shed set matches theirs.
+    let ledger = Ledger::new(cfg.resolve_ingest_budget(net.state_dict().nbytes()));
+    let mut transport = Loopback {
+        cfg,
+        schedule,
+        plan: &tcfg.faults,
+        shards,
+        ledger: &ledger,
+        net,
+        round: 0,
+        attempt: 0,
+        global: Arc::default(),
+        waiting: VecDeque::new(),
+    };
+    serve(cfg, &tcfg, &test, &mut transport, &ledger)
+}
 
-    // Client networks are built lazily per round for the sampled cohort
-    // only (`load_state_dict` resets optimizer momentum, so a fresh build
-    // plus load is bit-identical to a long-lived client); the server keeps
-    // just the evaluator.
-    let mut server = cfg.arch.build(c, h, classes, cfg.seed);
-    let resume = resume_point(cfg, server.state_dict())?;
-    // Shared with the ingest workers by `Arc`, so concurrent validation
-    // never copies the broadcast model.
-    let mut global = Arc::new(resume.global);
-    let mut rounds = resume.rounds;
-    rounds.reserve(cfg.rounds.saturating_sub(rounds.len()));
+/// The in-process [`ServerTransport`]: no threads and no bytes moved. A
+/// broadcast just names the cohort; each `recv` runs the next member's
+/// whole turn on the collector thread and hands the result straight to
+/// the collect loop, which decodes it on the ingest pool while the
+/// following member trains.
+struct Loopback<'a> {
+    cfg: &'a FlConfig,
+    schedule: &'a dyn Fn(usize) -> Option<FedSzConfig>,
+    plan: &'a FaultPlan,
+    shards: Vec<fedsz_dnn::Dataset>,
+    /// Consulted for header-time admission only. Nothing is ever reserved:
+    /// the collector thread is the loopback's only producer, so a blocking
+    /// reservation could never be released.
+    ledger: &'a Ledger,
+    /// The one client network every cohort member trains in turn: each
+    /// turn loads the broadcast first, which fully determines it, so
+    /// client state stays O(1) however many clients are registered.
+    net: fedsz_dnn::Network,
+    round: usize,
+    attempt: usize,
+    /// The broadcast model, shared by reference — never encoded.
+    global: Arc<StateDict>,
+    /// Cohort members of the current attempt still to take their turn.
+    waiting: VecDeque<usize>,
+}
 
-    // Server-side ingest pool for the in-process path: the same worker pool
-    // the transports use, so `ingest_workers` means the same thing on every
-    // path (0 = decode serially on this thread).
-    let mut ingest_pool = IngestPool::new(cfg.ingest_workers, cfg.cohort_size());
-    // The ingest budget, resolved against the model size exactly as the
-    // transports resolve it, so the shed set below matches theirs.
-    let budget = cfg.resolve_ingest_budget(global.nbytes());
-    // Robust modes are validated up front: bad parameters and a budget too
-    // small for their cohort buffering are configuration errors, refused
-    // before any client trains.
-    cfg.aggregation.validate()?;
-    cfg.aggregation
-        .check_ingest_budget(budget, cfg.cohort_size(), global.nbytes())?;
-
-    for round in resume.start_round..cfg.rounds {
-        if plan.is_some_and(|p| p.server_kill_round() == Some(round)) {
-            return Err(FlError::ServerKilled { round });
+impl ServerTransport for Loopback<'_> {
+    fn broadcast(
+        &mut self,
+        round: usize,
+        attempt: usize,
+        cohort: &[usize],
+        model: &Arc<StateDict>,
+    ) -> BroadcastOutcome {
+        self.round = round;
+        self.attempt = attempt;
+        self.global = Arc::clone(model);
+        self.waiting = cohort.iter().copied().collect();
+        let mut reached = vec![false; self.shards.len()];
+        for &id in cohort {
+            reached[id] = true;
         }
-        // Local training, parallel across this round's sampled cohort.
-        // A client's update travels either compressed (the wire payload)
-        // or as its raw state dict (the uncompressed baseline) — exactly
-        // one copy, moved into the collector below and dropped as soon as
-        // it folds into the streaming aggregate.
-        enum ClientPayload {
-            Compressed(CompressedUpdate),
-            Raw(StateDict),
+        BroadcastOutcome {
+            reached,
+            bytes_down: 0,
         }
-        struct ClientOut {
-            payload: Option<ClientPayload>,
-            n: usize,
-            train_s: f64,
-            compress_s: f64,
-            wire_bytes: usize,
-            raw_bytes: usize,
-        }
-        let cohort = cfg.cohort_for_round(round);
-        // Classify this round's planned faults into the outcomes the
-        // transports converge on (see [`run_with_faults`]); clients whose
-        // update could never reach the aggregate skip training entirely.
-        let mut shed = 0usize;
-        let mut synthetic_rejected = 0usize;
-        let mut synthetic_quarantined = QuarantineReasons::default();
-        let mut late = 0usize;
-        let model_bytes = global.nbytes();
-        let trainers: Vec<usize> = cohort
-            .iter()
-            .copied()
-            .filter(|&id| {
-                let Some(kind) = plan.and_then(|p| p.fault_for(id, round)) else {
-                    return true;
-                };
-                match kind {
-                    // No deadline to miss, and first-wins admission makes
-                    // replays invisible: both degenerate to honest clients.
-                    FaultKind::Delay(_) | FaultKind::Replay(_) => true,
-                    // Byzantine poisons train and send a structurally clean
-                    // update (poisoned below, between train and compress);
-                    // only a robust aggregation mode can screen them.
-                    FaultKind::SignFlip | FaultKind::ScaleUpdate(_) | FaultKind::DriftToward => {
-                        true
-                    }
-                    FaultKind::Crash | FaultKind::Disconnect => {
-                        late += 1;
-                        false
-                    }
-                    FaultKind::SlowDrip | FaultKind::HoldConnection(_) => {
-                        shed += 1;
-                        false
-                    }
-                    FaultKind::Corrupt | FaultKind::TruncateFrame | FaultKind::FlipBytes(_) => {
-                        synthetic_rejected += 1;
-                        false
-                    }
-                    FaultKind::NonFiniteUpdate => {
-                        synthetic_quarantined.non_finite += 1;
-                        false
-                    }
-                    FaultKind::WrongShape => {
-                        synthetic_quarantined.wrong_shape += 1;
-                        false
-                    }
-                    FaultKind::FloodOversized(n) => {
-                        // The junk frame's exact body length, as the wire
-                        // would announce it: trained state dicts keep the
-                        // model's structure, so `raw_bytes` is known
-                        // without training.
-                        let body = wire::update_body_len(
-                            round,
-                            0,
-                            id,
-                            shards[id].n.max(1),
-                            model_bytes,
-                            n,
-                        );
-                        if budget.is_some_and(|cap| body > cap) {
-                            shed += 1;
-                        } else {
-                            synthetic_rejected += 1;
-                        }
-                        false
-                    }
-                }
-            })
-            .collect();
-        let mut outs: Vec<ClientOut> = trainers
-            .par_iter()
-            .map(|&id| {
-                let mut net = cfg.arch.build(c, h, classes, cfg.seed ^ (id as u64 + 1));
-                net.load_state_dict(&global);
-                let shard = &shards[id];
-                let mut lrng = SplitMix64::new(
-                    cfg.seed ^ ((round as u64) << 32) ^ (id as u64).wrapping_mul(0x9E37),
-                );
-                let t0 = Instant::now();
-                for _ in 0..cfg.local_epochs {
-                    net.train_epoch(shard, cfg.batch_size, cfg.lr, cfg.momentum, &mut lrng);
-                }
-                let train_s = t0.elapsed().as_secs_f64();
-                let mut sd = net.state_dict();
-                // Byzantine faults poison the trained update here — before
-                // compression, so the attack rides the same (possibly
-                // lossy) codec path as an honest update. `global` is the
-                // exact broadcast model, matching the reference the
-                // transport clients recover from the (lossless-round-trip)
-                // downlink, so all paths poison bit-identically.
-                if let Some(kind) = plan.and_then(|p| p.fault_for(id, round)) {
-                    poison_update(&mut sd, &global, kind);
-                }
-                let raw_bytes = sd.nbytes();
-                let round_compression = schedule(round);
-                let (payload, compress_s, wire_bytes) = match &round_compression {
-                    Some(fsz) => {
-                        let t1 = Instant::now();
-                        let update = fedsz::compress(&sd, fsz);
-                        let secs = t1.elapsed().as_secs_f64();
-                        let nbytes = update.nbytes();
-                        (ClientPayload::Compressed(update), secs, nbytes)
-                    }
-                    None => (ClientPayload::Raw(sd), 0.0, raw_bytes),
-                };
-                ClientOut {
-                    payload: Some(payload),
-                    n: shard.n.max(1),
-                    train_s,
-                    compress_s,
-                    wire_bytes,
-                    raw_bytes,
-                }
-            })
-            .collect();
-
-        // Server: decompress (when compressed), validate, and *stream*
-        // each accepted update into the running O(model) FedAvg
-        // accumulator. Even without a hostile transport an update can fail
-        // validation (e.g. training divergence to NaN); such clients are
-        // quarantined from the aggregate instead of poisoning it. With
-        // `ingest_workers > 0` the decode + validate work runs concurrently
-        // on the ingest pool; outcomes settle in contiguous client-index
-        // order before folding, so the out-of-order buffer holds at most
-        // the in-flight window — never the whole cohort — and any worker
-        // count stays bit-identical to the serial path (the exact
-        // accumulator is order-independent besides). Decompression is
-        // timed alone (validation excluded) and charged for failed and
-        // quarantined decodes too.
-        struct Collector {
-            fold: RobustFold,
-            buffered: BTreeMap<u64, (Verdict, f64, usize, usize)>,
-            next: u64,
-            decompress_s_total: f64,
-            quarantined: QuarantineReasons,
-            rejected: usize,
-            /// Without a fault plan a decode failure is a programming
-            /// error, surfaced as [`FlError::Codec`]; under a plan it is a
-            /// modelled network event and counts `rejected` like the
-            /// transports count it.
-            strict: bool,
-        }
-        impl Collector {
-            /// Fold every outcome that is now contiguous from `next`,
-            /// dropping each update as it folds (the robust modes buffer
-            /// it inside the fold instead — see [`RobustFold`]).
-            fn settle(&mut self) -> Result<(), FlError> {
-                while let Some((verdict, decompress_s, samples, client_id)) =
-                    self.buffered.remove(&self.next)
-                {
-                    self.next += 1;
-                    self.decompress_s_total += decompress_s;
-                    match verdict {
-                        Verdict::Accept(sd) => self.fold.fold(client_id, sd, samples)?,
-                        Verdict::Quarantine(reason) => reason.tally(&mut self.quarantined),
-                        Verdict::Reject(e) if self.strict => return Err(e.into()),
-                        Verdict::Reject(_) => self.rejected += 1,
-                    }
-                }
-                Ok(())
-            }
-        }
-        let mut collect = Collector {
-            fold: RobustFold::new(cfg.aggregation, &global),
-            buffered: BTreeMap::new(),
-            next: 0,
-            decompress_s_total: 0.0,
-            quarantined: QuarantineReasons::default(),
-            rejected: 0,
-            strict: plan.is_none(),
-        };
-        let mut in_flight = 0usize;
-        let mut seq = 0u64;
-        let mut bytes_on_wire = 0usize;
-        let mut bytes_uncompressed = 0usize;
-        for (i, out) in outs.iter_mut().enumerate() {
-            let payload = out.payload.take().expect("each client trained once");
-            // The same header-time admission the transports apply: an
-            // update whose announced body could never fit the whole
-            // budget is shed before it is buffered or decoded. Frames
-            // that fit are never refused here — in-process there is no
-            // concurrent arrival, so backpressure is a no-op.
-            let body_len =
-                wire::update_body_len(round, 0, trainers[i], out.n, out.raw_bytes, out.wire_bytes);
-            if budget.is_some_and(|cap| body_len > cap) {
-                shed += 1;
-                continue;
-            }
-            bytes_on_wire += out.wire_bytes;
-            bytes_uncompressed += out.raw_bytes;
-            match payload {
-                ClientPayload::Compressed(payload) => {
-                    ingest_pool.submit(ingest::Job {
-                        seq,
-                        client_id: trainers[i],
-                        payload,
-                        samples: out.n,
-                        train_s: 0.0,
-                        compress_s: 0.0,
-                        raw_bytes: 0,
-                        wire_bytes: 0,
-                        reserved: 0,
-                        global: Arc::clone(&global),
-                    });
-                    seq += 1;
-                    in_flight += 1;
-                }
-                // Uncompressed path: nothing to decode, validate in-line
-                // and hand the state dict itself to the collector.
-                ClientPayload::Raw(sd) => {
-                    let verdict = match validate_update(&sd, &global, out.n) {
-                        Ok(()) => Verdict::Accept(Box::new(sd)),
-                        Err(reason) => Verdict::Quarantine(reason),
-                    };
-                    collect
-                        .buffered
-                        .insert(seq, (verdict, 0.0, out.n, trainers[i]));
-                    seq += 1;
-                }
-            }
-            // Opportunistically drain and fold while submission continues,
-            // keeping the settled window (and pool queues) small.
-            while let Some(done) = ingest_pool.try_recv() {
-                in_flight -= 1;
-                collect.buffered.insert(
-                    done.seq,
-                    (
-                        done.verdict,
-                        done.decompress_s,
-                        done.samples,
-                        done.client_id,
-                    ),
-                );
-            }
-            collect.settle()?;
-        }
-        while in_flight > 0 {
-            let done = ingest_pool.recv();
-            in_flight -= 1;
-            collect.buffered.insert(
-                done.seq,
-                (
-                    done.verdict,
-                    done.decompress_s,
-                    done.samples,
-                    done.client_id,
-                ),
-            );
-            collect.settle()?;
-        }
-        debug_assert!(collect.buffered.is_empty());
-        let quarantine_reasons = QuarantineReasons {
-            non_finite: collect.quarantined.non_finite + synthetic_quarantined.non_finite,
-            wrong_shape: collect.quarantined.wrong_shape + synthetic_quarantined.wrong_shape,
-            bad_count: collect.quarantined.bad_count + synthetic_quarantined.bad_count,
-        };
-        let quarantined = quarantine_reasons.total();
-        let rejected = collect.rejected + synthetic_rejected;
-        if collect.fold.folded() == 0 {
-            // Every update was refused: FedAvg has nothing to average.
-            // Shedding gets its own error so operators can tell "clients
-            // failed" from "the server turned clients away".
-            return Err(if shed > 0 {
-                FlError::Overloaded {
-                    round,
-                    shed,
-                    delivered: 0,
-                    required: 1,
-                }
-            } else {
-                FlError::QuorumNotMet {
-                    round,
-                    delivered: 0,
-                    required: 1,
-                }
-            });
-        }
-        // Quorum above was checked on the pre-screen accepted count; the
-        // robust screen then decides `suspected` at finish, and delivered
-        // is what actually contributed to the aggregate.
-        let accepted = collect.fold.folded();
-        let outcome = collect.fold.finish()?;
-        let suspect_reasons = outcome.suspected;
-        let delivered = accepted.saturating_sub(suspect_reasons.total());
-        global = Arc::new(outcome.model);
-        server.load_state_dict(&global);
-        let accuracy = server.evaluate(&test);
-
-        rounds.push(RoundMetrics {
-            round,
-            accuracy,
-            train_s_total: outs.iter().map(|o| o.train_s).sum(),
-            compress_s_total: outs.iter().map(|o| o.compress_s).sum(),
-            decompress_s_total: collect.decompress_s_total,
-            bytes_on_wire,
-            bytes_down_wire: 0,
-            bytes_uncompressed,
-            faults: FaultCounters {
-                delivered,
-                rejected,
-                quarantined,
-                suspected: suspect_reasons.total(),
-                shed,
-                late,
-                dropped: 0,
-            },
-            quarantine_reasons,
-            suspect_reasons,
-        });
-        maybe_checkpoint(cfg, round, &global, &rounds)?;
     }
-    Ok(FlRunResult {
-        rounds,
-        n_clients: cfg.cohort_size(),
-        // Each round drains its in-flight jobs, so no worker still holds a
-        // reference; the clone is only a defensive fallback.
-        final_model: Arc::try_unwrap(global).unwrap_or_else(|g| (*g).clone()),
-        resumed_from_round: resume.resumed_from_round,
-    })
+
+    fn recv(&mut self, _cutoff: Option<Instant>) -> Result<Uplink, RecvEnd> {
+        let client_id = self.waiting.pop_front().ok_or(RecvEnd::Closed)?;
+        let (round, attempt) = (self.round, self.attempt);
+        let fault = self
+            .plan
+            .firing(client_id, round, attempt)
+            // There is no deadline to miss, so a planned delay is not slept.
+            .filter(|kind| !matches!(kind, FaultKind::Delay(_)));
+        let shard = &self.shards[client_id];
+        let trained = match train_turn(
+            &mut self.net,
+            self.cfg,
+            shard,
+            client_id,
+            round,
+            &self.global,
+            fault,
+        ) {
+            Turn::Trained(trained) => trained,
+            Turn::Silent => return Ok(Uplink::Gone { client_id }),
+            Turn::Shed => return Ok(Uplink::Shed { client_id }),
+        };
+        let (samples, train_s, raw_bytes) = (trained.samples, trained.train_s, trained.raw_bytes);
+        let compression = (self.schedule)(round);
+        // An uncompressed round hands the state dict over as it is — unless
+        // the turn's fault damages payload bytes, which then have to exist.
+        let (payload_len, answer) = if compression.is_some() || damages_payload(fault) {
+            let out = encode_turn(trained, compression, fault);
+            let msg = ClientMsg {
+                client_id,
+                round,
+                attempt,
+                samples,
+                train_s,
+                compress_s: out.compress_s,
+                raw_bytes,
+                reserved: 0,
+                payload: out.payload,
+            };
+            (msg.payload.nbytes(), Uplink::Msg(msg))
+        } else {
+            let update = Box::new(trained.update);
+            let raw = Uplink::Raw {
+                client_id,
+                update,
+                samples,
+                train_s,
+            };
+            (raw_bytes, raw)
+        };
+        // The same header-time admission the transports apply: an update
+        // whose frame could never fit the whole budget is shed before it
+        // is decoded. One that fits is never refused — with a single
+        // producer there is no concurrent arrival to wait out.
+        let body_len =
+            wire::update_body_len(round, attempt, client_id, samples, raw_bytes, payload_len);
+        Ok(if self.ledger.would_never_fit(body_len) {
+            Uplink::Shed { client_id }
+        } else {
+            answer
+        })
+    }
 }
 
 #[cfg(test)]

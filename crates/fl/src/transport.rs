@@ -1,20 +1,23 @@
-//! Transport-generic client–server FL loop, plus the threaded
-//! channel-backed transport (the APPFL/gRPC analogue).
+//! The one round engine — [`serve`] and the client turn every transport
+//! shares — plus the threaded channel-backed transport (the APPFL/gRPC
+//! analogue).
 //!
-//! [`session::run`](crate::session::run) executes the FL loop in one thread
-//! of control (with Rayon inside). This module instead runs the server loop
-//! — broadcast → collect under a deadline → quorum/retry → FedAvg — over a
-//! small [`ServerTransport`] trait with two implementations: the original
-//! channel-backed one (every client an OS thread exchanging *serialized
-//! bitstreams* over crossbeam channels) and the socket-backed one in
-//! [`crate::net`] (real TCP with a framed, CRC-checked wire protocol).
-//! Either way the process shape matches the paper's MPI-per-client
-//! deployment, and FedSZ updates are checked to be self-contained wire
-//! messages (nothing shared but bytes).
+//! [`serve`] runs the server loop — broadcast → collect under a deadline →
+//! quorum/retry → FedAvg — over a small [`ServerTransport`] trait with
+//! three implementations: the channel-backed one here (every client an OS
+//! thread exchanging *serialized bitstreams* over crossbeam channels), the
+//! socket-backed one in [`crate::net`] (real TCP with a framed,
+//! CRC-checked wire protocol), and the in-process loopback in
+//! [`crate::session`], which runs each cohort member's turn on demand on
+//! the collector thread. The client side of a round — train, poison when
+//! the [`FaultPlan`] says so, encode, mangle — is [`train_turn`] +
+//! [`encode_turn`] for all three, so the same seeds produce the same
+//! payload bytes whichever way they travel.
 //!
-//! The downlink broadcast uses FedSZ with an "everything lossless"
-//! partition (threshold `usize::MAX`), so the global model arrives
-//! bit-exact; the uplink uses the configured compression, as in the paper.
+//! Over channels and TCP the downlink broadcast uses FedSZ with an
+//! "everything lossless" partition (threshold `usize::MAX`), so the global
+//! model arrives bit-exact; the uplink uses the configured compression, as
+//! in the paper.
 //!
 //! # Fault tolerance
 //!
@@ -59,6 +62,7 @@ use crate::ingest::{self, IngestPool, Verdict};
 use crate::partition;
 use crate::robust::{Aggregation, RobustFold};
 use crate::session::{maybe_checkpoint, resume_point, FlConfig, FlRunResult, RoundMetrics};
+use crate::validate::validate_update;
 use crate::wire;
 
 /// Transport-level policy: per-round deadline, quorum, retries, client idle
@@ -110,14 +114,6 @@ pub(crate) struct ClientMsg {
     pub(crate) reserved: usize,
 }
 
-/// What travels on the channel transport's shared uplink: a structurally
-/// valid message, or notice that overload protection refused one before
-/// any bytes moved (the channel analogue of TCP's header-time shed).
-pub(crate) enum ChannelUplink {
-    Msg(ClientMsg),
-    Shed { client_id: usize },
-}
-
 /// Downlink message: the new global model (or a stop signal).
 enum ServerMsg {
     Broadcast {
@@ -128,13 +124,28 @@ enum ServerMsg {
     Stop,
 }
 
-/// What the server learned from one uplink receive.
+/// What the server learned from one uplink receive. The channel transport
+/// carries these on its shared uplink as they are.
 pub(crate) enum Uplink {
     /// A structurally valid message (its payload may still fail to decode).
     Msg(ClientMsg),
+    /// The loopback's uncompressed baseline: the trained state dict itself,
+    /// never serialized, so the round's wire bytes equal its raw bytes and
+    /// nothing is spent compressing. Only the in-process loopback, which
+    /// has no bytes to move, produces this.
+    Raw {
+        /// Client the update came from.
+        client_id: usize,
+        /// The trained update.
+        update: Box<StateDict>,
+        /// Sample count the client claims (checked by validation).
+        samples: usize,
+        /// Local training time.
+        train_s: f64,
+    },
     /// A frame that failed wire-level validation — bad CRC-32 or a
     /// truncated read — attributed to the connection it arrived on.
-    /// Counted as `rejected`, exactly like a corrupt in-process payload.
+    /// Counted as `rejected`, exactly like a payload that fails to decode.
     Garbage {
         /// Client the broken frame came from.
         client_id: usize,
@@ -184,17 +195,20 @@ impl BroadcastOutcome {
 /// Server-side endpoint of a transport: broadcast downlink, receive uplink.
 ///
 /// The generic [`serve`] loop owns round/attempt/quorum/deadline policy;
-/// implementations own only the mechanics of moving bytes (channels in this
-/// module, framed TCP in [`crate::net`]).
+/// implementations own only the mechanics of moving the model and the
+/// updates (channels in this module, framed TCP in [`crate::net`], direct
+/// hand-over in the [`crate::session`] loopback).
 pub(crate) trait ServerTransport {
     /// Broadcast `model` for `(round, attempt)` to every reachable client
     /// in `cohort` (sorted registered-client ids — the round's sample).
+    /// Encoding it for the wire, where there is one, is the transport's
+    /// business.
     fn broadcast(
         &mut self,
         round: usize,
         attempt: usize,
         cohort: &[usize],
-        model: &CompressedUpdate,
+        model: &Arc<StateDict>,
     ) -> BroadcastOutcome;
 
     /// Receive the next uplink event, waiting until `cutoff`
@@ -202,11 +216,15 @@ pub(crate) trait ServerTransport {
     fn recv(&mut self, cutoff: Option<Instant>) -> Result<Uplink, RecvEnd>;
 }
 
-/// Lossless-only FedSZ config used for the bit-exact downlink broadcast.
-pub(crate) fn broadcast_config(uplink: &Option<FedSzConfig>) -> FedSzConfig {
+/// Lossless-only variant of `base` (default codecs when `None`): every
+/// tensor takes the lossless route, so the payload round-trips bit-exact.
+/// Used for the downlink broadcast, for the uplink of an uncompressed run
+/// that still has to move bytes, and for semantic poisons that must
+/// survive the codec.
+pub(crate) fn lossless_config(base: Option<FedSzConfig>) -> FedSzConfig {
     FedSzConfig {
         threshold: usize::MAX,
-        ..uplink.unwrap_or_default()
+        ..base.unwrap_or_default()
     }
 }
 
@@ -229,25 +247,67 @@ pub(crate) fn setup_data(cfg: &FlConfig) -> (fedsz_dnn::Dataset, Vec<fedsz_dnn::
     (test, shards)
 }
 
-/// One client's local work for one broadcast: train, serialize, measure.
+/// How one client's turn starts: with a trained update, or — under a
+/// planned fault that silences the client — with nothing to encode.
+pub(crate) enum Turn {
+    /// `Crash` / `Disconnect`: the client answers nothing this round. What
+    /// "gone" means beyond that is the transport's: a channel client's
+    /// thread exits for good, a TCP client rejoins, the loopback's next
+    /// round simply runs the client again.
+    Silent,
+    /// `SlowDrip` / `HoldConnection` where there is no byte stream to
+    /// trickle: the rate enforcer's verdict is modelled directly (matching
+    /// TCP with `min_byte_rate` on) — the update is shed, the client lives
+    /// on to the next round.
+    Shed,
+    /// The client trained; its update is ready for [`encode_turn`].
+    Trained(Trained),
+}
+
+/// One client's trained update before it is encoded — already poisoned
+/// when the turn's fault is a semantic or Byzantine one.
+pub(crate) struct Trained {
+    pub(crate) update: StateDict,
+    pub(crate) samples: usize,
+    pub(crate) train_s: f64,
+    /// Size of the honest update, measured before any poison reshapes it.
+    pub(crate) raw_bytes: usize,
+}
+
+/// One client's encoded answer to one broadcast.
 pub(crate) struct LocalOutcome {
     pub(crate) payload: CompressedUpdate,
+    /// How many byte-identical copies to send: 1, plus a `Replay` fault's
+    /// extras (which first-wins admission discards undecoded).
+    pub(crate) copies: usize,
     pub(crate) samples: usize,
     pub(crate) train_s: f64,
     pub(crate) compress_s: f64,
     pub(crate) raw_bytes: usize,
 }
 
-/// Run local training for `round` and compress the resulting update.
-/// Shared by the channel and TCP client loops so both transports produce
-/// bit-identical updates from the same seeds.
-pub(crate) fn local_round(
+/// First half of a client's turn, shared by every transport: load the
+/// broadcast `global`, train locally for `round`, and apply the turn's
+/// `fault` where it acts on the *values* — so the same seeds produce the
+/// same update bit for bit on every path. Callers pass the fault only on
+/// the attempt it fires on (see [`FaultPlan::firing`]).
+pub(crate) fn train_turn(
     net: &mut fedsz_dnn::Network,
     cfg: &FlConfig,
     shard: &fedsz_dnn::Dataset,
     id: usize,
     round: usize,
-) -> LocalOutcome {
+    global: &StateDict,
+    fault: Option<FaultKind>,
+) -> Turn {
+    match fault {
+        Some(FaultKind::Crash | FaultKind::Disconnect) => return Turn::Silent,
+        Some(FaultKind::SlowDrip | FaultKind::HoldConnection(_)) => return Turn::Shed,
+        _ => {}
+    }
+    // `load_state_dict` resets optimizer state, so the broadcast fully
+    // determines the network whatever it trained on before.
+    net.load_state_dict(global);
     let mut lrng =
         SplitMix64::new(cfg.seed ^ ((round as u64) << 32) ^ (id as u64).wrapping_mul(0x9E37));
     let t0 = Instant::now();
@@ -255,38 +315,13 @@ pub(crate) fn local_round(
         net.train_epoch(shard, cfg.batch_size, cfg.lr, cfg.momentum, &mut lrng);
     }
     let train_s = t0.elapsed().as_secs_f64();
-    let local = net.state_dict();
-    let raw_bytes = local.nbytes();
-    let t1 = Instant::now();
-    let uplink_cfg = cfg.compression.unwrap_or(FedSzConfig {
-        threshold: usize::MAX,
-        ..FedSzConfig::default()
-    });
-    let payload = fedsz::compress(&local, &uplink_cfg);
-    // Serialization runs (and takes time) even on the lossless path, so
-    // the elapsed time is reported unconditionally — otherwise the
-    // uncompressed baseline's timing numbers are silently understated.
-    let compress_s = t1.elapsed().as_secs_f64();
-    LocalOutcome {
-        payload,
-        samples: shard.n.max(1),
-        train_s,
-        compress_s,
-        raw_bytes,
-    }
-}
-
-/// Build the semantically poisoned payload behind the `NonFiniteUpdate`
-/// and `WrongShape` faults. The state dict is compressed with an
-/// everything-lossless partition so the poison survives the codec
-/// bit-exact: the payload frames, checksums, and decodes cleanly, and only
-/// the server's pre-aggregation validation can catch it. Shared by the
-/// channel and TCP client loops so both transports inject identically.
-pub(crate) fn poisoned_payload(net: &fedsz_dnn::Network, kind: FaultKind) -> CompressedUpdate {
-    let mut sd = net.state_dict();
-    match kind {
-        FaultKind::NonFiniteUpdate => {
-            if let Some(v) = sd
+    let mut update = net.state_dict();
+    let raw_bytes = update.nbytes();
+    match fault {
+        // Semantic poison: frames, checksums and decodes cleanly; only the
+        // server's pre-aggregation validation can catch it.
+        Some(FaultKind::NonFiniteUpdate) => {
+            if let Some(v) = update
                 .entries_mut()
                 .first_mut()
                 .and_then(|e| e.tensor.data_mut().first_mut())
@@ -294,40 +329,91 @@ pub(crate) fn poisoned_payload(net: &fedsz_dnn::Network, kind: FaultKind) -> Com
                 *v = f32::NAN;
             }
         }
-        FaultKind::WrongShape => {
-            if let Some(e) = sd.entries_mut().first_mut() {
+        Some(FaultKind::WrongShape) => {
+            if let Some(e) = update.entries_mut().first_mut() {
                 e.tensor = Tensor::from_vec(vec![0.0]);
             }
         }
-        _ => {}
+        // Byzantine poison, applied before compression so the attack rides
+        // the same (possibly lossy) codec as an honest update and only a
+        // robust aggregation mode can screen it. `global` is the exact
+        // broadcast model on every path (the downlink is lossless). A
+        // no-op for every other kind.
+        Some(kind) => {
+            poison_update(&mut update, global, kind);
+        }
+        None => {}
     }
-    let lossless = FedSzConfig {
-        threshold: usize::MAX,
-        ..FedSzConfig::default()
-    };
-    fedsz::compress(&sd, &lossless)
+    Turn::Trained(Trained {
+        update,
+        samples: shard.n.max(1),
+        train_s,
+        raw_bytes,
+    })
 }
 
-/// Build a Byzantine-poisoned payload: poison the trained update in place
-/// (see [`poison_update`]) and compress it through the client's *real*
-/// uplink codec — the same (possibly lossy) `cfg.compression` an honest
-/// update takes, so the attack is indistinguishable on the wire and only
-/// a robust aggregation mode can screen it. `reference` is the broadcast
-/// model the client recovered from the downlink. Shared by the channel
-/// and TCP client loops so both transports inject bit-identically.
-pub(crate) fn byzantine_payload(
-    net: &fedsz_dnn::Network,
-    cfg: &FlConfig,
-    reference: &StateDict,
-    kind: FaultKind,
-) -> CompressedUpdate {
-    let mut sd = net.state_dict();
-    poison_update(&mut sd, reference, kind);
-    let uplink_cfg = cfg.compression.unwrap_or(FedSzConfig {
-        threshold: usize::MAX,
-        ..FedSzConfig::default()
-    });
-    fedsz::compress(&sd, &uplink_cfg)
+/// Does `fault` act on the payload *bytes* in [`encode_turn`]? Such a turn
+/// has to serialize even where an honest one would not.
+pub(crate) fn damages_payload(fault: Option<FaultKind>) -> bool {
+    matches!(
+        fault,
+        Some(
+            FaultKind::Corrupt
+                | FaultKind::TruncateFrame
+                | FaultKind::FlipBytes(_)
+                | FaultKind::FloodOversized(_)
+        )
+    )
+}
+
+/// Second half of a client's turn: encode the update with the round's
+/// `compression` (losslessly when the round is uncompressed — the bytes
+/// still have to exist to be moved, or mangled), then apply the turn's
+/// `fault` where it acts on the *payload bytes*.
+pub(crate) fn encode_turn(
+    trained: Trained,
+    compression: Option<FedSzConfig>,
+    fault: Option<FaultKind>,
+) -> LocalOutcome {
+    let codec = match fault {
+        // The poison must survive the codec bit-exact.
+        Some(FaultKind::NonFiniteUpdate | FaultKind::WrongShape) => lossless_config(None),
+        _ => compression.unwrap_or_else(|| lossless_config(None)),
+    };
+    // Serialization runs (and takes time) even on the lossless path, so
+    // the elapsed time is reported unconditionally — otherwise the
+    // uncompressed baseline's timing numbers are silently understated.
+    let t = Instant::now();
+    let mut bytes = fedsz::compress(&trained.update, &codec).into_bytes();
+    let compress_s = t.elapsed().as_secs_f64();
+    let mut copies = 1;
+    match fault {
+        // Break the magic: a guaranteed decode failure at the server.
+        Some(FaultKind::Corrupt) => bytes.iter_mut().take(1).for_each(|b| *b ^= 0xFF),
+        // A frame cut mid-stream, where there is no frame: every strict
+        // prefix of a FedSZ stream fails to decode. (TCP cuts the real
+        // frame instead and never passes this kind here.)
+        Some(FaultKind::TruncateFrame) => bytes.truncate(bytes.len() / 2),
+        // Flipping the leading bytes breaks the FedSZ magic, so the
+        // corruption is detected deterministically (TCP flips bytes under
+        // the frame CRC instead).
+        Some(FaultKind::FlipBytes(n)) => bytes.iter_mut().take(n).for_each(|b| *b ^= 0xA5),
+        // A well-formed junk payload of the planned size: it frames
+        // cleanly, and either the ingest budget sheds it or the server's
+        // decode rejects it.
+        Some(FaultKind::FloodOversized(n)) => bytes = vec![0xA5; n],
+        Some(FaultKind::Delay(d)) => std::thread::sleep(d),
+        Some(FaultKind::Replay(n)) => copies += n,
+        _ => {}
+    }
+    LocalOutcome {
+        payload: CompressedUpdate::from_bytes(bytes),
+        copies,
+        samples: trained.samples,
+        train_s: trained.train_s,
+        compress_s,
+        raw_bytes: trained.raw_bytes,
+    }
 }
 
 /// Run the federated session with one OS thread per client and default
@@ -345,7 +431,6 @@ pub fn run_threaded(cfg: &FlConfig) -> Result<FlRunResult, FlError> {
 /// simply block on their downlink until sampled (and build no network until
 /// their first broadcast arrives).
 pub fn run_threaded_with(cfg: &FlConfig, tcfg: &TransportConfig) -> Result<FlRunResult, FlError> {
-    let (c, h, _, classes) = cfg.dataset.dims();
     let registered = cfg.registered();
     let (test, shards) = setup_data(cfg);
 
@@ -353,11 +438,10 @@ pub fn run_threaded_with(cfg: &FlConfig, tcfg: &TransportConfig) -> Result<FlRun
     // cohort member plus a small slack for replay floods; a hostile sender
     // blocks instead of growing server memory.
     let up_cap = cfg.cohort_size().saturating_mul(2).saturating_add(8);
-    let (up_tx, up_rx): (Sender<ChannelUplink>, Receiver<ChannelUplink>) = bounded(up_cap);
+    let (up_tx, up_rx): (Sender<Uplink>, Receiver<Uplink>) = bounded(up_cap);
     let ledger = Arc::new(Ledger::new(
         cfg.resolve_ingest_budget(model_size_bytes(cfg)),
     ));
-    let bcast_cfg = broadcast_config(&cfg.compression);
     let plan = Arc::new(tcfg.faults.clone());
     let idle = tcfg.client_idle_timeout;
 
@@ -371,9 +455,7 @@ pub fn run_threaded_with(cfg: &FlConfig, tcfg: &TransportConfig) -> Result<FlRun
         let plan = Arc::clone(&plan);
         let ledger = Arc::clone(&ledger);
         handles.push(std::thread::spawn(move || {
-            client_loop(
-                i, cfg, shard, c, h, classes, &plan, idle, &ledger, &down_rx, &up_tx,
-            );
+            client_loop(i, cfg, shard, &plan, idle, &ledger, &down_rx, &up_tx);
         }));
     }
     drop(up_tx);
@@ -382,8 +464,9 @@ pub fn run_threaded_with(cfg: &FlConfig, tcfg: &TransportConfig) -> Result<FlRun
         down_txs: &down_txs,
         up_rx: &up_rx,
         dead: vec![false; registered],
+        bcast_cfg: lossless_config(cfg.compression),
     };
-    let result = serve(cfg, tcfg, &test, &bcast_cfg, &mut transport, &ledger);
+    let result = serve(cfg, tcfg, &test, &mut transport, &ledger);
 
     // Unwedge clients in teardown order: fail blocked reservations, tell
     // everyone to stop, then close the uplink so a sender blocked on the
@@ -403,15 +486,17 @@ pub fn run_threaded_with(cfg: &FlConfig, tcfg: &TransportConfig) -> Result<FlRun
     result
 }
 
+/// Build the network `cfg` describes, initialized from `seed`.
+pub(crate) fn build_net(cfg: &FlConfig, seed: u64) -> fedsz_dnn::Network {
+    let (c, h, _, classes) = cfg.dataset.dims();
+    cfg.arch.build(c, h, classes, seed)
+}
+
 /// State-dict size in bytes of a freshly built model under `cfg` — the
 /// reference for resolving the ingest budget before any server model
 /// exists (deterministic: the same seed builds the same model).
 pub(crate) fn model_size_bytes(cfg: &FlConfig) -> usize {
-    let (c, h, _, classes) = cfg.dataset.dims();
-    cfg.arch
-        .build(c, h, classes, cfg.seed)
-        .state_dict()
-        .nbytes()
+    build_net(cfg, cfg.seed).state_dict().nbytes()
 }
 
 /// Channel-backed [`ServerTransport`]: one bounded downlink channel per
@@ -422,8 +507,9 @@ pub(crate) fn model_size_bytes(cfg: &FlConfig) -> usize {
 /// clients rejoin).
 struct ChannelTransport<'a> {
     down_txs: &'a [Sender<ServerMsg>],
-    up_rx: &'a Receiver<ChannelUplink>,
+    up_rx: &'a Receiver<Uplink>,
     dead: Vec<bool>,
+    bcast_cfg: FedSzConfig,
 }
 
 impl ServerTransport for ChannelTransport<'_> {
@@ -432,8 +518,9 @@ impl ServerTransport for ChannelTransport<'_> {
         round: usize,
         attempt: usize,
         cohort: &[usize],
-        model: &CompressedUpdate,
+        model: &Arc<StateDict>,
     ) -> BroadcastOutcome {
+        let model = fedsz::compress(model, &self.bcast_cfg);
         let mut reached = vec![false; self.down_txs.len()];
         let mut bytes_down = 0usize;
         for &id in cohort {
@@ -459,26 +546,19 @@ impl ServerTransport for ChannelTransport<'_> {
     }
 
     fn recv(&mut self, cutoff: Option<Instant>) -> Result<Uplink, RecvEnd> {
-        let msg = match cutoff {
+        match cutoff {
             Some(end) => {
                 let Some(left) = end.checked_duration_since(Instant::now()) else {
                     return Err(RecvEnd::Timeout); // deadline passed while processing
                 };
-                match self.up_rx.recv_timeout(left) {
-                    Ok(m) => m,
-                    Err(RecvTimeoutError::Timeout) => return Err(RecvEnd::Timeout),
-                    Err(RecvTimeoutError::Disconnected) => return Err(RecvEnd::Closed),
-                }
+                self.up_rx.recv_timeout(left).map_err(|e| match e {
+                    RecvTimeoutError::Timeout => RecvEnd::Timeout,
+                    RecvTimeoutError::Disconnected => RecvEnd::Closed,
+                })
             }
-            None => match self.up_rx.recv() {
-                Ok(m) => m,
-                Err(_) => return Err(RecvEnd::Closed), // every client hung up
-            },
-        };
-        Ok(match msg {
-            ChannelUplink::Msg(m) => Uplink::Msg(m),
-            ChannelUplink::Shed { client_id } => Uplink::Shed { client_id },
-        })
+            // Fails only once every client hung up.
+            None => self.up_rx.recv().map_err(|_| RecvEnd::Closed),
+        }
     }
 }
 
@@ -491,20 +571,17 @@ fn client_loop(
     id: usize,
     cfg: FlConfig,
     shard: fedsz_dnn::Dataset,
-    c: usize,
-    h: usize,
-    classes: usize,
     plan: &FaultPlan,
     idle: Option<Duration>,
     ledger: &Ledger,
     down_rx: &Receiver<ServerMsg>,
-    up_tx: &Sender<ChannelUplink>,
+    up_tx: &Sender<Uplink>,
 ) {
     // Built on the first broadcast, not at spawn: with cross-device
     // sampling, most registered clients sit out most rounds, and a
     // never-sampled client must not pay for (or hold) a model. The lazy
-    // build is bit-identical to an eager one — `load_state_dict` resets
-    // optimizer state, so every broadcast fully determines the network.
+    // build is bit-identical to an eager one — every broadcast fully
+    // determines the network (see [`train_turn`]).
     let mut net: Option<fedsz_dnn::Network> = None;
     loop {
         let msg = match idle {
@@ -530,106 +607,39 @@ fn client_loop(
         let Ok(sd) = fedsz::decompress(&model) else {
             return; // corrupt broadcast: nothing sane to train on
         };
-        let net =
-            net.get_or_insert_with(|| cfg.arch.build(c, h, classes, cfg.seed ^ (id as u64 + 1)));
-        net.load_state_dict(&sd);
-        let out = local_round(net, &cfg, &shard, id, round);
-
-        // Injected faults fire on the first attempt of their round only, so
-        // a quorum retry observes a healthy client again.
-        let fault = if attempt == 0 {
-            plan.fault_for(id, round)
-        } else {
-            None
-        };
-        let payload = match fault {
-            Some(FaultKind::Crash) => return,
+        let net = net.get_or_insert_with(|| build_net(&cfg, cfg.seed ^ (id as u64 + 1)));
+        let fault = plan.firing(id, round, attempt);
+        let trained = match train_turn(net, &cfg, &shard, id, round, &sd, fault) {
+            Turn::Trained(t) => t,
             // Channels cannot be reconnected, so a wire-level disconnect
-            // degenerates to a crash here; the TCP transport models the
+            // is a crash here; the TCP transport models the
             // rejoin-with-backoff path faithfully.
-            Some(FaultKind::Disconnect) => return,
-            // Overload faults have no byte stream to trickle over a
-            // channel; the rate enforcer's outcome is modelled directly
-            // (matching TCP with `min_byte_rate` on): the update is shed,
-            // the client lives on to the next round.
-            Some(FaultKind::SlowDrip | FaultKind::HoldConnection(_)) => {
-                if up_tx.send(ChannelUplink::Shed { client_id: id }).is_err() {
+            Turn::Silent => return,
+            Turn::Shed => {
+                if up_tx.send(Uplink::Shed { client_id: id }).is_err() {
                     return;
                 }
                 continue;
             }
-            // A well-formed junk payload of the planned size: it frames
-            // cleanly, and either the ingest budget sheds it below or the
-            // server's decode rejects it.
-            Some(FaultKind::FloodOversized(n)) => CompressedUpdate::from_bytes(vec![0xA5; n]),
-            Some(FaultKind::Corrupt) => {
-                let mut bytes = out.payload.into_bytes();
-                if let Some(b) = bytes.first_mut() {
-                    *b ^= 0xFF; // break the magic: guaranteed decode failure
-                }
-                CompressedUpdate::from_bytes(bytes)
-            }
-            Some(FaultKind::TruncateFrame) => {
-                // In-process analogue of a frame cut mid-stream: every
-                // strict prefix of a FedSZ stream fails to decode.
-                let mut bytes = out.payload.into_bytes();
-                bytes.truncate(bytes.len() / 2);
-                CompressedUpdate::from_bytes(bytes)
-            }
-            Some(FaultKind::FlipBytes(n)) => {
-                // Flip the leading bytes: breaks the FedSZ magic, so the
-                // corruption is detected deterministically (the TCP path
-                // detects the same fault via the frame CRC instead).
-                let mut bytes = out.payload.into_bytes();
-                let upto = n.min(bytes.len());
-                for b in &mut bytes[..upto] {
-                    *b ^= 0xA5;
-                }
-                CompressedUpdate::from_bytes(bytes)
-            }
-            Some(FaultKind::Delay(d)) => {
-                std::thread::sleep(d);
-                out.payload
-            }
-            Some(kind @ (FaultKind::NonFiniteUpdate | FaultKind::WrongShape)) => {
-                // Cleanly-decoding poison: only the server's semantic
-                // validation stands between this and the aggregate.
-                poisoned_payload(net, kind)
-            }
-            Some(
-                kind @ (FaultKind::SignFlip | FaultKind::ScaleUpdate(_) | FaultKind::DriftToward),
-            ) => {
-                // Byzantine poison: structurally clean, rides the real
-                // uplink codec; only a robust aggregation mode screens it.
-                byzantine_payload(net, &cfg, &sd, kind)
-            }
-            // The replayed copies go out below, after the honest send.
-            Some(FaultKind::Replay(_)) | None => out.payload,
         };
+        let out = encode_turn(trained, cfg.compression, fault);
+        // The same header-time admission TCP applies: the frame's exact
+        // encoded body length decides shed-or-reserve, so both transports
+        // refuse the same updates. A frame that fits waits for ledger
+        // space (backpressure) rather than being refused.
+        let body_len = wire::update_body_len(
+            round,
+            attempt,
+            id,
+            out.samples,
+            out.raw_bytes,
+            out.payload.nbytes(),
+        );
         // A replay fault sends byte-identical duplicates after the honest
         // copy; the server must accept the first and discard the rest.
-        let replays = match fault {
-            Some(FaultKind::Replay(n)) => n,
-            _ => 0,
-        };
-        let duplicates: Vec<CompressedUpdate> = (0..replays)
-            .map(|_| CompressedUpdate::from_bytes(payload.as_bytes().to_vec()))
-            .collect();
-        for payload in std::iter::once(payload).chain(duplicates) {
-            // The same header-time admission TCP applies: the frame's
-            // exact encoded body length decides shed-or-reserve, so both
-            // transports refuse the same updates. A frame that fits waits
-            // for ledger space (backpressure) rather than being refused.
-            let body_len = wire::update_body_len(
-                round,
-                attempt,
-                id,
-                out.samples,
-                out.raw_bytes,
-                payload.nbytes(),
-            );
+        for payload in std::iter::repeat_n(out.payload, out.copies) {
             if ledger.would_never_fit(body_len) {
-                if up_tx.send(ChannelUplink::Shed { client_id: id }).is_err() {
+                if up_tx.send(Uplink::Shed { client_id: id }).is_err() {
                     return;
                 }
                 continue;
@@ -648,7 +658,7 @@ fn client_loop(
                 raw_bytes: out.raw_bytes,
                 reserved: body_len,
             };
-            if up_tx.send(ChannelUplink::Msg(msg)).is_err() {
+            if up_tx.send(Uplink::Msg(msg)).is_err() {
                 ledger.release(body_len);
                 return; // server gone: shut down quietly
             }
@@ -656,19 +666,17 @@ fn client_loop(
     }
 }
 
-/// The transport-generic server loop: broadcast, collect under the
-/// deadline, aggregate over the quorum, retry or abort when the quorum is
-/// not met. Identical policy for channels and TCP.
+/// The one round loop: broadcast, collect under the deadline, aggregate
+/// over the quorum, retry or abort when the quorum is not met, evaluate,
+/// checkpoint. Identical policy for the loopback, channels and TCP.
 pub(crate) fn serve<T: ServerTransport>(
     cfg: &FlConfig,
     tcfg: &TransportConfig,
     test: &fedsz_dnn::Dataset,
-    bcast_cfg: &FedSzConfig,
     transport: &mut T,
     ledger: &Ledger,
 ) -> Result<FlRunResult, FlError> {
-    let (c, h, _, classes) = cfg.dataset.dims();
-    let mut server = cfg.arch.build(c, h, classes, cfg.seed);
+    let mut server = build_net(cfg, cfg.seed);
     // Robust modes are validated up front, against the same resolved
     // budget the transports handed their ledger: bad parameters and a
     // budget too small for cohort buffering refuse the run before any
@@ -689,7 +697,6 @@ pub(crate) fn serve<T: ServerTransport>(
     let mut pool = IngestPool::new(cfg.ingest_workers, cfg.cohort_size());
 
     for round in resume.start_round..cfg.rounds {
-        let broadcast = fedsz::compress(&global, bcast_cfg);
         // The round's sampled cohort: stable across quorum retries (the
         // draw keys on the round index, not the attempt) and identical on
         // every transport and on resume.
@@ -710,7 +717,7 @@ pub(crate) fn serve<T: ServerTransport>(
 
         let agg = 'attempts: {
             for attempt in 0..=tcfg.max_round_retries {
-                let outcome = transport.broadcast(round, attempt, &cohort, &broadcast);
+                let outcome = transport.broadcast(round, attempt, &cohort, &global);
                 // The server-kill hook fires after the broadcast goes out
                 // but before any update is collected — the deterministic
                 // double for a SIGKILL mid-round. Rounds before this one
@@ -935,11 +942,12 @@ fn collect_attempt<T: ServerTransport>(
     let mut seq = 0u64;
     let mut in_flight = 0usize;
     let mut shed = 0usize;
+    // Resolve `id`'s slot; `false` when it was not outstanding — an id
+    // outside the broadcast set, or one that already answered this attempt.
     let resolve = |outstanding: &mut [bool], pending: &mut usize, id: usize| {
-        if id < outstanding.len() && outstanding[id] {
-            outstanding[id] = false;
-            *pending -= 1;
-        }
+        let open = outstanding.get_mut(id).is_some_and(std::mem::take);
+        *pending -= usize::from(open);
+        open
     };
 
     // How often the collect loop wakes to settle finished decodes while
@@ -974,27 +982,20 @@ fn collect_attempt<T: ServerTransport>(
         };
         match msg {
             Uplink::Msg(msg) => {
-                if msg.round != round || msg.attempt != attempt {
-                    // Stale straggler output: discard, handing its budget
-                    // reservation back (it was accounted when it ran late).
+                // Stale straggler output (already accounted when it ran
+                // late) is discarded. So is — first-wins admission — an id
+                // outside the broadcast set (nonsense, out of cohort, or
+                // `cfg.n_clients` spoofing) or one that already submitted
+                // this attempt: dropped here, undecoded. Either way the
+                // budget reservation is handed back, or a duplicate flood
+                // would pin the budget forever.
+                if msg.round != round
+                    || msg.attempt != attempt
+                    || !resolve(&mut outstanding, &mut pending, msg.client_id)
+                {
                     ledger.release(msg.reserved);
                     continue;
                 }
-                // First-wins admission: an id outside the broadcast set
-                // (nonsense, out of cohort, or `cfg.n_clients` spoofing)
-                // or one that already submitted this attempt is dropped
-                // here, undecoded — and its reservation released, or a
-                // duplicate flood would pin the budget forever.
-                let Some(slot) = outstanding.get_mut(msg.client_id) else {
-                    ledger.release(msg.reserved);
-                    continue;
-                };
-                if !*slot {
-                    ledger.release(msg.reserved);
-                    continue;
-                }
-                *slot = false;
-                pending -= 1;
                 let wire_bytes = msg.payload.nbytes();
                 pool.submit(ingest::Job {
                     seq,
@@ -1010,6 +1011,38 @@ fn collect_attempt<T: ServerTransport>(
                 });
                 seq += 1;
                 in_flight += 1;
+            }
+            Uplink::Raw {
+                client_id,
+                update,
+                samples,
+                train_s,
+            } => {
+                if !resolve(&mut outstanding, &mut pending, client_id) {
+                    continue;
+                }
+                // Nothing to decode: validate in line and settle the state
+                // dict itself, in sequence with the pool's outcomes. What
+                // travelled is the raw update, so wire bytes = raw bytes.
+                let raw_bytes = update.nbytes();
+                let verdict = match validate_update(&update, global, samples) {
+                    Ok(()) => Verdict::Accept(update),
+                    Err(reason) => Verdict::Quarantine(reason),
+                };
+                let out = ingest::Outcome {
+                    seq,
+                    client_id,
+                    samples,
+                    train_s,
+                    compress_s: 0.0,
+                    raw_bytes,
+                    wire_bytes: raw_bytes,
+                    reserved: 0,
+                    verdict,
+                    decompress_s: 0.0,
+                };
+                seq += 1;
+                settle.push(out, ledger, metrics)?;
             }
             Uplink::Shed { client_id } => {
                 // Admission control turned this update away at the frame
@@ -1049,9 +1082,7 @@ fn collect_attempt<T: ServerTransport>(
 
     metrics.faults.rejected += settle.rejected;
     metrics.faults.quarantined += settle.quarantined.total();
-    metrics.quarantine_reasons.non_finite += settle.quarantined.non_finite;
-    metrics.quarantine_reasons.wrong_shape += settle.quarantined.wrong_shape;
-    metrics.quarantine_reasons.bad_count += settle.quarantined.bad_count;
+    metrics.quarantine_reasons += settle.quarantined;
     metrics.faults.shed += shed;
     // A flood of duplicate corrupt frames (a replaying socket) can push
     // `rejected` past `expected`; saturate instead of underflowing.
@@ -1148,13 +1179,12 @@ mod tests {
         // A client whose server never broadcasts (and never closes the
         // channel) exits on its own once the idle timeout expires.
         let (_down_tx, down_rx) = bounded::<ServerMsg>(1);
-        let (up_tx, _up_rx) = bounded::<ChannelUplink>(8);
+        let (up_tx, _up_rx) = bounded::<Uplink>(8);
         let cfg = FlConfig {
             samples_per_client: 8,
             test_samples: 8,
             ..FlConfig::default()
         };
-        let (c, h, _, classes) = cfg.dataset.dims();
         let (_, mut shards) = setup_data(&cfg);
         let shard = shards.remove(0);
         let plan = FaultPlan::new();
@@ -1164,9 +1194,6 @@ mod tests {
                 0,
                 cfg,
                 shard,
-                c,
-                h,
-                classes,
                 &plan,
                 Some(Duration::from_millis(100)),
                 &Ledger::new(None),

@@ -7,7 +7,7 @@
 use std::time::Duration;
 
 use fedsz::{compress, decompress, CompressedUpdate, FedSzConfig};
-use fedsz_fl::{run_threaded_with, FaultPlan, FlConfig, FlError, TransportConfig};
+use fedsz_fl::{run_threaded_with, run_with_faults, FaultPlan, FlConfig, FlError, TransportConfig};
 use fedsz_tensor::{SplitMix64, StateDict, Tensor, TensorKind};
 
 fn sample_update() -> CompressedUpdate {
@@ -381,6 +381,72 @@ fn replayed_updates_are_discarded_first_wins() {
         assert_eq!(r.accuracy, c.accuracy);
         assert_eq!(r.bytes_on_wire, c.bytes_on_wire);
     }
+}
+
+#[test]
+fn in_process_faults_match_the_channel_transport_on_real_bytes() {
+    // The in-process path has no classification table of its own: a faulted
+    // client really truncates, flips, replays or corrupts its payload and
+    // the server really fails (or declines) to decode it. So for the
+    // payload-level kinds the chaos soak does not plan, everything the run
+    // reports must equal what the channel transport reports.
+    let cfg = fl_cfg(4, 3);
+    let plan = FaultPlan::new()
+        .truncate_frame(0, 0)
+        .flip_bytes(1, 0, 16)
+        .replay(2, 1, 3)
+        .corrupt(3, 1);
+    let in_process = run_with_faults(&cfg, &plan).expect("in-process run");
+    let tcfg = TransportConfig {
+        faults: plan,
+        ..TransportConfig::default()
+    };
+    let channel = run_threaded_with(&cfg, &tcfg).expect("channel run");
+
+    // Not vacuous: the planned damage was really refused.
+    let rejected: Vec<usize> = in_process
+        .rounds
+        .iter()
+        .map(|r| r.faults.rejected)
+        .collect();
+    assert_eq!(rejected, vec![2, 1, 0]);
+    let delivered: Vec<usize> = in_process
+        .rounds
+        .iter()
+        .map(|r| r.faults.delivered)
+        .collect();
+    assert_eq!(delivered, vec![2, 3, 4], "a replay still delivers once");
+
+    for (i, c) in in_process.rounds.iter().zip(&channel.rounds) {
+        assert_eq!(i.faults, c.faults, "round {}", i.round);
+        assert_eq!(i.quarantine_reasons, c.quarantine_reasons);
+        assert_eq!(i.bytes_on_wire, c.bytes_on_wire, "round {}", i.round);
+        assert_eq!(i.bytes_uncompressed, c.bytes_uncompressed);
+        assert_eq!(i.accuracy, c.accuracy, "round {}", i.round);
+    }
+    let bits = |sd: &StateDict| -> Vec<u32> {
+        sd.entries()
+            .iter()
+            .flat_map(|e| e.tensor.data().iter().map(|v| v.to_bits()))
+            .collect()
+    };
+    assert_eq!(bits(&in_process.final_model), bits(&channel.final_model));
+
+    // Without compression a client hands its state dict over as it is —
+    // except the one whose fault needs bytes to corrupt. That one
+    // serializes, is rejected in decode, and leaves the honest clients'
+    // accounting raw.
+    let raw_cfg = FlConfig {
+        compression: None,
+        ..fl_cfg(4, 1)
+    };
+    let raw = run_with_faults(&raw_cfg, &FaultPlan::new().corrupt(0, 0)).expect("raw run");
+    let r0 = &raw.rounds[0];
+    assert_eq!((r0.faults.delivered, r0.faults.rejected), (3, 1));
+    assert!(r0.bytes_on_wire > 0);
+    assert_eq!(r0.bytes_on_wire, r0.bytes_uncompressed);
+    assert_eq!(r0.compress_s_total, 0.0);
+    assert_eq!(r0.bytes_down_wire, 0);
 }
 
 #[test]
