@@ -4,7 +4,8 @@
 //! Prediction errors are quantized to integer codes with bin width `2ε`,
 //! guaranteeing a reconstruction within `ε` of the original. Values whose
 //! code falls outside the code book (or where float rounding would break the
-//! bound) are flagged *unpredictable* and stored as literal `f32`s.
+//! bound, or whose prediction is not finite) are flagged *unpredictable* and
+//! stored as literal `f32`s.
 
 /// Half the code-book size; codes span `1 ..= 2*RADIUS - 1`, code `0` marks
 /// an unpredictable value. 2^15 matches SZ2's default `quantization_intervals`.
@@ -65,8 +66,12 @@ impl Quantizer {
         let qi = round_half_away(x);
         let recon = (pred as f64 + qi as f64 * self.bin) as f32;
         // Guard: f32 rounding of the reconstruction could exceed the bound
-        // near the bin edge; fall back to literal storage when it does.
-        if (recon as f64 - value as f64).abs() > self.abs_eb {
+        // near the bin edge; fall back to literal storage when it does. The
+        // test fails closed: a NaN prediction (the value after a NaN literal
+        // in a Lorenzo chain) gives a NaN error, which is not within the
+        // bound, so it cannot slip through as the centre code.
+        let within = (recon as f64 - value as f64).abs() <= self.abs_eb;
+        if !within {
             return None;
         }
         Some(((qi + RADIUS) as u32, recon))
@@ -153,6 +158,58 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_predictions_are_unpredictable() {
+        // A Lorenzo chain predicts by the previous value, which is a literal
+        // NaN or infinity right after one was stored: the bound check must
+        // fail closed instead of passing a NaN error.
+        let q = Quantizer::new(0.1);
+        for pred in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            for value in [0.0f32, -0.0, 1.0, -3.5e10, f32::MIN_POSITIVE] {
+                assert_eq!(q.quantize(value, pred), None, "{value} against {pred}");
+            }
+        }
+    }
+
+    #[test]
+    fn quantize_slice_equals_quantize_element_by_element() {
+        // Pins the scalar form to the dispatched batch kernel (every level
+        // of which `crates/simd/tests/parity.rs` pins to its scalar twin),
+        // escapes included: a non-finite value or prediction in any lane.
+        let mut state = 0xA5A5_1234_5EED_0001u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 1.0e30];
+        for eb in [1e-6, 3e-3, 0.5] {
+            let q = Quantizer::new(eb);
+            let mut draw = |spread: f32| match next() % 16 {
+                0 => specials[(next() % specials.len() as u64) as usize],
+                _ => ((next() >> 40) as f32 / (1u32 << 24) as f32 - 0.5) * spread,
+            };
+            for len in [0usize, 1, 3, 4, 7, 8, 9, 255, 256, 1000] {
+                let values: Vec<f32> = (0..len).map(|_| draw(1.0)).collect();
+                let preds: Vec<f32> = (0..len).map(|_| draw(1.0 + 100.0 * eb as f32)).collect();
+                let mut codes = vec![u32::MAX; len];
+                let mut recons = vec![f32::NAN; len];
+                q.quantize_slice(&values, &preds, &mut codes, &mut recons);
+                for i in 0..len {
+                    let (code, recon) = q.quantize(values[i], preds[i]).unwrap_or((0, 0.0));
+                    assert_eq!(
+                        (codes[i], recons[i].to_bits()),
+                        (code, recon.to_bits()),
+                        "eb {eb} value {:?} pred {:?}",
+                        values[i],
+                        preds[i]
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "positive finite bound")]
     fn zero_bound_rejected() {
         Quantizer::new(0.0);
@@ -181,7 +238,8 @@ mod tests {
         }
         let qi = r as i64;
         let recon = (pred as f64 + qi as f64 * q.bin) as f32;
-        if (recon as f64 - value as f64).abs() > q.abs_eb {
+        let within = (recon as f64 - value as f64).abs() <= q.abs_eb;
+        if !within {
             return None;
         }
         Some(((qi + RADIUS) as u32, recon))

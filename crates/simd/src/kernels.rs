@@ -78,8 +78,9 @@ fn quantize_lanes<I: Isa>(
         // recon = (pred + qi * bin) as f32, observed through the f32
         // round-trip the decoder will perform.
         let recon = isa.f32_round_trip(isa.add(pr, isa.mul(qf, bin)));
-        // Escape 3: |recon - value| > eb (false on NaN, like the scalar).
-        let esc_bound = isa.cmp_lt(eb, isa.abs(isa.sub(recon, v)));
+        // Escape 3: !(|recon - value| <= eb) — fails closed, so a NaN
+        // error (NaN prediction) escapes, like the scalar.
+        let esc_bound = isa.not(isa.cmp_le(isa.abs(isa.sub(recon, v)), eb));
         let esc = isa.or(isa.or(esc_nonfinite, esc_range), esc_bound);
         // code = qi + radius on success, 0 on escape. Escape lanes are
         // forced to 0.0 *before* the u32 truncation so every lane converted

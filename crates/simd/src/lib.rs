@@ -204,8 +204,9 @@ pub struct QuantParams {
 
 /// Batch linear quantization: for each `i`, quantize `values[i]` against
 /// `preds[i]`. On success `codes[i]` is the non-zero code and `recons[i]`
-/// the reconstruction the decoder will see; on escape (non-finite value,
-/// out-of-range code, or a bound-breaking f32 rounding) `codes[i] == 0` and
+/// the reconstruction the decoder will see; on escape (non-finite value or
+/// prediction, out-of-range code, or a bound-breaking f32 rounding)
+/// `codes[i] == 0` and
 /// `recons[i] == 0.0` — the caller stores the original value as a literal
 /// and patches its own reconstruction state from it.
 ///
