@@ -21,23 +21,45 @@ fn quant_codes(n: usize, sigma: f64) -> Vec<u32> {
 fn bench_huffman(c: &mut Criterion) {
     let mut group = c.benchmark_group("huffman");
     group.sample_size(10);
-    // "wide": ~7 bits per symbol, one symbol per table hit (a tight bound).
-    // "narrow": ~3 bits per symbol, as SZ2 codes at rel 1e-2, where a table
-    // hit of the bulk path yields two symbols.
+    // "wide": ~7 bits per symbol over a few hundred live symbols, as SZ2
+    // codes at rel 1e-4; one symbol per table hit (a tight bound) going in,
+    // fewer codes per joined write going out. "narrow": ~3 bits per symbol,
+    // as SZ2 codes at rel 1e-2, where a table hit of the bulk decode yields
+    // two symbols and the bulk encode joins the most codes per write.
     for (shape, sigma) in [("wide", 40.0), ("narrow", 2.5)] {
         let syms = quant_codes(1 << 20, sigma);
         let mut freqs = vec![0u64; 1 << 16];
         for &s in &syms {
             freqs[s as usize] += 1;
         }
+        // The table is built once per tensor, so it is timed on its own:
+        // code lengths, canonical codes and the serialized header.
+        group.throughput(Throughput::Elements(1));
+        group.bench_function(BenchmarkId::new("table_build", shape), |b| {
+            b.iter(|| {
+                let enc = HuffmanEncoder::from_frequencies(&freqs);
+                let mut w = BitWriter::new();
+                enc.write_table(&mut w);
+                w.finish()
+            });
+        });
         let enc = HuffmanEncoder::from_frequencies(&freqs);
         group.throughput(Throughput::Elements(syms.len() as u64));
+        // Both rows write the same bytes: per-symbol `encode` against bulk
+        // `encode_run`.
         group.bench_function(BenchmarkId::new("encode", shape), |b| {
             b.iter(|| {
                 let mut w = BitWriter::with_capacity(syms.len() / 2);
                 for &s in &syms {
                     enc.encode(&mut w, s);
                 }
+                w.finish()
+            });
+        });
+        group.bench_function(BenchmarkId::new("encode_run", shape), |b| {
+            b.iter(|| {
+                let mut w = BitWriter::with_capacity(syms.len() / 2);
+                enc.encode_run(&mut w, &syms);
                 w.finish()
             });
         });

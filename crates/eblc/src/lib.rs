@@ -50,6 +50,18 @@ impl ErrorBound {
 
 /// `max - min` over finite values (0 if none are finite or the slice is empty).
 pub fn value_range(data: &[f32]) -> f64 {
+    // All-finite data, the usual case, takes the dispatched scan; its
+    // canonical +0.0 for a zero extreme cannot change a difference.
+    match fedsz_simd::minmax_finite(data) {
+        Some((min, max)) if min <= max => max as f64 - min as f64,
+        Some(_) => 0.0,
+        None => value_range_scalar(data),
+    }
+}
+
+/// [`value_range`] by an element-by-element scan: the path of a tensor that
+/// holds a non-finite value, and the tests' oracle for the dispatched one.
+pub(crate) fn value_range_scalar(data: &[f32]) -> f64 {
     let mut min = f64::INFINITY;
     let mut max = f64::NEG_INFINITY;
     for &v in data {
@@ -263,6 +275,39 @@ mod tests {
         assert_eq!(value_range(&[1.0, f32::NAN, 3.0, f32::INFINITY]), 2.0);
         assert_eq!(value_range(&[]), 0.0);
         assert_eq!(value_range(&[5.0; 10]), 0.0);
+        assert_eq!(value_range(&[f32::NAN, f32::NEG_INFINITY]), 0.0);
+    }
+
+    #[test]
+    fn dispatched_value_range_equals_the_scalar_scan() {
+        // Same bits from the vector scan as from the element-by-element one,
+        // signed zeros and denormals at the extremes included.
+        let mut cases: Vec<Vec<f32>> = vec![
+            vec![0.0, -0.0],
+            vec![-0.0, 0.0, -0.0],
+            vec![-0.0; 9],
+            vec![-0.0, -1.5],
+            vec![0.0, 1.0e-45, -1.0e-45],
+            vec![f32::MAX, f32::MIN],
+            vec![3.25],
+        ];
+        for n in [2usize, 7, 8, 9, 31, 1000, 4099] {
+            cases.push(spiky_weights(n, n as u64));
+            let mut with_zero_max = spiky_weights(n, 3);
+            for v in &mut with_zero_max {
+                *v = -v.abs();
+            }
+            with_zero_max[n / 2] = -0.0;
+            cases.push(with_zero_max);
+        }
+        for data in cases {
+            assert_eq!(
+                value_range(&data).to_bits(),
+                value_range_scalar(&data).to_bits(),
+                "{:?}",
+                &data[..data.len().min(9)]
+            );
+        }
     }
 
     #[test]

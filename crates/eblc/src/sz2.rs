@@ -10,7 +10,6 @@
 use fedsz_entropy::bitio::{BitReader, BitWriter};
 use fedsz_entropy::huffman::{HuffmanDecoder, HuffmanEncoder};
 use fedsz_entropy::{reader, varint, CodecError};
-use rayon::prelude::*;
 
 use crate::quantizer::{Quantizer, NUM_CODES};
 use crate::ErrorBound;
@@ -21,14 +20,6 @@ const BLOCK: usize = 256;
 
 const MODE_RAW: u8 = 0;
 const MODE_NORMAL: u8 = 1;
-
-/// Per-block compression artifacts, produced in parallel then merged.
-struct BlockOut {
-    /// `Some((a, b))` if the block chose the regression predictor.
-    regression: Option<(f32, f32)>,
-    codes: Vec<u32>,
-    literals: Vec<f32>,
-}
 
 /// Estimated bit cost of coding a residual of magnitude `d` at bin width
 /// `bin`. Uses the f64 exponent field as a free floor(log2): the estimate
@@ -45,83 +36,231 @@ fn residual_bits(d: f64, bin: f64) -> f64 {
     (((x.to_bits() >> 52) & 0x7FF) as i64 - 1023) as f64
 }
 
-fn fit_regression(block: &[f32]) -> (f32, f32) {
-    // Least-squares fit of x[i] ~ a*i + b.
-    let n = block.len() as f64;
-    let mut sum_x = 0.0f64;
-    let mut sum_ix = 0.0f64;
-    for (i, &v) in block.iter().enumerate() {
-        sum_x += v as f64;
-        sum_ix += i as f64 * v as f64;
-    }
+/// Elements in a group of [`GROUP_BLOCKS`] blocks.
+const GROUP: usize = GROUP_BLOCKS * BLOCK;
+
+/// Elements in [`LANES`] whole blocks: the blocks whose serial loops — the
+/// predictor choice's sums, the Lorenzo chains — are stepped side by side.
+const SET: usize = LANES * BLOCK;
+
+/// Least-squares fit of `x[i] ~ a*i + b` over `n` elements, from
+/// `sum_x = Σ x[i]` and `sum_ix = Σ i·x[i]`.
+fn regression_from_sums(n: usize, sum_x: f64, sum_ix: f64, first: f32) -> (f32, f32) {
+    let n = n as f64;
     let sum_i = n * (n - 1.0) / 2.0;
     let sum_ii = n * (n - 1.0) * (2.0 * n - 1.0) / 6.0;
     let denom = n * sum_ii - sum_i * sum_i;
     if denom.abs() < 1e-30 {
-        return (0.0, block.first().copied().unwrap_or(0.0));
+        return (0.0, first);
     }
     let a = (n * sum_ix - sum_i * sum_x) / denom;
     let b = (sum_x - a * sum_i) / n;
     (a as f32, b as f32)
 }
 
-fn compress_block(block: &[f32], q: &Quantizer) -> BlockOut {
-    let bin = 2.0 * q.bound();
-    let (a, b) = fit_regression(block);
-    let n = block.len();
+fn fit_regression(block: &[f32]) -> (f32, f32) {
+    let mut sum_x = 0.0f64;
+    let mut sum_ix = 0.0f64;
+    for (i, &v) in block.iter().enumerate() {
+        sum_x += v as f64;
+        sum_ix += i as f64 * v as f64;
+    }
+    let first = block.first().copied().unwrap_or(0.0);
+    regression_from_sums(block.len(), sum_x, sum_ix, first)
+}
 
-    // Regression predictions for the whole block, shared by the cost model
-    // and the encode pass. The Lorenzo cost model predicts each element by
-    // the previous *original* value (block shifted right one, seeded with 0),
-    // so it batches too; only Lorenzo *encoding* feeds reconstructions back.
-    let mut reg_preds = [0.0f32; BLOCK];
-    let reg_preds = &mut reg_preds[..n];
-    fedsz_simd::linear_preds(a, b, 0, reg_preds);
-    let mut lor_preds = [0.0f32; BLOCK];
-    lor_preds[1..n].copy_from_slice(&block[..n - 1]);
-
-    // Cost model: estimated payload bits per predictor; regression pays a
-    // 64-bit coefficient tax. Fold order matches the former scalar loop
-    // (the two accumulators were independent, so per-accumulator order is
-    // all that matters for bit parity).
-    let mut costs = [0.0f64; BLOCK];
-    fedsz_simd::residual_costs(block, &lor_preds[..n], bin, &mut costs[..n]);
-    let lorenzo_cost = costs[..n].iter().fold(0.0f64, |acc, &c| acc + c);
-    fedsz_simd::residual_costs(block, reg_preds, bin, &mut costs[..n]);
-    let regression_cost = costs[..n].iter().fold(64.0f64, |acc, &c| acc + c);
-
-    let use_regression = regression_cost < lorenzo_cost;
-    let mut codes = Vec::with_capacity(block.len());
-    let mut literals = Vec::new();
-    if use_regression {
-        codes.resize(n, 0);
-        let mut recons = [0.0f32; BLOCK];
-        q.quantize_slice(block, reg_preds, &mut codes, &mut recons[..n]);
-        for (&code, &v) in codes.iter().zip(block) {
-            if code == 0 {
-                literals.push(v);
-            }
+/// [`fit_regression`] of each block of `set`.
+///
+/// A fit is two serial f64 sums, an add latency per element each. In a set
+/// of [`LANES`] whole blocks the blocks are stepped side by side: every sum
+/// still receives its own block's terms in index order — the bits of the
+/// block-at-a-time loop — while the sixteen chains overlap.
+fn fit_regressions(set: &[f32]) -> [(f32, f32); LANES] {
+    let mut fits = [(0.0f32, 0.0f32); LANES];
+    let Ok(full) = <&[f32; SET]>::try_from(set) else {
+        for (fit, block) in fits.iter_mut().zip(set.chunks(BLOCK)) {
+            *fit = fit_regression(block);
         }
-    } else {
-        let mut prev = 0.0f32; // block-local Lorenzo: first element predicted by 0
-        for &v in block {
-            match q.quantize(v, prev) {
-                Some((code, recon)) => {
-                    codes.push(code);
-                    prev = recon;
-                }
-                None => {
-                    codes.push(0);
-                    literals.push(v);
-                    prev = v;
-                }
+        return fits;
+    };
+    let mut sum_x = [0.0f64; LANES];
+    let mut sum_ix = [0.0f64; LANES];
+    for i in 0..BLOCK {
+        for lane in 0..LANES {
+            let v = full[lane * BLOCK + i] as f64;
+            sum_x[lane] += v;
+            sum_ix[lane] += i as f64 * v;
+        }
+    }
+    for (lane, fit) in fits.iter_mut().enumerate() {
+        *fit = regression_from_sums(BLOCK, sum_x[lane], sum_ix[lane], full[lane * BLOCK]);
+    }
+    fits
+}
+
+/// `init + costs[0] + costs[1] + …` per block of `costs`, each sum in index
+/// order; the blocks of a whole set side by side, as in [`fit_regressions`].
+fn fold_costs(costs: &[f64], init: f64) -> [f64; LANES] {
+    let mut sums = [init; LANES];
+    let Ok(full) = <&[f64; SET]>::try_from(costs) else {
+        for (sum, block) in sums.iter_mut().zip(costs.chunks(BLOCK)) {
+            *sum = block.iter().fold(init, |acc, &c| acc + c);
+        }
+        return sums;
+    };
+    for i in 0..BLOCK {
+        for lane in 0..LANES {
+            sums[lane] += full[lane * BLOCK + i];
+        }
+    }
+    sums
+}
+
+/// Buffers one `compress` call reuses for every group.
+struct Scratch {
+    /// Regression predictions of the set being decided.
+    preds: Vec<f32>,
+    /// Estimated cost per element of that set, one predictor at a time.
+    costs: Vec<f64>,
+    /// Reconstructions `quantize_slice` hands back; the regression
+    /// predictor never reads them.
+    recons: Vec<f32>,
+}
+
+impl Scratch {
+    fn new() -> Self {
+        Self {
+            preds: vec![0.0; SET],
+            costs: vec![0.0; SET],
+            recons: vec![0.0; BLOCK],
+        }
+    }
+}
+
+/// The regression fit of every block of `set` that should use it, `None`
+/// for a Lorenzo block. Leaves the set's regression predictions in
+/// `scratch.preds`.
+///
+/// Cost model: estimated payload bits per predictor; regression pays a
+/// 64-bit coefficient tax. The Lorenzo estimate predicts each element by the
+/// previous *original* value (0 ahead of a block's first), so it batches
+/// too; only Lorenzo *encoding* feeds reconstructions back. The two cost
+/// sums of a block are independent, so the order within each sum is all
+/// that decides the bits of the comparison.
+fn choose_predictors(set: &[f32], bin: f64, scratch: &mut Scratch) -> [Option<(f32, f32)>; LANES] {
+    let n = set.len();
+    let fits = fit_regressions(set);
+    let preds = &mut scratch.preds[..n];
+    for (block_preds, &(a, b)) in preds.chunks_mut(BLOCK).zip(&fits) {
+        fedsz_simd::linear_preds(a, b, 0, block_preds);
+    }
+    let costs = &mut scratch.costs[..n];
+
+    // Lorenzo: the set against itself shifted right by one, then every
+    // block's first element again, against the 0 that really predicts it.
+    fedsz_simd::residual_costs(&set[1..], &set[..n - 1], bin, &mut costs[1..]);
+    let blocks = n.div_ceil(BLOCK);
+    let mut firsts = [0.0f32; LANES];
+    for (first, block) in firsts.iter_mut().zip(set.chunks(BLOCK)) {
+        *first = block[0];
+    }
+    let mut first_costs = [0.0f64; LANES];
+    fedsz_simd::residual_costs(
+        &firsts[..blocks],
+        &[0.0; LANES][..blocks],
+        bin,
+        &mut first_costs[..blocks],
+    );
+    for (block_costs, &cost) in costs.chunks_mut(BLOCK).zip(&first_costs) {
+        block_costs[0] = cost;
+    }
+    let lorenzo = fold_costs(costs, 0.0);
+
+    fedsz_simd::residual_costs(set, preds, bin, costs);
+    let regression = fold_costs(costs, 64.0);
+
+    std::array::from_fn(|lane| (regression[lane] < lorenzo[lane]).then_some(fits[lane]))
+}
+
+/// One Lorenzo block of a group, mid-encode.
+struct EncodeChain<'a> {
+    values: &'a [f32],
+    codes: &'a mut [u32],
+    /// What the decoder will hold for the previous element; 0 ahead of a
+    /// block's first.
+    prev: f32,
+}
+
+/// Quantize a group's Lorenzo blocks, [`LANES`] at a time.
+///
+/// A chain is serial — each prediction is the previous reconstruction — and
+/// one step of it is a subtract, divide, round, multiply, add and two
+/// conversions deep. Blocks restart from `prev = 0` and write only their own
+/// codes, so chains are independent exactly as in `decode_lorenzo_chains`:
+/// stepped side by side, each block goes through the `quantize` calls of a
+/// block-at-a-time loop in the same order, and the latencies overlap.
+fn encode_lorenzo_chains(chains: &mut [EncodeChain<'_>], q: &Quantizer) {
+    for lanes in chains.chunks_mut(LANES) {
+        for i in 0..BLOCK {
+            for chain in lanes.iter_mut() {
+                // Only the tensor's last block can be short.
+                let (Some(&v), Some(code)) = (chain.values.get(i), chain.codes.get_mut(i)) else {
+                    continue;
+                };
+                (*code, chain.prev) = q.quantize(v, chain.prev).unwrap_or((0, v));
             }
         }
     }
-    BlockOut {
-        regression: use_regression.then_some((a, b)),
-        codes,
-        literals,
+}
+
+/// Quantize one group of blocks into `codes`, recording each regression
+/// block in `bitmap` and `coeffs`.
+fn encode_group(
+    values: &[f32],
+    codes: &mut [u32],
+    first_block: usize,
+    q: &Quantizer,
+    scratch: &mut Scratch,
+    bitmap: &mut [u8],
+    coeffs: &mut Vec<u8>,
+) {
+    let bin = 2.0 * q.bound();
+    let mut chains = Vec::with_capacity(GROUP_BLOCKS);
+    let mut block = first_block;
+    for (set, set_codes) in values.chunks(SET).zip(codes.chunks_mut(SET)) {
+        let choice = choose_predictors(set, bin, scratch);
+        let blocks = set.chunks(BLOCK).zip(set_codes.chunks_mut(BLOCK));
+        for (((values, codes), preds), fit) in blocks.zip(scratch.preds.chunks(BLOCK)).zip(choice) {
+            if let Some((a, b)) = fit {
+                bitmap[block / 8] |= 1 << (block % 8);
+                coeffs.extend_from_slice(&a.to_le_bytes());
+                coeffs.extend_from_slice(&b.to_le_bytes());
+                let n = values.len();
+                q.quantize_slice(values, &preds[..n], codes, &mut scratch.recons[..n]);
+            } else {
+                chains.push(EncodeChain {
+                    values,
+                    codes,
+                    prev: 0.0,
+                });
+            }
+            block += 1;
+        }
+    }
+    encode_lorenzo_chains(&mut chains, q);
+}
+
+/// Count a group's codes into `freqs` and append its escaped values — one
+/// per zero code, in element order — to `literals`.
+fn tally_group(values: &[f32], codes: &[u32], freqs: &mut [u64], literals: &mut Vec<f32>) {
+    let escaped_before = freqs[0];
+    for &code in codes {
+        freqs[code as usize] += 1;
+    }
+    // Most groups have no escape at all and are not looked at twice.
+    if freqs[0] > escaped_before {
+        let escaped = codes.iter().zip(values).filter(|(&code, _)| code == 0);
+        literals.extend(escaped.map(|(_, &v)| v));
     }
 }
 
@@ -144,57 +283,47 @@ pub fn compress(data: &[f32], eb: ErrorBound) -> Vec<u8> {
         return raw_stream(data);
     }
     let q = Quantizer::new(abs_eb);
+    let n_blocks = data.len().div_ceil(BLOCK);
 
-    let blocks: Vec<BlockOut> = data
-        .par_chunks(BLOCK)
-        .map(|block| compress_block(block, &q))
-        .collect();
+    // ---- quantize, a group of blocks at a time ----
+    let mut codes = vec![0u32; data.len()];
+    // Predictor bitmap: 1 = regression.
+    let mut bitmap = vec![0u8; n_blocks.div_ceil(8)];
+    let mut coeffs = Vec::new();
+    let mut literals = Vec::new();
+    let mut freqs = vec![0u64; NUM_CODES];
+    let mut scratch = Scratch::new();
+    for (group, (values, codes)) in data.chunks(GROUP).zip(codes.chunks_mut(GROUP)).enumerate() {
+        encode_group(
+            values,
+            codes,
+            group * GROUP_BLOCKS,
+            &q,
+            &mut scratch,
+            &mut bitmap,
+            &mut coeffs,
+        );
+        // The group's codes are still in cache.
+        tally_group(values, codes, &mut freqs, &mut literals);
+    }
 
     // ---- assemble payload ----
     let mut payload = Vec::with_capacity(data.len() / 2 + 64);
     varint::write_usize(&mut payload, data.len());
     payload.extend_from_slice(&abs_eb.to_le_bytes());
-
-    // Predictor bitmap: 1 = regression.
-    let mut bitmap = vec![0u8; blocks.len().div_ceil(8)];
-    for (i, blk) in blocks.iter().enumerate() {
-        if blk.regression.is_some() {
-            bitmap[i / 8] |= 1 << (i % 8);
-        }
-    }
-    varint::write_usize(&mut payload, blocks.len());
+    varint::write_usize(&mut payload, n_blocks);
     payload.extend_from_slice(&bitmap);
-
-    for blk in &blocks {
-        if let Some((a, b)) = blk.regression {
-            payload.extend_from_slice(&a.to_le_bytes());
-            payload.extend_from_slice(&b.to_le_bytes());
-        }
-    }
-
-    let n_literals: usize = blocks.iter().map(|b| b.literals.len()).sum();
-    varint::write_usize(&mut payload, n_literals);
-    for blk in &blocks {
-        for &v in &blk.literals {
-            payload.extend_from_slice(&v.to_le_bytes());
-        }
+    payload.extend_from_slice(&coeffs);
+    varint::write_usize(&mut payload, literals.len());
+    for v in &literals {
+        payload.extend_from_slice(&v.to_le_bytes());
     }
 
     // Huffman-coded quantization codes.
-    let mut freqs = vec![0u64; NUM_CODES];
-    for blk in &blocks {
-        for &c in &blk.codes {
-            freqs[c as usize] += 1;
-        }
-    }
     let enc = HuffmanEncoder::from_frequencies(&freqs);
     let mut w = BitWriter::with_capacity(data.len() / 2);
     enc.write_table(&mut w);
-    for blk in &blocks {
-        for &c in &blk.codes {
-            enc.encode(&mut w, c);
-        }
-    }
+    enc.encode_run(&mut w, &codes);
     payload.extend_from_slice(&w.finish());
 
     // ---- lossless backend (Zstd analogue, as in SZ2) ----
@@ -229,8 +358,9 @@ pub fn decompress(bytes: &[u8]) -> Result<Vec<f32>, CodecError> {
     }
 }
 
-/// Blocks Huffman-decoded into the scratch and reconstructed together: 64 KB
-/// of codes, still in L2 when the reconstruct pass reads them back.
+/// Blocks quantized together, and Huffman-decoded into the scratch and
+/// reconstructed together: 64 KB of codes, still in L2 when the encoder's
+/// histogram pass, or the decoder's reconstruct pass, reads them back.
 const GROUP_BLOCKS: usize = 64;
 
 /// Everything in the payload ahead of the Huffman bitstream.
@@ -693,32 +823,34 @@ mod tests {
         (0..zeros).map(|i| pool[i % pool.len()]).collect()
     }
 
-    const GROUP: usize = GROUP_BLOCKS * BLOCK;
+    /// Lengths around the block, lane-set and group boundaries.
+    const BOUNDARY_LENGTHS: [usize; 10] = [
+        1,
+        255,
+        256,
+        257,
+        LANES * BLOCK - 1,
+        LANES * BLOCK + 1,
+        GROUP - 1,
+        GROUP,
+        GROUP + 1,
+        2 * GROUP + 3 * BLOCK + 17,
+    ];
+
+    /// Which blocks use the regression predictor.
+    type Mix = (&'static str, fn(usize) -> bool);
+    const BLOCK_MIXES: [Mix; 4] = [
+        ("all Lorenzo", |_| false),
+        ("all regression", |_| true),
+        ("alternating", |b| b % 2 == 1),
+        // Few Lorenzo blocks per group: never a full set of lanes.
+        ("sparse Lorenzo", |b| b % GROUP_BLOCKS >= 3),
+    ];
 
     #[test]
     fn fused_decode_matches_reference_for_every_block_mix_and_length() {
-        let lengths = [
-            1,
-            255,
-            256,
-            257,
-            LANES * BLOCK - 1,
-            LANES * BLOCK + 1,
-            GROUP - 1,
-            GROUP,
-            GROUP + 1,
-            2 * GROUP + 3 * BLOCK + 17,
-        ];
-        type Mix = (&'static str, fn(usize) -> bool);
-        let mixes: [Mix; 4] = [
-            ("all Lorenzo", |_| false),
-            ("all regression", |_| true),
-            ("alternating", |b| b % 2 == 1),
-            // Few Lorenzo blocks per group: never a full set of lanes.
-            ("sparse Lorenzo", |b| b % GROUP_BLOCKS >= 3),
-        ];
-        for n in lengths {
-            for (name, pick) in mixes {
+        for n in BOUNDARY_LENGTHS {
+            for (name, pick) in BLOCK_MIXES {
                 let regression: Vec<bool> = (0..n.div_ceil(BLOCK)).map(pick).collect();
                 let codes = codes_with_escapes(n, n as u64, |i| i % 97 == 5);
                 let payload = assemble(&regression, &codes, &literals_for(&codes));
@@ -818,6 +950,347 @@ mod tests {
                 assert_matches_reference(&payload_of(&stream), &ctx).unwrap();
             }
             assert!(lossy > 10, "{}: {lossy} NORMAL-mode tensors", kind.name());
+        }
+    }
+
+    // -----------------------------------------------------------------------
+    // The group encoder against the encoder this module had before it: one
+    // block at a time, two `Vec`s per block, every serial loop on its own,
+    // the value range from an element-by-element scan, the histogram in a
+    // pass of its own and one `encode` call per symbol. Kept as the oracle:
+    // `compress` must reproduce its streams byte for byte.
+    // -----------------------------------------------------------------------
+
+    struct BlockOut {
+        /// `Some((a, b))` if the block chose the regression predictor.
+        regression: Option<(f32, f32)>,
+        codes: Vec<u32>,
+        literals: Vec<f32>,
+    }
+
+    fn compress_block(block: &[f32], q: &Quantizer) -> BlockOut {
+        let bin = 2.0 * q.bound();
+        let (a, b) = fit_regression(block);
+        let n = block.len();
+
+        let mut reg_preds = [0.0f32; BLOCK];
+        let reg_preds = &mut reg_preds[..n];
+        fedsz_simd::linear_preds(a, b, 0, reg_preds);
+        let mut lor_preds = [0.0f32; BLOCK];
+        lor_preds[1..n].copy_from_slice(&block[..n - 1]);
+
+        let mut costs = [0.0f64; BLOCK];
+        fedsz_simd::residual_costs(block, &lor_preds[..n], bin, &mut costs[..n]);
+        let lorenzo_cost = costs[..n].iter().fold(0.0f64, |acc, &c| acc + c);
+        fedsz_simd::residual_costs(block, reg_preds, bin, &mut costs[..n]);
+        let regression_cost = costs[..n].iter().fold(64.0f64, |acc, &c| acc + c);
+
+        let use_regression = regression_cost < lorenzo_cost;
+        let mut codes = Vec::with_capacity(block.len());
+        let mut literals = Vec::new();
+        if use_regression {
+            codes.resize(n, 0);
+            let mut recons = [0.0f32; BLOCK];
+            q.quantize_slice(block, reg_preds, &mut codes, &mut recons[..n]);
+            for (&code, &v) in codes.iter().zip(block) {
+                if code == 0 {
+                    literals.push(v);
+                }
+            }
+        } else {
+            let mut prev = 0.0f32; // block-local Lorenzo: first element predicted by 0
+            for &v in block {
+                match q.quantize(v, prev) {
+                    Some((code, recon)) => {
+                        codes.push(code);
+                        prev = recon;
+                    }
+                    None => {
+                        codes.push(0);
+                        literals.push(v);
+                        prev = v;
+                    }
+                }
+            }
+        }
+        BlockOut {
+            regression: use_regression.then_some((a, b)),
+            codes,
+            literals,
+        }
+    }
+
+    fn compress_reference(data: &[f32], eb: ErrorBound) -> Vec<u8> {
+        let abs_eb = match eb {
+            ErrorBound::Abs(eb) => eb,
+            ErrorBound::Rel(rel) => rel * crate::value_range_scalar(data),
+        };
+        let eb_valid = abs_eb.is_finite() && abs_eb > 0.0;
+        if data.is_empty() || !eb_valid {
+            return raw_stream(data);
+        }
+        let q = Quantizer::new(abs_eb);
+        let blocks: Vec<BlockOut> = data.chunks(BLOCK).map(|b| compress_block(b, &q)).collect();
+
+        let mut payload = Vec::new();
+        varint::write_usize(&mut payload, data.len());
+        payload.extend_from_slice(&abs_eb.to_le_bytes());
+        let mut bitmap = vec![0u8; blocks.len().div_ceil(8)];
+        for (i, blk) in blocks.iter().enumerate() {
+            if blk.regression.is_some() {
+                bitmap[i / 8] |= 1 << (i % 8);
+            }
+        }
+        varint::write_usize(&mut payload, blocks.len());
+        payload.extend_from_slice(&bitmap);
+        for blk in &blocks {
+            if let Some((a, b)) = blk.regression {
+                payload.extend_from_slice(&a.to_le_bytes());
+                payload.extend_from_slice(&b.to_le_bytes());
+            }
+        }
+        let n_literals: usize = blocks.iter().map(|b| b.literals.len()).sum();
+        varint::write_usize(&mut payload, n_literals);
+        for blk in &blocks {
+            for &v in &blk.literals {
+                payload.extend_from_slice(&v.to_le_bytes());
+            }
+        }
+
+        let mut freqs = vec![0u64; NUM_CODES];
+        for blk in &blocks {
+            for &c in &blk.codes {
+                freqs[c as usize] += 1;
+            }
+        }
+        let enc = HuffmanEncoder::from_frequencies(&freqs);
+        let mut w = BitWriter::new();
+        enc.write_table(&mut w);
+        for blk in &blocks {
+            for &c in &blk.codes {
+                enc.encode(&mut w, c);
+            }
+        }
+        payload.extend_from_slice(&w.finish());
+
+        let backend = fedsz_lossless::zstd::compress(&payload);
+        let mut out = Vec::with_capacity(backend.len() + 1);
+        out.push(MODE_NORMAL);
+        out.extend_from_slice(&backend);
+        if out.len() >= data.len() * 4 + 10 {
+            return raw_stream(data);
+        }
+        out
+    }
+
+    /// `compress` == `compress_reference` on `data`; returns the stream.
+    fn assert_encodes_like_reference(data: &[f32], eb: ErrorBound, ctx: &str) -> Vec<u8> {
+        let stream = compress(data, eb);
+        // Compared as a flag first: a mismatch in a 10 MB stream should not
+        // be printed.
+        let same = stream == compress_reference(data, eb);
+        assert!(same, "{ctx}: stream differs from the reference encoder's");
+        stream
+    }
+
+    /// A block the cost model gives to the regression predictor (a ramp
+    /// under a little noise) or to Lorenzo (a few slow waves: each value is
+    /// near the last, and far from any line).
+    fn block_for(regression: bool, len: usize, rng: &mut impl FnMut() -> u64) -> Vec<f32> {
+        let noise = |rng: &mut dyn FnMut() -> u64| (rng() % 2001) as f32 * 1e-6 - 1e-3;
+        let slope =
+            (0.05 + (rng() % 100) as f32 * 1e-3) * if rng().is_multiple_of(2) { 1.0 } else { -1.0 };
+        let phase = (rng() % 628) as f32 * 0.01;
+        (0..len)
+            .map(|i| {
+                if regression {
+                    slope * i as f32 + noise(rng)
+                } else {
+                    (i as f32 * 0.09 + phase).sin() * 20.0 + noise(rng)
+                }
+            })
+            .collect()
+    }
+
+    fn tensor_for(n: usize, pick: fn(usize) -> bool, seed: u64) -> Vec<f32> {
+        let mut rng = xorshift(seed);
+        let mut data = Vec::with_capacity(n);
+        for block in 0..n.div_ceil(BLOCK) {
+            let len = BLOCK.min(n - data.len());
+            data.extend(block_for(pick(block), len, &mut rng));
+        }
+        data
+    }
+
+    #[test]
+    fn encoder_matches_reference_for_every_block_mix_and_length() {
+        for n in BOUNDARY_LENGTHS {
+            for (name, pick) in BLOCK_MIXES {
+                let ctx = format!("{name}, n = {n}");
+                let data = tensor_for(n, pick, n as u64 + 1);
+                let stream = assert_encodes_like_reference(&data, ErrorBound::Abs(4e-3), &ctx);
+                if n < 2 * BLOCK {
+                    // The table outweighs a block or two: stored raw.
+                    continue;
+                }
+                // The generator really produces the mix it is named for (a
+                // short last block may go either way).
+                let payload = payload_of(&stream);
+                let h = decode_header(&payload).unwrap();
+                for block in 0..n / BLOCK {
+                    assert_eq!(
+                        is_regression(h.bitmap, block),
+                        pick(block),
+                        "{ctx}, block {block}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn encoder_matches_reference_on_escape_heavy_data() {
+        // Outliers beyond the code book every few elements, in both kinds of
+        // block, at the first and last lane of blocks, in the same lane of
+        // neighbouring Lorenzo chains at once, and a block of nothing else.
+        let n = GROUP + 3 * LANES * BLOCK + 100;
+        for (name, pick) in BLOCK_MIXES {
+            let mut data = tensor_for(n, pick, 99);
+            let mut rng = xorshift(0xE5CA);
+            for (i, v) in data.iter_mut().enumerate() {
+                let edge = matches!(i % BLOCK, 0 | 255) && (i / BLOCK).is_multiple_of(3);
+                let together = (BLOCK..(LANES + 1) * BLOCK).contains(&i) && i % BLOCK == 77;
+                let solid = i / BLOCK == 20;
+                if edge || together || solid || rng().is_multiple_of(5) {
+                    *v = ((rng() % 2_000_001) as f32 - 1.0e6) * 3.0e3;
+                }
+            }
+            let stream = assert_encodes_like_reference(&data, ErrorBound::Abs(1e-3), name);
+            if stream[0] == MODE_NORMAL {
+                let h_payload = payload_of(&stream);
+                let h = decode_header(&h_payload).unwrap();
+                assert!(
+                    h.literals.len() > n / 6,
+                    "{name}: {} literals",
+                    h.literals.len()
+                );
+            }
+            // The relative bound is wide here (the range is the outliers'),
+            // so the same data also runs with almost no escapes.
+            assert_encodes_like_reference(&data, ErrorBound::Rel(1e-4), name);
+        }
+    }
+
+    #[test]
+    fn encoder_matches_reference_on_hostile_floats() {
+        let base = tensor_for(3 * LANES * BLOCK + 57, |b| b % 3 == 0, 5);
+        let mut corpus: Vec<(&str, Vec<f32>)> = vec![
+            ("empty", vec![]),
+            ("single element", vec![0.37]),
+            ("single NaN", vec![f32::NAN]),
+            ("constant", vec![2.5; 1000]),
+            ("range zero, signed zeros", [0.0f32, -0.0].repeat(700)),
+            ("all NaN", vec![f32::NAN; 600]),
+            (
+                "infinities only",
+                [f32::INFINITY, f32::NEG_INFINITY].repeat(300),
+            ),
+            (
+                "denormals",
+                (0..3000u32)
+                    .map(|i| f32::from_bits(i % 97 + 1) * if i % 2 == 0 { 1.0 } else { -1.0 })
+                    .collect(),
+            ),
+            (
+                "denormals and zeros under a normal range",
+                (0..3000u32)
+                    .map(|i| match i % 4 {
+                        0 => f32::from_bits(i + 1),
+                        1 => -0.0,
+                        2 => 0.0,
+                        _ => (i as f32 * 0.01).sin(),
+                    })
+                    .collect(),
+            ),
+            (
+                "huge magnitudes",
+                (0..2000).map(|i| (i as f32 - 1000.0) * 3.0e35).collect(),
+            ),
+        ];
+        // One special at a time at the block, lane-set and group edges, and
+        // all of them sprinkled through.
+        for special in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 1.0e-45] {
+            let mut data = base.clone();
+            for at in [0, 1, 255, 256, 257, SET - 1, SET, SET + 1, data.len() - 1] {
+                data[at] = special;
+            }
+            corpus.push(("special at the edges", data));
+        }
+        let mut sprinkled = base.clone();
+        let mut rng = xorshift(0xF10A7);
+        for v in sprinkled.iter_mut() {
+            match rng() % 40 {
+                0 => *v = f32::NAN,
+                1 => *v = f32::INFINITY,
+                2 => *v = f32::NEG_INFINITY,
+                3 => *v = -0.0,
+                4 => *v = f32::from_bits((rng() % 0x7F_FFFF) as u32 + 1),
+                _ => {}
+            }
+        }
+        corpus.push(("sprinkled specials", sprinkled));
+
+        for (name, data) in &corpus {
+            for eb in [
+                ErrorBound::Rel(1e-2),
+                ErrorBound::Rel(1e-4),
+                ErrorBound::Abs(1e-3),
+                ErrorBound::Abs(0.0),
+                ErrorBound::Abs(f64::NAN),
+            ] {
+                let stream = assert_encodes_like_reference(data, eb, &format!("{name}, {eb:?}"));
+                // And it still decodes, to the right length.
+                assert_eq!(
+                    decompress(&stream).map(|d| d.len()),
+                    Ok(data.len()),
+                    "{name}, {eb:?}"
+                );
+            }
+        }
+    }
+
+    /// Every tensor of the benchmark's three models, seed 42, at the three
+    /// bounds of the paper: ~250 M elements through both encoders.
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "minutes without optimisation; CI runs it by name in release"
+    )]
+    fn encoder_matches_reference_on_model_tensors() {
+        use fedsz_models::ModelKind;
+        for kind in [
+            ModelKind::ResNet50,
+            ModelKind::MobileNetV2,
+            ModelKind::AlexNet,
+        ] {
+            let model = kind.synthesize(10, 42);
+            for rel in [1e-2, 1e-3, 1e-4] {
+                let mut lossy = 0usize;
+                for entry in model.entries() {
+                    let ctx = format!("{} {rel:e} {}", kind.name(), entry.name);
+                    let stream = assert_encodes_like_reference(
+                        entry.tensor.data(),
+                        ErrorBound::Rel(rel),
+                        &ctx,
+                    );
+                    lossy += usize::from(stream[0] == MODE_NORMAL);
+                }
+                assert!(
+                    lossy >= 8,
+                    "{} {rel:e}: {lossy} NORMAL-mode tensors",
+                    kind.name()
+                );
+            }
         }
     }
 }

@@ -12,7 +12,6 @@
 use fedsz_entropy::bitio::{BitReader, BitWriter};
 use fedsz_entropy::huffman::{HuffmanDecoder, HuffmanEncoder};
 use fedsz_entropy::{reader, varint, CodecError};
-use rayon::prelude::*;
 
 use crate::quantizer::{Quantizer, NUM_CODES};
 use crate::ErrorBound;
@@ -65,57 +64,69 @@ fn cubic_pred(rec: &[f32], i: usize, s: usize) -> f32 {
     }
 }
 
-struct ChunkOut {
-    /// Bit `l` set = level `l` (in stride order) uses cubic interpolation.
-    cubic_mask: u16,
-    codes: Vec<u32>,
-    literals: Vec<f32>,
+/// Buffers one `compress` call reuses for every chunk and level, sized for
+/// the densest (stride 1) level of a full chunk.
+struct Scratch {
+    /// The chunk as the decoder will reconstruct it.
+    rec: Vec<f32>,
+    grid: Vec<f32>,
+    vals: Vec<f32>,
+    lin: Vec<f32>,
+    cub: Vec<f32>,
+    costs: Vec<f64>,
+    recons: Vec<f32>,
 }
 
-fn compress_chunk(block: &[f32], q: &Quantizer) -> ChunkOut {
+impl Scratch {
+    fn new() -> Self {
+        let cap = CHUNK / 2 + 1;
+        Self {
+            rec: vec![0.0; CHUNK],
+            grid: vec![0.0; cap],
+            vals: vec![0.0; cap],
+            lin: vec![0.0; cap],
+            cub: vec![0.0; cap],
+            costs: vec![0.0; cap],
+            recons: vec![0.0; cap],
+        }
+    }
+}
+
+/// Quantize one chunk into `codes` (one per element, in level order) and
+/// append its escaped values to `literals`. Returns the cubic-level mask:
+/// bit `l` set = level `l` (in stride order) uses cubic interpolation.
+fn compress_chunk(
+    block: &[f32],
+    q: &Quantizer,
+    codes: &mut [u32],
+    literals: &mut Vec<f32>,
+    scratch: &mut Scratch,
+) -> u16 {
     let m = block.len();
-    let mut rec = vec![0.0f32; m];
-    let mut codes = Vec::with_capacity(m);
-    let mut literals = Vec::new();
+    let rec = &mut scratch.rec[..m];
     let mut cubic_mask = 0u16;
 
     // Anchor: predict the first element by zero.
-    match q.quantize(block[0], 0.0) {
-        Some((code, recon)) => {
-            codes.push(code);
-            rec[0] = recon;
-        }
-        None => {
-            codes.push(0);
-            literals.push(block[0]);
-            rec[0] = block[0];
-        }
-    }
+    (codes[0], rec[0]) = q.quantize(block[0], 0.0).unwrap_or_else(|| {
+        literals.push(block[0]);
+        (0, block[0])
+    });
+    let mut coded = 1usize;
 
-    // Per-level scratch, sized for the densest (s = 1) level. Within a
-    // level every prediction reads only the coarse grid (even multiples of
-    // `s`) while every write lands on an odd multiple, so the whole level
-    // batches through the dispatched kernels with no feedback hazard — the
-    // sequential loop this replaces produced the same bits.
-    let cap = m / 2 + 1;
-    let mut grid = vec![0.0f32; cap];
-    let mut vals = vec![0.0f32; cap];
-    let mut lin = vec![0.0f32; cap];
-    let mut cub = vec![0.0f32; cap];
-    let mut costs = vec![0.0f64; cap];
-    let mut lcodes = vec![0u32; cap];
-    let mut recons = vec![0.0f32; cap];
-
+    // Within a level every prediction reads only the coarse grid (even
+    // multiples of `s`) while every write lands on an odd multiple, so the
+    // whole level batches through the dispatched kernels with no feedback
+    // hazard — the sequential loop this replaces produced the same bits.
     for (lvl, s) in strides(m).into_iter().enumerate() {
         // Targets are the odd multiples of `s` below `m`; the grid holds the
         // already-reconstructed even multiples.
         let t_cnt = (m + s - 1) / (2 * s);
         let g_cnt = m.div_ceil(2 * s);
-        let grid = &mut grid[..g_cnt];
+        let grid = &mut scratch.grid[..g_cnt];
         for (j, g) in grid.iter_mut().enumerate() {
             *g = rec[2 * j * s];
         }
-        let vals = &mut vals[..t_cnt];
+        let vals = &mut scratch.vals[..t_cnt];
         for (t, v) in vals.iter_mut().enumerate() {
             *v = block[(2 * t + 1) * s];
         }
@@ -123,7 +134,7 @@ fn compress_chunk(block: &[f32], q: &Quantizer) -> ChunkOut {
         // Linear: midpoint of the neighbouring grid points; the final target
         // falls back to its left neighbour when the right one is past the
         // end (exactly `linear_pred`).
-        let lin = &mut lin[..t_cnt];
+        let lin = &mut scratch.lin[..t_cnt];
         let mc = t_cnt.min(g_cnt - 1);
         fedsz_simd::midpoint_preds(grid, &mut lin[..mc]);
         if t_cnt > mc {
@@ -133,7 +144,7 @@ fn compress_chunk(block: &[f32], q: &Quantizer) -> ChunkOut {
         // Cubic: 4-point stencil on the interior targets (t in 1..hi), with
         // the linear fallback at both edges (exactly `cubic_pred`). Output
         // index j of the kernel reads grid[j..j+4], i.e. target t = j + 1.
-        let cub = &mut cub[..t_cnt];
+        let cub = &mut scratch.cub[..t_cnt];
         cub.copy_from_slice(lin);
         let hi = t_cnt.min(g_cnt.saturating_sub(2));
         if hi > 1 {
@@ -143,7 +154,7 @@ fn compress_chunk(block: &[f32], q: &Quantizer) -> ChunkOut {
         // Pick the interpolant with the smaller total absolute error against
         // the original values. The two accumulators of the former loop were
         // independent, so folding each batch in order preserves the bits.
-        let costs = &mut costs[..t_cnt];
+        let costs = &mut scratch.costs[..t_cnt];
         fedsz_simd::abs_residuals(vals, lin, costs);
         let cost_lin = costs.iter().fold(0.0f64, |acc, &c| acc + c);
         fedsz_simd::abs_residuals(vals, cub, costs);
@@ -154,25 +165,20 @@ fn compress_chunk(block: &[f32], q: &Quantizer) -> ChunkOut {
         }
 
         let preds: &[f32] = if use_cubic { cub } else { lin };
-        q.quantize_slice(vals, preds, &mut lcodes[..t_cnt], &mut recons[..t_cnt]);
-        for t in 0..t_cnt {
-            let i = (2 * t + 1) * s;
-            let code = lcodes[t];
-            if code == 0 {
-                codes.push(0);
+        let level_codes = &mut codes[coded..coded + t_cnt];
+        coded += t_cnt;
+        let recons = &mut scratch.recons[..t_cnt];
+        q.quantize_slice(vals, preds, level_codes, recons);
+        for (t, (&code, &recon)) in level_codes.iter().zip(recons.iter()).enumerate() {
+            rec[(2 * t + 1) * s] = if code == 0 {
                 literals.push(vals[t]);
-                rec[i] = vals[t];
+                vals[t]
             } else {
-                codes.push(code);
-                rec[i] = recons[t];
-            }
+                recon
+            };
         }
     }
-    ChunkOut {
-        cubic_mask,
-        codes,
-        literals,
-    }
+    cubic_mask
 }
 
 fn raw_stream(data: &[f32]) -> Vec<u8> {
@@ -193,42 +199,36 @@ pub fn compress(data: &[f32], eb: ErrorBound) -> Vec<u8> {
         return raw_stream(data);
     }
     let q = Quantizer::new(abs_eb);
+    let n_chunks = data.len().div_ceil(CHUNK);
 
-    let chunks: Vec<ChunkOut> = data
-        .par_chunks(CHUNK)
-        .map(|c| compress_chunk(c, &q))
-        .collect();
+    let mut codes = vec![0u32; data.len()];
+    let mut masks = Vec::with_capacity(2 * n_chunks);
+    let mut literals = Vec::new();
+    let mut freqs = vec![0u64; NUM_CODES];
+    let mut scratch = Scratch::new();
+    for (block, codes) in data.chunks(CHUNK).zip(codes.chunks_mut(CHUNK)) {
+        let mask = compress_chunk(block, &q, codes, &mut literals, &mut scratch);
+        masks.extend_from_slice(&mask.to_le_bytes());
+        // The chunk's codes are still in cache.
+        for &code in codes.iter() {
+            freqs[code as usize] += 1;
+        }
+    }
 
     let mut payload = Vec::with_capacity(data.len() / 2 + 64);
     varint::write_usize(&mut payload, data.len());
     payload.extend_from_slice(&abs_eb.to_le_bytes());
-    varint::write_usize(&mut payload, chunks.len());
-    for c in &chunks {
-        payload.extend_from_slice(&c.cubic_mask.to_le_bytes());
+    varint::write_usize(&mut payload, n_chunks);
+    payload.extend_from_slice(&masks);
+    varint::write_usize(&mut payload, literals.len());
+    for v in &literals {
+        payload.extend_from_slice(&v.to_le_bytes());
     }
 
-    let n_literals: usize = chunks.iter().map(|c| c.literals.len()).sum();
-    varint::write_usize(&mut payload, n_literals);
-    for c in &chunks {
-        for &v in &c.literals {
-            payload.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-
-    let mut freqs = vec![0u64; NUM_CODES];
-    for c in &chunks {
-        for &code in &c.codes {
-            freqs[code as usize] += 1;
-        }
-    }
     let enc = HuffmanEncoder::from_frequencies(&freqs);
     let mut w = BitWriter::with_capacity(data.len() / 2);
     enc.write_table(&mut w);
-    for c in &chunks {
-        for &code in &c.codes {
-            enc.encode(&mut w, code);
-        }
-    }
+    enc.encode_run(&mut w, &codes);
     payload.extend_from_slice(&w.finish());
 
     let backend = fedsz_lossless::zstd::compress(&payload);
@@ -672,5 +672,307 @@ mod tests {
             assert_matches_reference(&payload_of(&stream), &entry.name).unwrap();
         }
         assert!(lossy > 10, "{lossy} NORMAL-mode tensors");
+    }
+
+    // -----------------------------------------------------------------------
+    // The encoder this module had before the one that shares its scratch:
+    // every chunk allocates its own buffers and code vector, the value range
+    // comes from an element-by-element scan, the histogram is a pass of its
+    // own and every symbol goes through `encode`. Kept as the oracle:
+    // `compress` must reproduce its streams byte for byte.
+    // -----------------------------------------------------------------------
+
+    struct ChunkOut {
+        /// Bit `l` set = level `l` (in stride order) uses cubic interpolation.
+        cubic_mask: u16,
+        codes: Vec<u32>,
+        literals: Vec<f32>,
+    }
+
+    fn compress_chunk_reference(block: &[f32], q: &Quantizer) -> ChunkOut {
+        let m = block.len();
+        let mut rec = vec![0.0f32; m];
+        let mut codes = Vec::with_capacity(m);
+        let mut literals = Vec::new();
+        let mut cubic_mask = 0u16;
+
+        // Anchor: predict the first element by zero.
+        match q.quantize(block[0], 0.0) {
+            Some((code, recon)) => {
+                codes.push(code);
+                rec[0] = recon;
+            }
+            None => {
+                codes.push(0);
+                literals.push(block[0]);
+                rec[0] = block[0];
+            }
+        }
+
+        // Per-level scratch, sized for the densest (s = 1) level. Within a
+        // level every prediction reads only the coarse grid (even multiples of
+        // `s`) while every write lands on an odd multiple, so the whole level
+        // batches through the dispatched kernels with no feedback hazard — the
+        // sequential loop this replaces produced the same bits.
+        let cap = m / 2 + 1;
+        let mut grid = vec![0.0f32; cap];
+        let mut vals = vec![0.0f32; cap];
+        let mut lin = vec![0.0f32; cap];
+        let mut cub = vec![0.0f32; cap];
+        let mut costs = vec![0.0f64; cap];
+        let mut lcodes = vec![0u32; cap];
+        let mut recons = vec![0.0f32; cap];
+
+        for (lvl, s) in strides(m).into_iter().enumerate() {
+            // Targets are the odd multiples of `s` below `m`; the grid holds the
+            // already-reconstructed even multiples.
+            let t_cnt = (m + s - 1) / (2 * s);
+            let g_cnt = m.div_ceil(2 * s);
+            let grid = &mut grid[..g_cnt];
+            for (j, g) in grid.iter_mut().enumerate() {
+                *g = rec[2 * j * s];
+            }
+            let vals = &mut vals[..t_cnt];
+            for (t, v) in vals.iter_mut().enumerate() {
+                *v = block[(2 * t + 1) * s];
+            }
+
+            // Linear: midpoint of the neighbouring grid points; the final target
+            // falls back to its left neighbour when the right one is past the
+            // end (exactly `linear_pred`).
+            let lin = &mut lin[..t_cnt];
+            let mc = t_cnt.min(g_cnt - 1);
+            fedsz_simd::midpoint_preds(grid, &mut lin[..mc]);
+            if t_cnt > mc {
+                lin[t_cnt - 1] = grid[t_cnt - 1];
+            }
+
+            // Cubic: 4-point stencil on the interior targets (t in 1..hi), with
+            // the linear fallback at both edges (exactly `cubic_pred`). Output
+            // index j of the kernel reads grid[j..j+4], i.e. target t = j + 1.
+            let cub = &mut cub[..t_cnt];
+            cub.copy_from_slice(lin);
+            let hi = t_cnt.min(g_cnt.saturating_sub(2));
+            if hi > 1 {
+                fedsz_simd::cubic_preds(grid, &mut cub[1..hi]);
+            }
+
+            // Pick the interpolant with the smaller total absolute error against
+            // the original values. The two accumulators of the former loop were
+            // independent, so folding each batch in order preserves the bits.
+            let costs = &mut costs[..t_cnt];
+            fedsz_simd::abs_residuals(vals, lin, costs);
+            let cost_lin = costs.iter().fold(0.0f64, |acc, &c| acc + c);
+            fedsz_simd::abs_residuals(vals, cub, costs);
+            let cost_cub = costs.iter().fold(0.0f64, |acc, &c| acc + c);
+            let use_cubic = cost_cub < cost_lin;
+            if use_cubic && lvl < MAX_LEVELS + 4 {
+                cubic_mask |= 1 << lvl.min(15);
+            }
+
+            let preds: &[f32] = if use_cubic { cub } else { lin };
+            q.quantize_slice(vals, preds, &mut lcodes[..t_cnt], &mut recons[..t_cnt]);
+            for t in 0..t_cnt {
+                let i = (2 * t + 1) * s;
+                let code = lcodes[t];
+                if code == 0 {
+                    codes.push(0);
+                    literals.push(vals[t]);
+                    rec[i] = vals[t];
+                } else {
+                    codes.push(code);
+                    rec[i] = recons[t];
+                }
+            }
+        }
+        ChunkOut {
+            cubic_mask,
+            codes,
+            literals,
+        }
+    }
+
+    fn compress_reference(data: &[f32], eb: ErrorBound) -> Vec<u8> {
+        let abs_eb = match eb {
+            ErrorBound::Abs(eb) => eb,
+            ErrorBound::Rel(rel) => rel * crate::value_range_scalar(data),
+        };
+        let eb_valid = abs_eb.is_finite() && abs_eb > 0.0;
+        if data.is_empty() || !eb_valid {
+            return raw_stream(data);
+        }
+        let q = Quantizer::new(abs_eb);
+
+        let chunks: Vec<ChunkOut> = data
+            .chunks(CHUNK)
+            .map(|c| compress_chunk_reference(c, &q))
+            .collect();
+
+        let mut payload = Vec::with_capacity(data.len() / 2 + 64);
+        varint::write_usize(&mut payload, data.len());
+        payload.extend_from_slice(&abs_eb.to_le_bytes());
+        varint::write_usize(&mut payload, chunks.len());
+        for c in &chunks {
+            payload.extend_from_slice(&c.cubic_mask.to_le_bytes());
+        }
+
+        let n_literals: usize = chunks.iter().map(|c| c.literals.len()).sum();
+        varint::write_usize(&mut payload, n_literals);
+        for c in &chunks {
+            for &v in &c.literals {
+                payload.extend_from_slice(&v.to_le_bytes());
+            }
+        }
+
+        let mut freqs = vec![0u64; NUM_CODES];
+        for c in &chunks {
+            for &code in &c.codes {
+                freqs[code as usize] += 1;
+            }
+        }
+        let enc = HuffmanEncoder::from_frequencies(&freqs);
+        let mut w = BitWriter::with_capacity(data.len() / 2);
+        enc.write_table(&mut w);
+        for c in &chunks {
+            for &code in &c.codes {
+                enc.encode(&mut w, code);
+            }
+        }
+        payload.extend_from_slice(&w.finish());
+
+        let backend = fedsz_lossless::zstd::compress(&payload);
+        let mut out = Vec::with_capacity(backend.len() + 1);
+        out.push(MODE_NORMAL);
+        out.extend_from_slice(&backend);
+        if out.len() >= data.len() * 4 + 10 {
+            return raw_stream(data);
+        }
+        out
+    }
+
+    fn assert_encodes_like_reference(data: &[f32], eb: ErrorBound, ctx: &str) -> Vec<u8> {
+        let stream = compress(data, eb);
+        let same = stream == compress_reference(data, eb);
+        assert!(same, "{ctx}: stream differs from the reference encoder's");
+        stream
+    }
+
+    #[test]
+    fn encoder_matches_reference_around_the_chunk_size() {
+        for n in [
+            1usize, 2, 3, 255, 4095, 4096, 4097, 8191, 8192, 8193, 20_000,
+        ] {
+            let clean = smooth(n);
+            assert_encodes_like_reference(&clean, ErrorBound::Rel(1e-3), &format!("n = {n}"));
+            // Escapes of every kind, at chunk edges among other places, and
+            // outliers beyond the code book every few elements.
+            let mut data = clean;
+            for (k, v) in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1.0e30, -0.0]
+                .into_iter()
+                .enumerate()
+            {
+                for at in [k, 4095 - k, 4096 + k, n.saturating_sub(k + 1)] {
+                    if let Some(x) = data.get_mut(at) {
+                        *x = v;
+                    }
+                }
+            }
+            for x in data.iter_mut().skip(11).step_by(7) {
+                *x *= 1.0e7;
+            }
+            for eb in [
+                ErrorBound::Abs(1e-3),
+                ErrorBound::Rel(1e-2),
+                ErrorBound::Rel(1e-4),
+                ErrorBound::Abs(0.0),
+            ] {
+                let ctx = format!("n = {n}, {eb:?}");
+                let stream = assert_encodes_like_reference(&data, eb, &ctx);
+                assert_eq!(decompress(&stream).map(|d| d.len()), Ok(n), "{ctx}");
+            }
+        }
+    }
+
+    #[test]
+    fn encoder_matches_reference_on_hostile_floats() {
+        let corpus: Vec<(&str, Vec<f32>)> = vec![
+            ("empty", vec![]),
+            ("single element", vec![0.37]),
+            ("single NaN", vec![f32::NAN]),
+            ("constant", vec![2.5; 5000]),
+            ("range zero, signed zeros", [0.0f32, -0.0].repeat(2500)),
+            ("all NaN", vec![f32::NAN; 600]),
+            (
+                "infinities only",
+                [f32::INFINITY, f32::NEG_INFINITY].repeat(300),
+            ),
+            (
+                "denormals",
+                (0..9000u32)
+                    .map(|i| f32::from_bits(i % 97 + 1) * if i % 2 == 0 { 1.0 } else { -1.0 })
+                    .collect(),
+            ),
+            (
+                "denormals and zeros under a normal range",
+                (0..9000u32)
+                    .map(|i| match i % 4 {
+                        0 => f32::from_bits(i + 1),
+                        1 => -0.0,
+                        2 => 0.0,
+                        _ => (i as f32 * 0.01).sin(),
+                    })
+                    .collect(),
+            ),
+            (
+                "huge magnitudes",
+                (0..5000).map(|i| (i as f32 - 2500.0) * 1.0e35).collect(),
+            ),
+        ];
+        for (name, data) in &corpus {
+            for eb in [
+                ErrorBound::Rel(1e-2),
+                ErrorBound::Rel(1e-4),
+                ErrorBound::Abs(1e-3),
+            ] {
+                let ctx = format!("{name}, {eb:?}");
+                let stream = assert_encodes_like_reference(data, eb, &ctx);
+                assert_eq!(
+                    decompress(&stream).map(|d| d.len()),
+                    Ok(data.len()),
+                    "{ctx}"
+                );
+            }
+        }
+    }
+
+    /// Every tensor of MobileNetV2 and ResNet50, seed 42, at the three bounds
+    /// of the paper.
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "minutes without optimisation; CI runs it by name in release"
+    )]
+    fn encoder_matches_reference_on_model_tensors() {
+        use fedsz_models::ModelKind;
+        for kind in [ModelKind::MobileNetV2, ModelKind::ResNet50] {
+            let model = kind.synthesize(10, 42);
+            for rel in [1e-2, 1e-3, 1e-4] {
+                let mut lossy = 0usize;
+                for entry in model.entries() {
+                    let ctx = format!("{} {rel:e} {}", kind.name(), entry.name);
+                    let stream = assert_encodes_like_reference(
+                        entry.tensor.data(),
+                        ErrorBound::Rel(rel),
+                        &ctx,
+                    );
+                    lossy += usize::from(stream[0] == MODE_NORMAL);
+                }
+                assert!(
+                    lossy > 10,
+                    "{} {rel:e}: {lossy} NORMAL-mode tensors",
+                    kind.name()
+                );
+            }
+        }
     }
 }

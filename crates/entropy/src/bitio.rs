@@ -3,6 +3,10 @@
 use crate::CodecError;
 
 /// Accumulates bits most-significant-first into a byte vector.
+///
+/// Pending bits sit right-aligned in a 64-bit accumulator and leave it a
+/// whole big-endian word at a time. Invariant between calls: `nbits < 64`,
+/// and `acc` has no bit set at or above `nbits`.
 #[derive(Debug, Default)]
 pub struct BitWriter {
     out: Vec<u8>,
@@ -27,21 +31,31 @@ impl BitWriter {
 
     /// Append the low `n` bits of `value`, MSB first.
     ///
-    /// # Panics
-    /// Panics if `n > 57` (keeps the accumulator flush-free in one branch)
-    /// or if `value` has bits above `n`.
+    /// The caller guarantees `n <= 57` and that `value` has no bit set at or
+    /// above `n`; both are checked in debug builds only. In a release build
+    /// a wider `n` or `value` corrupts the stream instead of panicking.
     #[inline]
     pub fn write_bits(&mut self, value: u64, n: u32) {
         debug_assert!(n <= 57, "write_bits supports at most 57 bits per call");
+        debug_assert!(value >> n == 0, "value {value:#x} wider than {n} bits");
         debug_assert!(
-            n == 64 || value >> n == 0,
-            "value {value:#x} wider than {n} bits"
+            self.nbits < 64 && self.acc >> self.nbits == 0,
+            "writer invariant broken: {} pending bits, acc {:#x}",
+            self.nbits,
+            self.acc
         );
-        self.acc = (self.acc << n) | value;
-        self.nbits += n;
-        while self.nbits >= 8 {
-            self.nbits -= 8;
-            self.out.push((self.acc >> self.nbits) as u8);
+        let free = 64 - self.nbits;
+        if n < free {
+            self.acc = (self.acc << n) | value;
+            self.nbits += n;
+        } else {
+            // `free <= n <= 57`: the accumulator fills up exactly, and the
+            // `n - free` low bits of `value` start the next word.
+            let rest = n - free;
+            let word = (self.acc << free) | (value >> rest);
+            self.out.extend_from_slice(&word.to_be_bytes());
+            self.acc = value & ((1u64 << rest) - 1);
+            self.nbits = rest;
         }
     }
 
@@ -51,7 +65,7 @@ impl BitWriter {
         self.write_bits(bit as u64, 1);
     }
 
-    /// Append a full 32-bit word (two calls under the 57-bit limit).
+    /// Append a full 32-bit word.
     #[inline]
     pub fn write_u32(&mut self, value: u32) {
         self.write_bits(value as u64, 32);
@@ -59,16 +73,15 @@ impl BitWriter {
 
     /// Number of complete bytes plus any pending partial byte.
     pub fn byte_len(&self) -> usize {
-        self.out.len() + usize::from(self.nbits > 0)
+        self.out.len() + self.nbits.div_ceil(8) as usize
     }
 
     /// Pad the final partial byte with zeros and return the buffer.
     pub fn finish(mut self) -> Vec<u8> {
         if self.nbits > 0 {
-            let pad = 8 - self.nbits;
-            self.acc <<= pad;
-            self.out.push(self.acc as u8);
-            self.nbits = 0;
+            let word = self.acc << (64 - self.nbits);
+            let pending = self.nbits.div_ceil(8) as usize;
+            self.out.extend_from_slice(&word.to_be_bytes()[..pending]);
         }
         self.out
     }
@@ -282,6 +295,85 @@ mod tests {
         let mut r = BitReader::new(&bytes);
         for (v, n) in items {
             assert_eq!(r.read_bits(n).unwrap(), v);
+        }
+    }
+
+    /// The writer this module had before the word-flush one: a byte leaves
+    /// the accumulator as soon as it is complete. Kept as the oracle.
+    #[derive(Default)]
+    struct BytewiseWriter {
+        out: Vec<u8>,
+        acc: u64,
+        nbits: u32,
+    }
+
+    impl BytewiseWriter {
+        fn write_bits(&mut self, value: u64, n: u32) {
+            self.acc = (self.acc << n) | value;
+            self.nbits += n;
+            while self.nbits >= 8 {
+                self.nbits -= 8;
+                self.out.push((self.acc >> self.nbits) as u8);
+            }
+        }
+
+        fn byte_len(&self) -> usize {
+            self.out.len() + usize::from(self.nbits > 0)
+        }
+
+        fn finish(mut self) -> Vec<u8> {
+            if self.nbits > 0 {
+                self.acc <<= 8 - self.nbits;
+                self.out.push(self.acc as u8);
+            }
+            self.out
+        }
+    }
+
+    #[test]
+    fn word_flush_writer_matches_the_bytewise_writer() {
+        let mut state = 0x5EED_0FB1_7500u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let masked = |v: u64, n: u32| v & ((1u64 << n) - 1);
+        // Random sequences: every width 0..=57, streams from empty to a few
+        // words, so every fill level of the accumulator meets every width.
+        for round in 0..4000 {
+            let mut fast = BitWriter::new();
+            let mut slow = BytewiseWriter::default();
+            for _ in 0..round % 40 {
+                let n = (next() % 58) as u32;
+                let v = masked(next(), n);
+                fast.write_bits(v, n);
+                slow.write_bits(v, n);
+                assert_eq!(fast.byte_len(), slow.byte_len());
+            }
+            assert_eq!(fast.finish(), slow.finish(), "round {round}");
+        }
+        // Every width after every pending length, all-ones so a misplaced
+        // bit shows, and every final partial-byte length 0..=7.
+        for lead in 0..64u32 {
+            for n in 0..=57u32 {
+                for tail in 0..8u32 {
+                    let mut fast = BitWriter::new();
+                    let mut slow = BytewiseWriter::default();
+                    for (v, n) in [
+                        (masked(u64::MAX, lead.min(57)), lead.min(57)),
+                        (masked(u64::MAX, lead - lead.min(57)), lead - lead.min(57)),
+                        (masked(0xA5A5_A5A5_A5A5_A5A5, n), n),
+                        (masked(u64::MAX, tail), tail),
+                    ] {
+                        fast.write_bits(v, n);
+                        slow.write_bits(v, n);
+                    }
+                    assert_eq!(fast.byte_len(), slow.byte_len());
+                    assert_eq!(fast.finish(), slow.finish(), "{lead} + {n} + {tail}");
+                }
+            }
         }
     }
 

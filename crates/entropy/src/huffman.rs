@@ -13,126 +13,170 @@ use crate::CodecError;
 /// implicit tree fits.
 const MAX_LEN: u8 = 32;
 
-/// Compute Huffman code lengths for `freqs` (zero-frequency symbols get
-/// length 0), flattening frequencies until no code exceeds `MAX_LEN`.
-fn code_lengths(freqs: &[u64]) -> Vec<u8> {
-    let mut f: Vec<u64> = freqs.to_vec();
+/// Huffman code lengths for the symbols that occur, given their `weights`
+/// in symbol order, flattening the weights until no code exceeds `MAX_LEN`.
+fn code_lengths(mut weights: Vec<u64>) -> Vec<u8> {
     loop {
-        let lens = code_lengths_once(&f);
+        let lens = code_lengths_once(&weights);
         if lens.iter().all(|&l| l <= MAX_LEN) {
             return lens;
         }
-        for x in &mut f {
-            if *x > 0 {
-                *x = x.div_ceil(2);
-            }
+        for w in &mut weights {
+            *w = w.div_ceil(2);
         }
     }
 }
 
-fn code_lengths_once(freqs: &[u64]) -> Vec<u8> {
-    // Nodes: leaves first, then internal nodes appended.
-    #[derive(Clone, Copy)]
-    struct Node {
-        parent: u32,
-    }
-    let mut nodes: Vec<Node> = Vec::with_capacity(freqs.len() * 2);
-    let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, u32)>> =
-        std::collections::BinaryHeap::new();
-    for (i, &f) in freqs.iter().enumerate() {
-        nodes.push(Node { parent: u32::MAX });
-        if f > 0 {
-            heap.push(std::cmp::Reverse((f, i as u32)));
-        }
-    }
-    let live = heap.len();
-    let mut lens = vec![0u8; freqs.len()];
-    if live == 0 {
-        return lens;
-    }
-    if live == 1 {
+/// One Huffman construction over non-zero `weights`, one leaf each.
+///
+/// Node ids: leaf `i` is the `i`-th occurring symbol, internal nodes follow
+/// all leaves in creation order. Each step joins the two nodes least by
+/// `(weight, id)`, so equal weights break by symbol, leaves before internal
+/// nodes, older internal nodes first — the order a heap over the whole
+/// alphabet (absent symbols holding ids but never entering it) pops, hence
+/// the same tree and lengths.
+///
+/// Joining the two least nodes every time creates internal nodes in
+/// non-decreasing weight, so the leaves sorted once and the internal nodes
+/// in creation order are two queues already in `(weight, id)` order, and
+/// the least node overall is at the head of one of them.
+fn code_lengths_once(weights: &[u64]) -> Vec<u8> {
+    let leaves = weights.len();
+    if leaves <= 1 {
         // A single distinct symbol still needs one bit on the wire.
-        let idx = heap.pop().unwrap().0 .1;
-        lens[idx as usize] = 1;
-        return lens;
+        return vec![1; leaves];
     }
-    while heap.len() > 1 {
-        let std::cmp::Reverse((fa, a)) = heap.pop().unwrap();
-        let std::cmp::Reverse((fb, b)) = heap.pop().unwrap();
-        let id = nodes.len() as u32;
-        nodes.push(Node { parent: u32::MAX });
-        nodes[a as usize].parent = id;
-        nodes[b as usize].parent = id;
-        heap.push(std::cmp::Reverse((fa + fb, id)));
-    }
-    for (i, len) in lens.iter_mut().enumerate() {
-        if freqs[i] == 0 {
-            continue;
+    let mut sorted: Vec<(u64, u32)> = weights.iter().copied().zip(0u32..).collect();
+    sorted.sort_unstable();
+    let mut sorted = sorted.into_iter().peekable();
+    // Weight of internal node `leaves + k` at index `k`; `joined` counts
+    // those that already have a parent.
+    let mut internal: Vec<u64> = Vec::with_capacity(leaves - 1);
+    let mut joined = 0usize;
+    let mut parent = vec![0u32; 2 * leaves - 1];
+    for id in leaves..2 * leaves - 1 {
+        let mut weight = 0u64;
+        for _ in 0..2 {
+            // On equal weights the leaf goes first: its id is the smaller.
+            let leaf = sorted.next_if(|&(w, _)| internal.get(joined).is_none_or(|&i| w <= i));
+            let (w, child) = leaf.unwrap_or_else(|| {
+                joined += 1;
+                (internal[joined - 1], (leaves + joined - 1) as u32)
+            });
+            parent[child as usize] = id as u32;
+            weight += w;
         }
-        let mut depth = 0u32;
-        let mut n = i as u32;
-        while nodes[n as usize].parent != u32::MAX {
-            n = nodes[n as usize].parent;
-            depth += 1;
-        }
-        *len = depth.min(255) as u8;
+        internal.push(weight);
     }
-    lens
-}
-
-/// Assign canonical codes given lengths. Returns `(code, len)` per symbol.
-fn canonical_codes(lens: &[u8]) -> Vec<(u32, u8)> {
-    let mut order: Vec<u32> = (0..lens.len() as u32)
-        .filter(|&s| lens[s as usize] > 0)
-        .collect();
-    order.sort_unstable_by_key(|&s| (lens[s as usize], s));
-    let mut codes = vec![(0u32, 0u8); lens.len()];
-    let mut code: u32 = 0;
-    let mut prev_len = 0u8;
-    for &s in &order {
-        let len = lens[s as usize];
-        code <<= len - prev_len;
-        codes[s as usize] = (code, len);
-        code += 1;
-        prev_len = len;
+    // A parent is created after its children, so one backward sweep from
+    // the root (the last node, depth 0) sees every parent before its child.
+    let mut depth = vec![0u32; parent.len()];
+    for id in (0..parent.len() - 1).rev() {
+        depth[id] = depth[parent[id] as usize] + 1;
     }
-    codes
+    depth[..leaves].iter().map(|&d| d.min(255) as u8).collect()
 }
 
 /// Encoder side of a canonical Huffman code.
 #[derive(Debug, Clone)]
 pub struct HuffmanEncoder {
-    codes: Vec<(u32, u8)>,
+    /// Per symbol of the alphabet, the code in the low 32 bits and its
+    /// length above them; 0 = no code. One integer per symbol so that the
+    /// table starts as untouched zero pages and only the neighbourhood of
+    /// the coded symbols is ever written.
+    codes: Vec<u64>,
+    /// The symbols that have a code, ascending.
+    live: Vec<u32>,
+    /// Longest code of the table.
+    max_len: u8,
 }
 
 impl HuffmanEncoder {
-    /// Build a code from symbol frequencies (index = symbol).
+    /// Build a code from symbol frequencies (index = symbol). Beyond one
+    /// scan of `freqs`, the work is proportional to the symbols that occur.
     pub fn from_frequencies(freqs: &[u64]) -> Self {
-        let lens = code_lengths(freqs);
-        Self {
-            codes: canonical_codes(&lens),
+        // A code book is mostly zeros: pass over those sixteen at a time.
+        const STRIDE: usize = 16;
+        let mut live: Vec<u32> = Vec::new();
+        for (chunk, base) in freqs.chunks(STRIDE).zip((0u32..).step_by(STRIDE)) {
+            if chunk.iter().fold(0, |any, &f| any | f) != 0 {
+                live.extend(
+                    (base..)
+                        .zip(chunk)
+                        .filter_map(|(s, &f)| (f > 0).then_some(s)),
+                );
+            }
         }
+        let weights: Vec<u64> = live.iter().map(|&s| freqs[s as usize]).collect();
+        let lens = code_lengths(weights);
+        Self::from_live_lengths(freqs.len(), live, &lens)
+    }
+
+    /// Canonical codes for `live` symbols (ascending) of an `alphabet`-symbol
+    /// code, `lens[i] > 0` being the length of `live[i]`'s code: codes of one
+    /// length count up in symbol order, and each length starts where the
+    /// shorter ones, extended by a zero bit, left off.
+    fn from_live_lengths(alphabet: usize, live: Vec<u32>, lens: &[u8]) -> Self {
+        let mut count = [0u64; MAX_LEN as usize + 1];
+        for &len in lens {
+            count[len as usize] += 1;
+        }
+        // 64 bits wide: the step past the last code of a complete code with
+        // `MAX_LEN`-bit members is 2^32.
+        let mut next_code = [0u64; MAX_LEN as usize + 1];
+        let mut code = 0u64;
+        for len in 1..=MAX_LEN as usize {
+            code = (code + count[len - 1]) << 1;
+            next_code[len] = code;
+        }
+        let mut codes = vec![0u64; alphabet];
+        for (&sym, &len) in live.iter().zip(lens) {
+            let code = &mut next_code[len as usize];
+            codes[sym as usize] = u64::from(len) << 32 | *code & 0xFFFF_FFFF;
+            *code += 1;
+        }
+        Self {
+            codes,
+            live,
+            max_len: lens.iter().copied().max().unwrap_or(0),
+        }
+    }
+
+    /// `(code, len)` of a symbol of the alphabet; `len == 0` = no code.
+    #[inline]
+    fn entry(&self, sym: usize) -> (u32, u8) {
+        let packed = self.codes[sym];
+        (packed as u32, (packed >> 32) as u8)
     }
 
     /// Serialize the code-length table (RLE of equal lengths).
     pub fn write_table(&self, w: &mut BitWriter) {
-        w.write_u32(self.codes.len() as u32);
-        let mut i = 0usize;
-        while i < self.codes.len() {
-            let len = self.codes[i].1;
-            let mut run = 1usize;
-            while i + run < self.codes.len() && self.codes[i + run].1 == len {
-                run += 1;
-            }
-            let mut remaining = run;
-            while remaining > 0 {
-                let chunk = remaining.min(u16::MAX as usize);
+        fn run(w: &mut BitWriter, len: u8, mut count: usize) {
+            while count > 0 {
+                let chunk = count.min(u16::MAX as usize);
                 w.write_bits(len as u64, 6);
                 w.write_bits(chunk as u64, 16);
-                remaining -= chunk;
+                count -= chunk;
             }
-            i += run;
         }
+        w.write_u32(self.codes.len() as u32);
+        // Walk the coded symbols only: between two of them lies one run of
+        // zero lengths, and neighbours of equal length share a run.
+        let mut next = 0usize;
+        let mut live = self.live.iter().map(|&s| s as usize).peekable();
+        while let Some(first) = live.next() {
+            run(w, 0, first - next);
+            let len = self.entry(first).1;
+            next = first + 1;
+            while live
+                .next_if(|&s| s == next && self.entry(s).1 == len)
+                .is_some()
+            {
+                next += 1;
+            }
+            run(w, len, next - first);
+        }
+        run(w, 0, self.codes.len() - next);
     }
 
     /// Emit one symbol.
@@ -141,7 +185,7 @@ impl HuffmanEncoder {
     /// Panics (debug) if the symbol had zero frequency at build time.
     #[inline]
     pub fn encode(&self, w: &mut BitWriter, sym: u32) {
-        let (code, len) = self.codes[sym as usize];
+        let (code, len) = self.entry(sym as usize);
         debug_assert!(
             len > 0,
             "encoding symbol {sym} absent from the frequency table"
@@ -149,9 +193,42 @@ impl HuffmanEncoder {
         w.write_bits(code as u64, len as u32);
     }
 
+    /// Emit `syms` in order: the bits of calling [`Self::encode`] once per
+    /// symbol, with as many codes joined into one [`BitWriter::write_bits`]
+    /// as its 57-bit limit admits for this table's longest code.
+    pub fn encode_run(&self, w: &mut BitWriter, syms: &[u32]) {
+        match self.max_len {
+            0..=14 => self.encode_joined::<4>(w, syms),
+            15..=19 => self.encode_joined::<3>(w, syms),
+            20..=28 => self.encode_joined::<2>(w, syms),
+            _ => self.encode_joined::<1>(w, syms),
+        }
+    }
+
+    #[inline]
+    fn encode_joined<const K: usize>(&self, w: &mut BitWriter, syms: &[u32]) {
+        let mut chunks = syms.chunks_exact(K);
+        for chunk in &mut chunks {
+            let (mut bits, mut n) = (0u64, 0u32);
+            for &sym in chunk {
+                let (code, len) = self.entry(sym as usize);
+                debug_assert!(
+                    len > 0,
+                    "encoding symbol {sym} absent from the frequency table"
+                );
+                bits = bits << len | u64::from(code);
+                n += u32::from(len);
+            }
+            w.write_bits(bits, n);
+        }
+        for &sym in chunks.remainder() {
+            self.encode(w, sym);
+        }
+    }
+
     /// Code length in bits for a symbol (0 if absent).
     pub fn len_of(&self, sym: u32) -> u8 {
-        self.codes[sym as usize].1
+        self.entry(sym as usize).1
     }
 
     /// Exact size in bits of encoding `freqs[sym]` occurrences of each symbol
@@ -160,7 +237,7 @@ impl HuffmanEncoder {
         freqs
             .iter()
             .enumerate()
-            .map(|(s, &f)| f * self.codes[s].1 as u64)
+            .map(|(s, &f)| f * self.entry(s).1 as u64)
             .sum()
     }
 }
@@ -295,18 +372,19 @@ impl HuffmanDecoder {
             count[l as usize] += 1;
             max_len = max_len.max(l);
         }
-        let mut code = 0u32;
+        // 64 bits wide: a complete code with `MAX_LEN`-bit members steps to
+        // 2^32 past its last code. The Kraft check keeps `code <= 2^l`, so a
+        // first code that has any member fits 32 bits.
+        let mut code = 0u64;
         let mut idx = 0u32;
         for l in 1..=max_len {
             code <<= 1;
-            first_code[l as usize] = code;
+            first_code[l as usize] = code as u32;
             offset[l as usize] = idx;
-            code = code
-                .checked_add(count[l as usize])
-                .ok_or(CodecError::Corrupt("huffman code overflow"))?;
+            code += u64::from(count[l as usize]);
             // Kraft check: the codes of this length must fit in l bits, or
             // the table is not a valid canonical code (corrupt stream).
-            if u64::from(code) > 1u64 << l {
+            if code > 1u64 << l {
                 return Err(CodecError::Corrupt("huffman lengths violate Kraft"));
             }
             idx += count[l as usize];
@@ -546,11 +624,18 @@ mod tests {
         lens
     }
 
+    /// The encoder for a table of code lengths, one per alphabet symbol.
+    fn encoder_for(lens: &[u8]) -> HuffmanEncoder {
+        let live: Vec<u32> = (0..lens.len() as u32)
+            .filter(|&s| lens[s as usize] > 0)
+            .collect();
+        let live_lens: Vec<u8> = live.iter().map(|&s| lens[s as usize]).collect();
+        HuffmanEncoder::from_live_lengths(lens.len(), live, &live_lens)
+    }
+
     /// A coded stream of `symbols` (no table), and its decoder.
     fn coded(lens: &[u8], symbols: &[u32]) -> (HuffmanDecoder, Vec<u8>) {
-        let enc = HuffmanEncoder {
-            codes: canonical_codes(lens),
-        };
+        let enc = encoder_for(lens);
         let mut w = BitWriter::new();
         for &s in symbols {
             enc.encode(&mut w, s);
@@ -679,6 +764,254 @@ mod tests {
         ] {
             for count in [1usize, 4, 8, 9, 40] {
                 assert_run_matches(&dec, &bytes, count, &format!("{count} of {bytes:02x?}"));
+            }
+        }
+    }
+
+    // -----------------------------------------------------------------------
+    // The encoder build this module had before the one over occurring
+    // symbols: every alphabet slot is a tree node, the canonical sort and
+    // the table's run-length walk visit the whole alphabet. Kept as the
+    // oracle for codes, lengths and table bytes.
+    // -----------------------------------------------------------------------
+
+    fn dense_code_lengths(freqs: &[u64], max_len: u8) -> Vec<u8> {
+        let mut f: Vec<u64> = freqs.to_vec();
+        loop {
+            let lens = dense_code_lengths_once(&f);
+            if lens.iter().all(|&l| l <= max_len) {
+                return lens;
+            }
+            for x in &mut f {
+                if *x > 0 {
+                    *x = x.div_ceil(2);
+                }
+            }
+        }
+    }
+
+    fn dense_code_lengths_once(freqs: &[u64]) -> Vec<u8> {
+        use std::cmp::Reverse;
+        // Nodes: leaves first, then internal nodes appended.
+        let mut parent: Vec<u32> = vec![u32::MAX; freqs.len()];
+        let mut heap = std::collections::BinaryHeap::new();
+        for (i, &f) in freqs.iter().enumerate() {
+            if f > 0 {
+                heap.push(Reverse((f, i as u32)));
+            }
+        }
+        let mut lens = vec![0u8; freqs.len()];
+        if heap.len() == 1 {
+            lens[heap.pop().unwrap().0 .1 as usize] = 1;
+            return lens;
+        }
+        while heap.len() > 1 {
+            let Reverse((fa, a)) = heap.pop().unwrap();
+            let Reverse((fb, b)) = heap.pop().unwrap();
+            let id = parent.len() as u32;
+            parent.push(u32::MAX);
+            parent[a as usize] = id;
+            parent[b as usize] = id;
+            heap.push(Reverse((fa + fb, id)));
+        }
+        for (i, len) in lens.iter_mut().enumerate() {
+            if freqs[i] == 0 {
+                continue;
+            }
+            let mut depth = 0u32;
+            let mut n = i;
+            while parent[n] != u32::MAX {
+                n = parent[n] as usize;
+                depth += 1;
+            }
+            *len = depth.min(255) as u8;
+        }
+        lens
+    }
+
+    fn dense_canonical_codes(lens: &[u8]) -> Vec<(u32, u8)> {
+        let mut order: Vec<u32> = (0..lens.len() as u32)
+            .filter(|&s| lens[s as usize] > 0)
+            .collect();
+        order.sort_unstable_by_key(|&s| (lens[s as usize], s));
+        let mut codes = vec![(0u32, 0u8); lens.len()];
+        let mut code: u32 = 0;
+        let mut prev_len = 0u8;
+        for &s in &order {
+            let len = lens[s as usize];
+            code <<= len - prev_len;
+            codes[s as usize] = (code, len);
+            // Wraps past the last 32-bit code of a complete code (the old
+            // build overflowed there in debug builds).
+            code = code.wrapping_add(1);
+            prev_len = len;
+        }
+        codes
+    }
+
+    fn dense_write_table(codes: &[(u32, u8)], w: &mut BitWriter) {
+        w.write_u32(codes.len() as u32);
+        let mut i = 0usize;
+        while i < codes.len() {
+            let len = codes[i].1;
+            let mut run = 1usize;
+            while i + run < codes.len() && codes[i + run].1 == len {
+                run += 1;
+            }
+            let mut remaining = run;
+            while remaining > 0 {
+                let chunk = remaining.min(u16::MAX as usize);
+                w.write_bits(len as u64, 6);
+                w.write_bits(chunk as u64, 16);
+                remaining -= chunk;
+            }
+            i += run;
+        }
+    }
+
+    fn assert_build_matches_dense(freqs: &[u64], ctx: &str) {
+        let enc = HuffmanEncoder::from_frequencies(freqs);
+        let dense = dense_canonical_codes(&dense_code_lengths(freqs, MAX_LEN));
+        let table: Vec<(u32, u8)> = (0..freqs.len()).map(|s| enc.entry(s)).collect();
+        assert_eq!(table, dense, "{ctx}: (code, len) table");
+        let longest = dense.iter().map(|&(_, l)| l).max().unwrap_or(0);
+        assert_eq!(enc.max_len, longest, "{ctx}: longest code");
+        let (mut got, mut want) = (BitWriter::new(), BitWriter::new());
+        enc.write_table(&mut got);
+        dense_write_table(&dense, &mut want);
+        assert_eq!(got.finish(), want.finish(), "{ctx}: table bytes");
+    }
+
+    #[test]
+    fn build_over_live_symbols_equals_the_dense_build() {
+        let mut next = xorshift(0x11FE_5EED);
+        assert_build_matches_dense(&[], "empty alphabet");
+        assert_build_matches_dense(&[0; 10], "nothing occurs");
+        assert_build_matches_dense(&[0, 0, 7, 0], "one symbol");
+        assert_build_matches_dense(&[3, 3], "two symbols");
+        for round in 0..300 {
+            let alphabet = match round % 4 {
+                0 => 2 + (next() % 30) as usize,
+                1 => 300,
+                2 => 4096,
+                _ => 65_536,
+            };
+            let mut freqs = vec![0u64; alphabet];
+            // Sparse to dense occupancy; weights from all-equal (nothing but
+            // ties, among leaves and between leaves and internal nodes of
+            // the same weight) through small integers to a wide spread.
+            let occupancy = [1u64, 3, 17, 200][round / 4 % 4];
+            let spread = [1u64, 2, 5, 1 << 20][round / 16 % 4];
+            for f in &mut freqs {
+                if next().is_multiple_of(occupancy) {
+                    *f = 1 + next() % spread;
+                }
+            }
+            // Runs of neighbours and a peak, as quantization codes have.
+            let mid = alphabet / 2;
+            for (d, f) in freqs[mid..].iter_mut().take(40).enumerate() {
+                *f += (1u64 << 22) >> d.min(22);
+            }
+            assert_build_matches_dense(&freqs, &format!("round {round}, {alphabet} symbols"));
+        }
+    }
+
+    #[test]
+    fn flattening_loop_equals_the_dense_build() {
+        // Fibonacci weights give the deepest tree there is: 60 symbols code
+        // 59 deep, so the weights are halved until the tree fits MAX_LEN —
+        // the same number of times, to the same lengths, as the dense build.
+        let mut freqs = vec![0u64; 200];
+        let (mut a, mut b) = (1u64, 1u64);
+        for f in freqs.iter_mut().skip(3).step_by(3).take(60) {
+            *f = a;
+            (a, b) = (b, a + b);
+        }
+        let once = code_lengths_once(&freqs.iter().copied().filter(|&f| f > 0).collect::<Vec<_>>());
+        assert!(
+            once.iter().any(|&l| l > MAX_LEN),
+            "the tree must need flattening"
+        );
+        assert_build_matches_dense(&freqs, "fibonacci weights");
+        let enc = HuffmanEncoder::from_frequencies(&freqs);
+        assert!(
+            enc.max_len > 28 && enc.max_len <= MAX_LEN,
+            "longest {}",
+            enc.max_len
+        );
+    }
+
+    #[test]
+    fn encode_run_equals_per_symbol_encode_on_every_alphabet_shape() {
+        let mut next = xorshift(0xE2C0_DE12);
+        let mut sparse = vec![0u8; 65_536];
+        for (sym, len) in [
+            (0, 1),
+            (1, 2),
+            (255, 3),
+            (32_768, 4),
+            (32_769, 5),
+            (65_535, 5),
+        ] {
+            sparse[sym] = len;
+        }
+        // The shapes of the `decode_run` test, plus a complete code with one
+        // code of every length 1..=32 (twice 32), so every join width of
+        // `encode_run` — four, three, two codes, one — is taken.
+        let mut ladder: Vec<u8> = (1..=32).collect();
+        ladder.push(32);
+        let mut shapes: Vec<(String, Vec<u8>)> = vec![
+            ("one symbol".into(), vec![0, 0, 1, 0]),
+            ("two symbols".into(), vec![1, 1]),
+            (
+                "300 symbols, long codes".into(),
+                lengths_with_long_codes(300, 290),
+            ),
+            ("65536 sparse".into(), sparse),
+            ("65536 dense".into(), vec![16u8; 65_536]),
+            ("lengths 1..=32".into(), ladder),
+        ];
+        for longest in [14u8, 15, 19, 20, 28, 29] {
+            // `longest - 1` codes of lengths 1.., then two of `longest`.
+            let mut lens: Vec<u8> = (1..longest).collect();
+            lens.extend([longest, longest]);
+            shapes.push((format!("longest code {longest}"), lens));
+        }
+        for (name, lens) in &shapes {
+            let enc = encoder_for(lens);
+            let dec = HuffmanDecoder::from_lengths(lens).unwrap();
+            for count in (0..=HITS_PER_REFILL + 1).chain([7, 8, 9, 63, 64, 65, 1000]) {
+                // Mostly the code's own probabilities, and the deepest codes
+                // back to back so joined writes reach their widest.
+                let mut symbols = draw(lens, count, &mut next);
+                if count >= 8 {
+                    let deepest = (0..lens.len() as u32)
+                        .max_by_key(|&s| lens[s as usize])
+                        .unwrap();
+                    symbols[count / 2..count / 2 + 4].fill(deepest);
+                }
+                // Start at every bit offset of a byte.
+                for lead in 0..8u32 {
+                    let (mut run, mut single) = (BitWriter::new(), BitWriter::new());
+                    run.write_bits(0, lead);
+                    single.write_bits(0, lead);
+                    enc.encode_run(&mut run, &symbols);
+                    for &s in &symbols {
+                        enc.encode(&mut single, s);
+                    }
+                    let bytes = run.finish();
+                    assert_eq!(
+                        bytes,
+                        single.finish(),
+                        "{name}, {count} symbols after {lead} bits"
+                    );
+                    // And the decoder reads it back, 32-bit codes included.
+                    let mut r = BitReader::new(&bytes);
+                    r.read_bits(lead).unwrap();
+                    let mut back = vec![u32::MAX; count];
+                    dec.decode_run(&mut r, &mut back).unwrap();
+                    assert_eq!(back, symbols, "{name}, {count} symbols after {lead} bits");
+                }
             }
         }
     }

@@ -123,15 +123,24 @@ fn blosclz_is_fastest_and_xz_best_ratio_on_metadata() {
 #[test]
 fn szx_strict_is_the_fastest_eblc() {
     let data = weight_like(1 << 20, 77);
+    // Best of five, the two codecs taking turns: one call is a few
+    // milliseconds, the other tests of this binary run beside it, and a
+    // busy moment should cost both sides or neither.
     let timed = |kind: LossyKind| {
         let t0 = Instant::now();
-        let c = kind.compress(&data, ErrorBound::Rel(1e-2));
-        (t0.elapsed().as_secs_f64(), c.len())
+        std::hint::black_box(kind.compress(&data, ErrorBound::Rel(1e-2)));
+        t0.elapsed().as_secs_f64()
     };
-    let (szx_t, _) = timed(LossyKind::Szx);
-    let (sz2_t, _) = timed(LossyKind::Sz2);
+    let (mut szx_t, mut sz2_t) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..5 {
+        szx_t = szx_t.min(timed(LossyKind::Szx));
+        sz2_t = sz2_t.min(timed(LossyKind::Sz2));
+    }
+    // The margin was 2× while SZ2's encoder ran one Lorenzo chain at a time;
+    // since it steps eight, SZx leads by 2.4× with vector kernels and 1.8×
+    // with `FEDSZ_SIMD=scalar`.
     assert!(
-        szx_t * 2.0 < sz2_t,
-        "SZx {szx_t:.3}s should be much faster than SZ2 {sz2_t:.3}s"
+        szx_t * 1.25 < sz2_t,
+        "SZx {szx_t:.4}s should be faster than SZ2 {sz2_t:.4}s"
     );
 }
