@@ -38,10 +38,6 @@ fn main() {
         decompress_s: 0.0,
         bytes: raw_bytes,
     }];
-    // One untimed call first: whichever codec runs first otherwise pays the
-    // process's first-touch page faults for half a gigabyte of buffers
-    // (3.2 s against 0.9 s for the same SZ2 call on the bench box).
-    std::hint::black_box(LossyKind::Sz2.compress(&values, ErrorBound::Rel(rel)));
     for comp in LossyKind::table1() {
         let (compressed, compress_s) = time(|| comp.compress(&values, ErrorBound::Rel(rel)));
         let (decoded, decompress_s) = time(|| comp.decompress(&compressed).expect("round trip"));

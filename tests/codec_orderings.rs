@@ -136,11 +136,17 @@ fn szx_strict_is_the_fastest_eblc() {
         szx_t = szx_t.min(timed(LossyKind::Szx));
         sz2_t = sz2_t.min(timed(LossyKind::Sz2));
     }
-    // The margin was 2× while SZ2's encoder ran one Lorenzo chain at a time;
-    // since it steps eight, SZx leads by 2.4× with vector kernels and 1.8×
-    // with `FEDSZ_SIMD=scalar`.
+    // SZx's lead is its min/max and offset-packing kernels. With dispatch
+    // pinned to the scalar twins it measured 1.44×–1.70× over sixteen release
+    // runs (2.6×–2.9× before SZ2's encoder stepped eight Lorenzo chains), so
+    // that run alone asserts a margin just under what it measures.
+    let margin = if fedsz_simd::active_level() == fedsz_simd::Level::Scalar {
+        1.3
+    } else {
+        2.0
+    };
     assert!(
-        szx_t * 1.25 < sz2_t,
-        "SZx {szx_t:.4}s should be faster than SZ2 {sz2_t:.4}s"
+        szx_t * margin < sz2_t,
+        "SZx {szx_t:.4}s should be {margin}x faster than SZ2 {sz2_t:.4}s"
     );
 }
