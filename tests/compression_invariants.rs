@@ -169,3 +169,129 @@ fn quality_metrics_track_the_bound_through_the_pipeline() {
         }
     }
 }
+
+/// Bell-shaped spiky weights from `SplitMix64` by `+ − ×` alone: no libm
+/// call, so the pinned digests do not depend on the host's math library.
+fn pinned_noise(n: usize, seed: u64) -> Vec<f32> {
+    let mut rng = SplitMix64::new(seed);
+    (0..n)
+        .map(|_| {
+            let bell = rng.next_f64() + rng.next_f64() + rng.next_f64() + rng.next_f64() - 2.0;
+            (bell * 0.05) as f32
+        })
+        .collect()
+}
+
+/// The inputs of `eblc_streams_are_pinned`: noise at lengths around the
+/// block (128, 256), chunk (4 096), group (16 384) and multi-group sizes, and
+/// one input per special path of the codecs.
+fn pinned_inputs() -> Vec<(String, Vec<f32>)> {
+    let mut inputs: Vec<(String, Vec<f32>)> = [1usize, 255, 256, 257, 4_095, 4_097, 16_385, 70_001]
+        .into_iter()
+        .map(|n| (format!("noise-{n}"), pinned_noise(n, n as u64)))
+        .collect();
+
+    // A steep sawtooth under a little noise: SZ2 picks the regression
+    // predictor for its blocks under the tighter bounds.
+    let mut ramp = pinned_noise(20_000, 21);
+    for (i, v) in ramp.iter_mut().enumerate() {
+        *v = (i % 1_000) as f32 * 0.1 + *v * 0.1;
+    }
+    inputs.push(("ramp".into(), ramp));
+
+    // Every fifth value far beyond the code book of an absolute bound.
+    let mut escapes = pinned_noise(8_000, 22);
+    for v in escapes.iter_mut().step_by(5) {
+        *v *= 1.0e6;
+    }
+    inputs.push(("escapes".into(), escapes));
+
+    let mut non_finite = pinned_noise(5_000, 23);
+    for (i, v) in non_finite.iter_mut().enumerate() {
+        match (i % 97, i % 211, i % 389) {
+            (3, _, _) => *v = f32::NAN,
+            (_, 7, _) => *v = f32::INFINITY,
+            (_, _, 11) => *v = f32::NEG_INFINITY,
+            _ => {}
+        }
+    }
+    inputs.push(("non-finite".into(), non_finite));
+
+    // Range zero: RAW mode under a relative bound.
+    inputs.push(("constant".into(), vec![0.25; 1_000]));
+    inputs.push(("empty".into(), Vec::new()));
+    inputs
+}
+
+/// Floats as bytes with matches at many distances and lengths: a ramp, a
+/// small alphabet of repeated values, and noise.
+fn pinned_float_bytes() -> Vec<u8> {
+    let mut rng = SplitMix64::new(24);
+    let noise = pinned_noise(6_000, 25);
+    let floats = (0..30_000usize).map(|i| match i / 6_000 {
+        0 | 3 => (i % 6_000) as f32 * 0.25,
+        1 => rng.below(37) as f32 * 0.125,
+        2 => noise[i % 6_000],
+        _ => noise[(i * 7) % 600],
+    });
+    floats.flat_map(f32::to_le_bytes).collect()
+}
+
+#[test]
+fn eblc_streams_are_pinned() {
+    // The byte streams of every codec, pinned across commits as
+    // `(length, CRC-32)`: a refactor or an optimisation that claims "no format
+    // change" passes this test with `tests/golden/streams.txt` untouched; a
+    // deliberate format change replaces the file with the table this test
+    // prints when it fails.
+    use fedsz_entropy::crc32::crc32;
+    use std::fmt::Write;
+
+    let bounds = [
+        ("rel-1e-2", ErrorBound::Rel(1e-2)),
+        ("rel-1e-4", ErrorBound::Rel(1e-4)),
+        ("abs-1e-3", ErrorBound::Abs(1e-3)),
+    ];
+    let mut table = String::new();
+    for (input, data) in pinned_inputs() {
+        for (bound_name, bound) in bounds {
+            for kind in LossyKind::all() {
+                let stream = kind.compress(&data, bound);
+                let ctx = format!("{} {bound_name} {input}", kind.name());
+                writeln!(table, "{ctx} {} {:08x}", stream.len(), crc32(&stream)).unwrap();
+
+                let back = kind.decompress(&stream).expect(&ctx);
+                assert_eq!(back.len(), data.len(), "{ctx}");
+                if !kind.is_strictly_bounded() {
+                    continue;
+                }
+                let abs = bound.absolute(&data).max(0.0);
+                for (i, (a, b)) in data.iter().zip(&back).enumerate() {
+                    if a.is_finite() {
+                        let err = (a - b).abs() as f64;
+                        assert!(err <= abs * (1.0 + 1e-6), "{ctx} [{i}]: {a} vs {b}");
+                    } else {
+                        assert_eq!(a.to_bits(), b.to_bits(), "{ctx} [{i}]");
+                    }
+                }
+            }
+        }
+    }
+    let bytes = pinned_float_bytes();
+    for kind in LosslessKind::all() {
+        let stream = kind.compress(&bytes);
+        let ctx = format!("{} float-bytes", kind.name());
+        writeln!(table, "{ctx} {} {:08x}", stream.len(), crc32(&stream)).unwrap();
+        assert_eq!(kind.decompress(&stream).expect(&ctx), bytes, "{ctx}");
+    }
+
+    let pinned = include_str!("golden/streams.txt");
+    for (got, want) in table.lines().zip(pinned.lines()) {
+        assert_eq!(got, want, "stream changed; the table now reads:\n{table}");
+    }
+    assert_eq!(
+        table.lines().count(),
+        pinned.lines().count(),
+        "rows added or removed; the table now reads:\n{table}"
+    );
+}
