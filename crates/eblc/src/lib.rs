@@ -16,6 +16,7 @@
 //! §V-A of the paper) and produce a self-contained byte stream.
 
 pub mod quantizer;
+mod stream;
 pub mod sz2;
 pub mod sz3;
 pub mod szx;
@@ -80,25 +81,6 @@ pub(crate) fn value_range_scalar(data: &[f32]) -> f64 {
     } else {
         max - min
     }
-}
-
-/// Output capacity for an SZ2/SZ3 decode whose first `decoded` symbols took
-/// `spent_bits` of the bitstream with `left_bits` to go: the rest at that
-/// density and an eighth more, capped by the header's `claimed` count.
-///
-/// The claim alone may be 8× the payload bytes and is attacker-set; the
-/// density is what the stream has really delivered. An exact reservation
-/// matters: an output grown by doubling is copied as it grows and holds up
-/// to twice its length, which the server's resident set shows.
-pub(crate) fn decode_capacity(
-    claimed: usize,
-    decoded: usize,
-    spent_bits: usize,
-    left_bits: usize,
-) -> usize {
-    let density = decoded as f64 / spent_bits.max(1) as f64;
-    let projected = (left_bits as f64 * density * 1.125) as usize;
-    claimed.min(decoded.saturating_add(projected))
 }
 
 /// Identifier for one of the lossy compressors.
@@ -364,19 +346,5 @@ mod tests {
         let spread = ratios.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
             - ratios.iter().cloned().fold(f64::INFINITY, f64::min);
         assert!(spread < 0.5, "paper-mode ratio varies with eb: {ratios:?}");
-    }
-
-    #[test]
-    fn decode_capacity_follows_the_stream_not_the_claim() {
-        // An honest stream at a steady three bits per symbol: the claim caps
-        // the eighth of slack, so the reservation is exact.
-        assert_eq!(decode_capacity(100_000, 16_384, 49_152, 250_848), 100_000);
-        // The same first group with nothing behind it, under a claim of 8×
-        // a megabyte payload: one group is all that is reserved.
-        assert_eq!(decode_capacity(8 << 20, 16_384, 49_152, 0), 16_384);
-        assert_eq!(decode_capacity(8 << 20, 16_384, 49_152, 3_000), 17_509);
-        // Degenerate inputs neither divide by zero nor overflow.
-        assert_eq!(decode_capacity(10, 0, 0, usize::MAX), 0);
-        assert_eq!(decode_capacity(usize::MAX, 1, 0, usize::MAX), usize::MAX);
     }
 }

@@ -7,19 +7,15 @@
 //! tensor), so the Lorenzo predictor is the 1-D first-order variant and the
 //! regression predictor fits `a·i + b` per block.
 
-use fedsz_entropy::bitio::{BitReader, BitWriter};
-use fedsz_entropy::huffman::{HuffmanDecoder, HuffmanEncoder};
-use fedsz_entropy::{reader, varint, CodecError};
+use fedsz_entropy::{reader, CodecError};
 
-use crate::quantizer::{Quantizer, NUM_CODES};
+use crate::quantizer::Quantizer;
+use crate::stream::{self, Predictor};
 use crate::ErrorBound;
 
 /// Elements per prediction block (SZ2 uses 6^3 = 216 in 3-D; 256 is the
 /// natural 1-D analogue).
 const BLOCK: usize = 256;
-
-const MODE_RAW: u8 = 0;
-const MODE_NORMAL: u8 = 1;
 
 /// Estimated bit cost of coding a residual of magnitude `d` at bin width
 /// `bin`. Uses the f64 exponent field as a free floor(log2): the estimate
@@ -117,6 +113,7 @@ fn fold_costs(costs: &[f64], init: f64) -> [f64; LANES] {
 }
 
 /// Buffers one `compress` call reuses for every group.
+#[derive(Default)]
 struct Scratch {
     /// Regression predictions of the set being decided.
     preds: Vec<f32>,
@@ -213,28 +210,18 @@ fn encode_lorenzo_chains(chains: &mut [EncodeChain<'_>], q: &Quantizer) {
     }
 }
 
-/// Quantize one group of blocks into `codes`, recording each regression
-/// block in `bitmap` and `coeffs`.
-fn encode_group(
-    values: &[f32],
-    codes: &mut [u32],
-    first_block: usize,
-    q: &Quantizer,
-    scratch: &mut Scratch,
-    bitmap: &mut [u8],
-    coeffs: &mut Vec<u8>,
-) {
+/// Quantize the next group of blocks into `codes`, appending each block's
+/// choice of predictor to `fits`.
+fn encode_group(values: &[f32], codes: &mut [u32], q: &Quantizer, predictor: &mut Sz2) {
+    let Sz2 { fits, scratch } = predictor;
     let bin = 2.0 * q.bound();
     let mut chains = Vec::with_capacity(GROUP_BLOCKS);
-    let mut block = first_block;
     for (set, set_codes) in values.chunks(SET).zip(codes.chunks_mut(SET)) {
         let choice = choose_predictors(set, bin, scratch);
         let blocks = set.chunks(BLOCK).zip(set_codes.chunks_mut(BLOCK));
         for (((values, codes), preds), fit) in blocks.zip(scratch.preds.chunks(BLOCK)).zip(choice) {
-            if let Some((a, b)) = fit {
-                bitmap[block / 8] |= 1 << (block % 8);
-                coeffs.extend_from_slice(&a.to_le_bytes());
-                coeffs.extend_from_slice(&b.to_le_bytes());
+            fits.push(fit);
+            if fit.is_some() {
                 let n = values.len();
                 q.quantize_slice(values, &preds[..n], codes, &mut scratch.recons[..n]);
             } else {
@@ -244,118 +231,19 @@ fn encode_group(
                     prev: 0.0,
                 });
             }
-            block += 1;
         }
     }
     encode_lorenzo_chains(&mut chains, q);
 }
 
-/// Count a group's codes into `freqs` and append its escaped values — one
-/// per zero code, in element order — to `literals`.
-fn tally_group(values: &[f32], codes: &[u32], freqs: &mut [u64], literals: &mut Vec<f32>) {
-    let escaped_before = freqs[0];
-    for &code in codes {
-        freqs[code as usize] += 1;
-    }
-    // Most groups have no escape at all and are not looked at twice.
-    if freqs[0] > escaped_before {
-        let escaped = codes.iter().zip(values).filter(|(&code, _)| code == 0);
-        literals.extend(escaped.map(|(_, &v)| v));
-    }
-}
-
-fn raw_stream(data: &[f32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() * 4 + 10);
-    out.push(MODE_RAW);
-    varint::write_usize(&mut out, data.len());
-    for &v in data {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
-}
-
 /// Compress `data` under `eb`. Self-contained byte stream.
 pub fn compress(data: &[f32], eb: ErrorBound) -> Vec<u8> {
-    let abs_eb = eb.absolute(data);
-    let eb_valid = abs_eb.is_finite() && abs_eb > 0.0;
-    if data.is_empty() || !eb_valid {
-        // Constant/degenerate data or a non-positive bound: store losslessly.
-        return raw_stream(data);
-    }
-    let q = Quantizer::new(abs_eb);
-    let n_blocks = data.len().div_ceil(BLOCK);
-
-    // ---- quantize, a group of blocks at a time ----
-    let mut codes = vec![0u32; data.len()];
-    // Predictor bitmap: 1 = regression.
-    let mut bitmap = vec![0u8; n_blocks.div_ceil(8)];
-    let mut coeffs = Vec::new();
-    let mut literals = Vec::new();
-    let mut freqs = vec![0u64; NUM_CODES];
-    let mut scratch = Scratch::new();
-    for (group, (values, codes)) in data.chunks(GROUP).zip(codes.chunks_mut(GROUP)).enumerate() {
-        encode_group(
-            values,
-            codes,
-            group * GROUP_BLOCKS,
-            &q,
-            &mut scratch,
-            &mut bitmap,
-            &mut coeffs,
-        );
-        // The group's codes are still in cache.
-        tally_group(values, codes, &mut freqs, &mut literals);
-    }
-
-    // ---- assemble payload ----
-    let mut payload = Vec::with_capacity(data.len() / 2 + 64);
-    varint::write_usize(&mut payload, data.len());
-    payload.extend_from_slice(&abs_eb.to_le_bytes());
-    varint::write_usize(&mut payload, n_blocks);
-    payload.extend_from_slice(&bitmap);
-    payload.extend_from_slice(&coeffs);
-    varint::write_usize(&mut payload, literals.len());
-    for v in &literals {
-        payload.extend_from_slice(&v.to_le_bytes());
-    }
-
-    // Huffman-coded quantization codes.
-    let enc = HuffmanEncoder::from_frequencies(&freqs);
-    let mut w = BitWriter::with_capacity(data.len() / 2);
-    enc.write_table(&mut w);
-    enc.encode_run(&mut w, &codes);
-    payload.extend_from_slice(&w.finish());
-
-    // ---- lossless backend (Zstd analogue, as in SZ2) ----
-    let backend = fedsz_lossless::zstd::compress(&payload);
-    let mut out = Vec::with_capacity(backend.len() + 1);
-    out.push(MODE_NORMAL);
-    out.extend_from_slice(&backend);
-
-    // Safety valve: never emit more than the raw encoding would take.
-    if out.len() >= data.len() * 4 + 10 {
-        return raw_stream(data);
-    }
-    out
+    stream::compress::<Sz2>(data, eb)
 }
 
 /// Decompress a [`compress`] stream.
 pub fn decompress(bytes: &[u8]) -> Result<Vec<f32>, CodecError> {
-    let (&mode, rest) = bytes.split_first().ok_or(CodecError::UnexpectedEof)?;
-    match mode {
-        MODE_RAW => {
-            let mut pos = 0usize;
-            let n = varint::read_usize(rest, &mut pos)?;
-            let span = reader::claimed_span(n, 4, rest.len().saturating_sub(pos))?;
-            let body = reader::take(rest, &mut pos, span)?;
-            Ok(reader::f32s_from_le_bytes(body))
-        }
-        MODE_NORMAL => {
-            let payload = fedsz_lossless::zstd::decompress(rest)?;
-            decode_payload(&payload)
-        }
-        _ => Err(CodecError::Corrupt("unknown SZ2 mode")),
-    }
+    stream::decompress::<Sz2>(bytes)
 }
 
 /// Blocks quantized together, and Huffman-decoded into the scratch and
@@ -363,64 +251,103 @@ pub fn decompress(bytes: &[u8]) -> Result<Vec<f32>, CodecError> {
 /// histogram pass, or the decoder's reconstruct pass, reads them back.
 const GROUP_BLOCKS: usize = 64;
 
-/// Everything in the payload ahead of the Huffman bitstream.
-struct PayloadHeader<'a> {
-    n: usize,
-    q: Quantizer,
-    /// Bit `i` set = block `i` uses the regression predictor.
-    bitmap: &'a [u8],
-    /// `(a, b)` per regression block, in block order.
-    coeffs: Vec<(f32, f32)>,
-    literals: Vec<f32>,
-    /// Huffman table followed by the `n` coded symbols.
-    bitstream: &'a [u8],
+/// The hybrid predictor over the shared container: a unit is one group, the
+/// side info a bitmap of the regression blocks, then their coefficients.
+pub(crate) struct Sz2 {
+    /// Per block, `(a, b)` of a regression block and `None` of a Lorenzo one.
+    fits: Vec<Option<(f32, f32)>>,
+    /// The encoder's; a decoder's stays empty.
+    scratch: Scratch,
 }
 
-fn is_regression(bitmap: &[u8], block: usize) -> bool {
-    bitmap
-        .get(block / 8)
-        .is_some_and(|&b| b & (1 << (block % 8)) != 0)
-}
+impl Predictor for Sz2 {
+    const BLOCK: usize = BLOCK;
+    const UNIT: usize = GROUP;
+    const TOO_MANY_ELEMENTS: &'static str = "SZ2 element count exceeds stream";
 
-fn decode_header(payload: &[u8]) -> Result<PayloadHeader<'_>, CodecError> {
-    let mut pos = 0usize;
-    let n = varint::read_usize(payload, &mut pos)?;
-    // A stream of L bytes cannot code more than 8·L elements (every code is
-    // at least one bit). `n` alone sizes nothing in any case: it only caps
-    // a reservation made from what the bitstream has really coded.
-    if n > payload.len().saturating_mul(8) {
-        return Err(CodecError::Corrupt("SZ2 element count exceeds stream"));
-    }
-    let abs_eb = reader::read_f64_le(payload, &mut pos)?;
-    if !(abs_eb.is_finite() && abs_eb > 0.0) {
-        return Err(CodecError::Corrupt("invalid SZ2 error bound"));
+    fn new(blocks: usize) -> Self {
+        Sz2 {
+            fits: Vec::with_capacity(blocks),
+            scratch: Scratch::new(),
+        }
     }
 
-    let n_blocks = varint::read_usize(payload, &mut pos)?;
-    if n_blocks != n.div_ceil(BLOCK) {
-        return Err(CodecError::Corrupt("SZ2 block count mismatch"));
+    fn encode_unit(
+        &mut self,
+        values: &[f32],
+        q: &Quantizer,
+        codes: &mut [u32],
+        literals: &mut Vec<f32>,
+    ) {
+        encode_group(values, codes, q, self);
+        // Most groups have no escape at all and are not looked at twice.
+        if codes.contains(&0) {
+            let escaped = codes.iter().zip(values).filter(|(&code, _)| code == 0);
+            literals.extend(escaped.map(|(_, &v)| v));
+        }
     }
-    let bitmap = reader::take(payload, &mut pos, n_blocks.div_ceil(8))?;
 
-    let n_regression = (0..n_blocks).filter(|&i| is_regression(bitmap, i)).count();
-    let mut coeffs = Vec::new();
-    for _ in 0..n_regression {
-        let a = reader::read_f32_le(payload, &mut pos)?;
-        let b = reader::read_f32_le(payload, &mut pos)?;
-        coeffs.push((a, b));
+    fn write_side_info(&self, payload: &mut Vec<u8>) {
+        let mut bitmap = vec![0u8; self.fits.len().div_ceil(8)];
+        for (block, _) in self.fits.iter().enumerate().filter(|(_, f)| f.is_some()) {
+            bitmap[block / 8] |= 1 << (block % 8);
+        }
+        payload.extend_from_slice(&bitmap);
+        for (a, b) in self.fits.iter().flatten() {
+            payload.extend_from_slice(&a.to_le_bytes());
+            payload.extend_from_slice(&b.to_le_bytes());
+        }
     }
 
-    let n_literals = varint::read_usize(payload, &mut pos)?;
-    let lit_span = reader::claimed_span(n_literals, 4, payload.len().saturating_sub(pos))?;
-    let literals = reader::f32s_from_le_bytes(reader::take(payload, &mut pos, lit_span)?);
-    Ok(PayloadHeader {
-        n,
-        q: Quantizer::new(abs_eb),
-        bitmap,
-        coeffs,
-        literals,
-        bitstream: payload.get(pos..).ok_or(CodecError::UnexpectedEof)?,
-    })
+    fn read_side_info(blocks: usize, payload: &[u8], pos: &mut usize) -> Result<Self, CodecError> {
+        let bitmap = reader::take(payload, pos, blocks.div_ceil(8))?;
+        let mut fits = Vec::new();
+        for block in 0..blocks {
+            let byte = bitmap.get(block / 8).copied().unwrap_or(0);
+            fits.push(if byte & (1 << (block % 8)) != 0 {
+                let a = reader::read_f32_le(payload, pos)?;
+                Some((a, reader::read_f32_le(payload, pos)?))
+            } else {
+                None
+            });
+        }
+        let scratch = Scratch::default();
+        Ok(Sz2 { fits, scratch })
+    }
+
+    fn decode_unit(
+        &mut self,
+        index: usize,
+        codes: &[u32],
+        literals: &[f32],
+        q: &Quantizer,
+        out: &mut [f32],
+    ) -> Result<(), CodecError> {
+        let mut chains = Vec::with_capacity(GROUP_BLOCKS);
+        let mut literal_at = 0usize;
+        let fits = self.fits.iter().skip(index * GROUP_BLOCKS);
+        for ((codes, out), fit) in codes.chunks(BLOCK).zip(out.chunks_mut(BLOCK)).zip(fits) {
+            // As for the group in the container: each block its own checked
+            // share of the group's literals.
+            let from = literal_at;
+            literal_at += codes.iter().filter(|&&c| c == 0).count();
+            let literals = literals
+                .get(from..literal_at)
+                .ok_or(CodecError::Corrupt("missing literal"))?;
+            if let &Some((a, b)) = fit {
+                decode_regression_block(codes, out, literals, a, b, q);
+            } else {
+                chains.push(LorenzoChain {
+                    codes,
+                    out,
+                    literals: literals.iter(),
+                    prev: 0.0,
+                });
+            }
+        }
+        decode_lorenzo_chains(&mut chains, q);
+        Ok(())
+    }
 }
 
 /// One Lorenzo block of a group, mid-reconstruction.
@@ -432,71 +359,6 @@ struct LorenzoChain<'a> {
     /// The value reconstructed last; a block's first element is predicted
     /// by 0.
     prev: f32,
-}
-
-/// Fused decode: per group of [`GROUP_BLOCKS`] blocks, Huffman-decode into a
-/// fixed scratch, then reconstruct the group into an output that has grown
-/// by exactly that many elements.
-fn decode_payload(payload: &[u8]) -> Result<Vec<f32>, CodecError> {
-    let h = decode_header(payload)?;
-    let mut r = BitReader::new(h.bitstream);
-    let dec = HuffmanDecoder::read_table(&mut r)?;
-    let table_bits = r.bits_consumed();
-
-    let mut scratch = vec![0u32; GROUP_BLOCKS * BLOCK];
-    let mut out: Vec<f32> = Vec::new();
-    let mut coeffs = h.coeffs.iter();
-    let mut literal_at = 0usize;
-    for first_block in (0..h.n.div_ceil(BLOCK)).step_by(GROUP_BLOCKS) {
-        let start = out.len();
-        let codes = &mut scratch[..(h.n - start).min(GROUP_BLOCKS * BLOCK)];
-        dec.decode_run(&mut r, codes)?;
-        if start == 0 {
-            let spent_bits = r.bits_consumed();
-            out.reserve_exact(crate::decode_capacity(
-                h.n,
-                codes.len(),
-                spent_bits - table_bits,
-                h.bitstream
-                    .len()
-                    .saturating_mul(8)
-                    .saturating_sub(spent_bits),
-            ));
-        }
-        out.resize(start.saturating_add(codes.len()), 0.0);
-        let fresh = &mut out[start..];
-
-        let mut chains = Vec::with_capacity(GROUP_BLOCKS);
-        for (block, (codes, out)) in
-            (first_block..).zip(codes.chunks(BLOCK).zip(fresh.chunks_mut(BLOCK)))
-        {
-            // A block's literals start where the zero codes before it end.
-            // Handing each block its own checked sub-slice keeps every
-            // literal read of the reconstruct loops in range, so they carry
-            // no per-element `Result`.
-            let from = literal_at;
-            literal_at += codes.iter().filter(|&&c| c == 0).count();
-            let literals = h
-                .literals
-                .get(from..literal_at)
-                .ok_or(CodecError::Corrupt("missing literal"))?;
-            if is_regression(h.bitmap, block) {
-                let &(a, b) = coeffs
-                    .next()
-                    .ok_or(CodecError::Corrupt("missing regression coefficients"))?;
-                decode_regression_block(codes, out, literals, a, b, &h.q);
-            } else {
-                chains.push(LorenzoChain {
-                    codes,
-                    out,
-                    literals: literals.iter(),
-                    prev: 0.0,
-                });
-            }
-        }
-        decode_lorenzo_chains(&mut chains, &h.q);
-    }
-    Ok(out)
 }
 
 fn decode_regression_block(
@@ -556,24 +418,17 @@ fn decode_lorenzo_chains(chains: &mut [LorenzoChain<'_>], q: &Quantizer) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value_range;
-
-    fn smooth(n: usize) -> Vec<f32> {
-        (0..n).map(|i| ((i as f32) * 0.01).sin()).collect()
-    }
+    use crate::stream::decode_header;
+    use crate::stream::tests::{
+        assert_decodes_like, assert_encodes_like, codes_with_escapes, hostile_floats, literals_for,
+        payload_of, raw_by_hand, reference_bound, smooth, xorshift, Parts,
+    };
+    use crate::LossyKind;
+    use fedsz_entropy::bitio::BitReader;
+    use fedsz_entropy::huffman::HuffmanDecoder;
 
     fn check_bound(data: &[f32], rel: f64) -> f64 {
-        let c = compress(data, ErrorBound::Rel(rel));
-        let d = decompress(&c).unwrap();
-        assert_eq!(d.len(), data.len());
-        let abs = rel * value_range(data);
-        for (i, (a, b)) in data.iter().zip(&d).enumerate() {
-            assert!(
-                ((a - b).abs() as f64) <= abs * (1.0 + 1e-6),
-                "idx {i}: {a} vs {b}, bound {abs}"
-            );
-        }
-        (data.len() * 4) as f64 / c.len() as f64
+        crate::stream::tests::check_bound(LossyKind::Sz2, data, rel)
     }
 
     #[test]
@@ -627,14 +482,6 @@ mod tests {
     }
 
     #[test]
-    fn raw_mode_for_zero_bound() {
-        let data = smooth(100);
-        let c = compress(&data, ErrorBound::Abs(0.0));
-        assert_eq!(c[0], MODE_RAW);
-        assert_eq!(decompress(&c).unwrap(), data);
-    }
-
-    #[test]
     fn partial_final_block_handled() {
         for n in [1usize, 255, 256, 257, 511, 513] {
             let data = smooth(n);
@@ -660,22 +507,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn corrupt_stream_rejected() {
-        let data = smooth(1000);
-        let mut c = compress(&data, ErrorBound::Rel(1e-3));
-        c[0] = 99;
-        assert!(decompress(&c).is_err());
-        assert!(decompress(&[]).is_err());
-    }
-
-    #[test]
-    fn truncated_stream_rejected() {
-        let data = smooth(5000);
-        let c = compress(&data, ErrorBound::Rel(1e-3));
-        assert!(decompress(&c[..c.len() / 2]).is_err());
-    }
-
     // -----------------------------------------------------------------------
     // The fused decoder against a naive reference: all codes first, through
     // the per-symbol `decode`, then one block at a time with a fallible
@@ -684,7 +515,7 @@ mod tests {
     // -----------------------------------------------------------------------
 
     fn decode_payload_reference(payload: &[u8]) -> Result<Vec<f32>, CodecError> {
-        let h = decode_header(payload)?;
+        let h = decode_header::<Sz2>(payload)?;
         let mut r = BitReader::new(h.bitstream);
         let dec = HuffmanDecoder::read_table(&mut r)?;
         let mut codes = Vec::new();
@@ -694,18 +525,14 @@ mod tests {
 
         let mut out = Vec::new();
         let mut lit_iter = h.literals.iter();
-        let mut coeff_iter = h.coeffs.iter();
         let mut literal = || {
             lit_iter
                 .next()
                 .copied()
                 .ok_or(CodecError::Corrupt("missing literal"))
         };
-        for (bi, block_codes) in codes.chunks(BLOCK).enumerate() {
-            if is_regression(h.bitmap, bi) {
-                let &(a, b) = coeff_iter
-                    .next()
-                    .ok_or(CodecError::Corrupt("missing regression coefficients"))?;
+        for (block_codes, fit) in codes.chunks(BLOCK).zip(&h.predictor.fits) {
+            if let &Some((a, b)) = fit {
                 let mut preds = vec![0.0f32; block_codes.len()];
                 fedsz_simd::linear_preds(a, b, 0, &mut preds);
                 for (&pred, &code) in preds.iter().zip(block_codes) {
@@ -730,18 +557,8 @@ mod tests {
         Ok(out)
     }
 
-    fn bits(decoded: Result<Vec<f32>, CodecError>) -> Result<Vec<u32>, CodecError> {
-        decoded.map(|v| v.iter().map(|x| x.to_bits()).collect())
-    }
-
     fn assert_matches_reference(payload: &[u8], ctx: &str) -> Result<Vec<f32>, CodecError> {
-        let fused = decode_payload(payload);
-        assert_eq!(
-            bits(fused.clone()),
-            bits(decode_payload_reference(payload)),
-            "{ctx}"
-        );
-        fused
+        assert_decodes_like::<Sz2>(decode_payload_reference, payload, ctx)
     }
 
     /// A payload as `compress` lays it out, from parts a test chooses:
@@ -750,77 +567,17 @@ mod tests {
     fn assemble(regression: &[bool], codes: &[u32], literals: &[f32]) -> Vec<u8> {
         assert_eq!(regression.len(), codes.len().div_ceil(BLOCK));
         let mut rng = xorshift(0xC0EF);
-        let mut payload = Vec::new();
-        varint::write_usize(&mut payload, codes.len());
-        payload.extend_from_slice(&0.0125f64.to_le_bytes());
-        varint::write_usize(&mut payload, regression.len());
-        let mut bitmap = vec![0u8; regression.len().div_ceil(8)];
+        let mut side = vec![0u8; regression.len().div_ceil(8)];
         for (i, _) in regression.iter().enumerate().filter(|(_, &r)| r) {
-            bitmap[i / 8] |= 1 << (i % 8);
+            side[i / 8] |= 1 << (i % 8);
         }
-        payload.extend_from_slice(&bitmap);
         for _ in regression.iter().filter(|&&r| r) {
             let a = (rng() % 2001) as f32 * 1e-3 - 1.0;
             let b = (rng() % 2001) as f32 * 1e-1 - 100.0;
-            payload.extend_from_slice(&a.to_le_bytes());
-            payload.extend_from_slice(&b.to_le_bytes());
+            side.extend_from_slice(&a.to_le_bytes());
+            side.extend_from_slice(&b.to_le_bytes());
         }
-        varint::write_usize(&mut payload, literals.len());
-        for v in literals {
-            payload.extend_from_slice(&v.to_le_bytes());
-        }
-        let mut freqs = vec![0u64; NUM_CODES];
-        for &c in codes {
-            freqs[c as usize] += 1;
-        }
-        let enc = HuffmanEncoder::from_frequencies(&freqs);
-        let mut w = BitWriter::new();
-        enc.write_table(&mut w);
-        for &c in codes {
-            enc.encode(&mut w, c);
-        }
-        payload.extend_from_slice(&w.finish());
-        payload
-    }
-
-    fn xorshift(seed: u64) -> impl FnMut() -> u64 {
-        let mut state = seed;
-        move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        }
-    }
-
-    /// `n` codes near the centre of the code book with a far one now and
-    /// then, and a zero (an escape) wherever `escape` says so.
-    fn codes_with_escapes(n: usize, seed: u64, escape: impl Fn(usize) -> bool) -> Vec<u32> {
-        let mut rng = xorshift(seed);
-        (0..n)
-            .map(|i| match rng() % 64 {
-                _ if escape(i) => 0,
-                0 => 1 + (rng() % (NUM_CODES as u64 - 1)) as u32,
-                r => (RADIUS_CODE + r % 9) as u32 - 4,
-            })
-            .collect()
-    }
-
-    const RADIUS_CODE: u64 = NUM_CODES as u64 / 2;
-
-    /// One literal per zero code: NaN, the infinities, outliers, ordinary
-    /// values.
-    fn literals_for(codes: &[u32]) -> Vec<f32> {
-        let pool = [
-            f32::NAN,
-            f32::INFINITY,
-            f32::NEG_INFINITY,
-            1.0e30,
-            -3.5e-9,
-            0.25,
-        ];
-        let zeros = codes.iter().filter(|&&c| c == 0).count();
-        (0..zeros).map(|i| pool[i % pool.len()]).collect()
+        Parts::new(0.0125, regression.len(), side, literals.to_vec(), codes).lay_out()
     }
 
     /// Lengths around the block, lane-set and group boundaries.
@@ -885,26 +642,6 @@ mod tests {
     }
 
     #[test]
-    fn a_stream_one_literal_short_is_a_missing_literal_error() {
-        for (n, regression) in [
-            (100, false),
-            (100, true),
-            (GROUP + 5 * BLOCK, false),
-            (GROUP + 5 * BLOCK, true),
-        ] {
-            let regression = vec![regression; n.div_ceil(BLOCK)];
-            // The last escape sits in the last block, so every group before
-            // it decodes in full first.
-            let codes = codes_with_escapes(n, 11, |i| i % 50 == 49 || i == n - 1);
-            let mut literals = literals_for(&codes);
-            literals.pop();
-            let payload = assemble(&regression, &codes, &literals);
-            let got = assert_matches_reference(&payload, "one literal short");
-            assert_eq!(got, Err(CodecError::Corrupt("missing literal")));
-        }
-    }
-
-    #[test]
     fn truncated_payloads_fail_like_the_reference() {
         let n = GROUP + 3 * BLOCK + 40;
         let regression: Vec<bool> = (0..n.div_ceil(BLOCK)).map(|b| b % 3 == 0).collect();
@@ -919,12 +656,6 @@ mod tests {
             let got = assert_matches_reference(&payload[..cut], &ctx);
             assert!(got.is_err(), "{ctx} decoded");
         }
-    }
-
-    /// The payload inside a NORMAL-mode stream.
-    fn payload_of(stream: &[u8]) -> Vec<u8> {
-        assert_eq!(stream[0], MODE_NORMAL);
-        fedsz_lossless::zstd::decompress(&stream[1..]).unwrap()
     }
 
     #[test]
@@ -942,12 +673,12 @@ mod tests {
             let mut lossy = 0usize;
             for entry in model.entries() {
                 let stream = compress(entry.tensor.data(), ErrorBound::Rel(rel));
-                if stream[0] != MODE_NORMAL {
+                let Some(payload) = payload_of(&stream) else {
                     continue;
-                }
+                };
                 lossy += 1;
                 let ctx = format!("{} {rel:e} {}", kind.name(), entry.name);
-                assert_matches_reference(&payload_of(&stream), &ctx).unwrap();
+                assert_matches_reference(&payload, &ctx).unwrap();
             }
             assert!(lossy > 10, "{}: {lossy} NORMAL-mode tensors", kind.name());
         }
@@ -1021,76 +752,30 @@ mod tests {
     }
 
     fn compress_reference(data: &[f32], eb: ErrorBound) -> Vec<u8> {
-        let abs_eb = match eb {
-            ErrorBound::Abs(eb) => eb,
-            ErrorBound::Rel(rel) => rel * crate::value_range_scalar(data),
+        let Some(abs_eb) = reference_bound(data, eb) else {
+            return raw_by_hand(data);
         };
-        let eb_valid = abs_eb.is_finite() && abs_eb > 0.0;
-        if data.is_empty() || !eb_valid {
-            return raw_stream(data);
-        }
         let q = Quantizer::new(abs_eb);
         let blocks: Vec<BlockOut> = data.chunks(BLOCK).map(|b| compress_block(b, &q)).collect();
 
-        let mut payload = Vec::new();
-        varint::write_usize(&mut payload, data.len());
-        payload.extend_from_slice(&abs_eb.to_le_bytes());
-        let mut bitmap = vec![0u8; blocks.len().div_ceil(8)];
+        let mut side = vec![0u8; blocks.len().div_ceil(8)];
         for (i, blk) in blocks.iter().enumerate() {
             if blk.regression.is_some() {
-                bitmap[i / 8] |= 1 << (i % 8);
+                side[i / 8] |= 1 << (i % 8);
             }
         }
-        varint::write_usize(&mut payload, blocks.len());
-        payload.extend_from_slice(&bitmap);
-        for blk in &blocks {
-            if let Some((a, b)) = blk.regression {
-                payload.extend_from_slice(&a.to_le_bytes());
-                payload.extend_from_slice(&b.to_le_bytes());
-            }
+        for (a, b) in blocks.iter().filter_map(|blk| blk.regression) {
+            side.extend_from_slice(&a.to_le_bytes());
+            side.extend_from_slice(&b.to_le_bytes());
         }
-        let n_literals: usize = blocks.iter().map(|b| b.literals.len()).sum();
-        varint::write_usize(&mut payload, n_literals);
-        for blk in &blocks {
-            for &v in &blk.literals {
-                payload.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-
-        let mut freqs = vec![0u64; NUM_CODES];
-        for blk in &blocks {
-            for &c in &blk.codes {
-                freqs[c as usize] += 1;
-            }
-        }
-        let enc = HuffmanEncoder::from_frequencies(&freqs);
-        let mut w = BitWriter::new();
-        enc.write_table(&mut w);
-        for blk in &blocks {
-            for &c in &blk.codes {
-                enc.encode(&mut w, c);
-            }
-        }
-        payload.extend_from_slice(&w.finish());
-
-        let backend = fedsz_lossless::zstd::compress(&payload);
-        let mut out = Vec::with_capacity(backend.len() + 1);
-        out.push(MODE_NORMAL);
-        out.extend_from_slice(&backend);
-        if out.len() >= data.len() * 4 + 10 {
-            return raw_stream(data);
-        }
-        out
+        let literals = blocks.iter().flat_map(|b| b.literals.clone()).collect();
+        let codes: Vec<u32> = blocks.iter().flat_map(|b| b.codes.clone()).collect();
+        Parts::new(abs_eb, blocks.len(), side, literals, &codes).stream(data)
     }
 
     /// `compress` == `compress_reference` on `data`; returns the stream.
     fn assert_encodes_like_reference(data: &[f32], eb: ErrorBound, ctx: &str) -> Vec<u8> {
-        let stream = compress(data, eb);
-        // Compared as a flag first: a mismatch in a 10 MB stream should not
-        // be printed.
-        let same = stream == compress_reference(data, eb);
-        assert!(same, "{ctx}: stream differs from the reference encoder's");
-        stream
+        assert_encodes_like::<Sz2>(compress_reference, data, eb, ctx)
     }
 
     /// A block the cost model gives to the regression predictor (a ramp
@@ -1135,11 +820,11 @@ mod tests {
                 }
                 // The generator really produces the mix it is named for (a
                 // short last block may go either way).
-                let payload = payload_of(&stream);
-                let h = decode_header(&payload).unwrap();
+                let payload = payload_of(&stream).unwrap();
+                let h = decode_header::<Sz2>(&payload).unwrap();
                 for block in 0..n / BLOCK {
                     assert_eq!(
-                        is_regression(h.bitmap, block),
+                        h.predictor.fits[block].is_some(),
                         pick(block),
                         "{ctx}, block {block}"
                     );
@@ -1166,9 +851,8 @@ mod tests {
                 }
             }
             let stream = assert_encodes_like_reference(&data, ErrorBound::Abs(1e-3), name);
-            if stream[0] == MODE_NORMAL {
-                let h_payload = payload_of(&stream);
-                let h = decode_header(&h_payload).unwrap();
+            if let Some(payload) = payload_of(&stream) {
+                let h = decode_header::<Sz2>(&payload).unwrap();
                 assert!(
                     h.literals.len() > n / 6,
                     "{name}: {} literals",
@@ -1184,39 +868,7 @@ mod tests {
     #[test]
     fn encoder_matches_reference_on_hostile_floats() {
         let base = tensor_for(3 * LANES * BLOCK + 57, |b| b % 3 == 0, 5);
-        let mut corpus: Vec<(&str, Vec<f32>)> = vec![
-            ("empty", vec![]),
-            ("single element", vec![0.37]),
-            ("single NaN", vec![f32::NAN]),
-            ("constant", vec![2.5; 1000]),
-            ("range zero, signed zeros", [0.0f32, -0.0].repeat(700)),
-            ("all NaN", vec![f32::NAN; 600]),
-            (
-                "infinities only",
-                [f32::INFINITY, f32::NEG_INFINITY].repeat(300),
-            ),
-            (
-                "denormals",
-                (0..3000u32)
-                    .map(|i| f32::from_bits(i % 97 + 1) * if i % 2 == 0 { 1.0 } else { -1.0 })
-                    .collect(),
-            ),
-            (
-                "denormals and zeros under a normal range",
-                (0..3000u32)
-                    .map(|i| match i % 4 {
-                        0 => f32::from_bits(i + 1),
-                        1 => -0.0,
-                        2 => 0.0,
-                        _ => (i as f32 * 0.01).sin(),
-                    })
-                    .collect(),
-            ),
-            (
-                "huge magnitudes",
-                (0..2000).map(|i| (i as f32 - 1000.0) * 3.0e35).collect(),
-            ),
-        ];
+        let mut corpus = hostile_floats();
         // One special at a time at the block, lane-set and group edges, and
         // all of them sprinkled through.
         for special in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 1.0e-45] {
@@ -1283,7 +935,7 @@ mod tests {
                         ErrorBound::Rel(rel),
                         &ctx,
                     );
-                    lossy += usize::from(stream[0] == MODE_NORMAL);
+                    lossy += usize::from(payload_of(&stream).is_some());
                 }
                 assert!(
                     lossy >= 8,

@@ -9,20 +9,16 @@
 //! its lower throughput relative to SZ2 — the extra passes and stencil work
 //! are the price Table I measures).
 
-use fedsz_entropy::bitio::{BitReader, BitWriter};
-use fedsz_entropy::huffman::{HuffmanDecoder, HuffmanEncoder};
-use fedsz_entropy::{reader, varint, CodecError};
+use fedsz_entropy::{reader, CodecError};
 
-use crate::quantizer::{Quantizer, NUM_CODES};
+use crate::quantizer::Quantizer;
+use crate::stream::{self, Predictor};
 use crate::ErrorBound;
 
 /// Interpolation chunk size (power of two).
 const CHUNK: usize = 4096;
 /// Maximum interpolation levels per chunk (2^12 = 4096).
 const MAX_LEVELS: usize = 12;
-
-const MODE_RAW: u8 = 0;
-const MODE_NORMAL: u8 = 1;
 
 /// Descending strides for a chunk of length `m`.
 fn strides(m: usize) -> Vec<usize> {
@@ -66,6 +62,7 @@ fn cubic_pred(rec: &[f32], i: usize, s: usize) -> f32 {
 
 /// Buffers one `compress` call reuses for every chunk and level, sized for
 /// the densest (stride 1) level of a full chunk.
+#[derive(Default)]
 struct Scratch {
     /// The chunk as the decoder will reconstruct it.
     rec: Vec<f32>,
@@ -92,6 +89,54 @@ impl Scratch {
     }
 }
 
+/// The predictions of the level at stride `s` of a chunk from the points of
+/// `rec` reconstructed so far: linear into `lin`, cubic into `cub` if `cubic`
+/// is set, one per target. Returns how many targets the level has.
+///
+/// Targets are the odd multiples of `s`; every prediction reads only the
+/// coarse grid, the even multiples, so the whole level batches through the
+/// dispatched kernels with no feedback hazard — a sequential loop over the
+/// targets produces the same bits. Encoder and decoder both predict here.
+fn level_preds(
+    rec: &[f32],
+    s: usize,
+    cubic: bool,
+    grid: &mut [f32],
+    lin: &mut [f32],
+    cub: &mut [f32],
+) -> usize {
+    let m = rec.len();
+    let t_cnt = (m + s - 1) / (2 * s);
+    let g_cnt = m.div_ceil(2 * s);
+    let grid = &mut grid[..g_cnt];
+    for (j, g) in grid.iter_mut().enumerate() {
+        *g = rec[2 * j * s];
+    }
+
+    // Linear: midpoint of the neighbouring grid points; the final target
+    // falls back to its left neighbour when the right one is past the
+    // end (exactly `linear_pred`).
+    let lin = &mut lin[..t_cnt];
+    let mc = t_cnt.min(g_cnt - 1);
+    fedsz_simd::midpoint_preds(grid, &mut lin[..mc]);
+    if t_cnt > mc {
+        lin[t_cnt - 1] = grid[t_cnt - 1];
+    }
+
+    // Cubic: 4-point stencil on the interior targets (t in 1..hi), with
+    // the linear fallback at both edges (exactly `cubic_pred`). Output
+    // index j of the kernel reads grid[j..j+4], i.e. target t = j + 1.
+    if cubic {
+        let cub = &mut cub[..t_cnt];
+        cub.copy_from_slice(lin);
+        let hi = t_cnt.min(g_cnt.saturating_sub(2));
+        if hi > 1 {
+            fedsz_simd::cubic_preds(grid, &mut cub[1..hi]);
+        }
+    }
+    t_cnt
+}
+
 /// Quantize one chunk into `codes` (one per element, in level order) and
 /// append its escaped values to `literals`. Returns the cubic-level mask:
 /// bit `l` set = level `l` (in stride order) uses cubic interpolation.
@@ -113,42 +158,13 @@ fn compress_chunk(
     });
     let mut coded = 1usize;
 
-    // Within a level every prediction reads only the coarse grid (even
-    // multiples of `s`) while every write lands on an odd multiple, so the
-    // whole level batches through the dispatched kernels with no feedback
-    // hazard — the sequential loop this replaces produced the same bits.
     for (lvl, s) in strides(m).into_iter().enumerate() {
-        // Targets are the odd multiples of `s` below `m`; the grid holds the
-        // already-reconstructed even multiples.
-        let t_cnt = (m + s - 1) / (2 * s);
-        let g_cnt = m.div_ceil(2 * s);
-        let grid = &mut scratch.grid[..g_cnt];
-        for (j, g) in grid.iter_mut().enumerate() {
-            *g = rec[2 * j * s];
-        }
+        let Scratch { grid, lin, cub, .. } = scratch;
+        let t_cnt = level_preds(rec, s, true, grid, lin, cub);
+        let (lin, cub) = (&lin[..t_cnt], &cub[..t_cnt]);
         let vals = &mut scratch.vals[..t_cnt];
         for (t, v) in vals.iter_mut().enumerate() {
             *v = block[(2 * t + 1) * s];
-        }
-
-        // Linear: midpoint of the neighbouring grid points; the final target
-        // falls back to its left neighbour when the right one is past the
-        // end (exactly `linear_pred`).
-        let lin = &mut scratch.lin[..t_cnt];
-        let mc = t_cnt.min(g_cnt - 1);
-        fedsz_simd::midpoint_preds(grid, &mut lin[..mc]);
-        if t_cnt > mc {
-            lin[t_cnt - 1] = grid[t_cnt - 1];
-        }
-
-        // Cubic: 4-point stencil on the interior targets (t in 1..hi), with
-        // the linear fallback at both edges (exactly `cubic_pred`). Output
-        // index j of the kernel reads grid[j..j+4], i.e. target t = j + 1.
-        let cub = &mut scratch.cub[..t_cnt];
-        cub.copy_from_slice(lin);
-        let hi = t_cnt.min(g_cnt.saturating_sub(2));
-        if hi > 1 {
-            fedsz_simd::cubic_preds(grid, &mut cub[1..hi]);
         }
 
         // Pick the interpolant with the smaller total absolute error against
@@ -181,94 +197,105 @@ fn compress_chunk(
     cubic_mask
 }
 
-fn raw_stream(data: &[f32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() * 4 + 10);
-    out.push(MODE_RAW);
-    varint::write_usize(&mut out, data.len());
-    for &v in data {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
-}
-
 /// Compress `data` under `eb`. Self-contained byte stream.
 pub fn compress(data: &[f32], eb: ErrorBound) -> Vec<u8> {
-    let abs_eb = eb.absolute(data);
-    let eb_valid = abs_eb.is_finite() && abs_eb > 0.0;
-    if data.is_empty() || !eb_valid {
-        return raw_stream(data);
-    }
-    let q = Quantizer::new(abs_eb);
-    let n_chunks = data.len().div_ceil(CHUNK);
+    stream::compress::<Sz3>(data, eb)
+}
 
-    let mut codes = vec![0u32; data.len()];
-    let mut masks = Vec::with_capacity(2 * n_chunks);
-    let mut literals = Vec::new();
-    let mut freqs = vec![0u64; NUM_CODES];
-    let mut scratch = Scratch::new();
-    for (block, codes) in data.chunks(CHUNK).zip(codes.chunks_mut(CHUNK)) {
-        let mask = compress_chunk(block, &q, codes, &mut literals, &mut scratch);
-        masks.extend_from_slice(&mask.to_le_bytes());
-        // The chunk's codes are still in cache.
-        for &code in codes.iter() {
-            freqs[code as usize] += 1;
+/// Decompress a [`compress`] stream.
+pub fn decompress(bytes: &[u8]) -> Result<Vec<f32>, CodecError> {
+    stream::decompress::<Sz3>(bytes)
+}
+
+/// The interpolation predictor over the shared container: block and unit are
+/// both one chunk, the side info a cubic-level mask per chunk.
+pub(crate) struct Sz3 {
+    masks: Vec<u16>,
+    /// The encoder's; a decoder's stays empty.
+    scratch: Scratch,
+}
+
+impl Predictor for Sz3 {
+    const BLOCK: usize = CHUNK;
+    const UNIT: usize = CHUNK;
+    const TOO_MANY_ELEMENTS: &'static str = "SZ3 element count exceeds stream";
+
+    fn new(blocks: usize) -> Self {
+        Sz3 {
+            masks: Vec::with_capacity(blocks),
+            scratch: Scratch::new(),
         }
     }
 
-    let mut payload = Vec::with_capacity(data.len() / 2 + 64);
-    varint::write_usize(&mut payload, data.len());
-    payload.extend_from_slice(&abs_eb.to_le_bytes());
-    varint::write_usize(&mut payload, n_chunks);
-    payload.extend_from_slice(&masks);
-    varint::write_usize(&mut payload, literals.len());
-    for v in &literals {
-        payload.extend_from_slice(&v.to_le_bytes());
+    fn encode_unit(
+        &mut self,
+        values: &[f32],
+        q: &Quantizer,
+        codes: &mut [u32],
+        literals: &mut Vec<f32>,
+    ) {
+        let mask = compress_chunk(values, q, codes, literals, &mut self.scratch);
+        self.masks.push(mask);
     }
 
-    let enc = HuffmanEncoder::from_frequencies(&freqs);
-    let mut w = BitWriter::with_capacity(data.len() / 2);
-    enc.write_table(&mut w);
-    enc.encode_run(&mut w, &codes);
-    payload.extend_from_slice(&w.finish());
-
-    let backend = fedsz_lossless::zstd::compress(&payload);
-    let mut out = Vec::with_capacity(backend.len() + 1);
-    out.push(MODE_NORMAL);
-    out.extend_from_slice(&backend);
-    if out.len() >= data.len() * 4 + 10 {
-        return raw_stream(data);
+    fn write_side_info(&self, payload: &mut Vec<u8>) {
+        for mask in &self.masks {
+            payload.extend_from_slice(&mask.to_le_bytes());
+        }
     }
-    out
+
+    fn read_side_info(blocks: usize, payload: &[u8], pos: &mut usize) -> Result<Self, CodecError> {
+        let mut masks = Vec::new();
+        for _ in 0..blocks {
+            let b = reader::take_array::<2>(payload, pos)?;
+            masks.push(u16::from_le_bytes(b));
+        }
+        let scratch = Scratch::default();
+        Ok(Sz3 { masks, scratch })
+    }
+
+    fn decode_unit(
+        &mut self,
+        index: usize,
+        codes: &[u32],
+        literals: &[f32],
+        q: &Quantizer,
+        out: &mut [f32],
+    ) -> Result<(), CodecError> {
+        let &mask = self
+            .masks
+            .get(index)
+            .ok_or(CodecError::Corrupt("missing SZ3 level mask"))?;
+        decode_chunk(mask, codes, literals, q, out)
+    }
 }
 
+/// Reconstruct one chunk into the zeroed `rec` from its codes, in level
+/// order, and `literals`, exactly one per zero code.
 fn decode_chunk(
-    m: usize,
     cubic_mask: u16,
     codes: &[u32],
-    lit_iter: &mut std::slice::Iter<'_, f32>,
+    literals: &[f32],
     q: &Quantizer,
-) -> Result<Vec<f32>, CodecError> {
-    let mut rec = vec![0.0f32; m];
+    rec: &mut [f32],
+) -> Result<(), CodecError> {
+    let m = rec.len();
+    let mut literals = literals.iter();
+    let mut literal = move || literals.next().copied().unwrap_or(0.0);
 
-    let code = *codes
-        .first()
-        .ok_or(CodecError::Corrupt("SZ3 code underrun"))?;
-    let seed = if code == 0 {
-        *lit_iter
-            .next()
-            .ok_or(CodecError::Corrupt("missing literal"))?
+    let (Some(&code), Some(first)) = (codes.first(), rec.first_mut()) else {
+        return Err(CodecError::Corrupt("SZ3 code underrun"));
+    };
+    *first = if code == 0 {
+        literal()
     } else {
         q.reconstruct(0.0, code)
     };
-    match rec.first_mut() {
-        Some(first) => *first = seed,
-        None => return Ok(rec),
-    }
     let mut ci = 1usize;
 
-    // Mirror of the batched encoder: per level, gather the coarse grid,
-    // rebuild the predictor the encoder chose, and reconstruct the whole
-    // level through the dispatched kernels.
+    // Mirror of the batched encoder: per level, rebuild the predictor the
+    // encoder chose and reconstruct the whole level through the dispatched
+    // kernels.
     let cap = m / 2 + 1;
     let mut grid = vec![0.0f32; cap];
     let mut lin = vec![0.0f32; cap];
@@ -277,172 +304,35 @@ fn decode_chunk(
 
     for (lvl, s) in strides(m).into_iter().enumerate() {
         let use_cubic = cubic_mask & (1 << lvl.min(15)) != 0;
-        let t_cnt = (m + s - 1) / (2 * s);
-        let g_cnt = m.div_ceil(2 * s);
-        let grid = &mut grid[..g_cnt];
-        for (j, g) in grid.iter_mut().enumerate() {
-            *g = rec[j * 2 * s];
-        }
-
-        let lin = &mut lin[..t_cnt];
-        let mc = t_cnt.min(g_cnt - 1);
-        fedsz_simd::midpoint_preds(grid, &mut lin[..mc]);
-        if t_cnt > mc {
-            let last = t_cnt - 1;
-            lin[last] = grid[last];
-        }
-        let preds: &[f32] = if use_cubic {
-            let cub = &mut cub[..t_cnt];
-            cub.copy_from_slice(lin);
-            let lo = 1usize;
-            let hi = t_cnt.min(g_cnt.saturating_sub(2));
-            if hi > lo {
-                fedsz_simd::cubic_preds(grid, &mut cub[lo..hi]);
-            }
-            cub
-        } else {
-            lin
-        };
+        let t_cnt = level_preds(rec, s, use_cubic, &mut grid, &mut lin, &mut cub);
+        let preds = if use_cubic { &cub } else { &lin };
 
         let level_codes = codes
             .get(ci..ci + t_cnt)
             .ok_or(CodecError::Corrupt("SZ3 code underrun"))?;
         ci += t_cnt;
-        q.reconstruct_slice(preds, level_codes, &mut recons[..t_cnt]);
+        q.reconstruct_slice(&preds[..t_cnt], level_codes, &mut recons[..t_cnt]);
         for (t, &code) in level_codes.iter().enumerate() {
-            let i = (2 * t + 1) * s;
-            rec[i] = if code == 0 {
-                *lit_iter
-                    .next()
-                    .ok_or(CodecError::Corrupt("missing literal"))?
-            } else {
-                recons[t]
-            };
+            rec[(2 * t + 1) * s] = if code == 0 { literal() } else { recons[t] };
         }
     }
-    Ok(rec)
-}
-
-/// Decompress a [`compress`] stream.
-pub fn decompress(bytes: &[u8]) -> Result<Vec<f32>, CodecError> {
-    let (&mode, rest) = bytes.split_first().ok_or(CodecError::UnexpectedEof)?;
-    match mode {
-        MODE_RAW => {
-            let mut pos = 0usize;
-            let n = varint::read_usize(rest, &mut pos)?;
-            let span = reader::claimed_span(n, 4, rest.len().saturating_sub(pos))?;
-            let body = reader::take(rest, &mut pos, span)?;
-            Ok(reader::f32s_from_le_bytes(body))
-        }
-        MODE_NORMAL => {
-            let payload = fedsz_lossless::zstd::decompress(rest)?;
-            decode_payload(&payload)
-        }
-        _ => Err(CodecError::Corrupt("unknown SZ3 mode")),
-    }
-}
-
-/// Everything in the payload ahead of the Huffman bitstream.
-struct PayloadHeader<'a> {
-    n: usize,
-    q: Quantizer,
-    /// Cubic-level mask per chunk.
-    masks: Vec<u16>,
-    literals: Vec<f32>,
-    /// Huffman table followed by the `n` coded symbols.
-    bitstream: &'a [u8],
-}
-
-fn decode_header(payload: &[u8]) -> Result<PayloadHeader<'_>, CodecError> {
-    let mut pos = 0usize;
-    let n = varint::read_usize(payload, &mut pos)?;
-    // L bytes cannot code more than 8·L one-bit symbols. `n` alone sizes
-    // nothing in any case: it only caps a reservation made from what the
-    // bitstream has really coded.
-    if n > payload.len().saturating_mul(8) {
-        return Err(CodecError::Corrupt("SZ3 element count exceeds stream"));
-    }
-    let abs_eb = reader::read_f64_le(payload, &mut pos)?;
-    if !(abs_eb.is_finite() && abs_eb > 0.0) {
-        return Err(CodecError::Corrupt("invalid SZ3 error bound"));
-    }
-
-    let n_chunks = varint::read_usize(payload, &mut pos)?;
-    if n_chunks != n.div_ceil(CHUNK) {
-        return Err(CodecError::Corrupt("SZ3 chunk count mismatch"));
-    }
-    let mut masks = Vec::new();
-    for _ in 0..n_chunks {
-        let b = reader::take_array::<2>(payload, &mut pos)?;
-        masks.push(u16::from_le_bytes(b));
-    }
-
-    let n_literals = varint::read_usize(payload, &mut pos)?;
-    let lit_span = reader::claimed_span(n_literals, 4, payload.len().saturating_sub(pos))?;
-    let literals = reader::f32s_from_le_bytes(reader::take(payload, &mut pos, lit_span)?);
-    Ok(PayloadHeader {
-        n,
-        q: Quantizer::new(abs_eb),
-        masks,
-        literals,
-        bitstream: payload.get(pos..).ok_or(CodecError::UnexpectedEof)?,
-    })
-}
-
-/// Fused decode: Huffman-decode one chunk's codes into a fixed scratch, then
-/// interpolate that chunk onto the end of the output.
-fn decode_payload(payload: &[u8]) -> Result<Vec<f32>, CodecError> {
-    let h = decode_header(payload)?;
-    let mut r = BitReader::new(h.bitstream);
-    let dec = HuffmanDecoder::read_table(&mut r)?;
-    let table_bits = r.bits_consumed();
-
-    let mut scratch = vec![0u32; CHUNK];
-    let mut out = Vec::new();
-    let mut lit_iter = h.literals.iter();
-    for &mask in &h.masks {
-        let codes = &mut scratch[..(h.n - out.len()).min(CHUNK)];
-        dec.decode_run(&mut r, codes)?;
-        if out.is_empty() {
-            let spent_bits = r.bits_consumed();
-            out.reserve_exact(crate::decode_capacity(
-                h.n,
-                codes.len(),
-                spent_bits - table_bits,
-                h.bitstream
-                    .len()
-                    .saturating_mul(8)
-                    .saturating_sub(spent_bits),
-            ));
-        }
-        out.extend(decode_chunk(codes.len(), mask, codes, &mut lit_iter, &h.q)?);
-    }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value_range;
-
-    fn smooth(n: usize) -> Vec<f32> {
-        (0..n)
-            .map(|i| ((i as f32) * 0.003).sin() + 0.2 * ((i as f32) * 0.017).cos())
-            .collect()
-    }
+    use crate::stream::decode_header;
+    use crate::stream::tests::{
+        assert_decodes_like, assert_encodes_like, hostile_floats, payload_of, raw_by_hand,
+        reference_bound, smooth, Parts,
+    };
+    use crate::LossyKind;
+    use fedsz_entropy::bitio::BitReader;
+    use fedsz_entropy::huffman::HuffmanDecoder;
 
     fn check_bound(data: &[f32], rel: f64) -> f64 {
-        let c = compress(data, ErrorBound::Rel(rel));
-        let d = decompress(&c).unwrap();
-        assert_eq!(d.len(), data.len());
-        let abs = rel * value_range(data);
-        for (i, (a, b)) in data.iter().zip(&d).enumerate() {
-            assert!(
-                ((a - b).abs() as f64) <= abs * (1.0 + 1e-6),
-                "idx {i}: {a} vs {b}, bound {abs}"
-            );
-        }
-        (data.len() * 4) as f64 / c.len() as f64
+        crate::stream::tests::check_bound(LossyKind::Sz3, data, rel)
     }
 
     #[test]
@@ -472,13 +362,6 @@ mod tests {
     }
 
     #[test]
-    fn raw_mode_for_constant_data() {
-        let data = vec![3.0f32; 500];
-        let c = compress(&data, ErrorBound::Rel(1e-2));
-        assert_eq!(decompress(&c).unwrap(), data);
-    }
-
-    #[test]
     fn non_finite_values_survive() {
         let mut data = smooth(2000);
         data[7] = f32::NAN;
@@ -490,36 +373,17 @@ mod tests {
     }
 
     #[test]
-    fn truncated_stream_rejected() {
-        let c = compress(&smooth(5000), ErrorBound::Rel(1e-3));
-        assert!(decompress(&c[..c.len() / 3]).is_err());
-    }
-
-    #[test]
     fn batched_predictors_match_scalar_stencils() {
         // The level-batched gather + kernel path must reproduce the scalar
         // `linear_pred`/`cubic_pred` stencils bit-for-bit at every stride,
         // including the left-fallback and edge-window cases.
         for m in [2usize, 3, 5, 64, 100, 513] {
             let rec = smooth(m);
+            let cap = m / 2 + 1;
+            let (mut grid, mut lin, mut cub) = (vec![0.0; cap], vec![0.0; cap], vec![0.0; cap]);
             for s in strides(m) {
-                let t_cnt = (m + s - 1) / (2 * s);
-                let g_cnt = m.div_ceil(2 * s);
-                let mut grid = vec![0.0f32; g_cnt];
-                for (j, g) in grid.iter_mut().enumerate() {
-                    *g = rec[2 * j * s];
-                }
-                let mut lin = vec![0.0f32; t_cnt];
-                let mc = t_cnt.min(g_cnt - 1);
-                fedsz_simd::midpoint_preds(&grid, &mut lin[..mc]);
-                if t_cnt > mc {
-                    lin[t_cnt - 1] = grid[t_cnt - 1];
-                }
-                let mut cub = lin.clone();
-                let hi = t_cnt.min(g_cnt.saturating_sub(2));
-                if hi > 1 {
-                    fedsz_simd::cubic_preds(&grid, &mut cub[1..hi]);
-                }
+                let t_cnt = level_preds(&rec, s, true, &mut grid, &mut lin, &mut cub);
+                assert_eq!(t_cnt, (s..m).step_by(2 * s).count(), "m={m} s={s}");
                 for t in 0..t_cnt {
                     let i = (2 * t + 1) * s;
                     assert_eq!(
@@ -556,9 +420,10 @@ mod tests {
 
     /// The decoder this module had before the chunk-fused one: every code
     /// through the per-symbol `decode` into one `n`-sized vector, then the
-    /// chunks. Kept as the oracle for outputs and errors.
+    /// chunks, each into a vector of its own. Kept as the oracle for outputs
+    /// and errors.
     fn decode_payload_reference(payload: &[u8]) -> Result<Vec<f32>, CodecError> {
-        let h = decode_header(payload)?;
+        let h = decode_header::<Sz3>(payload)?;
         let mut r = BitReader::new(h.bitstream);
         let dec = HuffmanDecoder::read_table(&mut r)?;
         let mut codes = Vec::new();
@@ -566,36 +431,22 @@ mod tests {
             codes.push(dec.decode(&mut r)?);
         }
         let mut out = Vec::new();
-        let mut lit_iter = h.literals.iter();
-        for (chunk_codes, &mask) in codes.chunks(CHUNK).zip(&h.masks) {
-            out.extend(decode_chunk(
-                chunk_codes.len(),
-                mask,
-                chunk_codes,
-                &mut lit_iter,
-                &h.q,
-            )?);
+        let mut literals = h.literals.as_slice();
+        for (chunk_codes, &mask) in codes.chunks(CHUNK).zip(&h.predictor.masks) {
+            let zeros = chunk_codes.iter().filter(|&&c| c == 0).count();
+            let (mine, rest) = literals
+                .split_at_checked(zeros)
+                .ok_or(CodecError::Corrupt("missing literal"))?;
+            literals = rest;
+            let mut rec = vec![0.0f32; chunk_codes.len()];
+            decode_chunk(mask, chunk_codes, mine, &h.q, &mut rec)?;
+            out.extend(rec);
         }
         Ok(out)
     }
 
     fn assert_matches_reference(payload: &[u8], ctx: &str) -> Result<Vec<f32>, CodecError> {
-        let bits = |decoded: Result<Vec<f32>, CodecError>| {
-            decoded.map(|v| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
-        };
-        let fused = decode_payload(payload);
-        assert_eq!(
-            bits(fused.clone()),
-            bits(decode_payload_reference(payload)),
-            "{ctx}"
-        );
-        fused
-    }
-
-    /// The payload inside a NORMAL-mode stream.
-    fn payload_of(stream: &[u8]) -> Vec<u8> {
-        assert_eq!(stream[0], MODE_NORMAL);
-        fedsz_lossless::zstd::decompress(&stream[1..]).unwrap()
+        assert_decodes_like::<Sz3>(decode_payload_reference, payload, ctx)
     }
 
     #[test]
@@ -614,10 +465,9 @@ mod tests {
                 }
             }
             let stream = compress(&data, ErrorBound::Abs(1e-3));
-            if stream[0] != MODE_NORMAL {
+            let Some(payload) = payload_of(&stream) else {
                 continue;
-            }
-            let payload = payload_of(&stream);
+            };
             let out = assert_matches_reference(&payload, &format!("n = {n}")).unwrap();
             assert_eq!(out.len(), n);
 
@@ -635,41 +485,17 @@ mod tests {
     }
 
     #[test]
-    fn a_stream_one_literal_short_is_a_missing_literal_error() {
-        let mut data = smooth(3 * CHUNK);
-        data[2 * CHUNK + 77] = f32::NAN;
-        let payload = payload_of(&compress(&data, ErrorBound::Abs(1e-3)));
-        // Re-lay the payload with its last literal dropped.
-        let h = decode_header(&payload).unwrap();
-        let tail = h.bitstream.len() + 4 * h.literals.len();
-        let mut count_at = payload.len() - tail - 1;
-        let mut short = payload[..count_at].to_vec();
-        assert_eq!(
-            varint::read_usize(&payload, &mut count_at),
-            Ok(h.literals.len()),
-            "the literal count is a one-byte varint in this stream"
-        );
-        varint::write_usize(&mut short, h.literals.len() - 1);
-        short.extend_from_slice(&payload[count_at..count_at + 4 * (h.literals.len() - 1)]);
-        short.extend_from_slice(h.bitstream);
-        assert_eq!(
-            assert_matches_reference(&short, "one literal short"),
-            Err(CodecError::Corrupt("missing literal"))
-        );
-    }
-
-    #[test]
     fn fused_decode_matches_reference_on_model_tensors() {
         use fedsz_models::ModelKind;
         let model = ModelKind::MobileNetV2.synthesize(10, 42);
         let mut lossy = 0usize;
         for entry in model.entries() {
             let stream = compress(entry.tensor.data(), ErrorBound::Rel(1e-2));
-            if stream[0] != MODE_NORMAL {
+            let Some(payload) = payload_of(&stream) else {
                 continue;
-            }
+            };
             lossy += 1;
-            assert_matches_reference(&payload_of(&stream), &entry.name).unwrap();
+            assert_matches_reference(&payload, &entry.name).unwrap();
         }
         assert!(lossy > 10, "{lossy} NORMAL-mode tensors");
     }
@@ -793,68 +619,23 @@ mod tests {
     }
 
     fn compress_reference(data: &[f32], eb: ErrorBound) -> Vec<u8> {
-        let abs_eb = match eb {
-            ErrorBound::Abs(eb) => eb,
-            ErrorBound::Rel(rel) => rel * crate::value_range_scalar(data),
+        let Some(abs_eb) = reference_bound(data, eb) else {
+            return raw_by_hand(data);
         };
-        let eb_valid = abs_eb.is_finite() && abs_eb > 0.0;
-        if data.is_empty() || !eb_valid {
-            return raw_stream(data);
-        }
         let q = Quantizer::new(abs_eb);
-
         let chunks: Vec<ChunkOut> = data
             .chunks(CHUNK)
             .map(|c| compress_chunk_reference(c, &q))
             .collect();
 
-        let mut payload = Vec::with_capacity(data.len() / 2 + 64);
-        varint::write_usize(&mut payload, data.len());
-        payload.extend_from_slice(&abs_eb.to_le_bytes());
-        varint::write_usize(&mut payload, chunks.len());
-        for c in &chunks {
-            payload.extend_from_slice(&c.cubic_mask.to_le_bytes());
-        }
-
-        let n_literals: usize = chunks.iter().map(|c| c.literals.len()).sum();
-        varint::write_usize(&mut payload, n_literals);
-        for c in &chunks {
-            for &v in &c.literals {
-                payload.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-
-        let mut freqs = vec![0u64; NUM_CODES];
-        for c in &chunks {
-            for &code in &c.codes {
-                freqs[code as usize] += 1;
-            }
-        }
-        let enc = HuffmanEncoder::from_frequencies(&freqs);
-        let mut w = BitWriter::with_capacity(data.len() / 2);
-        enc.write_table(&mut w);
-        for c in &chunks {
-            for &code in &c.codes {
-                enc.encode(&mut w, code);
-            }
-        }
-        payload.extend_from_slice(&w.finish());
-
-        let backend = fedsz_lossless::zstd::compress(&payload);
-        let mut out = Vec::with_capacity(backend.len() + 1);
-        out.push(MODE_NORMAL);
-        out.extend_from_slice(&backend);
-        if out.len() >= data.len() * 4 + 10 {
-            return raw_stream(data);
-        }
-        out
+        let side = chunks.iter().flat_map(|c| c.cubic_mask.to_le_bytes());
+        let literals = chunks.iter().flat_map(|c| c.literals.clone()).collect();
+        let codes: Vec<u32> = chunks.iter().flat_map(|c| c.codes.clone()).collect();
+        Parts::new(abs_eb, chunks.len(), side.collect(), literals, &codes).stream(data)
     }
 
     fn assert_encodes_like_reference(data: &[f32], eb: ErrorBound, ctx: &str) -> Vec<u8> {
-        let stream = compress(data, eb);
-        let same = stream == compress_reference(data, eb);
-        assert!(same, "{ctx}: stream differs from the reference encoder's");
-        stream
+        assert_encodes_like::<Sz3>(compress_reference, data, eb, ctx)
     }
 
     #[test]
@@ -895,39 +676,7 @@ mod tests {
 
     #[test]
     fn encoder_matches_reference_on_hostile_floats() {
-        let corpus: Vec<(&str, Vec<f32>)> = vec![
-            ("empty", vec![]),
-            ("single element", vec![0.37]),
-            ("single NaN", vec![f32::NAN]),
-            ("constant", vec![2.5; 5000]),
-            ("range zero, signed zeros", [0.0f32, -0.0].repeat(2500)),
-            ("all NaN", vec![f32::NAN; 600]),
-            (
-                "infinities only",
-                [f32::INFINITY, f32::NEG_INFINITY].repeat(300),
-            ),
-            (
-                "denormals",
-                (0..9000u32)
-                    .map(|i| f32::from_bits(i % 97 + 1) * if i % 2 == 0 { 1.0 } else { -1.0 })
-                    .collect(),
-            ),
-            (
-                "denormals and zeros under a normal range",
-                (0..9000u32)
-                    .map(|i| match i % 4 {
-                        0 => f32::from_bits(i + 1),
-                        1 => -0.0,
-                        2 => 0.0,
-                        _ => (i as f32 * 0.01).sin(),
-                    })
-                    .collect(),
-            ),
-            (
-                "huge magnitudes",
-                (0..5000).map(|i| (i as f32 - 2500.0) * 1.0e35).collect(),
-            ),
-        ];
+        let corpus = hostile_floats();
         for (name, data) in &corpus {
             for eb in [
                 ErrorBound::Rel(1e-2),
@@ -965,7 +714,7 @@ mod tests {
                         ErrorBound::Rel(rel),
                         &ctx,
                     );
-                    lossy += usize::from(stream[0] == MODE_NORMAL);
+                    lossy += usize::from(payload_of(&stream).is_some());
                 }
                 assert!(
                     lossy > 10,

@@ -20,12 +20,12 @@
 use fedsz_entropy::bitio::{BitReader, BitWriter};
 use fedsz_entropy::{reader, varint, CodecError};
 
+use crate::stream::{self, raw_stream};
 use crate::ErrorBound;
 
 /// Values per block (SZx default block size is 128 floats).
 const BLOCK: usize = 128;
 
-const MODE_RAW: u8 = 0;
 const MODE_STRICT: u8 = 1;
 const MODE_PAPER: u8 = 2;
 
@@ -41,16 +41,6 @@ pub enum SzxMode {
     Strict,
     /// Paper-pathology emulation mode (not error-bounded).
     Paper,
-}
-
-fn raw_stream(data: &[f32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() * 4 + 10);
-    out.push(MODE_RAW);
-    varint::write_usize(&mut out, data.len());
-    for &v in data {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
 }
 
 /// Compress `data` under `eb` in the given mode.
@@ -180,12 +170,7 @@ pub fn decompress(bytes: &[u8]) -> Result<Vec<f32>, CodecError> {
     let (&mode, rest) = bytes.split_first().ok_or(CodecError::UnexpectedEof)?;
     let mut pos = 0usize;
     match mode {
-        MODE_RAW => {
-            let n = varint::read_usize(rest, &mut pos)?;
-            let span = reader::claimed_span(n, 4, rest.len().saturating_sub(pos))?;
-            let body = reader::take(rest, &mut pos, span)?;
-            Ok(reader::f32s_from_le_bytes(body))
-        }
+        stream::MODE_RAW => stream::read_raw(rest),
         MODE_STRICT => {
             let n = varint::read_usize(rest, &mut pos)?;
             // A block of up to BLOCK elements costs at least one header
@@ -379,11 +364,5 @@ mod tests {
                 assert_eq!(decompress(&c).unwrap().len(), n, "n={n} {mode:?}");
             }
         }
-    }
-
-    #[test]
-    fn truncated_stream_rejected() {
-        let c = compress(&mixed(5000), ErrorBound::Rel(1e-3), SzxMode::Strict);
-        assert!(decompress(&c[..c.len() / 2]).is_err());
     }
 }

@@ -16,9 +16,9 @@ use fedsz_entropy::bitio::{BitReader, BitWriter};
 use fedsz_entropy::{reader, varint, CodecError};
 use rayon::prelude::*;
 
+use crate::stream::{self, raw_stream};
 use crate::{value_range, ErrorBound};
 
-const MODE_RAW: u8 = 0;
 const MODE_NORMAL: u8 = 1;
 
 /// Fixed-point fraction bits for block normalization (leaves i32 headroom
@@ -204,16 +204,6 @@ fn decode_block(planes: u32, r: &mut BitReader<'_>) -> Result<[f32; 4], CodecErr
     }
 }
 
-fn raw_stream(data: &[f32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() * 4 + 10);
-    out.push(MODE_RAW);
-    varint::write_usize(&mut out, data.len());
-    for &v in data {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
-}
-
 /// Compress `data` at the precision implied by `eb`.
 pub fn compress(data: &[f32], eb: ErrorBound) -> Vec<u8> {
     if data.is_empty() {
@@ -245,10 +235,7 @@ pub fn compress(data: &[f32], eb: ErrorBound) -> Vec<u8> {
         varint::write_usize(&mut out, p.len());
         out.extend_from_slice(p);
     }
-    if out.len() >= data.len() * 4 + 10 {
-        return raw_stream(data);
-    }
-    out
+    stream::unless_raw_is_smaller(out, data)
 }
 
 /// Decompress a [`compress`] stream.
@@ -256,12 +243,7 @@ pub fn decompress(bytes: &[u8]) -> Result<Vec<f32>, CodecError> {
     let (&mode, rest) = bytes.split_first().ok_or(CodecError::UnexpectedEof)?;
     let mut pos = 0usize;
     match mode {
-        MODE_RAW => {
-            let n = varint::read_usize(rest, &mut pos)?;
-            let span = reader::claimed_span(n, 4, rest.len().saturating_sub(pos))?;
-            let body = reader::take(rest, &mut pos, span)?;
-            Ok(reader::f32s_from_le_bytes(body))
-        }
+        stream::MODE_RAW => stream::read_raw(rest),
         MODE_NORMAL => {
             let n = varint::read_usize(rest, &mut pos)?;
             // A block of 4 values costs at least one bit, so L bytes bound
@@ -396,12 +378,5 @@ mod tests {
             let c = compress(&data, ErrorBound::Rel(1e-3));
             assert_eq!(decompress(&c).unwrap().len(), n, "n={n}");
         }
-    }
-
-    #[test]
-    fn truncated_stream_rejected() {
-        let data: Vec<f32> = (0..5000).map(|i| (i as f32 * 0.1).sin()).collect();
-        let c = compress(&data, ErrorBound::Rel(1e-3));
-        assert!(decompress(&c[..c.len() / 2]).is_err());
     }
 }
