@@ -62,13 +62,9 @@ fn classify_codec(context: &str, e: CodecError) -> CliError {
 
 /// Map a federated-run failure onto the CLI's buckets, naming every
 /// [`FlError`] variant (same `error-enum-coverage` contract as
-/// [`classify_codec`]). A `Codec` inner error is a *decode* problem and
-/// routes to the `Decode` bucket directly — previously it was stringified
-/// into `Run`, which printed a doubled "run error: update decode failed:
-/// corrupt stream: ..." report.
+/// [`classify_codec`]).
 fn classify_fl(e: FlError) -> CliError {
     match e {
-        FlError::Codec(inner) => classify_codec("update", inner),
         e @ (FlError::QuorumNotMet { .. }
         | FlError::Overloaded { .. }
         | FlError::AllClientsDead { .. }

@@ -20,9 +20,8 @@
 //!                       [--clip-factor F] [--trim-k K]
 //! ```
 //!
-//! `--threaded` is a legacy alias for `--transport threaded`. With
-//! `--transport tcp` and neither `--listen` nor `--connect`, the server and
-//! every client run in this process over loopback.
+//! With `--transport tcp` and neither `--listen` nor `--connect`, the server
+//! and every client run in this process over loopback.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -113,8 +112,6 @@ fn dispatch(cmd: &str, opts: &Opts) -> Result<String, CliError> {
             };
             let transport = match opts.value("--transport") {
                 Some(name) => parse_transport(name)?,
-                // Legacy alias from before the transport was selectable.
-                None if opts.flag("--threaded") => FlTransport::Threaded,
                 None => defaults.transport,
             };
             let fl = FlOpts {

@@ -4,10 +4,9 @@
 //! accuracy loss compression introduces. A natural knob is the error bound
 //! itself: early rounds tolerate coarse updates (the model is far from an
 //! optimum), late rounds benefit from fidelity. This module provides
-//! round-indexed schedules for the relative bound, plus Eqn-2-style
-//! selection of the best (compressor, bound) pair from measurements.
+//! round-indexed schedules for the relative bound.
 
-use fedsz_eblc::{ErrorBound, LossyKind};
+use fedsz_eblc::ErrorBound;
 
 /// A schedule mapping a round index to a relative error bound.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,56 +65,6 @@ impl BoundSchedule {
     }
 }
 
-/// One measured operating point for Problem 1 (Eqn. 2): a compressor at a
-/// bound, with its observed ratio and runtime.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OperatingPoint {
-    /// The compressor.
-    pub compressor: LossyKind,
-    /// The relative bound it ran at.
-    pub rel_bound: f64,
-    /// Observed compression ratio.
-    pub ratio: f64,
-    /// Observed compression runtime in seconds.
-    pub runtime_s: f64,
-}
-
-impl OperatingPoint {
-    /// Eqn-2 feasibility: runtime under the raw transfer time and ratio in
-    /// `[1, S]` (here S is unbounded above by data size, so ratio >= 1).
-    pub fn feasible(&self, original_bytes: usize, bandwidth_bps: f64) -> bool {
-        self.ratio >= 1.0
-            && self.runtime_s > 0.0
-            && self.runtime_s < original_bytes as f64 * 8.0 / bandwidth_bps
-    }
-}
-
-/// Select the Pareto-best feasible operating point: maximize ratio, break
-/// ties on runtime (the lexicographic reading of Eqn. 2 the paper applies
-/// when it picks SZ2 over ZFP despite ZFP's speed).
-pub fn select_compressor(
-    points: &[OperatingPoint],
-    original_bytes: usize,
-    bandwidth_bps: f64,
-) -> Option<OperatingPoint> {
-    let mut feasible: Vec<OperatingPoint> = points
-        .iter()
-        .copied()
-        .filter(|p| p.feasible(original_bytes, bandwidth_bps))
-        .collect();
-    feasible.sort_by(|a, b| {
-        b.ratio
-            .partial_cmp(&a.ratio)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(
-                a.runtime_s
-                    .partial_cmp(&b.runtime_s)
-                    .unwrap_or(std::cmp::Ordering::Equal),
-            )
-    });
-    feasible.first().copied()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,45 +112,5 @@ mod tests {
         };
         assert_eq!(s.bound_at(2), 1e-1);
         assert_eq!(s.bound_at(3), 1e-3);
-    }
-
-    #[test]
-    fn selection_prefers_ratio_then_speed() {
-        let points = [
-            OperatingPoint {
-                compressor: LossyKind::Zfp,
-                rel_bound: 1e-2,
-                ratio: 4.1,
-                runtime_s: 1.9,
-            },
-            OperatingPoint {
-                compressor: LossyKind::Sz2,
-                rel_bound: 1e-2,
-                ratio: 11.3,
-                runtime_s: 3.2,
-            },
-            OperatingPoint {
-                compressor: LossyKind::Sz3,
-                rel_bound: 1e-2,
-                ratio: 9.8,
-                runtime_s: 7.2,
-            },
-        ];
-        // 244 MB over 10 Mbps: all feasible; SZ2 wins on ratio (the paper's
-        // Table I conclusion).
-        let best = select_compressor(&points, 244_000_000, 10e6).unwrap();
-        assert_eq!(best.compressor, LossyKind::Sz2);
-    }
-
-    #[test]
-    fn infeasible_points_are_excluded() {
-        let slow = OperatingPoint {
-            compressor: LossyKind::Sz3,
-            rel_bound: 1e-2,
-            ratio: 50.0,
-            runtime_s: 1000.0,
-        };
-        // Raw transfer of 1 MB at 100 Mbps takes 0.08 s << 1000 s runtime.
-        assert!(select_compressor(&[slow], 1_000_000, 100e6).is_none());
     }
 }

@@ -37,8 +37,6 @@
 //! differential-privacy observation of §VII-D.
 
 pub mod adaptive;
-pub mod baselines;
-pub mod dp;
 pub mod partition;
 pub mod pipeline;
 pub mod privacy;
@@ -46,9 +44,7 @@ pub mod quality;
 pub mod sparsify;
 pub mod stats;
 
-pub use adaptive::{select_compressor, BoundSchedule, OperatingPoint};
-pub use baselines::{Qsgd, SignSgd};
-pub use dp::{clipped_coordinate_sensitivity, estimate_epsilon, laplace_epsilon, DpEstimate};
+pub use adaptive::BoundSchedule;
 pub use fedsz_eblc::{ErrorBound, LossyKind};
 pub use fedsz_entropy::CodecError;
 pub use fedsz_lossless::LosslessKind;

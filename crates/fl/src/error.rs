@@ -1,8 +1,6 @@
 //! Typed failures of a federated run — the replacement for the seed's
 //! server-side panics on corrupt, dead, or straggling clients.
 
-use fedsz::CodecError;
-
 /// Why a federated run could not complete.
 ///
 /// Individual client failures (a corrupt update, a missed deadline, a dead
@@ -42,11 +40,6 @@ pub enum FlError {
         /// Minimum required by the transport configuration.
         required: usize,
     },
-    /// An update failed to decode where there is no per-client quorum to
-    /// fall back on. No transport produces this — a decode failure counts
-    /// `rejected` on every path, the in-process one included — so it only
-    /// arises from `?` on a direct [`fedsz::decompress`] call.
-    Codec(CodecError),
     /// The TCP transport could not start or keep the session alive:
     /// binding the listener failed, no client joined within the join
     /// timeout, or a client-side option was invalid.
@@ -95,7 +88,6 @@ impl std::fmt::Display for FlError {
                 "round {round}: overloaded — {shed} updates shed, quorum not met \
                  ({delivered} valid updates, {required} required)"
             ),
-            FlError::Codec(e) => write!(f, "update decode failed: {e}"),
             FlError::Transport(m) => write!(f, "transport error: {m}"),
             FlError::Checkpoint(m) => write!(f, "checkpoint error: {m}"),
             FlError::ServerKilled { round } => {
@@ -106,20 +98,7 @@ impl std::fmt::Display for FlError {
     }
 }
 
-impl std::error::Error for FlError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            FlError::Codec(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<CodecError> for FlError {
-    fn from(e: CodecError) -> Self {
-        FlError::Codec(e)
-    }
-}
+impl std::error::Error for FlError {}
 
 #[cfg(test)]
 mod tests {
@@ -151,17 +130,8 @@ mod tests {
             s.contains("overloaded") && s.contains("3 updates shed") && s.contains("round 2"),
             "{s}"
         );
-        let c = FlError::from(CodecError::Corrupt("bad FedSZ magic"));
-        assert!(c.to_string().contains("bad FedSZ magic"));
         let a = FlError::Aggregate("structure mismatch".into());
         assert!(a.to_string().contains("aggregation failed"), "{a}");
         assert!(a.to_string().contains("structure mismatch"), "{a}");
-    }
-
-    #[test]
-    fn codec_errors_carry_a_source() {
-        use std::error::Error as _;
-        assert!(FlError::Codec(CodecError::UnexpectedEof).source().is_some());
-        assert!(FlError::AllClientsDead { round: 1 }.source().is_none());
     }
 }

@@ -59,15 +59,23 @@ use crate::wire::{self, Frame, WireError};
 /// shutdown flag.
 const POLL: Duration = Duration::from_millis(25);
 
+/// How long the server waits for clients to join before round 0. The run
+/// starts as soon as all `n_clients` slots are filled; clients still missing
+/// when the timeout expires are treated as dropped.
+const JOIN_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Reconnect attempts per disconnection before the client gives up.
+const MAX_RECONNECTS: usize = 5;
+
+/// Budget for finishing a frame once its first byte arrived; a peer that
+/// stalls longer mid-frame is treated as corrupt + gone.
+const FRAME_BUDGET: Duration = Duration::from_secs(10);
+
 /// Socket-level policy for the TCP transport. Round semantics (deadline,
 /// quorum, retries, faults) stay in [`TransportConfig`]; this covers only
 /// what a real network adds: joining, reconnecting, and stalling.
 #[derive(Debug, Clone)]
 pub struct NetConfig {
-    /// How long the server waits for clients to join before round 0. The
-    /// run starts as soon as all `n_clients` slots are filled; clients
-    /// still missing when the timeout expires are treated as dropped.
-    pub join_timeout: Duration,
     /// How long a broadcast waits for a disconnected client to rejoin.
     /// Granted at most once per disconnection, so a permanently dead
     /// client delays one broadcast, not every one.
@@ -76,11 +84,6 @@ pub struct NetConfig {
     pub backoff_base: Duration,
     /// Ceiling on the exponential backoff delay.
     pub backoff_max: Duration,
-    /// Reconnect attempts per disconnection before the client gives up.
-    pub max_reconnects: usize,
-    /// Budget for finishing a frame once its first byte arrived; a peer
-    /// that stalls longer mid-frame is treated as corrupt + gone.
-    pub frame_budget: Duration,
     /// Budget for a fresh connection to complete its Hello handshake. A
     /// connection that has not named its slot within this window is
     /// rejected, so a dialer that connects and goes silent cannot pin
@@ -98,12 +101,9 @@ pub struct NetConfig {
 impl Default for NetConfig {
     fn default() -> Self {
         Self {
-            join_timeout: Duration::from_secs(30),
             rejoin_grace: Duration::from_secs(2),
             backoff_base: Duration::from_millis(25),
             backoff_max: Duration::from_secs(1),
-            max_reconnects: 5,
-            frame_budget: Duration::from_secs(10),
             handshake_timeout: Duration::from_secs(5),
             min_byte_rate: 0,
         }
@@ -259,14 +259,11 @@ impl TcpServer {
         let tx = self.events_tx.clone();
         let stop = Arc::clone(&self.shutdown);
         let gen = slot.gen;
-        let budget = self.ncfg.frame_budget;
         let min_rate = self.ncfg.min_byte_rate;
         let ledger = Arc::clone(&self.ledger);
         let gate = Arc::clone(&self.gate);
         self.readers.push(std::thread::spawn(move || {
-            reader_loop(
-                reader, client_id, gen, budget, min_rate, ledger, gate, tx, stop,
-            )
+            reader_loop(reader, client_id, gen, min_rate, ledger, gate, tx, stop)
         }));
     }
 
@@ -305,8 +302,8 @@ impl TcpServer {
     }
 
     /// Wait until `want` clients are connected or the timeout passes.
-    fn await_joins(&mut self, want: usize, timeout: Duration) -> usize {
-        let deadline = Instant::now() + timeout;
+    fn await_joins(&mut self, want: usize) -> usize {
+        let deadline = Instant::now() + JOIN_TIMEOUT;
         while self.installed() < want {
             let Some(left) = deadline.checked_duration_since(Instant::now()) else {
                 break;
@@ -563,7 +560,6 @@ fn reader_loop(
     mut stream: TcpStream,
     client_id: usize,
     gen: u64,
-    budget: Duration,
     min_rate: u64,
     ledger: Arc<Ledger>,
     gate: Arc<RoundGate>,
@@ -581,18 +577,19 @@ fn reader_loop(
         // Bytes this iteration holds in the ledger; nonzero from the
         // moment the gate admits until the frame's fate is known.
         let mut reserved = 0usize;
-        let res = wire::read_frame_gated(&mut stream, budget, min_rate, &mut scratch, |len| {
-            if ledger.would_never_fit(len) {
-                wire::HeaderVerdict::Shed
-            } else if ledger.reserve(len) {
-                reserved = len;
-                wire::HeaderVerdict::Admit
-            } else {
-                // `reserve` fails only when the ledger is closed: the
-                // server is tearing down, so drop the connection.
-                wire::HeaderVerdict::Abort
-            }
-        });
+        let res =
+            wire::read_frame_gated(&mut stream, FRAME_BUDGET, min_rate, &mut scratch, |len| {
+                if ledger.would_never_fit(len) {
+                    wire::HeaderVerdict::Shed
+                } else if ledger.reserve(len) {
+                    reserved = len;
+                    wire::HeaderVerdict::Admit
+                } else {
+                    // `reserve` fails only when the ledger is closed: the
+                    // server is tearing down, so drop the connection.
+                    wire::HeaderVerdict::Abort
+                }
+            });
         match res {
             Ok(Frame::Update {
                 round,
@@ -702,9 +699,8 @@ fn connect_with_backoff(
     addr: SocketAddr,
     client_id: usize,
     backoff: &mut Backoff,
-    max_attempts: usize,
 ) -> Option<TcpStream> {
-    for attempt in 0..=max_attempts {
+    for attempt in 0..=MAX_RECONNECTS {
         if attempt > 0 {
             std::thread::sleep(backoff.next_delay());
         }
@@ -751,7 +747,7 @@ fn tcp_client_loop(
         ncfg.backoff_max,
         cfg.seed ^ 0xBAC0_0FF5 ^ (id as u64),
     );
-    let Some(mut stream) = connect_with_backoff(addr, id, &mut backoff, ncfg.max_reconnects) else {
+    let Some(mut stream) = connect_with_backoff(addr, id, &mut backoff) else {
         return;
     };
     let mut last_frame = Instant::now();
@@ -762,7 +758,7 @@ fn tcp_client_loop(
             // drained the dead connection's events before the new Hello
             // arrives and the fault accounting stays deterministic.
             std::thread::sleep(backoff.next_delay());
-            match connect_with_backoff(addr, id, &mut backoff, ncfg.max_reconnects) {
+            match connect_with_backoff(addr, id, &mut backoff) {
                 Some(s) => {
                     stream = s;
                     last_frame = Instant::now();
@@ -776,7 +772,7 @@ fn tcp_client_loop(
     // frames, so after the first one this loop stops allocating per frame.
     let mut scratch = Vec::new();
     loop {
-        let frame = match wire::read_frame_reusing(&mut stream, ncfg.frame_budget, &mut scratch) {
+        let frame = match wire::read_frame_reusing(&mut stream, FRAME_BUDGET, &mut scratch) {
             Ok(f) => {
                 last_frame = Instant::now();
                 f
@@ -919,7 +915,7 @@ fn serve_on(
         lossless_config(cfg.compression),
         Arc::clone(&ledger),
     )?;
-    let joined = server.await_joins(registered, ncfg.join_timeout);
+    let joined = server.await_joins(registered);
     if joined == 0 {
         server.stop();
         return Err(FlError::Transport(
@@ -1046,7 +1042,6 @@ mod tests {
         let n = NetConfig::default();
         assert!(n.backoff_base < n.backoff_max);
         assert!(n.rejoin_grace > Duration::ZERO);
-        assert!(n.max_reconnects > 0);
         assert!(n.handshake_timeout > Duration::ZERO);
         assert_eq!(n.min_byte_rate, 0, "rate enforcement must be opt-in");
     }

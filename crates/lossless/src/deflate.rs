@@ -6,7 +6,7 @@ use fedsz_entropy::bitio::{BitReader, BitWriter};
 use fedsz_entropy::huffman::{HuffmanDecoder, HuffmanEncoder};
 use fedsz_entropy::{varint, CodecError};
 
-use crate::lz::{copy_match, literal_runs, sequences, MatcherParams, Sequence};
+use crate::lz::{copy_match, literal_runs, sequences, slot_of, unslot, MatcherParams, Sequence};
 
 /// End-of-block symbol in the literal/length alphabet.
 const EOB: u32 = 256;
@@ -17,21 +17,6 @@ const LEN_BASE: u32 = 257;
 const LEN_SLOTS: u32 = 32;
 /// Number of distance slots.
 const DIST_SLOTS: u32 = 32;
-
-/// Slot decomposition: value `v` maps to `(slot, extra_bits, extra_value)`
-/// where `slot = bitlen(v+1) - 1` and `v + 1 = 2^slot + extra_value`.
-#[inline]
-fn slot_of(v: u32) -> (u32, u32, u32) {
-    let x = v + 1;
-    let slot = 31 - x.leading_zeros();
-    (slot, slot, x - (1 << slot))
-}
-
-/// Inverse of [`slot_of`].
-#[inline]
-fn unslot(slot: u32, extra: u32) -> u32 {
-    (1u32 << slot) + extra - 1
-}
 
 /// Compress `data` with the given matcher profile. Self-contained format:
 /// `[varint orig_len][min_match u8][bit-packed tables + tokens]`.
@@ -137,20 +122,6 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>, CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn slot_round_trip() {
-        for v in 0u32..100_000 {
-            let (s, bits, extra) = slot_of(v);
-            assert!(extra < (1 << bits).max(1));
-            assert_eq!(unslot(s, extra), v, "v={v}");
-        }
-        // Large values.
-        for v in [1 << 20, (1 << 24) + 12345, u32::MAX - 1] {
-            let (s, _, extra) = slot_of(v);
-            assert_eq!(unslot(s, extra), v);
-        }
-    }
 
     fn round_trip(data: &[u8]) -> usize {
         let c = compress(data, &MatcherParams::deflate());

@@ -16,6 +16,22 @@ pub struct Sequence {
     pub dist: u32,
 }
 
+/// Slot decomposition of a match length or distance for the entropy coders:
+/// value `v` maps to `(slot, extra_bits, extra_value)` where
+/// `slot = bitlen(v+1) - 1` and `v + 1 = 2^slot + extra_value`.
+#[inline]
+pub(crate) fn slot_of(v: u32) -> (u32, u32, u32) {
+    let x = v + 1;
+    let slot = 31 - x.leading_zeros();
+    (slot, slot, x - (1 << slot))
+}
+
+/// Inverse of [`slot_of`].
+#[inline]
+pub(crate) fn unslot(slot: u32, extra: u32) -> u32 {
+    (1u32 << slot) + extra - 1
+}
+
 /// Tuning knobs for the hash-chain matcher.
 #[derive(Debug, Clone, Copy)]
 pub struct MatcherParams {
@@ -271,6 +287,20 @@ pub(crate) fn sequences_dense(data: &[u8], p: &MatcherParams) -> Vec<Sequence> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn slot_round_trip() {
+        for v in 0u32..100_000 {
+            let (s, bits, extra) = slot_of(v);
+            assert!(extra < (1 << bits).max(1));
+            assert_eq!(unslot(s, extra), v, "v={v}");
+        }
+        // Large values.
+        for v in [1 << 20, (1 << 24) + 12345, u32::MAX - 1] {
+            let (s, _, extra) = slot_of(v);
+            assert_eq!(unslot(s, extra), v);
+        }
+    }
 
     /// Literals plus sequences: what the coder emits one symbol for.
     fn token_count(data: &[u8], seqs: &[Sequence]) -> usize {

@@ -5,7 +5,7 @@
 use fedsz_entropy::rangecoder::{BitModel, RangeDecoder, RangeEncoder};
 use fedsz_entropy::{varint, CodecError};
 
-use crate::lz::{copy_match, literal_runs, sequences, MatcherParams};
+use crate::lz::{copy_match, literal_runs, sequences, slot_of, unslot, MatcherParams};
 
 const LIT_CONTEXTS: usize = 8; // previous byte's top 3 bits
 const SLOT_BITS: u32 = 5;
@@ -50,18 +50,6 @@ fn decode_tree(dec: &mut RangeDecoder<'_>, models: &mut [BitModel], nbits: u32) 
         m = (m << 1) | bit as usize;
     }
     (m as u32) - (1 << nbits)
-}
-
-#[inline]
-fn slot_of(v: u32) -> (u32, u32, u32) {
-    let x = v + 1;
-    let slot = 31 - x.leading_zeros();
-    (slot, slot, x - (1 << slot))
-}
-
-#[inline]
-fn unslot(slot: u32, extra: u32) -> u32 {
-    (1u32 << slot) + extra - 1
 }
 
 /// Compress. Format: `[varint orig_len][u8 min_match][range-coded payload]`.
