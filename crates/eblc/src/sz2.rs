@@ -10,7 +10,7 @@
 use fedsz_entropy::{reader, CodecError};
 
 use crate::quantizer::Quantizer;
-use crate::stream::{self, Predictor};
+use crate::stream::{self, take_literals, Predictor};
 use crate::ErrorBound;
 
 /// Elements per prediction block (SZ2 uses 6^3 = 216 in 3-D; 256 is the
@@ -319,21 +319,16 @@ impl Predictor for Sz2 {
         &mut self,
         index: usize,
         codes: &[u32],
-        literals: &[f32],
+        literals: &mut &[f32],
         q: &Quantizer,
         out: &mut [f32],
     ) -> Result<(), CodecError> {
         let mut chains = Vec::with_capacity(GROUP_BLOCKS);
-        let mut literal_at = 0usize;
         let fits = self.fits.iter().skip(index * GROUP_BLOCKS);
         for ((codes, out), fit) in codes.chunks(BLOCK).zip(out.chunks_mut(BLOCK)).zip(fits) {
-            // As for the group in the container: each block its own checked
-            // share of the group's literals.
-            let from = literal_at;
-            literal_at += codes.iter().filter(|&&c| c == 0).count();
-            let literals = literals
-                .get(from..literal_at)
-                .ok_or(CodecError::Corrupt("missing literal"))?;
+            // Per block, because the Lorenzo chains below each read their
+            // own literals.
+            let literals = take_literals(literals, codes)?;
             if let &Some((a, b)) = fit {
                 decode_regression_block(codes, out, literals, a, b, q);
             } else {
@@ -421,11 +416,12 @@ mod tests {
     use crate::stream::decode_header;
     use crate::stream::tests::{
         assert_decodes_like, assert_encodes_like, codes_with_escapes, hostile_floats, literals_for,
-        payload_of, raw_by_hand, reference_bound, smooth, xorshift, Parts,
+        on_model_tensors, payload_of, raw_by_hand, reference_bound, smooth, xorshift, Parts,
     };
     use crate::LossyKind;
     use fedsz_entropy::bitio::BitReader;
     use fedsz_entropy::huffman::HuffmanDecoder;
+    use fedsz_models::ModelKind;
 
     fn check_bound(data: &[f32], rel: f64) -> f64 {
         crate::stream::tests::check_bound(LossyKind::Sz2, data, rel)
@@ -662,26 +658,19 @@ mod tests {
     fn fused_decode_matches_reference_on_model_tensors() {
         // Every tensor of the benchmark's models at its bounds, seed 42: the
         // fused decoder reproduces the block-at-a-time decoder bit for bit.
-        use fedsz_models::ModelKind;
-        for (kind, rel) in [
+        let cases = [
             (ModelKind::ResNet50, 1e-2),
             (ModelKind::MobileNetV2, 1e-4),
             (ModelKind::MobileNetV2, 1e-2),
             (ModelKind::AlexNet, 1e-3),
-        ] {
-            let model = kind.synthesize(10, 42);
-            let mut lossy = 0usize;
-            for entry in model.entries() {
-                let stream = compress(entry.tensor.data(), ErrorBound::Rel(rel));
-                let Some(payload) = payload_of(&stream) else {
-                    continue;
-                };
-                lossy += 1;
-                let ctx = format!("{} {rel:e} {}", kind.name(), entry.name);
-                assert_matches_reference(&payload, &ctx).unwrap();
-            }
-            assert!(lossy > 10, "{}: {lossy} NORMAL-mode tensors", kind.name());
-        }
+        ];
+        on_model_tensors(&cases, 10, |data, eb, ctx| {
+            let Some(payload) = payload_of(&compress(data, eb)) else {
+                return false;
+            };
+            assert_matches_reference(&payload, ctx).unwrap();
+            true
+        });
     }
 
     // -----------------------------------------------------------------------
@@ -919,30 +908,14 @@ mod tests {
         ignore = "minutes without optimisation; CI runs it by name in release"
     )]
     fn encoder_matches_reference_on_model_tensors() {
-        use fedsz_models::ModelKind;
-        for kind in [
+        let models = [
             ModelKind::ResNet50,
             ModelKind::MobileNetV2,
             ModelKind::AlexNet,
-        ] {
-            let model = kind.synthesize(10, 42);
-            for rel in [1e-2, 1e-3, 1e-4] {
-                let mut lossy = 0usize;
-                for entry in model.entries() {
-                    let ctx = format!("{} {rel:e} {}", kind.name(), entry.name);
-                    let stream = assert_encodes_like_reference(
-                        entry.tensor.data(),
-                        ErrorBound::Rel(rel),
-                        &ctx,
-                    );
-                    lossy += usize::from(payload_of(&stream).is_some());
-                }
-                assert!(
-                    lossy >= 8,
-                    "{} {rel:e}: {lossy} NORMAL-mode tensors",
-                    kind.name()
-                );
-            }
-        }
+        ];
+        let cases = models.map(|kind| [1e-2, 1e-3, 1e-4].map(|rel| (kind, rel)));
+        on_model_tensors(cases.as_flattened(), 7, |data, eb, ctx| {
+            payload_of(&assert_encodes_like_reference(data, eb, ctx)).is_some()
+        });
     }
 }

@@ -12,7 +12,7 @@
 use fedsz_entropy::{reader, CodecError};
 
 use crate::quantizer::Quantizer;
-use crate::stream::{self, Predictor};
+use crate::stream::{self, take_literals, Predictor};
 use crate::ErrorBound;
 
 /// Interpolation chunk size (power of two).
@@ -60,11 +60,11 @@ fn cubic_pred(rec: &[f32], i: usize, s: usize) -> f32 {
     }
 }
 
-/// Buffers one `compress` call reuses for every chunk and level, sized for
-/// the densest (stride 1) level of a full chunk.
-#[derive(Default)]
+/// Buffers one `compress` or `decompress` call reuses for every chunk and
+/// level, sized for the densest (stride 1) level of a full chunk.
 struct Scratch {
-    /// The chunk as the decoder will reconstruct it.
+    /// The chunk as the decoder will reconstruct it (the decoder itself
+    /// reconstructs in place, in its output).
     rec: Vec<f32>,
     grid: Vec<f32>,
     vals: Vec<f32>,
@@ -96,7 +96,9 @@ impl Scratch {
 /// Targets are the odd multiples of `s`; every prediction reads only the
 /// coarse grid, the even multiples, so the whole level batches through the
 /// dispatched kernels with no feedback hazard — a sequential loop over the
-/// targets produces the same bits. Encoder and decoder both predict here.
+/// targets produces the same bits. Encoder and decoder both predict here;
+/// inlined into each, where `cubic` is a constant for the encoder.
+#[inline(always)]
 fn level_preds(
     rec: &[f32],
     s: usize,
@@ -211,7 +213,6 @@ pub fn decompress(bytes: &[u8]) -> Result<Vec<f32>, CodecError> {
 /// both one chunk, the side info a cubic-level mask per chunk.
 pub(crate) struct Sz3 {
     masks: Vec<u16>,
-    /// The encoder's; a decoder's stays empty.
     scratch: Scratch,
 }
 
@@ -250,7 +251,7 @@ impl Predictor for Sz3 {
             let b = reader::take_array::<2>(payload, pos)?;
             masks.push(u16::from_le_bytes(b));
         }
-        let scratch = Scratch::default();
+        let scratch = Scratch::new();
         Ok(Sz3 { masks, scratch })
     }
 
@@ -258,7 +259,7 @@ impl Predictor for Sz3 {
         &mut self,
         index: usize,
         codes: &[u32],
-        literals: &[f32],
+        literals: &mut &[f32],
         q: &Quantizer,
         out: &mut [f32],
     ) -> Result<(), CodecError> {
@@ -266,7 +267,8 @@ impl Predictor for Sz3 {
             .masks
             .get(index)
             .ok_or(CodecError::Corrupt("missing SZ3 level mask"))?;
-        decode_chunk(mask, codes, literals, q, out)
+        let literals = take_literals(literals, codes)?;
+        decode_chunk(mask, codes, literals, q, out, &mut self.scratch)
     }
 }
 
@@ -278,6 +280,7 @@ fn decode_chunk(
     literals: &[f32],
     q: &Quantizer,
     rec: &mut [f32],
+    scratch: &mut Scratch,
 ) -> Result<(), CodecError> {
     let m = rec.len();
     let mut literals = literals.iter();
@@ -296,15 +299,16 @@ fn decode_chunk(
     // Mirror of the batched encoder: per level, rebuild the predictor the
     // encoder chose and reconstruct the whole level through the dispatched
     // kernels.
-    let cap = m / 2 + 1;
-    let mut grid = vec![0.0f32; cap];
-    let mut lin = vec![0.0f32; cap];
-    let mut cub = vec![0.0f32; cap];
-    let mut recons = vec![0.0f32; cap];
-
+    let Scratch {
+        grid,
+        lin,
+        cub,
+        recons,
+        ..
+    } = scratch;
     for (lvl, s) in strides(m).into_iter().enumerate() {
         let use_cubic = cubic_mask & (1 << lvl.min(15)) != 0;
-        let t_cnt = level_preds(rec, s, use_cubic, &mut grid, &mut lin, &mut cub);
+        let t_cnt = level_preds(rec, s, use_cubic, grid, lin, cub);
         let preds = if use_cubic { &cub } else { &lin };
 
         let level_codes = codes
@@ -324,12 +328,13 @@ mod tests {
     use super::*;
     use crate::stream::decode_header;
     use crate::stream::tests::{
-        assert_decodes_like, assert_encodes_like, hostile_floats, payload_of, raw_by_hand,
-        reference_bound, smooth, Parts,
+        assert_decodes_like, assert_encodes_like, hostile_floats, on_model_tensors, payload_of,
+        raw_by_hand, reference_bound, smooth, Parts,
     };
     use crate::LossyKind;
     use fedsz_entropy::bitio::BitReader;
     use fedsz_entropy::huffman::HuffmanDecoder;
+    use fedsz_models::ModelKind;
 
     fn check_bound(data: &[f32], rel: f64) -> f64 {
         crate::stream::tests::check_bound(LossyKind::Sz3, data, rel)
@@ -439,7 +444,7 @@ mod tests {
                 .ok_or(CodecError::Corrupt("missing literal"))?;
             literals = rest;
             let mut rec = vec![0.0f32; chunk_codes.len()];
-            decode_chunk(mask, chunk_codes, mine, &h.q, &mut rec)?;
+            decode_chunk(mask, chunk_codes, mine, &h.q, &mut rec, &mut Scratch::new())?;
             out.extend(rec);
         }
         Ok(out)
@@ -486,18 +491,13 @@ mod tests {
 
     #[test]
     fn fused_decode_matches_reference_on_model_tensors() {
-        use fedsz_models::ModelKind;
-        let model = ModelKind::MobileNetV2.synthesize(10, 42);
-        let mut lossy = 0usize;
-        for entry in model.entries() {
-            let stream = compress(entry.tensor.data(), ErrorBound::Rel(1e-2));
-            let Some(payload) = payload_of(&stream) else {
-                continue;
+        on_model_tensors(&[(ModelKind::MobileNetV2, 1e-2)], 10, |data, eb, ctx| {
+            let Some(payload) = payload_of(&compress(data, eb)) else {
+                return false;
             };
-            lossy += 1;
-            assert_matches_reference(&payload, &entry.name).unwrap();
-        }
-        assert!(lossy > 10, "{lossy} NORMAL-mode tensors");
+            assert_matches_reference(&payload, ctx).unwrap();
+            true
+        });
     }
 
     // -----------------------------------------------------------------------
@@ -702,26 +702,10 @@ mod tests {
         ignore = "minutes without optimisation; CI runs it by name in release"
     )]
     fn encoder_matches_reference_on_model_tensors() {
-        use fedsz_models::ModelKind;
-        for kind in [ModelKind::MobileNetV2, ModelKind::ResNet50] {
-            let model = kind.synthesize(10, 42);
-            for rel in [1e-2, 1e-3, 1e-4] {
-                let mut lossy = 0usize;
-                for entry in model.entries() {
-                    let ctx = format!("{} {rel:e} {}", kind.name(), entry.name);
-                    let stream = assert_encodes_like_reference(
-                        entry.tensor.data(),
-                        ErrorBound::Rel(rel),
-                        &ctx,
-                    );
-                    lossy += usize::from(payload_of(&stream).is_some());
-                }
-                assert!(
-                    lossy > 10,
-                    "{} {rel:e}: {lossy} NORMAL-mode tensors",
-                    kind.name()
-                );
-            }
-        }
+        let models = [ModelKind::MobileNetV2, ModelKind::ResNet50];
+        let cases = models.map(|kind| [1e-2, 1e-3, 1e-4].map(|rel| (kind, rel)));
+        on_model_tensors(cases.as_flattened(), 10, |data, eb, ctx| {
+            payload_of(&assert_encodes_like_reference(data, eb, ctx)).is_some()
+        });
     }
 }
