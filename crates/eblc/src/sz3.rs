@@ -60,11 +60,11 @@ fn cubic_pred(rec: &[f32], i: usize, s: usize) -> f32 {
     }
 }
 
-/// Buffers one `compress` or `decompress` call reuses for every chunk and
-/// level, sized for the densest (stride 1) level of a full chunk.
+/// Buffers one `compress` call reuses for every chunk and level, sized for
+/// the densest (stride 1) level of a full chunk.
+#[derive(Default)]
 struct Scratch {
-    /// The chunk as the decoder will reconstruct it (the decoder itself
-    /// reconstructs in place, in its output).
+    /// The chunk as the decoder will reconstruct it.
     rec: Vec<f32>,
     grid: Vec<f32>,
     vals: Vec<f32>,
@@ -213,6 +213,7 @@ pub fn decompress(bytes: &[u8]) -> Result<Vec<f32>, CodecError> {
 /// both one chunk, the side info a cubic-level mask per chunk.
 pub(crate) struct Sz3 {
     masks: Vec<u16>,
+    /// The encoder's; a decoder's stays empty.
     scratch: Scratch,
 }
 
@@ -251,7 +252,7 @@ impl Predictor for Sz3 {
             let b = reader::take_array::<2>(payload, pos)?;
             masks.push(u16::from_le_bytes(b));
         }
-        let scratch = Scratch::new();
+        let scratch = Scratch::default();
         Ok(Sz3 { masks, scratch })
     }
 
@@ -267,8 +268,7 @@ impl Predictor for Sz3 {
             .masks
             .get(index)
             .ok_or(CodecError::Corrupt("missing SZ3 level mask"))?;
-        let literals = take_literals(literals, codes)?;
-        decode_chunk(mask, codes, literals, q, out, &mut self.scratch)
+        decode_chunk(mask, codes, take_literals(literals, codes)?, q, out)
     }
 }
 
@@ -280,7 +280,6 @@ fn decode_chunk(
     literals: &[f32],
     q: &Quantizer,
     rec: &mut [f32],
-    scratch: &mut Scratch,
 ) -> Result<(), CodecError> {
     let m = rec.len();
     let mut literals = literals.iter();
@@ -299,16 +298,15 @@ fn decode_chunk(
     // Mirror of the batched encoder: per level, rebuild the predictor the
     // encoder chose and reconstruct the whole level through the dispatched
     // kernels.
-    let Scratch {
-        grid,
-        lin,
-        cub,
-        recons,
-        ..
-    } = scratch;
+    let cap = m / 2 + 1;
+    let mut grid = vec![0.0f32; cap];
+    let mut lin = vec![0.0f32; cap];
+    let mut cub = vec![0.0f32; cap];
+    let mut recons = vec![0.0f32; cap];
+
     for (lvl, s) in strides(m).into_iter().enumerate() {
         let use_cubic = cubic_mask & (1 << lvl.min(15)) != 0;
-        let t_cnt = level_preds(rec, s, use_cubic, grid, lin, cub);
+        let t_cnt = level_preds(rec, s, use_cubic, &mut grid, &mut lin, &mut cub);
         let preds = if use_cubic { &cub } else { &lin };
 
         let level_codes = codes
@@ -444,7 +442,7 @@ mod tests {
                 .ok_or(CodecError::Corrupt("missing literal"))?;
             literals = rest;
             let mut rec = vec![0.0f32; chunk_codes.len()];
-            decode_chunk(mask, chunk_codes, mine, &h.q, &mut rec, &mut Scratch::new())?;
+            decode_chunk(mask, chunk_codes, mine, &h.q, &mut rec)?;
             out.extend(rec);
         }
         Ok(out)
