@@ -166,6 +166,12 @@ pub fn decompress_with_stats(update: &CompressedUpdate) -> Result<(StateDict, f6
     let lossy = LossyKind::from_tag(reader::read_u8(data, &mut pos)?)?;
     let lossless = LosslessKind::from_tag(reader::read_u8(data, &mut pos)?)?;
     let n_entries = varint::read_usize(data, &mut pos)?;
+    // An entry takes at least five bytes (name length, kind, rank, route,
+    // payload length), so the bytes left bound the count: refuse a claim
+    // they cannot hold before anything is reserved for it.
+    if n_entries > (data.len() - pos) / 5 {
+        return Err(CodecError::Corrupt("entry count exceeds stream"));
+    }
 
     // First pass: slice out frames (cheap), then decode payloads in parallel.
     let mut frames: Vec<(FrameHeader, &[u8])> = Vec::with_capacity(n_entries);

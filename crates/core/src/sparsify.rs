@@ -10,7 +10,7 @@
 //! end-to-end (see the `ablate_composition` regenerator).
 
 use fedsz_eblc::{ErrorBound, LossyKind};
-use fedsz_entropy::{varint, CodecError};
+use fedsz_entropy::{reader, varint, CodecError};
 use fedsz_lossless::LosslessKind;
 
 /// Top-K sparsifier: keep the `fraction` of entries largest in magnitude.
@@ -131,25 +131,29 @@ impl SparseUpdate {
     pub fn from_composed_bytes(data: &[u8]) -> Result<SparseUpdate, CodecError> {
         let mut pos = 0usize;
         let dense_len = varint::read_usize(data, &mut pos)?;
+        // Indices are `u32`, so no encoder writes a longer dense vector.
+        if dense_len as u64 > 1 << 32 {
+            return Err(CodecError::Corrupt("sparse dense length exceeds u32"));
+        }
         let count = varint::read_usize(data, &mut pos)?;
-        let lossy = LossyKind::from_tag(*data.get(pos).ok_or(CodecError::UnexpectedEof)?)?;
-        let lossless =
-            LosslessKind::from_tag(*data.get(pos + 1).ok_or(CodecError::UnexpectedEof)?)?;
-        pos += 2;
+        let lossy = LossyKind::from_tag(reader::read_u8(data, &mut pos)?)?;
+        let lossless = LosslessKind::from_tag(reader::read_u8(data, &mut pos)?)?;
         let idx_len = varint::read_usize(data, &mut pos)?;
-        let idx_payload = data
-            .get(pos..pos + idx_len)
-            .ok_or(CodecError::UnexpectedEof)?;
-        pos += idx_len;
+        let idx_payload = reader::take(data, &mut pos, idx_len)?;
         let deltas = lossless.decompress(idx_payload)?;
+        // Every index takes at least one varint byte, so the decoded deltas
+        // bound the count: refuse a claim before reserving for it.
+        if count > deltas.len() {
+            return Err(CodecError::Corrupt("sparse index count exceeds stream"));
+        }
         let mut indices = Vec::with_capacity(count);
         let mut dpos = 0usize;
         let mut prev = 0u64;
         for _ in 0..count {
-            prev += varint::read_u64(&deltas, &mut dpos)?;
-            if prev >= dense_len as u64 {
-                return Err(CodecError::Corrupt("sparse index out of range"));
-            }
+            prev = prev
+                .checked_add(varint::read_u64(&deltas, &mut dpos)?)
+                .filter(|&i| i < dense_len as u64)
+                .ok_or(CodecError::Corrupt("sparse index out of range"))?;
             indices.push(prev as u32);
         }
         let values = lossy.decompress(&data[pos..])?;

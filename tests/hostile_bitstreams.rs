@@ -475,6 +475,109 @@ fn an_update_frame_with_a_claimed_length_bomb_is_rejected_at_ingest() {
     }
 }
 
+#[test]
+fn a_twelve_byte_entry_count_bomb_is_an_error_not_an_abort() {
+    // Magic, the two codec tags and an entry count of 2^40: the decoder used
+    // to reserve `Vec::with_capacity(n_entries)` on that claim and the
+    // process died with "memory allocation of 79164837199872 bytes failed",
+    // so one well-framed `Update` from any client killed `serve`. The bytes
+    // left now bound the count (an entry takes five at the least).
+    let mut bomb = b"FSZ1".to_vec();
+    bomb.push(fedsz::LossyKind::Sz2.tag());
+    bomb.push(fedsz::LosslessKind::BloscLz.tag());
+    fedsz_entropy::varint::write_usize(&mut bomb, 1 << 40);
+    assert_eq!(bomb.len(), 12);
+    assert_eq!(
+        decompress(&CompressedUpdate::from_bytes(bomb)),
+        Err(fedsz::CodecError::Corrupt("entry count exceeds stream"))
+    );
+}
+
+/// What the header-field sweeps write over each varint field in turn.
+const HEADER_FIELD_BOMBS: [usize; 4] = [1 << 31, 1 << 40, 1 << 62, usize::MAX];
+
+/// The offset of every varint header field of a FedSZ update, labelled.
+fn update_header_fields(bytes: &[u8]) -> Vec<(String, usize)> {
+    use fedsz_entropy::varint;
+    let mut pos = 6usize;
+    let mut fields = vec![("entry count".to_owned(), pos)];
+    for e in 0..varint::read_usize(bytes, &mut pos).unwrap() {
+        fields.push((format!("entry {e} name length"), pos));
+        pos += varint::read_usize(bytes, &mut pos).unwrap() + 1;
+        fields.push((format!("entry {e} rank"), pos));
+        for d in 0..varint::read_usize(bytes, &mut pos).unwrap() {
+            fields.push((format!("entry {e} dimension {d}"), pos));
+            varint::read_usize(bytes, &mut pos).unwrap();
+        }
+        pos += 1;
+        fields.push((format!("entry {e} payload length"), pos));
+        pos += varint::read_usize(bytes, &mut pos).unwrap();
+    }
+    assert_eq!(pos, bytes.len(), "the walk must end where the stream does");
+    fields
+}
+
+#[test]
+fn header_field_bombs_in_a_fedsz_update_are_errors() {
+    // One lossy and one lossless entry: entry count, and per entry the name
+    // length, rank, every dimension and the payload length — 9 fields.
+    let bytes = sample_update().into_bytes();
+    let fields = update_header_fields(&bytes);
+    assert_eq!(fields.len(), 9);
+    for (field, at) in fields {
+        for bomb in HEADER_FIELD_BOMBS {
+            let bad = with_claimed_len(&bytes, at, bomb);
+            assert!(
+                decompress(&CompressedUpdate::from_bytes(bad)).is_err(),
+                "{field} = {bomb} decoded"
+            );
+        }
+    }
+}
+
+#[test]
+fn header_field_bombs_in_a_composed_sparse_update_are_errors() {
+    use fedsz::{ErrorBound, LosslessKind, LossyKind, SparseUpdate, TopK};
+    use fedsz_entropy::varint;
+    let mut rng = SplitMix64::new(0x5A45_0B0B);
+    let values: Vec<f32> = (0..4096)
+        .map(|_| rng.normal_with(0.0, 0.02) as f32)
+        .collect();
+    let sparse = TopK::new(0.05).sparsify(&values);
+    let bytes =
+        sparse.to_composed_bytes(LossyKind::Sz2, ErrorBound::Rel(1e-2), LosslessKind::BloscLz);
+    let honest = SparseUpdate::from_composed_bytes(&bytes).unwrap();
+    assert_eq!(honest.indices, sparse.indices);
+
+    // `[dense length][count][lossy tag][lossless tag][index-payload length]`.
+    let mut pos = 0usize;
+    varint::read_usize(&bytes, &mut pos).unwrap();
+    let count_at = pos;
+    varint::read_usize(&bytes, &mut pos).unwrap();
+    let idx_len_at = pos + 2;
+    for bomb in HEADER_FIELD_BOMBS {
+        // The count used to be reserved as claimed (4·2^40 bytes: an abort),
+        // and `pos + idx_len` was unchecked (a debug-build overflow panic).
+        for (field, at) in [("count", count_at), ("index-payload length", idx_len_at)] {
+            let bad = with_claimed_len(&bytes, at, bomb);
+            assert!(
+                SparseUpdate::from_composed_bytes(&bad).is_err(),
+                "{field} = {bomb} decoded"
+            );
+        }
+        // The dense length is different in kind: decoding reserves nothing
+        // for it, and indices are `u32`, so 2^31 is a dense vector the format
+        // can address and the stream stays valid; beyond 2^32 it is refused.
+        let got = SparseUpdate::from_composed_bytes(&with_claimed_len(&bytes, 0, bomb));
+        if bomb as u64 <= 1 << 32 {
+            let got = got.expect("an addressable dense length");
+            assert_eq!((got.dense_len, &got.indices), (bomb, &sparse.indices));
+        } else {
+            assert!(got.is_err(), "dense length = {bomb} decoded");
+        }
+    }
+}
+
 type Decompress = fn(&[u8]) -> Result<Vec<f32>, fedsz_entropy::CodecError>;
 
 /// An SZ2/SZ3 NORMAL-mode stream around `payload`: the mode byte, then the
