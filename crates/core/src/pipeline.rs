@@ -9,7 +9,6 @@ use fedsz_eblc::{ErrorBound, LossyKind};
 use fedsz_entropy::{reader, varint, CodecError};
 use fedsz_lossless::LosslessKind;
 use fedsz_tensor::{f32s_to_le_bytes, StateDict, Tensor, TensorKind};
-use rayon::prelude::*;
 
 use crate::partition::{route_of, Route, DEFAULT_THRESHOLD};
 use crate::stats::{EntryStats, UpdateStats};
@@ -88,19 +87,18 @@ fn kind_from_tag(tag: u8) -> Result<TensorKind, CodecError> {
 pub fn compress_with_stats(sd: &StateDict, cfg: &FedSzConfig) -> (CompressedUpdate, UpdateStats) {
     let t0 = Instant::now();
 
-    // Per-entry compression is embarrassingly parallel.
-    let compressed: Vec<(Route, Vec<u8>)> = sd
-        .entries()
-        .par_iter()
-        .map(|e| {
-            let route = route_of(&e.name, e.tensor.numel(), cfg.threshold);
-            let payload = match route {
-                Route::Lossy => cfg.lossy.compress(e.tensor.data(), cfg.error_bound),
-                Route::Lossless => cfg.lossless.compress(&f32s_to_le_bytes(e.tensor.data())),
-            };
-            (route, payload)
-        })
-        .collect();
+    // Entries are independent and every codec call builds its own scratch,
+    // so they are shared out one at a time between this thread and whatever
+    // helpers the process has to spare; the payloads come back in entry
+    // order, so the stream does not depend on how many there were.
+    let compressed: Vec<(Route, Vec<u8>)> = rayon::par_map(sd.entries(), sd.nbytes(), |e| {
+        let route = route_of(&e.name, e.tensor.numel(), cfg.threshold);
+        let payload = match route {
+            Route::Lossy => cfg.lossy.compress(e.tensor.data(), cfg.error_bound),
+            Route::Lossless => cfg.lossless.compress(&f32s_to_le_bytes(e.tensor.data())),
+        };
+        (route, payload)
+    });
 
     let mut out = Vec::with_capacity(sd.nbytes() / 4 + 256);
     out.extend_from_slice(&MAGIC);
@@ -173,8 +171,12 @@ pub fn decompress_with_stats(update: &CompressedUpdate) -> Result<(StateDict, f6
         return Err(CodecError::Corrupt("entry count exceeds stream"));
     }
 
-    // First pass: slice out frames (cheap), then decode payloads in parallel.
+    // First pass: slice out the frames (cheap) and add up the decoded size
+    // their shapes announce, which is what the second pass is sized by. The
+    // compressed length would not do: a lossless, nearly incompressible
+    // 0.6 MB broadcast is as long as a 9 MB update at ratio 15.
     let mut frames: Vec<(FrameHeader, &[u8])> = Vec::with_capacity(n_entries);
+    let mut announced_bytes = 0usize;
     for _ in 0..n_entries {
         let name_len = varint::read_usize(data, &mut pos)?;
         // A hostile length can overflow `pos + len`; checked arithmetic turns
@@ -197,6 +199,8 @@ pub fn decompress_with_stats(update: &CompressedUpdate) -> Result<(StateDict, f6
         for _ in 0..ndim {
             shape.push(varint::read_usize(data, &mut pos)?);
         }
+        announced_bytes = announced_bytes
+            .saturating_add(shape.iter().fold(4, |n: usize, &d| n.saturating_mul(d)));
         let route = match *data.get(pos).ok_or(CodecError::UnexpectedEof)? {
             0 => Route::Lossless,
             1 => Route::Lossy,
@@ -222,27 +226,26 @@ pub fn decompress_with_stats(update: &CompressedUpdate) -> Result<(StateDict, f6
         ));
     }
 
-    let decoded: Result<Vec<(FrameHeader, Vec<f32>)>, CodecError> = frames
-        .into_par_iter()
-        .map(|(hdr, payload)| {
-            let values = match hdr.route {
-                Route::Lossy => lossy.decompress(payload)?,
-                Route::Lossless => {
-                    let bytes = lossless.decompress(payload)?;
-                    // A corrupted frame can decode to a byte count that is
-                    // not a whole number of f32s; reject instead of panic.
-                    if !bytes.len().is_multiple_of(4) {
-                        return Err(CodecError::Corrupt("lossless payload not f32-aligned"));
-                    }
-                    reader::f32s_from_le_bytes(&bytes)
+    // Second pass: decode the payloads, shared out like the entries of
+    // `compress_with_stats`. On a corrupt stream the error is that of the
+    // first entry that fails to decode, as in a loop over the frames.
+    let decoded = rayon::try_par_map(&frames, announced_bytes, |(hdr, payload)| {
+        Ok(match hdr.route {
+            Route::Lossy => lossy.decompress(payload)?,
+            Route::Lossless => {
+                let bytes = lossless.decompress(payload)?;
+                // A corrupted frame can decode to a byte count that is
+                // not a whole number of f32s; reject instead of panic.
+                if !bytes.len().is_multiple_of(4) {
+                    return Err(CodecError::Corrupt("lossless payload not f32-aligned"));
                 }
-            };
-            Ok((hdr, values))
+                reader::f32s_from_le_bytes(&bytes)
+            }
         })
-        .collect();
+    })?;
 
     let mut sd = StateDict::new();
-    for (hdr, values) in decoded? {
+    for ((hdr, _), values) in frames.into_iter().zip(decoded) {
         let numel = hdr
             .shape
             .iter()

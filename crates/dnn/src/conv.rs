@@ -1,9 +1,8 @@
 //! 2-D convolution with stride, padding, and groups (depthwise support),
-//! implemented as per-sample im2col + matmul and parallelized over the
-//! batch with Rayon.
+//! implemented as per-sample im2col + matmul, one sample of the batch at a
+//! time.
 
 use fedsz_tensor::{SplitMix64, StateDict, Tensor, TensorKind};
-use rayon::prelude::*;
 
 use crate::act::Act;
 use crate::layer::Layer;
@@ -170,7 +169,6 @@ impl Layer for Conv2d {
         let l = oh * ow;
 
         let outputs: Vec<Vec<f32>> = (0..x.n)
-            .into_par_iter()
             .map(|i| {
                 let xs = x.sample(i);
                 let mut out = vec![0.0f32; self.out_ch * l];
@@ -217,7 +215,6 @@ impl Layer for Conv2d {
             gb: Vec<f32>,
         }
         let partials: Vec<Partial> = (0..x.n)
-            .into_par_iter()
             .map(|i| {
                 let xs = x.sample(i);
                 let gs = grad.sample(i);

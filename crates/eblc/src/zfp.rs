@@ -14,7 +14,6 @@
 
 use fedsz_entropy::bitio::{BitReader, BitWriter};
 use fedsz_entropy::{reader, varint, CodecError};
-use rayon::prelude::*;
 
 use crate::stream::{self, raw_stream};
 use crate::{value_range, ErrorBound};
@@ -211,21 +210,21 @@ pub fn compress(data: &[f32], eb: ErrorBound) -> Vec<u8> {
     }
     let planes = precision_for(eb, data);
 
-    // Chunked and parallel: each chunk of blocks is bit-packed independently
-    // and framed with its byte length so chunks concatenate cleanly.
+    // Each chunk of blocks is bit-packed independently and framed with its
+    // byte length, so chunks concatenate cleanly and can be shared out
+    // between threads (a single large stream; inside the per-tensor pipeline
+    // the helpers are already taken and this is a plain loop).
     const BLOCKS_PER_CHUNK: usize = 4096;
-    let chunk_payloads: Vec<Vec<u8>> = data
-        .par_chunks(BLOCKS_PER_CHUNK * 4)
-        .map(|chunk| {
-            let mut w = BitWriter::with_capacity(chunk.len());
-            for block in chunk.chunks(4) {
-                let mut vals = [0.0f32; 4];
-                vals[..block.len()].copy_from_slice(block);
-                encode_block(&vals, planes, &mut w);
-            }
-            w.finish()
-        })
-        .collect();
+    let chunks: Vec<&[f32]> = data.chunks(BLOCKS_PER_CHUNK * 4).collect();
+    let chunk_payloads = rayon::par_map(&chunks, data.len() * 4, |chunk| {
+        let mut w = BitWriter::with_capacity(chunk.len());
+        for block in chunk.chunks(4) {
+            let mut vals = [0.0f32; 4];
+            vals[..block.len()].copy_from_slice(block);
+            encode_block(&vals, planes, &mut w);
+        }
+        w.finish()
+    });
 
     let mut out = Vec::with_capacity(data.len() + 16);
     out.push(MODE_NORMAL);

@@ -8,7 +8,6 @@
 //! than Gaussian, spiky along the flattened index (Figure 2).
 
 use fedsz_tensor::{SplitMix64, StateDict, Tensor, TensorKind};
-use rayon::prelude::*;
 
 use crate::spec::{ModelSpec, ParamSpec};
 
@@ -64,26 +63,23 @@ fn synthesize_param(spec: &ParamSpec, seed: u64) -> Tensor {
 
 /// Fill `spec` with pretrained-like values, deterministically from `seed`.
 pub fn synthesize(spec: &ModelSpec, seed: u64) -> StateDict {
-    let tensors: Vec<Tensor> = spec
-        .params
-        .par_iter()
-        .enumerate()
+    // Independent stream per entry: decorrelate via SplitMix of the index.
+    let seeded: Vec<(&ParamSpec, u64)> = (0u64..)
+        .zip(&spec.params)
         .map(|(i, p)| {
-            // Independent stream per entry: decorrelate via SplitMix of the index.
-            let sub_seed =
-                SplitMix64::new(seed ^ (i as u64).wrapping_mul(0x9E3779B97F4A7C15)).next_u64();
-            synthesize_param(p, sub_seed)
+            let sub_seed = SplitMix64::new(seed ^ i.wrapping_mul(0x9E3779B97F4A7C15)).next_u64();
+            (p, sub_seed)
         })
         .collect();
-    spec.params
-        .iter()
-        .zip(tensors)
-        .map(|(p, t)| fedsz_tensor::Entry {
+    rayon::par_map(&seeded, spec.nbytes(), |&(p, sub_seed)| {
+        fedsz_tensor::Entry {
             name: p.name.clone(),
             kind: p.kind,
-            tensor: t,
-        })
-        .collect()
+            tensor: synthesize_param(p, sub_seed),
+        }
+    })
+    .into_iter()
+    .collect()
 }
 
 #[cfg(test)]

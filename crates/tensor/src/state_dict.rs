@@ -129,22 +129,14 @@ impl StateDict {
 
     /// Element-wise `self += alpha * other` across all entries.
     ///
-    /// Entries are independent, so they update in parallel; within an entry
-    /// every element still sees the same single accumulation, so the result
-    /// is bit-identical to a sequential loop.
-    ///
     /// # Panics
     /// Panics if the dictionaries do not have identical structure.
     pub fn axpy(&mut self, alpha: f32, other: &StateDict) {
-        use rayon::prelude::*;
         assert_eq!(self.len(), other.len(), "state-dict structure mismatch");
-        self.entries
-            .par_iter_mut()
-            .zip(other.entries.par_iter())
-            .for_each(|(a, b)| {
-                assert_eq!(a.name, b.name, "state-dict entry order mismatch");
-                a.tensor.axpy(alpha, &b.tensor);
-            });
+        for (a, b) in self.entries.iter_mut().zip(&other.entries) {
+            assert_eq!(a.name, b.name, "state-dict entry order mismatch");
+            a.tensor.axpy(alpha, &b.tensor);
+        }
     }
 
     /// Scale all entries in place.

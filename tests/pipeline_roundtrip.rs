@@ -1,9 +1,14 @@
 //! Cross-crate integration: full-scale model zoo state dicts through the
 //! FedSZ pipeline, with bound and exactness guarantees checked per entry.
 
-use fedsz::{census, compress, compress_with_stats, decompress, FedSzConfig, LossyKind, Route};
+use fedsz::{
+    census, compress, compress_with_stats, decompress, CodecError, CompressedUpdate, FedSzConfig,
+    LossyKind, Route,
+};
 use fedsz_eblc::value_range;
+use fedsz_entropy::varint;
 use fedsz_models::ModelKind;
+use fedsz_tensor::{f32s_to_le_bytes, StateDict};
 
 #[test]
 fn mobilenet_round_trip_honours_bounds_everywhere() {
@@ -82,5 +87,133 @@ fn ratios_decrease_with_tighter_bounds_end_to_end() {
         assert!(ratio < last, "ratio {ratio} not decreasing at {rel:e}");
         assert!(ratio > 1.0, "no compression at {rel:e}");
         last = ratio;
+    }
+}
+
+/// The serial reference for the per-tensor pipeline: one codec call per
+/// entry, in entry order, on this thread.
+fn serial_payloads(sd: &StateDict, cfg: &FedSzConfig) -> Vec<(Route, Vec<u8>)> {
+    sd.entries()
+        .iter()
+        .map(|e| {
+            let route = fedsz::route_of(&e.name, e.tensor.numel(), cfg.threshold);
+            let payload = match route {
+                Route::Lossy => cfg.lossy.compress(e.tensor.data(), cfg.error_bound),
+                Route::Lossless => cfg.lossless.compress(&f32s_to_le_bytes(e.tensor.data())),
+            };
+            (route, payload)
+        })
+        .collect()
+}
+
+/// `payloads` framed as `fedsz::compress` frames them.
+fn framed(sd: &StateDict, cfg: &FedSzConfig, payloads: &[(Route, Vec<u8>)]) -> CompressedUpdate {
+    let mut out = b"FSZ1".to_vec();
+    out.extend([cfg.lossy.tag(), cfg.lossless.tag()]);
+    varint::write_usize(&mut out, sd.len());
+    for (e, (route, payload)) in sd.entries().iter().zip(payloads) {
+        varint::write_usize(&mut out, e.name.len());
+        out.extend_from_slice(e.name.as_bytes());
+        out.push(e.kind.tag());
+        varint::write_usize(&mut out, e.tensor.ndim());
+        for &d in e.tensor.shape() {
+            varint::write_usize(&mut out, d);
+        }
+        out.push((*route == Route::Lossy) as u8);
+        varint::write_usize(&mut out, payload.len());
+        out.extend_from_slice(payload);
+    }
+    CompressedUpdate::from_bytes(out)
+}
+
+/// One payload decoded as `fedsz::decompress` decodes it.
+fn decode_payload(cfg: &FedSzConfig, route: Route, payload: &[u8]) -> Result<Vec<f32>, CodecError> {
+    match route {
+        Route::Lossy => cfg.lossy.decompress(payload),
+        Route::Lossless => Ok(cfg
+            .lossless
+            .decompress(payload)?
+            .chunks_exact(4)
+            .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+            .collect()),
+    }
+}
+
+#[test]
+fn the_shared_out_pipeline_equals_the_serial_reference_also_under_concurrent_callers() {
+    // MobileNetV2: 314 entries and 9 MB, so `compress` and `decompress` take
+    // helper threads where the machine has them. Bytes and values must be
+    // those of one codec call per entry in order, on one thread.
+    let sd = ModelKind::MobileNetV2.synthesize(10, 104);
+    assert_eq!(sd.len(), 314);
+    let cfg = FedSzConfig::with_rel_bound(1e-4);
+    let payloads = serial_payloads(&sd, &cfg);
+    let reference = framed(&sd, &cfg, &payloads);
+    let values: Vec<Vec<f32>> = payloads
+        .iter()
+        .map(|(route, payload)| decode_payload(&cfg, *route, payload).unwrap())
+        .collect();
+
+    let check = || {
+        let update = compress(&sd, &cfg);
+        assert!(update == reference, "compressed bytes differ");
+        let restored = decompress(&update).expect("round trip");
+        assert_eq!(restored.len(), sd.len());
+        for ((was, now), expected) in sd.entries().iter().zip(restored.entries()).zip(&values) {
+            assert_eq!((&was.name, was.kind), (&now.name, now.kind));
+            assert_eq!(was.tensor.shape(), now.tensor.shape());
+            // Bit patterns: a lossless entry may hold any float.
+            assert!(
+                now.tensor
+                    .data()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .eq(expected.iter().map(|v| v.to_bits())),
+                "{} decoded differently",
+                now.name
+            );
+        }
+    };
+    check();
+    // Eight callers at once contend for the same helper budget; what each
+    // gets must not show in its output.
+    std::thread::scope(|scope| {
+        for _ in 0..8 {
+            scope.spawn(check);
+        }
+    });
+}
+
+#[test]
+fn of_two_corrupt_entries_the_first_ones_error_is_returned_every_time() {
+    let sd = ModelKind::MobileNetV2.synthesize(10, 105);
+    let cfg = FedSzConfig::with_rel_bound(1e-2);
+    let mut payloads = serial_payloads(&sd, &cfg);
+    // The largest lossy entry loses its last byte, so its decoder runs for a
+    // while before it fails; the lossy entry after it fails on its mode byte,
+    // and a thread that claims it sees its error first.
+    let lossy: Vec<usize> = (0..payloads.len())
+        .filter(|&i| payloads[i].0 == Route::Lossy)
+        .collect();
+    let at = (0..lossy.len() - 1)
+        .max_by_key(|&k| payloads[lossy[k]].1.len())
+        .unwrap();
+    let (first, second) = (lossy[at], lossy[at + 1]);
+    payloads[first].1.pop();
+    payloads[second].1 = vec![0xFF];
+    let errors =
+        [first, second].map(|i| decode_payload(&cfg, payloads[i].0, &payloads[i].1).unwrap_err());
+    assert_ne!(
+        errors[0], errors[1],
+        "the two corruptions must be told apart"
+    );
+
+    let hostile = framed(&sd, &cfg, &payloads);
+    for repetition in 0..100 {
+        assert_eq!(
+            decompress(&hostile).unwrap_err(),
+            errors[0],
+            "repetition {repetition}"
+        );
     }
 }
