@@ -212,8 +212,8 @@ pub fn compress(data: &[f32], eb: ErrorBound) -> Vec<u8> {
 
     // Each chunk of blocks is bit-packed independently and framed with its
     // byte length, so chunks concatenate cleanly and can be shared out
-    // between threads (a single large stream; inside the per-tensor pipeline
-    // the helpers are already taken and this is a plain loop).
+    // between threads. That serves a single large stream; inside the
+    // per-tensor pipeline the helper budget is spent and this is a loop.
     const BLOCKS_PER_CHUNK: usize = 4096;
     let chunks: Vec<&[f32]> = data.chunks(BLOCKS_PER_CHUNK * 4).collect();
     let chunk_payloads = rayon::par_map(&chunks, data.len() * 4, |chunk| {
