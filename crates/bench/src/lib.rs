@@ -83,10 +83,16 @@ impl Args {
     }
 }
 
-/// Print a header row followed by a tab-joined column row, for the
-/// regenerators' text tables.
+/// Print a title row, the host the numbers were taken on (every timing
+/// depends on its core count and SIMD level) and a tab-joined column row,
+/// for the regenerators' text tables.
 pub fn print_header(title: &str, cols: &[&str]) {
     println!("# {title}");
+    println!(
+        "# host: available_parallelism={} simd={}",
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
+        fedsz_simd::active_level().name()
+    );
     println!("{}", cols.join("\t"));
 }
 
