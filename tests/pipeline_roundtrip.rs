@@ -6,7 +6,7 @@ use fedsz::{
     LossyKind, Route,
 };
 use fedsz_eblc::value_range;
-use fedsz_entropy::varint;
+use fedsz_entropy::{reader, varint};
 use fedsz_models::ModelKind;
 use fedsz_tensor::{f32s_to_le_bytes, StateDict};
 
@@ -130,12 +130,9 @@ fn framed(sd: &StateDict, cfg: &FedSzConfig, payloads: &[(Route, Vec<u8>)]) -> C
 fn decode_payload(cfg: &FedSzConfig, route: Route, payload: &[u8]) -> Result<Vec<f32>, CodecError> {
     match route {
         Route::Lossy => cfg.lossy.decompress(payload),
-        Route::Lossless => Ok(cfg
-            .lossless
-            .decompress(payload)?
-            .chunks_exact(4)
-            .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-            .collect()),
+        Route::Lossless => Ok(reader::f32s_from_le_bytes(
+            &cfg.lossless.decompress(payload)?,
+        )),
     }
 }
 
