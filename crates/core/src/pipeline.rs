@@ -8,7 +8,7 @@ use std::time::Instant;
 use fedsz_eblc::{ErrorBound, LossyKind};
 use fedsz_entropy::{reader, varint, CodecError};
 use fedsz_lossless::LosslessKind;
-use fedsz_tensor::{f32s_to_le_bytes, StateDict, Tensor, TensorKind};
+use fedsz_tensor::{f32s_to_le_bytes, Entry, StateDict, Tensor, TensorKind};
 
 use crate::partition::{route_of, Route, DEFAULT_THRESHOLD};
 use crate::stats::{EntryStats, UpdateStats};
@@ -88,10 +88,12 @@ pub fn compress_with_stats(sd: &StateDict, cfg: &FedSzConfig) -> (CompressedUpda
     let t0 = Instant::now();
 
     // Entries are independent and every codec call builds its own scratch,
-    // so they are shared out one at a time between this thread and whatever
-    // helpers the process has to spare; the payloads come back in entry
-    // order, so the stream does not depend on how many there were.
-    let compressed: Vec<(Route, Vec<u8>)> = rayon::par_map(sd.entries(), sd.nbytes(), |e| {
+    // so they are shared out one at a time, largest first, between this
+    // thread and whatever helpers the process has to spare; the payloads
+    // come back in entry order, so the stream does not depend on how many
+    // there were.
+    let nbytes = |e: &Entry| e.tensor.nbytes();
+    let compressed: Vec<(Route, Vec<u8>)> = rayon::par_map(sd.entries(), nbytes, |e| {
         let route = route_of(&e.name, e.tensor.numel(), cfg.threshold);
         let payload = match route {
             Route::Lossy => cfg.lossy.compress(e.tensor.data(), cfg.error_bound),
@@ -152,6 +154,16 @@ struct FrameHeader {
     route: Route,
 }
 
+impl FrameHeader {
+    /// The decoded size the shape announces, saturating: it sizes nothing,
+    /// it only orders the frames and decides whether helpers are worth it.
+    fn announced_bytes(&self) -> usize {
+        self.shape
+            .iter()
+            .fold(4, |n: usize, &d| n.saturating_mul(d))
+    }
+}
+
 /// Decompress an update, also returning timing statistics.
 pub fn decompress_with_stats(update: &CompressedUpdate) -> Result<(StateDict, f64), CodecError> {
     let t0 = Instant::now();
@@ -171,12 +183,8 @@ pub fn decompress_with_stats(update: &CompressedUpdate) -> Result<(StateDict, f6
         return Err(CodecError::Corrupt("entry count exceeds stream"));
     }
 
-    // First pass: slice out the frames (cheap) and add up the decoded size
-    // their shapes announce, which is what the second pass is sized by. The
-    // compressed length would not do: a lossless, nearly incompressible
-    // 0.6 MB broadcast is as long as a 9 MB update at ratio 15.
+    // First pass: slice out the frames (cheap).
     let mut frames: Vec<(FrameHeader, &[u8])> = Vec::with_capacity(n_entries);
-    let mut announced_bytes = 0usize;
     for _ in 0..n_entries {
         let name_len = varint::read_usize(data, &mut pos)?;
         // A hostile length can overflow `pos + len`; checked arithmetic turns
@@ -199,8 +207,6 @@ pub fn decompress_with_stats(update: &CompressedUpdate) -> Result<(StateDict, f6
         for _ in 0..ndim {
             shape.push(varint::read_usize(data, &mut pos)?);
         }
-        announced_bytes = announced_bytes
-            .saturating_add(shape.iter().fold(4, |n: usize, &d| n.saturating_mul(d)));
         let route = match *data.get(pos).ok_or(CodecError::UnexpectedEof)? {
             0 => Route::Lossless,
             1 => Route::Lossy,
@@ -227,9 +233,13 @@ pub fn decompress_with_stats(update: &CompressedUpdate) -> Result<(StateDict, f6
     }
 
     // Second pass: decode the payloads, shared out like the entries of
-    // `compress_with_stats`. On a corrupt stream the error is that of the
-    // first entry that fails to decode, as in a loop over the frames.
-    let decoded = rayon::try_par_map(&frames, announced_bytes, |(hdr, payload)| {
+    // `compress_with_stats`, by the decoded size each shape announces. The
+    // compressed length would not do: a lossless, nearly incompressible
+    // 0.6 MB broadcast is as long as a 9 MB update at ratio 15. On a
+    // corrupt stream the error is that of the first entry that fails to
+    // decode, as in a loop over the frames.
+    let announced = |(hdr, _): &(FrameHeader, &[u8])| hdr.announced_bytes();
+    let decoded = rayon::try_par_map(&frames, announced, |(hdr, payload)| {
         Ok(match hdr.route {
             Route::Lossy => lossy.decompress(payload)?,
             Route::Lossless => {

@@ -216,7 +216,8 @@ pub fn compress(data: &[f32], eb: ErrorBound) -> Vec<u8> {
     // per-tensor pipeline the helper budget is spent and this is a loop.
     const BLOCKS_PER_CHUNK: usize = 4096;
     let chunks: Vec<&[f32]> = data.chunks(BLOCKS_PER_CHUNK * 4).collect();
-    let chunk_payloads = rayon::par_map(&chunks, data.len() * 4, |chunk| {
+    let nbytes = |chunk: &&[f32]| chunk.len() * 4;
+    let chunk_payloads = rayon::par_map(&chunks, nbytes, |chunk| {
         let mut w = BitWriter::with_capacity(chunk.len());
         for block in chunk.chunks(4) {
             let mut vals = [0.0f32; 4];

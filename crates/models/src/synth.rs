@@ -71,12 +71,11 @@ pub fn synthesize(spec: &ModelSpec, seed: u64) -> StateDict {
             (p, sub_seed)
         })
         .collect();
-    rayon::par_map(&seeded, spec.nbytes(), |&(p, sub_seed)| {
-        fedsz_tensor::Entry {
-            name: p.name.clone(),
-            kind: p.kind,
-            tensor: synthesize_param(p, sub_seed),
-        }
+    let nbytes = |(p, _): &(&ParamSpec, u64)| p.numel() * 4;
+    rayon::par_map(&seeded, nbytes, |&(p, sub_seed)| fedsz_tensor::Entry {
+        name: p.name.clone(),
+        kind: p.kind,
+        tensor: synthesize_param(p, sub_seed),
     })
     .into_iter()
     .collect()

@@ -136,13 +136,27 @@ fn decode_payload(cfg: &FedSzConfig, route: Route, payload: &[u8]) -> Result<Vec
     }
 }
 
+/// Two MobileNetV2s side by side: 628 entries and 18 MB, which is over the
+/// 16 MiB below which `vendor/rayon` keeps a call on one thread, so
+/// `compress` and `decompress` take helper threads where the machine has
+/// them, and no tensor is larger than 1.6 MB, so eight callers at once stay
+/// small.
+fn two_mobilenets(seed: u64) -> StateDict {
+    let mut sd = StateDict::new();
+    for (prefix, seed) in [("a.", seed), ("b.", seed + 1)] {
+        for e in ModelKind::MobileNetV2.synthesize(10, seed).entries() {
+            sd.insert(format!("{prefix}{}", e.name), e.kind, e.tensor.clone());
+        }
+    }
+    assert!(sd.len() == 628 && sd.nbytes() >= 16 << 20);
+    sd
+}
+
 #[test]
 fn the_shared_out_pipeline_equals_the_serial_reference_also_under_concurrent_callers() {
-    // MobileNetV2: 314 entries and 9 MB, so `compress` and `decompress` take
-    // helper threads where the machine has them. Bytes and values must be
-    // those of one codec call per entry in order, on one thread.
-    let sd = ModelKind::MobileNetV2.synthesize(10, 104);
-    assert_eq!(sd.len(), 314);
+    // Bytes and values must be those of one codec call per entry in order,
+    // on one thread.
+    let sd = two_mobilenets(104);
     let cfg = FedSzConfig::with_rel_bound(1e-4);
     let payloads = serial_payloads(&sd, &cfg);
     let reference = framed(&sd, &cfg, &payloads);
@@ -183,19 +197,18 @@ fn the_shared_out_pipeline_equals_the_serial_reference_also_under_concurrent_cal
 
 #[test]
 fn of_two_corrupt_entries_the_first_ones_error_is_returned_every_time() {
-    let sd = ModelKind::MobileNetV2.synthesize(10, 105);
+    let sd = two_mobilenets(105);
     let cfg = FedSzConfig::with_rel_bound(1e-2);
     let mut payloads = serial_payloads(&sd, &cfg);
-    // The largest lossy entry loses its last byte, so its decoder runs for a
-    // while before it fails; the lossy entry after it fails on its mode byte,
-    // and a thread that claims it sees its error first.
-    let lossy: Vec<usize> = (0..payloads.len())
-        .filter(|&i| payloads[i].0 == Route::Lossy)
-        .collect();
-    let at = (0..lossy.len() - 1)
-        .max_by_key(|&k| payloads[lossy[k]].1.len())
-        .unwrap();
-    let (first, second) = (lossy[at], lossy[at + 1]);
+    // Entries are claimed largest first, and the two largest are the same
+    // layer of the two models. The later one fails on its mode byte, so its
+    // error is seen at once; the earlier one loses its last byte, so its
+    // decoder runs for a while before it fails, and its error is the one a
+    // loop over the entries returns.
+    let lossy = |i: &usize| payloads[*i].0 == Route::Lossy;
+    let numel = |i: &usize| sd.entries()[*i].tensor.numel();
+    let second = (0..payloads.len()).filter(lossy).max_by_key(numel).unwrap();
+    let first = (0..second).filter(lossy).max_by_key(numel).unwrap();
     payloads[first].1.pop();
     payloads[second].1 = vec![0xFF];
     let errors =
