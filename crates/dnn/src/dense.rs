@@ -4,7 +4,7 @@ use fedsz_tensor::{SplitMix64, StateDict, Tensor, TensorKind};
 
 use crate::act::Act;
 use crate::layer::Layer;
-use crate::math::{mm_nn, mm_nt, mm_tn};
+use crate::math::{Acc, Gemm, Mat};
 
 /// Dense (fully-connected) layer: `y = x Wᵀ + b`.
 pub struct Dense {
@@ -45,7 +45,13 @@ impl Layer for Dense {
         let n = x.n;
         let mut out = vec![0.0f32; n * self.out_f];
         // out (n x out) += x (n x in) * W^T (in x out); W is (out x in).
-        mm_nt(&x.data, &self.weight, n, self.in_f, self.out_f, &mut out);
+        let w = Mat::new(&self.weight, self.out_f, self.in_f);
+        Gemm::default().mul(
+            Mat::new(&x.data, n, self.in_f),
+            w.t(),
+            &mut out,
+            Acc::FromZero,
+        );
         for i in 0..n {
             for (o, &b) in out[i * self.out_f..(i + 1) * self.out_f]
                 .iter_mut()
@@ -69,7 +75,14 @@ impl Layer for Dense {
         assert_eq!(grad.sample_len(), self.out_f);
         // dW (out x in) = G^T (out x n) * X (n x in)
         self.gw.fill(0.0);
-        mm_tn(&grad.data, &x.data, self.out_f, n, self.in_f, &mut self.gw);
+        let g = Mat::new(&grad.data, n, self.out_f);
+        let mut gemm = Gemm::default();
+        gemm.mul(
+            g.t(),
+            Mat::new(&x.data, n, self.in_f),
+            &mut self.gw,
+            Acc::FromC,
+        );
         // db = column sums of G.
         self.gb.fill(0.0);
         for i in 0..n {
@@ -83,7 +96,8 @@ impl Layer for Dense {
         }
         // dX (n x in) = G (n x out) * W (out x in)
         let mut gx = vec![0.0f32; n * self.in_f];
-        mm_nn(&grad.data, &self.weight, n, self.out_f, self.in_f, &mut gx);
+        let w = Mat::new(&self.weight, self.out_f, self.in_f);
+        gemm.mul(g, w, &mut gx, Acc::FromC);
         Act::new(gx, n, self.in_f, 1, 1)
     }
 

@@ -6,7 +6,10 @@
 //! cross-entropy ([`loss`]), seeded synthetic datasets with the paper's
 //! input geometries ([`data`]), and scaled trainable analogues of AlexNet /
 //! MobileNetV2 / ResNet50 ([`models`]). Everything is deterministic given a
-//! seed; convolution parallelizes over the batch with Rayon.
+//! seed and runs on the calling thread (an FL run's parallelism is one
+//! thread per client, above this crate). The conv and dense layers share one
+//! packed, register-blocked matrix product ([`math`]) whose summation order
+//! is fixed, so the trained bits do not depend on how it blocks.
 
 pub mod act;
 pub mod conv;

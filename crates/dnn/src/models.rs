@@ -48,11 +48,14 @@ impl ModelArch {
     }
 
     /// Build for the given input geometry.
+    ///
+    /// # Panics
+    /// Panics if an `hw × hw` input is too small for the architecture.
     pub fn build(self, in_ch: usize, hw: usize, classes: usize, seed: u64) -> Network {
         match self {
             ModelArch::AlexNetS => alexnet_s(in_ch, hw, classes, seed),
-            ModelArch::MobileNetV2S => mobilenet_v2_s(in_ch, classes, seed),
-            ModelArch::ResNetS => resnet_s(in_ch, classes, seed),
+            ModelArch::MobileNetV2S => mobilenet_v2_s(in_ch, hw, classes, seed),
+            ModelArch::ResNetS => resnet_s(in_ch, hw, classes, seed),
         }
     }
 }
@@ -118,7 +121,10 @@ fn inverted_residual(
 }
 
 /// MobileNetV2 analogue: stem + four inverted-residual blocks + head.
-pub fn mobilenet_v2_s(in_ch: usize, classes: usize, seed: u64) -> Network {
+///
+/// Every convolution pads its 3×3 window, so any non-empty input works.
+pub fn mobilenet_v2_s(in_ch: usize, hw: usize, classes: usize, seed: u64) -> Network {
+    assert!(hw >= 1, "input {hw} too small for MobileNetV2S");
     let mut rng = SplitMix64::new(seed);
     let root = Sequential::new()
         .add(
@@ -162,7 +168,10 @@ fn res_body(ch: usize, rng: &mut SplitMix64) -> Sequential {
 }
 
 /// ResNet analogue: stem + three residual stages with stride-2 transitions.
-pub fn resnet_s(in_ch: usize, classes: usize, seed: u64) -> Network {
+///
+/// Every convolution pads its 3×3 window, so any non-empty input works.
+pub fn resnet_s(in_ch: usize, hw: usize, classes: usize, seed: u64) -> Network {
+    assert!(hw >= 1, "input {hw} too small for ResNetS");
     let mut rng = SplitMix64::new(seed);
     let root = Sequential::new()
         .add("conv1", Conv2d::new(in_ch, 16, 3, 1, 1, 1, false, &mut rng))
@@ -204,6 +213,30 @@ mod tests {
                 let y = net.forward(Act::zeros(2, c, h, h), false);
                 assert_eq!((y.n, y.c), (2, classes), "{arch:?} on {ds:?}");
             }
+        }
+    }
+
+    #[test]
+    fn every_architecture_refuses_an_input_it_cannot_take() {
+        for (arch, hw) in [
+            (ModelArch::AlexNetS, 7),
+            (ModelArch::MobileNetV2S, 0),
+            (ModelArch::ResNetS, 0),
+        ] {
+            let built = std::panic::catch_unwind(|| arch.build(3, hw, 10, 1));
+            let msg = *built.err().expect("built").downcast::<String>().unwrap();
+            assert!(msg.contains(&format!("input {hw} too small")), "{msg}");
+        }
+        // The smallest inputs each does take run end to end.
+        for (arch, hw) in [
+            (ModelArch::AlexNetS, 8),
+            (ModelArch::MobileNetV2S, 1),
+            (ModelArch::ResNetS, 1),
+        ] {
+            let y = arch
+                .build(3, hw, 10, 1)
+                .forward(Act::zeros(2, 3, hw, hw), false);
+            assert_eq!((y.n, y.c), (2, 10), "{arch:?} at {hw}");
         }
     }
 

@@ -48,18 +48,31 @@ impl BatchNorm2d {
             inv_std: Vec::new(),
         }
     }
+}
 
-    #[inline]
-    fn indices(n: usize, c_total: usize, plane: usize, c: usize) -> impl Iterator<Item = usize> {
-        let stride = c_total * plane;
-        (0..n).flat_map(move |i| (0..plane).map(move |p| i * stride + c * plane + p))
-    }
+/// Channel `c`'s plane of every sample, in sample order: the elements one
+/// channel's statistics run over, as slices.
+fn planes(data: &[f32], ch: usize, plane: usize, c: usize) -> impl Iterator<Item = &[f32]> {
+    data.chunks_exact(ch * plane)
+        .map(move |sample| &sample[c * plane..(c + 1) * plane])
+}
+
+/// [`planes`], mutably.
+fn planes_mut(
+    data: &mut [f32],
+    ch: usize,
+    plane: usize,
+    c: usize,
+) -> impl Iterator<Item = &mut [f32]> {
+    data.chunks_exact_mut(ch * plane)
+        .map(move |sample| &mut sample[c * plane..(c + 1) * plane])
 }
 
 impl Layer for BatchNorm2d {
     fn forward(&mut self, mut x: Act, train: bool) -> Act {
         assert_eq!(x.c, self.ch, "batch norm channel mismatch");
         let m = (x.n * x.h * x.w) as f64;
+        let (ch, plane) = (self.ch, x.h * x.w);
         if train {
             self.x_hat = vec![0.0; x.data.len()];
             self.inv_std = vec![0.0; self.ch];
@@ -67,10 +80,12 @@ impl Layer for BatchNorm2d {
             for c in 0..self.ch {
                 let mut sum = 0.0f64;
                 let mut sq = 0.0f64;
-                for idx in Self::indices(x.n, x.c, x.h * x.w, c) {
-                    let v = x.data[idx] as f64;
-                    sum += v;
-                    sq += v * v;
+                for xp in planes(&x.data, ch, plane, c) {
+                    for &v in xp {
+                        let v = v as f64;
+                        sum += v;
+                        sq += v * v;
+                    }
                 }
                 let mean = sum / m;
                 let var = (sq / m - mean * mean).max(0.0);
@@ -82,10 +97,13 @@ impl Layer for BatchNorm2d {
                     ((1.0 - MOMENTUM) * self.running_var[c] as f64 + MOMENTUM * var) as f32;
                 let g = self.gamma[c];
                 let b = self.beta[c];
-                for idx in Self::indices(x.n, x.c, x.h * x.w, c) {
-                    let xh = ((x.data[idx] as f64 - mean) * inv_std) as f32;
-                    self.x_hat[idx] = xh;
-                    x.data[idx] = g * xh + b;
+                let hats = planes_mut(&mut self.x_hat, ch, plane, c);
+                for (xp, hp) in planes_mut(&mut x.data, ch, plane, c).zip(hats) {
+                    for (v, h) in xp.iter_mut().zip(hp) {
+                        let xh = ((*v as f64 - mean) * inv_std) as f32;
+                        *h = xh;
+                        *v = g * xh + b;
+                    }
                 }
             }
         } else {
@@ -94,8 +112,10 @@ impl Layer for BatchNorm2d {
                 let inv_std = 1.0 / (self.running_var[c] as f64 + EPS).sqrt();
                 let g = self.gamma[c] as f64;
                 let b = self.beta[c] as f64;
-                for idx in Self::indices(x.n, x.c, x.h * x.w, c) {
-                    x.data[idx] = ((x.data[idx] as f64 - mean) * inv_std * g + b) as f32;
+                for xp in planes_mut(&mut x.data, ch, plane, c) {
+                    for v in xp {
+                        *v = ((*v as f64 - mean) * inv_std * g + b) as f32;
+                    }
                 }
             }
         }
@@ -109,20 +129,26 @@ impl Layer for BatchNorm2d {
             "bn backward without forward"
         );
         let m = (grad.n * grad.h * grad.w) as f64;
+        let (ch, plane) = (self.ch, grad.h * grad.w);
         for c in 0..self.ch {
             let mut dbeta = 0.0f64;
             let mut dgamma = 0.0f64;
-            for idx in Self::indices(grad.n, grad.c, grad.h * grad.w, c) {
-                dbeta += grad.data[idx] as f64;
-                dgamma += grad.data[idx] as f64 * self.x_hat[idx] as f64;
+            let hats = planes(&self.x_hat, ch, plane, c);
+            for (gp, hp) in planes(&grad.data, ch, plane, c).zip(hats) {
+                for (&dy, &xh) in gp.iter().zip(hp) {
+                    dbeta += dy as f64;
+                    dgamma += dy as f64 * xh as f64;
+                }
             }
             self.g_beta[c] = dbeta as f32;
             self.g_gamma[c] = dgamma as f32;
             let scale = self.gamma[c] as f64 * self.inv_std[c] as f64;
-            for idx in Self::indices(grad.n, grad.c, grad.h * grad.w, c) {
-                let dy = grad.data[idx] as f64;
-                let xh = self.x_hat[idx] as f64;
-                grad.data[idx] = (scale * (dy - dbeta / m - xh * dgamma / m)) as f32;
+            let hats = planes(&self.x_hat, ch, plane, c);
+            for (gp, hp) in planes_mut(&mut grad.data, ch, plane, c).zip(hats) {
+                for (dy, &xh) in gp.iter_mut().zip(hp) {
+                    let xh = xh as f64;
+                    *dy = (scale * (*dy as f64 - dbeta / m - xh * dgamma / m)) as f32;
+                }
             }
         }
         grad
@@ -219,8 +245,9 @@ mod tests {
         let y = bn.forward(x, true);
         // Per-channel mean ~0, var ~1.
         for c in 0..2 {
-            let vals: Vec<f32> = BatchNorm2d::indices(y.n, y.c, y.h * y.w, c)
-                .map(|i| y.data[i])
+            let vals: Vec<f32> = planes(&y.data, y.c, y.h * y.w, c)
+                .flatten()
+                .copied()
                 .collect();
             let mean: f64 = vals.iter().map(|&v| v as f64).sum::<f64>() / vals.len() as f64;
             let var: f64 =
