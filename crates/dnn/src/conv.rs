@@ -3,13 +3,13 @@
 //!
 //! A group's convolution is a product with the `kvol × l` matrix of image
 //! patches (`kvol = icg·k·k` taps, `l = oh·ow` output positions). That matrix
-//! is never built: its `B` panels for [`crate::math::mul_packed`] are packed
-//! straight from the image, in the lane order each product wants. The weight
-//! panels are packed once per batch. Depthwise layers (one input and one
-//! output channel per group, where a product would have `m = 1`) take a
-//! direct per-plane loop that adds the same taps in the same order. Every
-//! sum keeps the order DESIGN.md §15 fixes, so the trained bits do not depend
-//! on which path ran.
+//! is never built: its `B` panels for [`crate::math::mul`] are filled
+//! straight from the image, one at a time, in the lane order each product
+//! wants. The weight panels are packed once per batch. Depthwise layers (one
+//! input and one output channel per group, where a product would have
+//! `m = 1`) take a direct per-plane loop that adds the same taps in the same
+//! order. Every sum keeps the order DESIGN.md §14 "Training kernels" fixes,
+//! so the trained bits do not depend on which path ran.
 
 use std::ops::Range;
 
@@ -37,7 +37,7 @@ pub struct Conv2d {
 }
 
 /// One group of one sample: the layer's shape at a given input size.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 struct Geom {
     h: usize,
     w: usize,
@@ -50,6 +50,8 @@ struct Geom {
     icg: usize,
     /// Output channels per group.
     opg: usize,
+    /// Every tap of one input plane, in `(ky, kx)` order.
+    taps: Vec<Tap>,
 }
 
 impl Geom {
@@ -63,48 +65,30 @@ impl Geom {
         self.oh * self.ow
     }
 
-    /// The outputs along one axis (`len` inputs, `out` outputs) whose tap
-    /// `t` reads inside the image rather than the padding — computed once
-    /// per tap, so the loops over them need no per-element test.
-    fn valid(&self, t: usize, len: usize, out: usize) -> Range<usize> {
-        let lo = self.pad.saturating_sub(t).div_ceil(self.stride);
-        let hi = (len + self.pad)
-            .saturating_sub(t)
-            .div_ceil(self.stride)
-            .min(out);
-        lo.min(hi)..hi
-    }
-
     /// Index in its plane of the pixel tap `(ky, kx)` reads for output
-    /// `(oy, ox)`; both must be in their `valid` ranges.
+    /// `(oy, ox)`; both must be in the tap's valid ranges.
     fn pixel(&self, ky: usize, kx: usize, oy: usize, ox: usize) -> usize {
         (oy * self.stride + ky - self.pad) * self.w + ox * self.stride + kx - self.pad
     }
-
-    /// Every tap of one input plane in `(ky, kx)` order with its valid
-    /// output rows and columns.
-    fn taps(&self) -> Vec<Tap> {
-        (0..self.k * self.k)
-            .map(|t| {
-                let (ky, kx) = (t / self.k, t % self.k);
-                Tap {
-                    ky,
-                    kx,
-                    ys: self.valid(ky, self.h, self.oh),
-                    xs: self.valid(kx, self.w, self.ow),
-                }
-            })
-            .collect()
-    }
 }
 
-/// One kernel tap and the outputs for which it reads a pixel, not padding.
-#[derive(Debug, Clone)]
+/// One kernel tap and the outputs for which it reads a pixel, not padding —
+/// computed once per layer call, so the loops over them need no per-element
+/// test.
+#[derive(Debug)]
 struct Tap {
     ky: usize,
     kx: usize,
     ys: Range<usize>,
     xs: Range<usize>,
+}
+
+/// The outputs along one axis (`len` inputs, `out` outputs) whose tap `t`
+/// reads inside the image: `pad <= o * stride + t < len + pad`.
+fn valid(t: usize, len: usize, out: usize, stride: usize, pad: usize) -> Range<usize> {
+    let lo = pad.saturating_sub(t).div_ceil(stride);
+    let hi = (len + pad).saturating_sub(t).div_ceil(stride).min(out);
+    lo.min(hi)..hi
 }
 
 /// `dst[i] = src[i * stride]`.
@@ -123,7 +107,6 @@ fn gather(dst: &mut [f32], src: &[f32], stride: usize) {
 /// `B` of the forward product. The matrix itself is never built.
 struct Patches<'a> {
     g: &'a Geom,
-    taps: &'a [Tap],
     x: &'a [f32],
 }
 
@@ -146,7 +129,7 @@ impl Panels for Patches<'_> {
             let run = (g.ow - ox).min(end - p);
             let mut rows = panel.chunks_exact_mut(NR);
             for plane in self.x.chunks_exact(g.h * g.w) {
-                for (tap, row) in self.taps.iter().zip(&mut rows) {
+                for (tap, row) in g.taps.iter().zip(&mut rows) {
                     let (x0, x1) = (ox.max(tap.xs.start), (ox + run).min(tap.xs.end));
                     if tap.ys.contains(&oy) && x0 < x1 {
                         let lane = p - j0 + x0 - ox;
@@ -173,11 +156,11 @@ impl Panels for PatchesT<'_> {
     }
 
     fn fill(&self, j0: usize, panel: &mut [f32]) {
-        let Patches { g, taps, x } = self.0;
+        let Patches { g, x } = self.0;
         let kk = g.k * g.k;
         for (lane, r) in (j0..(j0 + NR).min(g.kvol())).enumerate() {
             let plane = &x[r / kk * g.h * g.w..][..g.h * g.w];
-            let Tap { ky, kx, ys, xs } = &taps[r % kk];
+            let Tap { ky, kx, ys, xs } = &g.taps[r % kk];
             for oy in ys.clone() {
                 let src = plane[g.pixel(*ky, *kx, oy, xs.start)..].iter();
                 let dst = panel[(oy * g.ow + xs.start) * NR + lane..].iter_mut();
@@ -191,10 +174,10 @@ impl Panels for PatchesT<'_> {
 
 /// Scatter-add one group's patch gradient back into its `icg` input planes,
 /// in `(ic, ky, kx, oy, ox)` order.
-fn col2im(g: &Geom, taps: &[Tap], gcol: &[f32], gx: &mut [f32]) {
+fn col2im(g: &Geom, gcol: &[f32], gx: &mut [f32]) {
     let mut rows = gcol.chunks_exact(g.l());
     for plane in gx.chunks_exact_mut(g.h * g.w) {
-        for (Tap { ky, kx, ys, xs }, row) in taps.iter().zip(&mut rows) {
+        for (Tap { ky, kx, ys, xs }, row) in g.taps.iter().zip(&mut rows) {
             for oy in ys.clone() {
                 let src = &row[oy * g.ow + xs.start..oy * g.ow + xs.end];
                 let dst = &mut plane[g.pixel(*ky, *kx, oy, xs.start)..];
@@ -253,25 +236,38 @@ impl Conv2d {
     /// The layer's shape on an `h × w` input.
     ///
     /// # Panics
-    /// Panics if the padded input is smaller than the kernel.
+    /// Panics if the input is empty or, padded, smaller than the kernel.
     fn geom(&self, h: usize, w: usize) -> Geom {
-        let out = |len: usize| Some((len + 2 * self.pad).checked_sub(self.k)? / self.stride + 1);
+        let (k, stride, pad) = (self.k, self.stride, self.pad);
+        let out = |len: usize| match len {
+            0 => None,
+            _ => Some((len + 2 * pad).checked_sub(k)? / stride + 1),
+        };
         let (Some(oh), Some(ow)) = (out(h), out(w)) else {
             panic!(
-                "conv {}->{} k{} s{} p{}: input {h}x{w} is smaller than the kernel",
-                self.in_ch, self.out_ch, self.k, self.stride, self.pad
+                "conv {}->{} k{k} s{stride} p{pad}: input {h}x{w} is smaller than the kernel",
+                self.in_ch, self.out_ch
             );
         };
+        let taps = (0..k * k)
+            .map(|t| Tap {
+                ky: t / k,
+                kx: t % k,
+                ys: valid(t / k, h, oh, stride, pad),
+                xs: valid(t % k, w, ow, stride, pad),
+            })
+            .collect();
         Geom {
             h,
             w,
             oh,
             ow,
-            k: self.k,
-            stride: self.stride,
-            pad: self.pad,
+            k,
+            stride,
+            pad,
             icg: self.in_ch / self.groups,
             opg: self.out_ch / self.groups,
+            taps,
         }
     }
 
@@ -285,19 +281,14 @@ impl Conv2d {
     /// panels are packed once per batch.
     fn forward_gemm(&self, g: &Geom, x: &Act, out: &mut [f32]) {
         let (kvol, l) = (g.kvol(), g.l());
-        let taps = g.taps();
         let (mut w, mut panel) = (PackedA::default(), Vec::new());
         for (gi, wg) in self.weight.chunks_exact(g.opg * kvol).enumerate() {
             w.pack(Mat::new(wg, g.opg, kvol));
             let samples = x.data.chunks_exact(x.sample_len());
             for (xs, os) in samples.zip(out.chunks_exact_mut(self.out_ch * l)) {
-                let patches = Patches {
-                    g,
-                    taps: &taps,
-                    x: &xs[gi * g.icg * g.h * g.w..][..g.icg * g.h * g.w],
-                };
+                let x = &xs[gi * g.icg * g.h * g.w..][..g.icg * g.h * g.w];
                 let og = &mut os[gi * g.opg * l..][..g.opg * l];
-                mul(&w, &patches, &mut panel, og, Acc::FromC);
+                mul(&w, &Patches { g, x }, &mut panel, og, Acc::FromC);
             }
         }
     }
@@ -306,7 +297,6 @@ impl Conv2d {
     /// added in `(ky, kx)` order. A padding tap would add `w · 0.0`, which
     /// cannot change a sum that started at `+0.0`, so it is skipped.
     fn forward_depthwise(&self, g: &Geom, x: &Act, out: &mut [f32]) {
-        let taps = g.taps();
         let planes = x
             .data
             .chunks_exact(g.h * g.w)
@@ -314,7 +304,7 @@ impl Conv2d {
         // Planes run sample-major, channel-minor: the weights cycle.
         let weights = self.weight.chunks_exact(g.k * g.k).cycle();
         for ((xp, op), w) in planes.zip(weights) {
-            for (Tap { ky, kx, ys, xs }, &wv) in taps.iter().zip(w) {
+            for (Tap { ky, kx, ys, xs }, &wv) in g.taps.iter().zip(w) {
                 for oy in ys.clone() {
                     let src = xp[g.pixel(*ky, *kx, oy, xs.start)..].iter();
                     let dst = &mut op[oy * g.ow + xs.start..oy * g.ow + xs.end];
@@ -332,7 +322,6 @@ impl Conv2d {
     /// input gradient is scattered into the same storage.
     fn backward_gemm(&mut self, g: &Geom, x: &mut Act, grad: &Act) {
         let (kvol, l) = (g.kvol(), g.l());
-        let taps = g.taps();
         // The weights and one sample's gradient as packed left operands,
         // the one `B` panel, and one sample's `kvol × l` patch gradient.
         let (mut w, mut pg) = (PackedA::default(), PackedA::default());
@@ -350,18 +339,14 @@ impl Conv2d {
                 let gg = Mat::new(&gs[gi * g.opg * l..][..g.opg * l], g.opg, l);
                 // dW_g += G_g (opg x l) * patchesᵀ (l x kvol)
                 pg.pack(gg);
-                let patches = Patches {
-                    g,
-                    taps: &taps,
-                    x: planes,
-                };
-                mul(&pg, &PatchesT(patches), &mut panel, gwg, Acc::FromZero);
+                let patches = PatchesT(Patches { g, x: planes });
+                mul(&pg, &patches, &mut panel, gwg, Acc::FromZero);
                 // dpatches = W_gᵀ (kvol x opg) * G_g (opg x l)
                 gcol.clear();
                 gcol.resize(kvol * l, 0.0);
                 mul(&w, &gg, &mut panel, &mut gcol, Acc::FromC);
                 planes.fill(0.0);
-                col2im(g, &taps, &gcol, planes);
+                col2im(g, &gcol, planes);
             }
         }
     }
@@ -370,12 +355,12 @@ impl Conv2d {
     /// ascending dot product per tap, then the plane receives `w · g` in
     /// `(ky, kx, oy, ox)` order, the padding taps skipped as in the forward.
     fn backward_depthwise(&mut self, g: &Geom, x: &mut Act, grad: &Act) {
-        let (taps, kk) = (g.taps(), g.k * g.k);
+        let kk = g.k * g.k;
         let planes = x.data.chunks_exact_mut(g.h * g.w);
         for (i, (xp, gp)) in planes.zip(grad.data.chunks_exact(g.l())).enumerate() {
             let c = i % self.out_ch;
             let gw = &mut self.gw[c * kk..(c + 1) * kk];
-            for (Tap { ky, kx, ys, xs }, gwv) in taps.iter().zip(gw) {
+            for (Tap { ky, kx, ys, xs }, gwv) in g.taps.iter().zip(gw) {
                 let mut acc = 0.0f32;
                 for oy in ys.clone() {
                     let src = xp[g.pixel(*ky, *kx, oy, xs.start)..].iter();
@@ -388,7 +373,7 @@ impl Conv2d {
             }
             xp.fill(0.0);
             let w = &self.weight[c * kk..(c + 1) * kk];
-            for (Tap { ky, kx, ys, xs }, &wv) in taps.iter().zip(w) {
+            for (Tap { ky, kx, ys, xs }, &wv) in g.taps.iter().zip(w) {
                 for oy in ys.clone() {
                     let dst = xp[g.pixel(*ky, *kx, oy, xs.start)..].iter_mut();
                     let g_row = &gp[oy * g.ow + xs.start..oy * g.ow + xs.end];
@@ -738,11 +723,7 @@ mod tests {
                         let col = im2col(&g, &x.data);
                         let (kvol, l) = (g.kvol(), g.l());
                         let ctx = format!("k {k} stride {stride} pad {pad} {h}x{w}");
-                        let patches = Patches {
-                            g: &g,
-                            taps: &g.taps(),
-                            x: &x.data,
-                        };
+                        let patches = Patches { g: &g, x: &x.data };
                         let (col, col_t) = (Mat::new(&col, kvol, l), Mat::new(&col, kvol, l).t());
                         let mut got = vec![0.0; kvol.max(l) * NR];
                         let mut want = got.clone();

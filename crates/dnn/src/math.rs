@@ -11,7 +11,7 @@
 //! thread; the layers own the buffers and reuse them across samples and
 //! batches.
 //!
-//! **Order contract** (DESIGN.md §15 "Training kernels"): every element of
+//! **Order contract** (DESIGN.md §14 "Training kernels"): every element of
 //! `C` is a sum over `k` taken in ascending order by one accumulator, each
 //! term a rounded product followed by a rounded add (never `mul_add`).
 //! [`Acc::FromC`] starts the accumulator from the value in `C`;
@@ -147,13 +147,21 @@ impl Panels for Mat<'_> {
 }
 
 /// The micro-kernel: `tile += A_panel × B_panel` over all of `k`, ascending.
+///
+/// Plain indexing over fixed-size arrays on purpose: the optimiser keeps the
+/// tile in registers and vectorises the `NR` loop at `opt-level >= 2`, and
+/// at `opt-level = 1` (the profile the test suite runs under) nothing here
+/// depends on an iterator adaptor being inlined.
 #[inline(always)]
-fn kernel(a_panel: &[f32], b_panel: &[f32], tile: &mut [[f32; NR]; MR]) {
+fn kernel(k: usize, a_panel: &[f32], b_panel: &[f32], tile: &mut [[f32; NR]; MR]) {
+    let (a_panel, b_panel) = (&a_panel[..k * MR], &b_panel[..k * NR]);
     let mut t = *tile;
-    for (a, b) in a_panel.chunks_exact(MR).zip(b_panel.chunks_exact(NR)) {
-        for (row, &av) in t.iter_mut().zip(a) {
-            for (c, &bv) in row.iter_mut().zip(b) {
-                *c += av * bv;
+    for p in 0..k {
+        let a: &[f32; MR] = a_panel[p * MR..][..MR].try_into().expect("MR floats");
+        let b: &[f32; NR] = b_panel[p * NR..][..NR].try_into().expect("NR floats");
+        for i in 0..MR {
+            for j in 0..NR {
+                t[i][j] += a[i] * b[j];
             }
         }
     }
@@ -183,7 +191,7 @@ pub fn mul(a: &PackedA, b: &impl Panels, panel: &mut Vec<f32>, c: &mut [f32], ac
                     row[..nr].copy_from_slice(&c[(i0 + i) * n + j0..][..nr]);
                 }
             }
-            kernel(a_panel, panel, &mut tile);
+            kernel(k, a_panel, panel, &mut tile);
             for (i, row) in tile.iter().enumerate().take(mr) {
                 let c_row = &mut c[(i0 + i) * n + j0..][..nr];
                 match acc {
