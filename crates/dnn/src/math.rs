@@ -8,8 +8,8 @@
 //! `B` storage is one panel that stays in cache while every `A` panel is
 //! multiplied with it. One micro-kernel accumulates an `MR × NR` tile of `C`
 //! in registers over the whole of `k`. Everything runs on the calling
-//! thread; the layers own the buffers and reuse them across samples and
-//! batches.
+//! thread; a layer call owns the buffers and reuses them across the samples
+//! of its batch.
 //!
 //! **Order contract** (DESIGN.md §14 "Training kernels"): every element of
 //! `C` is a sum over `k` taken in ascending order by one accumulator, each
