@@ -232,7 +232,7 @@ pub(crate) mod tests {
     // it never changes a bit, which is what lets the driver drop it).
 
     /// `C += A × B` where A is `m×k`, B is `k×n`, C is `m×n`.
-    pub(crate) fn mm_nn(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, c: &mut [f32]) {
+    fn mm_nn(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, c: &mut [f32]) {
         for i in 0..m {
             let a_row = &a[i * k..(i + 1) * k];
             let c_row = &mut c[i * n..(i + 1) * n];
@@ -249,7 +249,7 @@ pub(crate) mod tests {
     }
 
     /// `C += A × Bᵀ` where A is `m×k`, B is `n×k`, C is `m×n`.
-    pub(crate) fn mm_nt(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, c: &mut [f32]) {
+    fn mm_nt(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, c: &mut [f32]) {
         for i in 0..m {
             let a_row = &a[i * k..(i + 1) * k];
             for j in 0..n {
@@ -264,7 +264,7 @@ pub(crate) mod tests {
     }
 
     /// `C += Aᵀ × B` where A is `k×m`, B is `k×n`, C is `m×n`.
-    pub(crate) fn mm_tn(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, c: &mut [f32]) {
+    fn mm_tn(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, c: &mut [f32]) {
         for p in 0..k {
             let a_row = &a[p * m..(p + 1) * m];
             let b_row = &b[p * n..(p + 1) * n];
