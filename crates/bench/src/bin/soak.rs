@@ -26,9 +26,8 @@
 //!   channel transport cross-checked bit-for-bit against in-process.
 //!   Resident-set growth must stay within budget + O(model) + O(threads).
 //!   TCP is excluded at this tier only because every TCP client is a real
-//!   socket-owning OS thread that derives the full shard set — 10 000 of
-//!   them is a test of the host, not the server; the tcp path is covered
-//!   by the parity matrix above.
+//!   socket-owning OS thread — 10 000 of them is a test of the host, not
+//!   the server; the tcp path is covered by the parity matrix above.
 //!
 //! Results go to stdout and to `--out` (default `BENCH_soak.json`) as
 //! JSON, including `available_parallelism` and `VmHWM`.

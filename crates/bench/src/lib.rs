@@ -8,7 +8,6 @@
 use std::time::Instant;
 
 use fedsz::partition::{route_of, Route};
-use fedsz_models::ModelKind;
 use fedsz_tensor::StateDict;
 
 /// Wall-clock a closure.
@@ -46,12 +45,6 @@ pub fn metadata_partition_bytes(sd: &StateDict, threshold: usize) -> Vec<u8> {
         }
     }
     out
-}
-
-/// Synthesize a pretrained-like state dict for a model with the classifier
-/// width of the named dataset (10 or 101 classes).
-pub fn synthesized_model(model: ModelKind, num_classes: usize, seed: u64) -> StateDict {
-    model.synthesize(num_classes, seed)
 }
 
 /// Simple argv flag parsing shared by the regenerator binaries.
@@ -100,10 +93,11 @@ pub fn print_header(title: &str, cols: &[&str]) {
 mod tests {
     use super::*;
     use fedsz::DEFAULT_THRESHOLD;
+    use fedsz_models::ModelKind;
 
     #[test]
     fn lossy_partition_dominates_alexnet() {
-        let sd = synthesized_model(ModelKind::AlexNet, 10, 1);
+        let sd = ModelKind::AlexNet.synthesize(10, 1);
         let lossy = lossy_partition_values(&sd, DEFAULT_THRESHOLD);
         let meta = metadata_partition_bytes(&sd, DEFAULT_THRESHOLD);
         let total = sd.num_params();

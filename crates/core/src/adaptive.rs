@@ -6,8 +6,6 @@
 //! optimum), late rounds benefit from fidelity. This module provides
 //! round-indexed schedules for the relative bound.
 
-use fedsz_eblc::ErrorBound;
-
 /// A schedule mapping a round index to a relative error bound.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BoundSchedule {
@@ -57,11 +55,6 @@ impl BoundSchedule {
                 }
             }
         }
-    }
-
-    /// The [`ErrorBound`] for a round.
-    pub fn error_bound_at(&self, round: usize) -> ErrorBound {
-        ErrorBound::Rel(self.bound_at(round))
     }
 }
 

@@ -16,6 +16,17 @@ pub fn write_u64(out: &mut Vec<u8>, mut value: u64) {
     }
 }
 
+/// Number of bytes [`write_u64`] appends for `value`: one per started
+/// 7-bit group.
+pub fn encoded_len(mut value: u64) -> usize {
+    let mut n = 1;
+    while value >= 0x80 {
+        value >>= 7;
+        n += 1;
+    }
+    n
+}
+
 /// Read a LEB128 integer starting at `data[*pos]`, advancing `pos`.
 pub fn read_u64(data: &[u8], pos: &mut usize) -> Result<u64, CodecError> {
     let mut value = 0u64;
@@ -60,6 +71,16 @@ mod tests {
             let mut pos = 0;
             assert_eq!(read_u64(&buf, &mut pos).unwrap(), v);
             assert_eq!(pos, buf.len());
+        }
+    }
+
+    #[test]
+    fn encoded_len_matches_the_writer() {
+        let edges = (0..64).flat_map(|s| [(1u64 << s) - 1, 1u64 << s, (1u64 << s) + 1]);
+        for v in edges.chain([u64::MAX]) {
+            let mut buf = Vec::new();
+            write_u64(&mut buf, v);
+            assert_eq!(encoded_len(v), buf.len(), "{v}");
         }
     }
 

@@ -30,6 +30,7 @@
 use std::time::Duration;
 
 use crate::sync::{Condvar, Mutex, MutexGuard};
+use crate::wire::HeaderVerdict;
 
 /// How long a reader blocked on a full ledger waits between shutdown
 /// checks. Mirrors the socket poll interval in `wire`.
@@ -85,11 +86,6 @@ impl Ledger {
         }
     }
 
-    /// Configured capacity, if accounting is enabled.
-    pub fn capacity(&self) -> Option<usize> {
-        lock(&self.state).cap
-    }
-
     /// Bytes currently reserved.
     pub fn in_use(&self) -> usize {
         lock(&self.state).used
@@ -106,9 +102,9 @@ impl Ledger {
     /// Reserve `n` bytes, blocking while the ledger is full.
     ///
     /// Returns `false` when the ledger was [`close`](Self::close)d
-    /// (server shutting down) or when `n` could never fit — callers
-    /// must check [`would_never_fit`](Self::would_never_fit) first and
-    /// shed; hitting it here is a defensive refusal, not a verdict.
+    /// (server shutting down) or when `n` could never fit —
+    /// [`admit`](Self::admit) sheds such a frame before it gets here;
+    /// hitting it here is a defensive refusal, not a verdict.
     pub fn reserve(&self, n: usize) -> bool {
         let mut s = lock(&self.state);
         loop {
@@ -129,6 +125,21 @@ impl Ledger {
                 Ok((g, _)) => g,
                 Err(poisoned) => poisoned.into_inner().0,
             };
+        }
+    }
+
+    /// The header-time admission rule every producer applies to a frame
+    /// announcing `n` body bytes: shed what could never fit, otherwise
+    /// wait for room and reserve it (backpressure), and abort when the
+    /// ledger closes under the wait. On `Admit` the caller owns a
+    /// reservation of `n` bytes.
+    pub fn admit(&self, n: usize) -> HeaderVerdict {
+        if self.would_never_fit(n) {
+            HeaderVerdict::Shed
+        } else if self.reserve(n) {
+            HeaderVerdict::Admit
+        } else {
+            HeaderVerdict::Abort
         }
     }
 

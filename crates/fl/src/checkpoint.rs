@@ -44,6 +44,7 @@ use std::path::{Path, PathBuf};
 
 use fedsz::{FaultCounters, QuarantineReasons, SuspectReasons};
 use fedsz_entropy::crc32::Crc32;
+use fedsz_entropy::reader;
 use fedsz_tensor::StateDict;
 
 use crate::error::FlError;
@@ -213,22 +214,21 @@ impl Checkpoint {
         if bytes.get(..4) != Some(&MAGIC[..]) {
             return Err(corrupt("bad magic"));
         }
-        // Verify the trailer before trusting any length field.
-        let body_end = bytes.len() - 4;
-        let expected = match bytes.get(body_end..) {
-            Some(&[a, b, c, d]) => u32::from_le_bytes([a, b, c, d]),
-            _ => return Err(corrupt("truncated")),
-        };
+        // Verify the trailer before trusting any length field. `body` is
+        // everything before it: what the CRC covers (past the magic) and
+        // what every field below is read from.
+        let (body, trailer) = bytes.split_at(bytes.len() - 4);
+        let expected = reader::read_u32_le(trailer, &mut 0).map_err(|_| corrupt("truncated"))?;
         let mut crc = Crc32::new();
-        crc.update(bytes.get(4..body_end).unwrap_or_default());
+        crc.update(body.get(4..).unwrap_or_default());
         if crc.finish() != expected {
             return Err(corrupt("CRC-32 mismatch"));
         }
 
         let mut pos = 4usize;
-        let fingerprint = read_u64(bytes, &mut pos, body_end)?;
-        let round = read_u64(bytes, &mut pos, body_end)?;
-        let n_rounds = read_u64(bytes, &mut pos, body_end)?;
+        let fingerprint = read_u64(body, &mut pos)?;
+        let round = read_u64(body, &mut pos)?;
+        let n_rounds = read_u64(body, &mut pos)?;
         if n_rounds > MAX_ROUNDS {
             return Err(corrupt("implausible round count"));
         }
@@ -241,24 +241,24 @@ impl Checkpoint {
         }
         let mut rounds = Vec::with_capacity(n_rounds as usize);
         for i in 0..n_rounds {
-            let row_round = read_u64(bytes, &mut pos, body_end)?;
+            let row_round = read_u64(body, &mut pos)?;
             if row_round != i {
                 return Err(corrupt("metrics rows out of order"));
             }
-            let accuracy = f64::from_bits(read_u64(bytes, &mut pos, body_end)?);
-            let train_s_total = f64::from_bits(read_u64(bytes, &mut pos, body_end)?);
-            let compress_s_total = f64::from_bits(read_u64(bytes, &mut pos, body_end)?);
-            let decompress_s_total = f64::from_bits(read_u64(bytes, &mut pos, body_end)?);
-            let bytes_on_wire = read_usize(bytes, &mut pos, body_end)?;
-            let bytes_down_wire = read_usize(bytes, &mut pos, body_end)?;
-            let bytes_uncompressed = read_usize(bytes, &mut pos, body_end)?;
-            let delivered = read_usize(bytes, &mut pos, body_end)?;
-            let rejected = read_usize(bytes, &mut pos, body_end)?;
-            let quarantined = read_usize(bytes, &mut pos, body_end)?;
-            let shed = read_usize(bytes, &mut pos, body_end)?;
-            let late = read_usize(bytes, &mut pos, body_end)?;
-            let dropped = read_usize(bytes, &mut pos, body_end)?;
-            let suspected = read_usize(bytes, &mut pos, body_end)?;
+            let accuracy = f64::from_bits(read_u64(body, &mut pos)?);
+            let train_s_total = f64::from_bits(read_u64(body, &mut pos)?);
+            let compress_s_total = f64::from_bits(read_u64(body, &mut pos)?);
+            let decompress_s_total = f64::from_bits(read_u64(body, &mut pos)?);
+            let bytes_on_wire = read_usize(body, &mut pos)?;
+            let bytes_down_wire = read_usize(body, &mut pos)?;
+            let bytes_uncompressed = read_usize(body, &mut pos)?;
+            let delivered = read_usize(body, &mut pos)?;
+            let rejected = read_usize(body, &mut pos)?;
+            let quarantined = read_usize(body, &mut pos)?;
+            let shed = read_usize(body, &mut pos)?;
+            let late = read_usize(body, &mut pos)?;
+            let dropped = read_usize(body, &mut pos)?;
+            let suspected = read_usize(body, &mut pos)?;
             let faults = FaultCounters {
                 delivered,
                 rejected,
@@ -269,13 +269,13 @@ impl Checkpoint {
                 dropped,
             };
             let quarantine_reasons = QuarantineReasons {
-                non_finite: read_usize(bytes, &mut pos, body_end)?,
-                wrong_shape: read_usize(bytes, &mut pos, body_end)?,
-                bad_count: read_usize(bytes, &mut pos, body_end)?,
+                non_finite: read_usize(body, &mut pos)?,
+                wrong_shape: read_usize(body, &mut pos)?,
+                bad_count: read_usize(body, &mut pos)?,
             };
             let suspect_reasons = SuspectReasons {
-                norm_outlier: read_usize(bytes, &mut pos, body_end)?,
-                trim_eliminated: read_usize(bytes, &mut pos, body_end)?,
+                norm_outlier: read_usize(body, &mut pos)?,
+                trim_eliminated: read_usize(body, &mut pos)?,
             };
             // The server maintains these as invariants when it writes a
             // checkpoint; a row that violates them was not produced by
@@ -299,14 +299,12 @@ impl Checkpoint {
                 suspect_reasons,
             });
         }
-        let sd_len = read_usize(bytes, &mut pos, body_end)?;
-        let sd_end = pos
-            .checked_add(sd_len)
-            .filter(|&e| e <= body_end)
-            .ok_or_else(|| corrupt("state-dict length out of bounds"))?;
-        let global = StateDict::from_bytes(&bytes[pos..sd_end])
+        let sd_len = read_usize(body, &mut pos)?;
+        let sd_bytes = reader::take(body, &mut pos, sd_len)
+            .map_err(|_| corrupt("state-dict length out of bounds"))?;
+        let global = StateDict::from_bytes(sd_bytes)
             .map_err(|e| corrupt(&format!("embedded state dict: {e}")))?;
-        if sd_end != body_end {
+        if pos != body.len() {
             return Err(corrupt("trailing bytes"));
         }
         Ok(Checkpoint {
@@ -318,21 +316,12 @@ impl Checkpoint {
     }
 }
 
-fn read_u64(bytes: &[u8], pos: &mut usize, end: usize) -> Result<u64, FlError> {
-    let next = pos.checked_add(8).filter(|&n| n <= end);
-    let Some(next) = next else {
-        return Err(corrupt("truncated"));
-    };
-    let v = match bytes.get(*pos..next) {
-        Some(&[a, b, c, d, e, f, g, h]) => u64::from_le_bytes([a, b, c, d, e, f, g, h]),
-        _ => return Err(corrupt("truncated")),
-    };
-    *pos = next;
-    Ok(v)
+fn read_u64(body: &[u8], pos: &mut usize) -> Result<u64, FlError> {
+    reader::read_u64_le(body, pos).map_err(|_| corrupt("truncated"))
 }
 
-fn read_usize(bytes: &[u8], pos: &mut usize, end: usize) -> Result<usize, FlError> {
-    usize::try_from(read_u64(bytes, pos, end)?).map_err(|_| corrupt("value exceeds usize"))
+fn read_usize(body: &[u8], pos: &mut usize) -> Result<usize, FlError> {
+    usize::try_from(read_u64(body, pos)?).map_err(|_| corrupt("value exceeds usize"))
 }
 
 /// File name for the checkpoint of completed round `round`.

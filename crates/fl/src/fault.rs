@@ -103,6 +103,59 @@ pub enum FaultKind {
     DriftToward,
 }
 
+/// The stage of a client's turn a [`FaultKind`] acts on — see
+/// [`FaultKind::stage`], the one place the kinds are sorted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum FaultStage {
+    /// Whether, when and how often the client answers; what it would send
+    /// is honest.
+    Presence,
+    /// The trained values, before they are encoded.
+    Values,
+    /// The encoded payload bytes.
+    Payload,
+    /// The frame around an honest payload — which takes a socket.
+    Frame,
+}
+
+impl FaultKind {
+    /// Which stage of the client turn acts this kind out. `framed` says
+    /// whether the client's transport puts a frame on a socket: only there
+    /// can a frame be cut, flipped, dripped, held or dropped, and elsewhere
+    /// each of those kinds falls back to the stage that models what the
+    /// server would have seen. Exhaustive on purpose: a new kind does not
+    /// compile until it has a stage.
+    pub(crate) fn stage(self, framed: bool) -> FaultStage {
+        match self {
+            FaultKind::Crash | FaultKind::Delay(_) | FaultKind::Replay(_) => FaultStage::Presence,
+            FaultKind::NonFiniteUpdate
+            | FaultKind::WrongShape
+            | FaultKind::SignFlip
+            | FaultKind::ScaleUpdate(_)
+            | FaultKind::DriftToward => FaultStage::Values,
+            FaultKind::Corrupt | FaultKind::FloodOversized(_) => FaultStage::Payload,
+            FaultKind::Disconnect
+            | FaultKind::TruncateFrame
+            | FaultKind::FlipBytes(_)
+            | FaultKind::SlowDrip
+            | FaultKind::HoldConnection(_)
+                if framed =>
+            {
+                FaultStage::Frame
+            }
+            // No socket: a dropped connection is a silent client, and the
+            // rate enforcer's verdict on a trickled or wedged frame is a
+            // shed update ...
+            FaultKind::Disconnect | FaultKind::SlowDrip | FaultKind::HoldConnection(_) => {
+                FaultStage::Presence
+            }
+            // ... while a cut or flipped frame is a payload that fails to
+            // decode.
+            FaultKind::TruncateFrame | FaultKind::FlipBytes(_) => FaultStage::Payload,
+        }
+    }
+}
+
 /// Apply a Byzantine poison in place to a client's trained update,
 /// *before* it is compressed — so the attack rides the real lossy path
 /// and the server sees it through the same decode/validate pipeline as
@@ -176,164 +229,99 @@ impl FaultPlan {
         Self::default()
     }
 
-    /// Plan a corrupt uplink payload from `client` in `round`.
-    pub fn corrupt(mut self, client: usize, round: usize) -> Self {
+    /// Plan `client` to act `kind` out in `round`.
+    pub(crate) fn with(mut self, client: usize, round: usize, kind: FaultKind) -> Self {
         self.specs.push(FaultSpec {
             client,
             round,
-            kind: FaultKind::Corrupt,
+            kind,
         });
         self
+    }
+
+    /// Plan a corrupt uplink payload from `client` in `round`.
+    pub fn corrupt(self, client: usize, round: usize) -> Self {
+        self.with(client, round, FaultKind::Corrupt)
     }
 
     /// Plan `client` to crash (exit without sending) in `round`.
-    pub fn crash(mut self, client: usize, round: usize) -> Self {
-        self.specs.push(FaultSpec {
-            client,
-            round,
-            kind: FaultKind::Crash,
-        });
-        self
+    pub fn crash(self, client: usize, round: usize) -> Self {
+        self.with(client, round, FaultKind::Crash)
     }
 
     /// Plan `client` to delay its `round` uplink by `delay`.
-    pub fn delay(mut self, client: usize, round: usize, delay: Duration) -> Self {
-        self.specs.push(FaultSpec {
-            client,
-            round,
-            kind: FaultKind::Delay(delay),
-        });
-        self
+    pub fn delay(self, client: usize, round: usize, delay: Duration) -> Self {
+        self.with(client, round, FaultKind::Delay(delay))
     }
 
     /// Plan `client` to send a truncated update frame in `round`.
-    pub fn truncate_frame(mut self, client: usize, round: usize) -> Self {
-        self.specs.push(FaultSpec {
-            client,
-            round,
-            kind: FaultKind::TruncateFrame,
-        });
-        self
+    pub fn truncate_frame(self, client: usize, round: usize) -> Self {
+        self.with(client, round, FaultKind::TruncateFrame)
     }
 
     /// Plan `client` to flip `n` post-checksum bytes of its `round` update.
-    pub fn flip_bytes(mut self, client: usize, round: usize, n: usize) -> Self {
-        self.specs.push(FaultSpec {
-            client,
-            round,
-            kind: FaultKind::FlipBytes(n),
-        });
-        self
+    pub fn flip_bytes(self, client: usize, round: usize, n: usize) -> Self {
+        self.with(client, round, FaultKind::FlipBytes(n))
     }
 
     /// Plan `client` to drop its connection in `round` and rejoin via
     /// backoff at the next broadcast.
-    pub fn disconnect(mut self, client: usize, round: usize) -> Self {
-        self.specs.push(FaultSpec {
-            client,
-            round,
-            kind: FaultKind::Disconnect,
-        });
-        self
+    pub fn disconnect(self, client: usize, round: usize) -> Self {
+        self.with(client, round, FaultKind::Disconnect)
     }
 
     /// Plan `client` to send a cleanly-decoding but NaN-poisoned update in
     /// `round` (quarantined by pre-aggregation validation).
-    pub fn non_finite(mut self, client: usize, round: usize) -> Self {
-        self.specs.push(FaultSpec {
-            client,
-            round,
-            kind: FaultKind::NonFiniteUpdate,
-        });
-        self
+    pub fn non_finite(self, client: usize, round: usize) -> Self {
+        self.with(client, round, FaultKind::NonFiniteUpdate)
     }
 
     /// Plan `client` to send an update with one wrongly-shaped tensor in
     /// `round` (quarantined by pre-aggregation validation).
-    pub fn wrong_shape(mut self, client: usize, round: usize) -> Self {
-        self.specs.push(FaultSpec {
-            client,
-            round,
-            kind: FaultKind::WrongShape,
-        });
-        self
+    pub fn wrong_shape(self, client: usize, round: usize) -> Self {
+        self.with(client, round, FaultKind::WrongShape)
     }
 
     /// Plan `client` to send its valid `round` update once, then replay it
     /// `n` extra times (all copies past the first are discarded unread).
-    pub fn replay(mut self, client: usize, round: usize, n: usize) -> Self {
-        self.specs.push(FaultSpec {
-            client,
-            round,
-            kind: FaultKind::Replay(n),
-        });
-        self
+    pub fn replay(self, client: usize, round: usize, n: usize) -> Self {
+        self.with(client, round, FaultKind::Replay(n))
     }
 
     /// Plan `client` to trickle its `round` update below the server's
     /// minimum byte rate (shed by the rate enforcer).
-    pub fn slow_drip(mut self, client: usize, round: usize) -> Self {
-        self.specs.push(FaultSpec {
-            client,
-            round,
-            kind: FaultKind::SlowDrip,
-        });
-        self
+    pub fn slow_drip(self, client: usize, round: usize) -> Self {
+        self.with(client, round, FaultKind::SlowDrip)
     }
 
     /// Plan `client` to send `n` junk bytes as its `round` update — a
     /// well-formed frame the ingest budget refuses at the header.
-    pub fn flood_oversized(mut self, client: usize, round: usize, n: usize) -> Self {
-        self.specs.push(FaultSpec {
-            client,
-            round,
-            kind: FaultKind::FloodOversized(n),
-        });
-        self
+    pub fn flood_oversized(self, client: usize, round: usize, n: usize) -> Self {
+        self.with(client, round, FaultKind::FloodOversized(n))
     }
 
     /// Plan `client` to wedge a started update frame for `hold` in
     /// `round` before dropping the connection.
-    pub fn hold_connection(mut self, client: usize, round: usize, hold: Duration) -> Self {
-        self.specs.push(FaultSpec {
-            client,
-            round,
-            kind: FaultKind::HoldConnection(hold),
-        });
-        self
+    pub fn hold_connection(self, client: usize, round: usize, hold: Duration) -> Self {
+        self.with(client, round, FaultKind::HoldConnection(hold))
     }
 
     /// Plan `client` to sign-flip its trained `round` update (`v := −v`)
     /// before compressing (screened as `suspected` by robust modes).
-    pub fn sign_flip(mut self, client: usize, round: usize) -> Self {
-        self.specs.push(FaultSpec {
-            client,
-            round,
-            kind: FaultKind::SignFlip,
-        });
-        self
+    pub fn sign_flip(self, client: usize, round: usize) -> Self {
+        self.with(client, round, FaultKind::SignFlip)
     }
 
     /// Plan `client` to scale its trained `round` update away from the
     /// broadcast model by `factor` before compressing.
-    pub fn scale_update(mut self, client: usize, round: usize, factor: f32) -> Self {
-        self.specs.push(FaultSpec {
-            client,
-            round,
-            kind: FaultKind::ScaleUpdate(factor),
-        });
-        self
+    pub fn scale_update(self, client: usize, round: usize, factor: f32) -> Self {
+        self.with(client, round, FaultKind::ScaleUpdate(factor))
     }
 
     /// Plan `client` to drag its trained `round` update halfway toward
     /// zero before compressing.
-    pub fn drift_toward(mut self, client: usize, round: usize) -> Self {
-        self.specs.push(FaultSpec {
-            client,
-            round,
-            kind: FaultKind::DriftToward,
-        });
-        self
+    pub fn drift_toward(self, client: usize, round: usize) -> Self {
+        self.with(client, round, FaultKind::DriftToward)
     }
 
     /// Kill the server after it broadcasts `round`, before any update for

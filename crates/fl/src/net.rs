@@ -5,9 +5,9 @@
 //! broadcast → collect under a deadline → quorum/retry → FedAvg — is the
 //! *same code* ([`crate::transport::serve`]) that drives the channel
 //! transport and the in-process loopback; only the byte-moving differs.
-//! The client side runs the shared client turn
-//! ([`train_turn`] + [`encode_turn`]) and keeps to itself only the faults
-//! that damage a *frame* — which takes a socket. The pieces:
+//! The client side takes the shared client turn ([`Client::turn`]) and
+//! keeps to itself only the socket — connect, reconnect, backoff — and the
+//! faults that damage a *frame*, which takes one. The pieces:
 //!
 //! * An **acceptor thread** owns the listener. Each accepted connection is
 //!   handshaken (the client's first frame must be a [`Frame::Hello`] naming
@@ -36,7 +36,6 @@
 //! are the split server/client entry points the CLI exposes for genuinely
 //! distributed runs.
 
-use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -50,10 +49,10 @@ use crate::error::FlError;
 use crate::fault::{FaultKind, FaultPlan};
 use crate::session::{FlConfig, FlRunResult};
 use crate::transport::{
-    build_net, encode_turn, lossless_config, model_size_bytes, serve, setup_data, train_turn,
-    BroadcastOutcome, ClientMsg, RecvEnd, ServerTransport, TransportConfig, Turn, Uplink,
+    lossless_config, recv_until, serve, setup_data, setup_run, Answer, BroadcastOutcome, Client,
+    ClientMsg, Moves, RecvEnd, ServerTransport, TransportConfig, Uplink,
 };
-use crate::wire::{self, Frame, WireError};
+use crate::wire::{self, Frame, HeaderVerdict, WireError};
 
 /// How often a blocked socket read wakes up to check deadlines and the
 /// shutdown flag.
@@ -430,23 +429,7 @@ impl ServerTransport for TcpServer {
 
     fn recv(&mut self, cutoff: Option<Instant>) -> Result<Uplink, RecvEnd> {
         loop {
-            let ev = match cutoff {
-                Some(end) => {
-                    let Some(left) = end.checked_duration_since(Instant::now()) else {
-                        return Err(RecvEnd::Timeout);
-                    };
-                    match self.events_rx.recv_timeout(left) {
-                        Ok(ev) => ev,
-                        Err(RecvTimeoutError::Timeout) => return Err(RecvEnd::Timeout),
-                        Err(RecvTimeoutError::Disconnected) => return Err(RecvEnd::Closed),
-                    }
-                }
-                None => match self.events_rx.recv() {
-                    Ok(ev) => ev,
-                    Err(_) => return Err(RecvEnd::Closed),
-                },
-            };
-            match ev {
+            match recv_until(&self.events_rx, cutoff)? {
                 // Updates are never filtered by generation: a valid update
                 // is a valid update, and the collect loop's round/attempt
                 // check already discards stale ones.
@@ -570,6 +553,8 @@ fn reader_loop(
     // largest frame seen and is reused, so steady-state uplink traffic
     // performs zero per-frame body allocations.
     let mut scratch = Vec::new();
+    let garbage = || Event::Garbage { client_id, gen };
+    let shed = || Event::Shed { client_id, gen };
     loop {
         if stop.load(Ordering::SeqCst) {
             return;
@@ -579,18 +564,15 @@ fn reader_loop(
         let mut reserved = 0usize;
         let res =
             wire::read_frame_gated(&mut stream, FRAME_BUDGET, min_rate, &mut scratch, |len| {
-                if ledger.would_never_fit(len) {
-                    wire::HeaderVerdict::Shed
-                } else if ledger.reserve(len) {
+                let verdict = ledger.admit(len);
+                if verdict == HeaderVerdict::Admit {
                     reserved = len;
-                    wire::HeaderVerdict::Admit
-                } else {
-                    // `reserve` fails only when the ledger is closed: the
-                    // server is tearing down, so drop the connection.
-                    wire::HeaderVerdict::Abort
                 }
+                verdict
             });
-        match res {
+        // What the frame comes to: at most one event for the collector,
+        // and whether the connection is gone after it.
+        let (event, gone) = match res {
             Ok(Frame::Update {
                 round,
                 attempt,
@@ -607,8 +589,10 @@ fn reader_loop(
                 // duplicate, a stray for an unsampled slot, a straggler
                 // from a finished attempt — is dropped right here,
                 // already accounted (late) where it mattered.
-                if echoed == client_id && gate.admit(client_id, round, attempt) {
-                    let ev = Event::Update(ClientMsg {
+                let event = if echoed != client_id {
+                    Some(garbage())
+                } else if gate.admit(client_id, round, attempt) {
+                    Some(Event::Update(ClientMsg {
                         client_id,
                         round,
                         attempt,
@@ -617,78 +601,53 @@ fn reader_loop(
                         train_s,
                         compress_s,
                         raw_bytes,
-                        reserved,
-                    });
-                    if let Err(ev) = send_event(&tx, &stop, ev) {
-                        if let Event::Update(msg) = ev {
-                            ledger.release(msg.reserved);
-                        }
-                        return;
-                    }
+                        // Handed on: the reservation now rides in the message.
+                        reserved: std::mem::take(&mut reserved),
+                    }))
                 } else {
-                    ledger.release(reserved);
-                    if echoed != client_id
-                        && send_event(&tx, &stop, Event::Garbage { client_id, gen }).is_err()
-                    {
-                        return;
-                    }
-                }
+                    None
+                };
+                (event, false)
             }
             // A well-formed frame of the wrong kind: protocol violation,
             // but the stream is still framed — reject and keep reading.
-            Ok(_) => {
-                ledger.release(reserved);
-                if send_event(&tx, &stop, Event::Garbage { client_id, gen }).is_err() {
-                    return;
-                }
-            }
-            Err(WireError::Idle) => {} // no frame yet; check stop and wait on
+            Ok(_) => (Some(garbage()), false),
+            Err(WireError::Idle) => (None, false), // no frame yet; check stop and wait on
             // The gate shed this frame at its header: the body was
             // drained, the stream stays framed, the connection lives.
-            Err(WireError::OverBudget(_)) => {
-                if send_event(&tx, &stop, Event::Shed { client_id, gen }).is_err() {
-                    return;
-                }
-            }
+            Err(WireError::OverBudget(_)) => (Some(shed()), false),
             // Dripping below the minimum byte rate: shed the frame and
             // kill the connection — a trickler does not get to hold a
             // reader (or a reservation) for the whole frame budget.
-            Err(WireError::TooSlow) => {
-                ledger.release(reserved);
-                let _ = send_event(&tx, &stop, Event::Shed { client_id, gen });
-                let _ = send_event(&tx, &stop, Event::Gone { client_id, gen });
-                return;
-            }
+            Err(WireError::TooSlow) => (Some(shed()), true),
             // Detected corruption with framing intact: reject the frame,
             // keep the connection.
-            Err(WireError::BadCrc { .. }) | Err(WireError::BadBody(_)) => {
-                ledger.release(reserved);
-                if send_event(&tx, &stop, Event::Garbage { client_id, gen }).is_err() {
-                    return;
-                }
-            }
-            // Clean close between frames: the client left.
-            Err(WireError::Closed) => {
-                ledger.release(reserved);
-                let _ = send_event(&tx, &stop, Event::Gone { client_id, gen });
-                return;
-            }
+            Err(WireError::BadCrc { .. }) | Err(WireError::BadBody(_)) => (Some(garbage()), false),
+            // Clean close between frames — the client left — or a socket
+            // error.
+            Err(WireError::Closed) | Err(WireError::Io(_)) => (None, true),
             // Died or stalled mid-frame, or desynchronised beyond repair:
             // the half-frame is rejected and the connection is gone.
             Err(WireError::UnexpectedEof)
             | Err(WireError::Stalled)
             | Err(WireError::BadMagic)
-            | Err(WireError::TooLarge(_)) => {
-                ledger.release(reserved);
-                let _ = send_event(&tx, &stop, Event::Garbage { client_id, gen });
-                let _ = send_event(&tx, &stop, Event::Gone { client_id, gen });
+            | Err(WireError::TooLarge(_)) => (Some(garbage()), true),
+        };
+        // The one release: whatever was reserved and not handed on above.
+        ledger.release(reserved);
+        let gone_event = gone.then_some(Event::Gone { client_id, gen });
+        for ev in event.into_iter().chain(gone_event) {
+            if let Err(unsent) = send_event(&tx, &stop, ev) {
+                // Shutting down: a message that never reached the collector
+                // still holds its reservation.
+                if let Event::Update(msg) = unsent {
+                    ledger.release(msg.reserved);
+                }
                 return;
             }
-            Err(WireError::Io(_)) => {
-                ledger.release(reserved);
-                let _ = send_event(&tx, &stop, Event::Gone { client_id, gen });
-                return;
-            }
+        }
+        if gone {
+            return;
         }
     }
 }
@@ -719,180 +678,148 @@ fn connect_with_backoff(
     None
 }
 
-/// One TCP client: connect, handshake, then train on every broadcast and
-/// send the update back — reconnecting with backoff when the socket dies,
-/// and exiting cleanly on Stop, on an exhausted reconnect budget, or once
-/// the optional idle timeout expires without a frame from the server.
+/// One TCP client: connect, handshake, then take the shared turn on every
+/// broadcast and send the update back — reconnecting with backoff when the
+/// socket dies, and exiting cleanly on Stop, on an exhausted reconnect
+/// budget, or once the optional idle timeout expires without a frame from
+/// the server. `shard` is this client's own: moved in by [`run_tcp_with`],
+/// derived by a remote [`run_tcp_client`].
 fn tcp_client_loop(
     addr: SocketAddr,
     id: usize,
     cfg: &FlConfig,
+    shard: &fedsz_dnn::Dataset,
     plan: &FaultPlan,
     idle: Option<Duration>,
     ncfg: &NetConfig,
 ) {
-    // Built on the first broadcast, not at connect: a registered client the
-    // cohort never samples must not pay for (or hold) a model. Bit-identical
-    // to an eager build — every broadcast fully determines the network.
-    let mut net: Option<fedsz_dnn::Network> = None;
-    // Every client derives the same deterministic shards from the shared
-    // seed and takes its own — data never crosses the wire.
-    let (_, mut shards) = setup_data(cfg);
-    if id >= shards.len() {
-        return;
-    }
-    let shard = shards.swap_remove(id);
+    let mut client = Client::new(cfg, plan, Moves::Frames);
     let mut backoff = Backoff::new(
         ncfg.backoff_base,
         ncfg.backoff_max,
         cfg.seed ^ 0xBAC0_0FF5 ^ (id as u64),
     );
-    let Some(mut stream) = connect_with_backoff(addr, id, &mut backoff) else {
-        return;
-    };
-    let mut last_frame = Instant::now();
-    macro_rules! reconnect_or_return {
-        () => {{
-            // Back off before the first reconnect attempt too: it spaces a
-            // deliberate disconnect from the rejoin, so the server has
-            // drained the dead connection's events before the new Hello
-            // arrives and the fault accounting stays deterministic.
-            std::thread::sleep(backoff.next_delay());
-            match connect_with_backoff(addr, id, &mut backoff) {
-                Some(s) => {
-                    stream = s;
-                    last_frame = Instant::now();
-                    continue;
-                }
-                None => return,
-            }
-        }};
-    }
     // Reused body buffer: the downlink is dominated by same-sized broadcast
     // frames, so after the first one this loop stops allocating per frame.
     let mut scratch = Vec::new();
+    // One pass per connection: serve it until it dies (`break`, then
+    // reconnect) or the run is over for this client (`return`).
     loop {
-        let frame = match wire::read_frame_reusing(&mut stream, FRAME_BUDGET, &mut scratch) {
-            Ok(f) => {
-                last_frame = Instant::now();
-                f
-            }
-            Err(WireError::Idle) => {
-                // The server is silent but the socket is up; give up only
-                // once the idle timeout (if any) has fully elapsed.
-                if idle.is_some_and(|t| last_frame.elapsed() >= t) {
-                    return;
-                }
-                continue;
-            }
-            // Corrupt downlink frame with framing intact: skip it.
-            Err(WireError::BadCrc { .. }) | Err(WireError::BadBody(_)) => continue,
-            // Anything else means this connection is unusable.
-            Err(_) => reconnect_or_return!(),
+        let Some(mut stream) = connect_with_backoff(addr, id, &mut backoff) else {
+            return;
         };
-        let (round, attempt, model) = match frame {
-            Frame::Broadcast {
+        let mut last_frame = Instant::now();
+        loop {
+            let frame = match wire::read_frame_reusing(&mut stream, FRAME_BUDGET, &mut scratch) {
+                Ok(f) => {
+                    last_frame = Instant::now();
+                    f
+                }
+                Err(WireError::Idle) => {
+                    // The server is silent but the socket is up; give up only
+                    // once the idle timeout (if any) has fully elapsed.
+                    if idle.is_some_and(|t| last_frame.elapsed() >= t) {
+                        return;
+                    }
+                    continue;
+                }
+                // Corrupt downlink frame with framing intact: skip it.
+                Err(WireError::BadCrc { .. }) | Err(WireError::BadBody(_)) => continue,
+                // Anything else means this connection is unusable.
+                Err(_) => break,
+            };
+            let (round, attempt, model) = match frame {
+                Frame::Broadcast {
+                    round,
+                    attempt,
+                    model,
+                } => (round, attempt, model),
+                Frame::Stop => return,
+                _ => continue, // server never sends Hello/Update; ignore
+            };
+            let Ok(sd) = fedsz::decompress(&model) else {
+                continue; // corrupt model: wait for the next broadcast
+            };
+            // A fault that damages the *frame* comes back in the reply, on an
+            // honestly built update, to be acted out on the real bytes below;
+            // so over a socket the only answer that is not an update is a
+            // crash.
+            let Answer::Update(reply) =
+                client.turn(id, shard, round, attempt, &sd, cfg.compression)
+            else {
+                return;
+            };
+            let mut bytes = wire::encode(&Frame::Update {
                 round,
                 attempt,
-                model,
-            } => (round, attempt, model),
-            Frame::Stop => return,
-            _ => continue, // server never sends Hello/Update; ignore
-        };
-        let Ok(sd) = fedsz::decompress(&model) else {
-            continue; // corrupt model: wait for the next broadcast
-        };
-        let net = net.get_or_insert_with(|| build_net(cfg, cfg.seed ^ (id as u64 + 1)));
-        // Wire-level faults damage the *frame* of an honestly built update,
-        // which only a socket can do; they are acted out below. Every other
-        // kind acts on the update or its payload, inside the client turn
-        // all transports share.
-        let (wire_fault, turn_fault) = match plan.firing(id, round, attempt) {
-            Some(
-                kind @ (FaultKind::Disconnect
-                | FaultKind::TruncateFrame
-                | FaultKind::FlipBytes(_)
-                | FaultKind::SlowDrip
-                | FaultKind::HoldConnection(_)),
-            ) => (Some(kind), None),
-            other => (None, other),
-        };
-        let Turn::Trained(trained) = train_turn(net, cfg, &shard, id, round, &sd, turn_fault)
-        else {
-            return; // Crash
-        };
-        let out = encode_turn(trained, cfg.compression, turn_fault);
-        let mut bytes = wire::encode(&Frame::Update {
-            round,
-            attempt,
-            client_id: id,
-            samples: out.samples,
-            train_s: out.train_s,
-            compress_s: out.compress_s,
-            raw_bytes: out.raw_bytes,
-            payload: out.payload,
-        });
-        // `false` once the connection is gone: dropped on purpose by the
-        // fault, or dead under a write.
-        let alive = match wire_fault {
-            // A `Replay` fault's copies are byte-identical frames: each
-            // passes its CRC and would decode, but the server's first-wins
-            // admission discards all but the first unread.
-            None => (0..out.copies).all(|_| wire::write_frame_bytes(&mut stream, &bytes).is_ok()),
-            Some(FaultKind::FlipBytes(n)) => {
-                // Corrupt the body *after* the CRC was computed, leaving
-                // the header intact: the frame arrives whole, fails its
-                // checksum, and is rejected without costing the
-                // connection.
-                let body = wire::HEADER_LEN..bytes.len().saturating_sub(wire::TRAILER_LEN);
-                let upto = body.start + n.min(body.len());
-                for b in &mut bytes[body.start..upto] {
-                    *b ^= 0xA5;
+                client_id: id,
+                samples: reply.msg.samples,
+                train_s: reply.msg.train_s,
+                compress_s: reply.msg.compress_s,
+                raw_bytes: reply.msg.raw_bytes,
+                payload: reply.msg.payload,
+            });
+            // `false` once the connection is gone: dropped on purpose by the
+            // fault, or dead under a write.
+            let alive = match reply.frame_fault {
+                // A `Replay` fault's copies are byte-identical frames: each
+                // passes its CRC and would decode, but the server's
+                // first-wins admission discards all but the first unread.
+                None => {
+                    (0..reply.copies).all(|_| wire::write_frame_bytes(&mut stream, &bytes).is_ok())
                 }
-                wire::write_frame_bytes(&mut stream, &bytes).is_ok()
-            }
-            Some(kind) => {
-                match kind {
-                    // Send half a frame, then die mid-stream: the server
-                    // sees an unexpected EOF (rejected) on this connection.
-                    FaultKind::TruncateFrame => {
-                        let _ = wire::write_frame_bytes(&mut stream, &bytes[..bytes.len() / 2]);
+                Some(FaultKind::FlipBytes(n)) => {
+                    // Corrupt the body *after* the CRC was computed, leaving
+                    // the header intact: the frame arrives whole, fails its
+                    // checksum, and is rejected without costing the
+                    // connection.
+                    let body = wire::HEADER_LEN..bytes.len().saturating_sub(wire::TRAILER_LEN);
+                    let upto = body.start + n.min(body.len());
+                    for b in &mut bytes[body.start..upto] {
+                        *b ^= 0xA5;
                     }
-                    // Trickle a single byte of the frame, then stall well
-                    // past the rate grace: a rate-enforcing server sheds
-                    // the update and kills the connection (TooSlow);
-                    // without enforcement the stall runs into the frame
-                    // budget and is rejected.
-                    FaultKind::SlowDrip => {
-                        if stream.write_all(&bytes[..1]).is_ok() {
-                            let _ = stream.flush();
-                        }
-                        std::thread::sleep(wire::RATE_GRACE.saturating_mul(4));
-                    }
-                    // Announce a full frame (header plus a sliver of body),
-                    // then hold the connection wedged for `d`: rate
-                    // enforcement sheds it; otherwise the frame budget
-                    // expires and the half-frame is rejected.
-                    FaultKind::HoldConnection(d) => {
-                        let upto = (wire::HEADER_LEN + 8).min(bytes.len());
-                        if stream.write_all(&bytes[..upto]).is_ok() {
-                            let _ = stream.flush();
-                        }
-                        std::thread::sleep(d);
-                    }
-                    // `Disconnect`: drop the connection without answering.
-                    // The server counts this round late and serves the new
-                    // connection from the next broadcast.
-                    _ => {}
+                    wire::write_frame_bytes(&mut stream, &bytes).is_ok()
                 }
-                // All four then drop the connection and rejoin via backoff.
-                let _ = stream.shutdown(Shutdown::Both);
-                false
+                // The other four send some prefix of the frame, may sit on
+                // the connection, then drop it and rejoin via backoff.
+                Some(kind) => {
+                    let (sent, hold) = match kind {
+                        // Half a frame, then die mid-stream: the server sees
+                        // an unexpected EOF (rejected) on this connection.
+                        FaultKind::TruncateFrame => (bytes.len() / 2, Duration::ZERO),
+                        // A single byte, then a stall well past the rate
+                        // grace: a rate-enforcing server sheds the update and
+                        // kills the connection (TooSlow); without enforcement
+                        // the stall runs into the frame budget and is
+                        // rejected.
+                        FaultKind::SlowDrip => (1, wire::RATE_GRACE.saturating_mul(4)),
+                        // A full frame announced (header plus a sliver of
+                        // body), then the connection held wedged for `d`:
+                        // rate enforcement sheds it; otherwise the frame
+                        // budget expires and the half-frame is rejected.
+                        FaultKind::HoldConnection(d) => {
+                            ((wire::HEADER_LEN + 8).min(bytes.len()), d)
+                        }
+                        // `Disconnect`: nothing at all. The server counts
+                        // this round late and serves the new connection from
+                        // the next broadcast.
+                        _ => (0, Duration::ZERO),
+                    };
+                    let _ = wire::write_frame_bytes(&mut stream, &bytes[..sent]);
+                    std::thread::sleep(hold);
+                    let _ = stream.shutdown(Shutdown::Both);
+                    false
+                }
+            };
+            if !alive {
+                break;
             }
-        };
-        if !alive {
-            reconnect_or_return!();
         }
+        // Back off before the first reconnect attempt too: it spaces a
+        // deliberate disconnect from the rejoin, so the server has drained
+        // the dead connection's events before the new Hello arrives and the
+        // fault accounting stays deterministic.
+        std::thread::sleep(backoff.next_delay());
     }
 }
 
@@ -902,12 +829,11 @@ fn serve_on(
     cfg: &FlConfig,
     tcfg: &TransportConfig,
     ncfg: &NetConfig,
+    test: &fedsz_dnn::Dataset,
+    net: fedsz_dnn::Network,
+    ledger: Arc<Ledger>,
 ) -> Result<FlRunResult, FlError> {
-    let (test, _) = setup_data(cfg);
     let registered = cfg.registered();
-    let ledger = Arc::new(Ledger::new(
-        cfg.resolve_ingest_budget(model_size_bytes(cfg)),
-    ));
     let mut server = TcpServer::start(
         listener,
         registered,
@@ -922,7 +848,7 @@ fn serve_on(
             "no client joined within the join timeout".into(),
         ));
     }
-    let result = serve(cfg, tcfg, &test, &mut server, &ledger);
+    let result = serve(cfg, tcfg, test, net, &mut server, &ledger);
     server.stop();
     result
 }
@@ -947,21 +873,24 @@ pub fn run_tcp_with(
     let addr = listener
         .local_addr()
         .map_err(|e| FlError::Transport(format!("local addr: {e}")))?;
-    let plan = Arc::new(tcfg.faults.clone());
     let idle = tcfg.client_idle_timeout;
-    let handles: Vec<_> = (0..cfg.registered())
-        .map(|id| {
-            let cfg = cfg.clone();
-            let ncfg = ncfg.clone();
-            let plan = Arc::clone(&plan);
-            std::thread::spawn(move || tcp_client_loop(addr, id, &cfg, &plan, idle, &ncfg))
-        })
-        .collect();
-    let result = serve_on(listener, cfg, tcfg, ncfg);
-    for h in handles {
-        let _ = h.join();
-    }
-    result
+    let (test, shards, server, ledger) = setup_run(cfg);
+    // Each client thread owns its shard, as over channels: the data is
+    // generated once per run, not once per client.
+    std::thread::scope(|scope| {
+        let clients: Vec<_> = (shards.into_iter().enumerate())
+            .map(|(id, shard)| {
+                scope.spawn(move || {
+                    tcp_client_loop(addr, id, cfg, &shard, &tcfg.faults, idle, ncfg);
+                })
+            })
+            .collect();
+        let result = serve_on(listener, cfg, tcfg, ncfg, &test, server, ledger);
+        for client in clients {
+            let _ = client.join(); // a client's panic is not the server's
+        }
+        result
+    })
 }
 
 /// Bind `addr` and serve one FL run to remote TCP clients (the CLI's
@@ -975,7 +904,9 @@ pub fn serve_tcp(
 ) -> Result<FlRunResult, FlError> {
     let listener =
         TcpListener::bind(addr).map_err(|e| FlError::Transport(format!("bind {addr}: {e}")))?;
-    serve_on(listener, cfg, tcfg, ncfg)
+    // The clients are elsewhere and derive their own shards.
+    let (test, _, server, ledger) = setup_run(cfg);
+    serve_on(listener, cfg, tcfg, ncfg, &test, server, ledger)
 }
 
 /// Join a remote FL server as one client (the CLI's `--transport tcp
@@ -1001,7 +932,11 @@ pub fn run_tcp_client(
         .map_err(|e| FlError::Transport(format!("resolve {addr}: {e}")))?
         .next()
         .ok_or_else(|| FlError::Transport(format!("{addr} resolved to no address")))?;
-    tcp_client_loop(addr, client_id, cfg, &FaultPlan::new(), idle, ncfg);
+    // A remote client derives the same deterministic shards from the shared
+    // seed and keeps its own — data never crosses the wire.
+    let (_, mut shards) = setup_data(cfg);
+    let shard = shards.swap_remove(client_id);
+    tcp_client_loop(addr, client_id, cfg, &shard, &FaultPlan::new(), idle, ncfg);
     Ok(())
 }
 

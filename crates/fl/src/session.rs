@@ -13,13 +13,12 @@ use fedsz_tensor::StateDict;
 use crate::budget::Ledger;
 use crate::checkpoint::{self, Checkpoint};
 use crate::error::FlError;
-use crate::fault::{FaultKind, FaultPlan};
+use crate::fault::FaultPlan;
 use crate::robust::Aggregation;
 use crate::transport::{
-    build_net, damages_payload, encode_turn, serve, setup_data, train_turn, BroadcastOutcome,
-    ClientMsg, RecvEnd, ServerTransport, TransportConfig, Turn, Uplink,
+    serve, setup_run, Answer, BroadcastOutcome, Client, Moves, RecvEnd, ServerTransport,
+    TransportConfig, Uplink,
 };
-use crate::wire;
 
 /// FedSZ partition threshold for the scaled model analogues: their conv
 /// weights are far smaller than torchvision's, so the Algorithm-1 threshold
@@ -354,11 +353,6 @@ impl FlRunResult {
         self.total(|r| r.bytes_down_wire)
     }
 
-    /// Mean per-update bytes on the wire.
-    pub fn mean_update_bytes(&self) -> f64 {
-        self.per_update(self.total_bytes_up() as f64)
-    }
-
     /// Participation outcome summed over all rounds.
     pub fn fault_summary(&self) -> FaultCounters {
         let mut sum = FaultCounters::default();
@@ -390,10 +384,10 @@ pub fn run_scheduled(
 /// — the oracle the chaos soak compares the channel and TCP transports
 /// against.
 ///
-/// Nothing is classified by hand: a faulted client runs the same turn the
-/// channel transport's clients run ([`train_turn`] + [`encode_turn`]) —
-/// it trains, poisons or mangles its update as planned — and the server
-/// reaches the counters by really decoding and validating what came out.
+/// Nothing is classified by hand: a faulted client takes the same turn the
+/// channel transport's clients take ([`Client::turn`]) — it trains, poisons
+/// or mangles its update as planned — and the server reaches the counters
+/// by really decoding and validating what came out.
 /// So every kind counts exactly as it does over channels, and the final
 /// model is bit-identical to both transports'. What the in-process path
 /// cannot act out it resolves the way a channel does: `SlowDrip` and
@@ -418,48 +412,40 @@ fn run_loopback(
     schedule: &dyn Fn(usize) -> Option<FedSzConfig>,
     faults: FaultPlan,
 ) -> Result<FlRunResult, FlError> {
-    let (test, shards) = setup_data(cfg);
+    let (test, shards, server, ledger) = setup_run(cfg);
     let tcfg = TransportConfig {
         faults,
         ..TransportConfig::default()
     };
-    let net = build_net(cfg, cfg.seed);
-    // Resolved against the model size exactly as the transports resolve
-    // it, so the shed set matches theirs.
-    let ledger = Ledger::new(cfg.resolve_ingest_budget(net.state_dict().nbytes()));
     let mut transport = Loopback {
-        cfg,
         schedule,
-        plan: &tcfg.faults,
         shards,
         ledger: &ledger,
-        net,
+        client: Client::new(cfg, &tcfg.faults, Moves::Nothing),
         round: 0,
         attempt: 0,
         global: Arc::default(),
         waiting: VecDeque::new(),
     };
-    serve(cfg, &tcfg, &test, &mut transport, &ledger)
+    serve(cfg, &tcfg, &test, server, &mut transport, &ledger)
 }
 
 /// The in-process [`ServerTransport`]: no threads and no bytes moved. A
-/// broadcast just names the cohort; each `recv` runs the next member's
+/// broadcast just names the cohort; each `recv` takes the next member's
 /// whole turn on the collector thread and hands the result straight to
 /// the collect loop, which decodes it on the ingest pool while the
 /// following member trains.
 struct Loopback<'a> {
-    cfg: &'a FlConfig,
     schedule: &'a dyn Fn(usize) -> Option<FedSzConfig>,
-    plan: &'a FaultPlan,
     shards: Vec<fedsz_dnn::Dataset>,
     /// Consulted for header-time admission only. Nothing is ever reserved:
     /// the collector thread is the loopback's only producer, so a blocking
     /// reservation could never be released.
     ledger: &'a Ledger,
-    /// The one client network every cohort member trains in turn: each
-    /// turn loads the broadcast first, which fully determines it, so
+    /// The one client every cohort member's turn is taken on: each turn
+    /// loads the broadcast first, which fully determines the network, so
     /// client state stays O(1) however many clients are registered.
-    net: fedsz_dnn::Network,
+    client: Client<'a>,
     round: usize,
     attempt: usize,
     /// The broadcast model, shared by reference — never encoded.
@@ -492,64 +478,33 @@ impl ServerTransport for Loopback<'_> {
 
     fn recv(&mut self, _cutoff: Option<Instant>) -> Result<Uplink, RecvEnd> {
         let client_id = self.waiting.pop_front().ok_or(RecvEnd::Closed)?;
-        let (round, attempt) = (self.round, self.attempt);
-        let fault = self
-            .plan
-            .firing(client_id, round, attempt)
-            // There is no deadline to miss, so a planned delay is not slept.
-            .filter(|kind| !matches!(kind, FaultKind::Delay(_)));
-        let shard = &self.shards[client_id];
-        let trained = match train_turn(
-            &mut self.net,
-            self.cfg,
-            shard,
+        let reply = match self.client.turn(
             client_id,
-            round,
+            &self.shards[client_id],
+            self.round,
+            self.attempt,
             &self.global,
-            fault,
+            (self.schedule)(self.round),
         ) {
-            Turn::Trained(trained) => trained,
-            Turn::Silent => return Ok(Uplink::Gone { client_id }),
-            Turn::Shed => return Ok(Uplink::Shed { client_id }),
-        };
-        let (samples, train_s, raw_bytes) = (trained.samples, trained.train_s, trained.raw_bytes);
-        let compression = (self.schedule)(round);
-        // An uncompressed round hands the state dict over as it is — unless
-        // the turn's fault damages payload bytes, which then have to exist.
-        let (payload_len, answer) = if compression.is_some() || damages_payload(fault) {
-            let out = encode_turn(trained, compression, fault);
-            let msg = ClientMsg {
-                client_id,
-                round,
-                attempt,
-                samples,
-                train_s,
-                compress_s: out.compress_s,
-                raw_bytes,
-                reserved: 0,
-                payload: out.payload,
-            };
-            (msg.payload.nbytes(), Uplink::Msg(msg))
-        } else {
-            let update = Box::new(trained.update);
-            let raw = Uplink::Raw {
-                client_id,
-                update,
-                samples,
-                train_s,
-            };
-            (raw_bytes, raw)
+            Answer::Update(reply) => reply,
+            Answer::Silent => return Ok(Uplink::Gone { client_id }),
+            Answer::Shed => return Ok(Uplink::Shed { client_id }),
         };
         // The same header-time admission the transports apply: an update
         // whose frame could never fit the whole budget is shed before it
         // is decoded. One that fits is never refused — with a single
         // producer there is no concurrent arrival to wait out.
-        let body_len =
-            wire::update_body_len(round, attempt, client_id, samples, raw_bytes, payload_len);
-        Ok(if self.ledger.would_never_fit(body_len) {
+        Ok(if self.ledger.would_never_fit(reply.body_len) {
             Uplink::Shed { client_id }
+        } else if let Some(update) = reply.raw {
+            Uplink::Raw {
+                client_id,
+                update,
+                samples: reply.msg.samples,
+                train_s: reply.msg.train_s,
+            }
         } else {
-            answer
+            Uplink::Msg(reply.msg)
         })
     }
 }

@@ -9,10 +9,11 @@
 //! socket-backed one in [`crate::net`] (real TCP with a framed,
 //! CRC-checked wire protocol), and the in-process loopback in
 //! [`crate::session`], which runs each cohort member's turn on demand on
-//! the collector thread. The client side of a round — train, poison when
-//! the [`FaultPlan`] says so, encode, mangle — is [`train_turn`] +
-//! [`encode_turn`] for all three, so the same seeds produce the same
-//! payload bytes whichever way they travel.
+//! the collector thread. The client side of a round — look the planned
+//! fault up, train, poison, encode, mangle, size the frame — is
+//! [`Client::turn`] for all three, so the same seeds produce the same
+//! payload bytes whichever way they travel; a transport's own client loop
+//! only moves what the turn returns.
 //!
 //! Over channels and TCP the downlink broadcast uses FedSZ with an
 //! "everything lossless" partition (threshold `usize::MAX`), so the global
@@ -53,17 +54,18 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use fedsz::{CompressedUpdate, FaultCounters, FedSzConfig, QuarantineReasons, SuspectReasons};
+use fedsz_dnn::{Dataset, Network};
 use fedsz_tensor::{SplitMix64, StateDict, Tensor};
 
 use crate::budget::Ledger;
 use crate::error::FlError;
-use crate::fault::{poison_update, FaultKind, FaultPlan};
+use crate::fault::{poison_update, FaultKind, FaultPlan, FaultStage};
 use crate::ingest::{self, IngestPool, Verdict};
 use crate::partition;
 use crate::robust::{Aggregation, RobustFold};
 use crate::session::{maybe_checkpoint, resume_point, FlConfig, FlRunResult, RoundMetrics};
 use crate::validate::validate_update;
-use crate::wire;
+use crate::wire::{self, Frame, HeaderVerdict};
 
 /// Transport-level policy: per-round deadline, quorum, retries, client idle
 /// timeout, and fault injection. Shared by the channel and TCP transports.
@@ -98,6 +100,7 @@ impl TransportConfig {
 }
 
 /// Uplink message: one client's update for one round attempt.
+#[derive(Clone)]
 pub(crate) struct ClientMsg {
     pub(crate) client_id: usize,
     pub(crate) round: usize,
@@ -112,16 +115,6 @@ pub(crate) struct ClientMsg {
     /// settle, or when the message is discarded as stale or duplicate.
     /// 0 when budgeting is disabled.
     pub(crate) reserved: usize,
-}
-
-/// Downlink message: the new global model (or a stop signal).
-enum ServerMsg {
-    Broadcast {
-        round: usize,
-        attempt: usize,
-        model: CompressedUpdate,
-    },
-    Stop,
 }
 
 /// What the server learned from one uplink receive. The channel transport
@@ -233,7 +226,7 @@ pub(crate) fn lossless_config(base: Option<FedSzConfig>) -> FedSzConfig {
 /// same data whether it runs in-process, over channels, or over TCP.
 /// Every process that derives its shard this way — the in-process session,
 /// the threaded transport, a remote TCP client — sees identical data.
-pub(crate) fn setup_data(cfg: &FlConfig) -> (fedsz_dnn::Dataset, Vec<fedsz_dnn::Dataset>) {
+pub(crate) fn setup_data(cfg: &FlConfig) -> (Dataset, Vec<Dataset>) {
     let registered = cfg.registered();
     let total_train = registered * cfg.samples_per_client;
     let (train, test) = cfg
@@ -247,172 +240,243 @@ pub(crate) fn setup_data(cfg: &FlConfig) -> (fedsz_dnn::Dataset, Vec<fedsz_dnn::
     (test, shards)
 }
 
-/// How one client's turn starts: with a trained update, or — under a
-/// planned fault that silences the client — with nothing to encode.
-pub(crate) enum Turn {
-    /// `Crash` / `Disconnect`: the client answers nothing this round. What
-    /// "gone" means beyond that is the transport's: a channel client's
-    /// thread exits for good, a TCP client rejoins, the loopback's next
-    /// round simply runs the client again.
+/// The one set-up behind every `run_*` entry point: the held-out test set,
+/// one shard per registered client (moved into the in-process clients of
+/// every transport; only a remote [`crate::net::run_tcp_client`] derives
+/// its own), the server's network — built once — and the ingest ledger
+/// sized from it.
+pub(crate) fn setup_run(cfg: &FlConfig) -> (Dataset, Vec<Dataset>, Network, Arc<Ledger>) {
+    let (test, shards) = setup_data(cfg);
+    let server = build_net(cfg, cfg.seed);
+    let budget = cfg.resolve_ingest_budget(server.state_dict().nbytes());
+    (test, shards, server, Arc::new(Ledger::new(budget)))
+}
+
+/// What a client's transport moves — which decides how much of a planned
+/// fault the shared turn can act out by itself.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Moves {
+    /// Framed bytes on a socket (TCP): a fault on the *frame* comes back
+    /// in [`Reply::frame_fault`] to be acted out on the real bytes.
+    Frames,
+    /// Payload bytes (channels): the frame kinds fall back to their
+    /// stand-ins (see [`FaultKind::stage`]).
+    Payloads,
+    /// Nothing (the loopback): as `Payloads`; also, an uncompressed round's
+    /// update is handed over as it is, and no planned delay is slept.
+    Nothing,
+}
+
+/// One client's whole answer to one broadcast.
+pub(crate) enum Answer {
+    /// `Crash`, or `Disconnect` without a socket: the client answers
+    /// nothing this round. What "gone" means beyond that is the
+    /// transport's: a channel or TCP client's thread exits for good, the
+    /// loopback's next round simply runs the client again.
     Silent,
     /// `SlowDrip` / `HoldConnection` where there is no byte stream to
     /// trickle: the rate enforcer's verdict is modelled directly (matching
     /// TCP with `min_byte_rate` on) — the update is shed, the client lives
     /// on to the next round.
     Shed,
-    /// The client trained; its update is ready for [`encode_turn`].
-    Trained(Trained),
+    /// The client trained; its update is ready to move.
+    Update(Reply),
 }
 
-/// One client's trained update before it is encoded — already poisoned
-/// when the turn's fault is a semantic or Byzantine one.
-pub(crate) struct Trained {
-    pub(crate) update: StateDict,
-    pub(crate) samples: usize,
-    pub(crate) train_s: f64,
-    /// Size of the honest update, measured before any poison reshapes it.
-    pub(crate) raw_bytes: usize,
-}
-
-/// One client's encoded answer to one broadcast.
-pub(crate) struct LocalOutcome {
-    pub(crate) payload: CompressedUpdate,
+/// One client's update and what its transport needs to know to move it.
+pub(crate) struct Reply {
+    /// The encoded update and its measurements (`raw_bytes`: the honest
+    /// update's size, before any poison reshapes it); no reservation yet.
+    pub(crate) msg: ClientMsg,
+    /// The update itself, in place of a payload: only under
+    /// [`Moves::Nothing`], on an uncompressed round.
+    pub(crate) raw: Option<Box<StateDict>>,
     /// How many byte-identical copies to send: 1, plus a `Replay` fault's
     /// extras (which first-wins admission discards undecoded).
     pub(crate) copies: usize,
-    pub(crate) samples: usize,
-    pub(crate) train_s: f64,
-    pub(crate) compress_s: f64,
-    pub(crate) raw_bytes: usize,
+    /// Body length the update's frame announces, or would where nothing is
+    /// framed: what header-time admission judges on every transport.
+    pub(crate) body_len: usize,
+    /// Only under [`Moves::Frames`]: the fault the caller still has to act
+    /// out on this honest update's frame.
+    pub(crate) frame_fault: Option<FaultKind>,
 }
 
-/// First half of a client's turn, shared by every transport: load the
-/// broadcast `global`, train locally for `round`, and apply the turn's
-/// `fault` where it acts on the *values* — so the same seeds produce the
-/// same update bit for bit on every path. Callers pass the fault only on
-/// the attempt it fires on (see [`FaultPlan::firing`]).
-pub(crate) fn train_turn(
-    net: &mut fedsz_dnn::Network,
-    cfg: &FlConfig,
-    shard: &fedsz_dnn::Dataset,
-    id: usize,
-    round: usize,
-    global: &StateDict,
-    fault: Option<FaultKind>,
-) -> Turn {
-    match fault {
-        Some(FaultKind::Crash | FaultKind::Disconnect) => return Turn::Silent,
-        Some(FaultKind::SlowDrip | FaultKind::HoldConnection(_)) => return Turn::Shed,
-        _ => {}
+/// The client half of the round engine: what a client keeps between
+/// broadcasts, and the one turn it takes on each.
+pub(crate) struct Client<'a> {
+    cfg: &'a FlConfig,
+    plan: &'a FaultPlan,
+    moves: Moves,
+    /// Built on the first turn, not at spawn: with cross-device sampling,
+    /// most registered clients sit out most rounds, and a never-sampled
+    /// client must not pay for (or hold) a model. The lazy build is
+    /// bit-identical to an eager one — every broadcast fully determines
+    /// the network (see [`Client::turn`]) — which is also why the loopback
+    /// can take every cohort member's turn on one `Client`.
+    net: Option<Network>,
+}
+
+impl<'a> Client<'a> {
+    pub(crate) fn new(cfg: &'a FlConfig, plan: &'a FaultPlan, moves: Moves) -> Self {
+        Self {
+            cfg,
+            plan,
+            moves,
+            net: None,
+        }
     }
-    // `load_state_dict` resets optimizer state, so the broadcast fully
-    // determines the network whatever it trained on before.
-    net.load_state_dict(global);
-    let mut lrng =
-        SplitMix64::new(cfg.seed ^ ((round as u64) << 32) ^ (id as u64).wrapping_mul(0x9E37));
-    let t0 = Instant::now();
-    for _ in 0..cfg.local_epochs {
-        net.train_epoch(shard, cfg.batch_size, cfg.lr, cfg.momentum, &mut lrng);
-    }
-    let train_s = t0.elapsed().as_secs_f64();
-    let mut update = net.state_dict();
-    let raw_bytes = update.nbytes();
-    match fault {
-        // Semantic poison: frames, checksums and decodes cleanly; only the
-        // server's pre-aggregation validation can catch it.
-        Some(FaultKind::NonFiniteUpdate) => {
-            if let Some(v) = update
-                .entries_mut()
-                .first_mut()
-                .and_then(|e| e.tensor.data_mut().first_mut())
-            {
-                *v = f32::NAN;
+
+    /// Client `id`'s whole answer to the broadcast `global` of
+    /// `(round, attempt)`: look the planned fault up (it fires on the first
+    /// attempt only, see [`FaultPlan::firing`]), train on `shard`, encode
+    /// with `compression`, size the frame — applying the fault at the
+    /// stage it acts on, so the same seeds produce the same update and the
+    /// same payload bytes on every path.
+    pub(crate) fn turn(
+        &mut self,
+        id: usize,
+        shard: &Dataset,
+        round: usize,
+        attempt: usize,
+        global: &StateDict,
+        compression: Option<FedSzConfig>,
+    ) -> Answer {
+        let planned = self
+            .plan
+            .firing(id, round, attempt)
+            .filter(|kind| !(self.moves == Moves::Nothing && matches!(kind, FaultKind::Delay(_))));
+        let stage = planned.map(|kind| kind.stage(self.moves == Moves::Frames));
+        // A frame fault leaves the update honest and goes back to the
+        // caller; every other kind is acted out here, at its stage.
+        let (fault, frame_fault) = match stage {
+            Some(FaultStage::Frame) => (None, planned),
+            _ => (planned, None),
+        };
+
+        // Presence.
+        match fault {
+            Some(FaultKind::Crash | FaultKind::Disconnect) => return Answer::Silent,
+            Some(FaultKind::SlowDrip | FaultKind::HoldConnection(_)) => return Answer::Shed,
+            _ => {}
+        }
+
+        // Train. `load_state_dict` resets optimizer state, so the broadcast
+        // fully determines the network whatever it trained on before.
+        let cfg = self.cfg;
+        let net = self
+            .net
+            .get_or_insert_with(|| build_net(cfg, cfg.seed ^ (id as u64 + 1)));
+        net.load_state_dict(global);
+        let mut lrng =
+            SplitMix64::new(cfg.seed ^ ((round as u64) << 32) ^ (id as u64).wrapping_mul(0x9E37));
+        let t0 = Instant::now();
+        for _ in 0..cfg.local_epochs {
+            net.train_epoch(shard, cfg.batch_size, cfg.lr, cfg.momentum, &mut lrng);
+        }
+        let train_s = t0.elapsed().as_secs_f64();
+        let mut update = net.state_dict();
+        // Size of the honest update, measured before any poison reshapes it.
+        let raw_bytes = update.nbytes();
+
+        // Values.
+        let mut codec = compression;
+        match fault {
+            // Semantic poison: frames, checksums and decodes cleanly —
+            // encoded losslessly, so that it does; only the server's
+            // pre-aggregation validation can catch it.
+            Some(FaultKind::NonFiniteUpdate) => {
+                codec = None;
+                if let Some(v) = update
+                    .entries_mut()
+                    .first_mut()
+                    .and_then(|e| e.tensor.data_mut().first_mut())
+                {
+                    *v = f32::NAN;
+                }
             }
-        }
-        Some(FaultKind::WrongShape) => {
-            if let Some(e) = update.entries_mut().first_mut() {
-                e.tensor = Tensor::from_vec(vec![0.0]);
+            Some(FaultKind::WrongShape) => {
+                codec = None;
+                if let Some(e) = update.entries_mut().first_mut() {
+                    e.tensor = Tensor::from_vec(vec![0.0]);
+                }
             }
+            // Byzantine poison, applied before compression so the attack
+            // rides the same (possibly lossy) codec as an honest update and
+            // only a robust aggregation mode can screen it. `global` is the
+            // exact broadcast model on every path (the downlink is
+            // lossless). A no-op for every other kind.
+            Some(kind) => {
+                poison_update(&mut update, global, kind);
+            }
+            None => {}
         }
-        // Byzantine poison, applied before compression so the attack rides
-        // the same (possibly lossy) codec as an honest update and only a
-        // robust aggregation mode can screen it. `global` is the exact
-        // broadcast model on every path (the downlink is lossless). A
-        // no-op for every other kind.
-        Some(kind) => {
-            poison_update(&mut update, global, kind);
+
+        // With nothing to move, an uncompressed round hands the state dict
+        // over as it is — unless the fault damages payload bytes, which
+        // then have to exist.
+        let hand_over = self.moves == Moves::Nothing
+            && compression.is_none()
+            && stage != Some(FaultStage::Payload);
+        let mut msg = ClientMsg {
+            client_id: id,
+            round,
+            attempt,
+            payload: CompressedUpdate::from_bytes(Vec::new()),
+            samples: shard.n.max(1),
+            train_s,
+            compress_s: 0.0,
+            raw_bytes,
+            reserved: 0,
+        };
+        let mut copies = 1;
+        if !hand_over {
+            // Encode — losslessly when the round is uncompressed: the bytes
+            // still have to exist to be moved, or mangled. Serialization
+            // runs (and takes time) even then, so the elapsed time is
+            // reported unconditionally — otherwise the uncompressed
+            // baseline's timing numbers are silently understated.
+            let codec = codec.unwrap_or_else(|| lossless_config(None));
+            let t = Instant::now();
+            let mut bytes = fedsz::compress(&update, &codec).into_bytes();
+            msg.compress_s = t.elapsed().as_secs_f64();
+
+            // Payload — and the two presence kinds that send late or often.
+            match fault {
+                // Break the magic: a guaranteed decode failure at the server.
+                Some(FaultKind::Corrupt) => bytes.iter_mut().take(1).for_each(|b| *b ^= 0xFF),
+                // A frame cut mid-stream, where there is no frame: every
+                // strict prefix of a FedSZ stream fails to decode. (TCP
+                // cuts the real frame instead and never has this kind
+                // here.)
+                Some(FaultKind::TruncateFrame) => bytes.truncate(bytes.len() / 2),
+                // Flipping the leading bytes breaks the FedSZ magic, so the
+                // corruption is detected deterministically (TCP flips bytes
+                // under the frame CRC instead).
+                Some(FaultKind::FlipBytes(n)) => bytes.iter_mut().take(n).for_each(|b| *b ^= 0xA5),
+                // A well-formed junk payload of the planned size: it frames
+                // cleanly, and either the ingest budget sheds it or the
+                // server's decode rejects it.
+                Some(FaultKind::FloodOversized(n)) => bytes = vec![0xA5; n],
+                Some(FaultKind::Delay(d)) => std::thread::sleep(d),
+                Some(FaultKind::Replay(n)) => copies += n,
+                _ => {}
+            }
+            msg.payload = CompressedUpdate::from_bytes(bytes);
         }
-        None => {}
-    }
-    Turn::Trained(Trained {
-        update,
-        samples: shard.n.max(1),
-        train_s,
-        raw_bytes,
-    })
-}
-
-/// Does `fault` act on the payload *bytes* in [`encode_turn`]? Such a turn
-/// has to serialize even where an honest one would not.
-pub(crate) fn damages_payload(fault: Option<FaultKind>) -> bool {
-    matches!(
-        fault,
-        Some(
-            FaultKind::Corrupt
-                | FaultKind::TruncateFrame
-                | FaultKind::FlipBytes(_)
-                | FaultKind::FloodOversized(_)
-        )
-    )
-}
-
-/// Second half of a client's turn: encode the update with the round's
-/// `compression` (losslessly when the round is uncompressed — the bytes
-/// still have to exist to be moved, or mangled), then apply the turn's
-/// `fault` where it acts on the *payload bytes*.
-pub(crate) fn encode_turn(
-    trained: Trained,
-    compression: Option<FedSzConfig>,
-    fault: Option<FaultKind>,
-) -> LocalOutcome {
-    let codec = match fault {
-        // The poison must survive the codec bit-exact.
-        Some(FaultKind::NonFiniteUpdate | FaultKind::WrongShape) => lossless_config(None),
-        _ => compression.unwrap_or_else(|| lossless_config(None)),
-    };
-    // Serialization runs (and takes time) even on the lossless path, so
-    // the elapsed time is reported unconditionally — otherwise the
-    // uncompressed baseline's timing numbers are silently understated.
-    let t = Instant::now();
-    let mut bytes = fedsz::compress(&trained.update, &codec).into_bytes();
-    let compress_s = t.elapsed().as_secs_f64();
-    let mut copies = 1;
-    match fault {
-        // Break the magic: a guaranteed decode failure at the server.
-        Some(FaultKind::Corrupt) => bytes.iter_mut().take(1).for_each(|b| *b ^= 0xFF),
-        // A frame cut mid-stream, where there is no frame: every strict
-        // prefix of a FedSZ stream fails to decode. (TCP cuts the real
-        // frame instead and never passes this kind here.)
-        Some(FaultKind::TruncateFrame) => bytes.truncate(bytes.len() / 2),
-        // Flipping the leading bytes breaks the FedSZ magic, so the
-        // corruption is detected deterministically (TCP flips bytes under
-        // the frame CRC instead).
-        Some(FaultKind::FlipBytes(n)) => bytes.iter_mut().take(n).for_each(|b| *b ^= 0xA5),
-        // A well-formed junk payload of the planned size: it frames
-        // cleanly, and either the ingest budget sheds it or the server's
-        // decode rejects it.
-        Some(FaultKind::FloodOversized(n)) => bytes = vec![0xA5; n],
-        Some(FaultKind::Delay(d)) => std::thread::sleep(d),
-        Some(FaultKind::Replay(n)) => copies += n,
-        _ => {}
-    }
-    LocalOutcome {
-        payload: CompressedUpdate::from_bytes(bytes),
-        copies,
-        samples: trained.samples,
-        train_s: trained.train_s,
-        compress_s,
-        raw_bytes: trained.raw_bytes,
+        // What travels is the payload — or, handed over, the update itself.
+        let moved = if hand_over {
+            raw_bytes
+        } else {
+            msg.payload.nbytes()
+        };
+        Answer::Update(Reply {
+            body_len: wire::update_body_len(round, attempt, id, msg.samples, raw_bytes, moved),
+            msg,
+            raw: hand_over.then(|| Box::new(update)),
+            copies,
+            frame_fault,
+        })
     }
 }
 
@@ -432,81 +496,90 @@ pub fn run_threaded(cfg: &FlConfig) -> Result<FlRunResult, FlError> {
 /// their first broadcast arrives).
 pub fn run_threaded_with(cfg: &FlConfig, tcfg: &TransportConfig) -> Result<FlRunResult, FlError> {
     let registered = cfg.registered();
-    let (test, shards) = setup_data(cfg);
+    let (test, shards, server, ledger) = setup_run(cfg);
 
     // Bounded uplink: steady state holds at most one in-flight message per
     // cohort member plus a small slack for replay floods; a hostile sender
     // blocks instead of growing server memory.
     let up_cap = cfg.cohort_size().saturating_mul(2).saturating_add(8);
     let (up_tx, up_rx): (Sender<Uplink>, Receiver<Uplink>) = bounded(up_cap);
-    let ledger = Arc::new(Ledger::new(
-        cfg.resolve_ingest_budget(model_size_bytes(cfg)),
-    ));
-    let plan = Arc::new(tcfg.faults.clone());
     let idle = tcfg.client_idle_timeout;
 
-    let mut down_txs: Vec<Sender<ServerMsg>> = Vec::with_capacity(registered);
-    let mut handles = Vec::with_capacity(registered);
-    for (i, shard) in shards.into_iter().enumerate() {
-        let (down_tx, down_rx) = bounded::<ServerMsg>(1);
-        down_txs.push(down_tx);
-        let up_tx = up_tx.clone();
-        let cfg = cfg.clone();
-        let plan = Arc::clone(&plan);
-        let ledger = Arc::clone(&ledger);
-        handles.push(std::thread::spawn(move || {
-            client_loop(i, cfg, shard, &plan, idle, &ledger, &down_rx, &up_tx);
-        }));
-    }
-    drop(up_tx);
+    std::thread::scope(|scope| {
+        let mut down_txs: Vec<Sender<Frame>> = Vec::with_capacity(registered);
+        let mut handles = Vec::with_capacity(registered);
+        for (i, shard) in shards.into_iter().enumerate() {
+            let (down_tx, down_rx) = bounded::<Frame>(1);
+            down_txs.push(down_tx);
+            let (up_tx, ledger) = (up_tx.clone(), &*ledger);
+            handles.push(scope.spawn(move || {
+                let client = Client::new(cfg, &tcfg.faults, Moves::Payloads);
+                client_loop(i, &shard, client, idle, ledger, &down_rx, &up_tx);
+            }));
+        }
+        drop(up_tx);
 
-    let mut transport = ChannelTransport {
-        down_txs: &down_txs,
-        up_rx: &up_rx,
-        dead: vec![false; registered],
-        bcast_cfg: lossless_config(cfg.compression),
-    };
-    let result = serve(cfg, tcfg, &test, &mut transport, &ledger);
+        let mut transport = ChannelTransport {
+            down_txs: &down_txs,
+            up_rx: &up_rx,
+            dead: vec![false; registered],
+            bcast_cfg: lossless_config(cfg.compression),
+        };
+        let result = serve(cfg, tcfg, &test, server, &mut transport, &ledger);
 
-    // Unwedge clients in teardown order: fail blocked reservations, tell
-    // everyone to stop, then close the uplink so a sender blocked on the
-    // bounded channel fails out instead of deadlocking the joins.
-    ledger.close();
-    for tx in &down_txs {
-        let _ = tx.send(ServerMsg::Stop);
-    }
-    drop(transport);
-    drop(down_txs);
-    drop(up_rx);
-    for h in handles {
-        // A client panic must not take the server down with it; the client
-        // was already accounted as late/dropped when it stopped responding.
-        let _ = h.join();
-    }
-    result
+        // Unwedge clients in teardown order: fail blocked reservations, tell
+        // everyone to stop, then close the uplink so a sender blocked on the
+        // bounded channel fails out instead of deadlocking the joins.
+        ledger.close();
+        for tx in &down_txs {
+            let _ = tx.send(Frame::Stop);
+        }
+        drop(transport);
+        drop(down_txs);
+        drop(up_rx);
+        for h in handles {
+            // A client panic must not take the server down with it; the
+            // client was already accounted as late/dropped when it stopped
+            // responding.
+            let _ = h.join();
+        }
+        result
+    })
 }
 
 /// Build the network `cfg` describes, initialized from `seed`.
-pub(crate) fn build_net(cfg: &FlConfig, seed: u64) -> fedsz_dnn::Network {
+pub(crate) fn build_net(cfg: &FlConfig, seed: u64) -> Network {
     let (c, h, _, classes) = cfg.dataset.dims();
     cfg.arch.build(c, h, classes, seed)
 }
 
-/// State-dict size in bytes of a freshly built model under `cfg` — the
-/// reference for resolving the ingest budget before any server model
-/// exists (deterministic: the same seed builds the same model).
-pub(crate) fn model_size_bytes(cfg: &FlConfig) -> usize {
-    build_net(cfg, cfg.seed).state_dict().nbytes()
+/// Receive from `rx`, waiting until `cutoff` (`None` = no deadline): the
+/// uplink wait both threaded transports' servers block in.
+pub(crate) fn recv_until<T>(rx: &Receiver<T>, cutoff: Option<Instant>) -> Result<T, RecvEnd> {
+    match cutoff {
+        Some(end) => {
+            let Some(left) = end.checked_duration_since(Instant::now()) else {
+                return Err(RecvEnd::Timeout); // deadline passed while processing
+            };
+            rx.recv_timeout(left).map_err(|e| match e {
+                RecvTimeoutError::Timeout => RecvEnd::Timeout,
+                RecvTimeoutError::Disconnected => RecvEnd::Closed,
+            })
+        }
+        // Fails only once every sender hung up.
+        None => rx.recv().map_err(|_| RecvEnd::Closed),
+    }
 }
 
 /// Channel-backed [`ServerTransport`]: one bounded downlink channel per
-/// client, one shared *bounded* uplink channel (senders block when the
+/// client (carrying the [`Frame`]s TCP would put on the wire, as they
+/// are), one shared *bounded* uplink channel (senders block when the
 /// server falls behind — backpressure, not memory growth). A failed
 /// downlink send is the only way to observe a dead client, and channels
 /// cannot be re-opened, so `dead` is permanent here (unlike TCP, where
 /// clients rejoin).
 struct ChannelTransport<'a> {
-    down_txs: &'a [Sender<ServerMsg>],
+    down_txs: &'a [Sender<Frame>],
     up_rx: &'a Receiver<Uplink>,
     dead: Vec<bool>,
     bcast_cfg: FedSzConfig,
@@ -527,7 +600,7 @@ impl ServerTransport for ChannelTransport<'_> {
             if self.dead[id] {
                 continue;
             }
-            let msg = ServerMsg::Broadcast {
+            let msg = Frame::Broadcast {
                 round,
                 attempt,
                 model: model.clone(),
@@ -546,120 +619,69 @@ impl ServerTransport for ChannelTransport<'_> {
     }
 
     fn recv(&mut self, cutoff: Option<Instant>) -> Result<Uplink, RecvEnd> {
-        match cutoff {
-            Some(end) => {
-                let Some(left) = end.checked_duration_since(Instant::now()) else {
-                    return Err(RecvEnd::Timeout); // deadline passed while processing
-                };
-                self.up_rx.recv_timeout(left).map_err(|e| match e {
-                    RecvTimeoutError::Timeout => RecvEnd::Timeout,
-                    RecvTimeoutError::Disconnected => RecvEnd::Closed,
-                })
-            }
-            // Fails only once every client hung up.
-            None => self.up_rx.recv().map_err(|_| RecvEnd::Closed),
-        }
+        recv_until(self.up_rx, cutoff)
     }
 }
 
-/// One client: receive the global model, train locally, send the update.
-/// Exits (closing its channels) on any transport failure — or once the
-/// optional idle timeout expires without a broadcast — instead of
-/// panicking; from the server's point of view it simply died.
-#[allow(clippy::too_many_arguments)]
+/// One channel client: receive the global model, take the turn, send what
+/// it returns under a ledger reservation. Exits (closing its channels) on
+/// any transport failure — or once the optional idle timeout expires
+/// without a broadcast — instead of panicking; from the server's point of
+/// view it simply died.
 fn client_loop(
     id: usize,
-    cfg: FlConfig,
-    shard: fedsz_dnn::Dataset,
-    plan: &FaultPlan,
+    shard: &Dataset,
+    mut client: Client<'_>,
     idle: Option<Duration>,
     ledger: &Ledger,
-    down_rx: &Receiver<ServerMsg>,
+    down_rx: &Receiver<Frame>,
     up_tx: &Sender<Uplink>,
 ) {
-    // Built on the first broadcast, not at spawn: with cross-device
-    // sampling, most registered clients sit out most rounds, and a
-    // never-sampled client must not pay for (or hold) a model. The lazy
-    // build is bit-identical to an eager one — every broadcast fully
-    // determines the network (see [`train_turn`]).
-    let mut net: Option<fedsz_dnn::Network> = None;
-    loop {
-        let msg = match idle {
-            // A server that hangs without closing the channel must not trap
-            // the client forever: give up after the idle timeout.
-            Some(t) => match down_rx.recv_timeout(t) {
-                Ok(m) => m,
-                Err(_) => return,
-            },
-            None => match down_rx.recv() {
-                Ok(m) => m,
-                Err(_) => return,
-            },
-        };
-        let ServerMsg::Broadcast {
-            round,
-            attempt,
-            model,
-        } = msg
-        else {
-            return; // Stop
-        };
+    // A server that hangs without closing the channel must not trap the
+    // client forever: give up after the idle timeout. A closed channel or a
+    // Stop ends the client too.
+    while let Ok(Frame::Broadcast {
+        round,
+        attempt,
+        model,
+    }) = recv_until(down_rx, idle.map(|t| Instant::now() + t))
+    {
         let Ok(sd) = fedsz::decompress(&model) else {
             return; // corrupt broadcast: nothing sane to train on
         };
-        let net = net.get_or_insert_with(|| build_net(&cfg, cfg.seed ^ (id as u64 + 1)));
-        let fault = plan.firing(id, round, attempt);
-        let trained = match train_turn(net, &cfg, &shard, id, round, &sd, fault) {
-            Turn::Trained(t) => t,
+        let reply = match client.turn(id, shard, round, attempt, &sd, client.cfg.compression) {
+            Answer::Update(reply) => reply,
             // Channels cannot be reconnected, so a wire-level disconnect
             // is a crash here; the TCP transport models the
             // rejoin-with-backoff path faithfully.
-            Turn::Silent => return,
-            Turn::Shed => {
+            Answer::Silent => return,
+            Answer::Shed => {
                 if up_tx.send(Uplink::Shed { client_id: id }).is_err() {
                     return;
                 }
                 continue;
             }
         };
-        let out = encode_turn(trained, cfg.compression, fault);
-        // The same header-time admission TCP applies: the frame's exact
-        // encoded body length decides shed-or-reserve, so both transports
-        // refuse the same updates. A frame that fits waits for ledger
-        // space (backpressure) rather than being refused.
-        let body_len = wire::update_body_len(
-            round,
-            attempt,
-            id,
-            out.samples,
-            out.raw_bytes,
-            out.payload.nbytes(),
-        );
+        let msg = ClientMsg {
+            reserved: reply.body_len,
+            ..reply.msg
+        };
         // A replay fault sends byte-identical duplicates after the honest
         // copy; the server must accept the first and discard the rest.
-        for payload in std::iter::repeat_n(out.payload, out.copies) {
-            if ledger.would_never_fit(body_len) {
-                if up_tx.send(Uplink::Shed { client_id: id }).is_err() {
-                    return;
-                }
-                continue;
-            }
-            if !ledger.reserve(body_len) {
-                return; // ledger closed: server shutting down
-            }
-            let msg = ClientMsg {
-                client_id: id,
-                round,
-                attempt,
-                payload,
-                samples: out.samples,
-                train_s: out.train_s,
-                compress_s: out.compress_s,
-                raw_bytes: out.raw_bytes,
-                reserved: body_len,
+        for msg in std::iter::repeat_n(msg, reply.copies) {
+            // The same header-time admission TCP applies: the frame's exact
+            // encoded body length decides shed-or-reserve, so both
+            // transports refuse the same updates. A frame that fits waits
+            // for ledger space (backpressure) rather than being refused.
+            let uplink = match ledger.admit(reply.body_len) {
+                HeaderVerdict::Admit => Uplink::Msg(msg),
+                HeaderVerdict::Shed => Uplink::Shed { client_id: id },
+                HeaderVerdict::Abort => return, // ledger closed: server shutting down
             };
-            if up_tx.send(Uplink::Msg(msg)).is_err() {
-                ledger.release(body_len);
+            if let Err(unsent) = up_tx.send(uplink) {
+                if let Uplink::Msg(msg) = unsent.0 {
+                    ledger.release(msg.reserved);
+                }
                 return; // server gone: shut down quietly
             }
         }
@@ -672,23 +694,24 @@ fn client_loop(
 pub(crate) fn serve<T: ServerTransport>(
     cfg: &FlConfig,
     tcfg: &TransportConfig,
-    test: &fedsz_dnn::Dataset,
+    test: &Dataset,
+    mut server: Network,
     transport: &mut T,
     ledger: &Ledger,
 ) -> Result<FlRunResult, FlError> {
-    let mut server = build_net(cfg, cfg.seed);
     // Robust modes are validated up front, against the same resolved
     // budget the transports handed their ledger: bad parameters and a
     // budget too small for cohort buffering refuse the run before any
     // client is served.
     cfg.aggregation.validate()?;
-    let model_bytes = server.state_dict().nbytes();
+    let initial = server.state_dict();
+    let model_bytes = initial.nbytes();
     cfg.aggregation.check_ingest_budget(
         cfg.resolve_ingest_budget(model_bytes),
         cfg.cohort_size(),
         model_bytes,
     )?;
-    let resume = resume_point(cfg, server.state_dict())?;
+    let resume = resume_point(cfg, initial)?;
     // The broadcast model is shared with the ingest workers by `Arc`, so
     // validating N updates concurrently never copies it.
     let mut global = Arc::new(resume.global);
@@ -1044,20 +1067,25 @@ fn collect_attempt<T: ServerTransport>(
                 seq += 1;
                 settle.push(out, ledger, metrics)?;
             }
+            // Shed and Garbage are verdicts on a cohort slot, counted when
+            // they resolve it — first-wins, like a message. A replayed
+            // frame that is refused again says nothing new, and counting
+            // it made the counters depend on how many copies beat the end
+            // of the round: on the transport, and on the scheduler.
             Uplink::Shed { client_id } => {
                 // Admission control turned this update away at the frame
-                // header — over budget or too slow. Counted unconditionally
-                // (like Garbage) so a flood of oversized frames is visible,
-                // then the slot resolves so the round does not wait on it.
-                shed += 1;
-                resolve(&mut outstanding, &mut pending, client_id);
+                // header — over budget or too slow.
+                if resolve(&mut outstanding, &mut pending, client_id) {
+                    shed += 1;
+                }
             }
             Uplink::Garbage { client_id } => {
                 // Wire-level rejection (bad CRC / truncated frame): counted
                 // like a corrupt payload, attributed to the connection. It
                 // never reaches the pool — there is nothing to decode.
-                settle.rejected += 1;
-                resolve(&mut outstanding, &mut pending, client_id);
+                if resolve(&mut outstanding, &mut pending, client_id) {
+                    settle.rejected += 1;
+                }
             }
             Uplink::Gone { client_id } => {
                 // The connection closed before an answer: this client runs
@@ -1084,11 +1112,11 @@ fn collect_attempt<T: ServerTransport>(
     metrics.faults.quarantined += settle.quarantined.total();
     metrics.quarantine_reasons += settle.quarantined;
     metrics.faults.shed += shed;
-    // A flood of duplicate corrupt frames (a replaying socket) can push
-    // `rejected` past `expected`; saturate instead of underflowing.
+    // Every verdict counted above resolved a slot of its own, so together
+    // they cannot exceed `expected`; whoever is left never answered.
     let delivered = settle.delivered;
     metrics.faults.late +=
-        expected.saturating_sub(delivered + settle.rejected + settle.quarantined.total() + shed);
+        expected - (delivered + settle.rejected + settle.quarantined.total() + shed);
     metrics.faults.delivered = delivered;
     Ok(AttemptOutcome {
         agg: settle.agg,
@@ -1174,11 +1202,131 @@ mod tests {
         assert!(tcfg.faults.is_empty());
     }
 
+    /// Every [`FaultKind`], one of each. The match below is exhaustive and
+    /// has no wildcard, so a kind added to the enum fails to compile here
+    /// (as it does in [`FaultKind::stage`]) until it is listed.
+    fn every_kind() -> Vec<FaultKind> {
+        let kinds = vec![
+            FaultKind::Corrupt,
+            FaultKind::Crash,
+            FaultKind::Delay(Duration::from_millis(1)),
+            FaultKind::TruncateFrame,
+            FaultKind::FlipBytes(16),
+            FaultKind::Disconnect,
+            FaultKind::NonFiniteUpdate,
+            FaultKind::WrongShape,
+            FaultKind::Replay(2),
+            FaultKind::SlowDrip,
+            FaultKind::FloodOversized(4096),
+            FaultKind::HoldConnection(Duration::from_millis(1)),
+            FaultKind::SignFlip,
+            FaultKind::ScaleUpdate(10.0),
+            FaultKind::DriftToward,
+        ];
+        for kind in &kinds {
+            match kind {
+                FaultKind::Corrupt
+                | FaultKind::Crash
+                | FaultKind::Delay(_)
+                | FaultKind::TruncateFrame
+                | FaultKind::FlipBytes(_)
+                | FaultKind::Disconnect
+                | FaultKind::NonFiniteUpdate
+                | FaultKind::WrongShape
+                | FaultKind::Replay(_)
+                | FaultKind::SlowDrip
+                | FaultKind::FloodOversized(_)
+                | FaultKind::HoldConnection(_)
+                | FaultKind::SignFlip
+                | FaultKind::ScaleUpdate(_)
+                | FaultKind::DriftToward => {}
+            }
+        }
+        kinds
+    }
+
+    #[test]
+    fn every_fault_kind_has_a_stage_and_only_frame_kinds_need_a_socket() {
+        let frame_kinds = every_kind()
+            .into_iter()
+            .filter(|k| k.stage(true) == FaultStage::Frame)
+            .count();
+        assert_eq!(frame_kinds, 5, "cut, flipped, dripped, held, dropped");
+        for kind in every_kind() {
+            let (framed, unframed) = (kind.stage(true), kind.stage(false));
+            // Without a socket nothing acts on a frame, and a kind that
+            // never needed one acts where it always does.
+            assert_ne!(unframed, FaultStage::Frame, "{kind:?}");
+            if framed != FaultStage::Frame {
+                assert_eq!(framed, unframed, "{kind:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_turn_is_the_same_whether_or_not_its_caller_moves_frames() {
+        // What "the same seeds produce the same payload bytes whichever way
+        // they travel" rests on: for every kind that does not need a
+        // socket, the one turn gives a frame-moving caller (TCP), a
+        // payload-moving one (channels) and — on a compressed round — the
+        // loopback the same bytes, measurements, copy count and announced
+        // frame length.
+        let cfg = FlConfig {
+            dataset: fedsz_dnn::DatasetKind::FashionMnistLike,
+            n_clients: 2,
+            samples_per_client: 8,
+            test_samples: 8,
+            batch_size: 4,
+            compression: FlConfig::with_fedsz(1e-2).compression,
+            ..FlConfig::default()
+        };
+        let (_, shards) = setup_data(&cfg);
+        let global = build_net(&cfg, cfg.seed).state_dict();
+        let faults = every_kind().into_iter().map(Some).chain([None]);
+        for fault in faults.filter(|f| f.is_none_or(|k| k.stage(true) != FaultStage::Frame)) {
+            let plan = fault.map_or_else(FaultPlan::new, |kind| FaultPlan::new().with(1, 3, kind));
+            let answer = |moves: Moves| {
+                Client::new(&cfg, &plan, moves).turn(1, &shards[1], 3, 0, &global, cfg.compression)
+            };
+            let framed = answer(Moves::Frames);
+            for moves in [Moves::Payloads, Moves::Nothing] {
+                match (&framed, answer(moves)) {
+                    (Answer::Silent, Answer::Silent) | (Answer::Shed, Answer::Shed) => {}
+                    (Answer::Update(a), Answer::Update(b)) => {
+                        assert_eq!(a.msg.payload, b.msg.payload, "{fault:?} {moves:?}");
+                        assert_eq!(a.msg.samples, b.msg.samples, "{fault:?} {moves:?}");
+                        assert_eq!(a.msg.raw_bytes, b.msg.raw_bytes, "{fault:?} {moves:?}");
+                        assert_eq!(a.copies, b.copies, "{fault:?} {moves:?}");
+                        assert_eq!(a.body_len, b.body_len, "{fault:?} {moves:?}");
+                        assert!(b.raw.is_none() && b.frame_fault.is_none());
+                        // The announced length is the real frame's.
+                        let frame = wire::encode(&Frame::Update {
+                            round: 3,
+                            attempt: 0,
+                            client_id: 1,
+                            samples: b.msg.samples,
+                            train_s: b.msg.train_s,
+                            compress_s: b.msg.compress_s,
+                            raw_bytes: b.msg.raw_bytes,
+                            payload: b.msg.payload,
+                        });
+                        assert_eq!(
+                            frame.len() - wire::HEADER_LEN - wire::TRAILER_LEN,
+                            b.body_len,
+                            "{fault:?} {moves:?}"
+                        );
+                    }
+                    _ => panic!("{fault:?}: {moves:?} answered differently from Frames"),
+                }
+            }
+        }
+    }
+
     #[test]
     fn idle_client_gives_up_when_the_server_hangs() {
         // A client whose server never broadcasts (and never closes the
         // channel) exits on its own once the idle timeout expires.
-        let (_down_tx, down_rx) = bounded::<ServerMsg>(1);
+        let (_down_tx, down_rx) = bounded::<Frame>(1);
         let (up_tx, _up_rx) = bounded::<Uplink>(8);
         let cfg = FlConfig {
             samples_per_client: 8,
@@ -1192,9 +1340,8 @@ mod tests {
         let handle = std::thread::spawn(move || {
             client_loop(
                 0,
-                cfg,
-                shard,
-                &plan,
+                &shard,
+                Client::new(&cfg, &plan, Moves::Payloads),
                 Some(Duration::from_millis(100)),
                 &Ledger::new(None),
                 &down_rx,

@@ -38,7 +38,7 @@ use std::time::{Duration, Instant};
 
 use fedsz::CompressedUpdate;
 use fedsz_entropy::crc32::Crc32;
-use fedsz_entropy::varint;
+use fedsz_entropy::{reader, varint};
 
 /// Frame magic: "FedSZ WiRe" + format version 1.
 pub const MAGIC: [u8; 4] = *b"FWR1";
@@ -249,17 +249,7 @@ pub fn update_body_len(
     raw_bytes: usize,
     payload_len: usize,
 ) -> usize {
-    // LEB128 width: one byte per started 7-bit group (mirrors
-    // `varint::write_u64`; the parity test below pins the two together).
-    fn varint_len(v: usize) -> usize {
-        let mut v = v as u64;
-        let mut n = 1usize;
-        while v >= 0x80 {
-            v >>= 7;
-            n = n.saturating_add(1);
-        }
-        n
-    }
+    let varint_len = |v: usize| varint::encoded_len(v as u64);
     varint_len(round)
         .saturating_add(varint_len(attempt))
         .saturating_add(varint_len(client_id))
@@ -480,10 +470,7 @@ pub fn read_frame_gated<R: Read>(
     let rest = scratch.as_mut_slice();
     read_full(r, rest, true, &mut pace)?;
     let (body, trailer) = rest.split_at(len);
-    let expected = match trailer {
-        &[a, b, c, d] => u32::from_le_bytes([a, b, c, d]),
-        _ => return Err(WireError::UnexpectedEof),
-    };
+    let expected = reader::read_u32_le(trailer, &mut 0).map_err(|_| WireError::UnexpectedEof)?;
     let mut crc = Crc32::new();
     crc.update(covered);
     crc.update(body);
@@ -512,28 +499,14 @@ fn rd(body: &[u8], pos: &mut usize) -> Result<usize, WireError> {
 }
 
 fn rd_f64(body: &[u8], pos: &mut usize) -> Result<f64, WireError> {
-    let end = pos
-        .checked_add(8)
-        .ok_or(WireError::BadBody("f64 offset overflows"))?;
-    let bytes = body
-        .get(*pos..end)
-        .ok_or(WireError::BadBody("truncated f64"))?;
-    *pos = end;
-    let mut raw = [0u8; 8];
-    raw.copy_from_slice(bytes);
-    Ok(f64::from_bits(u64::from_le_bytes(raw)))
+    reader::read_f64_le(body, pos).map_err(|_| WireError::BadBody("truncated f64"))
 }
 
 fn rd_bytes(body: &[u8], pos: &mut usize) -> Result<Vec<u8>, WireError> {
     let n = rd(body, pos)?;
-    let end = pos
-        .checked_add(n)
-        .ok_or(WireError::BadBody("byte length overflows"))?;
-    let bytes = body
-        .get(*pos..end)
-        .ok_or(WireError::BadBody("truncated byte payload"))?;
-    *pos = end;
-    Ok(bytes.to_vec())
+    reader::take(body, pos, n)
+        .map(<[u8]>::to_vec)
+        .map_err(|_| WireError::BadBody("truncated byte payload"))
 }
 
 fn decode_body(kind: u8, body: &[u8]) -> Result<Frame, WireError> {

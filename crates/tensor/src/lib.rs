@@ -25,22 +25,6 @@ pub fn f32s_to_le_bytes(values: &[f32]) -> Vec<u8> {
     out
 }
 
-/// Convert little-endian bytes back into `f32` values.
-///
-/// # Panics
-/// Panics if `bytes.len()` is not a multiple of four.
-pub fn le_bytes_to_f32s(bytes: &[u8]) -> Vec<f32> {
-    assert!(
-        bytes.len().is_multiple_of(4),
-        "byte length {} is not a multiple of 4",
-        bytes.len()
-    );
-    bytes
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -50,12 +34,10 @@ mod tests {
         let vals = [0.0f32, -1.5, 3.25e-7, f32::MAX, f32::MIN_POSITIVE];
         let bytes = f32s_to_le_bytes(&vals);
         assert_eq!(bytes.len(), vals.len() * 4);
-        assert_eq!(le_bytes_to_f32s(&bytes), vals);
-    }
-
-    #[test]
-    #[should_panic(expected = "multiple of 4")]
-    fn odd_byte_length_panics() {
-        le_bytes_to_f32s(&[1, 2, 3]);
+        let back: Vec<f32> = bytes
+            .chunks_exact(4)
+            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+            .collect();
+        assert_eq!(back, vals);
     }
 }

@@ -137,11 +137,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consume the tensor, yielding its buffer.
-    pub fn into_data(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Reinterpret the tensor with a new shape of identical element count.
     ///
     /// # Panics

@@ -2,6 +2,7 @@
 # Lines of Rust per crate under crates/*/src, as a Markdown table: every line,
 # and the lines above each file's `#[cfg(test)] mod tests` (what ships).
 # ROADMAP judges a simplicity PR by these columns at equal benchmark numbers.
+# A second table counts the Rust that lives elsewhere, for information.
 set -eu
 cd "$(dirname "$0")/.."
 echo "| crate | all lines | above the tests |"
@@ -20,3 +21,14 @@ for dir in crates/*/src; do
     ship_total=$((ship_total + $2))
 done
 echo "| **total** | **$all_total** | **$ship_total** |"
+
+# What the table above cannot see — bench targets, the integration suites,
+# the yardstick and the vendored crates — so a deletion there shows too.
+# Informational: ROADMAP's targets are stated on the first table.
+echo
+echo "| elsewhere | all lines |"
+echo "|---|---:|"
+for dir in crates/*/benches tests benchmark/src vendor/*/src; do
+    [ -d "$dir" ] || continue
+    echo "| $dir | $(find "$dir" -name '*.rs' -exec cat {} + | wc -l) |"
+done

@@ -1,0 +1,108 @@
+//! Contracts that hold across all three transports because they share one
+//! client turn and one run set-up: a verdict counts once per cohort slot
+//! however many frames carried it, and an in-process TCP client trains on
+//! the shard it was handed — through a reconnect too.
+
+use std::time::Duration;
+
+use fedsz_fl::{
+    run_tcp_with, run_threaded_with, run_with_faults, FaultPlan, FlConfig, FlError, NetConfig,
+    TransportConfig,
+};
+
+/// Small, fast FL setup (mirrors tests/tcp_transport.rs).
+fn fl_cfg(n_clients: usize, rounds: usize) -> FlConfig {
+    FlConfig {
+        dataset: fedsz_dnn::DatasetKind::FashionMnistLike,
+        n_clients,
+        rounds,
+        samples_per_client: 32,
+        test_samples: 48,
+        batch_size: 16,
+        compression: FlConfig::with_fedsz(1e-2).compression,
+        seed: 7,
+        ..FlConfig::default()
+    }
+}
+
+fn fast_net() -> NetConfig {
+    NetConfig {
+        backoff_base: Duration::from_millis(10),
+        backoff_max: Duration::from_millis(200),
+        rejoin_grace: Duration::from_secs(5),
+        ..NetConfig::default()
+    }
+}
+
+fn with_plan(plan: &FaultPlan) -> TransportConfig {
+    TransportConfig {
+        round_deadline: Some(Duration::from_secs(60)),
+        faults: plan.clone(),
+        ..TransportConfig::default()
+    }
+}
+
+#[test]
+fn a_replayed_frame_that_can_never_fit_is_shed_once_on_every_transport() {
+    // No update fits a 50 kB budget, and client 2 sends its frame three
+    // times. A shed is a verdict on a cohort slot, so the two replays —
+    // which the loopback never sends, the channel client sends while the
+    // round may already be closing, and the TCP reader sheds one by one —
+    // must not be counted again: 3 clients, 3 shed, on every transport.
+    let cfg = FlConfig {
+        ingest_budget_bytes: Some(50_000),
+        ..fl_cfg(3, 1)
+    };
+    let plan = FaultPlan::new().replay(2, 0, 2);
+    let expected = FlError::Overloaded {
+        round: 0,
+        shed: 3,
+        delivered: 0,
+        required: 1,
+    };
+    let in_process = run_with_faults(&cfg, &plan).expect_err("in-process must overload");
+    let channel = run_threaded_with(&cfg, &with_plan(&plan)).expect_err("channel must overload");
+    let tcp = run_tcp_with(&cfg, &with_plan(&plan), &fast_net()).expect_err("tcp must overload");
+    assert_eq!(in_process, expected, "in-process");
+    assert_eq!(channel, expected, "channel");
+    assert_eq!(tcp, expected, "tcp");
+}
+
+#[test]
+fn eight_tcp_clients_keep_their_moved_in_shards_through_a_reconnect() {
+    // `run_tcp_with` hands every in-process client its shard, as
+    // `run_threaded_with` does. Client 5 drops its connection in round 1
+    // and rejoins via backoff; the shard lives on in its thread, so round
+    // 2 is back at full strength on the right data.
+    let cfg = fl_cfg(8, 3);
+    let plan = FaultPlan::new().disconnect(5, 1);
+    let tcp = run_tcp_with(&cfg, &with_plan(&plan), &fast_net()).expect("tcp run");
+    let counts: Vec<_> = tcp
+        .rounds
+        .iter()
+        .map(|r| (r.faults.delivered, r.faults.late, r.faults.dropped))
+        .collect();
+    assert_eq!(counts, vec![(8, 0, 0), (7, 1, 0), (8, 0, 0)]);
+
+    // The loopback shares the client turn and gives `Disconnect` the same
+    // meaning (silent for the planned round only): same counters, same bits.
+    let in_process = run_with_faults(&cfg, &plan).expect("in-process run");
+    for (t, i) in tcp.rounds.iter().zip(&in_process.rounds) {
+        assert_eq!(t.faults, i.faults, "round {}", t.round);
+        assert_eq!(t.accuracy, i.accuracy, "round {}", t.round);
+    }
+    assert_eq!(tcp.final_model, in_process.final_model);
+
+    // A channel cannot be re-opened, so its double for "missing this round,
+    // back the next" is a shed update: the same seven updates fold in round
+    // 1 and the same eight around it — the same model, bit for bit.
+    let stand_in = FaultPlan::new().slow_drip(5, 1);
+    let channel = run_threaded_with(&cfg, &with_plan(&stand_in)).expect("channel run");
+    assert_eq!(channel.rounds[1].faults.shed, 1);
+    for (t, c) in tcp.rounds.iter().zip(&channel.rounds) {
+        assert_eq!(t.faults.delivered, c.faults.delivered, "round {}", t.round);
+        assert_eq!(t.bytes_on_wire, c.bytes_on_wire, "round {}", t.round);
+        assert_eq!(t.accuracy, c.accuracy, "round {}", t.round);
+    }
+    assert_eq!(tcp.final_model, channel.final_model);
+}
