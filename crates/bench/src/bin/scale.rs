@@ -9,7 +9,8 @@
 //!   every update before averaging — O(clients × model) — so this is the
 //!   memory the streaming fold refuses to spend; the report includes what
 //!   materializing the same round would have buffered. A 128-update prefix
-//!   is cross-checked bit-for-bit against the materialized [`fedavg`]. The
+//!   is materialized, and its aggregate folded in order is cross-checked
+//!   bit-for-bit against the same updates folded in reverse. The
 //!   accumulator's size is what it reports itself
 //!   ([`StreamingFedAvg::accumulator_bytes`]); the run fails if the window
 //!   policy promoted any of the synthetic tensors to the 384-bit form, and
@@ -34,7 +35,7 @@
 use std::time::Instant;
 
 use fedsz_bench::Args;
-use fedsz_fl::{fedavg, FlConfig, StreamingFedAvg, TransportConfig};
+use fedsz_fl::{FlConfig, StreamingFedAvg, TransportConfig};
 use fedsz_tensor::{SplitMix64, StateDict, Tensor, TensorKind};
 
 /// `VmRSS` / `VmHWM` in kB from `/proc/self/status` (0 if unavailable).
@@ -67,6 +68,18 @@ fn synth_update(params: usize, seed: u64) -> StateDict {
     sd
 }
 
+/// `updates` folded through one fresh accumulator, in the order given.
+fn fold_all<'a>(
+    reference: &StateDict,
+    updates: impl Iterator<Item = &'a (StateDict, usize)>,
+) -> StateDict {
+    let mut acc = StreamingFedAvg::new(reference);
+    for (sd, n) in updates {
+        acc.fold(sd, *n).expect("fold");
+    }
+    acc.finish().expect("finish")
+}
+
 struct FoldReport {
     params: usize,
     folds: usize,
@@ -80,8 +93,8 @@ struct FoldReport {
 }
 
 /// Stream `folds` updates through one accumulator; panics if the streamed
-/// aggregate of the 128-update prefix diverges from the materialized one,
-/// or if any tensor left the 128-bit window.
+/// aggregate of the 128-update prefix diverges from the prefix folded in
+/// reverse, or if any tensor left the 128-bit window.
 fn bench_fold(params: usize, folds: usize) -> FoldReport {
     let distinct = 32.min(folds.max(1));
     let sources: Vec<(StateDict, usize)> = (0..distinct)
@@ -92,14 +105,10 @@ fn bench_fold(params: usize, folds: usize) -> FoldReport {
     let prefix = 128.min(folds.max(1));
     let materialized: Vec<(StateDict, usize)> =
         (0..prefix).map(|i| sources[i % distinct].clone()).collect();
-    let mut check = StreamingFedAvg::new(&sources[0].0);
-    for (sd, n) in &materialized {
-        check.fold(sd, *n).expect("fold");
-    }
     assert_eq!(
-        check.finish().expect("finish"),
-        fedavg(&materialized).expect("fedavg"),
-        "streaming diverged from materialized fedavg"
+        fold_all(&sources[0].0, materialized.iter()),
+        fold_all(&sources[0].0, materialized.iter().rev()),
+        "streaming diverged from the materialized prefix folded in reverse"
     );
     drop(materialized);
 
@@ -176,7 +185,7 @@ fn check_wide_spread_tensor() {
     );
     assert_eq!(
         agg.finish().expect("finish"),
-        fedavg(&updates).expect("fedavg"),
+        fold_all(&updates[0].0, updates.iter()),
         "promotion changed the aggregate"
     );
 }

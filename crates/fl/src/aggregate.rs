@@ -342,31 +342,6 @@ fn promote(vals: &[i128], base: u32) -> Vec<u64> {
     limbs
 }
 
-/// Weighted average of client updates; weights are client sample counts.
-///
-/// The materialized counterpart of [`StreamingFedAvg`] — it folds the
-/// slice through the same accumulator, so `fedavg(&updates)` is
-/// bit-identical to streaming the same updates in any order. Kept for
-/// callers that already hold every update (benches, property tests,
-/// equivalence suites).
-///
-/// # Errors
-/// [`FlError::Aggregate`] on an empty update set, a zero or oversized
-/// sample count, mismatched structures, non-finite values, or total-weight
-/// overflow — the typed replacement for the seed implementation's panics.
-pub fn fedavg(updates: &[(StateDict, usize)]) -> Result<StateDict, FlError> {
-    let Some((first, _)) = updates.first() else {
-        return Err(FlError::Aggregate(
-            "empty update set: nothing to average".into(),
-        ));
-    };
-    let mut acc = StreamingFedAvg::new(first);
-    for (sd, samples) in updates {
-        acc.fold(sd, *samples)?;
-    }
-    acc.finish()
-}
-
 /// The gate every fold passes: the structural checks of
 /// [`crate::validate`] (sample count in `(0, MAX_SAMPLES]`, entry-for-entry
 /// match against `reference`) as a typed [`FlError::Aggregate`], then one
@@ -567,9 +542,32 @@ fn pow2(e: i32) -> f64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use fedsz_tensor::{Tensor, TensorKind};
+
+    /// Weighted average of client updates; weights are client sample
+    /// counts. The materialized oracle for [`StreamingFedAvg`] — it folds the
+    /// slice through the same accumulator, so `fedavg(&updates)` is
+    /// bit-identical to streaming the same updates in any order.
+    ///
+    /// # Errors
+    /// [`FlError::Aggregate`] on an empty update set, a zero or oversized
+    /// sample count, mismatched structures, non-finite values, or
+    /// total-weight overflow — the typed replacement for the seed
+    /// implementation's panics.
+    pub(crate) fn fedavg(updates: &[(StateDict, usize)]) -> Result<StateDict, FlError> {
+        let Some((first, _)) = updates.first() else {
+            return Err(FlError::Aggregate(
+                "empty update set: nothing to average".into(),
+            ));
+        };
+        let mut acc = StreamingFedAvg::new(first);
+        for (sd, samples) in updates {
+            acc.fold(sd, *samples)?;
+        }
+        acc.finish()
+    }
 
     fn dict(v: f32) -> StateDict {
         let mut sd = StateDict::new();

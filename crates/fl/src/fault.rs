@@ -167,7 +167,11 @@ impl FaultKind {
 /// All three poisons are plain deterministic `f32` arithmetic on finite
 /// inputs, so every transport produces bit-identical poisoned payloads —
 /// the cross-transport equality contract extends to adversarial runs.
-pub fn poison_update(update: &mut StateDict, reference: &StateDict, kind: FaultKind) -> bool {
+pub(crate) fn poison_update(
+    update: &mut StateDict,
+    reference: &StateDict,
+    kind: FaultKind,
+) -> bool {
     match kind {
         FaultKind::SignFlip => {
             for e in update.entries_mut() {
@@ -199,7 +203,7 @@ pub fn poison_update(update: &mut StateDict, reference: &StateDict, kind: FaultK
 
 /// One planned fault: `client` misbehaves in `round`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultSpec {
+pub(crate) struct FaultSpec {
     /// Client index (0-based).
     pub client: usize,
     /// Round index (0-based).
@@ -339,29 +343,15 @@ impl FaultPlan {
         self.server_kill
     }
 
-    /// The fault planned for `(client, round)`, if any. The first matching
-    /// spec wins.
-    pub fn fault_for(&self, client: usize, round: usize) -> Option<FaultKind> {
+    /// The fault `client` acts out on `attempt` of `round`: the planned one
+    /// (the first matching spec wins) on the first attempt, none on a quorum
+    /// retry (see the type docs).
+    pub(crate) fn firing(&self, client: usize, round: usize, attempt: usize) -> Option<FaultKind> {
         self.specs
             .iter()
             .find(|s| s.client == client && s.round == round)
             .map(|s| s.kind)
-    }
-
-    /// The fault `client` acts out on `attempt` of `round`: the planned one
-    /// on the first attempt, none on a quorum retry (see the type docs).
-    pub(crate) fn firing(&self, client: usize, round: usize, attempt: usize) -> Option<FaultKind> {
-        self.fault_for(client, round).filter(|_| attempt == 0)
-    }
-
-    /// Number of planned client faults (the server kill is not counted).
-    pub fn len(&self) -> usize {
-        self.specs.len()
-    }
-
-    /// `true` when no faults are planned, client- or server-side.
-    pub fn is_empty(&self) -> bool {
-        self.specs.is_empty() && self.server_kill.is_none()
+            .filter(|_| attempt == 0)
     }
 }
 
@@ -375,25 +365,23 @@ mod tests {
             .corrupt(1, 0)
             .crash(2, 3)
             .delay(0, 5, Duration::from_secs(1));
-        assert_eq!(plan.len(), 3);
-        assert!(!plan.is_empty());
-        assert_eq!(plan.fault_for(1, 0), Some(FaultKind::Corrupt));
-        assert_eq!(plan.fault_for(2, 3), Some(FaultKind::Crash));
+        assert_eq!(plan.firing(1, 0, 0), Some(FaultKind::Corrupt));
+        assert_eq!(plan.firing(1, 0, 1), None, "a quorum retry runs healthy");
+        assert_eq!(plan.firing(2, 3, 0), Some(FaultKind::Crash));
         assert_eq!(
-            plan.fault_for(0, 5),
+            plan.firing(0, 5, 0),
             Some(FaultKind::Delay(Duration::from_secs(1)))
         );
-        assert_eq!(plan.fault_for(0, 0), None);
-        assert_eq!(plan.fault_for(1, 1), None);
+        assert_eq!(plan.firing(0, 0, 0), None);
+        assert_eq!(plan.firing(1, 1, 0), None);
     }
 
     #[test]
     fn empty_plan_never_fires() {
         let plan = FaultPlan::new();
-        assert!(plan.is_empty());
         for c in 0..4 {
             for r in 0..4 {
-                assert_eq!(plan.fault_for(c, r), None);
+                assert_eq!(plan.firing(c, r, 0), None);
             }
         }
     }
@@ -401,7 +389,7 @@ mod tests {
     #[test]
     fn first_matching_spec_wins() {
         let plan = FaultPlan::new().corrupt(0, 0).crash(0, 0);
-        assert_eq!(plan.fault_for(0, 0), Some(FaultKind::Corrupt));
+        assert_eq!(plan.firing(0, 0, 0), Some(FaultKind::Corrupt));
     }
 
     #[test]
@@ -410,26 +398,23 @@ mod tests {
             .truncate_frame(0, 1)
             .flip_bytes(1, 2, 16)
             .disconnect(2, 3);
-        assert_eq!(plan.fault_for(0, 1), Some(FaultKind::TruncateFrame));
-        assert_eq!(plan.fault_for(1, 2), Some(FaultKind::FlipBytes(16)));
-        assert_eq!(plan.fault_for(2, 3), Some(FaultKind::Disconnect));
-        assert_eq!(plan.len(), 3);
+        assert_eq!(plan.firing(0, 1, 0), Some(FaultKind::TruncateFrame));
+        assert_eq!(plan.firing(1, 2, 0), Some(FaultKind::FlipBytes(16)));
+        assert_eq!(plan.firing(2, 3, 0), Some(FaultKind::Disconnect));
     }
 
     #[test]
     fn semantic_fault_builders_accumulate() {
         let plan = FaultPlan::new().non_finite(0, 1).wrong_shape(1, 2);
-        assert_eq!(plan.fault_for(0, 1), Some(FaultKind::NonFiniteUpdate));
-        assert_eq!(plan.fault_for(1, 2), Some(FaultKind::WrongShape));
-        assert_eq!(plan.len(), 2);
+        assert_eq!(plan.firing(0, 1, 0), Some(FaultKind::NonFiniteUpdate));
+        assert_eq!(plan.firing(1, 2, 0), Some(FaultKind::WrongShape));
     }
 
     #[test]
     fn replay_builder_accumulates() {
         let plan = FaultPlan::new().replay(2, 1, 5);
-        assert_eq!(plan.fault_for(2, 1), Some(FaultKind::Replay(5)));
-        assert_eq!(plan.fault_for(2, 0), None);
-        assert_eq!(plan.len(), 1);
+        assert_eq!(plan.firing(2, 1, 0), Some(FaultKind::Replay(5)));
+        assert_eq!(plan.firing(2, 0, 0), None);
     }
 
     #[test]
@@ -438,16 +423,15 @@ mod tests {
             .slow_drip(0, 1)
             .flood_oversized(1, 2, 1 << 20)
             .hold_connection(2, 3, Duration::from_secs(1));
-        assert_eq!(plan.fault_for(0, 1), Some(FaultKind::SlowDrip));
+        assert_eq!(plan.firing(0, 1, 0), Some(FaultKind::SlowDrip));
         assert_eq!(
-            plan.fault_for(1, 2),
+            plan.firing(1, 2, 0),
             Some(FaultKind::FloodOversized(1 << 20))
         );
         assert_eq!(
-            plan.fault_for(2, 3),
+            plan.firing(2, 3, 0),
             Some(FaultKind::HoldConnection(Duration::from_secs(1)))
         );
-        assert_eq!(plan.len(), 3);
     }
 
     #[test]
@@ -456,10 +440,9 @@ mod tests {
             .sign_flip(0, 1)
             .scale_update(1, 2, 1000.0)
             .drift_toward(2, 3);
-        assert_eq!(plan.fault_for(0, 1), Some(FaultKind::SignFlip));
-        assert_eq!(plan.fault_for(1, 2), Some(FaultKind::ScaleUpdate(1000.0)));
-        assert_eq!(plan.fault_for(2, 3), Some(FaultKind::DriftToward));
-        assert_eq!(plan.len(), 3);
+        assert_eq!(plan.firing(0, 1, 0), Some(FaultKind::SignFlip));
+        assert_eq!(plan.firing(1, 2, 0), Some(FaultKind::ScaleUpdate(1000.0)));
+        assert_eq!(plan.firing(2, 3, 0), Some(FaultKind::DriftToward));
     }
 
     #[test]
@@ -499,8 +482,9 @@ mod tests {
     #[test]
     fn server_kill_is_a_fault_too() {
         let plan = FaultPlan::new().kill_server(3);
-        assert!(!plan.is_empty(), "a planned kill is not an empty plan");
-        assert_eq!(plan.len(), 0, "but it is not a client fault");
+        for c in 0..4 {
+            assert_eq!(plan.firing(c, 3, 0), None, "a kill is not a client fault");
+        }
         assert_eq!(plan.server_kill_round(), Some(3));
         assert_eq!(FaultPlan::new().server_kill_round(), None);
     }

@@ -191,7 +191,6 @@ enum Mode {
 /// is responsible for draining exactly as many outcomes as it submitted.
 pub struct IngestPool {
     mode: Mode,
-    n_workers: usize,
 }
 
 impl IngestPool {
@@ -205,7 +204,6 @@ impl IngestPool {
         if workers == 0 {
             return Self {
                 mode: Mode::Serial(VecDeque::new()),
-                n_workers: 0,
             };
         }
         let (results_tx, results_rx) = bounded::<Outcome>(outcome_capacity.max(workers));
@@ -238,13 +236,7 @@ impl IngestPool {
                 next: 0,
                 workers: handles,
             },
-            n_workers: workers,
         }
-    }
-
-    /// Number of worker threads (0 = serial).
-    pub fn workers(&self) -> usize {
-        self.n_workers
     }
 
     /// Hand one payload to the pool. Jobs round-robin across workers;
@@ -374,7 +366,6 @@ mod tests {
         let global = Arc::new(model());
         for workers in [0usize, 1, 4] {
             let mut pool = IngestPool::new(workers, 8);
-            assert_eq!(pool.workers(), workers);
             let n = 8u64;
             for seq in 0..n {
                 let payload = if seq % 3 == 2 {

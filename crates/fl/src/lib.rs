@@ -77,11 +77,11 @@ pub mod transport;
 pub mod validate;
 pub mod wire;
 
-pub use aggregate::{fedavg, StreamingFedAvg};
+pub use aggregate::StreamingFedAvg;
 pub use budget::{Ledger, RoundGate};
 pub use checkpoint::{config_fingerprint, Checkpoint};
 pub use error::FlError;
-pub use fault::{poison_update, FaultKind, FaultPlan, FaultSpec};
+pub use fault::{FaultKind, FaultPlan};
 pub use ingest::{ingest_update, IngestPool};
 pub use net::{run_tcp, run_tcp_client, run_tcp_with, serve_tcp, NetConfig};
 pub use robust::Aggregation;

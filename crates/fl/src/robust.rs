@@ -418,7 +418,7 @@ fn trimmed_finish(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::fedavg;
+    use crate::aggregate::tests::fedavg;
     use fedsz_tensor::{Tensor, TensorKind};
 
     fn dict(v: f32) -> StateDict {

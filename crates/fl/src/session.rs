@@ -245,7 +245,7 @@ pub(crate) fn maybe_checkpoint(
 }
 
 /// Measurements from one communication round.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RoundMetrics {
     /// Round index (0-based).
     pub round: usize,

@@ -53,7 +53,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
-use fedsz::{CompressedUpdate, FaultCounters, FedSzConfig, QuarantineReasons, SuspectReasons};
+use fedsz::{CompressedUpdate, FedSzConfig, QuarantineReasons};
 use fedsz_dnn::{Dataset, Network};
 use fedsz_tensor::{SplitMix64, StateDict, Tensor};
 
@@ -726,16 +726,7 @@ pub(crate) fn serve<T: ServerTransport>(
         let cohort = cfg.cohort_for_round(round);
         let mut metrics = RoundMetrics {
             round,
-            accuracy: 0.0,
-            train_s_total: 0.0,
-            compress_s_total: 0.0,
-            decompress_s_total: 0.0,
-            bytes_on_wire: 0,
-            bytes_down_wire: 0,
-            bytes_uncompressed: 0,
-            faults: FaultCounters::default(),
-            quarantine_reasons: QuarantineReasons::default(),
-            suspect_reasons: SuspectReasons::default(),
+            ..Default::default()
         };
 
         let agg = 'attempts: {
@@ -1199,7 +1190,8 @@ mod tests {
         assert_eq!(tcfg.quorum(), 1);
         assert_eq!(tcfg.max_round_retries, 0);
         assert_eq!(tcfg.client_idle_timeout, None);
-        assert!(tcfg.faults.is_empty());
+        assert_eq!(tcfg.faults.firing(0, 0, 0), None);
+        assert_eq!(tcfg.faults.server_kill_round(), None);
     }
 
     /// Every [`FaultKind`], one of each. The match below is exhaustive and

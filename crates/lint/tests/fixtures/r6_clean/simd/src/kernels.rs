@@ -16,3 +16,12 @@ pub unsafe fn sum_neon(xs: &[f32]) -> f32 {
 pub unsafe fn sum_avx2(xs: &[f32]) -> f32 {
     xs.iter().sum()
 }
+
+/// # Safety
+/// Requires AVX2; one generic entry point runs every kernel at that level.
+// simd-safety: reached only behind runtime feature detection; the token
+// carries that proof to every intrinsic the kernel inlines.
+#[target_feature(enable = "avx2")]
+pub(crate) unsafe fn run_avx2<K: Kernel>(k: K) -> K::Out {
+    k.run(unsafe { Avx2::new() })
+}

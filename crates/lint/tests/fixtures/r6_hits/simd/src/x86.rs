@@ -15,3 +15,10 @@ pub unsafe fn sum_avx2(xs: &[f32]) -> f32 {
 pub unsafe fn sum_sse41(xs: &[f32]) -> f32 {
     xs.iter().sum()
 }
+
+/// # Safety
+/// Requires AVX2; one generic entry point runs every kernel at that level.
+#[target_feature(enable = "avx2")]
+pub(crate) unsafe fn run_avx2<K: Kernel>(k: K) -> K::Out {
+    k.run(unsafe { Avx2::new() })
+}

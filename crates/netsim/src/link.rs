@@ -1,4 +1,4 @@
-//! Bandwidth and link models.
+//! The bandwidth model.
 
 /// Network bandwidth in bits per second.
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
@@ -39,33 +39,6 @@ impl Bandwidth {
     }
 }
 
-/// A point-to-point link: bandwidth plus a fixed one-way latency.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Link {
-    /// Link bandwidth.
-    pub bandwidth: Bandwidth,
-    /// One-way latency in seconds.
-    pub latency: f64,
-}
-
-impl Link {
-    /// Link with the given bandwidth and latency.
-    pub fn new(bandwidth: Bandwidth, latency: f64) -> Self {
-        assert!(latency >= 0.0 && latency.is_finite(), "invalid latency");
-        Self { bandwidth, latency }
-    }
-
-    /// Zero-latency link (what the paper's sleep-based emulation models).
-    pub fn ideal(bandwidth: Bandwidth) -> Self {
-        Self::new(bandwidth, 0.0)
-    }
-
-    /// Seconds for one message of `bytes`.
-    pub fn transmit_seconds(&self, bytes: usize) -> f64 {
-        self.latency + self.bandwidth.transfer_seconds(bytes)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,13 +64,6 @@ mod tests {
             Bandwidth::gbps(1.0).bits_per_second(),
             Bandwidth::mbps(1000.0).bits_per_second()
         );
-    }
-
-    #[test]
-    fn link_adds_latency() {
-        let l = Link::new(Bandwidth::mbps(8.0), 0.05);
-        assert!((l.transmit_seconds(1_000_000) - 1.05).abs() < 1e-9);
-        assert_eq!(Link::ideal(Bandwidth::mbps(8.0)).latency, 0.0);
     }
 
     #[test]

@@ -85,6 +85,7 @@ pub(crate) trait Isa: Copy {
     /// composed from exact trait ops: `x - round_ties_even(x)` is exact
     /// (Sterbenz), so comparing it with ±0.5 detects ties precisely, and a
     /// tie value `n + 0.5` rounds away as `trunc(x) ± 1`.
+    #[inline(always)]
     fn round_half_away(self, x: Self::F64) -> Self::F64 {
         let t = self.round_ties_even(x);
         let d = self.sub(x, t);

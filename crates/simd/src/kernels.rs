@@ -1,46 +1,61 @@
 //! One generic implementation of every kernel, written against [`Isa`].
 //!
-//! Each public kernel runs whole vectors through the ISA, then hands the
-//! sub-vector remainder to the same code monomorphised with [`ScalarIsa`]
+//! A kernel is an argument struct that implements [`Kernel`]: `crate::run_at`
+//! picks the ISA for a [`crate::Level`] and calls [`Kernel::run`] with that
+//! ISA's token. Each kernel runs whole vectors through the ISA, then hands
+//! the sub-vector remainder to the same code monomorphised with [`ScalarIsa`]
 //! (whose lane width 1 always divides the remainder). That structure keeps
 //! exactly two code paths per element — vector or scalar twin — and the
 //! parity tests pin them bit-identical.
 //!
-//! Everything is `#[inline(always)]`: the `#[target_feature]` entry points
-//! in the per-arch modules must fully inline these bodies (and the ISA
-//! methods inside them) so the intrinsics land in a function that carries
-//! their feature — otherwise each op would cost a function call.
+//! Everything is `#[inline(always)]`: the one `#[target_feature]` entry point
+//! per ISA (`run_sse41`, `run_avx2`, `run_neon`) must fully inline `run` (and
+//! the ISA methods inside it) so the intrinsics land in a function that
+//! carries their feature — otherwise each op would cost a function call.
 
 use crate::isa::{Isa, ScalarIsa};
 use crate::QuantParams;
 
-/// See [`crate::quantize`] for the contract and `Quantizer::quantize` in
-/// `crates/eblc/src/quantizer.rs` for the scalar original this mirrors
-/// branch for branch.
-#[inline(always)]
-pub(crate) fn quantize<I: Isa>(
-    isa: I,
-    values: &[f32],
-    preds: &[f32],
-    p: QuantParams,
-    codes: &mut [u32],
-    recons: &mut [f32],
-) {
-    let n = values.len();
-    assert!(
-        preds.len() == n && codes.len() == n && recons.len() == n,
-        "quantize: mismatched slice lengths"
-    );
-    let done = quantize_lanes(isa, values, preds, p, codes, recons);
-    if done < n {
-        quantize_lanes(
-            ScalarIsa,
-            &values[done..],
-            &preds[done..],
-            p,
-            &mut codes[done..],
-            &mut recons[done..],
+/// A kernel's arguments, and its body generic over the ISA that runs it.
+pub(crate) trait Kernel {
+    /// What the kernel returns.
+    type Out;
+    /// Run on `isa`'s lanes, the sub-vector remainder on [`ScalarIsa`]'s.
+    fn run<I: Isa>(self, isa: I) -> Self::Out;
+}
+
+/// [`crate::quantize`]`(values, preds, p, codes, recons)`; see there for the
+/// contract and `Quantizer::quantize` in `crates/eblc/src/quantizer.rs` for
+/// the scalar original this mirrors branch for branch.
+pub(crate) struct Quantize<'a>(
+    pub(crate) &'a [f32],
+    pub(crate) &'a [f32],
+    pub(crate) QuantParams,
+    pub(crate) &'a mut [u32],
+    pub(crate) &'a mut [f32],
+);
+
+impl Kernel for Quantize<'_> {
+    type Out = ();
+    #[inline(always)]
+    fn run<I: Isa>(self, isa: I) {
+        let Quantize(values, preds, p, codes, recons) = self;
+        let n = values.len();
+        assert!(
+            preds.len() == n && codes.len() == n && recons.len() == n,
+            "quantize: mismatched slice lengths"
         );
+        let done = quantize_lanes(isa, values, preds, p, codes, recons);
+        if done < n {
+            quantize_lanes(
+                ScalarIsa,
+                &values[done..],
+                &preds[done..],
+                p,
+                &mut codes[done..],
+                &mut recons[done..],
+            );
+        }
     }
 }
 
@@ -93,29 +108,35 @@ fn quantize_lanes<I: Isa>(
     i
 }
 
-/// See [`crate::reconstruct`]; scalar original: `Quantizer::reconstruct`.
-#[inline(always)]
-pub(crate) fn reconstruct<I: Isa>(
-    isa: I,
-    preds: &[f32],
-    codes: &[u32],
-    p: QuantParams,
-    out: &mut [f32],
-) {
-    let n = preds.len();
-    assert!(
-        codes.len() == n && out.len() == n,
-        "reconstruct: mismatched slice lengths"
-    );
-    let done = reconstruct_lanes(isa, preds, codes, p, out);
-    if done < n {
-        reconstruct_lanes(
-            ScalarIsa,
-            &preds[done..],
-            &codes[done..],
-            p,
-            &mut out[done..],
+/// [`crate::reconstruct`]`(preds, codes, p, out)`; scalar original:
+/// `Quantizer::reconstruct`.
+pub(crate) struct Reconstruct<'a>(
+    pub(crate) &'a [f32],
+    pub(crate) &'a [u32],
+    pub(crate) QuantParams,
+    pub(crate) &'a mut [f32],
+);
+
+impl Kernel for Reconstruct<'_> {
+    type Out = ();
+    #[inline(always)]
+    fn run<I: Isa>(self, isa: I) {
+        let Reconstruct(preds, codes, p, out) = self;
+        let n = preds.len();
+        assert!(
+            codes.len() == n && out.len() == n,
+            "reconstruct: mismatched slice lengths"
         );
+        let done = reconstruct_lanes(isa, preds, codes, p, out);
+        if done < n {
+            reconstruct_lanes(
+                ScalarIsa,
+                &preds[done..],
+                &codes[done..],
+                p,
+                &mut out[done..],
+            );
+        }
     }
 }
 
@@ -146,19 +167,30 @@ fn reconstruct_lanes<I: Isa>(
     i
 }
 
-/// See [`crate::linear_preds`]; scalar original: `a * i as f32 + b` in
-/// `crates/eblc/src/sz2.rs` (f32 multiply then f32 add, no FMA).
+/// [`crate::linear_preds`]`(a, b, i0, out)`; scalar original: `a * i as f32
+/// + b` in `crates/eblc/src/sz2.rs` (f32 multiply then f32 add, no FMA).
 ///
 /// NaN results are canonicalised to `f32::NAN`: when an addition has *two*
 /// NaN operands (e.g. NaN regression coefficients), IEEE-754 leaves the
 /// result payload to operand order, which the compiler is free to commute —
 /// so raw propagation cannot be bit-stable across dispatch levels. Non-NaN
 /// results are untouched.
-#[inline(always)]
-pub(crate) fn linear_preds<I: Isa>(isa: I, a: f32, b: f32, i0: usize, out: &mut [f32]) {
-    let done = linear_preds_lanes(isa, a, b, i0, out);
-    if done < out.len() {
-        linear_preds_lanes(ScalarIsa, a, b, i0 + done, &mut out[done..]);
+pub(crate) struct LinearPreds<'a>(
+    pub(crate) f32,
+    pub(crate) f32,
+    pub(crate) usize,
+    pub(crate) &'a mut [f32],
+);
+
+impl Kernel for LinearPreds<'_> {
+    type Out = ();
+    #[inline(always)]
+    fn run<I: Isa>(self, isa: I) {
+        let LinearPreds(a, b, i0, out) = self;
+        let done = linear_preds_lanes(isa, a, b, i0, out);
+        if done < out.len() {
+            linear_preds_lanes(ScalarIsa, a, b, i0 + done, &mut out[done..]);
+        }
     }
 }
 
@@ -183,16 +215,22 @@ fn linear_preds_lanes<I: Isa>(isa: I, a: f32, b: f32, i0: usize, out: &mut [f32]
     i
 }
 
-/// See [`crate::midpoint_preds`]; scalar original: `0.5 * (left + right)`
-/// in `linear_pred`, `crates/eblc/src/sz3.rs`. NaN results are canonicalised
-/// to `f32::NAN` (see [`linear_preds`] for why; adjacent grid NaNs hit the
-/// two-NaN-operand add).
-#[inline(always)]
-pub(crate) fn midpoint_preds<I: Isa>(isa: I, grid: &[f32], out: &mut [f32]) {
-    assert!(grid.len() > out.len(), "midpoint_preds: grid too short");
-    let done = midpoint_preds_lanes(isa, grid, out);
-    if done < out.len() {
-        midpoint_preds_lanes(ScalarIsa, &grid[done..], &mut out[done..]);
+/// [`crate::midpoint_preds`]`(grid, out)`; scalar original: `0.5 * (left +
+/// right)` in `linear_pred`, `crates/eblc/src/sz3.rs`. NaN results are
+/// canonicalised to `f32::NAN` (see [`LinearPreds`] for why; adjacent grid
+/// NaNs hit the two-NaN-operand add).
+pub(crate) struct MidpointPreds<'a>(pub(crate) &'a [f32], pub(crate) &'a mut [f32]);
+
+impl Kernel for MidpointPreds<'_> {
+    type Out = ();
+    #[inline(always)]
+    fn run<I: Isa>(self, isa: I) {
+        let MidpointPreds(grid, out) = self;
+        assert!(grid.len() > out.len(), "midpoint_preds: grid too short");
+        let done = midpoint_preds_lanes(isa, grid, out);
+        if done < out.len() {
+            midpoint_preds_lanes(ScalarIsa, &grid[done..], &mut out[done..]);
+        }
     }
 }
 
@@ -213,18 +251,24 @@ fn midpoint_preds_lanes<I: Isa>(isa: I, grid: &[f32], out: &mut [f32]) -> usize 
     i
 }
 
-/// See [`crate::cubic_preds`]; scalar original: `cubic_pred` in
+/// [`crate::cubic_preds`]`(grid, out)`; scalar original: `cubic_pred` in
 /// `crates/eblc/src/sz3.rs`. The coefficient products and left-to-right
 /// addition order match it exactly (`g0 * -0.0625` is bit-identical to the
 /// original's `-(g0) * 0.0625`: IEEE multiplication is sign-symmetric).
 /// NaN results are canonicalised to `f64::NAN` before narrowing (see
-/// [`linear_preds`] for why).
-#[inline(always)]
-pub(crate) fn cubic_preds<I: Isa>(isa: I, grid: &[f32], out: &mut [f32]) {
-    assert!(grid.len() >= out.len() + 3, "cubic_preds: grid too short");
-    let done = cubic_preds_lanes(isa, grid, out);
-    if done < out.len() {
-        cubic_preds_lanes(ScalarIsa, &grid[done..], &mut out[done..]);
+/// [`LinearPreds`] for why).
+pub(crate) struct CubicPreds<'a>(pub(crate) &'a [f32], pub(crate) &'a mut [f32]);
+
+impl Kernel for CubicPreds<'_> {
+    type Out = ();
+    #[inline(always)]
+    fn run<I: Isa>(self, isa: I) {
+        let CubicPreds(grid, out) = self;
+        assert!(grid.len() >= out.len() + 3, "cubic_preds: grid too short");
+        let done = cubic_preds_lanes(isa, grid, out);
+        if done < out.len() {
+            cubic_preds_lanes(ScalarIsa, &grid[done..], &mut out[done..]);
+        }
     }
 }
 
@@ -252,30 +296,35 @@ fn cubic_preds_lanes<I: Isa>(isa: I, grid: &[f32], out: &mut [f32]) -> usize {
     i
 }
 
-/// See [`crate::residual_costs`]; scalar original: `residual_bits` in
-/// `crates/eblc/src/sz2.rs` applied to `|v - pred|`.
-#[inline(always)]
-pub(crate) fn residual_costs<I: Isa>(
-    isa: I,
-    values: &[f32],
-    preds: &[f32],
-    bin: f64,
-    out: &mut [f64],
-) {
-    let n = values.len();
-    assert!(
-        preds.len() == n && out.len() == n,
-        "residual_costs: mismatched slice lengths"
-    );
-    let done = residual_costs_lanes(isa, values, preds, bin, out);
-    if done < n {
-        residual_costs_lanes(
-            ScalarIsa,
-            &values[done..],
-            &preds[done..],
-            bin,
-            &mut out[done..],
+/// [`crate::residual_costs`]`(values, preds, bin, out)`; scalar original:
+/// `residual_bits` in `crates/eblc/src/sz2.rs` applied to `|v - pred|`.
+pub(crate) struct ResidualCosts<'a>(
+    pub(crate) &'a [f32],
+    pub(crate) &'a [f32],
+    pub(crate) f64,
+    pub(crate) &'a mut [f64],
+);
+
+impl Kernel for ResidualCosts<'_> {
+    type Out = ();
+    #[inline(always)]
+    fn run<I: Isa>(self, isa: I) {
+        let ResidualCosts(values, preds, bin, out) = self;
+        let n = values.len();
+        assert!(
+            preds.len() == n && out.len() == n,
+            "residual_costs: mismatched slice lengths"
         );
+        let done = residual_costs_lanes(isa, values, preds, bin, out);
+        if done < n {
+            residual_costs_lanes(
+                ScalarIsa,
+                &values[done..],
+                &preds[done..],
+                bin,
+                &mut out[done..],
+            );
+        }
     }
 }
 
@@ -303,21 +352,31 @@ fn residual_costs_lanes<I: Isa>(
     i
 }
 
-/// See [`crate::abs_residuals`]; scalar original: the
+/// [`crate::abs_residuals`]`(values, preds, out)`; scalar original: the
 /// `(v - pred as f64).abs()` cost terms in `crates/eblc/src/sz3.rs`. NaN
 /// results are canonicalised to `f64::NAN` (a NaN-minus-NaN payload is
 /// operand-order-dependent; the consumer only sums these, so the payload is
 /// semantically irrelevant but must still be bit-stable).
-#[inline(always)]
-pub(crate) fn abs_residuals<I: Isa>(isa: I, values: &[f32], preds: &[f32], out: &mut [f64]) {
-    let n = values.len();
-    assert!(
-        preds.len() == n && out.len() == n,
-        "abs_residuals: mismatched slice lengths"
-    );
-    let done = abs_residuals_lanes(isa, values, preds, out);
-    if done < n {
-        abs_residuals_lanes(ScalarIsa, &values[done..], &preds[done..], &mut out[done..]);
+pub(crate) struct AbsResiduals<'a>(
+    pub(crate) &'a [f32],
+    pub(crate) &'a [f32],
+    pub(crate) &'a mut [f64],
+);
+
+impl Kernel for AbsResiduals<'_> {
+    type Out = ();
+    #[inline(always)]
+    fn run<I: Isa>(self, isa: I) {
+        let AbsResiduals(values, preds, out) = self;
+        let n = values.len();
+        assert!(
+            preds.len() == n && out.len() == n,
+            "abs_residuals: mismatched slice lengths"
+        );
+        let done = abs_residuals_lanes(isa, values, preds, out);
+        if done < n {
+            abs_residuals_lanes(ScalarIsa, &values[done..], &preds[done..], &mut out[done..]);
+        }
     }
 }
 
@@ -337,72 +396,89 @@ fn abs_residuals_lanes<I: Isa>(isa: I, values: &[f32], preds: &[f32], out: &mut 
     i
 }
 
-/// See [`crate::minmax_finite`]; scalar original: the per-block scan in
+/// [`crate::minmax_finite`]`(values)`; scalar original: the per-block scan in
 /// `compress_strict`, `crates/eblc/src/szx.rs`. The `+ 0.0` canonicalisation
 /// of `-0.0` makes the result independent of fold order, which is what lets
 /// a lane-strided reduction match the sequential scalar scan bit-for-bit.
-#[inline(always)]
-pub(crate) fn minmax_finite<I: Isa>(isa: I, values: &[f32]) -> Option<(f32, f32)> {
-    let n = values.len();
-    let w = I::W32;
-    let mut lo = f32::INFINITY;
-    let mut hi = f32::NEG_INFINITY;
-    let mut finite = true;
-    let mut i = 0;
-    if w > 1 && n >= w {
-        let inf = isa.splat32(f32::INFINITY);
-        let mut vmin = isa.splat32(f32::INFINITY);
-        let mut vmax = isa.splat32(f32::NEG_INFINITY);
-        let mut fin = isa.true32();
-        while i + w <= n {
-            let v = isa.load32(&values[i..]);
-            fin = isa.and32(fin, isa.lt32(isa.abs32(v), inf));
-            vmin = isa.min_sel32(vmin, v);
-            vmax = isa.max_sel32(vmax, v);
-            i += w;
+pub(crate) struct MinmaxFinite<'a>(pub(crate) &'a [f32]);
+
+impl Kernel for MinmaxFinite<'_> {
+    type Out = Option<(f32, f32)>;
+    #[inline(always)]
+    fn run<I: Isa>(self, isa: I) -> Option<(f32, f32)> {
+        let MinmaxFinite(values) = self;
+        let n = values.len();
+        let w = I::W32;
+        let mut lo = f32::INFINITY;
+        let mut hi = f32::NEG_INFINITY;
+        let mut finite = true;
+        let mut i = 0;
+        if w > 1 && n >= w {
+            let inf = isa.splat32(f32::INFINITY);
+            let mut vmin = isa.splat32(f32::INFINITY);
+            let mut vmax = isa.splat32(f32::NEG_INFINITY);
+            let mut fin = isa.true32();
+            while i + w <= n {
+                let v = isa.load32(&values[i..]);
+                fin = isa.and32(fin, isa.lt32(isa.abs32(v), inf));
+                vmin = isa.min_sel32(vmin, v);
+                vmax = isa.max_sel32(vmax, v);
+                i += w;
+            }
+            finite = isa.all32(fin);
+            // Horizontal reduction through memory; order is irrelevant post-
+            // canonicalisation (no NaNs survive the finite check).
+            let mut lanes_min = [f32::INFINITY; 8];
+            let mut lanes_max = [f32::NEG_INFINITY; 8];
+            isa.store32(vmin, &mut lanes_min[..w]);
+            isa.store32(vmax, &mut lanes_max[..w]);
+            for lane in 0..w {
+                lo = if lanes_min[lane] < lo {
+                    lanes_min[lane]
+                } else {
+                    lo
+                };
+                hi = if lanes_max[lane] > hi {
+                    lanes_max[lane]
+                } else {
+                    hi
+                };
+            }
         }
-        finite = isa.all32(fin);
-        // Horizontal reduction through memory; order is irrelevant post-
-        // canonicalisation (no NaNs survive the finite check).
-        let mut lanes_min = [f32::INFINITY; 8];
-        let mut lanes_max = [f32::NEG_INFINITY; 8];
-        isa.store32(vmin, &mut lanes_min[..w]);
-        isa.store32(vmax, &mut lanes_max[..w]);
-        for lane in 0..w {
-            lo = if lanes_min[lane] < lo {
-                lanes_min[lane]
-            } else {
-                lo
-            };
-            hi = if lanes_max[lane] > hi {
-                lanes_max[lane]
-            } else {
-                hi
-            };
+        for &v in &values[i..] {
+            if !v.is_finite() {
+                finite = false;
+            }
+            lo = if v < lo { v } else { lo };
+            hi = if v > hi { v } else { hi };
         }
-    }
-    for &v in &values[i..] {
-        if !v.is_finite() {
-            finite = false;
+        if !finite {
+            return None;
         }
-        lo = if v < lo { v } else { lo };
-        hi = if v > hi { v } else { hi };
+        Some((lo + 0.0, hi + 0.0))
     }
-    if !finite {
-        return None;
-    }
-    Some((lo + 0.0, hi + 0.0))
 }
 
-/// See [`crate::pack_offsets`]; scalar original: the packed-block encode
-/// loop in `crates/eblc/src/szx.rs`.
-#[inline(always)]
-pub(crate) fn pack_offsets<I: Isa>(isa: I, values: &[f32], min: f64, bin: f64, out: &mut [u32]) {
-    let n = values.len();
-    assert!(out.len() == n, "pack_offsets: mismatched slice lengths");
-    let done = pack_offsets_lanes(isa, values, min, bin, out);
-    if done < n {
-        pack_offsets_lanes(ScalarIsa, &values[done..], min, bin, &mut out[done..]);
+/// [`crate::pack_offsets`]`(values, min, bin, out)`; scalar original: the
+/// packed-block encode loop in `crates/eblc/src/szx.rs`.
+pub(crate) struct PackOffsets<'a>(
+    pub(crate) &'a [f32],
+    pub(crate) f64,
+    pub(crate) f64,
+    pub(crate) &'a mut [u32],
+);
+
+impl Kernel for PackOffsets<'_> {
+    type Out = ();
+    #[inline(always)]
+    fn run<I: Isa>(self, isa: I) {
+        let PackOffsets(values, min, bin, out) = self;
+        let n = values.len();
+        assert!(out.len() == n, "pack_offsets: mismatched slice lengths");
+        let done = pack_offsets_lanes(isa, values, min, bin, out);
+        if done < n {
+            pack_offsets_lanes(ScalarIsa, &values[done..], min, bin, &mut out[done..]);
+        }
     }
 }
 
@@ -429,15 +505,26 @@ fn pack_offsets_lanes<I: Isa>(
     i
 }
 
-/// See [`crate::unpack_offsets`]; scalar original: the packed-block decode
-/// loop in `crates/eblc/src/szx.rs`.
-#[inline(always)]
-pub(crate) fn unpack_offsets<I: Isa>(isa: I, codes: &[u32], min: f64, bin: f64, out: &mut [f32]) {
-    let n = codes.len();
-    assert!(out.len() == n, "unpack_offsets: mismatched slice lengths");
-    let done = unpack_offsets_lanes(isa, codes, min, bin, out);
-    if done < n {
-        unpack_offsets_lanes(ScalarIsa, &codes[done..], min, bin, &mut out[done..]);
+/// [`crate::unpack_offsets`]`(codes, min, bin, out)`; scalar original: the
+/// packed-block decode loop in `crates/eblc/src/szx.rs`.
+pub(crate) struct UnpackOffsets<'a>(
+    pub(crate) &'a [u32],
+    pub(crate) f64,
+    pub(crate) f64,
+    pub(crate) &'a mut [f32],
+);
+
+impl Kernel for UnpackOffsets<'_> {
+    type Out = ();
+    #[inline(always)]
+    fn run<I: Isa>(self, isa: I) {
+        let UnpackOffsets(codes, min, bin, out) = self;
+        let n = codes.len();
+        assert!(out.len() == n, "unpack_offsets: mismatched slice lengths");
+        let done = unpack_offsets_lanes(isa, codes, min, bin, out);
+        if done < n {
+            unpack_offsets_lanes(ScalarIsa, &codes[done..], min, bin, &mut out[done..]);
+        }
     }
 }
 

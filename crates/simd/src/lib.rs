@@ -16,14 +16,18 @@
 //! * [`isa`] defines the portable lane-width trait [`isa::Isa`] plus the
 //!   always-available [`isa::ScalarIsa`] reference implementation.
 //! * [`kernels`] holds one generic implementation of each kernel, written
-//!   against the trait. Monomorphised with `ScalarIsa` it *is* the scalar
-//!   twin; remainders shorter than a vector are delegated to that same
-//!   scalar code so every element takes one of exactly two code paths.
+//!   against the trait: an argument struct implementing the `Kernel`
+//!   visitor. Monomorphised with `ScalarIsa` it *is* the scalar twin;
+//!   remainders shorter than a vector are delegated to that same scalar
+//!   code so every element takes one of exactly two code paths.
 //! * `x86` / `neon` implement the trait over `std::arch` intrinsics and
-//!   expose one `#[target_feature]` entry point per kernel per level. These
-//!   entry points are the only unsafe-to-call surface, each carrying a
-//!   `// simd-safety:` audit comment (enforced by fedsz-lint rule R6).
-//! * This module owns [`Level`] selection and the public dispatched API.
+//!   expose one generic `#[target_feature]` entry point per level
+//!   (`run_sse41`, `run_avx2`, `run_neon`) that runs any kernel, plus the
+//!   hand-written byte shuffles. These entry points are the only
+//!   unsafe-to-call surface, each carrying a `// simd-safety:` audit comment
+//!   (enforced by fedsz-lint rule R6).
+//! * This module owns [`Level`] selection, `run_at` — the one `match` from a
+//!   level to its entry point — and the public dispatched API.
 //!
 //! The workspace-wide `unsafe_code = "forbid"` stays in force everywhere
 //! else; this crate alone opts out and compensates with
@@ -41,6 +45,10 @@ mod x86;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 use isa::ScalarIsa;
+use kernels::{
+    AbsResiduals, CubicPreds, Kernel, LinearPreds, MidpointPreds, MinmaxFinite, PackOffsets,
+    Quantize, Reconstruct, ResidualCosts, UnpackOffsets,
+};
 
 /// A dispatch level, ordered from the universal fallback upward.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -89,38 +97,20 @@ impl Level {
     }
 }
 
-/// Best level the host CPU supports, ignoring any override.
+/// Best level the host CPU supports, ignoring any override: the last of the
+/// ascending [`available_levels`].
 pub fn detected_level() -> Level {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            Level::Avx2
-        } else if std::arch::is_x86_feature_detected!("sse4.1") {
-            Level::Sse41
-        } else {
-            Level::Scalar
-        }
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        // NEON is part of the aarch64 baseline; no runtime check needed.
-        Level::Neon
-    }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-    {
-        Level::Scalar
-    }
+    available_levels().pop().unwrap_or(Level::Scalar)
 }
 
 /// Whether `level` can run on this host.
 pub fn supported(level: Level) -> bool {
-    match level {
-        Level::Scalar => true,
-        Level::Sse41 | Level::Avx2 | Level::Neon => available_levels().contains(&level),
-    }
+    available_levels().contains(&level)
 }
 
 /// Every level runnable on this host, ascending (always starts with Scalar).
+/// The one place the host's features are detected; NEON is part of the
+/// aarch64 baseline, so it needs no runtime check.
 pub fn available_levels() -> Vec<Level> {
     let mut out = vec![Level::Scalar];
     #[cfg(target_arch = "x86_64")]
@@ -194,12 +184,31 @@ pub struct QuantParams {
     pub radius: f64,
 }
 
+/// Run `k` at `level`: the one `match` over [`Level`] for every
+/// [`Kernel`]. The `_ =>` arm covers `Scalar` plus any level this
+/// architecture cannot host (which `active_level`/`override_level` never
+/// install, but the match must be total).
+#[inline(always)]
+fn run_at<K: Kernel>(level: Level, k: K) -> K::Out {
+    match level {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `Sse41`/`Avx2` are only installed by `active_level`/
+        // `override_level` after `is_x86_feature_detected!` succeeded, and
+        // `*_at` callers pass levels from `available_levels()`.
+        Level::Sse41 => unsafe { x86::run_sse41(k) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above — AVX2 proven available before this arm is taken.
+        Level::Avx2 => unsafe { x86::run_avx2(k) },
+        #[cfg(target_arch = "aarch64")]
+        // SAFETY: NEON is part of the aarch64 baseline.
+        Level::Neon => unsafe { neon::run_neon(k) },
+        _ => k.run(ScalarIsa),
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Dispatched kernels. Each `*_at` runs at an explicit level (the bench micro
 // tier and the parity tests need that); the plain form uses `active_level()`.
-// The `_ =>` arm covers `Scalar` plus any level this architecture cannot
-// host (which `active_level`/`override_level` never install, but the match
-// must be total).
 // ---------------------------------------------------------------------------
 
 /// Batch linear quantization: for each `i`, quantize `values[i]` against
@@ -230,20 +239,7 @@ pub fn quantize_at(
     codes: &mut [u32],
     recons: &mut [f32],
 ) {
-    match level {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Sse41`/`Avx2` are only installed by `active_level`/
-        // `override_level` after `is_x86_feature_detected!` succeeded, and
-        // `*_at` callers pass levels from `available_levels()`.
-        Level::Sse41 => unsafe { x86::quantize_sse41(values, preds, p, codes, recons) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above — AVX2 proven available before this arm is taken.
-        Level::Avx2 => unsafe { x86::quantize_avx2(values, preds, p, codes, recons) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is part of the aarch64 baseline.
-        Level::Neon => unsafe { neon::quantize_neon(values, preds, p, codes, recons) },
-        _ => kernels::quantize(ScalarIsa, values, preds, p, codes, recons),
-    }
+    run_at(level, Quantize(values, preds, p, codes, recons))
 }
 
 /// Batch decoder-side reconstruction: `out[i] = (preds[i] + (codes[i] -
@@ -257,18 +253,7 @@ pub fn reconstruct(preds: &[f32], codes: &[u32], p: QuantParams, out: &mut [f32]
 
 /// [`reconstruct`] at an explicit dispatch level.
 pub fn reconstruct_at(level: Level, preds: &[f32], codes: &[u32], p: QuantParams, out: &mut [f32]) {
-    match level {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: level installed only after feature detection (see quantize_at).
-        Level::Sse41 => unsafe { x86::reconstruct_sse41(preds, codes, p, out) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        Level::Avx2 => unsafe { x86::reconstruct_avx2(preds, codes, p, out) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is part of the aarch64 baseline.
-        Level::Neon => unsafe { neon::reconstruct_neon(preds, codes, p, out) },
-        _ => kernels::reconstruct(ScalarIsa, preds, codes, p, out),
-    }
+    run_at(level, Reconstruct(preds, codes, p, out))
 }
 
 /// Regression-predictor fill: `out[j] = a * ((i0 + j) as f32) + b`, all-f32
@@ -281,18 +266,7 @@ pub fn linear_preds(a: f32, b: f32, i0: usize, out: &mut [f32]) {
 
 /// [`linear_preds`] at an explicit dispatch level.
 pub fn linear_preds_at(level: Level, a: f32, b: f32, i0: usize, out: &mut [f32]) {
-    match level {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: level installed only after feature detection (see quantize_at).
-        Level::Sse41 => unsafe { x86::linear_preds_sse41(a, b, i0, out) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        Level::Avx2 => unsafe { x86::linear_preds_avx2(a, b, i0, out) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is part of the aarch64 baseline.
-        Level::Neon => unsafe { neon::linear_preds_neon(a, b, i0, out) },
-        _ => kernels::linear_preds(ScalarIsa, a, b, i0, out),
-    }
+    run_at(level, LinearPreds(a, b, i0, out))
 }
 
 /// Interpolation midpoints: `out[j] = 0.5 * (grid[j] + grid[j + 1])` in f32.
@@ -305,18 +279,7 @@ pub fn midpoint_preds(grid: &[f32], out: &mut [f32]) {
 
 /// [`midpoint_preds`] at an explicit dispatch level.
 pub fn midpoint_preds_at(level: Level, grid: &[f32], out: &mut [f32]) {
-    match level {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: level installed only after feature detection (see quantize_at).
-        Level::Sse41 => unsafe { x86::midpoint_preds_sse41(grid, out) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        Level::Avx2 => unsafe { x86::midpoint_preds_avx2(grid, out) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is part of the aarch64 baseline.
-        Level::Neon => unsafe { neon::midpoint_preds_neon(grid, out) },
-        _ => kernels::midpoint_preds(ScalarIsa, grid, out),
-    }
+    run_at(level, MidpointPreds(grid, out))
 }
 
 /// Catmull-Rom-style 4-point interpolation in f64:
@@ -330,18 +293,7 @@ pub fn cubic_preds(grid: &[f32], out: &mut [f32]) {
 
 /// [`cubic_preds`] at an explicit dispatch level.
 pub fn cubic_preds_at(level: Level, grid: &[f32], out: &mut [f32]) {
-    match level {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: level installed only after feature detection (see quantize_at).
-        Level::Sse41 => unsafe { x86::cubic_preds_sse41(grid, out) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        Level::Avx2 => unsafe { x86::cubic_preds_avx2(grid, out) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is part of the aarch64 baseline.
-        Level::Neon => unsafe { neon::cubic_preds_neon(grid, out) },
-        _ => kernels::cubic_preds(ScalarIsa, grid, out),
-    }
+    run_at(level, CubicPreds(grid, out))
 }
 
 /// Per-element predictor cost model: `out[i]` is the f64 exponent field of
@@ -356,18 +308,7 @@ pub fn residual_costs(values: &[f32], preds: &[f32], bin: f64, out: &mut [f64]) 
 
 /// [`residual_costs`] at an explicit dispatch level.
 pub fn residual_costs_at(level: Level, values: &[f32], preds: &[f32], bin: f64, out: &mut [f64]) {
-    match level {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: level installed only after feature detection (see quantize_at).
-        Level::Sse41 => unsafe { x86::residual_costs_sse41(values, preds, bin, out) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        Level::Avx2 => unsafe { x86::residual_costs_avx2(values, preds, bin, out) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is part of the aarch64 baseline.
-        Level::Neon => unsafe { neon::residual_costs_neon(values, preds, bin, out) },
-        _ => kernels::residual_costs(ScalarIsa, values, preds, bin, out),
-    }
+    run_at(level, ResidualCosts(values, preds, bin, out))
 }
 
 /// Per-element absolute residuals in f64: `out[i] = |values[i] as f64 -
@@ -380,18 +321,7 @@ pub fn abs_residuals(values: &[f32], preds: &[f32], out: &mut [f64]) {
 
 /// [`abs_residuals`] at an explicit dispatch level.
 pub fn abs_residuals_at(level: Level, values: &[f32], preds: &[f32], out: &mut [f64]) {
-    match level {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: level installed only after feature detection (see quantize_at).
-        Level::Sse41 => unsafe { x86::abs_residuals_sse41(values, preds, out) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        Level::Avx2 => unsafe { x86::abs_residuals_avx2(values, preds, out) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is part of the aarch64 baseline.
-        Level::Neon => unsafe { neon::abs_residuals_neon(values, preds, out) },
-        _ => kernels::abs_residuals(ScalarIsa, values, preds, out),
-    }
+    run_at(level, AbsResiduals(values, preds, out))
 }
 
 /// Block min/max with a finiteness scan: `None` if any element is NaN or
@@ -405,18 +335,7 @@ pub fn minmax_finite(values: &[f32]) -> Option<(f32, f32)> {
 
 /// [`minmax_finite`] at an explicit dispatch level.
 pub fn minmax_finite_at(level: Level, values: &[f32]) -> Option<(f32, f32)> {
-    match level {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: level installed only after feature detection (see quantize_at).
-        Level::Sse41 => unsafe { x86::minmax_finite_sse41(values) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        Level::Avx2 => unsafe { x86::minmax_finite_avx2(values) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is part of the aarch64 baseline.
-        Level::Neon => unsafe { neon::minmax_finite_neon(values) },
-        _ => kernels::minmax_finite(ScalarIsa, values),
-    }
+    run_at(level, MinmaxFinite(values))
 }
 
 /// SZx fixed-point packing: `out[i] = ((values[i] as f64 - min) / bin + 0.5)`
@@ -430,18 +349,7 @@ pub fn pack_offsets(values: &[f32], min: f64, bin: f64, out: &mut [u32]) {
 
 /// [`pack_offsets`] at an explicit dispatch level.
 pub fn pack_offsets_at(level: Level, values: &[f32], min: f64, bin: f64, out: &mut [u32]) {
-    match level {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: level installed only after feature detection (see quantize_at).
-        Level::Sse41 => unsafe { x86::pack_offsets_sse41(values, min, bin, out) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        Level::Avx2 => unsafe { x86::pack_offsets_avx2(values, min, bin, out) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is part of the aarch64 baseline.
-        Level::Neon => unsafe { neon::pack_offsets_neon(values, min, bin, out) },
-        _ => kernels::pack_offsets(ScalarIsa, values, min, bin, out),
-    }
+    run_at(level, PackOffsets(values, min, bin, out))
 }
 
 /// SZx fixed-point unpacking: `out[i] = (min + codes[i] as f64 * bin) as
@@ -454,18 +362,7 @@ pub fn unpack_offsets(codes: &[u32], min: f64, bin: f64, out: &mut [f32]) {
 
 /// [`unpack_offsets`] at an explicit dispatch level.
 pub fn unpack_offsets_at(level: Level, codes: &[u32], min: f64, bin: f64, out: &mut [f32]) {
-    match level {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: level installed only after feature detection (see quantize_at).
-        Level::Sse41 => unsafe { x86::unpack_offsets_sse41(codes, min, bin, out) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        Level::Avx2 => unsafe { x86::unpack_offsets_avx2(codes, min, bin, out) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is part of the aarch64 baseline.
-        Level::Neon => unsafe { neon::unpack_offsets_neon(codes, min, bin, out) },
-        _ => kernels::unpack_offsets(ScalarIsa, codes, min, bin, out),
-    }
+    run_at(level, UnpackOffsets(codes, min, bin, out))
 }
 
 /// Byte-shuffle for 4-byte elements: transpose `src` (N elements × 4 bytes)
@@ -482,7 +379,7 @@ pub fn shuffle4_into(src: &[u8], dst: &mut [u8]) {
 pub fn shuffle4_into_at(level: Level, src: &[u8], dst: &mut [u8]) {
     match level {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: level installed only after feature detection (see quantize_at).
+        // SAFETY: level installed only after feature detection (see run_at).
         Level::Sse41 => unsafe { x86::shuffle4_sse41(src, dst) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above.
@@ -506,7 +403,7 @@ pub fn unshuffle4_into(src: &[u8], dst: &mut [u8]) {
 pub fn unshuffle4_into_at(level: Level, src: &[u8], dst: &mut [u8]) {
     match level {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: level installed only after feature detection (see quantize_at).
+        // SAFETY: level installed only after feature detection (see run_at).
         Level::Sse41 => unsafe { x86::unshuffle4_sse41(src, dst) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above.

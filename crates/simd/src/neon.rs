@@ -3,14 +3,14 @@
 //! the `unsafe` here is a formality of the `std::arch` API rather than a
 //! runtime-detection hazard. The structure mirrors `x86.rs`: safe trait
 //! methods whose `unsafe` blocks are justified by the [`Neon`] token
-//! invariant, plus `#[target_feature]` entry points that the `lib.rs`
-//! dispatcher calls.
+//! invariant, plus one generic `#[target_feature]` entry point, `run_neon`,
+//! that `run_at` in `lib.rs` calls for every [`Kernel`], and the two
+//! hand-written byte shuffles.
 
 use core::arch::aarch64::*;
 
 use crate::isa::Isa;
-use crate::kernels;
-use crate::QuantParams;
+use crate::kernels::{self, Kernel};
 
 /// NEON token. Invariant: a value of this type proves ASIMD is available
 /// (always true on aarch64, but kept symmetric with the x86 tokens).
@@ -247,75 +247,19 @@ impl Isa for Neon {
 // `#[target_feature]` entry points (see x86.rs for the structure rationale).
 // ---------------------------------------------------------------------------
 
-macro_rules! entry {
-    ($(#[$doc:meta])* $name:ident ( $($arg:ident : $ty:ty),* ) $(-> $ret:ty)?, $kernel:ident) => {
-        $(#[$doc])*
-        ///
-        /// # Safety
-        /// Requires NEON/ASIMD, which is part of the aarch64 baseline; the
-        /// dispatcher only installs `Level::Neon` on aarch64.
-        // simd-safety: NEON is unconditionally present on aarch64; the token
-        // constructed below carries that proof to every intrinsic, and all
-        // slice accesses are bounds-asserted.
-        #[target_feature(enable = "neon")]
-        pub(crate) unsafe fn $name($($arg: $ty),*) $(-> $ret)? {
-            // SAFETY: this function's contract is exactly the constructor's.
-            let isa = unsafe { Neon::new() };
-            kernels::$kernel(isa, $($arg),*)
-        }
-    };
+/// Run `k` on NEON lanes.
+///
+/// # Safety
+/// Requires NEON/ASIMD, which is part of the aarch64 baseline; the
+/// dispatcher only installs `Level::Neon` on aarch64.
+// simd-safety: NEON is unconditionally present on aarch64; the token
+// constructed below carries that proof to every intrinsic the kernel inlines,
+// and all slice accesses are bounds-asserted.
+#[target_feature(enable = "neon")]
+pub(crate) unsafe fn run_neon<K: Kernel>(k: K) -> K::Out {
+    // SAFETY: this function's contract is exactly the constructor's.
+    k.run(unsafe { Neon::new() })
 }
-
-entry!(
-    /// [`crate::quantize_at`] at NEON.
-    quantize_neon(values: &[f32], preds: &[f32], p: QuantParams, codes: &mut [u32], recons: &mut [f32]),
-    quantize
-);
-entry!(
-    /// [`crate::reconstruct_at`] at NEON.
-    reconstruct_neon(preds: &[f32], codes: &[u32], p: QuantParams, out: &mut [f32]),
-    reconstruct
-);
-entry!(
-    /// [`crate::linear_preds_at`] at NEON.
-    linear_preds_neon(a: f32, b: f32, i0: usize, out: &mut [f32]),
-    linear_preds
-);
-entry!(
-    /// [`crate::midpoint_preds_at`] at NEON.
-    midpoint_preds_neon(grid: &[f32], out: &mut [f32]),
-    midpoint_preds
-);
-entry!(
-    /// [`crate::cubic_preds_at`] at NEON.
-    cubic_preds_neon(grid: &[f32], out: &mut [f32]),
-    cubic_preds
-);
-entry!(
-    /// [`crate::residual_costs_at`] at NEON.
-    residual_costs_neon(values: &[f32], preds: &[f32], bin: f64, out: &mut [f64]),
-    residual_costs
-);
-entry!(
-    /// [`crate::abs_residuals_at`] at NEON.
-    abs_residuals_neon(values: &[f32], preds: &[f32], out: &mut [f64]),
-    abs_residuals
-);
-entry!(
-    /// [`crate::minmax_finite_at`] at NEON.
-    minmax_finite_neon(values: &[f32]) -> Option<(f32, f32)>,
-    minmax_finite
-);
-entry!(
-    /// [`crate::pack_offsets_at`] at NEON.
-    pack_offsets_neon(values: &[f32], min: f64, bin: f64, out: &mut [u32]),
-    pack_offsets
-);
-entry!(
-    /// [`crate::unpack_offsets_at`] at NEON.
-    unpack_offsets_neon(codes: &[u32], min: f64, bin: f64, out: &mut [f32]),
-    unpack_offsets
-);
 
 /// [`crate::shuffle4_into_at`] at NEON: 16 elements (64 bytes) per step via
 /// the de-interleaving structure load `vld4q_u8`.

@@ -3,21 +3,23 @@
 //! The [`Isa`] impl methods are safe functions whose `unsafe` blocks are
 //! justified by a type invariant: `Sse41`/`Avx2` values can only be created
 //! through the `unsafe fn new()` constructors, whose contract is "the
-//! corresponding CPU feature is present". The `#[target_feature]` entry
-//! points at the bottom are the only place those constructors are invoked,
-//! and the dispatcher in `lib.rs` only calls the entry points after
-//! `is_x86_feature_detected!` has succeeded.
+//! corresponding CPU feature is present". The two generic `#[target_feature]`
+//! entry points, `run_sse41` and `run_avx2`, are the only place those
+//! constructors are invoked; each runs any [`Kernel`], and `run_at` in
+//! `lib.rs` only calls them after `is_x86_feature_detected!` has succeeded.
+//! The byte shuffles below them are hand-written per ISA and have entry
+//! points of their own.
 //!
 //! Everything between an entry point and the intrinsics is
-//! `#[inline(always)]` so the whole kernel collapses into the one function
-//! that actually carries the target feature — otherwise each lane op would
-//! be an outlined call and the vectorisation would be a pessimisation.
+//! `#[inline(always)]` so the whole kernel collapses into the entry point's
+//! monomorph for that kernel, the one function that carries the target
+//! feature — otherwise each lane op would be an outlined call and the
+//! vectorisation would be a pessimisation.
 
 use core::arch::x86_64::*;
 
 use crate::isa::Isa;
-use crate::kernels;
-use crate::QuantParams;
+use crate::kernels::{self, Kernel};
 
 /// SSE4.1 token. Invariant: a value of this type proves SSE4.1 is available.
 #[derive(Clone, Copy)]
@@ -485,111 +487,39 @@ impl Isa for Avx2 {
 }
 
 // ---------------------------------------------------------------------------
-// `#[target_feature]` entry points — the dispatch surface. Each one is the
-// single function in its call tree that carries the CPU feature; everything
-// it calls is `#[inline(always)]` so the intrinsics land inside it.
+// `#[target_feature]` entry points — the dispatch surface, one per ISA for
+// every kernel. Each monomorph is the single function in its call tree that
+// carries the CPU feature; everything it calls is `#[inline(always)]` so the
+// intrinsics land inside it.
 // ---------------------------------------------------------------------------
 
-macro_rules! entry {
-    ($feat:literal, $token:ident, $(#[$doc:meta])* $name:ident ( $($arg:ident : $ty:ty),* ) $(-> $ret:ty)?, $kernel:ident) => {
-        $(#[$doc])*
-        ///
-        /// # Safety
-        /// The CPU must support the target feature named in the attribute;
-        /// the dispatcher verifies this with `is_x86_feature_detected!`
-        /// before selecting this function.
-        // simd-safety: reached only through dispatch arms guarded by runtime
-        // feature detection; the token constructed below carries that proof
-        // to every intrinsic, and all slice accesses are bounds-asserted.
-        #[target_feature(enable = $feat)]
-        pub(crate) unsafe fn $name($($arg: $ty),*) $(-> $ret)? {
-            // SAFETY: this function's contract is exactly the constructor's.
-            let isa = unsafe { $token::new() };
-            kernels::$kernel(isa, $($arg),*)
-        }
-    };
+/// Run `k` on SSE4.1 lanes.
+///
+/// # Safety
+/// The CPU must support SSE4.1; the dispatcher verifies this with
+/// `is_x86_feature_detected!` before selecting this function.
+// simd-safety: reached only through the `run_at` arm guarded by runtime
+// feature detection; the token constructed below carries that proof to every
+// intrinsic the kernel inlines, and all slice accesses are bounds-asserted.
+#[target_feature(enable = "sse4.1")]
+pub(crate) unsafe fn run_sse41<K: Kernel>(k: K) -> K::Out {
+    // SAFETY: this function's contract is exactly the constructor's.
+    k.run(unsafe { Sse41::new() })
 }
 
-entry!("sse4.1", Sse41,
-    /// [`crate::quantize_at`] at SSE4.1.
-    quantize_sse41(values: &[f32], preds: &[f32], p: QuantParams, codes: &mut [u32], recons: &mut [f32]),
-    quantize);
-entry!("avx2", Avx2,
-    /// [`crate::quantize_at`] at AVX2.
-    quantize_avx2(values: &[f32], preds: &[f32], p: QuantParams, codes: &mut [u32], recons: &mut [f32]),
-    quantize);
-entry!("sse4.1", Sse41,
-    /// [`crate::reconstruct_at`] at SSE4.1.
-    reconstruct_sse41(preds: &[f32], codes: &[u32], p: QuantParams, out: &mut [f32]),
-    reconstruct);
-entry!("avx2", Avx2,
-    /// [`crate::reconstruct_at`] at AVX2.
-    reconstruct_avx2(preds: &[f32], codes: &[u32], p: QuantParams, out: &mut [f32]),
-    reconstruct);
-entry!("sse4.1", Sse41,
-    /// [`crate::linear_preds_at`] at SSE4.1.
-    linear_preds_sse41(a: f32, b: f32, i0: usize, out: &mut [f32]),
-    linear_preds);
-entry!("avx2", Avx2,
-    /// [`crate::linear_preds_at`] at AVX2.
-    linear_preds_avx2(a: f32, b: f32, i0: usize, out: &mut [f32]),
-    linear_preds);
-entry!("sse4.1", Sse41,
-    /// [`crate::midpoint_preds_at`] at SSE4.1.
-    midpoint_preds_sse41(grid: &[f32], out: &mut [f32]),
-    midpoint_preds);
-entry!("avx2", Avx2,
-    /// [`crate::midpoint_preds_at`] at AVX2.
-    midpoint_preds_avx2(grid: &[f32], out: &mut [f32]),
-    midpoint_preds);
-entry!("sse4.1", Sse41,
-    /// [`crate::cubic_preds_at`] at SSE4.1.
-    cubic_preds_sse41(grid: &[f32], out: &mut [f32]),
-    cubic_preds);
-entry!("avx2", Avx2,
-    /// [`crate::cubic_preds_at`] at AVX2.
-    cubic_preds_avx2(grid: &[f32], out: &mut [f32]),
-    cubic_preds);
-entry!("sse4.1", Sse41,
-    /// [`crate::residual_costs_at`] at SSE4.1.
-    residual_costs_sse41(values: &[f32], preds: &[f32], bin: f64, out: &mut [f64]),
-    residual_costs);
-entry!("avx2", Avx2,
-    /// [`crate::residual_costs_at`] at AVX2.
-    residual_costs_avx2(values: &[f32], preds: &[f32], bin: f64, out: &mut [f64]),
-    residual_costs);
-entry!("sse4.1", Sse41,
-    /// [`crate::abs_residuals_at`] at SSE4.1.
-    abs_residuals_sse41(values: &[f32], preds: &[f32], out: &mut [f64]),
-    abs_residuals);
-entry!("avx2", Avx2,
-    /// [`crate::abs_residuals_at`] at AVX2.
-    abs_residuals_avx2(values: &[f32], preds: &[f32], out: &mut [f64]),
-    abs_residuals);
-entry!("sse4.1", Sse41,
-    /// [`crate::minmax_finite_at`] at SSE4.1.
-    minmax_finite_sse41(values: &[f32]) -> Option<(f32, f32)>,
-    minmax_finite);
-entry!("avx2", Avx2,
-    /// [`crate::minmax_finite_at`] at AVX2.
-    minmax_finite_avx2(values: &[f32]) -> Option<(f32, f32)>,
-    minmax_finite);
-entry!("sse4.1", Sse41,
-    /// [`crate::pack_offsets_at`] at SSE4.1.
-    pack_offsets_sse41(values: &[f32], min: f64, bin: f64, out: &mut [u32]),
-    pack_offsets);
-entry!("avx2", Avx2,
-    /// [`crate::pack_offsets_at`] at AVX2.
-    pack_offsets_avx2(values: &[f32], min: f64, bin: f64, out: &mut [u32]),
-    pack_offsets);
-entry!("sse4.1", Sse41,
-    /// [`crate::unpack_offsets_at`] at SSE4.1.
-    unpack_offsets_sse41(codes: &[u32], min: f64, bin: f64, out: &mut [f32]),
-    unpack_offsets);
-entry!("avx2", Avx2,
-    /// [`crate::unpack_offsets_at`] at AVX2.
-    unpack_offsets_avx2(codes: &[u32], min: f64, bin: f64, out: &mut [f32]),
-    unpack_offsets);
+/// Run `k` on AVX2 lanes.
+///
+/// # Safety
+/// The CPU must support AVX2; the dispatcher verifies this with
+/// `is_x86_feature_detected!` before selecting this function.
+// simd-safety: reached only through the `run_at` arm guarded by runtime
+// feature detection; the token constructed below carries that proof to every
+// intrinsic the kernel inlines, and all slice accesses are bounds-asserted.
+#[target_feature(enable = "avx2")]
+pub(crate) unsafe fn run_avx2<K: Kernel>(k: K) -> K::Out {
+    // SAFETY: this function's contract is exactly the constructor's.
+    k.run(unsafe { Avx2::new() })
+}
 
 // ---------------------------------------------------------------------------
 // Byte shuffle transpose networks. These do not go through the Isa trait —

@@ -127,7 +127,10 @@ proptest! {
             sd.insert("w.weight", TensorKind::Weight, Tensor::from_vec(v.to_vec()));
             sd
         };
-        let agg = fedsz_fl::fedavg(&[(mk(&a), wa), (mk(&b), wb)]).unwrap();
+        let mut acc = fedsz_fl::StreamingFedAvg::new(&mk(&a));
+        acc.fold(&mk(&a), wa).unwrap();
+        acc.fold(&mk(&b), wb).unwrap();
+        let agg = acc.finish().unwrap();
         let out = agg.get("w.weight").unwrap().data();
         for i in 0..32 {
             let lo = a[i].min(b[i]) - 1e-4;
