@@ -8,8 +8,9 @@
 //! aggregate. This module moves that work off the collector: each uplink
 //! payload becomes a [`Job`] tagged with a submission sequence number, a
 //! pool of worker threads decodes and validates jobs concurrently, and the
-//! resulting [`Outcome`]s are settled back into the round's `slots` in
-//! **submission order** (see [`transport`](crate::transport)'s `Settle`).
+//! collector settles the resulting [`Outcome`]s — counts them and folds
+//! each accepted update — in **submission order** (see
+//! [`transport`](crate::transport)'s `Settle`).
 //!
 //! # Determinism
 //!
@@ -19,9 +20,10 @@
 //! server did, or the same seeds stop producing bit-identical runs. The
 //! collector therefore buffers out-of-order outcomes and applies them only
 //! in contiguous sequence order — reproducing serial arrival-order
-//! semantics while the decode work itself runs concurrently. Aggregation
-//! order is unaffected either way (updates are reduced in client-id order),
-//! so the kill-and-resume tests keep passing unmodified.
+//! semantics while the decode work itself runs concurrently. The aggregate
+//! is unaffected either way — the exact fold is a pure function of the
+//! multiset of accepted updates — so the kill-and-resume tests keep passing
+//! unmodified.
 //!
 //! With `workers == 0` the pool degenerates to a serial in-line path on the
 //! caller's thread — byte-for-byte the seed behaviour, used as the
@@ -167,18 +169,17 @@ enum Mode {
     /// `workers == 0`: jobs run in-line on the submitting thread; outcomes
     /// queue locally in submission order.
     Serial(VecDeque<Outcome>),
-    /// One bounded job channel per worker, fed round-robin by submission
-    /// sequence (single-consumer channels keep the pool portable across
-    /// channel implementations). The bound provides backpressure: a flooded
-    /// pool stalls the collector rather than growing without bound. Results
-    /// funnel into one bounded channel in completion order; its capacity
-    /// covers one full round attempt so workers never stall on it in
-    /// steady state, while a collector that stops draining stalls the
+    /// Every worker pulls from one shared bounded job channel. Its bound,
+    /// two jobs per worker, keeps the pool fed between collector wakeups
+    /// without buffering a whole round of payloads, and is backpressure: a
+    /// flooded pool stalls the collector rather than growing without bound.
+    /// Results funnel into one bounded channel in completion order; its
+    /// capacity covers one full round attempt so workers never stall on it
+    /// in steady state, while a collector that stops draining stalls the
     /// pool instead of growing an unbounded queue.
     Pool {
-        jobs: Vec<Sender<Job>>,
+        jobs: Sender<Job>,
         results: Receiver<Outcome>,
-        next: usize,
         workers: Vec<JoinHandle<()>>,
     },
 }
@@ -207,50 +208,40 @@ impl IngestPool {
             };
         }
         let (results_tx, results_rx) = bounded::<Outcome>(outcome_capacity.max(workers));
-        let mut jobs = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for i in 0..workers {
-            // A couple of queued jobs per worker keeps the pool fed between
-            // collector wakeups without buffering a whole round of payloads.
-            let (jobs_tx, jobs_rx) = bounded::<Job>(2);
-            jobs.push(jobs_tx);
-            let tx = results_tx.clone();
-            handles.push(
+        let (jobs_tx, jobs_rx) = bounded::<Job>(workers.saturating_mul(2));
+        let workers = (0..workers)
+            .map(|i| {
+                let (jobs, results) = (jobs_rx.clone(), results_tx.clone());
                 Builder::new()
                     .name(format!("fedsz-ingest-{i}"))
                     .spawn(move || {
-                        while let Ok(job) = jobs_rx.recv() {
+                        while let Ok(job) = jobs.recv() {
                             // The receiver only disappears mid-run if the
                             // server is tearing down; drop the result then.
-                            let _ = tx.send(run_job(job));
+                            let _ = results.send(run_job(job));
                         }
                     })
                     // fedsz-lint: allow(no-panic-decode) -- thread spawn fails on OS resource exhaustion at startup, not on client bytes
-                    .expect("spawn ingest worker"),
-            );
-        }
+                    .expect("spawn ingest worker")
+            })
+            .collect();
         Self {
             mode: Mode::Pool {
-                jobs,
+                jobs: jobs_tx,
                 results: results_rx,
-                next: 0,
-                workers: handles,
+                workers,
             },
         }
     }
 
-    /// Hand one payload to the pool. Jobs round-robin across workers;
-    /// submission blocks when the chosen worker's small queue is full
-    /// (serial mode: runs the job in-line instead).
+    /// Hand one payload to the pool; the next idle worker takes it.
+    /// Submission blocks while the job queue is full (serial mode: runs
+    /// the job in-line instead).
     pub fn submit(&mut self, job: Job) {
         match &mut self.mode {
             Mode::Serial(done) => done.push_back(run_job(job)),
-            Mode::Pool { jobs, next, .. } => {
-                let lane = *next;
-                *next = (lane + 1) % jobs.len();
-                // fedsz-lint: allow(no-panic-decode) -- worker threads outlive the pool by construction (Drop joins them); a dead lane is a process bug, not peer input
-                jobs[lane].send(job).expect("ingest worker alive");
-            }
+            // fedsz-lint: allow(no-panic-decode) -- worker threads outlive the pool by construction (Drop joins them); a closed job queue is a process bug, not peer input
+            Mode::Pool { jobs, .. } => jobs.send(job).expect("ingest workers alive"),
         }
     }
 
@@ -280,7 +271,7 @@ impl Drop for IngestPool {
         if let Mode::Pool { jobs, workers, .. } =
             std::mem::replace(&mut self.mode, Mode::Serial(VecDeque::new()))
         {
-            drop(jobs); // closes every job channel: workers drain and exit
+            drop(jobs); // closes the job queue: workers drain it and exit
             for h in workers {
                 let _ = h.join();
             }

@@ -41,13 +41,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use fedsz_tensor::SplitMix64;
 
 use crate::budget::{Ledger, RoundGate};
 use crate::error::FlError;
 use crate::fault::{FaultKind, FaultPlan};
 use crate::session::{FlConfig, FlRunResult};
+use crate::sync::channel::{bounded, Receiver, Sender, TrySendError};
 use crate::transport::{
     lossless_config, recv_until, serve, setup_data, setup_run, Answer, BroadcastOutcome, Client,
     ClientMsg, Moves, RecvEnd, ServerTransport, TransportConfig, Uplink,
@@ -304,13 +304,10 @@ impl TcpServer {
     fn await_joins(&mut self, want: usize) -> usize {
         let deadline = Instant::now() + JOIN_TIMEOUT;
         while self.installed() < want {
-            let Some(left) = deadline.checked_duration_since(Instant::now()) else {
+            let Ok(ev) = self.events_rx.recv_deadline(deadline) else {
                 break;
             };
-            match self.events_rx.recv_timeout(left) {
-                Ok(ev) => self.process_control(ev),
-                Err(_) => break,
-            }
+            self.process_control(ev);
         }
         self.installed()
     }
@@ -374,14 +371,10 @@ impl ServerTransport for TcpServer {
         if grace_pending(&self.slots) {
             let deadline = Instant::now() + self.ncfg.rejoin_grace;
             while grace_pending(&self.slots) {
-                let Some(left) = deadline.checked_duration_since(Instant::now()) else {
+                let Ok(ev) = self.events_rx.recv_deadline(deadline) else {
                     break;
                 };
-                match self.events_rx.recv_timeout(left) {
-                    Ok(ev) => self.process_control(ev),
-                    Err(RecvTimeoutError::Timeout) => break,
-                    Err(RecvTimeoutError::Disconnected) => break,
-                }
+                self.process_control(ev);
             }
             for &id in cohort {
                 if let Some(slot) = self.slots.get_mut(id) {

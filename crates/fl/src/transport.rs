@@ -5,12 +5,12 @@
 //! [`serve`] runs the server loop — broadcast → collect under a deadline →
 //! quorum/retry → FedAvg — over a small [`ServerTransport`] trait with
 //! three implementations: the channel-backed one here (every client an OS
-//! thread exchanging *serialized bitstreams* over crossbeam channels), the
-//! socket-backed one in [`crate::net`] (real TCP with a framed,
-//! CRC-checked wire protocol), and the in-process loopback in
-//! [`crate::session`], which runs each cohort member's turn on demand on
-//! the collector thread. The client side of a round — look the planned
-//! fault up, train, poison, encode, mangle, size the frame — is
+//! thread exchanging *serialized bitstreams* over bounded
+//! [`crate::sync::channel`]s), the socket-backed one in [`crate::net`]
+//! (real TCP with a framed, CRC-checked wire protocol), and the in-process
+//! loopback in [`crate::session`], which runs each cohort member's turn on
+//! demand on the collector thread. The client side of a round — look the
+//! planned fault up, train, poison, encode, mangle, size the frame — is
 //! [`Client::turn`] for all three, so the same seeds produce the same
 //! payload bytes whichever way they travel; a transport's own client loop
 //! only moves what the turn returns.
@@ -52,7 +52,6 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use fedsz::{CompressedUpdate, FedSzConfig, QuarantineReasons};
 use fedsz_dnn::{Dataset, Network};
 use fedsz_tensor::{SplitMix64, StateDict, Tensor};
@@ -64,6 +63,7 @@ use crate::ingest::{self, IngestPool, Verdict};
 use crate::partition;
 use crate::robust::{Aggregation, RobustFold};
 use crate::session::{maybe_checkpoint, resume_point, FlConfig, FlRunResult, RoundMetrics};
+use crate::sync::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use crate::validate::validate_update;
 use crate::wire::{self, Frame, HeaderVerdict};
 
@@ -558,10 +558,10 @@ pub(crate) fn build_net(cfg: &FlConfig, seed: u64) -> Network {
 pub(crate) fn recv_until<T>(rx: &Receiver<T>, cutoff: Option<Instant>) -> Result<T, RecvEnd> {
     match cutoff {
         Some(end) => {
-            let Some(left) = end.checked_duration_since(Instant::now()) else {
+            if Instant::now() > end {
                 return Err(RecvEnd::Timeout); // deadline passed while processing
-            };
-            rx.recv_timeout(left).map_err(|e| match e {
+            }
+            rx.recv_deadline(end).map_err(|e| match e {
                 RecvTimeoutError::Timeout => RecvEnd::Timeout,
                 RecvTimeoutError::Disconnected => RecvEnd::Closed,
             })

@@ -7,13 +7,16 @@
 //! threads over the primitives in [`fedsz_fl::sync`]:
 //!
 //! * Without the `interleave` cargo feature, those primitives are plain
-//!   `std`/crossbeam, and [`overload_round`] is an ordinary concurrency
-//!   smoke test (this is what the TSan job runs).
+//!   `std::sync` (and `fedsz_fl::sync::channel` built on them), and
+//!   [`overload_round`] is an ordinary concurrency smoke test (this is what
+//!   the TSan job runs).
 //! * With `--features interleave`, they are the model checker's shims,
 //!   and the gated tests below explore every thread interleaving the
 //!   bounded-preemption scheduler can reach, asserting that **no**
 //!   schedule deadlocks, loses a wakeup, settles out of sequence order,
-//!   or leaks a ledger reservation.
+//!   or leaks a ledger reservation. The channel's own contract — FIFO,
+//!   disconnect, and a timed receive that can both time out and deliver —
+//!   is explored the same way.
 //!
 //! The last test re-seeds the PR-7 overload-path bug (a blocking untimed
 //! `recv()` on the outcome lane before the job was handed to the worker,
@@ -26,9 +29,13 @@
 #[cfg(feature = "interleave")]
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex as StdMutex};
+#[cfg(feature = "interleave")]
+use std::time::{Duration, Instant};
 
 use fedsz_fl::budget::{Ledger, RoundGate};
 use fedsz_fl::sync::channel::bounded;
+#[cfg(feature = "interleave")]
+use fedsz_fl::sync::channel::{RecvError, RecvTimeoutError};
 use fedsz_fl::sync::thread;
 
 /// Ledger capacity for the modeled round: fits one 60-byte frame, never
@@ -207,6 +214,120 @@ fn model_check_explores_overload_round() {
     assert!(
         orders.contains(&vec![0, 1]) && orders.contains(&vec![1, 0]),
         "exploration must reach both admission orders: {orders:?}"
+    );
+}
+
+/// Exploration bounds for the small channel-contract models below.
+#[cfg(feature = "interleave")]
+fn small() -> interleave::Config {
+    interleave::Config {
+        max_schedules: 2048,
+        ..interleave::Config::default()
+    }
+}
+
+/// A 1-slot channel between a producer and a consumer stays FIFO, and the
+/// consumer sees the disconnect once the producer is gone, on every
+/// schedule.
+#[cfg(feature = "interleave")]
+#[test]
+fn channel_is_fifo_and_reports_disconnect_on_every_schedule() {
+    let report = interleave::try_explore(small(), || {
+        let (tx, rx) = bounded::<u8>(1);
+        let producer = thread::spawn(move || {
+            for i in 0..3 {
+                tx.send(i).expect("receiver alive");
+            }
+            // tx drops here: the consumer must observe the disconnect.
+        });
+        let consumer = thread::spawn(move || {
+            let got: Vec<u8> = (0..3).map(|_| rx.recv().expect("sender alive")).collect();
+            assert_eq!(got, vec![0, 1, 2], "bounded channel must stay FIFO");
+            assert_eq!(rx.recv(), Err(RecvError));
+        });
+        producer.join().expect("producer ok");
+        consumer.join().expect("consumer ok");
+    })
+    .expect("a 1-slot channel between two threads has no bad interleavings");
+    assert!(report.schedules > 1, "{report:?}");
+}
+
+/// The sender never sends: the scheduler must be able to fire the timed
+/// receive's timeout while the sender half is still alive, and that must
+/// be the only outcome.
+#[cfg(feature = "interleave")]
+#[test]
+fn recv_timeout_can_give_up_inside_a_model() {
+    let outcomes = Arc::new(StdMutex::new(BTreeSet::new()));
+    let sink = Arc::clone(&outcomes);
+    interleave::try_explore(small(), move || {
+        let (tx, rx) = bounded::<u8>(1);
+        let consumer = thread::spawn(move || {
+            rx.recv_deadline(Instant::now() + Duration::from_millis(5))
+                == Err(RecvTimeoutError::Timeout)
+        });
+        let timed_out = consumer.join().expect("consumer ok");
+        drop(tx);
+        sink.lock().expect("outcome sink").insert(timed_out);
+    })
+    .expect("a timed recv on a quiet channel must not fail");
+    assert_eq!(
+        *outcomes.lock().expect("outcome sink"),
+        BTreeSet::from([true]),
+        "with no sender activity the only outcome is a timeout"
+    );
+}
+
+/// The collector's settle poll: hand a job to the worker, then wait for
+/// its outcome with the timed receive a poll at a time, the way
+/// `collect_attempt` waits `SETTLE_POLL` and goes back to waiting when the
+/// poll expires. The explorer must reach both "a poll timed out before
+/// the outcome arrived" and "the outcome arrived within the first poll",
+/// and no schedule may deadlock or diverge on replay.
+#[cfg(feature = "interleave")]
+#[test]
+fn model_check_settle_poll_reaches_timeout_and_arrival() {
+    const SETTLE_POLL: Duration = Duration::from_millis(5);
+    let outcomes = Arc::new(StdMutex::new(BTreeSet::new()));
+    let sink = Arc::clone(&outcomes);
+    // Two fired polls per thread already separate "timed out first" from
+    // "arrived first"; the small budget keeps the exploration exhaustive.
+    let cfg = interleave::Config {
+        max_timeouts: 2,
+        ..small()
+    };
+    let report = interleave::try_explore(cfg, move || {
+        let (job_tx, job_rx) = bounded::<u64>(1);
+        let (out_tx, out_rx) = bounded::<u64>(1);
+        let worker = thread::spawn(move || {
+            while let Ok(job) = job_rx.recv() {
+                out_tx.send(job).expect("collector alive");
+            }
+        });
+        job_tx.send(7).expect("worker alive");
+        let mut polls_expired = 0usize;
+        let out = loop {
+            match out_rx.recv_deadline(Instant::now() + SETTLE_POLL) {
+                Ok(out) => break out,
+                Err(RecvTimeoutError::Timeout) => polls_expired += 1,
+                Err(RecvTimeoutError::Disconnected) => panic!("worker hung up mid-job"),
+            }
+        };
+        assert_eq!(out, 7, "the outcome is the job's own");
+        drop(job_tx);
+        worker.join().expect("worker ok");
+        sink.lock().expect("outcome sink").insert(polls_expired > 0);
+    })
+    .expect("no schedule of the settle poll may fail or diverge");
+    println!(
+        "model-check: settle poll explored {} schedules (truncated: {})",
+        report.schedules, report.truncated
+    );
+    assert!(!report.truncated, "{report:?}");
+    assert_eq!(
+        *outcomes.lock().expect("outcome sink"),
+        BTreeSet::from([false, true]),
+        "exploration must reach both a fired poll timeout and a prompt arrival"
     );
 }
 

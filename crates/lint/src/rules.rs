@@ -141,6 +141,7 @@ impl Default for Config {
                 "fl/src/session.rs",
                 "fl/src/wire.rs",
                 "fl/src/ingest.rs",
+                "fl/src/sync.rs",
                 "core/src/pipeline.rs",
                 "bench/",
                 "netsim/",

@@ -1,7 +1,7 @@
 // Fixture: bounded constructors pass, and test code may use unbounded
 // queues freely.
 
-pub fn bounded_pair() -> (Sender<u8>, Receiver<u8>) {
+pub fn backpressured_pair() -> (Sender<u8>, Receiver<u8>) {
     let (tx, rx) = bounded(16);
     (tx, rx)
 }

@@ -4,7 +4,7 @@ pub fn mpsc_pair() -> (std::sync::mpsc::Sender<u8>, std::sync::mpsc::Receiver<u8
     std::sync::mpsc::channel()
 }
 
-pub fn crossbeam_pair() -> (Sender<u8>, Receiver<u8>) {
+pub fn unbounded_pair() -> (Sender<u8>, Receiver<u8>) {
     let (tx, rx) = unbounded();
     (tx, rx)
 }
