@@ -464,6 +464,14 @@ mod tests {
     }
 
     #[test]
+    fn encoding_is_pinned() {
+        // Written against the field-by-field encoder: any change to the
+        // FCP3 row layout or field order moves this checksum.
+        let bytes = sample_ckpt(3).encode();
+        assert_eq!(fedsz_entropy::crc32::crc32(&bytes), 0x37C6_5346);
+    }
+
+    #[test]
     fn every_truncation_is_an_error() {
         let bytes = sample_ckpt(1).encode();
         for cut in 0..bytes.len() {
