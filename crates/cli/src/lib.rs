@@ -354,10 +354,6 @@ pub struct FlOpts {
     /// Client-side idle timeout in milliseconds: a client exits once the
     /// server has been silent this long.
     pub idle_timeout_ms: Option<u64>,
-    /// First TCP reconnect delay in milliseconds (doubles per attempt).
-    pub backoff_base_ms: u64,
-    /// Ceiling on the TCP reconnect delay in milliseconds.
-    pub backoff_max_ms: u64,
     /// Minimum valid updates per round before aggregating.
     pub min_quorum: usize,
     /// Retries for a quorum-starved round before aborting.
@@ -382,9 +378,6 @@ pub struct FlOpts {
     /// Minimum uplink byte rate (bytes/second) a TCP connection must hold
     /// mid-frame; slower peers are shed. 0 disables enforcement.
     pub min_byte_rate: u64,
-    /// TCP handshake deadline in milliseconds: a fresh connection must
-    /// complete its Hello within this window.
-    pub handshake_timeout_ms: u64,
     /// Server aggregation mode: `mean` (plain FedAvg, the default),
     /// `clipped-mean` (norm-screened), or `trimmed-mean` (coordinate-wise
     /// trim). The robust modes buffer the cohort — see
@@ -413,8 +406,6 @@ impl Default for FlOpts {
             client_id: None,
             deadline_ms: None,
             idle_timeout_ms: None,
-            backoff_base_ms: 25,
-            backoff_max_ms: 1000,
             min_quorum: 1,
             retries: 0,
             seed: 42,
@@ -424,7 +415,6 @@ impl Default for FlOpts {
             ingest_workers: None,
             ingest_budget_bytes: None,
             min_byte_rate: 0,
-            handshake_timeout_ms: 5000,
             aggregation: "mean".into(),
             clip_factor: None,
             trim_k: None,
@@ -506,12 +496,6 @@ pub fn cmd_fl(opts: &FlOpts) -> Result<String, CliError> {
             "--listen and --connect are mutually exclusive".into(),
         ));
     }
-    if opts.backoff_base_ms == 0 || opts.backoff_max_ms < opts.backoff_base_ms {
-        return Err(CliError::Usage(format!(
-            "backoff must satisfy 0 < --backoff-base-ms <= --backoff-max-ms, got {} and {}",
-            opts.backoff_base_ms, opts.backoff_max_ms
-        )));
-    }
     if opts.checkpoint_dir.is_none() && (opts.resume || opts.checkpoint_every != 1) {
         return Err(CliError::Usage(
             "--resume/--checkpoint-every require --checkpoint-dir".into(),
@@ -533,11 +517,6 @@ pub fn cmd_fl(opts: &FlOpts) -> Result<String, CliError> {
             "--ingest-workers {} is unreasonable (max 1024)",
             opts.ingest_workers.unwrap_or_default()
         )));
-    }
-    if opts.handshake_timeout_ms == 0 {
-        return Err(CliError::Usage(
-            "--handshake-timeout-ms must be at least 1".into(),
-        ));
     }
     let ingest_workers = opts
         .ingest_workers
@@ -571,9 +550,6 @@ pub fn cmd_fl(opts: &FlOpts) -> Result<String, CliError> {
         ..TransportConfig::default()
     };
     let ncfg = NetConfig {
-        backoff_base: Duration::from_millis(opts.backoff_base_ms),
-        backoff_max: Duration::from_millis(opts.backoff_max_ms),
-        handshake_timeout: Duration::from_millis(opts.handshake_timeout_ms),
         min_byte_rate: opts.min_byte_rate,
         ..NetConfig::default()
     };
@@ -583,7 +559,7 @@ pub fn cmd_fl(opts: &FlOpts) -> Result<String, CliError> {
         let id = opts
             .client_id
             .ok_or_else(|| CliError::Usage("--connect requires --client-id".into()))?;
-        fedsz_fl::run_tcp_client(addr, id, &cfg, idle, &ncfg).map_err(classify_fl)?;
+        fedsz_fl::run_tcp_client(addr, id, &cfg, idle).map_err(classify_fl)?;
         return Ok(format!(
             "client {id} finished against {addr} ({} clients x {} samples, seed {})",
             opts.clients, opts.samples, opts.seed
@@ -937,25 +913,10 @@ mod tests {
             }),
             Err(CliError::Usage(_))
         ));
-        assert!(matches!(
-            cmd_fl(&FlOpts {
-                backoff_base_ms: 0,
-                ..FlOpts::default()
-            }),
-            Err(CliError::Usage(_))
-        ));
         // Absurd worker counts are rejected before any threads spawn.
         assert!(matches!(
             cmd_fl(&FlOpts {
                 ingest_workers: Some(4096),
-                ..FlOpts::default()
-            }),
-            Err(CliError::Usage(_))
-        ));
-        // A zero handshake deadline would reject every connection.
-        assert!(matches!(
-            cmd_fl(&FlOpts {
-                handshake_timeout_ms: 0,
                 ..FlOpts::default()
             }),
             Err(CliError::Usage(_))

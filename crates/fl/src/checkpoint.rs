@@ -42,7 +42,6 @@ use std::fs::{self, File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use fedsz::{FaultCounters, QuarantineReasons, SuspectReasons};
 use fedsz_entropy::crc32::Crc32;
 use fedsz_entropy::reader;
 use fedsz_tensor::StateDict;
@@ -170,27 +169,15 @@ impl Checkpoint {
         out.extend_from_slice(&self.fingerprint.to_le_bytes());
         out.extend_from_slice(&(self.round as u64).to_le_bytes());
         out.extend_from_slice(&(self.rounds.len() as u64).to_le_bytes());
-        for r in &self.rounds {
-            out.extend_from_slice(&(r.round as u64).to_le_bytes());
-            out.extend_from_slice(&r.accuracy.to_bits().to_le_bytes());
-            out.extend_from_slice(&r.train_s_total.to_bits().to_le_bytes());
-            out.extend_from_slice(&r.compress_s_total.to_bits().to_le_bytes());
-            out.extend_from_slice(&r.decompress_s_total.to_bits().to_le_bytes());
-            out.extend_from_slice(&(r.bytes_on_wire as u64).to_le_bytes());
-            out.extend_from_slice(&(r.bytes_down_wire as u64).to_le_bytes());
-            out.extend_from_slice(&(r.bytes_uncompressed as u64).to_le_bytes());
-            out.extend_from_slice(&(r.faults.delivered as u64).to_le_bytes());
-            out.extend_from_slice(&(r.faults.rejected as u64).to_le_bytes());
-            out.extend_from_slice(&(r.faults.quarantined as u64).to_le_bytes());
-            out.extend_from_slice(&(r.faults.shed as u64).to_le_bytes());
-            out.extend_from_slice(&(r.faults.late as u64).to_le_bytes());
-            out.extend_from_slice(&(r.faults.dropped as u64).to_le_bytes());
-            out.extend_from_slice(&(r.faults.suspected as u64).to_le_bytes());
-            out.extend_from_slice(&(r.quarantine_reasons.non_finite as u64).to_le_bytes());
-            out.extend_from_slice(&(r.quarantine_reasons.wrong_shape as u64).to_le_bytes());
-            out.extend_from_slice(&(r.quarantine_reasons.bad_count as u64).to_le_bytes());
-            out.extend_from_slice(&(r.suspect_reasons.norm_outlier as u64).to_le_bytes());
-            out.extend_from_slice(&(r.suspect_reasons.trim_eliminated as u64).to_le_bytes());
+        for mut r in self.rounds.iter().copied() {
+            let (round, reals, counts) = row_fields(&mut r);
+            out.extend_from_slice(&(*round as u64).to_le_bytes());
+            for x in reals {
+                out.extend_from_slice(&x.to_bits().to_le_bytes());
+            }
+            for n in counts {
+                out.extend_from_slice(&(*n as u64).to_le_bytes());
+            }
         }
         out.extend_from_slice(&(sd_bytes.len() as u64).to_le_bytes());
         out.extend_from_slice(&sd_bytes);
@@ -241,63 +228,29 @@ impl Checkpoint {
         }
         let mut rounds = Vec::with_capacity(n_rounds as usize);
         for i in 0..n_rounds {
-            let row_round = read_u64(body, &mut pos)?;
-            if row_round != i {
+            let mut row = RoundMetrics::default();
+            let (round, reals, counts) = row_fields(&mut row);
+            *round = read_usize(body, &mut pos)?;
+            for x in reals {
+                *x = f64::from_bits(read_u64(body, &mut pos)?);
+            }
+            for n in counts {
+                *n = read_usize(body, &mut pos)?;
+            }
+            if row.round as u64 != i {
                 return Err(corrupt("metrics rows out of order"));
             }
-            let accuracy = f64::from_bits(read_u64(body, &mut pos)?);
-            let train_s_total = f64::from_bits(read_u64(body, &mut pos)?);
-            let compress_s_total = f64::from_bits(read_u64(body, &mut pos)?);
-            let decompress_s_total = f64::from_bits(read_u64(body, &mut pos)?);
-            let bytes_on_wire = read_usize(body, &mut pos)?;
-            let bytes_down_wire = read_usize(body, &mut pos)?;
-            let bytes_uncompressed = read_usize(body, &mut pos)?;
-            let delivered = read_usize(body, &mut pos)?;
-            let rejected = read_usize(body, &mut pos)?;
-            let quarantined = read_usize(body, &mut pos)?;
-            let shed = read_usize(body, &mut pos)?;
-            let late = read_usize(body, &mut pos)?;
-            let dropped = read_usize(body, &mut pos)?;
-            let suspected = read_usize(body, &mut pos)?;
-            let faults = FaultCounters {
-                delivered,
-                rejected,
-                quarantined,
-                suspected,
-                shed,
-                late,
-                dropped,
-            };
-            let quarantine_reasons = QuarantineReasons {
-                non_finite: read_usize(body, &mut pos)?,
-                wrong_shape: read_usize(body, &mut pos)?,
-                bad_count: read_usize(body, &mut pos)?,
-            };
-            let suspect_reasons = SuspectReasons {
-                norm_outlier: read_usize(body, &mut pos)?,
-                trim_eliminated: read_usize(body, &mut pos)?,
-            };
             // The server maintains these as invariants when it writes a
             // checkpoint; a row that violates them was not produced by
             // this code, however valid its CRC.
-            if quarantine_reasons.total() != quarantined || suspect_reasons.total() != suspected {
+            if row.quarantine_reasons.total() != row.faults.quarantined
+                || row.suspect_reasons.total() != row.faults.suspected
+            {
                 return Err(corrupt(
                     "fault-reason breakdown does not sum to its counter",
                 ));
             }
-            rounds.push(RoundMetrics {
-                round: row_round as usize,
-                accuracy,
-                train_s_total,
-                compress_s_total,
-                decompress_s_total,
-                bytes_on_wire,
-                bytes_down_wire,
-                bytes_uncompressed,
-                faults,
-                quarantine_reasons,
-                suspect_reasons,
-            });
+            rounds.push(row);
         }
         let sd_len = read_usize(body, &mut pos)?;
         let sd_bytes = reader::take(body, &mut pos, sd_len)
@@ -322,6 +275,41 @@ fn read_u64(body: &[u8], pos: &mut usize) -> Result<u64, FlError> {
 
 fn read_usize(body: &[u8], pos: &mut usize) -> Result<usize, FlError> {
     usize::try_from(read_u64(body, pos)?).map_err(|_| corrupt("value exceeds usize"))
+}
+
+/// Every field of a metrics row, in file order: the round; accuracy and
+/// the three stage times, stored as `f64` bits; then the byte and fault
+/// counts. `encode` and `decode` both walk this one list.
+fn row_fields(r: &mut RoundMetrics) -> (&mut usize, [&mut f64; 4], [&mut usize; 15]) {
+    let (f, q, s) = (
+        &mut r.faults,
+        &mut r.quarantine_reasons,
+        &mut r.suspect_reasons,
+    );
+    let reals = [
+        &mut r.accuracy,
+        &mut r.train_s_total,
+        &mut r.compress_s_total,
+        &mut r.decompress_s_total,
+    ];
+    let counts = [
+        &mut r.bytes_on_wire,
+        &mut r.bytes_down_wire,
+        &mut r.bytes_uncompressed,
+        &mut f.delivered,
+        &mut f.rejected,
+        &mut f.quarantined,
+        &mut f.shed,
+        &mut f.late,
+        &mut f.dropped,
+        &mut f.suspected,
+        &mut q.non_finite,
+        &mut q.wrong_shape,
+        &mut q.bad_count,
+        &mut s.norm_outlier,
+        &mut s.trim_eliminated,
+    ];
+    (&mut r.round, reals, counts)
 }
 
 /// File name for the checkpoint of completed round `round`.
@@ -412,6 +400,7 @@ pub fn load_latest(dir: &Path, fingerprint: u64) -> Result<Option<Checkpoint>, F
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fedsz::{FaultCounters, QuarantineReasons, SuspectReasons};
     use fedsz_tensor::{Tensor, TensorKind};
 
     fn sample_ckpt(round: usize) -> Checkpoint {

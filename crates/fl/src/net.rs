@@ -13,16 +13,16 @@
 //!   handshaken (the client's first frame must be a [`Frame::Hello`] naming
 //!   its slot) on a short-lived thread and then handed to the server as a
 //!   `Joined` event.
-//! * A **reader thread per connection** decodes uplink frames. Frames with
-//!   a bad CRC or body stay on the connection (the length prefix keeps the
-//!   stream framed) and surface as `Garbage` — counted `rejected`, exactly
-//!   like a payload that fails to decode. A mid-frame EOF or stall is
-//!   `Garbage` + `Gone`; a clean close is just `Gone`.
-//! * **Generation counters** per slot make reconnects race-free: control
-//!   events (`Garbage`/`Gone`) from a replaced connection are discarded,
-//!   while genuine `Update` messages are never filtered by generation —
-//!   the round/attempt check in the collect loop already handles
-//!   staleness.
+//! * A **reader thread per connection** decodes uplink frames into the
+//!   [`Uplink`] the collector sees. Frames with a bad CRC or body stay on
+//!   the connection (the length prefix keeps the stream framed) and surface
+//!   as `Garbage` — counted `rejected`, exactly like a payload that fails
+//!   to decode. A mid-frame EOF or stall is `Garbage` + `Gone`; a clean
+//!   close is just `Gone`.
+//! * **Generation counters** per slot make reconnects race-free: reports
+//!   (`Garbage`/`Shed`/`Gone`) from a replaced connection are discarded,
+//!   while genuine `Msg` updates are never filtered by generation — the
+//!   round/attempt check in the collect loop already handles staleness.
 //! * Clients **reconnect with exponential backoff** (deterministic jitter)
 //!   whenever the socket dies, and a rejoining client is served again from
 //!   the next broadcast. The server grants each lost slot one bounded
@@ -47,7 +47,7 @@ use crate::budget::{Ledger, RoundGate};
 use crate::error::FlError;
 use crate::fault::{FaultKind, FaultPlan};
 use crate::session::{FlConfig, FlRunResult};
-use crate::sync::channel::{bounded, Receiver, Sender, TrySendError};
+use crate::sync::channel::{bounded, Receiver, SendError, Sender};
 use crate::transport::{
     lossless_config, recv_until, serve, setup_data, setup_run, Answer, BroadcastOutcome, Client,
     ClientMsg, Moves, RecvEnd, ServerTransport, TransportConfig, Uplink,
@@ -70,6 +70,18 @@ const MAX_RECONNECTS: usize = 5;
 /// stalls longer mid-frame is treated as corrupt + gone.
 const FRAME_BUDGET: Duration = Duration::from_secs(10);
 
+/// Budget for a fresh connection to complete its Hello handshake. A
+/// connection that has not named its slot within this window is rejected,
+/// so a dialer that connects and goes silent cannot pin handshake threads
+/// forever.
+const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// First reconnect delay; doubles per failed attempt.
+const BACKOFF_BASE: Duration = Duration::from_millis(25);
+
+/// Ceiling on the exponential reconnect delay.
+const BACKOFF_MAX: Duration = Duration::from_secs(1);
+
 /// Socket-level policy for the TCP transport. Round semantics (deadline,
 /// quorum, retries, faults) stay in [`TransportConfig`]; this covers only
 /// what a real network adds: joining, reconnecting, and stalling.
@@ -79,15 +91,6 @@ pub struct NetConfig {
     /// Granted at most once per disconnection, so a permanently dead
     /// client delays one broadcast, not every one.
     pub rejoin_grace: Duration,
-    /// First reconnect delay; doubles per failed attempt.
-    pub backoff_base: Duration,
-    /// Ceiling on the exponential backoff delay.
-    pub backoff_max: Duration,
-    /// Budget for a fresh connection to complete its Hello handshake. A
-    /// connection that has not named its slot within this window is
-    /// rejected, so a dialer that connects and goes silent cannot pin
-    /// handshake threads forever.
-    pub handshake_timeout: Duration,
     /// Minimum sustained uplink byte rate (bytes/second) a connection must
     /// hold once a frame is in flight, enforced after a short grace
     /// ([`wire::RATE_GRACE`]). A slow-dripping peer is **shed** — counted
@@ -101,68 +104,54 @@ impl Default for NetConfig {
     fn default() -> Self {
         Self {
             rejoin_grace: Duration::from_secs(2),
-            backoff_base: Duration::from_millis(25),
-            backoff_max: Duration::from_secs(1),
-            handshake_timeout: Duration::from_secs(5),
             min_byte_rate: 0,
         }
     }
 }
 
-/// Exponential backoff with deterministic jitter: `base * 2^attempt`
-/// capped at `max`, plus up to 25% jitter drawn from a seeded PRNG (so two
-/// clients hammered off the same server do not reconnect in lockstep, yet
-/// tests replay identically).
-pub(crate) struct Backoff {
-    base: Duration,
-    max: Duration,
+/// Exponential backoff with deterministic jitter: `BACKOFF_BASE * 2^attempt`
+/// capped at `BACKOFF_MAX`, plus up to 25% jitter drawn from a seeded PRNG
+/// (so two clients hammered off the same server do not reconnect in
+/// lockstep, yet tests replay identically).
+struct Backoff {
     attempt: u32,
     rng: SplitMix64,
 }
 
 impl Backoff {
-    pub(crate) fn new(base: Duration, max: Duration, seed: u64) -> Self {
+    fn new(seed: u64) -> Self {
         Self {
-            base,
-            max,
             attempt: 0,
             rng: SplitMix64::new(seed),
         }
     }
 
     /// Delay before the next reconnect attempt.
-    pub(crate) fn next_delay(&mut self) -> Duration {
+    fn next_delay(&mut self) -> Duration {
         let doubling = 1u32.checked_shl(self.attempt).unwrap_or(u32::MAX);
-        let raw = self.base.saturating_mul(doubling).min(self.max);
+        let raw = BACKOFF_BASE.saturating_mul(doubling).min(BACKOFF_MAX);
         self.attempt = self.attempt.saturating_add(1);
         let jitter = (self.rng.next_u64() % 1024) as f64 / 1024.0;
         raw + raw.mul_f64(0.25 * jitter)
     }
 
     /// Back to the base delay (call after a successful connection).
-    pub(crate) fn reset(&mut self) {
+    fn reset(&mut self) {
         self.attempt = 0;
     }
 }
 
-/// Uplink-side events merged from the acceptor and all reader threads.
-enum Event {
+/// What the acceptor and the reader threads tell the server.
+enum Inbound {
     /// A connection completed its Hello handshake for this slot.
     Joined { client_id: usize, stream: TcpStream },
-    /// A structurally valid update frame.
-    Update(ClientMsg),
-    /// A frame this connection sent failed wire-level validation.
-    Garbage { client_id: usize, gen: u64 },
-    /// Admission control turned this connection's update away at the
-    /// frame header — it could never fit the ingest budget, or the
-    /// connection fell below the minimum byte rate.
-    Shed { client_id: usize, gen: u64 },
-    /// This connection is no longer readable.
-    Gone { client_id: usize, gen: u64 },
+    /// What one reader made of its connection, tagged with the connection's
+    /// generation.
+    Uplink { gen: u64, uplink: Uplink },
 }
 
 /// One client slot: the live connection (if any), a generation counter
-/// that invalidates events from replaced connections, and whether the slot
+/// that invalidates reports from replaced connections, and whether the slot
 /// is still owed its one rejoin grace.
 struct Slot {
     stream: Option<TcpStream>,
@@ -174,8 +163,10 @@ struct Slot {
 /// [`serve`] can drive it exactly like the channel transport.
 struct TcpServer {
     slots: Vec<Slot>,
-    events_rx: Receiver<Event>,
-    events_tx: Sender<Event>,
+    events_rx: Receiver<Inbound>,
+    events_tx: Sender<Inbound>,
+    /// Stops the acceptor and the handshake threads, which poll sockets no
+    /// slot owns.
     shutdown: Arc<AtomicBool>,
     acceptor: Option<std::thread::JoinHandle<()>>,
     readers: Vec<std::thread::JoinHandle<()>>,
@@ -184,7 +175,6 @@ struct TcpServer {
     bcast_cfg: fedsz::FedSzConfig,
     ledger: Arc<Ledger>,
     gate: Arc<RoundGate>,
-    stopped: bool,
 }
 
 impl TcpServer {
@@ -198,17 +188,16 @@ impl TcpServer {
         listener
             .set_nonblocking(true)
             .map_err(|e| FlError::Transport(format!("listener nonblocking: {e}")))?;
-        // Bounded event queue: readers that outrun the collector block on
-        // `send_event` (backpressure) instead of growing server memory. Two
-        // slots per registered client cover an update plus a control event
-        // each, with slack for handshake bursts.
+        // Bounded event queue: readers that outrun the collector block in
+        // `send` (backpressure) instead of growing server memory. Two slots
+        // per registered client cover an update plus a report each, with
+        // slack for handshake bursts.
         let (events_tx, events_rx) = bounded(n_clients.saturating_mul(2).saturating_add(16));
         let shutdown = Arc::new(AtomicBool::new(false));
-        let handshake_timeout = ncfg.handshake_timeout;
         let acceptor = {
             let tx = events_tx.clone();
             let stop = Arc::clone(&shutdown);
-            std::thread::spawn(move || acceptor_loop(listener, handshake_timeout, tx, stop))
+            std::thread::spawn(move || acceptor_loop(listener, tx, stop))
         };
         Ok(Self {
             slots: (0..n_clients)
@@ -227,7 +216,6 @@ impl TcpServer {
             bcast_cfg,
             ledger,
             gate: Arc::new(RoundGate::new(n_clients)),
-            stopped: false,
         })
     }
 
@@ -256,21 +244,13 @@ impl TcpServer {
         slot.grace_owed = false;
         slot.stream = Some(stream);
         let tx = self.events_tx.clone();
-        let stop = Arc::clone(&self.shutdown);
         let gen = slot.gen;
         let min_rate = self.ncfg.min_byte_rate;
         let ledger = Arc::clone(&self.ledger);
         let gate = Arc::clone(&self.gate);
         self.readers.push(std::thread::spawn(move || {
-            reader_loop(reader, client_id, gen, min_rate, ledger, gate, tx, stop)
+            reader_loop(reader, client_id, gen, min_rate, ledger, gate, tx)
         }));
-    }
-
-    /// Is this `(client_id, gen)` the currently installed connection?
-    fn current(&self, client_id: usize, gen: u64) -> bool {
-        self.slots
-            .get(client_id)
-            .is_some_and(|s| s.stream.is_some() && s.gen == gen)
     }
 
     fn uninstall(&mut self, client_id: usize) {
@@ -282,21 +262,47 @@ impl TcpServer {
         }
     }
 
-    /// Handle an event outside the collect loop (joining, leaving). Data
-    /// events are dropped here: between rounds every update or broken
-    /// frame is stale and was already accounted when it ran late.
-    fn process_control(&mut self, ev: Event) {
-        match ev {
-            Event::Joined { client_id, stream } => self.install(client_id, stream),
-            Event::Gone { client_id, gen } => {
-                if self.current(client_id, gen) {
-                    self.uninstall(client_id);
-                }
+    /// Apply one inbound event to the slots and pass on what the collector
+    /// should see of it. A join is installed and passes nothing on. A report
+    /// from a replaced connection is dropped, and `Gone` from the current
+    /// one uninstalls it. Updates are never filtered by generation: a valid
+    /// update is a valid update, and the collect loop's round/attempt check
+    /// already discards stale ones.
+    fn apply(&mut self, inbound: Inbound) -> Option<Uplink> {
+        let (gen, uplink) = match inbound {
+            Inbound::Joined { client_id, stream } => {
+                self.install(client_id, stream);
+                return None;
             }
-            // Between rounds every data event is stale; a stale update
-            // still holds a budget reservation that must be handed back.
-            Event::Update(msg) => self.ledger.release(msg.reserved),
-            Event::Garbage { .. } | Event::Shed { .. } => {}
+            Inbound::Uplink { gen, uplink } => (gen, uplink),
+        };
+        let client_id = match &uplink {
+            Uplink::Msg(_) => return Some(uplink),
+            Uplink::Garbage { client_id }
+            | Uplink::Shed { client_id }
+            | Uplink::Gone { client_id }
+            | Uplink::Raw { client_id, .. } => *client_id,
+        };
+        let current = self
+            .slots
+            .get(client_id)
+            .is_some_and(|s| s.stream.is_some() && s.gen == gen);
+        if !current {
+            return None;
+        }
+        if matches!(uplink, Uplink::Gone { .. }) {
+            self.uninstall(client_id);
+        }
+        Some(uplink)
+    }
+
+    /// [`apply`](Self::apply) outside the collect loop (joining, leaving).
+    /// Between rounds every update is stale, but it still holds a budget
+    /// reservation that must be handed back; every other report was
+    /// already accounted when it ran late.
+    fn absorb(&mut self, inbound: Inbound) {
+        if let Some(Uplink::Msg(msg)) = self.apply(inbound) {
+            self.ledger.release(msg.reserved);
         }
     }
 
@@ -304,25 +310,24 @@ impl TcpServer {
     fn await_joins(&mut self, want: usize) -> usize {
         let deadline = Instant::now() + JOIN_TIMEOUT;
         while self.installed() < want {
-            let Ok(ev) = self.events_rx.recv_deadline(deadline) else {
+            let Ok(inbound) = self.events_rx.recv_deadline(deadline) else {
                 break;
             };
-            self.process_control(ev);
+            self.absorb(inbound);
         }
         self.installed()
     }
 
-    /// Send Stop to every live client, close everything, join the threads.
+    /// Tear down in an order no thread can wedge: close the ledger (a
+    /// reader waiting to reserve fails), drop the event receiver (a sender
+    /// parked on the full queue gets its event back), stop the acceptor,
+    /// send Stop to every live client and shut every socket down (a reader
+    /// blocked in a read sees the close), then join.
     fn stop(&mut self) {
-        if self.stopped {
-            return;
-        }
-        self.stopped = true;
-        // Fail any reader blocked in `Ledger::reserve` first, then raise
-        // the flag: a reader blocked in `send_event` re-checks it within
-        // one poll interval, so the joins below cannot deadlock on a full
-        // event queue.
         self.ledger.close();
+        // Replacing the receiver drops ours; the stand-in's channel has no
+        // sender, so the second call from `Drop` is harmless.
+        drop(std::mem::replace(&mut self.events_rx, bounded(1).1));
         self.shutdown.store(true, Ordering::SeqCst);
         let stop_bytes = wire::encode(&Frame::Stop);
         for slot in &mut self.slots {
@@ -355,8 +360,8 @@ impl ServerTransport for TcpServer {
         model: &Arc<fedsz_tensor::StateDict>,
     ) -> BroadcastOutcome {
         // Adopt rejoins and disconnects that happened between rounds.
-        while let Ok(ev) = self.events_rx.try_recv() {
-            self.process_control(ev);
+        while let Ok(inbound) = self.events_rx.try_recv() {
+            self.absorb(inbound);
         }
         // Each freshly lost *cohort* slot gets one bounded chance to rejoin
         // before it misses a broadcast. Disconnected clients outside the
@@ -371,10 +376,10 @@ impl ServerTransport for TcpServer {
         if grace_pending(&self.slots) {
             let deadline = Instant::now() + self.ncfg.rejoin_grace;
             while grace_pending(&self.slots) {
-                let Ok(ev) = self.events_rx.recv_deadline(deadline) else {
+                let Ok(inbound) = self.events_rx.recv_deadline(deadline) else {
                     break;
                 };
-                self.process_control(ev);
+                self.absorb(inbound);
             }
             for &id in cohort {
                 if let Some(slot) = self.slots.get_mut(id) {
@@ -422,28 +427,8 @@ impl ServerTransport for TcpServer {
 
     fn recv(&mut self, cutoff: Option<Instant>) -> Result<Uplink, RecvEnd> {
         loop {
-            match recv_until(&self.events_rx, cutoff)? {
-                // Updates are never filtered by generation: a valid update
-                // is a valid update, and the collect loop's round/attempt
-                // check already discards stale ones.
-                Event::Update(msg) => return Ok(Uplink::Msg(msg)),
-                Event::Garbage { client_id, gen } => {
-                    if self.current(client_id, gen) {
-                        return Ok(Uplink::Garbage { client_id });
-                    }
-                }
-                Event::Shed { client_id, gen } => {
-                    if self.current(client_id, gen) {
-                        return Ok(Uplink::Shed { client_id });
-                    }
-                }
-                Event::Gone { client_id, gen } => {
-                    if self.current(client_id, gen) {
-                        self.uninstall(client_id);
-                        return Ok(Uplink::Gone { client_id });
-                    }
-                }
-                Event::Joined { client_id, stream } => self.install(client_id, stream),
+            if let Some(uplink) = self.apply(recv_until(&self.events_rx, cutoff)?) {
+                return Ok(uplink);
             }
         }
     }
@@ -451,12 +436,7 @@ impl ServerTransport for TcpServer {
 
 /// Accept connections and hand each to a short-lived handshake thread
 /// (so one stalling client cannot block later joiners).
-fn acceptor_loop(
-    listener: TcpListener,
-    handshake_timeout: Duration,
-    tx: Sender<Event>,
-    stop: Arc<AtomicBool>,
-) {
+fn acceptor_loop(listener: TcpListener, tx: Sender<Inbound>, stop: Arc<AtomicBool>) {
     loop {
         if stop.load(Ordering::SeqCst) {
             return;
@@ -465,7 +445,7 @@ fn acceptor_loop(
             Ok((stream, _)) => {
                 let tx = tx.clone();
                 let stop = Arc::clone(&stop);
-                std::thread::spawn(move || handshake(stream, handshake_timeout, tx, stop));
+                std::thread::spawn(move || handshake(stream, tx, stop));
             }
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
@@ -473,46 +453,25 @@ fn acceptor_loop(
 }
 
 /// Read the Hello frame off a fresh connection; anything else (or a stall
-/// past the handshake budget) rejects the connection.
-fn handshake(mut stream: TcpStream, timeout: Duration, tx: Sender<Event>, stop: Arc<AtomicBool>) {
+/// past [`HANDSHAKE_TIMEOUT`]) rejects the connection.
+fn handshake(mut stream: TcpStream, tx: Sender<Inbound>, stop: Arc<AtomicBool>) {
     if stream.set_read_timeout(Some(POLL)).is_err() {
         return;
     }
-    let deadline = Instant::now() + timeout;
+    let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
     loop {
         if stop.load(Ordering::SeqCst) || Instant::now() >= deadline {
             return;
         }
-        match wire::read_frame(&mut stream, timeout) {
+        match wire::read_frame(&mut stream, HANDSHAKE_TIMEOUT) {
             Ok(Frame::Hello { client_id }) => {
-                let _ = send_event(&tx, &stop, Event::Joined { client_id, stream });
+                // Refused only at shutdown; the stream closes as it drops.
+                let _ = tx.send(Inbound::Joined { client_id, stream });
                 return;
             }
             Ok(_) => return,           // protocol violation: reject
             Err(WireError::Idle) => {} // nothing yet; poll again
             Err(_) => return,
-        }
-    }
-}
-
-/// Deliver `ev` to the bounded event queue, blocking (in poll steps) while
-/// it is full. This is the server's backpressure point: a reader that
-/// outruns the collector parks here holding exactly one decoded frame.
-/// Returns the event back when the server is shutting down or the queue is
-/// gone, so the caller can unwind anything the event carried (a budget
-/// reservation, an owned stream).
-fn send_event(tx: &Sender<Event>, stop: &AtomicBool, mut ev: Event) -> Result<(), Event> {
-    loop {
-        match tx.try_send(ev) {
-            Ok(()) => return Ok(()),
-            Err(TrySendError::Full(back)) => {
-                if stop.load(Ordering::SeqCst) {
-                    return Err(back);
-                }
-                ev = back;
-                std::thread::sleep(POLL);
-            }
-            Err(TrySendError::Disconnected(back)) => return Err(back),
         }
     }
 }
@@ -531,7 +490,10 @@ fn send_event(tx: &Sender<Event>, stop: &AtomicBool, mut ev: Event) -> Result<()
 /// killed. Both shed triggers are pure functions of the frame — its
 /// announced size, its byte rate — never of ledger occupancy, so shedding
 /// is deterministic across runs and transports.
-#[allow(clippy::too_many_arguments)]
+///
+/// Each of the loop's waits ends at shutdown without a flag: the server
+/// shuts the socket down (a read returns), closes the ledger (a
+/// reservation fails), and drops the event receiver (a send fails).
 fn reader_loop(
     mut stream: TcpStream,
     client_id: usize,
@@ -539,19 +501,15 @@ fn reader_loop(
     min_rate: u64,
     ledger: Arc<Ledger>,
     gate: Arc<RoundGate>,
-    tx: Sender<Event>,
-    stop: Arc<AtomicBool>,
+    tx: Sender<Inbound>,
 ) {
     // One body buffer for the connection's lifetime: it grows to the
     // largest frame seen and is reused, so steady-state uplink traffic
     // performs zero per-frame body allocations.
     let mut scratch = Vec::new();
-    let garbage = || Event::Garbage { client_id, gen };
-    let shed = || Event::Shed { client_id, gen };
+    let garbage = || Uplink::Garbage { client_id };
+    let shed = || Uplink::Shed { client_id };
     loop {
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
         // Bytes this iteration holds in the ledger; nonzero from the
         // moment the gate admits until the frame's fate is known.
         let mut reserved = 0usize;
@@ -563,9 +521,9 @@ fn reader_loop(
                 }
                 verdict
             });
-        // What the frame comes to: at most one event for the collector,
+        // What the frame comes to: at most one uplink for the collector,
         // and whether the connection is gone after it.
-        let (event, gone) = match res {
+        let (uplink, gone) = match res {
             Ok(Frame::Update {
                 round,
                 attempt,
@@ -582,10 +540,10 @@ fn reader_loop(
                 // duplicate, a stray for an unsampled slot, a straggler
                 // from a finished attempt — is dropped right here,
                 // already accounted (late) where it mattered.
-                let event = if echoed != client_id {
+                let uplink = if echoed != client_id {
                     Some(garbage())
                 } else if gate.admit(client_id, round, attempt) {
-                    Some(Event::Update(ClientMsg {
+                    Some(Uplink::Msg(ClientMsg {
                         client_id,
                         round,
                         attempt,
@@ -600,12 +558,12 @@ fn reader_loop(
                 } else {
                     None
                 };
-                (event, false)
+                (uplink, false)
             }
             // A well-formed frame of the wrong kind: protocol violation,
             // but the stream is still framed — reject and keep reading.
             Ok(_) => (Some(garbage()), false),
-            Err(WireError::Idle) => (None, false), // no frame yet; check stop and wait on
+            Err(WireError::Idle) => (None, false), // no frame yet; wait on
             // The gate shed this frame at its header: the body was
             // drained, the stream stays framed, the connection lives.
             Err(WireError::OverBudget(_)) => (Some(shed()), false),
@@ -616,8 +574,9 @@ fn reader_loop(
             // Detected corruption with framing intact: reject the frame,
             // keep the connection.
             Err(WireError::BadCrc { .. }) | Err(WireError::BadBody(_)) => (Some(garbage()), false),
-            // Clean close between frames — the client left — or a socket
-            // error.
+            // Clean close between frames — the client left, the server
+            // shut the socket, or the ledger closed under a reservation —
+            // or a socket error.
             Err(WireError::Closed) | Err(WireError::Io(_)) => (None, true),
             // Died or stalled mid-frame, or desynchronised beyond repair:
             // the half-frame is rejected and the connection is gone.
@@ -628,12 +587,16 @@ fn reader_loop(
         };
         // The one release: whatever was reserved and not handed on above.
         ledger.release(reserved);
-        let gone_event = gone.then_some(Event::Gone { client_id, gen });
-        for ev in event.into_iter().chain(gone_event) {
-            if let Err(unsent) = send_event(&tx, &stop, ev) {
+        let gone_report = gone.then_some(Uplink::Gone { client_id });
+        for uplink in uplink.into_iter().chain(gone_report) {
+            if let Err(SendError(unsent)) = tx.send(Inbound::Uplink { gen, uplink }) {
                 // Shutting down: a message that never reached the collector
                 // still holds its reservation.
-                if let Event::Update(msg) = unsent {
+                if let Inbound::Uplink {
+                    uplink: Uplink::Msg(msg),
+                    ..
+                } = unsent
+                {
                     ledger.release(msg.reserved);
                 }
                 return;
@@ -684,14 +647,9 @@ fn tcp_client_loop(
     shard: &fedsz_dnn::Dataset,
     plan: &FaultPlan,
     idle: Option<Duration>,
-    ncfg: &NetConfig,
 ) {
     let mut client = Client::new(cfg, plan, Moves::Frames);
-    let mut backoff = Backoff::new(
-        ncfg.backoff_base,
-        ncfg.backoff_max,
-        cfg.seed ^ 0xBAC0_0FF5 ^ (id as u64),
-    );
+    let mut backoff = Backoff::new(cfg.seed ^ 0xBAC0_0FF5 ^ (id as u64));
     // Reused body buffer: the downlink is dominated by same-sized broadcast
     // frames, so after the first one this loop stops allocating per frame.
     let mut scratch = Vec::new();
@@ -874,7 +832,7 @@ pub fn run_tcp_with(
         let clients: Vec<_> = (shards.into_iter().enumerate())
             .map(|(id, shard)| {
                 scope.spawn(move || {
-                    tcp_client_loop(addr, id, cfg, &shard, &tcfg.faults, idle, ncfg);
+                    tcp_client_loop(addr, id, cfg, &shard, &tcfg.faults, idle);
                 })
             })
             .collect();
@@ -911,7 +869,6 @@ pub fn run_tcp_client(
     client_id: usize,
     cfg: &FlConfig,
     idle: Option<Duration>,
-    ncfg: &NetConfig,
 ) -> Result<(), FlError> {
     if client_id >= cfg.registered() {
         return Err(FlError::Transport(format!(
@@ -929,7 +886,7 @@ pub fn run_tcp_client(
     // seed and keeps its own — data never crosses the wire.
     let (_, mut shards) = setup_data(cfg);
     let shard = shards.swap_remove(client_id);
-    tcp_client_loop(addr, client_id, cfg, &shard, &FaultPlan::new(), idle, ncfg);
+    tcp_client_loop(addr, client_id, cfg, &shard, &FaultPlan::new(), idle);
     Ok(())
 }
 
@@ -939,26 +896,25 @@ mod tests {
 
     #[test]
     fn backoff_doubles_caps_and_resets() {
-        let base = Duration::from_millis(10);
-        let max = Duration::from_millis(80);
-        let mut b = Backoff::new(base, max, 7);
+        let mut b = Backoff::new(7);
         let mut prev = Duration::ZERO;
         for i in 0..8 {
             let d = b.next_delay();
             // Within [undelayed, +25% jitter] of the capped exponential.
-            let raw = base.saturating_mul(1 << i.min(3)).min(max);
+            let raw = BACKOFF_BASE.saturating_mul(1 << i).min(BACKOFF_MAX);
             assert!(d >= raw, "attempt {i}: {d:?} < {raw:?}");
             assert!(d <= raw.mul_f64(1.25), "attempt {i}: {d:?}");
             assert!(d >= prev.mul_f64(0.5), "attempt {i} went backwards");
             prev = d;
         }
+        assert!(prev >= BACKOFF_MAX, "eight attempts reach the cap");
         b.reset();
-        assert!(b.next_delay() <= base.mul_f64(1.25));
+        assert!(b.next_delay() <= BACKOFF_BASE.mul_f64(1.25));
     }
 
     #[test]
     fn backoff_jitter_is_deterministic() {
-        let mk = || Backoff::new(Duration::from_millis(5), Duration::from_millis(100), 42);
+        let mk = || Backoff::new(42);
         let (mut a, mut b) = (mk(), mk());
         for _ in 0..6 {
             assert_eq!(a.next_delay(), b.next_delay());
@@ -968,9 +924,7 @@ mod tests {
     #[test]
     fn net_config_defaults_are_sane() {
         let n = NetConfig::default();
-        assert!(n.backoff_base < n.backoff_max);
         assert!(n.rejoin_grace > Duration::ZERO);
-        assert!(n.handshake_timeout > Duration::ZERO);
         assert_eq!(n.min_byte_rate, 0, "rate enforcement must be opt-in");
     }
 
@@ -997,8 +951,7 @@ mod tests {
     #[test]
     fn tcp_client_with_bad_id_is_rejected_up_front() {
         let cfg = FlConfig::default();
-        let err = run_tcp_client("127.0.0.1:1", 99, &cfg, None, &NetConfig::default())
-            .expect_err("id out of range");
+        let err = run_tcp_client("127.0.0.1:1", 99, &cfg, None).expect_err("id out of range");
         assert!(matches!(err, FlError::Transport(_)), "{err:?}");
     }
 }

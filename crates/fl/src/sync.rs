@@ -32,7 +32,8 @@ pub use std::sync::{Condvar, Mutex, MutexGuard};
 /// Deliberately bounded-only (lint R9, `bounded-channels-only`): `send`
 /// blocks while `cap` messages queue, so every queue exerts backpressure.
 /// A send fails once every receiver is gone (the server's only way to
-/// observe a dead channel client); a receive fails once every sender is
+/// observe a dead channel client, and how the TCP server's teardown wakes a
+/// parked reader); a receive fails once every sender is
 /// gone and the queue is drained (how the server learns all clients hung
 /// up).
 pub mod channel {
@@ -97,14 +98,6 @@ pub mod channel {
         Disconnected,
     }
 
-    /// Why a [`Sender::try_send`] returned without delivering; carries the
-    /// message back.
-    #[derive(Debug, PartialEq, Eq)]
-    pub enum TrySendError<T> {
-        Full(T),
-        Disconnected(T),
-    }
-
     /// A bounded MPMC channel; `send` blocks while `cap` messages queue.
     /// `cap == 0` is treated as capacity 1: there are no rendezvous
     /// channels.
@@ -131,31 +124,16 @@ pub mod channel {
         /// Deliver `msg`, blocking while the channel is full. Fails only
         /// when every receiver is gone.
         pub fn send(&self, msg: T) -> Result<(), SendError<T>> {
-            self.put(msg, true).map_err(|e| match e {
-                TrySendError::Full(msg) | TrySendError::Disconnected(msg) => SendError(msg),
-            })
-        }
-
-        /// Deliver `msg` only if it can be queued right now; never blocks,
-        /// so a caller can poll a shutdown flag between retries.
-        pub fn try_send(&self, msg: T) -> Result<(), TrySendError<T>> {
-            self.put(msg, false)
-        }
-
-        fn put(&self, msg: T, block: bool) -> Result<(), TrySendError<T>> {
             let mut q = self.chan.lock();
             loop {
                 if q.receivers == 0 {
-                    return Err(TrySendError::Disconnected(msg));
+                    return Err(SendError(msg));
                 }
                 if q.items.len() < self.chan.cap {
                     q.items.push_back(msg);
                     drop(q);
                     self.chan.not_empty.notify_one();
                     return Ok(());
-                }
-                if !block {
-                    return Err(TrySendError::Full(msg));
                 }
                 q = self
                     .chan
@@ -352,17 +330,6 @@ mod tests {
         assert_eq!(rx.recv(), Ok(1));
         assert_eq!(rx.recv(), Ok(2));
         assert_eq!(sender.join().unwrap(), "sent");
-    }
-
-    #[test]
-    fn try_send_distinguishes_full_from_disconnect() {
-        let (tx, rx) = bounded::<u8>(1);
-        assert_eq!(tx.try_send(1), Ok(()));
-        assert_eq!(tx.try_send(2), Err(TrySendError::Full(2)));
-        assert_eq!(rx.recv(), Ok(1));
-        assert_eq!(tx.try_send(3), Ok(()));
-        drop(rx);
-        assert_eq!(tx.try_send(4), Err(TrySendError::Disconnected(4)));
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //!   schedule deadlocks, loses a wakeup, settles out of sequence order,
 //!   or leaks a ledger reservation. The channel's own contract — FIFO,
 //!   disconnect, and a timed receive that can both time out and deliver —
-//!   is explored the same way.
+//!   is explored the same way, and so is the TCP server's teardown: a
+//!   sender parked on a full queue is woken by the receiver's drop.
 //!
 //! The last test re-seeds the PR-7 overload-path bug (a blocking untimed
 //! `recv()` on the outcome lane before the job was handed to the worker,
@@ -35,7 +36,7 @@ use std::time::{Duration, Instant};
 use fedsz_fl::budget::{Ledger, RoundGate};
 use fedsz_fl::sync::channel::bounded;
 #[cfg(feature = "interleave")]
-use fedsz_fl::sync::channel::{RecvError, RecvTimeoutError};
+use fedsz_fl::sync::channel::{RecvError, RecvTimeoutError, SendError};
 use fedsz_fl::sync::thread;
 
 /// Ledger capacity for the modeled round: fits one 60-byte frame, never
@@ -250,6 +251,53 @@ fn channel_is_fifo_and_reports_disconnect_on_every_schedule() {
     })
     .expect("a 1-slot channel between two threads has no bad interleavings");
     assert!(report.schedules > 1, "{report:?}");
+}
+
+/// The TCP server's teardown contract. A reader is parked on the full
+/// event queue with an update that holds a ledger reservation; the server
+/// closes the ledger and drops its receiver. On every schedule the reader
+/// gets the update back, releases its reservation, and nothing deadlocks.
+#[cfg(feature = "interleave")]
+#[test]
+fn model_check_teardown_wakes_a_parked_sender() {
+    /// An update as far as the ledger is concerned.
+    #[derive(Debug)]
+    struct Msg {
+        reserved: usize,
+    }
+    let report = interleave::try_explore(small(), || {
+        let ledger = Arc::new(Ledger::new(Some(CAP)));
+        let (tx, rx) = bounded::<Msg>(1);
+        tx.send(Msg { reserved: 0 }).expect("receiver alive"); // now full
+        assert!(ledger.reserve(FRAME));
+        let reader = {
+            let ledger = Arc::clone(&ledger);
+            thread::spawn(move || {
+                // Nothing ever drains the queue, so only the teardown can
+                // end this send.
+                let Err(SendError(msg)) = tx.send(Msg { reserved: FRAME }) else {
+                    panic!("a send to a full, never-drained queue succeeded");
+                };
+                ledger.release(msg.reserved);
+            })
+        };
+        let server = {
+            let ledger = Arc::clone(&ledger);
+            thread::spawn(move || {
+                ledger.close();
+                drop(rx);
+            })
+        };
+        server.join().expect("server ok");
+        reader.join().expect("reader ok");
+        assert_eq!(ledger.in_use(), 0, "the unsent update's reservation leaked");
+    })
+    .expect("no teardown schedule may deadlock or leak a reservation");
+    println!(
+        "model-check: teardown explored {} schedules (truncated: {})",
+        report.schedules, report.truncated
+    );
+    assert!(report.schedules > 1 && !report.truncated, "{report:?}");
 }
 
 /// The sender never sends: the scheduler must be able to fire the timed

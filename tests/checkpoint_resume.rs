@@ -34,12 +34,10 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// Quick reconnects, and a short rejoin grace so client threads orphaned by
-/// a killed server give up in milliseconds instead of minutes.
+/// A short rejoin grace so client threads orphaned by a killed server give
+/// up in milliseconds instead of minutes.
 fn fast_net() -> NetConfig {
     NetConfig {
-        backoff_base: Duration::from_millis(10),
-        backoff_max: Duration::from_millis(100),
         rejoin_grace: Duration::from_millis(400),
         ..NetConfig::default()
     }

@@ -8,7 +8,6 @@
 //! transport and ingest worker count.
 
 use std::path::PathBuf;
-use std::time::Duration;
 
 use fedsz_fl::{
     run, run_tcp_with, run_threaded_with, run_with_faults, Aggregation, FaultPlan, FlConfig,
@@ -208,11 +207,6 @@ fn byzantine_chaos_is_bit_identical_across_transports_and_workers() {
         faults: plan.clone(),
         ..TransportConfig::default()
     };
-    let ncfg = NetConfig {
-        backoff_base: Duration::from_millis(10),
-        backoff_max: Duration::from_millis(100),
-        ..NetConfig::default()
-    };
 
     let baseline = run_with_faults(&cfg(0), &plan).expect("in-process serial");
     // The round-0 norm attacks must be screened; the round-1 drift halves
@@ -223,7 +217,7 @@ fn byzantine_chaos_is_bit_identical_across_transports_and_workers() {
     for workers in [1usize, 4] {
         let in_process = run_with_faults(&cfg(workers), &plan).expect("in-process");
         let threaded = run_threaded_with(&cfg(workers), &tcfg).expect("threaded");
-        let tcp = run_tcp_with(&cfg(workers), &tcfg, &ncfg).expect("tcp");
+        let tcp = run_tcp_with(&cfg(workers), &tcfg, &NetConfig::default()).expect("tcp");
         for (name, result) in [
             ("in-process", &in_process),
             ("threaded", &threaded),

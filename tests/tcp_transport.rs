@@ -27,11 +27,10 @@ fn fl_cfg(n_clients: usize, rounds: usize) -> FlConfig {
     }
 }
 
-/// Quick reconnects so rejoin scenarios settle in milliseconds.
+/// A rejoin grace long enough that a reconnecting client always makes the
+/// next broadcast.
 fn fast_net() -> NetConfig {
     NetConfig {
-        backoff_base: Duration::from_millis(10),
-        backoff_max: Duration::from_millis(200),
         rejoin_grace: Duration::from_secs(5),
         ..NetConfig::default()
     }
@@ -297,14 +296,8 @@ fn tcp_client_idle_timeout_exits_cleanly() {
         ..FlConfig::default()
     };
     let started = Instant::now();
-    run_tcp_client(
-        &addr.to_string(),
-        0,
-        &cfg,
-        Some(Duration::from_millis(300)),
-        &NetConfig::default(),
-    )
-    .expect("client exits cleanly");
+    run_tcp_client(&addr.to_string(), 0, &cfg, Some(Duration::from_millis(300)))
+        .expect("client exits cleanly");
     assert!(
         started.elapsed() < Duration::from_secs(10),
         "idle timeout did not fire"

@@ -27,8 +27,6 @@ fn fl_cfg(n_clients: usize, rounds: usize) -> FlConfig {
 
 fn fast_net() -> NetConfig {
     NetConfig {
-        backoff_base: Duration::from_millis(10),
-        backoff_max: Duration::from_millis(200),
         rejoin_grace: Duration::from_secs(5),
         ..NetConfig::default()
     }
