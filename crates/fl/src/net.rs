@@ -277,11 +277,10 @@ impl TcpServer {
             Inbound::Uplink { gen, uplink } => (gen, uplink),
         };
         let client_id = match &uplink {
-            Uplink::Msg(_) => return Some(uplink),
+            Uplink::Msg(_) | Uplink::Raw { .. } => return Some(uplink),
             Uplink::Garbage { client_id }
             | Uplink::Shed { client_id }
-            | Uplink::Gone { client_id }
-            | Uplink::Raw { client_id, .. } => *client_id,
+            | Uplink::Gone { client_id } => *client_id,
         };
         let current = self
             .slots
