@@ -109,6 +109,15 @@ impl Quantizer {
         fedsz_simd::quantize(values, preds, self.params(), codes, recons);
     }
 
+    /// `lanes` Lorenzo chains, stored lane-major in `values_t`, quantized
+    /// side by side into `codes_t` (same layout), SIMD-dispatched. Per
+    /// chain this is `(code, prev) = self.quantize(v, prev).unwrap_or((0,
+    /// v))` from `prev = 0`, element by element.
+    #[inline]
+    pub fn quantize_chains(&self, values_t: &[f32], lanes: usize, codes_t: &mut [u32]) {
+        fedsz_simd::lorenzo_quantize(values_t, lanes, self.params(), codes_t);
+    }
+
     /// Batch [`Self::reconstruct`], SIMD-dispatched. Escape lanes
     /// (`codes[i] == 0`) are written as `0.0` for the caller to patch from
     /// the literal stream.
@@ -204,6 +213,51 @@ mod tests {
                         values[i],
                         preds[i]
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn quantize_chains_equals_quantize_chain_by_chain() {
+        // Pins the dispatched lane-major kernel to `quantize` fed back its
+        // own reconstruction, or the value after an escape, chain by chain.
+        let mut state = 0x6C8E_9CF5_7093_2BD5u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 1.0e30];
+        for eb in [1e-6, 3e-3, 0.5] {
+            let q = Quantizer::new(eb);
+            for (lanes, rows) in [(1usize, 300usize), (5, 17), (32, 256), (33, 3)] {
+                let mut walk = vec![0.0f32; lanes];
+                let values_t: Vec<f32> = (0..lanes * rows)
+                    .map(|i| match next() % 24 {
+                        0 => specials[(next() % specials.len() as u64) as usize],
+                        _ => {
+                            let step = ((next() >> 40) as f32 / (1u32 << 24) as f32 - 0.5) * 0.1;
+                            walk[i % lanes] += step;
+                            walk[i % lanes]
+                        }
+                    })
+                    .collect();
+                let mut codes_t = vec![u32::MAX; values_t.len()];
+                q.quantize_chains(&values_t, lanes, &mut codes_t);
+                for lane in 0..lanes {
+                    let mut prev = 0.0f32;
+                    for row in 0..rows {
+                        let v = values_t[row * lanes + lane];
+                        let code;
+                        (code, prev) = q.quantize(v, prev).unwrap_or((0, v));
+                        assert_eq!(
+                            codes_t[row * lanes + lane],
+                            code,
+                            "eb {eb} lanes {lanes} lane {lane} row {row} value {v:?}"
+                        );
+                    }
                 }
             }
         }

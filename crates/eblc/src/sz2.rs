@@ -35,9 +35,15 @@ fn residual_bits(d: f64, bin: f64) -> f64 {
 /// Elements in a group of [`GROUP_BLOCKS`] blocks.
 const GROUP: usize = GROUP_BLOCKS * BLOCK;
 
-/// Elements in [`LANES`] whole blocks: the blocks whose serial loops — the
-/// predictor choice's sums, the Lorenzo chains — are stepped side by side.
+/// Elements in [`LANES`] whole blocks: the blocks whose predictor choice's
+/// serial sums are stepped side by side.
 const SET: usize = LANES * BLOCK;
+
+/// Lorenzo blocks quantized in one `quantize_chains` call: eight AVX2 or
+/// sixteen SSE4.1/NEON vectors a step. Lane-major in the scratch, the blocks
+/// no longer lie 1 KB apart, so the L1 aliasing that caps [`LANES`] does not
+/// apply.
+const CHAINS: usize = 32;
 
 /// Least-squares fit of `x[i] ~ a*i + b` over `n` elements, from
 /// `sum_x = Σ x[i]` and `sum_ix = Σ i·x[i]`.
@@ -122,6 +128,9 @@ struct Scratch {
     /// Reconstructions `quantize_slice` hands back; the regression
     /// predictor never reads them.
     recons: Vec<f32>,
+    /// A batch of Lorenzo blocks, lane-major, and their codes.
+    values_t: Vec<f32>,
+    codes_t: Vec<u32>,
 }
 
 impl Scratch {
@@ -130,6 +139,8 @@ impl Scratch {
             preds: vec![0.0; SET],
             costs: vec![0.0; SET],
             recons: vec![0.0; BLOCK],
+            values_t: vec![0.0; CHAINS * BLOCK],
+            codes_t: vec![0; CHAINS * BLOCK],
         }
     }
 }
@@ -179,34 +190,48 @@ fn choose_predictors(set: &[f32], bin: f64, scratch: &mut Scratch) -> [Option<(f
     std::array::from_fn(|lane| (regression[lane] < lorenzo[lane]).then_some(fits[lane]))
 }
 
-/// One Lorenzo block of a group, mid-encode.
-struct EncodeChain<'a> {
-    values: &'a [f32],
-    codes: &'a mut [u32],
-    /// What the decoder will hold for the previous element; 0 ahead of a
-    /// block's first.
-    prev: f32,
-}
-
-/// Quantize a group's Lorenzo blocks, [`LANES`] at a time.
+/// Quantize the group's Lorenzo blocks, the ones starting at `starts`,
+/// [`CHAINS`] to a `quantize_chains` call.
 ///
 /// A chain is serial — each prediction is the previous reconstruction — and
 /// one step of it is a subtract, divide, round, multiply, add and two
 /// conversions deep. Blocks restart from `prev = 0` and write only their own
-/// codes, so chains are independent exactly as in `decode_lorenzo_chains`:
-/// stepped side by side, each block goes through the `quantize` calls of a
-/// block-at-a-time loop in the same order, and the latencies overlap.
-fn encode_lorenzo_chains(chains: &mut [EncodeChain<'_>], q: &Quantizer) {
-    for lanes in chains.chunks_mut(LANES) {
-        for i in 0..BLOCK {
-            for chain in lanes.iter_mut() {
-                // Only the tensor's last block can be short.
-                let (Some(&v), Some(code)) = (chain.values.get(i), chain.codes.get_mut(i)) else {
-                    continue;
-                };
-                (*code, chain.prev) = q.quantize(v, chain.prev).unwrap_or((0, v));
+/// codes, so chains are independent exactly as in `decode_lorenzo_chains`.
+/// Copied lane-major into the scratch, a batch's blocks take each step as
+/// whole vectors, and the codes are scattered back.
+fn encode_lorenzo_blocks(
+    values: &[f32],
+    codes: &mut [u32],
+    starts: &[usize],
+    q: &Quantizer,
+    scratch: &mut Scratch,
+) {
+    // Only the tensor's last block can be short; it is a chain of its own,
+    // which needs no copy.
+    let (starts, short) = match starts.split_last() {
+        Some((&last, rest)) if values.len() - last < BLOCK => (rest, Some(last)),
+        _ => (starts, None),
+    };
+    for batch in starts.chunks(CHAINS) {
+        let lanes = batch.len();
+        let values_t = &mut scratch.values_t[..lanes * BLOCK];
+        for (lane, &start) in batch.iter().enumerate() {
+            let block = &values[start..start + BLOCK];
+            for i in 0..BLOCK {
+                values_t[i * lanes + lane] = block[i];
             }
         }
+        let codes_t = &mut scratch.codes_t[..lanes * BLOCK];
+        q.quantize_chains(values_t, lanes, codes_t);
+        for (lane, &start) in batch.iter().enumerate() {
+            let block = &mut codes[start..start + BLOCK];
+            for i in 0..BLOCK {
+                block[i] = codes_t[i * lanes + lane];
+            }
+        }
+    }
+    if let Some(start) = short {
+        q.quantize_chains(&values[start..], 1, &mut codes[start..]);
     }
 }
 
@@ -215,25 +240,24 @@ fn encode_lorenzo_chains(chains: &mut [EncodeChain<'_>], q: &Quantizer) {
 fn encode_group(values: &[f32], codes: &mut [u32], q: &Quantizer, predictor: &mut Sz2) {
     let Sz2 { fits, scratch } = predictor;
     let bin = 2.0 * q.bound();
-    let mut chains = Vec::with_capacity(GROUP_BLOCKS);
-    for (set, set_codes) in values.chunks(SET).zip(codes.chunks_mut(SET)) {
+    // Where each Lorenzo block of the group starts.
+    let mut lorenzo = Vec::with_capacity(GROUP_BLOCKS);
+    for (set_start, set) in (0..).step_by(SET).zip(values.chunks(SET)) {
         let choice = choose_predictors(set, bin, scratch);
-        let blocks = set.chunks(BLOCK).zip(set_codes.chunks_mut(BLOCK));
-        for (((values, codes), preds), fit) in blocks.zip(scratch.preds.chunks(BLOCK)).zip(choice) {
+        for ((b, block), fit) in set.chunks(BLOCK).enumerate().zip(choice) {
+            let start = set_start + b * BLOCK;
             fits.push(fit);
             if fit.is_some() {
-                let n = values.len();
-                q.quantize_slice(values, &preds[..n], codes, &mut scratch.recons[..n]);
+                let n = block.len();
+                let preds = &scratch.preds[b * BLOCK..][..n];
+                let recons = &mut scratch.recons[..n];
+                q.quantize_slice(block, preds, &mut codes[start..start + n], recons);
             } else {
-                chains.push(EncodeChain {
-                    values,
-                    codes,
-                    prev: 0.0,
-                });
+                lorenzo.push(start);
             }
         }
     }
-    encode_lorenzo_chains(&mut chains, q);
+    encode_lorenzo_blocks(values, codes, &lorenzo, q, scratch);
 }
 
 /// Compress `data` under `eb`. Self-contained byte stream.

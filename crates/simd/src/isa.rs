@@ -59,12 +59,8 @@ pub(crate) trait Isa: Copy {
     fn abs(self, a: Self::F64) -> Self::F64;
     /// Round toward zero (`f64::trunc`).
     fn trunc(self, a: Self::F64) -> Self::F64;
-    /// Round to nearest, ties to even (`f64::round_ties_even`).
-    fn round_ties_even(self, a: Self::F64) -> Self::F64;
     /// `±1.0` carrying the sign bit of `x` (`1.0f64.copysign(x)`).
     fn copysign_one(self, x: Self::F64) -> Self::F64;
-    /// `a < b` (ordered: false on NaN).
-    fn cmp_lt(self, a: Self::F64, b: Self::F64) -> Self::M64;
     /// `a <= b` (ordered: false on NaN).
     fn cmp_le(self, a: Self::F64, b: Self::F64) -> Self::M64;
     /// `a == b` (ordered: false on NaN).
@@ -81,20 +77,17 @@ pub(crate) trait Isa: Copy {
     /// leak into results.
     fn exponent_unbiased(self, v: Self::F64) -> Self::F64;
 
-    /// `f64::round` — round to nearest, ties away from zero. The default is
-    /// composed from exact trait ops: `x - round_ties_even(x)` is exact
-    /// (Sterbenz), so comparing it with ±0.5 detects ties precisely, and a
-    /// tie value `n + 0.5` rounds away as `trunc(x) ± 1`.
+    /// `f64::round` — round to nearest, ties away from zero. The default
+    /// adds the largest double below 0.5, with `x`'s sign, and truncates:
+    /// the sum reaches the next integer exactly when `|x|`'s fraction is at
+    /// least one half (adding 0.5 itself would carry `0.49999999999999994`
+    /// up to 1), and from 2^52 up, where `x` is an integer, the addend is
+    /// under half an ulp and leaves `x` unchanged. `Quantizer::quantize` in
+    /// `crates/eblc` rounds the same way.
     #[inline(always)]
     fn round_half_away(self, x: Self::F64) -> Self::F64 {
-        let t = self.round_ties_even(x);
-        let d = self.sub(x, t);
-        let tie = self.or(
-            self.cmp_eq(d, self.splat(0.5)),
-            self.cmp_eq(d, self.splat(-0.5)),
-        );
-        let away = self.add(self.trunc(x), self.copysign_one(x));
-        self.select(tie, away, t)
+        let half = self.mul(self.copysign_one(x), self.splat(0.499_999_999_999_999_94));
+        self.trunc(self.add(x, half))
     }
 
     // ---- f32 lane ops ----
@@ -184,14 +177,8 @@ impl Isa for ScalarIsa {
     fn trunc(self, a: f64) -> f64 {
         a.trunc()
     }
-    fn round_ties_even(self, a: f64) -> f64 {
-        a.round_ties_even()
-    }
     fn copysign_one(self, x: f64) -> f64 {
         1.0f64.copysign(x)
-    }
-    fn cmp_lt(self, a: f64, b: f64) -> bool {
-        a < b
     }
     fn cmp_le(self, a: f64, b: f64) -> bool {
         a <= b
@@ -293,14 +280,8 @@ mod tests {
         // Re-uses ScalarIsa ops but keeps the default round_half_away body.
         fn emulated(x: f64) -> f64 {
             let isa = ScalarIsa;
-            let t = isa.round_ties_even(x);
-            let d = isa.sub(x, t);
-            let tie = isa.or(
-                isa.cmp_eq(d, isa.splat(0.5)),
-                isa.cmp_eq(d, isa.splat(-0.5)),
-            );
-            let away = isa.add(isa.trunc(x), isa.copysign_one(x));
-            isa.select(tie, away, t)
+            let half = isa.mul(isa.copysign_one(x), isa.splat(0.499_999_999_999_999_94));
+            isa.trunc(isa.add(x, half))
         }
         let cases = [
             0.0,
@@ -343,6 +324,32 @@ mod tests {
             for d in [-2e-16, -1e-16, 0.0, 1e-16, 2e-16] {
                 let x = i as f64 * 0.5 + d;
                 assert_eq!(emulated(x).to_bits(), x.round().to_bits(), "x={x:?}");
+            }
+        }
+        // Half-integers and their neighbouring doubles at every magnitude up
+        // to where no fraction is left, then random bit patterns of every
+        // exponent.
+        let mut xs = Vec::new();
+        for e in 0..54 {
+            let tie = (1u64 << e) as f64 + 0.5;
+            for bits in [tie.to_bits() - 1, tie.to_bits(), tie.to_bits() + 1] {
+                xs.push(f64::from_bits(bits));
+            }
+        }
+        let mut state = 0x243F_6A88_85A3_08D3u64;
+        for _ in 0..100_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            xs.push(f64::from_bits(state));
+        }
+        for x in xs {
+            for x in [x, -x] {
+                let (got, want) = (emulated(x), x.round());
+                assert!(
+                    got.to_bits() == want.to_bits() || got.is_nan() && want.is_nan(),
+                    "x={x:?}"
+                );
             }
         }
     }

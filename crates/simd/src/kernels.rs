@@ -6,7 +6,8 @@
 //! the sub-vector remainder to the same code monomorphised with [`ScalarIsa`]
 //! (whose lane width 1 always divides the remainder). That structure keeps
 //! exactly two code paths per element — vector or scalar twin — and the
-//! parity tests pin them bit-identical.
+//! parity tests pin them bit-identical. [`LorenzoQuantize`], whose lanes
+//! are chains rather than elements, pads its last vector instead.
 //!
 //! Everything is `#[inline(always)]`: the one `#[target_feature]` entry point
 //! per ISA (`run_sse41`, `run_avx2`, `run_neon`) must fully inline `run` (and
@@ -59,6 +60,72 @@ impl Kernel for Quantize<'_> {
     }
 }
 
+/// One quantize step on `I::W64` lanes: the arithmetic and escape rules of
+/// `Quantizer::quantize`, written once for [`Quantize`] and
+/// [`LorenzoQuantize`].
+#[derive(Clone, Copy)]
+struct QuantLanes<I: Isa> {
+    isa: I,
+    bin: I::F64,
+    eb: I::F64,
+    radius: I::F64,
+    zero: I::F64,
+}
+
+impl<I: Isa> QuantLanes<I> {
+    #[inline(always)]
+    fn new(isa: I, p: QuantParams) -> Self {
+        QuantLanes {
+            isa,
+            bin: isa.splat(p.bin),
+            eb: isa.splat(p.abs_eb),
+            radius: isa.splat(p.radius),
+            zero: isa.splat(0.0),
+        }
+    }
+
+    /// Quantize `v` against `pr`: `(code, recon, escape)`. `code` is the
+    /// code as f64, 0.0 on escape lanes; `recon` is what the decoder will
+    /// reconstruct, meaningful only where `escape` is clear.
+    ///
+    /// The scalar original also escapes a non-finite value up front, and
+    /// maps a NaN quotient to code 0 (`q as i64`). Neither needs an
+    /// operation here: a NaN quotient (a NaN operand, or `inf - inf`) gives
+    /// a NaN reconstruction, which fails the bound test below; an infinite
+    /// one (an infinite operand, or a quotient that overflows) fails the
+    /// range test. Every lane those rules catch escapes anyway, and an
+    /// escape lane's code and reconstruction are never read.
+    #[inline(always)]
+    fn step(self, v: I::F64, pr: I::F64) -> (I::F64, I::F64, I::M64) {
+        let QuantLanes {
+            isa,
+            bin,
+            eb,
+            radius,
+            zero,
+        } = self;
+        // q = ((value - pred) / bin).round()  — f64 throughout, like the
+        // scalar original.
+        let q = isa.round_half_away(isa.div(isa.sub(v, pr), bin));
+        // Escape on range: q.abs() >= radius.
+        let esc_range = isa.cmp_le(radius, isa.abs(q));
+        // The scalar path uses `qi as f64`, +0.0 for zero: `q + 0.0` turns
+        // a -0.0 quotient into it, which `pred = -0.0` would otherwise see.
+        let qf = isa.add(q, zero);
+        // recon = (pred + qi * bin) as f32, observed through the f32
+        // round-trip the decoder will perform.
+        let recon = isa.f32_round_trip(isa.add(pr, isa.mul(qf, bin)));
+        // Escape on bound: !(|recon - value| <= eb) — fails closed, so a
+        // NaN error (NaN prediction) escapes, like the scalar.
+        let esc_bound = isa.not(isa.cmp_le(isa.abs(isa.sub(recon, v)), eb));
+        let esc = isa.or(esc_range, esc_bound);
+        // code = qi + radius on success, 0 on escape. Escape lanes are
+        // forced to 0.0 *before* the u32 truncation so every lane converted
+        // is in range.
+        (isa.select(esc, zero, isa.add(qf, radius)), recon, esc)
+    }
+}
+
 #[inline(always)]
 fn quantize_lanes<I: Isa>(
     isa: I,
@@ -70,42 +137,86 @@ fn quantize_lanes<I: Isa>(
 ) -> usize {
     let n = values.len();
     let w = I::W64;
-    let bin = isa.splat(p.bin);
-    let eb = isa.splat(p.abs_eb);
-    let radius = isa.splat(p.radius);
-    let zero = isa.splat(0.0);
-    let inf = isa.splat(f64::INFINITY);
+    let q = QuantLanes::new(isa, p);
     let mut i = 0;
     while i + w <= n {
         let v = isa.load_f32_wide(&values[i..]);
         let pr = isa.load_f32_wide(&preds[i..]);
-        // q = ((value - pred) / bin).round()  — f64 throughout, like the
-        // scalar original.
-        let q_raw = isa.round_half_away(isa.div(isa.sub(v, pr), bin));
-        // Escape 1: !value.is_finite().
-        let esc_nonfinite = isa.not(isa.cmp_lt(isa.abs(v), inf));
-        // Escape 2: q.abs() >= radius. Expressed as `radius <= |q|` so a
-        // NaN q does NOT escape, exactly like the scalar `>=` comparison.
-        let esc_range = isa.cmp_le(radius, isa.abs(q_raw));
-        // The scalar path then does `qi = q as i64` (NaN -> 0) and uses
-        // `qi as f64` (+0.0 for zero); mirror both quirks.
-        let qf = isa.add(isa.select(isa.cmp_eq(q_raw, q_raw), q_raw, zero), zero);
-        // recon = (pred + qi * bin) as f32, observed through the f32
-        // round-trip the decoder will perform.
-        let recon = isa.f32_round_trip(isa.add(pr, isa.mul(qf, bin)));
-        // Escape 3: !(|recon - value| <= eb) — fails closed, so a NaN
-        // error (NaN prediction) escapes, like the scalar.
-        let esc_bound = isa.not(isa.cmp_le(isa.abs(isa.sub(recon, v)), eb));
-        let esc = isa.or(isa.or(esc_nonfinite, esc_range), esc_bound);
-        // code = qi + radius on success, 0 on escape. Escape lanes are
-        // forced to 0.0 *before* the u32 truncation so every lane converted
-        // is in range.
-        let code = isa.select(esc, zero, isa.add(qf, radius));
+        let (code, recon, esc) = q.step(v, pr);
         isa.trunc_store_u32(code, &mut codes[i..]);
-        isa.narrow_store(isa.select(esc, zero, recon), &mut recons[i..]);
+        isa.narrow_store(isa.select(esc, q.zero, recon), &mut recons[i..]);
         i += w;
     }
     i
+}
+
+/// [`crate::lorenzo_quantize`]`(values_t, lanes, p, codes_t)`; scalar
+/// original: the per-block `q.quantize(v, prev).unwrap_or((0, v))` chain in
+/// `compress_reference`, `crates/eblc/src/sz2.rs`.
+///
+/// Row `i` holds element `i` of every chain. A row's lanes are independent,
+/// so each vector of them takes one [`QuantLanes::step`], and every lane
+/// sees the operations of a chain stepped on its own, in the same order. The
+/// last `lanes % W64` chains are padded out to a vector with chains of
+/// zeros, whose codes are dropped.
+pub(crate) struct LorenzoQuantize<'a>(
+    pub(crate) &'a [f32],
+    pub(crate) usize,
+    pub(crate) QuantParams,
+    pub(crate) &'a mut [u32],
+);
+
+impl Kernel for LorenzoQuantize<'_> {
+    type Out = ();
+    #[inline(always)]
+    fn run<I: Isa>(self, isa: I) {
+        let LorenzoQuantize(values_t, lanes, p, codes_t) = self;
+        let n = values_t.len();
+        assert!(
+            lanes > 0 && n.is_multiple_of(lanes) && codes_t.len() == n,
+            "lorenzo_quantize: slices are not whole rows of {lanes} lanes"
+        );
+        let w = I::W64;
+        let wide = lanes - lanes % w;
+        let q = QuantLanes::new(isa, p);
+        // What the decoder holds for each chain's previous element, a vector
+        // of chains at a time; a chain's first element is predicted by 0.
+        // Both are f32 values, so holding them widened loses nothing.
+        let mut prev = vec![q.zero; lanes.div_ceil(w)];
+        let (prev, prev_tail) = prev.split_at_mut(wide / w);
+        // One vector of the last chains, padded; 8 is at least any W64.
+        let mut tail_values = [0.0f32; 8];
+        let mut tail_codes = [0u32; 8];
+        let mut row = 0;
+        while row < n {
+            lorenzo_row(q, &values_t[row..row + wide], prev, &mut codes_t[row..]);
+            if wide < lanes {
+                for k in 0..lanes - wide {
+                    tail_values[k] = values_t[row + wide + k];
+                }
+                lorenzo_row(q, &tail_values[..w], prev_tail, &mut tail_codes);
+                for k in 0..lanes - wide {
+                    codes_t[row + wide + k] = tail_codes[k];
+                }
+            }
+            row += lanes;
+        }
+    }
+}
+
+/// One step of every chain in `values`, one vector of `prev` each: quantize
+/// against it, then leave in it what the next step predicts from — the
+/// reconstruction, or on an escape the value itself.
+#[inline(always)]
+fn lorenzo_row<I: Isa>(q: QuantLanes<I>, values: &[f32], prev: &mut [I::F64], codes: &mut [u32]) {
+    let isa = q.isa;
+    for (k, pr) in prev.iter_mut().enumerate() {
+        let j = k * I::W64;
+        let v = isa.load_f32_wide(&values[j..]);
+        let (code, recon, esc) = q.step(v, *pr);
+        isa.trunc_store_u32(code, &mut codes[j..]);
+        *pr = isa.select(esc, v, recon);
+    }
 }
 
 /// [`crate::reconstruct`]`(preds, codes, p, out)`; scalar original:

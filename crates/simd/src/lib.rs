@@ -46,8 +46,8 @@ use std::sync::atomic::{AtomicU8, Ordering};
 
 use isa::ScalarIsa;
 use kernels::{
-    AbsResiduals, CubicPreds, Kernel, LinearPreds, MidpointPreds, MinmaxFinite, PackOffsets,
-    Quantize, Reconstruct, ResidualCosts, UnpackOffsets,
+    AbsResiduals, CubicPreds, Kernel, LinearPreds, LorenzoQuantize, MidpointPreds, MinmaxFinite,
+    PackOffsets, Quantize, Reconstruct, ResidualCosts, UnpackOffsets,
 };
 
 /// A dispatch level, ordered from the universal fallback upward.
@@ -240,6 +240,33 @@ pub fn quantize_at(
     recons: &mut [f32],
 ) {
     run_at(level, Quantize(values, preds, p, codes, recons))
+}
+
+/// Lorenzo chains quantized side by side. `values_t` holds `lanes` chains
+/// lane-major — element `i` of chain `lane` at `values_t[i * lanes + lane]`
+/// — and `codes_t` receives their codes in the same layout. Each chain
+/// starts from a prediction of 0; every later element is predicted by the
+/// previous element's reconstruction, or by the previous value itself where
+/// that one escaped (code 0, stored as a literal by the caller).
+///
+/// Panics if `lanes` is 0 or the slices are not the same whole number of
+/// rows.
+///
+/// Scalar twin: `q.quantize(v, prev).unwrap_or((0, v))` per element of one
+/// block, `Quantizer::quantize` in `crates/eblc/src/quantizer.rs`.
+pub fn lorenzo_quantize(values_t: &[f32], lanes: usize, p: QuantParams, codes_t: &mut [u32]) {
+    lorenzo_quantize_at(active_level(), values_t, lanes, p, codes_t);
+}
+
+/// [`lorenzo_quantize`] at an explicit dispatch level.
+pub fn lorenzo_quantize_at(
+    level: Level,
+    values_t: &[f32],
+    lanes: usize,
+    p: QuantParams,
+    codes_t: &mut [u32],
+) {
+    run_at(level, LorenzoQuantize(values_t, lanes, p, codes_t))
 }
 
 /// Batch decoder-side reconstruction: `out[i] = (preds[i] + (codes[i] -

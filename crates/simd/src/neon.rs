@@ -108,11 +108,6 @@ impl Isa for Neon {
         unsafe { vrndq_f64(a) }
     }
     #[inline(always)]
-    fn round_ties_even(self, a: float64x2_t) -> float64x2_t {
-        // SAFETY: register-only; FRINTN = nearest, ties to even.
-        unsafe { vrndnq_f64(a) }
-    }
-    #[inline(always)]
     fn copysign_one(self, x: float64x2_t) -> float64x2_t {
         // SAFETY: register-only; sign bit of x onto 1.0.
         unsafe {
@@ -121,13 +116,8 @@ impl Isa for Neon {
         }
     }
     #[inline(always)]
-    fn cmp_lt(self, a: float64x2_t, b: float64x2_t) -> uint64x2_t {
-        // SAFETY: register-only; FCMGT-based compares are false on NaN.
-        unsafe { vcltq_f64(a, b) }
-    }
-    #[inline(always)]
     fn cmp_le(self, a: float64x2_t, b: float64x2_t) -> uint64x2_t {
-        // SAFETY: register-only; false on NaN.
+        // SAFETY: register-only; FCMGE-based compares are false on NaN.
         unsafe { vcleq_f64(a, b) }
     }
     #[inline(always)]

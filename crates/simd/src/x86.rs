@@ -138,23 +138,13 @@ impl Isa for Sse41 {
         unsafe { _mm_round_pd::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(a) }
     }
     #[inline(always)]
-    fn round_ties_even(self, a: __m128d) -> __m128d {
-        // SAFETY: register-only (SSE4.1 roundpd).
-        unsafe { _mm_round_pd::<{ _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC }>(a) }
-    }
-    #[inline(always)]
     fn copysign_one(self, x: __m128d) -> __m128d {
         // SAFETY: register-only; sign bit of x onto 1.0.
         unsafe { _mm_or_pd(_mm_and_pd(x, _mm_set1_pd(-0.0)), _mm_set1_pd(1.0)) }
     }
     #[inline(always)]
-    fn cmp_lt(self, a: __m128d, b: __m128d) -> __m128d {
-        // SAFETY: register-only; cmpltpd is ordered (false on NaN).
-        unsafe { _mm_cmplt_pd(a, b) }
-    }
-    #[inline(always)]
     fn cmp_le(self, a: __m128d, b: __m128d) -> __m128d {
-        // SAFETY: register-only; ordered.
+        // SAFETY: register-only; cmplepd is ordered (false on NaN).
         unsafe { _mm_cmple_pd(a, b) }
     }
     #[inline(always)]
@@ -352,23 +342,13 @@ impl Isa for Avx2 {
         unsafe { _mm256_round_pd::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(a) }
     }
     #[inline(always)]
-    fn round_ties_even(self, a: __m256d) -> __m256d {
-        // SAFETY: register-only.
-        unsafe { _mm256_round_pd::<{ _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC }>(a) }
-    }
-    #[inline(always)]
     fn copysign_one(self, x: __m256d) -> __m256d {
         // SAFETY: register-only.
         unsafe { _mm256_or_pd(_mm256_and_pd(x, _mm256_set1_pd(-0.0)), _mm256_set1_pd(1.0)) }
     }
     #[inline(always)]
-    fn cmp_lt(self, a: __m256d, b: __m256d) -> __m256d {
-        // SAFETY: register-only; _CMP_LT_OQ is ordered (false on NaN).
-        unsafe { _mm256_cmp_pd::<_CMP_LT_OQ>(a, b) }
-    }
-    #[inline(always)]
     fn cmp_le(self, a: __m256d, b: __m256d) -> __m256d {
-        // SAFETY: register-only; ordered.
+        // SAFETY: register-only; _CMP_LE_OQ is ordered (false on NaN).
         unsafe { _mm256_cmp_pd::<_CMP_LE_OQ>(a, b) }
     }
     #[inline(always)]

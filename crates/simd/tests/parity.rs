@@ -10,9 +10,9 @@
 //! under the parallel test runner.
 
 use fedsz_simd::{
-    abs_residuals_at, available_levels, cubic_preds_at, linear_preds_at, midpoint_preds_at,
-    minmax_finite_at, pack_offsets_at, quantize_at, reconstruct_at, residual_costs_at,
-    shuffle4_into_at, unpack_offsets_at, unshuffle4_into_at, Level, QuantParams,
+    abs_residuals_at, available_levels, cubic_preds_at, linear_preds_at, lorenzo_quantize_at,
+    midpoint_preds_at, minmax_finite_at, pack_offsets_at, quantize_at, reconstruct_at,
+    residual_costs_at, shuffle4_into_at, unpack_offsets_at, unshuffle4_into_at, Level, QuantParams,
 };
 
 /// xorshift64* — deterministic, dependency-free.
@@ -155,6 +155,60 @@ fn quantize_bin_edge_ties() {
             bits32(&recons_ref),
             "tie recons diverged at {lvl:?}"
         );
+    }
+}
+
+#[test]
+fn lorenzo_quantize_parity() {
+    // Every lane count up to one past 32 (whole vectors, a padded last
+    // vector, one lane), rows around a block, two corpora: hostile values,
+    // and random walks whose steps mostly quantize. In each case one chain
+    // holds a non-finite literal followed by finite values: the element
+    // after it is predicted from that literal and must escape too.
+    let mut rng = Rng::new(0x10E3_2020);
+    let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+    for &abs_eb in &[0.25f64, 1e-3, 1e-7] {
+        let p = QuantParams {
+            abs_eb,
+            bin: 2.0 * abs_eb,
+            radius: (1u32 << 15) as f64,
+        };
+        for lanes in 1..=33 {
+            for rows in [1usize, 2, 255, 256] {
+                let hostile = hostile_vec(&mut rng, rows * lanes);
+                let mut walk = vec![0f32; rows * lanes];
+                for lane in 0..lanes {
+                    let mut x = rng.uniform();
+                    for row in 0..rows {
+                        x += rng.uniform() * (4.0 * abs_eb) as f32;
+                        walk[row * lanes + lane] = x;
+                    }
+                }
+                for (corpus, mut values_t) in [("hostile", hostile), ("walk", walk)] {
+                    let lane = rng.next() as usize % lanes;
+                    values_t[lane] = specials[rng.next() as usize % specials.len()];
+                    for row in 1..rows {
+                        values_t[row * lanes + lane] = rng.uniform();
+                    }
+                    let ctx = format!("{corpus} eb={abs_eb} lanes={lanes} rows={rows}");
+                    let mut codes_ref = vec![u32::MAX; rows * lanes];
+                    lorenzo_quantize_at(Level::Scalar, &values_t, lanes, p, &mut codes_ref);
+                    assert_eq!(codes_ref[lane], 0, "{ctx}: literal did not escape");
+                    if rows > 1 {
+                        assert_eq!(
+                            codes_ref[lanes + lane],
+                            0,
+                            "{ctx}: successor did not escape"
+                        );
+                    }
+                    for lvl in vector_levels() {
+                        let mut codes = vec![u32::MAX; rows * lanes];
+                        lorenzo_quantize_at(lvl, &values_t, lanes, p, &mut codes);
+                        assert_eq!(codes, codes_ref, "codes diverged at {lvl:?}, {ctx}");
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -6,6 +6,10 @@
 //! * All EBLCs do far better on smooth scientific data than on weights
 //!   (Fig. 2's motivation).
 //! * blosc-lz is the fastest lossless codec; xz has the best ratio (Table II).
+//! * SZx is the fastest EBLC.
+//!
+//! The two speed orderings share one `#[ignore]`d test, which CI runs by
+//! name in release: a wall-clock ratio is not a tier-1 check.
 
 use fedsz::{LosslessKind, LossyKind};
 use fedsz_eblc::ErrorBound;
@@ -79,33 +83,23 @@ fn real_model_weights_behave_like_the_synthetic_proxy() {
     assert!((3.0..40.0).contains(&sz2), "SZ2 on real layer: {sz2:.2}");
 }
 
-#[test]
-fn blosclz_is_fastest_and_xz_best_ratio_on_metadata() {
-    // Large enough that timing noise does not invert a ~10x speed gap.
+/// A megabyte of f32 metadata-like bytes (Table II's input).
+fn metadata_bytes() -> Vec<u8> {
     let mut rng = SplitMix64::new(5);
     let mut bytes = Vec::new();
     for _ in 0..256 * 1024 {
         bytes.extend_from_slice(&(rng.normal_with(0.0, 0.3) as f32).to_le_bytes());
     }
-    let mut times = Vec::new();
-    let mut sizes = Vec::new();
-    for kind in LosslessKind::all() {
-        let t0 = Instant::now();
-        let c = kind.compress(&bytes);
-        times.push((kind, t0.elapsed().as_secs_f64()));
-        sizes.push((kind, c.len()));
-    }
-    let blosc_t = times
-        .iter()
-        .find(|(k, _)| *k == LosslessKind::BloscLz)
-        .unwrap()
-        .1;
-    let xz_t = times
-        .iter()
-        .find(|(k, _)| *k == LosslessKind::Xz)
-        .unwrap()
-        .1;
-    assert!(blosc_t * 3.0 < xz_t, "blosc {blosc_t:.3}s vs xz {xz_t:.3}s");
+    bytes
+}
+
+#[test]
+fn xz_has_the_best_ratio_on_metadata() {
+    let bytes = metadata_bytes();
+    let sizes: Vec<_> = LosslessKind::all()
+        .into_iter()
+        .map(|kind| (kind, kind.compress(&bytes).len()))
+        .collect();
     let xz_len = sizes
         .iter()
         .find(|(k, _)| *k == LosslessKind::Xz)
@@ -120,31 +114,59 @@ fn blosclz_is_fastest_and_xz_best_ratio_on_metadata() {
     }
 }
 
+/// Best of five calls of `f`, in seconds.
+fn best_of_five(mut f: impl FnMut()) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..5 {
+        let t0 = Instant::now();
+        f();
+        best = best.min(t0.elapsed().as_secs_f64());
+    }
+    best
+}
+
+/// The speed orderings of Table II and §V: blosc-lz is the fastest lossless
+/// codec, SZx the fastest EBLC. Wall-clock ratios fail on a loaded machine
+/// whatever the code does, so this stays out of the default run.
 #[test]
-fn szx_strict_is_the_fastest_eblc() {
+#[ignore = "wall-clock ordering; run by name in CI"]
+fn blosclz_and_szx_lead_on_wall_clock() {
+    let bytes = metadata_bytes();
+    let blosc_t = best_of_five(|| {
+        std::hint::black_box(LosslessKind::BloscLz.compress(&bytes));
+    });
+    let xz_t = best_of_five(|| {
+        std::hint::black_box(LosslessKind::Xz.compress(&bytes));
+    });
+    eprintln!("xz / blosc-lz: {:.2}x", xz_t / blosc_t);
+    assert!(blosc_t * 3.0 < xz_t, "blosc {blosc_t:.4}s vs xz {xz_t:.4}s");
+
     let data = weight_like(1 << 20, 77);
-    // Best of five, the two codecs taking turns: one call is a few
-    // milliseconds, the other tests of this binary run beside it, and a
-    // busy moment should cost both sides or neither.
     let timed = |kind: LossyKind| {
         let t0 = Instant::now();
         std::hint::black_box(kind.compress(&data, ErrorBound::Rel(1e-2)));
         t0.elapsed().as_secs_f64()
     };
+    // Best of five, the two codecs taking turns, so a busy moment costs
+    // both sides or neither.
     let (mut szx_t, mut sz2_t) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..5 {
         szx_t = szx_t.min(timed(LossyKind::Szx));
         sz2_t = sz2_t.min(timed(LossyKind::Sz2));
     }
-    // SZx's lead is its min/max and offset-packing kernels. With dispatch
-    // pinned to the scalar twins it measured 1.44×–1.70× over sixteen release
-    // runs (2.6×–2.9× before SZ2's encoder stepped eight Lorenzo chains), so
-    // that run alone asserts a margin just under what it measures.
-    let margin = if fedsz_simd::active_level() == fedsz_simd::Level::Scalar {
-        1.3
-    } else {
-        2.0
+    // SZx's lead is its min/max and offset-packing kernels; SZ2's Lorenzo
+    // chains run as lane-major vectors. Over ten release runs per level on a
+    // two-core Xeon the lead measured 1.48×–1.87× with dispatch pinned to
+    // the scalar twins, 2.13×–2.34× at SSE4.1 and 1.86×–2.25× at AVX2, and
+    // each level asserts a margin just under its smallest. NEON, never
+    // measured, takes AVX2's.
+    let level = fedsz_simd::active_level();
+    let margin = match level {
+        fedsz_simd::Level::Scalar => 1.4,
+        fedsz_simd::Level::Sse41 => 2.0,
+        _ => 1.75,
     };
+    eprintln!("SZ2 / SZx at {level:?}: {:.2}x", sz2_t / szx_t);
     assert!(
         szx_t * margin < sz2_t,
         "SZx {szx_t:.4}s should be {margin}x faster than SZ2 {sz2_t:.4}s"
