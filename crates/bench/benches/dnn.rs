@@ -7,17 +7,10 @@
 
 use std::hint::black_box;
 
-use fedsz_bench::{print_header, time};
+use fedsz_bench::{median_s, print_header};
 use fedsz_dnn::math::{Acc, Gemm, Mat};
 use fedsz_dnn::{DatasetKind, ModelArch};
 use fedsz_tensor::SplitMix64;
-
-/// Median seconds of `reps` calls.
-fn median_s(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut secs: Vec<f64> = (0..reps).map(|_| time(&mut f).1).collect();
-    secs.sort_by(f64::total_cmp);
-    secs[reps / 2]
-}
 
 fn main() {
     print_header(
@@ -68,14 +61,9 @@ fn main() {
     for arch in ModelArch::all() {
         let mut net = arch.build(3, 32, 10, 1);
         let mut rng = SplitMix64::new(2);
-        // One warm-up epoch sizes every scratch buffer.
-        net.train_epoch(&train, 32, 0.01, 0.9, &mut rng);
-        let train_s = median_s(3, || {
-            black_box(net.train_epoch(&train, 32, 0.01, 0.9, &mut rng));
-        });
-        let eval_s = median_s(3, || {
-            black_box(net.evaluate(&test));
-        });
+        // `median_s`'s warm-up epoch sizes every scratch buffer.
+        let train_s = median_s(3, || net.train_epoch(&train, 32, 0.01, 0.9, &mut rng));
+        let eval_s = median_s(3, || net.evaluate(&test));
         println!(
             "{arch:?}\t{:.0}\t{:.0}",
             train.n as f64 / train_s,

@@ -1,8 +1,10 @@
-//! Criterion benches for the entropy-coding kernels that every codec in the
-//! stack is built on: canonical Huffman, the adaptive range coder, and
-//! CRC-32.
+//! The entropy-coding kernels that every codec in the stack is built on:
+//! canonical Huffman, the adaptive range coder, and CRC-32. One row per
+//! kernel: the median time of a call and its throughput.
+//!
+//! `cargo bench -p fedsz-bench --bench entropy`
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use fedsz_bench::{median_s, print_header};
 use fedsz_entropy::bitio::{BitReader, BitWriter};
 use fedsz_entropy::crc32::crc32;
 use fedsz_entropy::huffman::{HuffmanDecoder, HuffmanEncoder};
@@ -18,9 +20,18 @@ fn quant_codes(n: usize, sigma: f64) -> Vec<u32> {
         .collect()
 }
 
-fn bench_huffman(c: &mut Criterion) {
-    let mut group = c.benchmark_group("huffman");
-    group.sample_size(10);
+/// Time `f` with [`median_s`] and print its row: the median in µs and
+/// `work` units of `unit` per second.
+fn row<R>(name: &str, reps: usize, work: f64, unit: &str, f: impl FnMut() -> R) {
+    let secs = median_s(reps, f);
+    println!(
+        "{name}\t{reps}\t{:.1}\t{:.1}\t{unit}",
+        secs * 1e6,
+        work / secs
+    );
+}
+
+fn bench_huffman() {
     // "wide": ~7 bits per symbol over a few hundred live symbols, as SZ2
     // codes at rel 1e-4; one symbol per table hit (a tight bound) going in,
     // fewer codes per joined write going out. "narrow": ~3 bits per symbol,
@@ -28,40 +39,34 @@ fn bench_huffman(c: &mut Criterion) {
     // two symbols and the bulk encode joins the most codes per write.
     for (shape, sigma) in [("wide", 40.0), ("narrow", 2.5)] {
         let syms = quant_codes(1 << 20, sigma);
+        let msyms = syms.len() as f64 / 1e6;
+        let name = |op: &str| format!("huffman/{op}/{shape}");
         let mut freqs = vec![0u64; 1 << 16];
         for &s in &syms {
             freqs[s as usize] += 1;
         }
         // The table is built once per tensor, so it is timed on its own:
         // code lengths, canonical codes and the serialized header.
-        group.throughput(Throughput::Elements(1));
-        group.bench_function(BenchmarkId::new("table_build", shape), |b| {
-            b.iter(|| {
-                let enc = HuffmanEncoder::from_frequencies(&freqs);
-                let mut w = BitWriter::new();
-                enc.write_table(&mut w);
-                w.finish()
-            });
+        row(&name("table_build"), 10, 1.0, "table/s", || {
+            let enc = HuffmanEncoder::from_frequencies(&freqs);
+            let mut w = BitWriter::new();
+            enc.write_table(&mut w);
+            w.finish()
         });
         let enc = HuffmanEncoder::from_frequencies(&freqs);
-        group.throughput(Throughput::Elements(syms.len() as u64));
         // Both rows write the same bytes: per-symbol `encode` against bulk
         // `encode_run`.
-        group.bench_function(BenchmarkId::new("encode", shape), |b| {
-            b.iter(|| {
-                let mut w = BitWriter::with_capacity(syms.len() / 2);
-                for &s in &syms {
-                    enc.encode(&mut w, s);
-                }
-                w.finish()
-            });
+        row(&name("encode"), 10, msyms, "Msym/s", || {
+            let mut w = BitWriter::with_capacity(syms.len() / 2);
+            for &s in &syms {
+                enc.encode(&mut w, s);
+            }
+            w.finish()
         });
-        group.bench_function(BenchmarkId::new("encode_run", shape), |b| {
-            b.iter(|| {
-                let mut w = BitWriter::with_capacity(syms.len() / 2);
-                enc.encode_run(&mut w, &syms);
-                w.finish()
-            });
+        row(&name("encode_run"), 10, msyms, "Msym/s", || {
+            let mut w = BitWriter::with_capacity(syms.len() / 2);
+            enc.encode_run(&mut w, &syms);
+            w.finish()
         });
 
         let mut w = BitWriter::with_capacity(syms.len() / 2);
@@ -73,46 +78,37 @@ fn bench_huffman(c: &mut Criterion) {
         // Both rows decode the same stream into the same buffer, table read
         // included: per-symbol `decode` against bulk `decode_run`.
         let mut out = vec![0u32; syms.len()];
-        group.bench_function(BenchmarkId::new("decode", shape), |b| {
-            b.iter(|| {
-                let mut r = BitReader::new(&bytes);
-                let dec = HuffmanDecoder::read_table(&mut r).unwrap();
-                for slot in out.iter_mut() {
-                    *slot = dec.decode(&mut r).unwrap();
-                }
-            });
+        row(&name("decode"), 10, msyms, "Msym/s", || {
+            let mut r = BitReader::new(&bytes);
+            let dec = HuffmanDecoder::read_table(&mut r).unwrap();
+            for slot in out.iter_mut() {
+                *slot = dec.decode(&mut r).unwrap();
+            }
         });
         assert_eq!(out, syms, "decode must reproduce the encoded symbols");
         out.fill(0);
-        group.bench_function(BenchmarkId::new("decode_run", shape), |b| {
-            b.iter(|| {
-                let mut r = BitReader::new(&bytes);
-                let dec = HuffmanDecoder::read_table(&mut r).unwrap();
-                dec.decode_run(&mut r, &mut out).unwrap();
-            });
+        row(&name("decode_run"), 10, msyms, "Msym/s", || {
+            let mut r = BitReader::new(&bytes);
+            let dec = HuffmanDecoder::read_table(&mut r).unwrap();
+            dec.decode_run(&mut r, &mut out).unwrap();
         });
         assert_eq!(out, syms, "decode_run must reproduce the encoded symbols");
     }
-    group.finish();
 }
 
-fn bench_rangecoder(c: &mut Criterion) {
+fn bench_rangecoder() {
     let mut rng = SplitMix64::new(13);
     let bits: Vec<u8> = (0..1 << 20)
         .map(|_| u8::from(rng.next_f64() < 0.2))
         .collect();
-    let mut group = c.benchmark_group("rangecoder");
-    group.throughput(Throughput::Elements(bits.len() as u64));
-    group.sample_size(10);
-    group.bench_function(BenchmarkId::from_parameter("encode"), |b| {
-        b.iter(|| {
-            let mut enc = RangeEncoder::new();
-            let mut m = BitModel::new();
-            for &bit in &bits {
-                enc.encode_bit(&mut m, bit);
-            }
-            enc.finish()
-        });
+    let mbits = bits.len() as f64 / 1e6;
+    row("rangecoder/encode", 10, mbits, "Mbit/s", || {
+        let mut enc = RangeEncoder::new();
+        let mut m = BitModel::new();
+        for &bit in &bits {
+            enc.encode_bit(&mut m, bit);
+        }
+        enc.finish()
     });
     let mut enc = RangeEncoder::new();
     let mut m = BitModel::new();
@@ -120,30 +116,28 @@ fn bench_rangecoder(c: &mut Criterion) {
         enc.encode_bit(&mut m, bit);
     }
     let data = enc.finish();
-    group.bench_function(BenchmarkId::from_parameter("decode"), |b| {
-        b.iter(|| {
-            let mut dec = RangeDecoder::new(&data).unwrap();
-            let mut m = BitModel::new();
-            let mut acc = 0u64;
-            for _ in 0..bits.len() {
-                acc += dec.decode_bit(&mut m) as u64;
-            }
-            acc
-        });
+    row("rangecoder/decode", 10, mbits, "Mbit/s", || {
+        let mut dec = RangeDecoder::new(&data).unwrap();
+        let mut m = BitModel::new();
+        let mut acc = 0u64;
+        for _ in 0..bits.len() {
+            acc += dec.decode_bit(&mut m) as u64;
+        }
+        acc
     });
-    group.finish();
 }
 
-fn bench_crc32(c: &mut Criterion) {
+fn bench_crc32() {
     let data: Vec<u8> = (0..1 << 20).map(|i| (i * 31) as u8).collect();
-    let mut group = c.benchmark_group("crc32");
-    group.throughput(Throughput::Bytes(data.len() as u64));
-    group.sample_size(20);
-    group.bench_function(BenchmarkId::from_parameter("1MiB"), |b| {
-        b.iter(|| crc32(&data));
-    });
-    group.finish();
+    row("crc32/1MiB", 20, 1.0, "MiB/s", || crc32(&data));
 }
 
-criterion_group!(benches, bench_huffman, bench_rangecoder, bench_crc32);
-criterion_main!(benches);
+fn main() {
+    print_header(
+        "entropy: canonical Huffman over 2^20 symbols, the range coder over 2^20 bits, CRC-32 over 1 MiB",
+        &["row", "reps", "median_us", "throughput", "unit"],
+    );
+    bench_huffman();
+    bench_rangecoder();
+    bench_crc32();
+}

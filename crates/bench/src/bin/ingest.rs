@@ -21,17 +21,12 @@
 //! those fields before judging the numbers.
 //!
 //! Run: `cargo run -p fedsz-bench --release --bin ingest [--smoke] [--reps N]
-//!       [--parent-serial-seconds S] [--out BENCH_ingest.json]`
-//!
-//! `--parent-serial-seconds` records, next to the largest cell's serial
-//! round time, that of a same-day run of the parent commit on the same box,
-//! as the before/after.
+//!       [--out BENCH_ingest.json]`
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use fedsz::{CompressedUpdate, FedSzConfig};
-use fedsz_bench::{print_header, Args};
+use fedsz_bench::{median_s, print_header, Args};
 use fedsz_fl::ingest::{self, IngestPool, Job, Verdict};
 use fedsz_tensor::{SplitMix64, StateDict, Tensor, TensorKind};
 
@@ -73,9 +68,8 @@ fn build_cell(clients: usize, params: usize) -> Cell {
     Cell { global, payloads }
 }
 
-/// Submit every payload and drain every outcome once; returns wall seconds.
-fn run_round(pool: &mut IngestPool, cell: &Cell) -> f64 {
-    let t0 = Instant::now();
+/// Submit every payload and drain every outcome once.
+fn run_round(pool: &mut IngestPool, cell: &Cell) {
     for (i, payload) in cell.payloads.iter().enumerate() {
         pool.submit(Job {
             seq: i as u64,
@@ -98,12 +92,6 @@ fn run_round(pool: &mut IngestPool, cell: &Cell) -> f64 {
             out.seq
         );
     }
-    t0.elapsed().as_secs_f64()
-}
-
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(|a, b| a.total_cmp(b));
-    xs[xs.len() / 2]
 }
 
 struct Measurement {
@@ -141,65 +129,39 @@ fn measure_micro(elems: usize, reps: usize) -> Vec<Micro> {
     let shuf_src: Vec<u8> = (0..elems * 4).map(|i| (i * 131 % 251) as u8).collect();
     let mut shuf_dst = vec![0u8; elems * 4];
     let mut pred_out = vec![0.0f32; elems / 2];
-    let f32_bytes = (elems * 4) as f64;
-
-    let timed = |bytes: f64, f: &mut dyn FnMut()| -> f64 {
-        f(); // warm-up pass
-        let times: Vec<f64> = (0..reps)
-            .map(|_| {
-                let t0 = Instant::now();
-                f();
-                t0.elapsed().as_secs_f64()
-            })
-            .collect();
-        bytes / 1e6 / median(times)
-    };
+    let f32_mb = (elems * 4) as f64 / 1e6;
+    let pred_mb = (pred_out.len() * 4) as f64 / 1e6;
 
     let mut out = Vec::new();
     for level in fedsz_simd::available_levels() {
-        let name = level.name();
-        out.push(Micro {
-            kernel: "quantize",
-            level: name,
-            mb_per_s: timed(f32_bytes, &mut || {
-                fedsz_simd::quantize_at(
-                    level,
-                    black_box(&values),
-                    &preds,
-                    p,
-                    &mut codes,
-                    &mut recons,
-                );
-            }),
+        let mut row = |kernel, mb: f64, secs: f64| {
+            out.push(Micro {
+                kernel,
+                level: level.name(),
+                mb_per_s: mb / secs,
+            });
+        };
+        let secs = median_s(reps, || {
+            let values = black_box(&values);
+            fedsz_simd::quantize_at(level, values, &preds, p, &mut codes, &mut recons);
         });
-        out.push(Micro {
-            kernel: "dequantize",
-            level: name,
-            mb_per_s: timed(f32_bytes, &mut || {
-                fedsz_simd::reconstruct_at(level, &preds, black_box(&codes), p, &mut recons);
-            }),
+        row("quantize", f32_mb, secs);
+        let secs = median_s(reps, || {
+            fedsz_simd::reconstruct_at(level, &preds, black_box(&codes), p, &mut recons);
         });
-        out.push(Micro {
-            kernel: "shuffle",
-            level: name,
-            mb_per_s: timed(f32_bytes, &mut || {
-                fedsz_simd::shuffle4_into_at(level, black_box(&shuf_src), &mut shuf_dst);
-            }),
+        row("dequantize", f32_mb, secs);
+        let secs = median_s(reps, || {
+            fedsz_simd::shuffle4_into_at(level, black_box(&shuf_src), &mut shuf_dst);
         });
-        out.push(Micro {
-            kernel: "unshuffle",
-            level: name,
-            mb_per_s: timed(f32_bytes, &mut || {
-                fedsz_simd::unshuffle4_into_at(level, black_box(&shuf_src), &mut shuf_dst);
-            }),
+        row("shuffle", f32_mb, secs);
+        let secs = median_s(reps, || {
+            fedsz_simd::unshuffle4_into_at(level, black_box(&shuf_src), &mut shuf_dst);
         });
-        out.push(Micro {
-            kernel: "predict",
-            level: name,
-            mb_per_s: timed(pred_out.len() as f64 * 4.0, &mut || {
-                fedsz_simd::midpoint_preds_at(level, black_box(&values), &mut pred_out);
-            }),
+        row("unshuffle", f32_mb, secs);
+        let secs = median_s(reps, || {
+            fedsz_simd::midpoint_preds_at(level, black_box(&values), &mut pred_out);
         });
+        row("predict", pred_mb, secs);
     }
     out
 }
@@ -209,13 +171,11 @@ fn measure_cell(cell: &Cell, worker_counts: &[usize], reps: usize) -> Vec<Measur
         .iter()
         .map(|&workers| {
             let mut pool = IngestPool::new(workers, cell.payloads.len());
-            // One untimed warm-up round fills caches and parks the workers
-            // on their channels before measurement starts.
-            run_round(&mut pool, cell);
-            let times: Vec<f64> = (0..reps).map(|_| run_round(&mut pool, cell)).collect();
+            // `median_s`'s untimed warm-up round fills caches and parks the
+            // workers on their channels before measurement starts.
             Measurement {
                 workers,
-                seconds: median(times),
+                seconds: median_s(reps, || run_round(&mut pool, cell)),
             }
         })
         .collect()
@@ -225,7 +185,6 @@ fn main() {
     let args = Args::parse();
     let smoke = args.flag("--smoke");
     let reps: usize = args.value("--reps", if smoke { 2 } else { 5 });
-    let parent_serial_seconds: f64 = args.value("--parent-serial-seconds", 0.0);
     let out: String = args.value("--out", "BENCH_ingest.json".to_string());
     let cores = ingest::default_workers();
     let simd_level = fedsz_simd::detected_level().name();
@@ -281,18 +240,8 @@ fn main() {
                     m.workers, m.seconds, speedup
                 ));
             }
-            let is_largest = (Some(&clients), Some(&params))
-                == (client_counts.iter().max(), param_counts.iter().max());
-            let parent = if is_largest && parent_serial_seconds > 0.0 {
-                format!(
-                    " \"parent_serial_seconds\": {parent_serial_seconds:.6}, \"speedup_vs_parent\": {:.2},",
-                    parent_serial_seconds / serial_s
-                )
-            } else {
-                String::new()
-            };
             cells_json.push(format!(
-                "    {{\"clients\": {clients}, \"params\": {params}, \"payload_bytes\": {payload_bytes}, \"serial_seconds\": {serial_s:.6},{parent} \"runs\": [{}]}}",
+                "    {{\"clients\": {clients}, \"params\": {params}, \"payload_bytes\": {payload_bytes}, \"serial_seconds\": {serial_s:.6}, \"runs\": [{}]}}",
                 rows_json.join(", ")
             ));
         }

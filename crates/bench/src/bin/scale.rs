@@ -26,30 +26,13 @@
 //! only comparable across hosts with that field in hand.
 //!
 //! Run: `cargo run -p fedsz-bench --release --bin scale [--smoke]
-//!       [--folds N] [--population N] [--parent-fold-seconds S]
-//!       [--out BENCH_scale.json]`
-//!
-//! `--parent-fold-seconds` records the fold time of a same-day run of the
-//! parent commit on the same box next to this run's, as the before/after.
+//!       [--folds N] [--population N] [--out BENCH_scale.json]`
 
 use std::time::Instant;
 
-use fedsz_bench::Args;
+use fedsz_bench::{proc_status_kb, Args};
 use fedsz_fl::{FlConfig, StreamingFedAvg, TransportConfig};
 use fedsz_tensor::{SplitMix64, StateDict, Tensor, TensorKind};
-
-/// `VmRSS` / `VmHWM` in kB from `/proc/self/status` (0 if unavailable).
-fn proc_status_kb(field: &str) -> u64 {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return 0;
-    };
-    status
-        .lines()
-        .find(|l| l.starts_with(field))
-        .and_then(|l| l.split_whitespace().nth(1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
-}
 
 /// Deterministic client update: `params` normal weights plus a small bias.
 fn synth_update(params: usize, seed: u64) -> StateDict {
@@ -243,7 +226,6 @@ fn main() {
     let folds: usize = args.value("--folds", if smoke { 1_000 } else { 10_000 });
     let params: usize = args.value("--params", if smoke { 16_384 } else { 65_536 });
     let population: usize = args.value("--population", if smoke { 1_000 } else { 10_000 });
-    let parent_fold_seconds: f64 = args.value("--parent-fold-seconds", 0.0);
     let out: String = args.value("--out", "BENCH_scale.json".to_string());
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
@@ -288,19 +270,11 @@ fn main() {
         proc_status_kb("VmHWM"),
     );
 
-    let parent = if parent_fold_seconds > 0.0 {
-        format!(
-            "\n    \"parent_seconds\": {parent_fold_seconds:.4}, \"speedup\": {:.2},",
-            parent_fold_seconds / fold.seconds
-        )
-    } else {
-        String::new()
-    };
     let json = format!(
         "{{\n  \"benchmark\": \"scale\",\n  \"available_parallelism\": {cores},\n  \"smoke\": {smoke},\n\
          \n  \"fold\": {{\n    \"folds\": {}, \"params\": {}, \"distinct_updates\": {},\n    \
          \"accumulator_bytes\": {}, \"wide_tensors\": {}, \"materialized_bytes\": {},\n    \
-         \"rss_before_kb\": {}, \"rss_after_kb\": {}, \"seconds\": {:.4},{}\n    \
+         \"rss_before_kb\": {}, \"rss_after_kb\": {}, \"seconds\": {:.4},\n    \
          \"matches_materialized_fedavg\": true\n  }},\n\
          \n  \"round\": {{\n    \"population\": {}, \"cohort\": {}, \"rounds\": {},\n    \
          \"accuracy\": {:.6}, \"seconds\": {:.4},\n    \
@@ -314,7 +288,6 @@ fn main() {
         fold.rss_before_kb,
         fold.rss_after_kb,
         fold.seconds,
-        parent,
         round.population,
         round.cohort,
         round.rounds,

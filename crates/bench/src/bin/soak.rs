@@ -38,21 +38,8 @@
 use std::time::{Duration, Instant};
 
 use fedsz::FaultCounters;
-use fedsz_bench::Args;
+use fedsz_bench::{proc_status_kb, Args};
 use fedsz_fl::{Aggregation, FaultPlan, FlConfig, FlRunResult, NetConfig, TransportConfig};
-
-/// `VmRSS` / `VmHWM` in kB from `/proc/self/status` (0 if unavailable).
-fn proc_status_kb(field: &str) -> u64 {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return 0;
-    };
-    status
-        .lines()
-        .find(|l| l.starts_with(field))
-        .and_then(|l| l.split_whitespace().nth(1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
-}
 
 /// State-dict size of the model `cfg` builds — the reference for the
 /// ingest budget (the same derivation the server uses).

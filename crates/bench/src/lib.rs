@@ -1,10 +1,12 @@
 //! Shared helpers for the table/figure regenerators in `src/bin/` and the
-//! Criterion benches in `benches/`.
+//! plain-`main` benches in `benches/`.
 //!
 //! Every binary prints the rows/series of one paper artifact (see the
 //! experiment index in DESIGN.md). The helpers here keep workloads,
-//! measurement, and formatting consistent across them.
+//! measurement, and formatting consistent across them: [`median_s`] is the
+//! one timing loop every bench and micro tier uses.
 
+use std::hint::black_box;
 use std::time::Instant;
 
 use fedsz::partition::{route_of, Route};
@@ -15,6 +17,29 @@ pub fn time<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let t0 = Instant::now();
     let out = f();
     (out, t0.elapsed().as_secs_f64())
+}
+
+/// Median wall seconds of `reps` calls of `f` (`reps` ≥ 1), after one
+/// untimed warm-up call that sizes buffers and warms caches. Each result
+/// goes through `black_box`, so the work is not optimised away.
+pub fn median_s<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
+    black_box(f());
+    let mut secs: Vec<f64> = (0..reps).map(|_| time(|| black_box(f())).1).collect();
+    secs.sort_by(f64::total_cmp);
+    secs[reps / 2]
+}
+
+/// `VmRSS` / `VmHWM` in kB from `/proc/self/status` (0 if unavailable).
+pub fn proc_status_kb(field: &str) -> u64 {
+    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
+        return 0;
+    };
+    status
+        .lines()
+        .find(|l| l.starts_with(field))
+        .and_then(|l| l.split_whitespace().nth(1))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(0)
 }
 
 /// The relative error bounds of Table I.
@@ -65,14 +90,16 @@ impl Args {
         self.raw.iter().any(|a| a == name)
     }
 
-    /// Value of `--name <value>` parsed as `T`, or the default.
+    /// Value of `--name <value>` parsed as `T`, or the default when the
+    /// flag is absent. Panics, naming the flag and the text, when the value
+    /// is missing or does not parse: a typo must not run the default.
     pub fn value<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        self.raw
-            .iter()
-            .position(|a| a == name)
-            .and_then(|i| self.raw.get(i + 1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        let Some(i) = self.raw.iter().position(|a| a == name) else {
+            return default;
+        };
+        let text = self.raw.get(i + 1).map_or("", String::as_str);
+        text.parse()
+            .unwrap_or_else(|_| panic!("{name}: cannot parse {text:?}"))
     }
 }
 
@@ -123,5 +150,29 @@ mod tests {
         assert!(!args.flag("--slow"));
         assert_eq!(args.value("--rounds", 50usize), 7);
         assert_eq!(args.value("--clients", 4usize), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "--reps: cannot parse \"1O\"")]
+    fn args_refuse_an_unparsable_value() {
+        let args = Args {
+            raw: vec!["--reps".into(), "1O".into()],
+        };
+        args.value("--reps", 5usize);
+    }
+
+    #[test]
+    fn median_s_warms_up_once_then_returns_the_middle_sample() {
+        use std::time::Duration;
+        // The untimed warm-up is the slowest call; were it timed, the
+        // median of the four samples would be the 50 ms one.
+        let sleeps_ms = [100, 1, 50, 10];
+        let mut calls = 0;
+        let secs = median_s(3, || {
+            std::thread::sleep(Duration::from_millis(sleeps_ms[calls]));
+            calls += 1;
+        });
+        assert_eq!(calls, 4);
+        assert!((0.010..0.050).contains(&secs), "median {secs} s");
     }
 }
