@@ -10,30 +10,25 @@
 
 use fedsz::{BoundSchedule, FedSzConfig};
 use fedsz_bench::{print_header, Args};
-use fedsz_fl::{FlConfig, SMALL_MODEL_THRESHOLD};
+use fedsz_fl::{FlConfig, RunSpec, SMALL_MODEL_THRESHOLD};
 
 fn run_with_schedule(schedule: BoundSchedule, rounds: usize) -> (f64, usize, f64) {
-    // Run round-by-round so the bound can change between rounds: each
-    // single-round run continues from the previous global model. To keep it
-    // simple we re-run the full prefix per schedule via per-round configs;
-    // instead, run one session per round is wasteful, so emulate by running
-    // `rounds` sessions of one round each is wrong (state resets). We
-    // instead run a full session at the schedule's *per-round* bound using
-    // the session API extended by variable bounds below.
-    fedsz_fl::run_scheduled(
-        &FlConfig {
-            rounds,
-            ..FlConfig::default()
-        },
-        |round| {
-            Some(FedSzConfig {
-                threshold: SMALL_MODEL_THRESHOLD,
-                ..FedSzConfig::with_rel_bound(schedule.bound_at(round))
-            })
-        },
-    )
-    .expect("fl run")
-    .summary()
+    // One session whose uplink bound follows the schedule round by round.
+    let codec_at = |round| {
+        Some(FedSzConfig {
+            threshold: SMALL_MODEL_THRESHOLD,
+            ..FedSzConfig::with_rel_bound(schedule.bound_at(round))
+        })
+    };
+    let cfg = FlConfig {
+        rounds,
+        ..FlConfig::default()
+    };
+    let spec = RunSpec {
+        schedule: Some(&codec_at),
+        ..RunSpec::default()
+    };
+    fedsz_fl::run_with(&cfg, &spec).expect("fl run").summary()
 }
 
 fn main() {

@@ -31,7 +31,7 @@
 use std::time::Instant;
 
 use fedsz_bench::{proc_status_kb, Args};
-use fedsz_fl::{FlConfig, StreamingFedAvg, TransportConfig};
+use fedsz_fl::{FlConfig, RunSpec, StreamingFedAvg, Transport};
 use fedsz_tensor::{SplitMix64, StateDict, Tensor, TensorKind};
 
 /// Deterministic client update: `params` normal weights plus a small bias.
@@ -203,8 +203,11 @@ fn bench_round(population: usize) -> RoundReport {
     let cohort = cfg.cohort_size();
     let rss_before_kb = proc_status_kb("VmRSS");
     let t0 = Instant::now();
-    let result =
-        fedsz_fl::run_threaded_with(&cfg, &TransportConfig::default()).expect("scale round");
+    let spec = RunSpec {
+        transport: Transport::Channel,
+        ..RunSpec::default()
+    };
+    let result = fedsz_fl::run_with(&cfg, &spec).expect("scale round");
     let seconds = t0.elapsed().as_secs_f64();
     let rss_after_kb = proc_status_kb("VmRSS");
     assert_eq!(result.rounds.len(), 1);

@@ -39,7 +39,7 @@ use std::time::{Duration, Instant};
 
 use fedsz::FaultCounters;
 use fedsz_bench::{proc_status_kb, Args};
-use fedsz_fl::{Aggregation, FaultPlan, FlConfig, FlRunResult, NetConfig, TransportConfig};
+use fedsz_fl::{Aggregation, FaultPlan, FlConfig, FlRunResult, NetConfig, RunSpec, Transport};
 
 /// State-dict size of the model `cfg` builds — the reference for the
 /// ingest budget (the same derivation the server uses).
@@ -109,45 +109,20 @@ fn chaos_plan(cfg: &FlConfig, flood_bytes: usize) -> (FaultPlan, Vec<FaultCounte
     (plan, expected)
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Transport {
-    InProcess,
-    Channel,
-    Tcp,
-}
-
-impl Transport {
-    fn name(self) -> &'static str {
-        match self {
-            Transport::InProcess => "in-process",
-            Transport::Channel => "channel",
-            Transport::Tcp => "tcp",
-        }
-    }
-}
-
-fn run_one(cfg: &FlConfig, plan: &FaultPlan, transport: Transport) -> FlRunResult {
-    match transport {
-        Transport::InProcess => fedsz_fl::run_with_faults(cfg, plan).expect("in-process soak run"),
-        Transport::Channel => {
-            let tcfg = TransportConfig {
-                faults: plan.clone(),
-                ..TransportConfig::default()
-            };
-            fedsz_fl::run_threaded_with(cfg, &tcfg).expect("channel soak run")
-        }
-        Transport::Tcp => {
-            let tcfg = TransportConfig {
-                faults: plan.clone(),
-                ..TransportConfig::default()
-            };
-            let ncfg = NetConfig {
-                min_byte_rate: MIN_BYTE_RATE,
-                ..NetConfig::default()
-            };
-            fedsz_fl::run_tcp_with(cfg, &tcfg, &ncfg).expect("tcp soak run")
-        }
-    }
+/// One soak run of `cfg` under `plan` over `transport`, with the rate
+/// floor on (only TCP reads it).
+fn run_cell(cfg: &FlConfig, plan: &FaultPlan, transport: Transport) -> FlRunResult {
+    let spec = RunSpec {
+        transport,
+        faults: plan.clone(),
+        net: NetConfig {
+            min_byte_rate: MIN_BYTE_RATE,
+            ..NetConfig::default()
+        },
+        ..RunSpec::default()
+    };
+    fedsz_fl::run_with(cfg, &spec)
+        .unwrap_or_else(|e| panic!("{} soak run: {e:?}", transport.name()))
 }
 
 /// Assert `got` is bit-identical to `baseline`: final model, per-round
@@ -246,7 +221,7 @@ fn main() {
                 ..base_cfg.clone()
             };
             let t0 = Instant::now();
-            let result = run_one(&cfg, &plan, transport);
+            let result = run_cell(&cfg, &plan, transport);
             let seconds = t0.elapsed().as_secs_f64();
             let shed: usize = result.rounds.iter().map(|r| r.faults.shed).sum();
             println!(
@@ -328,7 +303,7 @@ fn main() {
                     ..adv_base.clone()
                 };
                 let t0 = Instant::now();
-                let result = run_one(&cfg, &adv_plan, transport);
+                let result = run_cell(&cfg, &adv_plan, transport);
                 let seconds = t0.elapsed().as_secs_f64();
                 let suspected: usize = result.rounds.iter().map(|r| r.faults.suspected).sum();
                 println!(
@@ -388,7 +363,7 @@ fn main() {
     let (scale_plan, _) = chaos_plan(&scale_cfg, scale_model * 4);
     let cohort = scale_cfg.cohort_size();
 
-    let inproc = run_one(
+    let inproc = run_cell(
         &FlConfig {
             ingest_workers: if smoke { 2 } else { 4 },
             ingest_budget_bytes: Some(scale_budget),
@@ -400,7 +375,7 @@ fn main() {
 
     let rss_before_kb = proc_status_kb("VmRSS");
     let t0 = Instant::now();
-    let channel = run_one(
+    let channel = run_cell(
         &FlConfig {
             ingest_workers: if smoke { 2 } else { 4 },
             ingest_budget_bytes: Some(scale_budget),

@@ -17,7 +17,7 @@ use fedsz::{
     census, compress_with_stats, decompress, CodecError, CompressedUpdate, ErrorBound, FedSzConfig,
     LosslessKind, LossyKind, Route,
 };
-use fedsz_fl::FlError;
+use fedsz_fl::{FlError, Transport};
 use fedsz_models::ModelKind;
 use fedsz_tensor::StateDict;
 
@@ -237,35 +237,13 @@ pub fn cmd_inspect(input: &Path, threshold: usize) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Which FL transport the `fl` subcommand drives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlTransport {
-    /// Single-process loopback: the one round engine with each client's
-    /// turn run in sequence on the server's collector thread.
-    InProcess,
-    /// One OS thread per client, serialized updates over channels.
-    Threaded,
-    /// Framed, CRC-checked wire protocol over real TCP sockets.
-    Tcp,
-}
-
-impl FlTransport {
-    /// Human-readable name for report headers.
-    pub fn name(self) -> &'static str {
-        match self {
-            FlTransport::InProcess => "in-process",
-            FlTransport::Threaded => "threaded",
-            FlTransport::Tcp => "tcp",
-        }
-    }
-}
-
-/// Parse a transport name as the tool accepts it.
-pub fn parse_transport(name: &str) -> Result<FlTransport, CliError> {
+/// Parse a transport name as the tool accepts it; the channel transport
+/// is `threaded` here.
+pub fn parse_transport(name: &str) -> Result<Transport, CliError> {
     match name.to_ascii_lowercase().as_str() {
-        "in-process" | "inprocess" | "sim" => Ok(FlTransport::InProcess),
-        "threaded" | "threads" => Ok(FlTransport::Threaded),
-        "tcp" => Ok(FlTransport::Tcp),
+        "in-process" | "inprocess" | "sim" => Ok(Transport::InProcess),
+        "threaded" | "threads" => Ok(Transport::Channel),
+        "tcp" => Ok(Transport::Tcp),
         other => Err(CliError::Usage(format!(
             "unknown transport {other:?} (expected in-process | threaded | tcp)"
         ))),
@@ -340,7 +318,7 @@ pub struct FlOpts {
     /// FedSZ relative error bound; `None` = uncompressed updates.
     pub rel: Option<f64>,
     /// Which transport carries the updates.
-    pub transport: FlTransport,
+    pub transport: Transport,
     /// TCP server role: bind this address and wait for remote clients.
     /// Without `listen` or `connect`, `--transport tcp` runs the server
     /// and all clients in this process over loopback.
@@ -400,7 +378,7 @@ impl Default for FlOpts {
             sample_fraction: 1.0,
             samples: 96,
             rel: Some(1e-2),
-            transport: FlTransport::InProcess,
+            transport: Transport::InProcess,
             listen: None,
             connect: None,
             client_id: None,
@@ -425,7 +403,7 @@ impl Default for FlOpts {
 /// `fl`: run a federated session and print per-round accuracy, compression,
 /// and participation (delivered / rejected / late / dropped clients).
 pub fn cmd_fl(opts: &FlOpts) -> Result<String, CliError> {
-    use fedsz_fl::{FlConfig, NetConfig, TransportConfig};
+    use fedsz_fl::{FlConfig, NetConfig, RunSpec};
     use std::time::Duration;
 
     if opts.clients == 0 || opts.rounds == 0 {
@@ -469,16 +447,26 @@ pub fn cmd_fl(opts: &FlOpts) -> Result<String, CliError> {
             )));
         }
     }
-    if opts.transport != FlTransport::Tcp
+    if opts.transport != Transport::Tcp
         && (opts.listen.is_some() || opts.connect.is_some() || opts.client_id.is_some())
     {
         return Err(CliError::Usage(
             "--listen/--connect/--client-id require --transport tcp".into(),
         ));
     }
+    // Flags only one role or transport reads would be silently ignored
+    // elsewhere.
+    if opts.transport != Transport::Tcp && opts.min_byte_rate != 0 {
+        return Err(CliError::Usage(
+            "--min-byte-rate requires --transport tcp".into(),
+        ));
+    }
+    if opts.client_id.is_some() && opts.connect.is_none() {
+        return Err(CliError::Usage("--client-id requires --connect".into()));
+    }
     // The in-process transport has no stragglers, retries or idle clients,
     // so the policy flags that govern them would be silently meaningless.
-    if opts.transport == FlTransport::InProcess {
+    if opts.transport == Transport::InProcess {
         let policy_flags = [
             ("--deadline-ms", opts.deadline_ms.is_some()),
             ("--min-quorum", opts.min_quorum > 1),
@@ -541,17 +529,17 @@ pub fn cmd_fl(opts: &FlOpts) -> Result<String, CliError> {
         aggregation,
         ..FlConfig::default()
     };
-    let idle = opts.idle_timeout_ms.map(Duration::from_millis);
-    let tcfg = TransportConfig {
+    let spec = RunSpec {
+        transport: opts.transport,
         round_deadline: opts.deadline_ms.map(Duration::from_millis),
         min_quorum: opts.min_quorum,
         max_round_retries: opts.retries,
-        client_idle_timeout: idle,
-        ..TransportConfig::default()
-    };
-    let ncfg = NetConfig {
-        min_byte_rate: opts.min_byte_rate,
-        ..NetConfig::default()
+        client_idle_timeout: opts.idle_timeout_ms.map(Duration::from_millis),
+        net: NetConfig {
+            min_byte_rate: opts.min_byte_rate,
+            ..NetConfig::default()
+        },
+        ..RunSpec::default()
     };
 
     // TCP client role: participate and exit; the server prints the report.
@@ -559,20 +547,16 @@ pub fn cmd_fl(opts: &FlOpts) -> Result<String, CliError> {
         let id = opts
             .client_id
             .ok_or_else(|| CliError::Usage("--connect requires --client-id".into()))?;
-        fedsz_fl::run_tcp_client(addr, id, &cfg, idle).map_err(classify_fl)?;
+        fedsz_fl::run_tcp_client(addr, id, &cfg, &spec).map_err(classify_fl)?;
         return Ok(format!(
             "client {id} finished against {addr} ({} clients x {} samples, seed {})",
             opts.clients, opts.samples, opts.seed
         ));
     }
 
-    let result = match opts.transport {
-        FlTransport::InProcess => fedsz_fl::run(&cfg),
-        FlTransport::Threaded => fedsz_fl::run_threaded_with(&cfg, &tcfg),
-        FlTransport::Tcp => match &opts.listen {
-            Some(addr) => fedsz_fl::serve_tcp(addr, &cfg, &tcfg, &ncfg),
-            None => fedsz_fl::run_tcp_with(&cfg, &tcfg, &ncfg),
-        },
+    let result = match &opts.listen {
+        Some(addr) => fedsz_fl::serve_tcp(addr, &cfg, &spec),
+        None => fedsz_fl::run_with(&cfg, &spec),
     }
     .map_err(classify_fl)?;
 
@@ -580,7 +564,10 @@ pub fn cmd_fl(opts: &FlOpts) -> Result<String, CliError> {
     let _ = writeln!(
         out,
         "{} transport, {} x {} samples, {} rounds, {}, ingest: {}, aggregation: {}, simd: {}",
-        opts.transport.name(),
+        match opts.transport {
+            Transport::Channel => "threaded", // the flag's name for it
+            other => other.name(),
+        },
         match opts.population {
             0 => format!("{} clients", opts.clients),
             pop => format!("cohort {cohort} of {pop} registered clients"),
@@ -761,7 +748,7 @@ mod tests {
         let opts = FlOpts {
             rounds: 2,
             samples: 48,
-            transport: FlTransport::Threaded,
+            transport: Transport::Channel,
             deadline_ms: Some(30_000),
             ingest_workers: Some(2),
             ..FlOpts::default()
@@ -789,7 +776,7 @@ mod tests {
             rounds: 1,
             clients: 2,
             samples: 16,
-            transport: FlTransport::Threaded,
+            transport: Transport::Channel,
             ingest_budget_bytes: Some(1),
             ..FlOpts::default()
         })
@@ -806,7 +793,7 @@ mod tests {
             rounds: 1,
             clients: 2,
             samples: 32,
-            transport: FlTransport::Tcp,
+            transport: Transport::Tcp,
             ..FlOpts::default()
         };
         let report = cmd_fl(&opts).unwrap();
@@ -897,16 +884,40 @@ mod tests {
         // A client role must name its slot.
         assert!(matches!(
             cmd_fl(&FlOpts {
-                transport: FlTransport::Tcp,
+                transport: Transport::Tcp,
                 connect: Some("127.0.0.1:1".into()),
                 ..FlOpts::default()
             }),
             Err(CliError::Usage(_))
         ));
+        // Flags that only TCP, or only its client role, reads.
+        for (flag, opts) in [
+            (
+                "--min-byte-rate",
+                FlOpts {
+                    transport: Transport::Channel,
+                    min_byte_rate: 100,
+                    ..FlOpts::default()
+                },
+            ),
+            (
+                "--client-id",
+                FlOpts {
+                    transport: Transport::Tcp,
+                    client_id: Some(0),
+                    ..FlOpts::default()
+                },
+            ),
+        ] {
+            match cmd_fl(&opts) {
+                Err(CliError::Usage(m)) => assert!(m.contains(flag), "{flag}: {m}"),
+                other => panic!("{flag} accepted: {other:?}"),
+            }
+        }
         // Server and client role at once is contradictory.
         assert!(matches!(
             cmd_fl(&FlOpts {
-                transport: FlTransport::Tcp,
+                transport: Transport::Tcp,
                 listen: Some("127.0.0.1:0".into()),
                 connect: Some("127.0.0.1:1".into()),
                 ..FlOpts::default()
@@ -990,7 +1001,7 @@ mod tests {
             ),
         ];
         for (flag, opts) in cases {
-            assert_eq!(opts.transport, FlTransport::InProcess);
+            assert_eq!(opts.transport, Transport::InProcess);
             match cmd_fl(&opts) {
                 Err(CliError::Usage(m)) => assert!(m.contains(flag), "{flag}: {m}"),
                 other => panic!("{flag} accepted in-process: {other:?}"),
@@ -1000,7 +1011,7 @@ mod tests {
                 rounds: 1,
                 clients: 2,
                 samples: 16,
-                transport: FlTransport::Threaded,
+                transport: Transport::Channel,
                 ..opts
             };
             assert!(cmd_fl(&threaded).is_ok(), "{flag} refused when threaded");
@@ -1027,9 +1038,9 @@ mod tests {
 
     #[test]
     fn transport_parser_accepts_aliases_and_rejects_junk() {
-        assert_eq!(parse_transport("TCP").unwrap(), FlTransport::Tcp);
-        assert_eq!(parse_transport("sim").unwrap(), FlTransport::InProcess);
-        assert_eq!(parse_transport("threads").unwrap(), FlTransport::Threaded);
+        assert_eq!(parse_transport("TCP").unwrap(), Transport::Tcp);
+        assert_eq!(parse_transport("sim").unwrap(), Transport::InProcess);
+        assert_eq!(parse_transport("threads").unwrap(), Transport::Channel);
         assert!(parse_transport("udp").is_err());
     }
 

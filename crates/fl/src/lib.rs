@@ -2,22 +2,21 @@
 //! updates — the simulation harness behind the paper's accuracy and
 //! communication experiments.
 //!
-//! A [`session::run`] executes the full loop of Figure 1: broadcast the
+//! A [`run`] executes the full loop of Figure 1: broadcast the
 //! global model, train locally on each client's shard, compress each
 //! client's state dict with FedSZ, decompress and FedAvg-aggregate at the
 //! server, and evaluate on a held-out set. All timing and size
 //! measurements needed by Tables I/V and Figures 4–7 are recorded per
 //! round.
 //!
-//! There is one round engine ([`transport`]'s `serve`), generic over a
-//! transport, and one client turn every transport runs. [`session::run`]
-//! drives it over an in-process loopback that takes each cohort member's
-//! turn on the collector thread; the channel-backed threaded transport
-//! ([`transport`]) and the socket-backed TCP transport ([`net`]) — which
-//! speaks the length-prefixed, CRC-32-checked frames of [`wire`] and gives
-//! clients reconnect with exponential backoff — give every client an OS
-//! thread. All three run identical round semantics and, with the same
-//! seeds, produce bit-identical models.
+//! [`run_with`] is the one entry point; its [`RunSpec`] names the
+//! [`Transport`] and holds the round policy, faults and codec schedule.
+//! One round engine ([`transport`]'s `serve`) and one client turn run under
+//! every transport: [`Transport::InProcess`] takes each turn on the
+//! collector thread; [`Transport::Channel`] and [`Transport::Tcp`] ([`net`],
+//! CRC-32-checked [`wire`] frames, reconnect with backoff) give every
+//! client an OS thread. With the same seeds all three produce bit-identical
+//! models. [`serve_tcp`] and [`run_tcp_client`] split a TCP run in two.
 //!
 //! The engine is fault-tolerant: corrupt, dead, and straggling clients are
 //! counted per round ([`RoundMetrics::faults`]) and excluded from the
@@ -83,10 +82,8 @@ pub use checkpoint::{config_fingerprint, Checkpoint};
 pub use error::FlError;
 pub use fault::{FaultKind, FaultPlan};
 pub use ingest::{ingest_update, IngestPool};
-pub use net::{run_tcp, run_tcp_client, run_tcp_with, serve_tcp, NetConfig};
+pub use net::{run_tcp_client, run_tcp_with, serve_tcp, NetConfig};
 pub use robust::Aggregation;
-pub use session::{
-    run, run_scheduled, run_with_faults, FlConfig, FlRunResult, RoundMetrics, SMALL_MODEL_THRESHOLD,
-};
-pub use transport::{run_threaded, run_threaded_with, TransportConfig};
+pub use session::{run, run_with, FlConfig, FlRunResult, RoundMetrics, SMALL_MODEL_THRESHOLD};
+pub use transport::{run_threaded_with, RunSpec, Transport};
 pub use validate::{validate_update, UpdateRejection, MAX_SAMPLES};

@@ -30,11 +30,11 @@
 //!   cost a round — and a permanently dead client stalls at most one
 //!   broadcast, not every one.
 //!
-//! [`run_tcp`] runs server and clients in one process over loopback and is
-//! bit-identical (same seeds) to [`run_threaded`](crate::run_threaded) and
-//! [`session::run`](crate::session::run); [`serve_tcp`] / [`run_tcp_client`]
-//! are the split server/client entry points the CLI exposes for genuinely
-//! distributed runs.
+//! [`crate::run_with`] over [`Transport::Tcp`] runs server and clients in
+//! one process over loopback and is bit-identical (same seeds) to the
+//! other transports; [`serve_tcp`] / [`run_tcp_client`] are the split
+//! server/client entry points the CLI exposes for genuinely distributed
+//! runs.
 
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -45,12 +45,12 @@ use fedsz_tensor::SplitMix64;
 
 use crate::budget::{Ledger, RoundGate};
 use crate::error::FlError;
-use crate::fault::{FaultKind, FaultPlan};
+use crate::fault::FaultKind;
 use crate::session::{FlConfig, FlRunResult};
 use crate::sync::channel::{bounded, Receiver, SendError, Sender};
 use crate::transport::{
     lossless_config, recv_until, serve, setup_data, setup_run, Answer, BroadcastOutcome, Client,
-    ClientMsg, Moves, RecvEnd, ServerTransport, TransportConfig, Uplink,
+    ClientMsg, RecvEnd, RunSpec, ServerTransport, Transport, Uplink,
 };
 use crate::wire::{self, Frame, HeaderVerdict, WireError};
 
@@ -82,9 +82,10 @@ const BACKOFF_BASE: Duration = Duration::from_millis(25);
 /// Ceiling on the exponential reconnect delay.
 const BACKOFF_MAX: Duration = Duration::from_secs(1);
 
-/// Socket-level policy for the TCP transport. Round semantics (deadline,
-/// quorum, retries, faults) stay in [`TransportConfig`]; this covers only
-/// what a real network adds: joining, reconnecting, and stalling.
+/// Socket-level policy for the TCP transport, carried in [`RunSpec::net`].
+/// Round semantics (deadline, quorum, retries, faults) are the rest of the
+/// [`RunSpec`]; this covers only what a real network adds: joining,
+/// reconnecting, and stalling.
 #[derive(Debug, Clone)]
 pub struct NetConfig {
     /// How long a broadcast waits for a disconnected client to rejoin.
@@ -637,17 +638,17 @@ fn connect_with_backoff(
 /// broadcast and send the update back — reconnecting with backoff when the
 /// socket dies, and exiting cleanly on Stop, on an exhausted reconnect
 /// budget, or once the optional idle timeout expires without a frame from
-/// the server. `shard` is this client's own: moved in by [`run_tcp_with`],
-/// derived by a remote [`run_tcp_client`].
+/// the server. `shard` is this client's own: moved in by
+/// [`run_loopback_tcp`], derived by a remote [`run_tcp_client`].
 fn tcp_client_loop(
     addr: SocketAddr,
     id: usize,
     cfg: &FlConfig,
     shard: &fedsz_dnn::Dataset,
-    plan: &FaultPlan,
-    idle: Option<Duration>,
+    spec: &RunSpec,
 ) {
-    let mut client = Client::new(cfg, plan, Moves::Frames);
+    let idle = spec.client_idle_timeout;
+    let mut client = Client::new(cfg, spec, Transport::Tcp);
     let mut backoff = Backoff::new(cfg.seed ^ 0xBAC0_0FF5 ^ (id as u64));
     // Reused body buffer: the downlink is dominated by same-sized broadcast
     // frames, so after the first one this loop stops allocating per frame.
@@ -694,9 +695,7 @@ fn tcp_client_loop(
             // honestly built update, to be acted out on the real bytes below;
             // so over a socket the only answer that is not an update is a
             // crash.
-            let Answer::Update(reply) =
-                client.turn(id, shard, round, attempt, &sd, cfg.compression)
-            else {
+            let Answer::Update(reply) = client.turn(id, shard, round, attempt, &sd) else {
                 return;
             };
             let mut bytes = wire::encode(&Frame::Update {
@@ -777,8 +776,7 @@ fn tcp_client_loop(
 fn serve_on(
     listener: TcpListener,
     cfg: &FlConfig,
-    tcfg: &TransportConfig,
-    ncfg: &NetConfig,
+    spec: &RunSpec,
     test: &fedsz_dnn::Dataset,
     net: fedsz_dnn::Network,
     ledger: Arc<Ledger>,
@@ -787,7 +785,7 @@ fn serve_on(
     let mut server = TcpServer::start(
         listener,
         registered,
-        ncfg.clone(),
+        spec.net.clone(),
         lossless_config(cfg.compression),
         Arc::clone(&ledger),
     )?;
@@ -798,32 +796,35 @@ fn serve_on(
             "no client joined within the join timeout".into(),
         ));
     }
-    let result = serve(cfg, tcfg, test, net, &mut server, &ledger);
+    let result = serve(cfg, spec, test, net, &mut server, &ledger);
     server.stop();
     result
 }
 
-/// Run the federated session over real TCP on loopback: the server and one
-/// OS thread per client, all in this process, talking through the framed
-/// wire protocol. Bit-identical (same seeds) to
-/// [`run_threaded`](crate::run_threaded) and
-/// [`session::run`](crate::session::run).
-pub fn run_tcp(cfg: &FlConfig) -> Result<FlRunResult, FlError> {
-    run_tcp_with(cfg, &TransportConfig::default(), &NetConfig::default())
-}
-
-/// [`run_tcp`] under explicit transport and socket policies.
+/// [`crate::run_with`] over [`Transport::Tcp`] with socket policy `net`.
+/// Kept only for `benchmark/src/workloads/fl.rs`, its only caller.
 pub fn run_tcp_with(
     cfg: &FlConfig,
-    tcfg: &TransportConfig,
-    ncfg: &NetConfig,
+    spec: &RunSpec,
+    net: &NetConfig,
 ) -> Result<FlRunResult, FlError> {
+    run_loopback_tcp(
+        cfg,
+        &RunSpec {
+            net: net.clone(),
+            ..spec.clone()
+        },
+    )
+}
+
+/// [`Transport::Tcp`]: the server and one OS thread per client, all in
+/// this process, talking through the framed wire protocol over loopback.
+pub(crate) fn run_loopback_tcp(cfg: &FlConfig, spec: &RunSpec) -> Result<FlRunResult, FlError> {
     let listener = TcpListener::bind("127.0.0.1:0")
         .map_err(|e| FlError::Transport(format!("bind 127.0.0.1:0: {e}")))?;
     let addr = listener
         .local_addr()
         .map_err(|e| FlError::Transport(format!("local addr: {e}")))?;
-    let idle = tcfg.client_idle_timeout;
     let (test, shards, server, ledger) = setup_run(cfg);
     // Each client thread owns its shard, as over channels: the data is
     // generated once per run, not once per client.
@@ -831,11 +832,11 @@ pub fn run_tcp_with(
         let clients: Vec<_> = (shards.into_iter().enumerate())
             .map(|(id, shard)| {
                 scope.spawn(move || {
-                    tcp_client_loop(addr, id, cfg, &shard, &tcfg.faults, idle);
+                    tcp_client_loop(addr, id, cfg, &shard, spec);
                 })
             })
             .collect();
-        let result = serve_on(listener, cfg, tcfg, ncfg, &test, server, ledger);
+        let result = serve_on(listener, cfg, spec, &test, server, ledger);
         for client in clients {
             let _ = client.join(); // a client's panic is not the server's
         }
@@ -846,17 +847,12 @@ pub fn run_tcp_with(
 /// Bind `addr` and serve one FL run to remote TCP clients (the CLI's
 /// `--transport tcp --listen` role). Returns once the run completes, after
 /// telling every connected client to stop.
-pub fn serve_tcp(
-    addr: &str,
-    cfg: &FlConfig,
-    tcfg: &TransportConfig,
-    ncfg: &NetConfig,
-) -> Result<FlRunResult, FlError> {
+pub fn serve_tcp(addr: &str, cfg: &FlConfig, spec: &RunSpec) -> Result<FlRunResult, FlError> {
     let listener =
         TcpListener::bind(addr).map_err(|e| FlError::Transport(format!("bind {addr}: {e}")))?;
     // The clients are elsewhere and derive their own shards.
     let (test, _, server, ledger) = setup_run(cfg);
-    serve_on(listener, cfg, tcfg, ncfg, &test, server, ledger)
+    serve_on(listener, cfg, spec, &test, server, ledger)
 }
 
 /// Join a remote FL server as one client (the CLI's `--transport tcp
@@ -867,7 +863,7 @@ pub fn run_tcp_client(
     addr: &str,
     client_id: usize,
     cfg: &FlConfig,
-    idle: Option<Duration>,
+    spec: &RunSpec,
 ) -> Result<(), FlError> {
     if client_id >= cfg.registered() {
         return Err(FlError::Transport(format!(
@@ -885,7 +881,7 @@ pub fn run_tcp_client(
     // seed and keeps its own — data never crosses the wire.
     let (_, mut shards) = setup_data(cfg);
     let shard = shards.swap_remove(client_id);
-    tcp_client_loop(addr, client_id, cfg, &shard, &FaultPlan::new(), idle);
+    tcp_client_loop(addr, client_id, cfg, &shard, spec);
     Ok(())
 }
 
@@ -938,7 +934,7 @@ mod tests {
             test_samples: 16,
             ..FlConfig::default()
         };
-        let result = run_tcp(&cfg).expect("tcp run");
+        let result = run_loopback_tcp(&cfg, &RunSpec::default()).expect("tcp run");
         assert_eq!(result.rounds.len(), 1);
         let r = &result.rounds[0];
         assert!(r.faults.is_clean(), "{:?}", r.faults);
@@ -950,7 +946,8 @@ mod tests {
     #[test]
     fn tcp_client_with_bad_id_is_rejected_up_front() {
         let cfg = FlConfig::default();
-        let err = run_tcp_client("127.0.0.1:1", 99, &cfg, None).expect_err("id out of range");
+        let err = run_tcp_client("127.0.0.1:1", 99, &cfg, &RunSpec::default())
+            .expect_err("id out of range");
         assert!(matches!(err, FlError::Transport(_)), "{err:?}");
     }
 }

@@ -13,11 +13,10 @@ use fedsz_tensor::StateDict;
 use crate::budget::Ledger;
 use crate::checkpoint::{self, Checkpoint};
 use crate::error::FlError;
-use crate::fault::FaultPlan;
 use crate::robust::Aggregation;
 use crate::transport::{
-    serve, setup_run, Answer, BroadcastOutcome, Client, Moves, RecvEnd, ServerTransport,
-    TransportConfig, Uplink,
+    run_channel, serve, setup_run, Answer, BroadcastOutcome, Client, RecvEnd, RunSpec,
+    ServerTransport, Transport, Uplink,
 };
 
 /// FedSZ partition threshold for the scaled model analogues: their conv
@@ -363,24 +362,25 @@ impl FlRunResult {
     }
 }
 
-/// Run a federated session per `cfg`.
+/// Run a federated session per `cfg` in-process, under the default
+/// [`RunSpec`]: no deadline, a quorum of one, no faults.
 pub fn run(cfg: &FlConfig) -> Result<FlRunResult, FlError> {
-    run_scheduled(cfg, |_| cfg.compression)
+    run_with(cfg, &RunSpec::default())
 }
 
-/// Run a federated session with a per-round compression configuration —
-/// the hook behind the error-bound scheduling ablation (paper §VIII-B).
-/// `schedule(round)` returning `None` disables compression for that round:
-/// clients hand over their state dict itself, so the round's wire bytes
-/// equal its raw bytes and no compression time is spent.
-pub fn run_scheduled(
-    cfg: &FlConfig,
-    schedule: impl Fn(usize) -> Option<FedSzConfig> + Sync,
-) -> Result<FlRunResult, FlError> {
-    run_loopback(cfg, &schedule, FaultPlan::new())
+/// Run a federated session per `cfg`, carried as `spec` describes — the
+/// one entry point for every transport. With the same seeds (and the same
+/// fault plan and schedule) every [`Transport`] produces a bit-identical
+/// final model.
+pub fn run_with(cfg: &FlConfig, spec: &RunSpec) -> Result<FlRunResult, FlError> {
+    match spec.transport {
+        Transport::InProcess => run_loopback(cfg, spec),
+        Transport::Channel => run_channel(cfg, spec),
+        Transport::Tcp => crate::net::run_loopback_tcp(cfg, spec),
+    }
 }
 
-/// Run a federated session in-process under a deterministic [`FaultPlan`]
+/// Drive the one round engine ([`serve`]) over the in-process [`Loopback`]
 /// — the oracle the chaos soak compares the channel and TCP transports
 /// against.
 ///
@@ -400,34 +400,18 @@ pub fn run_scheduled(
 /// consecutive rounds), `Delay` does not sleep (no deadline to miss), and
 /// `Replay` sends no extra copies (first-wins admission would discard them
 /// before they are decoded, buffered or counted).
-pub fn run_with_faults(cfg: &FlConfig, plan: &FaultPlan) -> Result<FlRunResult, FlError> {
-    run_loopback(cfg, &|_| cfg.compression, plan.clone())
-}
-
-/// Drive the one round engine ([`serve`]) over the in-process [`Loopback`]
-/// under the default transport policy: no deadline, a quorum of one, no
-/// retries.
-fn run_loopback(
-    cfg: &FlConfig,
-    schedule: &dyn Fn(usize) -> Option<FedSzConfig>,
-    faults: FaultPlan,
-) -> Result<FlRunResult, FlError> {
+fn run_loopback(cfg: &FlConfig, spec: &RunSpec) -> Result<FlRunResult, FlError> {
     let (test, shards, server, ledger) = setup_run(cfg);
-    let tcfg = TransportConfig {
-        faults,
-        ..TransportConfig::default()
-    };
     let mut transport = Loopback {
-        schedule,
         shards,
         ledger: &ledger,
-        client: Client::new(cfg, &tcfg.faults, Moves::Nothing),
+        client: Client::new(cfg, spec, Transport::InProcess),
         round: 0,
         attempt: 0,
         global: Arc::default(),
         waiting: VecDeque::new(),
     };
-    serve(cfg, &tcfg, &test, server, &mut transport, &ledger)
+    serve(cfg, spec, &test, server, &mut transport, &ledger)
 }
 
 /// The in-process [`ServerTransport`]: no threads and no bytes moved. A
@@ -436,7 +420,6 @@ fn run_loopback(
 /// the collect loop, which decodes it on the ingest pool while the
 /// following member trains.
 struct Loopback<'a> {
-    schedule: &'a dyn Fn(usize) -> Option<FedSzConfig>,
     shards: Vec<fedsz_dnn::Dataset>,
     /// Consulted for header-time admission only. Nothing is ever reserved:
     /// the collector thread is the loopback's only producer, so a blocking
@@ -484,7 +467,6 @@ impl ServerTransport for Loopback<'_> {
             self.round,
             self.attempt,
             &self.global,
-            (self.schedule)(self.round),
         ) {
             Answer::Update(reply) => reply,
             Answer::Silent => return Ok(Uplink::Gone { client_id }),
@@ -512,6 +494,7 @@ impl ServerTransport for Loopback<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultPlan;
 
     fn quick(compression: Option<FedSzConfig>) -> FlConfig {
         FlConfig {
@@ -619,13 +602,17 @@ mod tests {
     fn fault_plan_outcomes_are_classified_in_process() {
         let mut cfg = quick(None);
         cfg.rounds = 2;
-        let plan = FaultPlan::new()
+        let faults = FaultPlan::new()
             .corrupt(0, 0)
             .non_finite(1, 0)
             .crash(2, 0)
             .slow_drip(3, 1)
             .flood_oversized(0, 1, 1 << 26); // far over the 4x-model auto-budget
-        let result = run_with_faults(&cfg, &plan).expect("quorum met each round");
+        let spec = RunSpec {
+            faults,
+            ..RunSpec::default()
+        };
+        let result = run_with(&cfg, &spec).expect("quorum met each round");
         let r0 = &result.rounds[0].faults;
         assert_eq!(
             (r0.delivered, r0.rejected, r0.quarantined, r0.shed, r0.late),
@@ -639,17 +626,6 @@ mod tests {
             "{r1:?}"
         );
         assert_eq!(result.fault_summary().shed, 2);
-    }
-
-    #[test]
-    fn empty_fault_plan_matches_plain_run() {
-        let cfg = quick(None);
-        let a = run(&cfg).expect("plain run");
-        let b = run_with_faults(&cfg, &FaultPlan::new()).expect("empty plan");
-        assert_eq!(a.final_model, b.final_model);
-        let accs_a: Vec<f64> = a.rounds.iter().map(|r| r.accuracy).collect();
-        let accs_b: Vec<f64> = b.rounds.iter().map(|r| r.accuracy).collect();
-        assert_eq!(accs_a, accs_b);
     }
 
     #[test]

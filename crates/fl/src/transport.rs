@@ -41,8 +41,8 @@
 //! dropped, so server memory is independent of how many clients answer.
 //! With cross-device sampling ([`FlConfig::population`]) each round first
 //! draws its cohort and broadcasts to those clients only.
-//! If the quorum falls below [`TransportConfig::min_quorum`], the round is
-//! retried up to [`TransportConfig::max_round_retries`] times and the run
+//! If the quorum falls below [`RunSpec::min_quorum`], the round is
+//! retried up to [`RunSpec::max_round_retries`] times and the run
 //! then aborts with [`FlError::QuorumNotMet`] — a typed error, not a panic.
 //! [`FaultPlan`] injects these failures deterministically for tests,
 //! including the wire-level kinds (`TruncateFrame`, `FlipBytes`,
@@ -60,6 +60,7 @@ use crate::budget::Ledger;
 use crate::error::FlError;
 use crate::fault::{poison_update, FaultKind, FaultPlan, FaultStage};
 use crate::ingest::{self, IngestPool, Verdict};
+use crate::net::NetConfig;
 use crate::partition;
 use crate::robust::{Aggregation, RobustFold};
 use crate::session::{maybe_checkpoint, resume_point, FlConfig, FlRunResult, RoundMetrics};
@@ -67,10 +68,37 @@ use crate::sync::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use crate::validate::validate_update;
 use crate::wire::{self, Frame, HeaderVerdict};
 
-/// Transport-level policy: per-round deadline, quorum, retries, client idle
-/// timeout, and fault injection. Shared by the channel and TCP transports.
-#[derive(Debug, Clone, Default)]
-pub struct TransportConfig {
+/// Which way a run's updates travel. All three run [`serve`] and
+/// [`Client::turn`], so the same seeds give bit-identical models.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Transport {
+    /// Each turn runs on the collector thread; nothing is serialized.
+    #[default]
+    InProcess,
+    /// A thread per client; serialized bytes over bounded channels.
+    Channel,
+    /// A thread per client; CRC-checked frames over loopback TCP.
+    Tcp,
+}
+
+impl Transport {
+    /// Short name for reports.
+    pub fn name(self) -> &'static str {
+        match self {
+            Transport::InProcess => "in-process",
+            Transport::Channel => "channel",
+            Transport::Tcp => "tcp",
+        }
+    }
+}
+
+/// How [`crate::run_with`] carries out one run of an [`FlConfig`]. The
+/// default is the trusting in-process run: no deadline, a quorum of one,
+/// no retries, no faults, `cfg.compression` every round.
+#[derive(Clone, Default)]
+pub struct RunSpec<'a> {
+    /// Which way the updates travel.
+    pub transport: Transport,
     /// Wall-clock budget per round attempt. `None` waits for every client
     /// that is not already known dead — corrupt updates and disconnected
     /// channels are still tolerated, but a client that hangs without
@@ -90,9 +118,15 @@ pub struct TransportConfig {
     pub client_idle_timeout: Option<Duration>,
     /// Deterministic fault injection (tests and chaos experiments).
     pub faults: FaultPlan,
+    /// Socket policy; only [`Transport::Tcp`] reads it.
+    pub net: NetConfig,
+    /// Per-round uplink codec (paper §VIII-B's bound scheduling):
+    /// `schedule(round)` replaces `cfg.compression`, and its `None` sends
+    /// that round uncompressed.
+    pub schedule: Option<&'a (dyn Fn(usize) -> Option<FedSzConfig> + Sync)>,
 }
 
-impl TransportConfig {
+impl RunSpec<'_> {
     /// Effective quorum (at least one update, or FedAvg has nothing to do).
     fn quorum(&self) -> usize {
         self.min_quorum.max(1)
@@ -240,7 +274,7 @@ pub(crate) fn setup_data(cfg: &FlConfig) -> (Dataset, Vec<Dataset>) {
     (test, shards)
 }
 
-/// The one set-up behind every `run_*` entry point: the held-out test set,
+/// The one set-up behind every transport: the held-out test set,
 /// one shard per registered client (moved into the in-process clients of
 /// every transport; only a remote [`crate::net::run_tcp_client`] derives
 /// its own), the server's network — built once — and the ingest ledger
@@ -250,21 +284,6 @@ pub(crate) fn setup_run(cfg: &FlConfig) -> (Dataset, Vec<Dataset>, Network, Arc<
     let server = build_net(cfg, cfg.seed);
     let budget = cfg.resolve_ingest_budget(server.state_dict().nbytes());
     (test, shards, server, Arc::new(Ledger::new(budget)))
-}
-
-/// What a client's transport moves — which decides how much of a planned
-/// fault the shared turn can act out by itself.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Moves {
-    /// Framed bytes on a socket (TCP): a fault on the *frame* comes back
-    /// in [`Reply::frame_fault`] to be acted out on the real bytes.
-    Frames,
-    /// Payload bytes (channels): the frame kinds fall back to their
-    /// stand-ins (see [`FaultKind::stage`]).
-    Payloads,
-    /// Nothing (the loopback): as `Payloads`; also, an uncompressed round's
-    /// update is handed over as it is, and no planned delay is slept.
-    Nothing,
 }
 
 /// One client's whole answer to one broadcast.
@@ -289,7 +308,7 @@ pub(crate) struct Reply {
     /// update's size, before any poison reshapes it); no reservation yet.
     pub(crate) msg: ClientMsg,
     /// The update itself, in place of a payload: only under
-    /// [`Moves::Nothing`], on an uncompressed round.
+    /// [`Transport::InProcess`], on an uncompressed round.
     pub(crate) raw: Option<Box<StateDict>>,
     /// How many byte-identical copies to send: 1, plus a `Replay` fault's
     /// extras (which first-wins admission discards undecoded).
@@ -297,7 +316,7 @@ pub(crate) struct Reply {
     /// Body length the update's frame announces, or would where nothing is
     /// framed: what header-time admission judges on every transport.
     pub(crate) body_len: usize,
-    /// Only under [`Moves::Frames`]: the fault the caller still has to act
+    /// Only under [`Transport::Tcp`]: the fault the caller still has to act
     /// out on this honest update's frame.
     pub(crate) frame_fault: Option<FaultKind>,
 }
@@ -306,8 +325,9 @@ pub(crate) struct Reply {
 /// broadcasts, and the one turn it takes on each.
 pub(crate) struct Client<'a> {
     cfg: &'a FlConfig,
-    plan: &'a FaultPlan,
-    moves: Moves,
+    spec: &'a RunSpec<'a>,
+    /// Decides how much of a planned fault the turn acts out by itself.
+    transport: Transport,
     /// Built on the first turn, not at spawn: with cross-device sampling,
     /// most registered clients sit out most rounds, and a never-sampled
     /// client must not pay for (or hold) a model. The lazy build is
@@ -318,11 +338,11 @@ pub(crate) struct Client<'a> {
 }
 
 impl<'a> Client<'a> {
-    pub(crate) fn new(cfg: &'a FlConfig, plan: &'a FaultPlan, moves: Moves) -> Self {
+    pub(crate) fn new(cfg: &'a FlConfig, spec: &'a RunSpec<'a>, transport: Transport) -> Self {
         Self {
             cfg,
-            plan,
-            moves,
+            spec,
+            transport,
             net: None,
         }
     }
@@ -330,9 +350,13 @@ impl<'a> Client<'a> {
     /// Client `id`'s whole answer to the broadcast `global` of
     /// `(round, attempt)`: look the planned fault up (it fires on the first
     /// attempt only, see [`FaultPlan::firing`]), train on `shard`, encode
-    /// with `compression`, size the frame — applying the fault at the
+    /// with the round's codec ([`RunSpec::schedule`], else
+    /// `cfg.compression`), size the frame — applying the fault at the
     /// stage it acts on, so the same seeds produce the same update and the
     /// same payload bytes on every path.
+    ///
+    /// Under [`Transport::InProcess`] no planned delay is slept, and an
+    /// uncompressed round's update is handed over as it is.
     pub(crate) fn turn(
         &mut self,
         id: usize,
@@ -340,13 +364,14 @@ impl<'a> Client<'a> {
         round: usize,
         attempt: usize,
         global: &StateDict,
-        compression: Option<FedSzConfig>,
     ) -> Answer {
+        let in_process = self.transport == Transport::InProcess;
         let planned = self
-            .plan
+            .spec
+            .faults
             .firing(id, round, attempt)
-            .filter(|kind| !(self.moves == Moves::Nothing && matches!(kind, FaultKind::Delay(_))));
-        let stage = planned.map(|kind| kind.stage(self.moves == Moves::Frames));
+            .filter(|kind| !(in_process && matches!(kind, FaultKind::Delay(_))));
+        let stage = planned.map(|kind| kind.stage(self.transport == Transport::Tcp));
         // A frame fault leaves the update honest and goes back to the
         // caller; every other kind is acted out here, at its stage.
         let (fault, frame_fault) = match stage {
@@ -380,6 +405,7 @@ impl<'a> Client<'a> {
         let raw_bytes = update.nbytes();
 
         // Values.
+        let compression = self.spec.schedule.map_or(cfg.compression, |s| s(round));
         let mut codec = compression;
         match fault {
             // Semantic poison: frames, checksums and decodes cleanly —
@@ -415,9 +441,7 @@ impl<'a> Client<'a> {
         // With nothing to move, an uncompressed round hands the state dict
         // over as it is — unless the fault damages payload bytes, which
         // then have to exist.
-        let hand_over = self.moves == Moves::Nothing
-            && compression.is_none()
-            && stage != Some(FaultStage::Payload);
+        let hand_over = in_process && compression.is_none() && stage != Some(FaultStage::Payload);
         let mut msg = ClientMsg {
             client_id: id,
             round,
@@ -480,21 +504,17 @@ impl<'a> Client<'a> {
     }
 }
 
-/// Run the federated session with one OS thread per client and default
-/// transport policy (no deadline, quorum of one, no injected faults).
-///
-/// Semantically equivalent to [`crate::session::run`] (same seeds → same
-/// training trajectories) but exercising the full serialize → channel →
-/// deserialize path in both directions.
-pub fn run_threaded(cfg: &FlConfig) -> Result<FlRunResult, FlError> {
-    run_threaded_with(cfg, &TransportConfig::default())
+/// [`crate::run_with`] over [`Transport::Channel`]. Kept only for
+/// `benchmark/src/workloads/fl.rs`, its only caller.
+pub fn run_threaded_with(cfg: &FlConfig, spec: &RunSpec) -> Result<FlRunResult, FlError> {
+    run_channel(cfg, spec)
 }
 
-/// Run the threaded federated session under an explicit transport policy.
-/// One OS thread per *registered* client; threads outside a round's cohort
-/// simply block on their downlink until sampled (and build no network until
-/// their first broadcast arrives).
-pub fn run_threaded_with(cfg: &FlConfig, tcfg: &TransportConfig) -> Result<FlRunResult, FlError> {
+/// [`Transport::Channel`]: the full serialize → channel → deserialize path
+/// in both directions. One OS thread per *registered* client; threads
+/// outside a round's cohort simply block on their downlink until sampled
+/// (and build no network until their first broadcast arrives).
+pub(crate) fn run_channel(cfg: &FlConfig, spec: &RunSpec) -> Result<FlRunResult, FlError> {
     let registered = cfg.registered();
     let (test, shards, server, ledger) = setup_run(cfg);
 
@@ -503,7 +523,7 @@ pub fn run_threaded_with(cfg: &FlConfig, tcfg: &TransportConfig) -> Result<FlRun
     // blocks instead of growing server memory.
     let up_cap = cfg.cohort_size().saturating_mul(2).saturating_add(8);
     let (up_tx, up_rx): (Sender<Uplink>, Receiver<Uplink>) = bounded(up_cap);
-    let idle = tcfg.client_idle_timeout;
+    let idle = spec.client_idle_timeout;
 
     std::thread::scope(|scope| {
         let mut down_txs: Vec<Sender<Frame>> = Vec::with_capacity(registered);
@@ -513,7 +533,7 @@ pub fn run_threaded_with(cfg: &FlConfig, tcfg: &TransportConfig) -> Result<FlRun
             down_txs.push(down_tx);
             let (up_tx, ledger) = (up_tx.clone(), &*ledger);
             handles.push(scope.spawn(move || {
-                let client = Client::new(cfg, &tcfg.faults, Moves::Payloads);
+                let client = Client::new(cfg, spec, Transport::Channel);
                 client_loop(i, &shard, client, idle, ledger, &down_rx, &up_tx);
             }));
         }
@@ -525,7 +545,7 @@ pub fn run_threaded_with(cfg: &FlConfig, tcfg: &TransportConfig) -> Result<FlRun
             dead: vec![false; registered],
             bcast_cfg: lossless_config(cfg.compression),
         };
-        let result = serve(cfg, tcfg, &test, server, &mut transport, &ledger);
+        let result = serve(cfg, spec, &test, server, &mut transport, &ledger);
 
         // Unwedge clients in teardown order: fail blocked reservations, tell
         // everyone to stop, then close the uplink so a sender blocked on the
@@ -649,7 +669,7 @@ fn client_loop(
         let Ok(sd) = fedsz::decompress(&model) else {
             return; // corrupt broadcast: nothing sane to train on
         };
-        let reply = match client.turn(id, shard, round, attempt, &sd, client.cfg.compression) {
+        let reply = match client.turn(id, shard, round, attempt, &sd) {
             Answer::Update(reply) => reply,
             // Channels cannot be reconnected, so a wire-level disconnect
             // is a crash here; the TCP transport models the
@@ -693,7 +713,7 @@ fn client_loop(
 /// checkpoint. Identical policy for the loopback, channels and TCP.
 pub(crate) fn serve<T: ServerTransport>(
     cfg: &FlConfig,
-    tcfg: &TransportConfig,
+    spec: &RunSpec,
     test: &Dataset,
     mut server: Network,
     transport: &mut T,
@@ -730,13 +750,13 @@ pub(crate) fn serve<T: ServerTransport>(
         };
 
         let agg = 'attempts: {
-            for attempt in 0..=tcfg.max_round_retries {
+            for attempt in 0..=spec.max_round_retries {
                 let outcome = transport.broadcast(round, attempt, &cohort, &global);
                 // The server-kill hook fires after the broadcast goes out
                 // but before any update is collected — the deterministic
                 // double for a SIGKILL mid-round. Rounds before this one
                 // are already checkpointed; this one is lost in flight.
-                if attempt == 0 && tcfg.faults.server_kill_round() == Some(round) {
+                if attempt == 0 && spec.faults.server_kill_round() == Some(round) {
                     return Err(FlError::ServerKilled { round });
                 }
                 let expected = outcome.expected();
@@ -753,7 +773,7 @@ pub(crate) fn serve<T: ServerTransport>(
                     round,
                     attempt,
                     &outcome.reached,
-                    tcfg.round_deadline,
+                    spec.round_deadline,
                     transport,
                     &global,
                     cfg.aggregation,
@@ -761,10 +781,10 @@ pub(crate) fn serve<T: ServerTransport>(
                     ledger,
                     &mut metrics,
                 )?;
-                if collected.delivered >= tcfg.quorum() {
+                if collected.delivered >= spec.quorum() {
                     break 'attempts collected.agg;
                 }
-                if attempt == tcfg.max_round_retries {
+                if attempt == spec.max_round_retries {
                     // A starved round that shed updates gets its own error
                     // so operators can tell "clients failed" from "the
                     // server turned clients away".
@@ -773,13 +793,13 @@ pub(crate) fn serve<T: ServerTransport>(
                             round,
                             shed: collected.shed,
                             delivered: collected.delivered,
-                            required: tcfg.quorum(),
+                            required: spec.quorum(),
                         }
                     } else {
                         FlError::QuorumNotMet {
                             round,
                             delivered: collected.delivered,
-                            required: tcfg.quorum(),
+                            required: spec.quorum(),
                         }
                     });
                 }
@@ -1131,7 +1151,7 @@ mod tests {
 
     #[test]
     fn threaded_run_learns() {
-        let result = run_threaded(&quick_cfg()).expect("fl run");
+        let result = run_channel(&quick_cfg(), &RunSpec::default()).expect("fl run");
         assert_eq!(result.rounds.len(), 3);
         assert!(result.final_accuracy() > 0.2, "{}", result.final_accuracy());
         for r in &result.rounds {
@@ -1146,7 +1166,7 @@ mod tests {
         // accuracies, proving the wire round trip is transparent.
         let cfg = quick_cfg();
         let sequential = crate::session::run(&cfg).expect("fl run");
-        let threaded = run_threaded(&cfg).expect("fl run");
+        let threaded = run_channel(&cfg, &RunSpec::default()).expect("fl run");
         let a: Vec<f64> = sequential.rounds.iter().map(|r| r.accuracy).collect();
         let b: Vec<f64> = threaded.rounds.iter().map(|r| r.accuracy).collect();
         assert_eq!(a, b);
@@ -1158,7 +1178,7 @@ mod tests {
             compression: FlConfig::with_fedsz(1e-2).compression,
             ..quick_cfg()
         };
-        let result = run_threaded(&cfg).expect("fl run");
+        let result = run_channel(&cfg, &RunSpec::default()).expect("fl run");
         for r in &result.rounds {
             assert!(r.compression_ratio() > 2.0, "{}", r.compression_ratio());
             assert!(r.decompress_s_total > 0.0);
@@ -1178,20 +1198,22 @@ mod tests {
     fn uncompressed_uplink_still_reports_serialize_time() {
         // cfg.compression = None still serializes losslessly on the wire;
         // the measured time must be reported, not forced to zero.
-        let result = run_threaded(&quick_cfg()).expect("fl run");
+        let result = run_channel(&quick_cfg(), &RunSpec::default()).expect("fl run");
         let total: f64 = result.rounds.iter().map(|r| r.compress_s_total).sum();
         assert!(total > 0.0, "serialize time unreported: {total}");
     }
 
     #[test]
-    fn default_transport_config_is_trusting() {
-        let tcfg = TransportConfig::default();
-        assert_eq!(tcfg.round_deadline, None);
-        assert_eq!(tcfg.quorum(), 1);
-        assert_eq!(tcfg.max_round_retries, 0);
-        assert_eq!(tcfg.client_idle_timeout, None);
-        assert_eq!(tcfg.faults.firing(0, 0, 0), None);
-        assert_eq!(tcfg.faults.server_kill_round(), None);
+    fn default_run_spec_is_trusting() {
+        let spec = RunSpec::default();
+        assert_eq!(spec.transport, Transport::InProcess);
+        assert_eq!(spec.round_deadline, None);
+        assert_eq!(spec.quorum(), 1);
+        assert_eq!(spec.max_round_retries, 0);
+        assert_eq!(spec.client_idle_timeout, None);
+        assert_eq!(spec.faults.firing(0, 0, 0), None);
+        assert_eq!(spec.faults.server_kill_round(), None);
+        assert!(spec.schedule.is_none());
     }
 
     /// Every [`FaultKind`], one of each. The match below is exhaustive and
@@ -1276,20 +1298,21 @@ mod tests {
         let global = build_net(&cfg, cfg.seed).state_dict();
         let faults = every_kind().into_iter().map(Some).chain([None]);
         for fault in faults.filter(|f| f.is_none_or(|k| k.stage(true) != FaultStage::Frame)) {
-            let plan = fault.map_or_else(FaultPlan::new, |kind| FaultPlan::new().with(1, 3, kind));
-            let answer = |moves: Moves| {
-                Client::new(&cfg, &plan, moves).turn(1, &shards[1], 3, 0, &global, cfg.compression)
+            let spec = RunSpec {
+                faults: fault.map_or_else(FaultPlan::new, |kind| FaultPlan::new().with(1, 3, kind)),
+                ..RunSpec::default()
             };
-            let framed = answer(Moves::Frames);
-            for moves in [Moves::Payloads, Moves::Nothing] {
-                match (&framed, answer(moves)) {
+            let answer = |t| Client::new(&cfg, &spec, t).turn(1, &shards[1], 3, 0, &global);
+            let framed = answer(Transport::Tcp);
+            for transport in [Transport::Channel, Transport::InProcess] {
+                match (&framed, answer(transport)) {
                     (Answer::Silent, Answer::Silent) | (Answer::Shed, Answer::Shed) => {}
                     (Answer::Update(a), Answer::Update(b)) => {
-                        assert_eq!(a.msg.payload, b.msg.payload, "{fault:?} {moves:?}");
-                        assert_eq!(a.msg.samples, b.msg.samples, "{fault:?} {moves:?}");
-                        assert_eq!(a.msg.raw_bytes, b.msg.raw_bytes, "{fault:?} {moves:?}");
-                        assert_eq!(a.copies, b.copies, "{fault:?} {moves:?}");
-                        assert_eq!(a.body_len, b.body_len, "{fault:?} {moves:?}");
+                        assert_eq!(a.msg.payload, b.msg.payload, "{fault:?} {transport:?}");
+                        assert_eq!(a.msg.samples, b.msg.samples, "{fault:?} {transport:?}");
+                        assert_eq!(a.msg.raw_bytes, b.msg.raw_bytes, "{fault:?} {transport:?}");
+                        assert_eq!(a.copies, b.copies, "{fault:?} {transport:?}");
+                        assert_eq!(a.body_len, b.body_len, "{fault:?} {transport:?}");
                         assert!(b.raw.is_none() && b.frame_fault.is_none());
                         // The announced length is the real frame's.
                         let frame = wire::encode(&Frame::Update {
@@ -1305,10 +1328,10 @@ mod tests {
                         assert_eq!(
                             frame.len() - wire::HEADER_LEN - wire::TRAILER_LEN,
                             b.body_len,
-                            "{fault:?} {moves:?}"
+                            "{fault:?} {transport:?}"
                         );
                     }
-                    _ => panic!("{fault:?}: {moves:?} answered differently from Frames"),
+                    _ => panic!("{fault:?}: {transport:?} answered differently from Tcp"),
                 }
             }
         }
@@ -1327,13 +1350,13 @@ mod tests {
         };
         let (_, mut shards) = setup_data(&cfg);
         let shard = shards.remove(0);
-        let plan = FaultPlan::new();
+        let spec = RunSpec::default();
         let started = Instant::now();
         let handle = std::thread::spawn(move || {
             client_loop(
                 0,
                 &shard,
-                Client::new(&cfg, &plan, Moves::Payloads),
+                Client::new(&cfg, &spec, Transport::Channel),
                 Some(Duration::from_millis(100)),
                 &Ledger::new(None),
                 &down_rx,

@@ -4,7 +4,7 @@
 //! Run: `cargo run --release --example adaptive_bounds`
 
 use fedsz::{BoundSchedule, FedSzConfig};
-use fedsz_fl::{run_scheduled, FlConfig, SMALL_MODEL_THRESHOLD};
+use fedsz_fl::{run_with, FlConfig, RunSpec, SMALL_MODEL_THRESHOLD};
 
 fn main() {
     let rounds = 10;
@@ -26,13 +26,17 @@ fn main() {
     ];
 
     for (name, schedule) in schedules {
-        let result = run_scheduled(&base, |round| {
+        let codec_at = |round| {
             Some(FedSzConfig {
                 threshold: SMALL_MODEL_THRESHOLD,
                 ..FedSzConfig::with_rel_bound(schedule.bound_at(round))
             })
-        })
-        .expect("fl run");
+        };
+        let spec = RunSpec {
+            schedule: Some(&codec_at),
+            ..RunSpec::default()
+        };
+        let result = run_with(&base, &spec).expect("fl run");
         let (acc, bytes, compress_s) = result.summary();
         println!("schedule: {name}");
         for r in &result.rounds {

@@ -8,8 +8,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use fedsz_fl::{
-    run_tcp_with, run_threaded_with, FaultPlan, FlConfig, FlError, FlRunResult, NetConfig,
-    TransportConfig,
+    run_with, FaultPlan, FlConfig, FlError, FlRunResult, NetConfig, RunSpec, Transport,
 };
 
 /// Small, fast FL setup (mirrors tests/fault_injection.rs).
@@ -43,10 +42,20 @@ fn fast_net() -> NetConfig {
     }
 }
 
-fn kill_at(round: usize) -> TransportConfig {
-    TransportConfig {
+/// `transport` under the default policy, with the [`fast_net`] socket
+/// policy (only TCP reads it).
+fn over(transport: Transport) -> RunSpec<'static> {
+    RunSpec {
+        transport,
+        net: fast_net(),
+        ..RunSpec::default()
+    }
+}
+
+fn kill_at(transport: Transport, round: usize) -> RunSpec<'static> {
+    RunSpec {
         faults: FaultPlan::new().kill_server(round),
-        ..TransportConfig::default()
+        ..over(transport)
     }
 }
 
@@ -65,24 +74,24 @@ fn killed_channel_server_resumes_to_a_bit_identical_model() {
     let rounds = 4;
     let kill_round = 2;
     let dir = scratch("channel");
-    let baseline = run_threaded_with(&fl_cfg(4, rounds), &TransportConfig::default())
-        .expect("uninterrupted run");
+    let baseline =
+        run_with(&fl_cfg(4, rounds), &over(Transport::Channel)).expect("uninterrupted run");
 
     let cfg = FlConfig {
         checkpoint_dir: Some(dir.clone()),
         ..fl_cfg(4, rounds)
     };
-    let err = run_threaded_with(&cfg, &kill_at(kill_round)).unwrap_err();
+    let err = run_with(&cfg, &kill_at(Transport::Channel, kill_round)).unwrap_err();
     assert_eq!(err, FlError::ServerKilled { round: kill_round });
 
     // Rounds 0..kill_round completed and were checkpointed; the broadcast
     // round died in flight and must be recomputed, not trusted.
-    let resumed = run_threaded_with(
+    let resumed = run_with(
         &FlConfig {
             resume: true,
             ..cfg.clone()
         },
-        &TransportConfig::default(),
+        &over(Transport::Channel),
     )
     .expect("resumed run");
     assert_eq!(resumed.resumed_from_round, Some(kill_round - 1));
@@ -101,23 +110,21 @@ fn killed_tcp_server_resumes_to_a_bit_identical_model() {
     let rounds = 3;
     let kill_round = 1;
     let dir = scratch("tcp");
-    let baseline = run_tcp_with(&fl_cfg(4, rounds), &TransportConfig::default(), &fast_net())
-        .expect("uninterrupted run");
+    let baseline = run_with(&fl_cfg(4, rounds), &over(Transport::Tcp)).expect("uninterrupted run");
 
     let cfg = FlConfig {
         checkpoint_dir: Some(dir.clone()),
         ..fl_cfg(4, rounds)
     };
-    let err = run_tcp_with(&cfg, &kill_at(kill_round), &fast_net()).unwrap_err();
+    let err = run_with(&cfg, &kill_at(Transport::Tcp, kill_round)).unwrap_err();
     assert_eq!(err, FlError::ServerKilled { round: kill_round });
 
-    let resumed = run_tcp_with(
+    let resumed = run_with(
         &FlConfig {
             resume: true,
             ..cfg.clone()
         },
-        &TransportConfig::default(),
-        &fast_net(),
+        &over(Transport::Tcp),
     )
     .expect("resumed run");
     assert_eq!(resumed.resumed_from_round, Some(kill_round - 1));
@@ -136,23 +143,21 @@ fn checkpoint_written_over_channels_resumes_over_tcp() {
     // the run over real sockets, land on the same bits.
     let rounds = 3;
     let dir = scratch("cross");
-    let baseline =
-        run_tcp_with(&fl_cfg(4, rounds), &TransportConfig::default(), &fast_net()).expect("tcp");
+    let baseline = run_with(&fl_cfg(4, rounds), &over(Transport::Tcp)).expect("tcp");
 
     let cfg = FlConfig {
         checkpoint_dir: Some(dir.clone()),
         ..fl_cfg(4, rounds)
     };
-    let err = run_threaded_with(&cfg, &kill_at(2)).unwrap_err();
+    let err = run_with(&cfg, &kill_at(Transport::Channel, 2)).unwrap_err();
     assert_eq!(err, FlError::ServerKilled { round: 2 });
 
-    let resumed = run_tcp_with(
+    let resumed = run_with(
         &FlConfig {
             resume: true,
             ..cfg.clone()
         },
-        &TransportConfig::default(),
-        &fast_net(),
+        &over(Transport::Tcp),
     )
     .expect("resumed tcp run");
     assert_eq!(resumed.resumed_from_round, Some(1));
@@ -195,26 +200,26 @@ fn damaged_newest_checkpoint_falls_back_one_round_and_still_matches() {
     // one extra recomputed round but lands on the same final bits.
     let rounds = 4;
     let dir = scratch("torn");
-    let baseline = run_threaded_with(&fl_cfg(4, rounds), &TransportConfig::default())
-        .expect("uninterrupted run");
+    let baseline =
+        run_with(&fl_cfg(4, rounds), &over(Transport::Channel)).expect("uninterrupted run");
 
     let cfg = FlConfig {
         checkpoint_dir: Some(dir.clone()),
         ..fl_cfg(4, rounds)
     };
-    let err = run_threaded_with(&cfg, &kill_at(3)).unwrap_err();
+    let err = run_with(&cfg, &kill_at(Transport::Channel, 3)).unwrap_err();
     assert_eq!(err, FlError::ServerKilled { round: 3 });
 
     let newest = dir.join(fedsz_fl::checkpoint::file_name(2));
     let bytes = std::fs::read(&newest).expect("newest checkpoint exists");
     std::fs::write(&newest, &bytes[..bytes.len() / 2]).expect("tear");
 
-    let resumed = run_threaded_with(
+    let resumed = run_with(
         &FlConfig {
             resume: true,
             ..cfg.clone()
         },
-        &TransportConfig::default(),
+        &over(Transport::Channel),
     )
     .expect("resumed run");
     assert_eq!(resumed.resumed_from_round, Some(1));
@@ -237,21 +242,21 @@ fn resumed_sampled_run_replays_the_same_cohorts() {
         sample_fraction: 0.4,
         ..fl_cfg(4, rounds)
     };
-    let baseline = run_threaded_with(&cfg, &TransportConfig::default()).expect("uninterrupted run");
+    let baseline = run_with(&cfg, &over(Transport::Channel)).expect("uninterrupted run");
 
     let ck = FlConfig {
         checkpoint_dir: Some(dir.clone()),
         ..cfg.clone()
     };
-    let err = run_threaded_with(&ck, &kill_at(kill_round)).unwrap_err();
+    let err = run_with(&ck, &kill_at(Transport::Channel, kill_round)).unwrap_err();
     assert_eq!(err, FlError::ServerKilled { round: kill_round });
 
-    let resumed = run_threaded_with(
+    let resumed = run_with(
         &FlConfig {
             resume: true,
             ..ck.clone()
         },
-        &TransportConfig::default(),
+        &over(Transport::Channel),
     )
     .expect("resumed run");
     assert_eq!(resumed.resumed_from_round, Some(kill_round - 1));
@@ -272,7 +277,7 @@ fn checkpoint_every_k_writes_the_expected_files_and_always_the_last_round() {
         checkpoint_every: 2,
         ..fl_cfg(3, 5)
     };
-    run_threaded_with(&cfg, &TransportConfig::default()).expect("run");
+    run_with(&cfg, &over(Transport::Channel)).expect("run");
     let mut names: Vec<String> = std::fs::read_dir(&dir)
         .expect("checkpoint dir")
         .filter_map(|e| e.ok())
@@ -299,7 +304,7 @@ fn resume_without_any_checkpoint_starts_from_round_zero() {
         resume: true,
         ..fl_cfg(3, 2)
     };
-    let result = run_threaded_with(&cfg, &TransportConfig::default()).expect("run");
+    let result = run_with(&cfg, &over(Transport::Channel)).expect("run");
     assert_eq!(result.resumed_from_round, None);
     assert_no_round_twice(&result, 2);
     let _ = std::fs::remove_dir_all(&dir);

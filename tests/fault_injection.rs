@@ -7,7 +7,7 @@
 use std::time::Duration;
 
 use fedsz::{compress, decompress, CompressedUpdate, FedSzConfig};
-use fedsz_fl::{run_threaded_with, run_with_faults, FaultPlan, FlConfig, FlError, TransportConfig};
+use fedsz_fl::{run_with, FaultPlan, FlConfig, FlError, RunSpec, Transport};
 use fedsz_tensor::{SplitMix64, StateDict, Tensor, TensorKind};
 
 fn sample_update() -> CompressedUpdate {
@@ -157,13 +157,29 @@ fn fl_cfg(n_clients: usize, rounds: usize) -> FlConfig {
     }
 }
 
+/// The channel transport under the default policy.
+fn channel() -> RunSpec<'static> {
+    RunSpec {
+        transport: Transport::Channel,
+        ..RunSpec::default()
+    }
+}
+
+/// The in-process run under `faults`.
+fn in_process_under(faults: FaultPlan) -> RunSpec<'static> {
+    RunSpec {
+        faults,
+        ..RunSpec::default()
+    }
+}
+
 #[test]
 fn corrupt_uplink_is_rejected_and_round_completes_on_quorum() {
-    let tcfg = TransportConfig {
+    let spec = RunSpec {
         faults: FaultPlan::new().corrupt(1, 1),
-        ..TransportConfig::default()
+        ..channel()
     };
-    let result = run_threaded_with(&fl_cfg(4, 3), &tcfg).expect("fl run");
+    let result = run_with(&fl_cfg(4, 3), &spec).expect("fl run");
     assert_eq!(result.rounds.len(), 3);
     let r1 = &result.rounds[1].faults;
     assert_eq!(
@@ -179,12 +195,12 @@ fn corrupt_uplink_is_rejected_and_round_completes_on_quorum() {
 
 #[test]
 fn dead_client_does_not_deadlock_the_server() {
-    let tcfg = TransportConfig {
+    let spec = RunSpec {
         round_deadline: Some(Duration::from_secs(5)),
         faults: FaultPlan::new().crash(2, 1),
-        ..TransportConfig::default()
+        ..channel()
     };
-    let result = run_threaded_with(&fl_cfg(4, 3), &tcfg).expect("fl run");
+    let result = run_with(&fl_cfg(4, 3), &spec).expect("fl run");
     assert_eq!(result.rounds.len(), 3);
     // Crash round: the client received the broadcast but never answered, so
     // it runs out the deadline as a straggler.
@@ -198,12 +214,12 @@ fn dead_client_does_not_deadlock_the_server() {
 
 #[test]
 fn straggler_past_the_deadline_is_dropped_and_counted() {
-    let tcfg = TransportConfig {
+    let spec = RunSpec {
         round_deadline: Some(Duration::from_millis(1500)),
         faults: FaultPlan::new().delay(0, 1, Duration::from_secs(4)),
-        ..TransportConfig::default()
+        ..channel()
     };
-    let result = run_threaded_with(&fl_cfg(4, 2), &tcfg).expect("fl run");
+    let result = run_with(&fl_cfg(4, 2), &spec).expect("fl run");
     assert_eq!(result.rounds.len(), 2);
     assert!(result.rounds[0].faults.is_clean());
     let r1 = &result.rounds[1].faults;
@@ -215,12 +231,12 @@ fn straggler_past_the_deadline_is_dropped_and_counted() {
 
 #[test]
 fn quorum_not_met_is_a_typed_error_not_a_panic() {
-    let tcfg = TransportConfig {
+    let spec = RunSpec {
         min_quorum: 2,
         faults: FaultPlan::new().corrupt(0, 0).corrupt(1, 0),
-        ..TransportConfig::default()
+        ..channel()
     };
-    let err = run_threaded_with(&fl_cfg(2, 2), &tcfg).unwrap_err();
+    let err = run_with(&fl_cfg(2, 2), &spec).unwrap_err();
     assert_eq!(
         err,
         FlError::QuorumNotMet {
@@ -235,13 +251,13 @@ fn quorum_not_met_is_a_typed_error_not_a_panic() {
 fn quorum_starved_round_recovers_on_retry() {
     // Injected faults fire on the first attempt only, so one retry heals a
     // transient corrupt update.
-    let tcfg = TransportConfig {
+    let spec = RunSpec {
         min_quorum: 2,
         max_round_retries: 1,
         faults: FaultPlan::new().corrupt(0, 0),
-        ..TransportConfig::default()
+        ..channel()
     };
-    let result = run_threaded_with(&fl_cfg(2, 2), &tcfg).expect("fl run");
+    let result = run_with(&fl_cfg(2, 2), &spec).expect("fl run");
     let r0 = &result.rounds[0].faults;
     // The rejection on the first attempt stays visible; the retry delivered
     // a full quorum.
@@ -254,11 +270,11 @@ fn non_finite_update_is_quarantined_with_exact_accounting() {
     // A NaN-poisoned update travels the lossless path bit-exactly, decodes
     // cleanly, and must be caught by semantic validation — quarantined, not
     // rejected, and never aggregated.
-    let tcfg = TransportConfig {
+    let spec = RunSpec {
         faults: FaultPlan::new().non_finite(1, 1),
-        ..TransportConfig::default()
+        ..channel()
     };
-    let result = run_threaded_with(&fl_cfg(4, 3), &tcfg).expect("fl run");
+    let result = run_with(&fl_cfg(4, 3), &spec).expect("fl run");
     assert!(result.rounds[0].faults.is_clean());
     let r1 = &result.rounds[1].faults;
     assert_eq!(
@@ -285,16 +301,16 @@ fn wrong_shape_update_is_quarantined_and_excluded_like_a_rejection() {
     // aggregate on the same bits as excluding it because its bytes were
     // corrupt: both aggregate over the identical surviving quorum.
     let cfg = fl_cfg(4, 3);
-    let quarantine = TransportConfig {
+    let quarantine = RunSpec {
         faults: FaultPlan::new().wrong_shape(1, 1),
-        ..TransportConfig::default()
+        ..channel()
     };
-    let reject = TransportConfig {
+    let reject = RunSpec {
         faults: FaultPlan::new().corrupt(1, 1),
-        ..TransportConfig::default()
+        ..channel()
     };
-    let q = run_threaded_with(&cfg, &quarantine).expect("quarantine run");
-    let r = run_threaded_with(&cfg, &reject).expect("reject run");
+    let q = run_with(&cfg, &quarantine).expect("quarantine run");
+    let r = run_with(&cfg, &reject).expect("reject run");
     let r1 = &q.rounds[1].faults;
     assert_eq!((r1.delivered, r1.quarantined, r1.rejected), (3, 1, 0));
     let acc_q: Vec<f64> = q.rounds.iter().map(|x| x.accuracy).collect();
@@ -308,14 +324,14 @@ fn parallel_ingest_is_bit_identical_to_serial() {
     // The parallel decompress/validate pool must be invisible downstream:
     // any worker count produces the same bits as the serial server — same
     // final model, same per-round accuracies, same metric sums.
-    let tcfg = TransportConfig::default();
+    let spec = channel();
     let mut base = fl_cfg(4, 2);
     base.ingest_workers = 0;
-    let serial = run_threaded_with(&base, &tcfg).expect("serial run");
+    let serial = run_with(&base, &spec).expect("serial run");
     for workers in [1usize, 4, 8] {
         let mut cfg = fl_cfg(4, 2);
         cfg.ingest_workers = workers;
-        let parallel = run_threaded_with(&cfg, &tcfg).expect("parallel run");
+        let parallel = run_with(&cfg, &spec).expect("parallel run");
         assert_eq!(
             parallel.final_model, serial.final_model,
             "workers={workers}"
@@ -338,19 +354,19 @@ fn parallel_ingest_is_bit_identical_to_serial_under_faults() {
     // a NaN-poisoned update land in the same round, and the pool must
     // reject / quarantine them with exactly the serial server's accounting
     // while the surviving quorum aggregates to the same bits.
-    let tcfg = TransportConfig {
+    let spec = RunSpec {
         faults: FaultPlan::new().corrupt(1, 1).non_finite(2, 1),
-        ..TransportConfig::default()
+        ..channel()
     };
     let mut base = fl_cfg(4, 3);
     base.ingest_workers = 0;
-    let serial = run_threaded_with(&base, &tcfg).expect("serial run");
+    let serial = run_with(&base, &spec).expect("serial run");
     let r1 = &serial.rounds[1].faults;
     assert_eq!((r1.delivered, r1.rejected, r1.quarantined), (2, 1, 1));
     for workers in [1usize, 4, 8] {
         let mut cfg = fl_cfg(4, 3);
         cfg.ingest_workers = workers;
-        let parallel = run_threaded_with(&cfg, &tcfg).expect("parallel run");
+        let parallel = run_with(&cfg, &spec).expect("parallel run");
         assert_eq!(
             parallel.final_model, serial.final_model,
             "workers={workers}"
@@ -369,12 +385,12 @@ fn replayed_updates_are_discarded_first_wins() {
     // replays undecoded, so the run is indistinguishable from a clean one:
     // same bits, same bytes, clean fault counters.
     let cfg = fl_cfg(4, 3);
-    let clean = run_threaded_with(&cfg, &TransportConfig::default()).expect("clean run");
-    let tcfg = TransportConfig {
+    let clean = run_with(&cfg, &channel()).expect("clean run");
+    let spec = RunSpec {
         faults: FaultPlan::new().replay(2, 1, 7),
-        ..TransportConfig::default()
+        ..channel()
     };
-    let replayed = run_threaded_with(&cfg, &tcfg).expect("replayed run");
+    let replayed = run_with(&cfg, &spec).expect("replayed run");
     assert_eq!(replayed.final_model, clean.final_model);
     for (c, r) in clean.rounds.iter().zip(&replayed.rounds) {
         assert!(r.faults.is_clean(), "round {}: {:?}", r.round, r.faults);
@@ -396,12 +412,12 @@ fn in_process_faults_match_the_channel_transport_on_real_bytes() {
         .flip_bytes(1, 0, 16)
         .replay(2, 1, 3)
         .corrupt(3, 1);
-    let in_process = run_with_faults(&cfg, &plan).expect("in-process run");
-    let tcfg = TransportConfig {
+    let in_process = run_with(&cfg, &in_process_under(plan.clone())).expect("in-process run");
+    let spec = RunSpec {
         faults: plan,
-        ..TransportConfig::default()
+        ..channel()
     };
-    let channel = run_threaded_with(&cfg, &tcfg).expect("channel run");
+    let channel = run_with(&cfg, &spec).expect("channel run");
 
     // Not vacuous: the planned damage was really refused.
     let rejected: Vec<usize> = in_process
@@ -440,7 +456,8 @@ fn in_process_faults_match_the_channel_transport_on_real_bytes() {
         compression: None,
         ..fl_cfg(4, 1)
     };
-    let raw = run_with_faults(&raw_cfg, &FaultPlan::new().corrupt(0, 0)).expect("raw run");
+    let raw =
+        run_with(&raw_cfg, &in_process_under(FaultPlan::new().corrupt(0, 0))).expect("raw run");
     let r0 = &raw.rounds[0];
     assert_eq!((r0.faults.delivered, r0.faults.rejected), (3, 1));
     assert!(r0.bytes_on_wire > 0);
@@ -454,19 +471,19 @@ fn sampled_rounds_under_faults_are_bit_identical_across_worker_counts() {
     // Cross-device sampling with hostile traffic in flight: whichever
     // cohort members the faults hit, serial and parallel ingest must land
     // on the same bits with the same accounting.
-    let tcfg = TransportConfig {
+    let spec = RunSpec {
         faults: FaultPlan::new().corrupt(1, 1).non_finite(2, 1),
-        ..TransportConfig::default()
+        ..channel()
     };
     let mut base = fl_cfg(4, 3);
     base.population = 8;
     base.sample_fraction = 0.5;
     base.ingest_workers = 0;
-    let serial = run_threaded_with(&base, &tcfg).expect("serial run");
+    let serial = run_with(&base, &spec).expect("serial run");
     for workers in [1usize, 4, 8] {
         let mut cfg = base.clone();
         cfg.ingest_workers = workers;
-        let parallel = run_threaded_with(&cfg, &tcfg).expect("parallel run");
+        let parallel = run_with(&cfg, &spec).expect("parallel run");
         assert_eq!(
             parallel.final_model, serial.final_model,
             "workers={workers}"
@@ -484,15 +501,15 @@ fn combined_faults_complete_all_rounds_with_exact_accounting() {
     // straggler in a single run. Every round completes without panic or
     // deadlock, aggregation runs over the quorum, and the per-round metrics
     // report exactly the injected rejected / late / dropped counts.
-    let tcfg = TransportConfig {
+    let spec = RunSpec {
         round_deadline: Some(Duration::from_millis(1500)),
         faults: FaultPlan::new()
             .corrupt(1, 0)
             .crash(2, 1)
             .delay(3, 3, Duration::from_secs(4)),
-        ..TransportConfig::default()
+        ..channel()
     };
-    let result = run_threaded_with(&fl_cfg(4, 4), &tcfg).expect("fl run");
+    let result = run_with(&fl_cfg(4, 4), &spec).expect("fl run");
     assert_eq!(result.rounds.len(), 4);
 
     let per_round: Vec<(usize, usize, usize, usize)> = result

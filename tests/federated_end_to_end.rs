@@ -1,7 +1,7 @@
 //! Cross-crate integration: federated learning with FedSZ compression in
 //! the loop, plus the communication-savings accounting of §VII-B.
 
-use fedsz_fl::FlConfig;
+use fedsz_fl::{FlConfig, RunSpec, Transport};
 use fedsz_netsim::{breakeven, Bandwidth};
 
 fn quick_cfg() -> FlConfig {
@@ -69,10 +69,14 @@ fn sampled_cohorts_agree_across_transports_and_worker_counts() {
     let sequential = fedsz_fl::run(&cfg).expect("in-process run");
     assert_eq!(sequential.n_clients, 3, "cohort size");
 
-    let threaded = fedsz_fl::run_threaded(&cfg).expect("threaded run");
-    assert_eq!(threaded.final_model, sequential.final_model, "channel");
-    let tcp = fedsz_fl::run_tcp(&cfg).expect("tcp run");
-    assert_eq!(tcp.final_model, sequential.final_model, "tcp");
+    for transport in [Transport::InProcess, Transport::Channel, Transport::Tcp] {
+        let spec = RunSpec {
+            transport,
+            ..RunSpec::default()
+        };
+        let result = fedsz_fl::run_with(&cfg, &spec).expect("fl run");
+        assert_eq!(result.final_model, sequential.final_model, "{transport:?}");
+    }
 
     for workers in [1usize, 4, 8] {
         let parallel = fedsz_fl::run(&FlConfig {

@@ -10,8 +10,7 @@
 use std::path::PathBuf;
 
 use fedsz_fl::{
-    run, run_tcp_with, run_threaded_with, run_with_faults, Aggregation, FaultPlan, FlConfig,
-    FlError, FlRunResult, NetConfig, TransportConfig,
+    run, run_with, Aggregation, FaultPlan, FlConfig, FlError, FlRunResult, RunSpec, Transport,
 };
 
 fn base_cfg() -> FlConfig {
@@ -21,6 +20,15 @@ fn base_cfg() -> FlConfig {
         samples_per_client: 32,
         test_samples: 48,
         ..FlConfig::default()
+    }
+}
+
+/// `plan` over `transport`, under the default policy.
+fn faulted(transport: Transport, plan: &FaultPlan) -> RunSpec<'static> {
+    RunSpec {
+        transport,
+        faults: plan.clone(),
+        ..RunSpec::default()
     }
 }
 
@@ -108,7 +116,8 @@ fn clipped_mean_resume_is_bit_identical_to_uninterrupted() {
         checkpoint_dir: Some(dir.clone()),
         ..cfg.clone()
     };
-    let err = run_with_faults(&ckpt_cfg, &FaultPlan::new().kill_server(kill_round)).unwrap_err();
+    let kill = FaultPlan::new().kill_server(kill_round);
+    let err = run_with(&ckpt_cfg, &faulted(Transport::InProcess, &kill)).unwrap_err();
     assert_eq!(err, FlError::ServerKilled { round: kill_round });
     let resumed = run(&FlConfig {
         resume: true,
@@ -151,12 +160,12 @@ fn planned_adversaries_are_suspected_with_exact_counts() {
         Aggregation::ClippedMean { clip_factor: 3.0 },
         Aggregation::TrimmedMean { trim_k: 1 },
     ] {
-        let result = run_with_faults(
+        let result = run_with(
             &FlConfig {
                 aggregation: mode,
                 ..cfg8.clone()
             },
-            &plan,
+            &faulted(Transport::InProcess, &plan),
         )
         .expect("robust run");
         let r0 = &result.rounds[0];
@@ -178,7 +187,7 @@ fn planned_adversaries_are_suspected_with_exact_counts() {
     }
 
     // Plain mean has no screen: the poison folds straight in.
-    let mean = run_with_faults(&cfg8, &plan).expect("mean run");
+    let mean = run_with(&cfg8, &faulted(Transport::InProcess, &plan)).expect("mean run");
     assert_eq!(mean.rounds[0].faults.suspected, 0);
     assert_eq!(mean.rounds[0].faults.delivered, 8);
 }
@@ -203,21 +212,18 @@ fn byzantine_chaos_is_bit_identical_across_transports_and_workers() {
         compression: FlConfig::with_fedsz(1e-2).compression,
         ..FlConfig::default()
     };
-    let tcfg = TransportConfig {
-        faults: plan.clone(),
-        ..TransportConfig::default()
-    };
+    let over = |transport| faulted(transport, &plan);
 
-    let baseline = run_with_faults(&cfg(0), &plan).expect("in-process serial");
+    let baseline = run_with(&cfg(0), &over(Transport::InProcess)).expect("in-process serial");
     // The round-0 norm attacks must be screened; the round-1 drift halves
     // the update but stays under 3x the median distance, so it folds.
     assert_eq!(baseline.rounds[0].faults.suspected, 2);
     assert_eq!(baseline.rounds[0].suspect_reasons.norm_outlier, 2);
 
     for workers in [1usize, 4] {
-        let in_process = run_with_faults(&cfg(workers), &plan).expect("in-process");
-        let threaded = run_threaded_with(&cfg(workers), &tcfg).expect("threaded");
-        let tcp = run_tcp_with(&cfg(workers), &tcfg, &NetConfig::default()).expect("tcp");
+        let in_process = run_with(&cfg(workers), &over(Transport::InProcess)).expect("in-process");
+        let threaded = run_with(&cfg(workers), &over(Transport::Channel)).expect("threaded");
+        let tcp = run_with(&cfg(workers), &over(Transport::Tcp)).expect("tcp");
         for (name, result) in [
             ("in-process", &in_process),
             ("threaded", &threaded),

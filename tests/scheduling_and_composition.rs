@@ -2,7 +2,7 @@
 //! scheduling in the FL loop and Top-K + FedSZ composition.
 
 use fedsz::{BoundSchedule, ErrorBound, FedSzConfig, LosslessKind, LossyKind, TopK};
-use fedsz_fl::{run_scheduled, FlConfig, SMALL_MODEL_THRESHOLD};
+use fedsz_fl::{run_with, FlConfig, FlRunResult, RunSpec, Transport, SMALL_MODEL_THRESHOLD};
 
 fn quick_cfg(rounds: usize) -> FlConfig {
     FlConfig {
@@ -13,6 +13,29 @@ fn quick_cfg(rounds: usize) -> FlConfig {
     }
 }
 
+/// A run of `cfg` over `transport` with the uplink codec `schedule` picks
+/// per round.
+fn scheduled_run(
+    cfg: &FlConfig,
+    transport: Transport,
+    schedule: impl Fn(usize) -> Option<FedSzConfig> + Sync,
+) -> FlRunResult {
+    let spec = RunSpec {
+        transport,
+        schedule: Some(&schedule),
+        ..RunSpec::default()
+    };
+    run_with(cfg, &spec).expect("fl run")
+}
+
+/// The uplink codec at `schedule`'s relative bound for `round`.
+fn codec_at(schedule: BoundSchedule, round: usize) -> Option<FedSzConfig> {
+    Some(FedSzConfig {
+        threshold: SMALL_MODEL_THRESHOLD,
+        ..FedSzConfig::with_rel_bound(schedule.bound_at(round))
+    })
+}
+
 #[test]
 fn scheduled_bounds_change_per_round_ratios() {
     let schedule = BoundSchedule::Step {
@@ -20,13 +43,9 @@ fn scheduled_bounds_change_per_round_ratios() {
         fine: 1e-3,
         switch_round: 2,
     };
-    let result = run_scheduled(&quick_cfg(4), |round| {
-        Some(FedSzConfig {
-            threshold: SMALL_MODEL_THRESHOLD,
-            ..FedSzConfig::with_rel_bound(schedule.bound_at(round))
-        })
-    })
-    .expect("fl run");
+    let result = scheduled_run(&quick_cfg(4), Transport::InProcess, |round| {
+        codec_at(schedule, round)
+    });
     // Coarse rounds must compress much harder than fine rounds.
     let coarse_ratio = result.rounds[0].compression_ratio();
     let fine_ratio = result.rounds[3].compression_ratio();
@@ -38,18 +57,51 @@ fn scheduled_bounds_change_per_round_ratios() {
 
 #[test]
 fn schedule_none_disables_compression_for_a_round() {
-    let result = run_scheduled(&quick_cfg(2), |round| {
+    let result = scheduled_run(&quick_cfg(2), Transport::InProcess, |round| {
         (round == 1).then(|| FedSzConfig {
             threshold: SMALL_MODEL_THRESHOLD,
             ..FedSzConfig::with_rel_bound(1e-2)
         })
-    })
-    .expect("fl run");
+    });
     assert_eq!(
         result.rounds[0].bytes_on_wire,
         result.rounds[0].bytes_uncompressed
     );
     assert!(result.rounds[1].bytes_on_wire < result.rounds[1].bytes_uncompressed / 2);
+}
+
+#[test]
+fn step_schedule_is_bit_identical_on_every_transport() {
+    // The schedule reaches the channel and TCP clients too, not only the
+    // in-process loop: the same seeds give the same model and the same
+    // per-round uplink bytes however the updates travel.
+    let schedule = BoundSchedule::Step {
+        coarse: 1e-1,
+        fine: 1e-3,
+        switch_round: 1,
+    };
+    let cfg = FlConfig {
+        n_clients: 3,
+        samples_per_client: 32,
+        test_samples: 48,
+        ..quick_cfg(3)
+    };
+    let [in_process, channel, tcp] = [Transport::InProcess, Transport::Channel, Transport::Tcp]
+        .map(|transport| scheduled_run(&cfg, transport, |round| codec_at(schedule, round)));
+    let ratios: Vec<f64> = in_process
+        .rounds
+        .iter()
+        .map(|r| r.compression_ratio())
+        .collect();
+    assert!(
+        ratios[0] > 1.5 * ratios[2],
+        "the step did not bite: {ratios:?}"
+    );
+    for (name, run) in [("channel", channel), ("tcp", tcp)] {
+        assert_eq!(run.final_model, in_process.final_model, "{name}");
+        let bytes = |r: &FlRunResult| r.rounds.iter().map(|m| m.bytes_on_wire).collect::<Vec<_>>();
+        assert_eq!(bytes(&run), bytes(&in_process), "{name}");
+    }
 }
 
 #[test]
@@ -60,13 +112,9 @@ fn decaying_schedule_still_learns() {
         end: 1e-3,
         rounds,
     };
-    let result = run_scheduled(&quick_cfg(rounds), |round| {
-        Some(FedSzConfig {
-            threshold: SMALL_MODEL_THRESHOLD,
-            ..FedSzConfig::with_rel_bound(schedule.bound_at(round))
-        })
-    })
-    .expect("fl run");
+    let result = scheduled_run(&quick_cfg(rounds), Transport::InProcess, |round| {
+        codec_at(schedule, round)
+    });
     assert!(
         result.final_accuracy() > 0.25,
         "accuracy {}",

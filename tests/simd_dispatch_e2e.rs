@@ -5,7 +5,7 @@
 //! vector extensions both runs resolve to scalar and the comparison is
 //! trivially (but still correctly) satisfied.
 
-use fedsz_fl::{FlConfig, FlRunResult};
+use fedsz_fl::{FlConfig, FlRunResult, RunSpec, Transport};
 
 /// Small, fast FL setup (mirrors tests/tcp_transport.rs).
 fn fl_cfg() -> FlConfig {
@@ -42,12 +42,16 @@ fn encode_masked(cfg: &FlConfig, result: &FlRunResult) -> Vec<u8> {
 fn tcp_round_checkpoints_are_byte_identical_scalar_vs_best() {
     let cfg = fl_cfg();
     let best = fedsz_simd::detected_level();
+    let tcp = RunSpec {
+        transport: Transport::Tcp,
+        ..RunSpec::default()
+    };
 
     fedsz_simd::override_level(fedsz_simd::Level::Scalar);
-    let scalar = fedsz_fl::run_tcp(&cfg).expect("scalar tcp run");
+    let scalar = fedsz_fl::run_with(&cfg, &tcp).expect("scalar tcp run");
 
     fedsz_simd::override_level(best);
-    let vector = fedsz_fl::run_tcp(&cfg).expect("vector tcp run");
+    let vector = fedsz_fl::run_with(&cfg, &tcp).expect("vector tcp run");
 
     let bits =
         |r: &FlRunResult| -> Vec<u64> { r.rounds.iter().map(|m| m.accuracy.to_bits()).collect() };

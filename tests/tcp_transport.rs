@@ -8,8 +8,7 @@ use std::net::TcpListener;
 use std::time::{Duration, Instant};
 
 use fedsz_fl::{
-    run_tcp_client, run_tcp_with, run_threaded_with, FaultPlan, FlConfig, FlError, NetConfig,
-    TransportConfig,
+    run_tcp_client, run_with, FaultPlan, FlConfig, FlError, NetConfig, RunSpec, Transport,
 };
 
 /// Small, fast FL setup (mirrors tests/fault_injection.rs).
@@ -36,12 +35,21 @@ fn fast_net() -> NetConfig {
     }
 }
 
+/// `transport` with the [`fast_net`] socket policy (only TCP reads it).
+fn over(transport: Transport) -> RunSpec<'static> {
+    RunSpec {
+        transport,
+        net: fast_net(),
+        ..RunSpec::default()
+    }
+}
+
 /// A generous deadline that never fires in a healthy run but turns any
 /// unexpected hang into a counted straggler instead of a stuck test.
-fn backstop() -> TransportConfig {
-    TransportConfig {
+fn backstop(transport: Transport) -> RunSpec<'static> {
+    RunSpec {
         round_deadline: Some(Duration::from_secs(60)),
-        ..TransportConfig::default()
+        ..over(transport)
     }
 }
 
@@ -67,8 +75,8 @@ fn tcp_matches_threaded_and_sequential_exactly() {
     // real TCP sockets with the framed wire protocol in between.
     let cfg = fl_cfg(4, 3);
     let sequential = fedsz_fl::run(&cfg).expect("sequential run");
-    let threaded = fedsz_fl::run_threaded(&cfg).expect("threaded run");
-    let tcp = fedsz_fl::run_tcp(&cfg).expect("tcp run");
+    let threaded = run_with(&cfg, &over(Transport::Channel)).expect("threaded run");
+    let tcp = run_with(&cfg, &over(Transport::Tcp)).expect("tcp run");
 
     let a: Vec<f64> = sequential.rounds.iter().map(|r| r.accuracy).collect();
     let b: Vec<f64> = threaded.rounds.iter().map(|r| r.accuracy).collect();
@@ -90,11 +98,11 @@ fn disconnected_client_rejoins_via_backoff_with_exact_accounting() {
     // reconnects with exponential backoff. The server counts exactly one
     // late client that round and serves the rejoined connection from the
     // next broadcast on — no other round is disturbed.
-    let tcfg = TransportConfig {
+    let spec = RunSpec {
         faults: FaultPlan::new().disconnect(1, 1),
-        ..backstop()
+        ..backstop(Transport::Tcp)
     };
-    let result = run_tcp_with(&fl_cfg(4, 4), &tcfg, &fast_net()).expect("tcp run");
+    let result = run_with(&fl_cfg(4, 4), &spec).expect("tcp run");
     assert_eq!(
         per_round(&result),
         vec![
@@ -112,11 +120,11 @@ fn truncated_frame_is_rejected_and_the_client_rejoins() {
     // Client 2 sends only half its update frame and drops the connection:
     // the server sees a mid-frame EOF, counts the half-frame as rejected,
     // and the client is back for the next round.
-    let tcfg = TransportConfig {
+    let spec = RunSpec {
         faults: FaultPlan::new().truncate_frame(2, 1),
-        ..backstop()
+        ..backstop(Transport::Tcp)
     };
-    let result = run_tcp_with(&fl_cfg(4, 3), &tcfg, &fast_net()).expect("tcp run");
+    let result = run_with(&fl_cfg(4, 3), &spec).expect("tcp run");
     assert_eq!(
         per_round(&result),
         vec![(4, 0, 0, 0), (3, 1, 0, 0), (4, 0, 0, 0)]
@@ -128,11 +136,11 @@ fn flipped_bytes_fail_the_crc_without_losing_the_connection() {
     // Client 0 flips 16 body bytes after the checksum was computed. The
     // frame arrives whole, fails its CRC-32, and is rejected — while the
     // connection (and every later round) survives untouched.
-    let tcfg = TransportConfig {
+    let spec = RunSpec {
         faults: FaultPlan::new().flip_bytes(0, 1, 16),
-        ..backstop()
+        ..backstop(Transport::Tcp)
     };
-    let result = run_tcp_with(&fl_cfg(4, 3), &tcfg, &fast_net()).expect("tcp run");
+    let result = run_with(&fl_cfg(4, 3), &spec).expect("tcp run");
     assert_eq!(
         per_round(&result),
         vec![(4, 0, 0, 0), (3, 1, 0, 0), (4, 0, 0, 0)]
@@ -144,15 +152,18 @@ fn crashed_tcp_client_is_late_then_dropped() {
     // Client 2 exits for good in round 1: its EOF makes it late that round
     // (no deadline needs to run out), and from the next broadcast on the
     // slot is dropped after its one rejoin grace goes unused.
-    let tcfg = TransportConfig {
+    let spec = RunSpec {
         faults: FaultPlan::new().crash(2, 1),
-        ..backstop()
+        ..backstop(Transport::Tcp)
     };
-    let ncfg = NetConfig {
-        rejoin_grace: Duration::from_millis(200), // nobody is coming back
-        ..fast_net()
+    let spec = RunSpec {
+        net: NetConfig {
+            rejoin_grace: Duration::from_millis(200), // nobody is coming back
+            ..fast_net()
+        },
+        ..spec
     };
-    let result = run_tcp_with(&fl_cfg(4, 3), &tcfg, &ncfg).expect("tcp run");
+    let result = run_with(&fl_cfg(4, 3), &spec).expect("tcp run");
     assert_eq!(
         per_round(&result),
         vec![(4, 0, 0, 0), (3, 0, 1, 0), (3, 0, 0, 1)]
@@ -165,12 +176,12 @@ fn corrupt_payload_over_tcp_matches_channel_semantics_exactly() {
     // innocent) and fails FedSZ decoding at the server — byte-for-byte the
     // same accounting and the same accuracies as the channel transport.
     let cfg = fl_cfg(4, 3);
-    let tcfg = TransportConfig {
+    let spec = |transport| RunSpec {
         faults: FaultPlan::new().corrupt(1, 1),
-        ..TransportConfig::default()
+        ..over(transport)
     };
-    let over_channels = run_threaded_with(&cfg, &tcfg).expect("threaded run");
-    let over_tcp = run_tcp_with(&cfg, &tcfg, &fast_net()).expect("tcp run");
+    let over_channels = run_with(&cfg, &spec(Transport::Channel)).expect("threaded run");
+    let over_tcp = run_with(&cfg, &spec(Transport::Tcp)).expect("tcp run");
     assert_eq!(per_round(&over_channels), per_round(&over_tcp));
     let a: Vec<f64> = over_channels.rounds.iter().map(|r| r.accuracy).collect();
     let b: Vec<f64> = over_tcp.rounds.iter().map(|r| r.accuracy).collect();
@@ -184,12 +195,12 @@ fn poisoned_update_over_tcp_is_quarantined_with_channel_parity() {
     // catches it — with the same accounting and the same bits as the
     // channel transport.
     let cfg = fl_cfg(4, 3);
-    let tcfg = TransportConfig {
+    let spec = |transport| RunSpec {
         faults: FaultPlan::new().non_finite(2, 1),
-        ..TransportConfig::default()
+        ..over(transport)
     };
-    let over_channels = run_threaded_with(&cfg, &tcfg).expect("threaded run");
-    let over_tcp = run_tcp_with(&cfg, &tcfg, &fast_net()).expect("tcp run");
+    let over_channels = run_with(&cfg, &spec(Transport::Channel)).expect("threaded run");
+    let over_tcp = run_with(&cfg, &spec(Transport::Tcp)).expect("tcp run");
     let r1 = &over_tcp.rounds[1].faults;
     assert_eq!(
         (r1.delivered, r1.rejected, r1.quarantined, r1.late),
@@ -208,17 +219,17 @@ fn parallel_ingest_over_tcp_is_bit_identical_to_serial() {
     // parallel decompress/validate pool: any worker count must land on the
     // serial server's exact bits — same final model, same per-round
     // accuracies, same fault accounting.
-    let tcfg = TransportConfig {
+    let spec = RunSpec {
         faults: FaultPlan::new().corrupt(1, 1),
-        ..TransportConfig::default()
+        ..over(Transport::Tcp)
     };
     let mut base = fl_cfg(4, 2);
     base.ingest_workers = 0;
-    let serial = run_tcp_with(&base, &tcfg, &fast_net()).expect("serial run");
+    let serial = run_with(&base, &spec).expect("serial run");
     for workers in [1usize, 4, 8] {
         let mut cfg = fl_cfg(4, 2);
         cfg.ingest_workers = workers;
-        let parallel = run_tcp_with(&cfg, &tcfg, &fast_net()).expect("parallel run");
+        let parallel = run_with(&cfg, &spec).expect("parallel run");
         assert_eq!(
             parallel.final_model, serial.final_model,
             "workers={workers}"
@@ -243,12 +254,12 @@ fn replayed_tcp_frames_are_discarded_first_wins() {
     // run is byte-for-byte a clean run — the aggregate is not skewed toward
     // the replayer and no fault counter moves.
     let cfg = fl_cfg(4, 3);
-    let clean = run_tcp_with(&cfg, &backstop(), &fast_net()).expect("clean run");
-    let tcfg = TransportConfig {
+    let clean = run_with(&cfg, &backstop(Transport::Tcp)).expect("clean run");
+    let spec = RunSpec {
         faults: FaultPlan::new().replay(1, 1, 5),
-        ..backstop()
+        ..backstop(Transport::Tcp)
     };
-    let replayed = run_tcp_with(&cfg, &tcfg, &fast_net()).expect("replayed run");
+    let replayed = run_with(&cfg, &spec).expect("replayed run");
     assert_eq!(replayed.final_model, clean.final_model);
     assert_eq!(per_round(&replayed), per_round(&clean));
     for (c, r) in clean.rounds.iter().zip(&replayed.rounds) {
@@ -259,12 +270,12 @@ fn replayed_tcp_frames_are_discarded_first_wins() {
 
 #[test]
 fn quorum_not_met_over_tcp_is_a_typed_error() {
-    let tcfg = TransportConfig {
+    let spec = RunSpec {
         min_quorum: 2,
         faults: FaultPlan::new().corrupt(0, 0).corrupt(1, 0),
-        ..backstop()
+        ..backstop(Transport::Tcp)
     };
-    let err = run_tcp_with(&fl_cfg(2, 2), &tcfg, &fast_net()).unwrap_err();
+    let err = run_with(&fl_cfg(2, 2), &spec).unwrap_err();
     assert_eq!(
         err,
         FlError::QuorumNotMet {
@@ -296,8 +307,11 @@ fn tcp_client_idle_timeout_exits_cleanly() {
         ..FlConfig::default()
     };
     let started = Instant::now();
-    run_tcp_client(&addr.to_string(), 0, &cfg, Some(Duration::from_millis(300)))
-        .expect("client exits cleanly");
+    let spec = RunSpec {
+        client_idle_timeout: Some(Duration::from_millis(300)),
+        ..RunSpec::default()
+    };
+    run_tcp_client(&addr.to_string(), 0, &cfg, &spec).expect("client exits cleanly");
     assert!(
         started.elapsed() < Duration::from_secs(10),
         "idle timeout did not fire"
@@ -319,8 +333,8 @@ fn starved_ingest_budget_sheds_identically_on_every_transport() {
         ..fl_cfg(4, 1)
     };
     let sequential = fedsz_fl::run(&cfg).expect_err("sequential must overload");
-    let channel = run_threaded_with(&cfg, &backstop()).expect_err("channel must overload");
-    let tcp = run_tcp_with(&cfg, &backstop(), &fast_net()).expect_err("tcp must overload");
+    let channel = run_with(&cfg, &backstop(Transport::Channel)).expect_err("channel must overload");
+    let tcp = run_with(&cfg, &backstop(Transport::Tcp)).expect_err("tcp must overload");
 
     for (transport, err) in [
         ("sequential", &sequential),
@@ -362,17 +376,17 @@ fn chaos_fault_accounting_is_identical_across_transports() {
         .slow_drip(1, 0)
         .hold_connection(2, 1, Duration::from_millis(600))
         .non_finite(3, 1);
-    let tcfg = TransportConfig {
+    let spec = |transport| RunSpec {
         faults: plan.clone(),
-        ..backstop()
+        net: NetConfig {
+            min_byte_rate: 1024,
+            ..fast_net()
+        },
+        ..backstop(transport)
     };
-    let ncfg = NetConfig {
-        min_byte_rate: 1024,
-        ..fast_net()
-    };
-    let in_process = fedsz_fl::run_with_faults(&cfg, &plan).expect("in-process chaos run");
-    let channel = run_threaded_with(&cfg, &tcfg).expect("channel chaos run");
-    let tcp = run_tcp_with(&cfg, &tcfg, &ncfg).expect("tcp chaos run");
+    let in_process = run_with(&cfg, &spec(Transport::InProcess)).expect("in-process chaos run");
+    let channel = run_with(&cfg, &spec(Transport::Channel)).expect("channel chaos run");
+    let tcp = run_with(&cfg, &spec(Transport::Tcp)).expect("tcp chaos run");
 
     let counters =
         |r: &fedsz_fl::FlRunResult| r.rounds.iter().map(|m| m.faults).collect::<Vec<_>>();
@@ -416,7 +430,8 @@ fn tight_budget_backpressures_without_shedding_and_stays_bit_identical() {
     // bit-identical to the unconstrained one: backpressure changes when
     // updates are admitted, never whether.
     let cfg = fl_cfg(4, 2);
-    let baseline = run_threaded_with(&cfg, &backstop()).expect("unconstrained channel run");
+    let baseline =
+        run_with(&cfg, &backstop(Transport::Channel)).expect("unconstrained channel run");
     let max_round_wire = baseline
         .rounds
         .iter()
@@ -427,8 +442,9 @@ fn tight_budget_backpressures_without_shedding_and_stays_bit_identical() {
         ingest_budget_bytes: Some(max_round_wire / 2 + 256),
         ..cfg
     };
-    let channel = run_threaded_with(&tight, &backstop()).expect("backpressured channel run");
-    let tcp = run_tcp_with(&tight, &backstop(), &fast_net()).expect("backpressured tcp run");
+    let channel =
+        run_with(&tight, &backstop(Transport::Channel)).expect("backpressured channel run");
+    let tcp = run_with(&tight, &backstop(Transport::Tcp)).expect("backpressured tcp run");
     for (transport, run) in [("channel", &channel), ("tcp", &tcp)] {
         for r in &run.rounds {
             assert_eq!(

@@ -5,10 +5,7 @@
 
 use std::time::Duration;
 
-use fedsz_fl::{
-    run_tcp_with, run_threaded_with, run_with_faults, FaultPlan, FlConfig, FlError, NetConfig,
-    TransportConfig,
-};
+use fedsz_fl::{run_with, FaultPlan, FlConfig, FlError, NetConfig, RunSpec, Transport};
 
 /// Small, fast FL setup (mirrors tests/tcp_transport.rs).
 fn fl_cfg(n_clients: usize, rounds: usize) -> FlConfig {
@@ -25,18 +22,18 @@ fn fl_cfg(n_clients: usize, rounds: usize) -> FlConfig {
     }
 }
 
-fn fast_net() -> NetConfig {
-    NetConfig {
-        rejoin_grace: Duration::from_secs(5),
-        ..NetConfig::default()
-    }
-}
-
-fn with_plan(plan: &FaultPlan) -> TransportConfig {
-    TransportConfig {
+/// `plan` over `transport`, with a deadline backstop and a rejoin grace
+/// long enough for a reconnecting TCP client.
+fn with_plan(transport: Transport, plan: &FaultPlan) -> RunSpec<'static> {
+    RunSpec {
+        transport,
         round_deadline: Some(Duration::from_secs(60)),
         faults: plan.clone(),
-        ..TransportConfig::default()
+        net: NetConfig {
+            rejoin_grace: Duration::from_secs(5),
+            ..NetConfig::default()
+        },
+        ..RunSpec::default()
     }
 }
 
@@ -58,9 +55,11 @@ fn a_replayed_frame_that_can_never_fit_is_shed_once_on_every_transport() {
         delivered: 0,
         required: 1,
     };
-    let in_process = run_with_faults(&cfg, &plan).expect_err("in-process must overload");
-    let channel = run_threaded_with(&cfg, &with_plan(&plan)).expect_err("channel must overload");
-    let tcp = run_tcp_with(&cfg, &with_plan(&plan), &fast_net()).expect_err("tcp must overload");
+    let [in_process, channel, tcp] = [Transport::InProcess, Transport::Channel, Transport::Tcp]
+        .map(|transport| run_with(&cfg, &with_plan(transport, &plan)));
+    let in_process = in_process.expect_err("in-process must overload");
+    let channel = channel.expect_err("channel must overload");
+    let tcp = tcp.expect_err("tcp must overload");
     assert_eq!(in_process, expected, "in-process");
     assert_eq!(channel, expected, "channel");
     assert_eq!(tcp, expected, "tcp");
@@ -68,13 +67,13 @@ fn a_replayed_frame_that_can_never_fit_is_shed_once_on_every_transport() {
 
 #[test]
 fn eight_tcp_clients_keep_their_moved_in_shards_through_a_reconnect() {
-    // `run_tcp_with` hands every in-process client its shard, as
-    // `run_threaded_with` does. Client 5 drops its connection in round 1
+    // The TCP transport hands every in-process client its shard, as the
+    // channel transport does. Client 5 drops its connection in round 1
     // and rejoins via backoff; the shard lives on in its thread, so round
     // 2 is back at full strength on the right data.
     let cfg = fl_cfg(8, 3);
     let plan = FaultPlan::new().disconnect(5, 1);
-    let tcp = run_tcp_with(&cfg, &with_plan(&plan), &fast_net()).expect("tcp run");
+    let tcp = run_with(&cfg, &with_plan(Transport::Tcp, &plan)).expect("tcp run");
     let counts: Vec<_> = tcp
         .rounds
         .iter()
@@ -84,7 +83,8 @@ fn eight_tcp_clients_keep_their_moved_in_shards_through_a_reconnect() {
 
     // The loopback shares the client turn and gives `Disconnect` the same
     // meaning (silent for the planned round only): same counters, same bits.
-    let in_process = run_with_faults(&cfg, &plan).expect("in-process run");
+    let in_process =
+        run_with(&cfg, &with_plan(Transport::InProcess, &plan)).expect("in-process run");
     for (t, i) in tcp.rounds.iter().zip(&in_process.rounds) {
         assert_eq!(t.faults, i.faults, "round {}", t.round);
         assert_eq!(t.accuracy, i.accuracy, "round {}", t.round);
@@ -95,7 +95,7 @@ fn eight_tcp_clients_keep_their_moved_in_shards_through_a_reconnect() {
     // back the next" is a shed update: the same seven updates fold in round
     // 1 and the same eight around it — the same model, bit for bit.
     let stand_in = FaultPlan::new().slow_drip(5, 1);
-    let channel = run_threaded_with(&cfg, &with_plan(&stand_in)).expect("channel run");
+    let channel = run_with(&cfg, &with_plan(Transport::Channel, &stand_in)).expect("channel run");
     assert_eq!(channel.rounds[1].faults.shed, 1);
     for (t, c) in tcp.rounds.iter().zip(&channel.rounds) {
         assert_eq!(t.faults.delivered, c.faults.delivered, "round {}", t.round);
