@@ -57,6 +57,7 @@ fn all_lossy_round_trip(sd: &StateDict, rel: f64) -> StateDict {
 fn main() {
     let args = Args::parse();
     let epochs: usize = args.value("--epochs", 8);
+    args.finish();
 
     let (train, test) = DatasetKind::Cifar10Like.generate(320, 256, 77);
 

@@ -34,6 +34,7 @@ fn run_with_schedule(schedule: BoundSchedule, rounds: usize) -> (f64, usize, f64
 fn main() {
     let args = Args::parse();
     let rounds: usize = args.value("--rounds", 12);
+    args.finish();
 
     let schedules: Vec<(&str, BoundSchedule)> = vec![
         ("constant 1e-2", BoundSchedule::Constant(1e-2)),

@@ -21,6 +21,7 @@ fn main() {
     } else {
         vec![ModelKind::MobileNetV2, ModelKind::ResNet50]
     };
+    args.finish();
 
     print_header(
         "Ablation: partition threshold sweep (FedSZ @ 1e-2)",

@@ -20,6 +20,7 @@ fn main() {
     } else {
         vec![1e-2, 1e-3, 1e-4]
     };
+    args.finish();
 
     let sd = ModelKind::MobileNetV2.synthesize(10, 41);
 

@@ -15,6 +15,7 @@ fn main() {
     let args = Args::parse();
     let rounds: usize = args.value("--rounds", 10);
     let rel: f64 = args.value("--rel", 1e-2);
+    args.finish();
 
     let mut curves: Vec<(String, Vec<f64>)> = Vec::new();
 

@@ -17,6 +17,7 @@ fn main() {
     let args = Args::parse();
     let rounds: usize = args.value("--rounds", 30);
     let samples: usize = args.value("--samples", 160);
+    args.finish();
 
     print_header(
         "Figure 5: accuracy vs FedSZ relative error bound",

@@ -10,6 +10,7 @@ use fedsz_fl::FlConfig;
 fn main() {
     let args = Args::parse();
     let rounds: usize = args.value("--rounds", 4);
+    args.finish();
 
     print_header(
         "Figure 6: client runtime per epoch breakdown (FedSZ @ 1e-2)",

@@ -13,6 +13,7 @@ fn main() {
     let args = Args::parse();
     let mbps: f64 = args.value("--mbps", 10.0);
     let fast = args.flag("--fast");
+    args.finish();
     let bw = Bandwidth::mbps(mbps);
 
     print_header(

@@ -21,6 +21,7 @@ const BANDWIDTHS_MBPS: [f64; 9] = [
 fn main() {
     let args = Args::parse();
     let rel: f64 = args.value("--rel", 1e-2);
+    args.finish();
 
     let sd = ModelKind::AlexNet.synthesize(10, 23);
     let values = lossy_partition_values(&sd, fedsz::DEFAULT_THRESHOLD);

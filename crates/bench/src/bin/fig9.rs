@@ -24,6 +24,7 @@ fn main() {
     let args = Args::parse();
     let train_s: f64 = args.value("--train-s", 5.0);
     let mbps: f64 = args.value("--mbps", 10.0);
+    args.finish();
     let bw = Bandwidth::mbps(mbps);
 
     // Measure FedSZ costs on the real-size MobileNetV2 state dict.

@@ -186,6 +186,7 @@ fn main() {
     let smoke = args.flag("--smoke");
     let reps: usize = args.value("--reps", if smoke { 2 } else { 5 });
     let out: String = args.value("--out", "BENCH_ingest.json".to_string());
+    args.finish();
     let cores = ingest::default_workers();
     let simd_level = fedsz_simd::detected_level().name();
 

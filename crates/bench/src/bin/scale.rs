@@ -230,6 +230,7 @@ fn main() {
     let params: usize = args.value("--params", if smoke { 16_384 } else { 65_536 });
     let population: usize = args.value("--population", if smoke { 1_000 } else { 10_000 });
     let out: String = args.value("--out", "BENCH_scale.json".to_string());
+    args.finish();
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     println!("# streaming-aggregator scale benchmark ({cores} cores available)");

@@ -179,6 +179,7 @@ fn main() {
     let smoke = args.flag("--smoke");
     let out: String = args.value("--out", "BENCH_soak.json".to_string());
     let scale_population: usize = args.value("--population", if smoke { 1_000 } else { 10_000 });
+    args.finish();
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!("# chaos-soak: overload-safe server determinism ({cores} cores available)");
 

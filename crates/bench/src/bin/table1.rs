@@ -48,6 +48,7 @@ fn main() {
     let fast = args.flag("--fast");
     let rounds: usize = args.value("--rounds", 10);
     let samples: usize = args.value("--samples", 192);
+    args.finish();
 
     let compressors = [
         LossyKind::Sz2,

@@ -14,6 +14,7 @@ use fedsz_models::ModelKind;
 fn main() {
     let args = Args::parse();
     let repeats: usize = args.value("--repeats", 5);
+    args.finish();
 
     let sd = ModelKind::AlexNet.synthesize(10, 7);
     let metadata = metadata_partition_bytes(&sd, DEFAULT_THRESHOLD);

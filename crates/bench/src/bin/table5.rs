@@ -16,6 +16,7 @@ use fedsz_models::ModelKind;
 fn main() {
     let args = Args::parse();
     let fast = args.flag("--fast");
+    args.finish();
 
     print_header(
         "Table V: FedSZ compression ratios (SZ2 + blosc-lz)",

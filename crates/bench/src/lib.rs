@@ -6,6 +6,7 @@
 //! measurement, and formatting consistent across them: [`median_s`] is the
 //! one timing loop every bench and micro tier uses.
 
+use std::cell::Cell;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -72,34 +73,55 @@ pub fn metadata_partition_bytes(sd: &StateDict, threshold: usize) -> Vec<u8> {
     out
 }
 
-/// Simple argv flag parsing shared by the regenerator binaries.
-pub struct Args {
-    raw: Vec<String>,
-}
+/// Simple argv flag parsing shared by the regenerator binaries. Each
+/// argument is marked seen once `flag` or `value` reads it, and
+/// [`Args::finish`] refuses any left unread.
+pub struct Args(Vec<(String, Cell<bool>)>);
 
 impl Args {
     /// Capture the process arguments.
     pub fn parse() -> Self {
-        Self {
-            raw: std::env::args().skip(1).collect(),
-        }
+        Self::new(std::env::args().skip(1))
+    }
+
+    fn new(args: impl IntoIterator<Item = String>) -> Self {
+        Self(args.into_iter().map(|a| (a, Cell::new(false))).collect())
+    }
+
+    /// The position of `name`, marked seen; `None` when it is absent.
+    fn find(&self, name: &str) -> Option<usize> {
+        let i = self.0.iter().position(|(arg, _)| arg == name)?;
+        self.0[i].1.set(true);
+        Some(i)
     }
 
     /// Whether `--name` is present.
     pub fn flag(&self, name: &str) -> bool {
-        self.raw.iter().any(|a| a == name)
+        self.find(name).is_some()
     }
 
     /// Value of `--name <value>` parsed as `T`, or the default when the
     /// flag is absent. Panics, naming the flag and the text, when the value
     /// is missing or does not parse: a typo must not run the default.
     pub fn value<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        let Some(i) = self.raw.iter().position(|a| a == name) else {
+        let Some(i) = self.find(name) else {
             return default;
         };
-        let text = self.raw.get(i + 1).map_or("", String::as_str);
+        let text = self.0.get(i + 1).map_or("", |(text, seen)| {
+            seen.set(true);
+            text.as_str()
+        });
         text.parse()
             .unwrap_or_else(|_| panic!("{name}: cannot parse {text:?}"))
+    }
+
+    /// Panics naming the first argument no `flag` or `value` call read — a
+    /// misspelt or repeated flag must not run the defaults. Call it after
+    /// the reads and before any work.
+    pub fn finish(&self) {
+        if let Some((arg, _)) = self.0.iter().find(|(_, seen)| !seen.get()) {
+            panic!("unknown argument {arg:?}");
+        }
     }
 }
 
@@ -141,24 +163,32 @@ mod tests {
         assert!(secs >= 0.0);
     }
 
+    fn args(raw: &[&str]) -> Args {
+        Args::new(raw.iter().map(|a| a.to_string()))
+    }
+
     #[test]
     fn args_parse_values() {
-        let args = Args {
-            raw: vec!["--fast".into(), "--rounds".into(), "7".into()],
-        };
+        let args = args(&["--fast", "--rounds", "7"]);
         assert!(args.flag("--fast"));
         assert!(!args.flag("--slow"));
         assert_eq!(args.value("--rounds", 50usize), 7);
         assert_eq!(args.value("--clients", 4usize), 4);
+        args.finish();
     }
 
     #[test]
     #[should_panic(expected = "--reps: cannot parse \"1O\"")]
     fn args_refuse_an_unparsable_value() {
-        let args = Args {
-            raw: vec!["--reps".into(), "1O".into()],
-        };
-        args.value("--reps", 5usize);
+        args(&["--reps", "1O"]).value("--reps", 5usize);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown argument \"--rouds\"")]
+    fn args_refuse_an_unread_argument() {
+        let args = args(&["--rounds", "3", "--rouds", "3"]);
+        assert_eq!(args.value("--rounds", 10usize), 3);
+        args.finish();
     }
 
     #[test]

@@ -17,7 +17,7 @@ use fedsz::{
     census, compress_with_stats, decompress, CodecError, CompressedUpdate, ErrorBound, FedSzConfig,
     LosslessKind, LossyKind, Route,
 };
-use fedsz_fl::{FlError, Transport};
+use fedsz_fl::{FlConfig, FlError, RunSpec, Transport};
 use fedsz_models::ModelKind;
 use fedsz_tensor::StateDict;
 
@@ -152,28 +152,25 @@ pub fn cmd_synth(
     ))
 }
 
-/// `compress`: FedSZ-compress a `.fsd` into a `.fsz`.
-pub fn cmd_compress(
-    input: &Path,
-    out: &Path,
-    lossy: LossyKind,
-    lossless: LosslessKind,
-    rel: f64,
-    threshold: usize,
-) -> Result<String, CliError> {
-    if !(rel.is_finite() && rel > 0.0) {
-        return Err(CliError::Usage(format!(
+/// The relative bound `cfg` compresses at, refused unless it is finite
+/// and positive: the one check `compress` and `fl` share.
+fn rel_bound(cfg: &FedSzConfig) -> Result<f64, CliError> {
+    match cfg.error_bound {
+        ErrorBound::Rel(rel) if rel.is_finite() && rel > 0.0 => Ok(rel),
+        ErrorBound::Rel(rel) => Err(CliError::Usage(format!(
             "relative bound must be positive, got {rel}"
-        )));
+        ))),
+        ErrorBound::Abs(eb) => Err(CliError::Usage(format!(
+            "the tool takes a relative bound, got absolute {eb}"
+        ))),
     }
+}
+
+/// `compress`: FedSZ-compress a `.fsd` into a `.fsz`.
+pub fn cmd_compress(input: &Path, out: &Path, cfg: &FedSzConfig) -> Result<String, CliError> {
+    let rel = rel_bound(cfg)?;
     let sd = read_update(input)?;
-    let cfg = FedSzConfig {
-        lossy,
-        lossless,
-        error_bound: ErrorBound::Rel(rel),
-        threshold,
-    };
-    let (update, stats) = compress_with_stats(&sd, &cfg);
+    let (update, stats) = compress_with_stats(&sd, cfg);
     std::fs::write(out, update.as_bytes())
         .map_err(|e| CliError::Io(format!("{}: {e}", out.display())))?;
     Ok(format!(
@@ -182,8 +179,8 @@ pub fn cmd_compress(
         update.nbytes() as f64 / 1e6,
         stats.compression_ratio(),
         stats.compress_seconds,
-        lossy.name(),
-        lossless.name()
+        cfg.lossy.name(),
+        cfg.lossless.name()
     ))
 }
 
@@ -299,179 +296,108 @@ pub fn parse_aggregation(
     Ok(agg)
 }
 
-/// Options for the `fl` subcommand.
-#[derive(Debug, Clone)]
-pub struct FlOpts {
-    /// Communication rounds.
-    pub rounds: usize,
-    /// Number of clients.
-    pub clients: usize,
-    /// Registered client population for cross-device sampling; 0 (the
-    /// default) keeps the cross-silo behaviour where `clients` clients all
-    /// participate every round.
-    pub population: usize,
-    /// Fraction of the registered population sampled per round (at least
-    /// one client is always selected). 1.0 selects everyone.
-    pub sample_fraction: f64,
-    /// Training samples per client.
-    pub samples: usize,
-    /// FedSZ relative error bound; `None` = uncompressed updates.
-    pub rel: Option<f64>,
-    /// Which transport carries the updates.
-    pub transport: Transport,
-    /// TCP server role: bind this address and wait for remote clients.
-    /// Without `listen` or `connect`, `--transport tcp` runs the server
-    /// and all clients in this process over loopback.
-    pub listen: Option<String>,
-    /// TCP client role: join the server at this address.
-    pub connect: Option<String>,
-    /// Which client slot this process serves (TCP client role).
-    pub client_id: Option<usize>,
-    /// Per-round deadline in milliseconds (threaded and tcp transports).
-    pub deadline_ms: Option<u64>,
-    /// Client-side idle timeout in milliseconds: a client exits once the
-    /// server has been silent this long.
-    pub idle_timeout_ms: Option<u64>,
-    /// Minimum valid updates per round before aggregating.
-    pub min_quorum: usize,
-    /// Retries for a quorum-starved round before aborting.
-    pub retries: usize,
-    /// Master seed.
-    pub seed: u64,
-    /// Directory for durable round checkpoints.
-    pub checkpoint_dir: Option<String>,
-    /// Checkpoint every this many completed rounds.
-    pub checkpoint_every: usize,
-    /// Resume from the newest valid checkpoint in `checkpoint_dir`.
-    pub resume: bool,
-    /// Server-side ingest workers decoding + validating updates
-    /// concurrently (0 = serial; `None` = one per available core). Any
-    /// value yields a bit-identical run — only wall time changes.
-    pub ingest_workers: Option<usize>,
-    /// Server-side ingest memory budget in bytes: admitted-but-unsettled
-    /// update frames may hold at most this much at once, and a frame that
-    /// could never fit is shed. `None` = auto (a small multiple of the
-    /// model size); `Some(0)` disables budgeting.
-    pub ingest_budget_bytes: Option<usize>,
-    /// Minimum uplink byte rate (bytes/second) a TCP connection must hold
-    /// mid-frame; slower peers are shed. 0 disables enforcement.
-    pub min_byte_rate: u64,
-    /// Server aggregation mode: `mean` (plain FedAvg, the default),
-    /// `clipped-mean` (norm-screened), or `trimmed-mean` (coordinate-wise
-    /// trim). The robust modes buffer the cohort — see
-    /// `fedsz_fl::Aggregation`.
-    pub aggregation: String,
-    /// Clipped-mean threshold multiplier over the cohort's median update
-    /// norm (requires `--aggregation clipped-mean`; default 3).
-    pub clip_factor: Option<f64>,
-    /// Values trimmed from each end per coordinate (requires
-    /// `--aggregation trimmed-mean`; default 1).
-    pub trim_k: Option<usize>,
+/// Which part of a run this process plays. Only `--transport tcp` has
+/// more than [`Role::Local`].
+#[derive(Debug, PartialEq, Eq)]
+pub enum Role {
+    /// The server and every client, in this process.
+    Local,
+    /// The server alone: bind this address and wait for remote clients.
+    Listen(String),
+    /// One client slot, joining the server at `addr`.
+    Connect {
+        /// The server's address.
+        addr: String,
+        /// Which client slot this process serves.
+        client_id: usize,
+    },
 }
 
-impl Default for FlOpts {
-    fn default() -> Self {
-        Self {
-            rounds: 5,
-            clients: 4,
-            population: 0,
-            sample_fraction: 1.0,
-            samples: 96,
-            rel: Some(1e-2),
-            transport: Transport::InProcess,
-            listen: None,
-            connect: None,
-            client_id: None,
-            deadline_ms: None,
-            idle_timeout_ms: None,
-            min_quorum: 1,
-            retries: 0,
-            seed: 42,
-            checkpoint_dir: None,
-            checkpoint_every: 1,
-            resume: false,
-            ingest_workers: None,
-            ingest_budget_bytes: None,
-            min_byte_rate: 0,
-            aggregation: "mean".into(),
-            clip_factor: None,
-            trim_k: None,
-        }
+/// Pair `--listen`, `--connect` and `--client-id` into a [`Role`].
+pub fn parse_role(
+    listen: Option<&str>,
+    connect: Option<&str>,
+    client_id: Option<usize>,
+) -> Result<Role, CliError> {
+    match (listen, connect, client_id) {
+        (None, None, None) => Ok(Role::Local),
+        (Some(addr), None, None) => Ok(Role::Listen(addr.to_owned())),
+        (None, Some(addr), Some(client_id)) => Ok(Role::Connect {
+            addr: addr.to_owned(),
+            client_id,
+        }),
+        (Some(_), Some(_), _) => Err(CliError::Usage(
+            "--listen and --connect are mutually exclusive".into(),
+        )),
+        (_, None, Some(_)) => Err(CliError::Usage("--client-id requires --connect".into())),
+        (None, Some(_), None) => Err(CliError::Usage("--connect requires --client-id".into())),
+    }
+}
+
+/// The `fl` subcommand's own defaults: FedSZ at rel 1e-2, and a run short
+/// enough for a terminal. Everything else is [`FlConfig`]'s default.
+pub fn fl_defaults() -> FlConfig {
+    FlConfig {
+        rounds: 5,
+        samples_per_client: 96,
+        ..FlConfig::with_fedsz(1e-2)
     }
 }
 
 /// `fl`: run a federated session and print per-round accuracy, compression,
 /// and participation (delivered / rejected / late / dropped clients).
-pub fn cmd_fl(opts: &FlOpts) -> Result<String, CliError> {
-    use fedsz_fl::{FlConfig, NetConfig, RunSpec};
-    use std::time::Duration;
-
-    if opts.clients == 0 || opts.rounds == 0 {
+pub fn cmd_fl(cfg: &FlConfig, spec: &RunSpec, role: &Role) -> Result<String, CliError> {
+    if cfg.n_clients == 0 || cfg.rounds == 0 {
         return Err(CliError::Usage(
             "need at least one client and one round".into(),
         ));
     }
-    if opts.min_quorum > opts.clients {
+    if spec.min_quorum > cfg.n_clients {
         return Err(CliError::Usage(format!(
             "--min-quorum {} exceeds --clients {}",
-            opts.min_quorum, opts.clients
+            spec.min_quorum, cfg.n_clients
         )));
     }
-    if opts.population != 0 && opts.population < opts.clients {
+    if cfg.population != 0 && cfg.population < cfg.n_clients {
         return Err(CliError::Usage(format!(
             "--population {} is smaller than --clients {} (omit --population for cross-silo)",
-            opts.population, opts.clients
+            cfg.population, cfg.n_clients
         )));
     }
-    if !(opts.sample_fraction.is_finite()
-        && opts.sample_fraction > 0.0
-        && opts.sample_fraction <= 1.0)
+    if !(cfg.sample_fraction.is_finite() && cfg.sample_fraction > 0.0 && cfg.sample_fraction <= 1.0)
     {
         return Err(CliError::Usage(format!(
             "--sample-fraction must be in (0, 1], got {}",
-            opts.sample_fraction
+            cfg.sample_fraction
         )));
     }
-    let cohort =
-        fedsz_fl::sampling::cohort_size(opts.population.max(opts.clients), opts.sample_fraction);
-    if opts.min_quorum > cohort {
+    let cohort = cfg.cohort_size();
+    if spec.min_quorum > cohort {
         return Err(CliError::Usage(format!(
             "--min-quorum {} exceeds the per-round cohort of {cohort} clients",
-            opts.min_quorum
+            spec.min_quorum
         )));
     }
-    if let Some(rel) = opts.rel {
-        if !(rel.is_finite() && rel > 0.0) {
-            return Err(CliError::Usage(format!(
-                "relative bound must be positive, got {rel}"
-            )));
-        }
-    }
-    if opts.transport != Transport::Tcp
-        && (opts.listen.is_some() || opts.connect.is_some() || opts.client_id.is_some())
-    {
+    let rel = cfg.compression.as_ref().map(rel_bound).transpose()?;
+    if spec.transport != Transport::Tcp && *role != Role::Local {
         return Err(CliError::Usage(
             "--listen/--connect/--client-id require --transport tcp".into(),
         ));
     }
-    // Flags only one role or transport reads would be silently ignored
-    // elsewhere.
-    if opts.transport != Transport::Tcp && opts.min_byte_rate != 0 {
+    // Flags only one transport reads would be silently ignored elsewhere.
+    if spec.transport != Transport::Tcp && spec.net.min_byte_rate != 0 {
         return Err(CliError::Usage(
             "--min-byte-rate requires --transport tcp".into(),
         ));
     }
-    if opts.client_id.is_some() && opts.connect.is_none() {
-        return Err(CliError::Usage("--client-id requires --connect".into()));
-    }
     // The in-process transport has no stragglers, retries or idle clients,
     // so the policy flags that govern them would be silently meaningless.
-    if opts.transport == Transport::InProcess {
+    if spec.transport == Transport::InProcess {
         let policy_flags = [
-            ("--deadline-ms", opts.deadline_ms.is_some()),
-            ("--min-quorum", opts.min_quorum > 1),
-            ("--retries", opts.retries > 0),
-            ("--idle-timeout-ms", opts.idle_timeout_ms.is_some()),
+            ("--deadline-ms", spec.round_deadline.is_some()),
+            ("--min-quorum", spec.min_quorum > 1),
+            ("--retries", spec.max_round_retries > 0),
+            ("--idle-timeout-ms", spec.client_idle_timeout.is_some()),
         ];
         if let Some((flag, _)) = policy_flags.iter().find(|(_, set)| *set) {
             return Err(CliError::Usage(format!(
@@ -479,84 +405,40 @@ pub fn cmd_fl(opts: &FlOpts) -> Result<String, CliError> {
             )));
         }
     }
-    if opts.listen.is_some() && opts.connect.is_some() {
-        return Err(CliError::Usage(
-            "--listen and --connect are mutually exclusive".into(),
-        ));
-    }
-    if opts.checkpoint_dir.is_none() && (opts.resume || opts.checkpoint_every != 1) {
+    if cfg.checkpoint_dir.is_none() && (cfg.resume || cfg.checkpoint_every != 1) {
         return Err(CliError::Usage(
             "--resume/--checkpoint-every require --checkpoint-dir".into(),
         ));
     }
-    if opts.checkpoint_every == 0 {
+    if cfg.checkpoint_every == 0 {
         return Err(CliError::Usage(
             "--checkpoint-every must be at least 1".into(),
         ));
     }
-    if opts.connect.is_some() && opts.checkpoint_dir.is_some() {
+    if matches!(role, Role::Connect { .. }) && cfg.checkpoint_dir.is_some() {
         return Err(CliError::Usage(
             "checkpoints are server-side; --checkpoint-dir conflicts with --connect".into(),
         ));
     }
     // 0 means serial; an absurd thread count is almost certainly a typo.
-    if opts.ingest_workers.is_some_and(|w| w > 1024) {
+    if cfg.ingest_workers > 1024 {
         return Err(CliError::Usage(format!(
             "--ingest-workers {} is unreasonable (max 1024)",
-            opts.ingest_workers.unwrap_or_default()
+            cfg.ingest_workers
         )));
     }
-    let ingest_workers = opts
-        .ingest_workers
-        .unwrap_or_else(fedsz_fl::ingest::default_workers);
-    let aggregation = parse_aggregation(&opts.aggregation, opts.clip_factor, opts.trim_k)?;
-    let cfg = FlConfig {
-        rounds: opts.rounds,
-        n_clients: opts.clients,
-        population: opts.population,
-        sample_fraction: opts.sample_fraction,
-        samples_per_client: opts.samples,
-        compression: opts.rel.map(|rel| fedsz::FedSzConfig {
-            threshold: fedsz_fl::SMALL_MODEL_THRESHOLD,
-            ..fedsz::FedSzConfig::with_rel_bound(rel)
-        }),
-        seed: opts.seed,
-        checkpoint_dir: opts.checkpoint_dir.as_ref().map(std::path::PathBuf::from),
-        checkpoint_every: opts.checkpoint_every,
-        resume: opts.resume,
-        ingest_workers,
-        ingest_budget_bytes: opts.ingest_budget_bytes,
-        aggregation,
-        ..FlConfig::default()
-    };
-    let spec = RunSpec {
-        transport: opts.transport,
-        round_deadline: opts.deadline_ms.map(Duration::from_millis),
-        min_quorum: opts.min_quorum,
-        max_round_retries: opts.retries,
-        client_idle_timeout: opts.idle_timeout_ms.map(Duration::from_millis),
-        net: NetConfig {
-            min_byte_rate: opts.min_byte_rate,
-            ..NetConfig::default()
-        },
-        ..RunSpec::default()
-    };
 
-    // TCP client role: participate and exit; the server prints the report.
-    if let Some(addr) = &opts.connect {
-        let id = opts
-            .client_id
-            .ok_or_else(|| CliError::Usage("--connect requires --client-id".into()))?;
-        fedsz_fl::run_tcp_client(addr, id, &cfg, &spec).map_err(classify_fl)?;
-        return Ok(format!(
-            "client {id} finished against {addr} ({} clients x {} samples, seed {})",
-            opts.clients, opts.samples, opts.seed
-        ));
-    }
-
-    let result = match &opts.listen {
-        Some(addr) => fedsz_fl::serve_tcp(addr, &cfg, &spec),
-        None => fedsz_fl::run_with(&cfg, &spec),
+    let result = match role {
+        // TCP client role: participate and exit; the server prints the report.
+        Role::Connect { addr, client_id } => {
+            fedsz_fl::run_tcp_client(addr, *client_id, cfg, spec).map_err(classify_fl)?;
+            return Ok(format!(
+                "client {client_id} finished against {addr} ({} clients x {} samples, seed {})",
+                cfg.n_clients, cfg.samples_per_client, cfg.seed
+            ));
+        }
+        Role::Listen(addr) => fedsz_fl::serve_tcp(addr, cfg, spec),
+        Role::Local => fedsz_fl::run_with(cfg, spec),
     }
     .map_err(classify_fl)?;
 
@@ -564,25 +446,25 @@ pub fn cmd_fl(opts: &FlOpts) -> Result<String, CliError> {
     let _ = writeln!(
         out,
         "{} transport, {} x {} samples, {} rounds, {}, ingest: {}, aggregation: {}, simd: {}",
-        match opts.transport {
+        match spec.transport {
             Transport::Channel => "threaded", // the flag's name for it
             other => other.name(),
         },
-        match opts.population {
-            0 => format!("{} clients", opts.clients),
+        match cfg.population {
+            0 => format!("{} clients", cfg.n_clients),
             pop => format!("cohort {cohort} of {pop} registered clients"),
         },
-        opts.samples,
-        opts.rounds,
-        match opts.rel {
+        cfg.samples_per_client,
+        cfg.rounds,
+        match rel {
             Some(rel) => format!("fedsz @ rel {rel:e}"),
             None => "uncompressed".into(),
         },
-        match ingest_workers {
+        match cfg.ingest_workers {
             0 => "serial".to_string(),
             n => format!("{n} workers"),
         },
-        aggregation.name(),
+        cfg.aggregation.name(),
         // The dispatch level every codec hot loop in this run used —
         // `FEDSZ_SIMD=scalar|sse41|avx2|neon` overrides detection.
         fedsz_simd::active_level().name()
@@ -693,11 +575,34 @@ pub fn cmd_verify(reference: &Path, update: &Path) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fedsz_fl::{Aggregation, NetConfig};
+    use std::time::Duration;
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("fedsz-cli-tests");
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(name)
+    }
+
+    fn codec(lossless: LosslessKind, rel: f64, threshold: usize) -> FedSzConfig {
+        FedSzConfig {
+            lossy: LossyKind::Sz2,
+            lossless,
+            error_bound: ErrorBound::Rel(rel),
+            threshold,
+        }
+    }
+
+    /// `cmd_fl` in the local role.
+    fn fl(cfg: FlConfig, spec: RunSpec) -> Result<String, CliError> {
+        cmd_fl(&cfg, &spec, &Role::Local)
+    }
+
+    fn over(transport: Transport) -> RunSpec<'static> {
+        RunSpec {
+            transport,
+            ..RunSpec::default()
+        }
     }
 
     #[test]
@@ -709,15 +614,7 @@ mod tests {
         let msg = cmd_synth(ModelKind::MobileNetV2, 10, 42, &fsd).unwrap();
         assert!(msg.contains("entries"));
 
-        let msg = cmd_compress(
-            &fsd,
-            &fsz,
-            LossyKind::Sz2,
-            LosslessKind::BloscLz,
-            1e-2,
-            2048,
-        )
-        .unwrap();
+        let msg = cmd_compress(&fsd, &fsz, &codec(LosslessKind::BloscLz, 1e-2, 2048)).unwrap();
         assert!(msg.contains("ratio"));
         let fsd_len = std::fs::metadata(&fsd).unwrap().len();
         let fsz_len = std::fs::metadata(&fsz).unwrap().len();
@@ -745,15 +642,17 @@ mod tests {
 
     #[test]
     fn fl_subcommand_reports_rounds_and_participation() {
-        let opts = FlOpts {
+        let cfg = FlConfig {
             rounds: 2,
-            samples: 48,
-            transport: Transport::Channel,
-            deadline_ms: Some(30_000),
-            ingest_workers: Some(2),
-            ..FlOpts::default()
+            samples_per_client: 48,
+            ingest_workers: 2,
+            ..fl_defaults()
         };
-        let report = cmd_fl(&opts).unwrap();
+        let spec = RunSpec {
+            round_deadline: Some(Duration::from_secs(30)),
+            ..over(Transport::Channel)
+        };
+        let report = fl(cfg, spec).unwrap();
         assert!(report.contains("threaded transport"), "{report}");
         assert!(report.contains("ingest: 2 workers"), "{report}");
         assert!(report.contains("simd: "), "{report}");
@@ -772,16 +671,14 @@ mod tests {
     fn fl_starved_ingest_budget_reports_overloaded() {
         // A 1-byte ingest budget sheds every update; the run fails with
         // the overload error, not a generic quorum message.
-        let err = cmd_fl(&FlOpts {
+        let cfg = FlConfig {
             rounds: 1,
-            clients: 2,
-            samples: 16,
-            transport: Transport::Channel,
+            n_clients: 2,
+            samples_per_client: 16,
             ingest_budget_bytes: Some(1),
-            ..FlOpts::default()
-        })
-        .unwrap_err();
-        match err {
+            ..fl_defaults()
+        };
+        match fl(cfg, over(Transport::Channel)).unwrap_err() {
             CliError::Run(m) => assert!(m.contains("overloaded"), "{m}"),
             _ => panic!("expected a Run error"),
         }
@@ -789,14 +686,13 @@ mod tests {
 
     #[test]
     fn fl_subcommand_runs_tcp_loopback() {
-        let opts = FlOpts {
+        let cfg = FlConfig {
             rounds: 1,
-            clients: 2,
-            samples: 32,
-            transport: Transport::Tcp,
-            ..FlOpts::default()
+            n_clients: 2,
+            samples_per_client: 32,
+            ..fl_defaults()
         };
-        let report = cmd_fl(&opts).unwrap();
+        let report = fl(cfg, over(Transport::Tcp)).unwrap();
         assert!(report.contains("tcp transport"), "{report}");
         // The downlink broadcast is real bytes over the socket now.
         assert!(report.contains("kB down"), "{report}");
@@ -805,7 +701,6 @@ mod tests {
 
     #[test]
     fn parse_aggregation_modes_and_flag_pairing() {
-        use fedsz_fl::Aggregation;
         assert_eq!(
             parse_aggregation("mean", None, None).unwrap(),
             Aggregation::Mean
@@ -834,15 +729,14 @@ mod tests {
 
     #[test]
     fn fl_subcommand_reports_robust_aggregation() {
-        let report = cmd_fl(&FlOpts {
+        let cfg = FlConfig {
             rounds: 1,
-            clients: 3,
-            samples: 32,
-            aggregation: "clipped-mean".into(),
-            clip_factor: Some(4.0),
-            ..FlOpts::default()
-        })
-        .unwrap();
+            n_clients: 3,
+            samples_per_client: 32,
+            aggregation: Aggregation::ClippedMean { clip_factor: 4.0 },
+            ..fl_defaults()
+        };
+        let report = fl(cfg, RunSpec::default()).unwrap();
         assert!(report.contains("aggregation: clipped-mean"), "{report}");
         assert!(report.contains("suspected"), "{report}");
         assert!(report.contains("norm-outlier"), "{report}");
@@ -851,119 +745,118 @@ mod tests {
 
     #[test]
     fn fl_subcommand_validates_options() {
-        assert!(matches!(
-            cmd_fl(&FlOpts {
-                clients: 0,
-                ..FlOpts::default()
-            }),
-            Err(CliError::Usage(_))
+        let usage = |cfg: FlConfig, spec: RunSpec, role: Role| {
+            matches!(cmd_fl(&cfg, &spec, &role), Err(CliError::Usage(_)))
+        };
+        assert!(usage(
+            FlConfig {
+                n_clients: 0,
+                ..fl_defaults()
+            },
+            RunSpec::default(),
+            Role::Local
         ));
-        assert!(matches!(
-            cmd_fl(&FlOpts {
+        assert!(usage(
+            FlConfig {
+                n_clients: 4,
+                ..fl_defaults()
+            },
+            RunSpec {
                 min_quorum: 9,
-                clients: 4,
-                ..FlOpts::default()
-            }),
-            Err(CliError::Usage(_))
+                ..RunSpec::default()
+            },
+            Role::Local
         ));
-        assert!(matches!(
-            cmd_fl(&FlOpts {
-                rel: Some(-0.5),
-                ..FlOpts::default()
-            }),
-            Err(CliError::Usage(_))
+        assert!(usage(
+            FlConfig {
+                compression: FlConfig::with_fedsz(-0.5).compression,
+                ..fl_defaults()
+            },
+            RunSpec::default(),
+            Role::Local
         ));
         // Socket roles require the tcp transport.
-        assert!(matches!(
-            cmd_fl(&FlOpts {
-                listen: Some("127.0.0.1:0".into()),
-                ..FlOpts::default()
-            }),
-            Err(CliError::Usage(_))
+        assert!(usage(
+            fl_defaults(),
+            RunSpec::default(),
+            Role::Listen("127.0.0.1:0".into())
         ));
         // A client role must name its slot.
         assert!(matches!(
-            cmd_fl(&FlOpts {
-                transport: Transport::Tcp,
-                connect: Some("127.0.0.1:1".into()),
-                ..FlOpts::default()
-            }),
+            parse_role(None, Some("127.0.0.1:1"), None),
             Err(CliError::Usage(_))
         ));
         // Flags that only TCP, or only its client role, reads.
-        for (flag, opts) in [
+        let min_byte_rate = RunSpec {
+            net: NetConfig {
+                min_byte_rate: 100,
+                ..NetConfig::default()
+            },
+            ..over(Transport::Channel)
+        };
+        for (flag, refused) in [
             (
                 "--min-byte-rate",
-                FlOpts {
-                    transport: Transport::Channel,
-                    min_byte_rate: 100,
-                    ..FlOpts::default()
-                },
+                fl(fl_defaults(), min_byte_rate).map(drop),
             ),
-            (
-                "--client-id",
-                FlOpts {
-                    transport: Transport::Tcp,
-                    client_id: Some(0),
-                    ..FlOpts::default()
-                },
-            ),
+            ("--client-id", parse_role(None, None, Some(0)).map(drop)),
         ] {
-            match cmd_fl(&opts) {
+            match refused {
                 Err(CliError::Usage(m)) => assert!(m.contains(flag), "{flag}: {m}"),
                 other => panic!("{flag} accepted: {other:?}"),
             }
         }
         // Server and client role at once is contradictory.
         assert!(matches!(
-            cmd_fl(&FlOpts {
-                transport: Transport::Tcp,
-                listen: Some("127.0.0.1:0".into()),
-                connect: Some("127.0.0.1:1".into()),
-                ..FlOpts::default()
-            }),
+            parse_role(Some("127.0.0.1:0"), Some("127.0.0.1:1"), None),
             Err(CliError::Usage(_))
         ));
         // Absurd worker counts are rejected before any threads spawn.
-        assert!(matches!(
-            cmd_fl(&FlOpts {
-                ingest_workers: Some(4096),
-                ..FlOpts::default()
-            }),
-            Err(CliError::Usage(_))
+        assert!(usage(
+            FlConfig {
+                ingest_workers: 4096,
+                ..fl_defaults()
+            },
+            RunSpec::default(),
+            Role::Local
         ));
         // A population smaller than the client count is contradictory.
-        assert!(matches!(
-            cmd_fl(&FlOpts {
-                clients: 4,
+        assert!(usage(
+            FlConfig {
+                n_clients: 4,
                 population: 2,
-                ..FlOpts::default()
-            }),
-            Err(CliError::Usage(_))
+                ..fl_defaults()
+            },
+            RunSpec::default(),
+            Role::Local
         ));
         // The sample fraction must be a finite value in (0, 1].
         for bad in [0.0, -0.25, 1.5, f64::NAN, f64::INFINITY] {
             assert!(
-                matches!(
-                    cmd_fl(&FlOpts {
+                usage(
+                    FlConfig {
                         sample_fraction: bad,
-                        ..FlOpts::default()
-                    }),
-                    Err(CliError::Usage(_))
+                        ..fl_defaults()
+                    },
+                    RunSpec::default(),
+                    Role::Local
                 ),
                 "--sample-fraction {bad} accepted"
             );
         }
         // Quorum is checked against the sampled cohort, not the population.
-        assert!(matches!(
-            cmd_fl(&FlOpts {
-                clients: 4,
+        assert!(usage(
+            FlConfig {
+                n_clients: 4,
                 population: 100,
                 sample_fraction: 0.02, // cohort of 2
+                ..fl_defaults()
+            },
+            RunSpec {
                 min_quorum: 3,
-                ..FlOpts::default()
-            }),
-            Err(CliError::Usage(_))
+                ..RunSpec::default()
+            },
+            Role::Local
         ));
     }
 
@@ -973,62 +866,65 @@ mod tests {
         let cases = [
             (
                 "--deadline-ms",
-                FlOpts {
-                    deadline_ms: Some(500),
-                    ..FlOpts::default()
+                RunSpec {
+                    round_deadline: Some(Duration::from_millis(500)),
+                    ..RunSpec::default()
                 },
             ),
             (
                 "--min-quorum",
-                FlOpts {
+                RunSpec {
                     min_quorum: 2,
-                    ..FlOpts::default()
+                    ..RunSpec::default()
                 },
             ),
             (
                 "--retries",
-                FlOpts {
-                    retries: 1,
-                    ..FlOpts::default()
+                RunSpec {
+                    max_round_retries: 1,
+                    ..RunSpec::default()
                 },
             ),
             (
                 "--idle-timeout-ms",
-                FlOpts {
-                    idle_timeout_ms: Some(500),
-                    ..FlOpts::default()
+                RunSpec {
+                    client_idle_timeout: Some(Duration::from_millis(500)),
+                    ..RunSpec::default()
                 },
             ),
         ];
-        for (flag, opts) in cases {
-            assert_eq!(opts.transport, Transport::InProcess);
-            match cmd_fl(&opts) {
+        for (flag, spec) in cases {
+            assert_eq!(spec.transport, Transport::InProcess);
+            match fl(fl_defaults(), spec.clone()) {
                 Err(CliError::Usage(m)) => assert!(m.contains(flag), "{flag}: {m}"),
                 other => panic!("{flag} accepted in-process: {other:?}"),
             }
             // The same flag is fine on a transport that has the policy.
-            let threaded = FlOpts {
+            let cfg = FlConfig {
                 rounds: 1,
-                clients: 2,
-                samples: 16,
-                transport: Transport::Channel,
-                ..opts
+                n_clients: 2,
+                samples_per_client: 16,
+                ..fl_defaults()
             };
-            assert!(cmd_fl(&threaded).is_ok(), "{flag} refused when threaded");
+            let threaded = RunSpec {
+                transport: Transport::Channel,
+                ..spec
+            };
+            assert!(fl(cfg, threaded).is_ok(), "{flag} refused when threaded");
         }
     }
 
     #[test]
     fn fl_subcommand_reports_sampled_cohorts() {
-        let opts = FlOpts {
+        let cfg = FlConfig {
             rounds: 1,
-            clients: 2,
-            samples: 32,
+            n_clients: 2,
+            samples_per_client: 32,
             population: 8,
             sample_fraction: 0.25, // cohort of 2 from 8 registered
-            ..FlOpts::default()
+            ..fl_defaults()
         };
-        let report = cmd_fl(&opts).unwrap();
+        let report = fl(cfg, RunSpec::default()).unwrap();
         assert!(
             report.contains("cohort 2 of 8 registered clients"),
             "{report}"
@@ -1057,14 +953,7 @@ mod tests {
         let fsd = tmp("m2.fsd");
         cmd_synth(ModelKind::MobileNetV2, 10, 1, &fsd).unwrap();
         assert!(matches!(
-            cmd_compress(
-                &fsd,
-                &tmp("x.fsz"),
-                LossyKind::Sz2,
-                LosslessKind::Zstd,
-                -1.0,
-                10
-            ),
+            cmd_compress(&fsd, &tmp("x.fsz"), &codec(LosslessKind::Zstd, -1.0, 10)),
             Err(CliError::Usage(_))
         ));
     }

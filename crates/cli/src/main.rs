@@ -26,8 +26,11 @@
 use std::cell::Cell;
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::time::Duration;
 
+use fedsz::{ErrorBound, FedSzConfig};
 use fedsz_cli::*;
+use fedsz_fl::{FlConfig, NetConfig, RunSpec};
 
 /// The arguments after the subcommand, each marked seen once a lookup
 /// reads it (a flag together with its value).
@@ -97,11 +100,14 @@ fn dispatch(cmd: &str, opts: &Opts) -> Result<String, CliError> {
         "compress" => {
             let input = PathBuf::from(opts.required("--in")?);
             let out = PathBuf::from(opts.required("--out")?);
-            let lossy = parse_lossy(opts.value("--lossy").unwrap_or("sz2"))?;
-            let lossless = parse_lossless(opts.value("--lossless").unwrap_or("blosc-lz"))?;
-            let rel: f64 = opts.parsed_or("--rel", 1e-2)?;
-            let threshold: usize = opts.parsed_or("--threshold", fedsz::DEFAULT_THRESHOLD)?;
-            Box::new(move || cmd_compress(&input, &out, lossy, lossless, rel, threshold))
+            let d = FedSzConfig::default();
+            let cfg = FedSzConfig {
+                lossy: opts.value("--lossy").map_or(Ok(d.lossy), parse_lossy)?,
+                lossless: opts.value("--lossless").map_or(Ok(d.lossless), parse_lossless)?,
+                error_bound: opts.parsed_opt("--rel")?.map_or(d.error_bound, ErrorBound::Rel),
+                threshold: opts.parsed_or("--threshold", d.threshold)?,
+            };
+            Box::new(move || cmd_compress(&input, &out, &cfg))
         }
         "decompress" => {
             let input = PathBuf::from(opts.required("--in")?);
@@ -119,46 +125,57 @@ fn dispatch(cmd: &str, opts: &Opts) -> Result<String, CliError> {
             Box::new(move || cmd_verify(&reference, &input))
         }
         "fl" => {
-            let defaults = FlOpts::default();
-            let rel = if opts.flag("--uncompressed") {
-                None
-            } else {
-                Some(opts.parsed_or("--rel", 1e-2)?)
+            let d = fl_defaults();
+            let compression = match (opts.flag("--uncompressed"), opts.parsed_opt("--rel")?) {
+                (false, None) => d.compression,
+                (false, Some(rel)) => FlConfig::with_fedsz(rel).compression,
+                (true, None) => None,
+                (true, Some(_)) => {
+                    let both = "--uncompressed and --rel are mutually exclusive";
+                    return Err(CliError::Usage(both.into()));
+                }
             };
-            let transport = match opts.value("--transport") {
-                Some(name) => parse_transport(name)?,
-                None => defaults.transport,
-            };
-            let fl = FlOpts {
-                rounds: opts.parsed_or("--rounds", defaults.rounds)?,
-                clients: opts.parsed_or("--clients", defaults.clients)?,
-                population: opts.parsed_or("--population", defaults.population)?,
-                sample_fraction: opts.parsed_or("--sample-fraction", defaults.sample_fraction)?,
-                samples: opts.parsed_or("--samples", defaults.samples)?,
-                rel,
-                transport,
-                listen: opts.value("--listen").map(str::to_owned),
-                connect: opts.value("--connect").map(str::to_owned),
-                client_id: opts.parsed_opt("--client-id")?,
-                deadline_ms: opts.parsed_opt("--deadline-ms")?,
-                idle_timeout_ms: opts.parsed_opt("--idle-timeout-ms")?,
-                min_quorum: opts.parsed_or("--min-quorum", defaults.min_quorum)?,
-                retries: opts.parsed_or("--retries", defaults.retries)?,
-                seed: opts.parsed_or("--seed", defaults.seed)?,
-                checkpoint_dir: opts.value("--checkpoint-dir").map(str::to_owned),
-                checkpoint_every: opts.parsed_or("--checkpoint-every", defaults.checkpoint_every)?,
+            let cfg = FlConfig {
+                rounds: opts.parsed_or("--rounds", d.rounds)?,
+                n_clients: opts.parsed_or("--clients", d.n_clients)?,
+                population: opts.parsed_or("--population", d.population)?,
+                sample_fraction: opts.parsed_or("--sample-fraction", d.sample_fraction)?,
+                samples_per_client: opts.parsed_or("--samples", d.samples_per_client)?,
+                compression,
+                seed: opts.parsed_or("--seed", d.seed)?,
+                checkpoint_dir: opts.value("--checkpoint-dir").map(PathBuf::from),
+                checkpoint_every: opts.parsed_or("--checkpoint-every", d.checkpoint_every)?,
                 resume: opts.flag("--resume"),
-                ingest_workers: opts.parsed_opt("--ingest-workers")?,
+                ingest_workers: opts.parsed_or("--ingest-workers", d.ingest_workers)?,
                 ingest_budget_bytes: opts.parsed_opt("--ingest-budget-bytes")?,
-                min_byte_rate: opts.parsed_or("--min-byte-rate", defaults.min_byte_rate)?,
-                aggregation: opts
-                    .value("--aggregation")
-                    .unwrap_or(&defaults.aggregation)
-                    .to_owned(),
-                clip_factor: opts.parsed_opt("--clip-factor")?,
-                trim_k: opts.parsed_opt("--trim-k")?,
+                aggregation: parse_aggregation(
+                    opts.value("--aggregation").unwrap_or("mean"),
+                    opts.parsed_opt("--clip-factor")?,
+                    opts.parsed_opt("--trim-k")?,
+                )?,
+                ..d
             };
-            Box::new(move || cmd_fl(&fl))
+            let r = RunSpec::default();
+            let spec = RunSpec {
+                transport: opts.value("--transport").map_or(Ok(r.transport), parse_transport)?,
+                round_deadline: opts.parsed_opt("--deadline-ms")?.map(Duration::from_millis),
+                min_quorum: opts.parsed_or("--min-quorum", r.min_quorum)?,
+                max_round_retries: opts.parsed_or("--retries", r.max_round_retries)?,
+                client_idle_timeout: opts
+                    .parsed_opt("--idle-timeout-ms")?
+                    .map(Duration::from_millis),
+                net: NetConfig {
+                    min_byte_rate: opts.parsed_or("--min-byte-rate", r.net.min_byte_rate)?,
+                    ..r.net
+                },
+                ..r
+            };
+            let role = parse_role(
+                opts.value("--listen"),
+                opts.value("--connect"),
+                opts.parsed_opt("--client-id")?,
+            )?;
+            Box::new(move || cmd_fl(&cfg, &spec, &role))
         }
         other => {
             return Err(CliError::Usage(format!(
@@ -212,5 +229,31 @@ mod tests {
         }
         // `-0.5` is read as `--rel`'s value, so cmd_fl's own check refuses it.
         assert!(refused(&["--rel", "-0.5"]).contains("must be positive"));
+        // Pairings no run can honour, refused naming the flag at fault.
+        for (args, flags) in [
+            (
+                &["--uncompressed", "--rel", "1e-2"][..],
+                &["--uncompressed", "--rel"][..],
+            ),
+            (
+                &["--transport", "tcp", "--connect", "127.0.0.1:1"],
+                &["--client-id"],
+            ),
+            (&["--transport", "tcp", "--client-id", "0"], &["--connect"]),
+            (
+                &[
+                    "--transport",
+                    "tcp",
+                    "--listen",
+                    "127.0.0.1:0",
+                    "--connect",
+                    "127.0.0.1:1",
+                ],
+                &["--listen", "--connect"],
+            ),
+        ] {
+            let m = refused(args);
+            assert!(flags.iter().all(|flag| m.contains(flag)), "{args:?}: {m}");
+        }
     }
 }

@@ -127,25 +127,6 @@ impl StateDict {
         self.num_params() * 4
     }
 
-    /// Element-wise `self += alpha * other` across all entries.
-    ///
-    /// # Panics
-    /// Panics if the dictionaries do not have identical structure.
-    pub fn axpy(&mut self, alpha: f32, other: &StateDict) {
-        assert_eq!(self.len(), other.len(), "state-dict structure mismatch");
-        for (a, b) in self.entries.iter_mut().zip(&other.entries) {
-            assert_eq!(a.name, b.name, "state-dict entry order mismatch");
-            a.tensor.axpy(alpha, &b.tensor);
-        }
-    }
-
-    /// Scale all entries in place.
-    pub fn scale(&mut self, alpha: f32) {
-        for e in &mut self.entries {
-            e.tensor.scale(alpha);
-        }
-    }
-
     /// Zero-filled clone with the same structure.
     pub fn zeros_like(&self) -> StateDict {
         StateDict {
@@ -339,16 +320,6 @@ mod tests {
         let sd = sample();
         let names: Vec<&str> = sd.entries().iter().map(|e| e.name.as_str()).collect();
         assert_eq!(names, ["conv.weight", "conv.bias"]);
-    }
-
-    #[test]
-    fn axpy_and_scale() {
-        let mut a = sample();
-        let b = sample();
-        a.axpy(1.0, &b);
-        assert_eq!(a.get("conv.weight").unwrap().data()[0], 2.0);
-        a.scale(0.5);
-        assert_eq!(a.get("conv.weight").unwrap().data()[0], 1.0);
     }
 
     #[test]

@@ -148,24 +148,6 @@ impl Tensor {
         self
     }
 
-    /// Element-wise in-place AXPY: `self += alpha * other`.
-    ///
-    /// # Panics
-    /// Panics on shape mismatch.
-    pub fn axpy(&mut self, alpha: f32, other: &Tensor) {
-        assert_eq!(self.shape, other.shape, "axpy shape mismatch");
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += alpha * b;
-        }
-    }
-
-    /// Scale every element in place.
-    pub fn scale(&mut self, alpha: f32) {
-        for a in &mut self.data {
-            *a *= alpha;
-        }
-    }
-
     /// Maximum absolute element-wise difference to another tensor.
     ///
     /// # Panics
@@ -215,16 +197,6 @@ mod tests {
     #[should_panic(expected = "changes numel")]
     fn reshape_rejects_bad_shape() {
         Tensor::from_vec(vec![1.0; 4]).reshape(vec![3, 2]);
-    }
-
-    #[test]
-    fn axpy_and_scale() {
-        let mut a = Tensor::from_vec(vec![1.0, 2.0]);
-        let b = Tensor::from_vec(vec![10.0, 20.0]);
-        a.axpy(0.5, &b);
-        assert_eq!(a.data(), &[6.0, 12.0]);
-        a.scale(2.0);
-        assert_eq!(a.data(), &[12.0, 24.0]);
     }
 
     #[test]
