@@ -131,8 +131,9 @@ fn dispatch(cmd: &str, opts: &Opts) -> Result<String, CliError> {
                 (false, Some(rel)) => FlConfig::with_fedsz(rel).compression,
                 (true, None) => None,
                 (true, Some(_)) => {
-                    let both = "--uncompressed and --rel are mutually exclusive";
-                    return Err(CliError::Usage(both.into()));
+                    return Err(CliError::Usage(
+                        "--uncompressed and --rel are mutually exclusive".into(),
+                    ))
                 }
             };
             let cfg = FlConfig {
