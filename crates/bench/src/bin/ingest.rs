@@ -26,9 +26,9 @@
 use std::sync::Arc;
 
 use fedsz::{CompressedUpdate, FedSzConfig};
-use fedsz_bench::{median_s, print_header, Args};
+use fedsz_bench::{median_s, print_header, synth_update, Args};
 use fedsz_fl::ingest::{self, IngestPool, Job, Verdict};
-use fedsz_tensor::{SplitMix64, StateDict, Tensor, TensorKind};
+use fedsz_tensor::{SplitMix64, StateDict};
 
 /// One grid cell: a round's worth of payloads against one global model.
 struct Cell {
@@ -37,33 +37,14 @@ struct Cell {
     payloads: Vec<CompressedUpdate>,
 }
 
-/// Deterministic synthetic model: one big lossy-routed weight tensor plus a
-/// small lossless-routed bias. Weights are normal noise at trained-network
-/// scale — smooth analytic data would compress to almost nothing and make
-/// decode (the very cost under test) unrealistically cheap.
-fn synth_model(params: usize, seed: u64) -> StateDict {
-    let mut rng = SplitMix64::new(seed.wrapping_mul(0x9E37_79B9).wrapping_add(1));
-    let bias_len = 16.min(params / 4).max(1);
-    let weight_len = params.saturating_sub(bias_len).max(1);
-    let mut normals = |n: usize, std: f64| -> Vec<f32> {
-        (0..n).map(|_| rng.normal_with(0.0, std) as f32).collect()
-    };
-    let mut sd = StateDict::new();
-    let w = normals(weight_len, 0.05);
-    sd.insert("features.weight", TensorKind::Weight, Tensor::from_vec(w));
-    let b = normals(bias_len, 0.01);
-    sd.insert("classifier.bias", TensorKind::Bias, Tensor::from_vec(b));
-    sd
-}
-
 fn build_cell(clients: usize, params: usize) -> Cell {
-    let global = Arc::new(synth_model(params, 0));
+    let global = Arc::new(synth_update(params, 0));
     let cfg = FedSzConfig::with_rel_bound(1e-2);
     // Distinct per-client payloads so workers decode different bytes, as on
     // a real server. Each client's "update" is a reseeded model of the same
     // shape, which validates cleanly against the global.
     let payloads = (0..clients)
-        .map(|c| fedsz::compress(&synth_model(params, c as u64 + 1), &cfg))
+        .map(|c| fedsz::compress(&synth_update(params, c as u64 + 1), &cfg))
         .collect();
     Cell { global, payloads }
 }

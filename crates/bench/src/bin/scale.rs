@@ -30,26 +30,9 @@
 
 use std::time::Instant;
 
-use fedsz_bench::{proc_status_kb, Args};
+use fedsz_bench::{proc_status_kb, synth_update, Args};
 use fedsz_fl::{FlConfig, RunSpec, StreamingFedAvg, Transport};
-use fedsz_tensor::{SplitMix64, StateDict, Tensor, TensorKind};
-
-/// Deterministic client update: `params` normal weights plus a small bias.
-fn synth_update(params: usize, seed: u64) -> StateDict {
-    let mut rng = SplitMix64::new(seed.wrapping_mul(0x9E37_79B9).wrapping_add(1));
-    let bias_len = 16.min(params / 4).max(1);
-    let weight_len = params.saturating_sub(bias_len).max(1);
-    let w: Vec<f32> = (0..weight_len)
-        .map(|_| rng.normal_with(0.0, 0.05) as f32)
-        .collect();
-    let b: Vec<f32> = (0..bias_len)
-        .map(|_| rng.normal_with(0.0, 0.01) as f32)
-        .collect();
-    let mut sd = StateDict::new();
-    sd.insert("features.weight", TensorKind::Weight, Tensor::from_vec(w));
-    sd.insert("classifier.bias", TensorKind::Bias, Tensor::from_vec(b));
-    sd
-}
+use fedsz_tensor::{StateDict, Tensor, TensorKind};
 
 /// `updates` folded through one fresh accumulator, in the order given.
 fn fold_all<'a>(

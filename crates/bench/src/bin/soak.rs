@@ -39,7 +39,9 @@ use std::time::{Duration, Instant};
 
 use fedsz::FaultCounters;
 use fedsz_bench::{proc_status_kb, Args};
-use fedsz_fl::{Aggregation, FaultPlan, FlConfig, FlRunResult, NetConfig, RunSpec, Transport};
+use fedsz_fl::{
+    Aggregation, FaultKind, FaultPlan, FlConfig, FlRunResult, NetConfig, RunSpec, Transport,
+};
 
 /// State-dict size of the model `cfg` builds — the reference for the
 /// ingest budget (the same derivation the server uses).
@@ -78,27 +80,27 @@ fn chaos_plan(cfg: &FlConfig, flood_bytes: usize) -> (FaultPlan, Vec<FaultCounte
         for (slot, &client) in cfg.cohort_for_round(round).iter().enumerate() {
             match slot {
                 1 => {
-                    plan = plan.flood_oversized(client, round, flood_bytes);
+                    plan = plan.with(client, round, FaultKind::FloodOversized(flood_bytes));
                     want.shed += 1;
                 }
                 2 => {
-                    plan = plan.non_finite(client, round);
+                    plan = plan.with(client, round, FaultKind::NonFiniteUpdate);
                     want.quarantined += 1;
                 }
                 3 => {
-                    plan = plan.corrupt(client, round);
+                    plan = plan.with(client, round, FaultKind::Corrupt);
                     want.rejected += 1;
                 }
                 4 => {
-                    plan = plan.slow_drip(client, round);
+                    plan = plan.with(client, round, FaultKind::SlowDrip);
                     want.shed += 1;
                 }
                 5 => {
-                    plan = plan.hold_connection(client, round, HOLD);
+                    plan = plan.with(client, round, FaultKind::HoldConnection(HOLD));
                     want.shed += 1;
                 }
                 6 => {
-                    plan = plan.wrong_shape(client, round);
+                    plan = plan.with(client, round, FaultKind::WrongShape);
                     want.quarantined += 1;
                 }
                 _ => want.delivered += 1,
@@ -272,9 +274,9 @@ fn main() {
     // buffer the cohort, which an auto budget of a few models refuses
     // for eight clients by design.
     let adv_plan = FaultPlan::new()
-        .sign_flip(1, 0)
-        .scale_update(2, 0, 1000.0)
-        .drift_toward(3, 1);
+        .with(1, 0, FaultKind::SignFlip)
+        .with(2, 0, FaultKind::ScaleUpdate(1000.0))
+        .with(3, 1, FaultKind::DriftToward);
     let adv_base = FlConfig {
         n_clients: 8,
         rounds: 2,

@@ -11,7 +11,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use fedsz::partition::{route_of, Route};
-use fedsz_tensor::StateDict;
+use fedsz_tensor::{SplitMix64, StateDict, Tensor, TensorKind};
 
 /// Wall-clock a closure.
 pub fn time<T>(f: impl FnOnce() -> T) -> (T, f64) {
@@ -41,6 +41,25 @@ pub fn proc_status_kb(field: &str) -> u64 {
         .and_then(|l| l.split_whitespace().nth(1))
         .and_then(|v| v.parse().ok())
         .unwrap_or(0)
+}
+
+/// Deterministic synthetic client update: `params` values split into one
+/// big lossy-routed weight tensor and a small lossless-routed bias. Weights
+/// are normal noise at trained-network scale — smooth analytic data would
+/// compress to almost nothing and make decode unrealistically cheap.
+pub fn synth_update(params: usize, seed: u64) -> StateDict {
+    let mut rng = SplitMix64::new(seed.wrapping_mul(0x9E37_79B9).wrapping_add(1));
+    let bias_len = 16.min(params / 4).max(1);
+    let weight_len = params.saturating_sub(bias_len).max(1);
+    let mut normals = |n: usize, std: f64| -> Vec<f32> {
+        (0..n).map(|_| rng.normal_with(0.0, std) as f32).collect()
+    };
+    let mut sd = StateDict::new();
+    let w = normals(weight_len, 0.05);
+    sd.insert("features.weight", TensorKind::Weight, Tensor::from_vec(w));
+    let b = normals(bias_len, 0.01);
+    sd.insert("classifier.bias", TensorKind::Bias, Tensor::from_vec(b));
+    sd
 }
 
 /// The relative error bounds of Table I.

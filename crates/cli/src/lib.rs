@@ -352,12 +352,6 @@ pub fn cmd_fl(cfg: &FlConfig, spec: &RunSpec, role: &Role) -> Result<String, Cli
             "need at least one client and one round".into(),
         ));
     }
-    if spec.min_quorum > cfg.n_clients {
-        return Err(CliError::Usage(format!(
-            "--min-quorum {} exceeds --clients {}",
-            spec.min_quorum, cfg.n_clients
-        )));
-    }
     if cfg.population != 0 && cfg.population < cfg.n_clients {
         return Err(CliError::Usage(format!(
             "--population {} is smaller than --clients {} (omit --population for cross-silo)",
@@ -544,7 +538,7 @@ pub fn cmd_fl(cfg: &FlConfig, spec: &RunSpec, role: &Role) -> Result<String, Cli
 }
 
 /// `verify`: decompress and report reconstruction quality against a
-/// reference `.fsd`.
+/// reference `.fsd` with the same entry names and shapes.
 pub fn cmd_verify(reference: &Path, update: &Path) -> Result<String, CliError> {
     let original = read_update(reference)?;
     let restored = read_update(update)?;
@@ -562,6 +556,15 @@ pub fn cmd_verify(reference: &Path, update: &Path) -> Result<String, CliError> {
         "name", "max_err", "nrmse", "psnr_db"
     );
     for (a, b) in original.entries().iter().zip(restored.entries()) {
+        if a.name != b.name || a.tensor.shape() != b.tensor.shape() {
+            return Err(CliError::Decode(format!(
+                "entry mismatch: {} {:?} vs {} {:?}",
+                a.name,
+                a.tensor.shape(),
+                b.name,
+                b.tensor.shape()
+            )));
+        }
         let q = fedsz::ReconstructionQuality::measure(a.tensor.data(), b.tensor.data());
         let _ = writeln!(
             out,
@@ -956,5 +959,18 @@ mod tests {
             cmd_compress(&fsd, &tmp("x.fsz"), &codec(LosslessKind::Zstd, -1.0, 10)),
             Err(CliError::Usage(_))
         ));
+    }
+
+    #[test]
+    fn verify_refuses_a_reference_of_another_shape() {
+        let (ten, hundred) = (tmp("classes10.fsd"), tmp("classes100.fsd"));
+        cmd_synth(ModelKind::MobileNetV2, 10, 1, &ten).unwrap();
+        cmd_synth(ModelKind::MobileNetV2, 100, 1, &hundred).unwrap();
+        match cmd_verify(&ten, &hundred) {
+            Err(CliError::Decode(m)) => {
+                assert_eq!(m, "entry mismatch: classifier.1.weight [10, 1280] vs classifier.1.weight [100, 1280]")
+            }
+            other => panic!("{other:?}"),
+        }
     }
 }

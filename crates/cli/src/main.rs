@@ -257,4 +257,21 @@ mod tests {
             assert!(flags.iter().all(|flag| m.contains(flag)), "{args:?}: {m}");
         }
     }
+
+    #[test]
+    fn min_quorum_is_bounded_by_the_cohort_not_the_client_slots() {
+        let fl = |quorum: &str| {
+            let args = format!(
+                "--clients 4 --population 100 --sample-fraction 0.5 --min-quorum {quorum} \
+                 --rounds 1 --samples 8 --transport threaded"
+            );
+            dispatch("fl", &Opts::new(args.split_whitespace().map(String::from)))
+        };
+        match fl("51") {
+            Err(CliError::Usage(m)) => assert!(m.contains("cohort of 50"), "{m}"),
+            other => panic!("{other:?}"),
+        }
+        let report = fl("10").expect("a quorum of 10 fits the cohort of 50");
+        assert!(report.contains("50 delivered"), "{report}");
+    }
 }

@@ -101,11 +101,10 @@ pub fn config_fingerprint(cfg: &FlConfig) -> u64 {
     // build of this workspace, which is the scope a checkpoint targets;
     // float fields go in as exact bit patterns.
     let mut key = format!(
-        "{:?}|{:?}|{}|{}|{}|{}|{:x}|{:x}|{}|{}|{:?}|{:?}|{}|{:x}|{:?}",
+        "{:?}|{:?}|{}|{}|{}|{:x}|{:x}|{}|{}|{:?}|{}|{:x}|{:?}",
         cfg.arch,
         cfg.dataset,
         cfg.n_clients,
-        cfg.local_epochs,
         cfg.batch_size,
         cfg.seed,
         cfg.lr.to_bits(),
@@ -113,7 +112,6 @@ pub fn config_fingerprint(cfg: &FlConfig) -> u64 {
         cfg.samples_per_client,
         cfg.test_samples,
         cfg.compression,
-        cfg.dirichlet_alpha.map(f64::to_bits),
         cfg.population,
         cfg.sample_fraction.to_bits(),
         cfg.ingest_budget_bytes,

@@ -233,99 +233,15 @@ impl FaultPlan {
         Self::default()
     }
 
-    /// Plan `client` to act `kind` out in `round`.
-    pub(crate) fn with(mut self, client: usize, round: usize, kind: FaultKind) -> Self {
+    /// Plan `client` to act `kind` out in `round` — the one builder for
+    /// every client fault.
+    pub fn with(mut self, client: usize, round: usize, kind: FaultKind) -> Self {
         self.specs.push(FaultSpec {
             client,
             round,
             kind,
         });
         self
-    }
-
-    /// Plan a corrupt uplink payload from `client` in `round`.
-    pub fn corrupt(self, client: usize, round: usize) -> Self {
-        self.with(client, round, FaultKind::Corrupt)
-    }
-
-    /// Plan `client` to crash (exit without sending) in `round`.
-    pub fn crash(self, client: usize, round: usize) -> Self {
-        self.with(client, round, FaultKind::Crash)
-    }
-
-    /// Plan `client` to delay its `round` uplink by `delay`.
-    pub fn delay(self, client: usize, round: usize, delay: Duration) -> Self {
-        self.with(client, round, FaultKind::Delay(delay))
-    }
-
-    /// Plan `client` to send a truncated update frame in `round`.
-    pub fn truncate_frame(self, client: usize, round: usize) -> Self {
-        self.with(client, round, FaultKind::TruncateFrame)
-    }
-
-    /// Plan `client` to flip `n` post-checksum bytes of its `round` update.
-    pub fn flip_bytes(self, client: usize, round: usize, n: usize) -> Self {
-        self.with(client, round, FaultKind::FlipBytes(n))
-    }
-
-    /// Plan `client` to drop its connection in `round` and rejoin via
-    /// backoff at the next broadcast.
-    pub fn disconnect(self, client: usize, round: usize) -> Self {
-        self.with(client, round, FaultKind::Disconnect)
-    }
-
-    /// Plan `client` to send a cleanly-decoding but NaN-poisoned update in
-    /// `round` (quarantined by pre-aggregation validation).
-    pub fn non_finite(self, client: usize, round: usize) -> Self {
-        self.with(client, round, FaultKind::NonFiniteUpdate)
-    }
-
-    /// Plan `client` to send an update with one wrongly-shaped tensor in
-    /// `round` (quarantined by pre-aggregation validation).
-    pub fn wrong_shape(self, client: usize, round: usize) -> Self {
-        self.with(client, round, FaultKind::WrongShape)
-    }
-
-    /// Plan `client` to send its valid `round` update once, then replay it
-    /// `n` extra times (all copies past the first are discarded unread).
-    pub fn replay(self, client: usize, round: usize, n: usize) -> Self {
-        self.with(client, round, FaultKind::Replay(n))
-    }
-
-    /// Plan `client` to trickle its `round` update below the server's
-    /// minimum byte rate (shed by the rate enforcer).
-    pub fn slow_drip(self, client: usize, round: usize) -> Self {
-        self.with(client, round, FaultKind::SlowDrip)
-    }
-
-    /// Plan `client` to send `n` junk bytes as its `round` update — a
-    /// well-formed frame the ingest budget refuses at the header.
-    pub fn flood_oversized(self, client: usize, round: usize, n: usize) -> Self {
-        self.with(client, round, FaultKind::FloodOversized(n))
-    }
-
-    /// Plan `client` to wedge a started update frame for `hold` in
-    /// `round` before dropping the connection.
-    pub fn hold_connection(self, client: usize, round: usize, hold: Duration) -> Self {
-        self.with(client, round, FaultKind::HoldConnection(hold))
-    }
-
-    /// Plan `client` to sign-flip its trained `round` update (`v := −v`)
-    /// before compressing (screened as `suspected` by robust modes).
-    pub fn sign_flip(self, client: usize, round: usize) -> Self {
-        self.with(client, round, FaultKind::SignFlip)
-    }
-
-    /// Plan `client` to scale its trained `round` update away from the
-    /// broadcast model by `factor` before compressing.
-    pub fn scale_update(self, client: usize, round: usize, factor: f32) -> Self {
-        self.with(client, round, FaultKind::ScaleUpdate(factor))
-    }
-
-    /// Plan `client` to drag its trained `round` update halfway toward
-    /// zero before compressing.
-    pub fn drift_toward(self, client: usize, round: usize) -> Self {
-        self.with(client, round, FaultKind::DriftToward)
     }
 
     /// Kill the server after it broadcasts `round`, before any update for
@@ -360,20 +276,39 @@ mod tests {
     use super::*;
 
     #[test]
-    fn builder_accumulates_and_lookup_matches() {
-        let plan = FaultPlan::new()
-            .corrupt(1, 0)
-            .crash(2, 3)
-            .delay(0, 5, Duration::from_secs(1));
-        assert_eq!(plan.firing(1, 0, 0), Some(FaultKind::Corrupt));
-        assert_eq!(plan.firing(1, 0, 1), None, "a quorum retry runs healthy");
-        assert_eq!(plan.firing(2, 3, 0), Some(FaultKind::Crash));
-        assert_eq!(
-            plan.firing(0, 5, 0),
-            Some(FaultKind::Delay(Duration::from_secs(1)))
-        );
-        assert_eq!(plan.firing(0, 0, 0), None);
-        assert_eq!(plan.firing(1, 1, 0), None);
+    fn every_kind_fires_through_with_on_the_first_attempt_only() {
+        let hold = Duration::from_secs(1);
+        let kinds = [
+            FaultKind::Corrupt,
+            FaultKind::Crash,
+            FaultKind::Delay(hold),
+            FaultKind::TruncateFrame,
+            FaultKind::FlipBytes(16),
+            FaultKind::Disconnect,
+            FaultKind::NonFiniteUpdate,
+            FaultKind::WrongShape,
+            FaultKind::Replay(5),
+            FaultKind::SlowDrip,
+            FaultKind::FloodOversized(1 << 20),
+            FaultKind::HoldConnection(hold),
+            FaultKind::SignFlip,
+            FaultKind::ScaleUpdate(1000.0),
+            FaultKind::DriftToward,
+        ];
+        // Client i misbehaves in round i + 1; the plan accumulates in order.
+        let plan = kinds
+            .iter()
+            .enumerate()
+            .fold(FaultPlan::new(), |p, (i, &k)| p.with(i, i + 1, k));
+        for (i, &kind) in kinds.iter().enumerate() {
+            assert_eq!(plan.firing(i, i + 1, 0), Some(kind), "{kind:?}");
+            assert_eq!(
+                plan.firing(i, i + 1, 1),
+                None,
+                "a quorum retry runs healthy"
+            );
+            assert_eq!(plan.firing(i, i, 0), None, "{kind:?} fired a round early");
+        }
     }
 
     #[test]
@@ -388,61 +323,10 @@ mod tests {
 
     #[test]
     fn first_matching_spec_wins() {
-        let plan = FaultPlan::new().corrupt(0, 0).crash(0, 0);
+        let plan = FaultPlan::new()
+            .with(0, 0, FaultKind::Corrupt)
+            .with(0, 0, FaultKind::Crash);
         assert_eq!(plan.firing(0, 0, 0), Some(FaultKind::Corrupt));
-    }
-
-    #[test]
-    fn wire_fault_builders_accumulate() {
-        let plan = FaultPlan::new()
-            .truncate_frame(0, 1)
-            .flip_bytes(1, 2, 16)
-            .disconnect(2, 3);
-        assert_eq!(plan.firing(0, 1, 0), Some(FaultKind::TruncateFrame));
-        assert_eq!(plan.firing(1, 2, 0), Some(FaultKind::FlipBytes(16)));
-        assert_eq!(plan.firing(2, 3, 0), Some(FaultKind::Disconnect));
-    }
-
-    #[test]
-    fn semantic_fault_builders_accumulate() {
-        let plan = FaultPlan::new().non_finite(0, 1).wrong_shape(1, 2);
-        assert_eq!(plan.firing(0, 1, 0), Some(FaultKind::NonFiniteUpdate));
-        assert_eq!(plan.firing(1, 2, 0), Some(FaultKind::WrongShape));
-    }
-
-    #[test]
-    fn replay_builder_accumulates() {
-        let plan = FaultPlan::new().replay(2, 1, 5);
-        assert_eq!(plan.firing(2, 1, 0), Some(FaultKind::Replay(5)));
-        assert_eq!(plan.firing(2, 0, 0), None);
-    }
-
-    #[test]
-    fn overload_fault_builders_accumulate() {
-        let plan = FaultPlan::new()
-            .slow_drip(0, 1)
-            .flood_oversized(1, 2, 1 << 20)
-            .hold_connection(2, 3, Duration::from_secs(1));
-        assert_eq!(plan.firing(0, 1, 0), Some(FaultKind::SlowDrip));
-        assert_eq!(
-            plan.firing(1, 2, 0),
-            Some(FaultKind::FloodOversized(1 << 20))
-        );
-        assert_eq!(
-            plan.firing(2, 3, 0),
-            Some(FaultKind::HoldConnection(Duration::from_secs(1)))
-        );
-    }
-
-    #[test]
-    fn byzantine_fault_builders_accumulate() {
-        let plan = FaultPlan::new()
-            .sign_flip(0, 1)
-            .scale_update(1, 2, 1000.0)
-            .drift_toward(2, 3);
-        assert_eq!(plan.firing(0, 1, 0), Some(FaultKind::SignFlip));
-        assert_eq!(plan.firing(1, 2, 0), Some(FaultKind::ScaleUpdate(1000.0)));
-        assert_eq!(plan.firing(2, 3, 0), Some(FaultKind::DriftToward));
     }
 
     #[test]

@@ -15,9 +15,8 @@
 //! # Determinism
 //!
 //! Parallel workers finish in arbitrary order, but nothing downstream may
-//! observe that order: duplicate-update overwrites, the `delivered`
-//! counter, and the `f64` metric sums must all behave exactly as the serial
-//! server did, or the same seeds stop producing bit-identical runs. The
+//! observe that order: the `delivered` counter and the `f64` metric sums
+//! must behave exactly as the serial server did, or the same seeds stop producing bit-identical runs. The
 //! collector therefore buffers out-of-order outcomes and applies them only
 //! in contiguous sequence order — reproducing serial arrival-order
 //! semantics while the decode work itself runs concurrently. The aggregate

@@ -661,7 +661,10 @@ fn tcp_client_loop(
         };
         let mut last_frame = Instant::now();
         loop {
-            let frame = match wire::read_frame_reusing(&mut stream, FRAME_BUDGET, &mut scratch) {
+            let read = wire::read_frame_gated(&mut stream, FRAME_BUDGET, 0, &mut scratch, |_| {
+                HeaderVerdict::Admit
+            });
+            let frame = match read {
                 Ok(f) => {
                     last_frame = Instant::now();
                     f

@@ -1,4 +1,4 @@
-//! Client data sharding: IID and Dirichlet non-IID partitions.
+//! Client data sharding: IID partitions.
 
 use fedsz_dnn::Dataset;
 use fedsz_tensor::SplitMix64;
@@ -18,39 +18,6 @@ pub fn iid(ds: &Dataset, n_clients: usize, rng: &mut SplitMix64) -> Vec<Dataset>
         offset += take;
     }
     shards
-}
-
-/// Split with label skew: each client's class mix is drawn from a symmetric
-/// Dirichlet of the given concentration (small `alpha` → highly non-IID).
-pub fn dirichlet(ds: &Dataset, n_clients: usize, alpha: f64, rng: &mut SplitMix64) -> Vec<Dataset> {
-    assert!(n_clients > 0);
-    // Index pools per class.
-    let mut pools: Vec<Vec<usize>> = vec![Vec::new(); ds.num_classes];
-    for (i, &l) in ds.labels.iter().enumerate() {
-        pools[l].push(i);
-    }
-    for pool in &mut pools {
-        rng.shuffle(pool);
-    }
-    let mut assignments: Vec<Vec<usize>> = vec![Vec::new(); n_clients];
-    for pool in pools {
-        let weights = rng.dirichlet(alpha, n_clients);
-        // Convert weights to contiguous slices of the class pool.
-        let mut start = 0usize;
-        let mut acc = 0.0f64;
-        for (client, &w) in weights.iter().enumerate() {
-            acc += w;
-            let end = if client + 1 == n_clients {
-                pool.len()
-            } else {
-                (acc * pool.len() as f64).round() as usize
-            }
-            .min(pool.len());
-            assignments[client].extend_from_slice(&pool[start..end]);
-            start = end;
-        }
-    }
-    assignments.into_iter().map(|idx| ds.subset(&idx)).collect()
 }
 
 #[cfg(test)]
@@ -83,37 +50,5 @@ mod tests {
                 assert!((2..=30).contains(&count), "class {cls}: {count}");
             }
         }
-    }
-
-    #[test]
-    fn dirichlet_covers_everything_once() {
-        let (ds, _) = DatasetKind::Cifar10Like.generate(300, 10, 5);
-        let mut rng = SplitMix64::new(6);
-        let shards = dirichlet(&ds, 5, 0.3, &mut rng);
-        let total: usize = shards.iter().map(|s| s.n).sum();
-        assert_eq!(total, 300);
-    }
-
-    #[test]
-    fn small_alpha_skews_harder_than_large() {
-        let (ds, _) = DatasetKind::Cifar10Like.generate(1000, 10, 7);
-        let skew = |alpha: f64| -> f64 {
-            let mut rng = SplitMix64::new(8);
-            let shards = dirichlet(&ds, 5, alpha, &mut rng);
-            // Mean over clients of the max class share.
-            shards
-                .iter()
-                .filter(|s| s.n > 0)
-                .map(|s| {
-                    let mut counts = [0usize; 10];
-                    for &l in &s.labels {
-                        counts[l] += 1;
-                    }
-                    *counts.iter().max().unwrap() as f64 / s.n as f64
-                })
-                .sum::<f64>()
-                / 5.0
-        };
-        assert!(skew(0.1) > skew(100.0), "{} vs {}", skew(0.1), skew(100.0));
     }
 }

@@ -36,8 +36,6 @@ pub struct FlConfig {
     pub n_clients: usize,
     /// Communication rounds (paper: 10 for Table I / Fig 4, 50 for Fig 5).
     pub rounds: usize,
-    /// Local epochs per round (paper: 1).
-    pub local_epochs: usize,
     /// SGD mini-batch size.
     pub batch_size: usize,
     /// SGD learning rate.
@@ -50,8 +48,6 @@ pub struct FlConfig {
     pub test_samples: usize,
     /// FedSZ compression of client updates; `None` = uncompressed baseline.
     pub compression: Option<FedSzConfig>,
-    /// Dirichlet concentration for non-IID sharding; `None` = IID.
-    pub dirichlet_alpha: Option<f64>,
     /// Registered client population for cross-device sampling. `0` (the
     /// default) means "equal to `n_clients`" — the paper's cross-silo
     /// setting where everyone participates every round. A larger value
@@ -114,14 +110,12 @@ impl Default for FlConfig {
             dataset: DatasetKind::Cifar10Like,
             n_clients: 4,
             rounds: 10,
-            local_epochs: 1,
             batch_size: 32,
             lr: 0.01,
             momentum: 0.9,
             samples_per_client: 192,
             test_samples: 256,
             compression: None,
-            dirichlet_alpha: None,
             population: 0,
             sample_fraction: 1.0,
             seed: 42,
@@ -494,7 +488,7 @@ impl ServerTransport for Loopback<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultPlan;
+    use crate::fault::{FaultKind, FaultPlan};
 
     fn quick(compression: Option<FedSzConfig>) -> FlConfig {
         FlConfig {
@@ -603,11 +597,11 @@ mod tests {
         let mut cfg = quick(None);
         cfg.rounds = 2;
         let faults = FaultPlan::new()
-            .corrupt(0, 0)
-            .non_finite(1, 0)
-            .crash(2, 0)
-            .slow_drip(3, 1)
-            .flood_oversized(0, 1, 1 << 26); // far over the 4x-model auto-budget
+            .with(0, 0, FaultKind::Corrupt)
+            .with(1, 0, FaultKind::NonFiniteUpdate)
+            .with(2, 0, FaultKind::Crash)
+            .with(3, 1, FaultKind::SlowDrip)
+            .with(0, 1, FaultKind::FloodOversized(1 << 26)); // far over the 4x-model auto-budget
         let spec = RunSpec {
             faults,
             ..RunSpec::default()
@@ -626,14 +620,5 @@ mod tests {
             "{r1:?}"
         );
         assert_eq!(result.fault_summary().shed, 2);
-    }
-
-    #[test]
-    fn dirichlet_partition_also_converges() {
-        let mut cfg = quick(None);
-        cfg.dirichlet_alpha = Some(0.5);
-        cfg.rounds = 5;
-        let result = run(&cfg).expect("fl run");
-        assert!(result.final_accuracy() > 0.2, "{}", result.final_accuracy());
     }
 }

@@ -267,11 +267,7 @@ pub(crate) fn setup_data(cfg: &FlConfig) -> (Dataset, Vec<Dataset>) {
         .dataset
         .generate(total_train, cfg.test_samples, cfg.seed);
     let mut rng = SplitMix64::new(cfg.seed ^ 0xF17E_57A7);
-    let shards = match cfg.dirichlet_alpha {
-        Some(alpha) => partition::dirichlet(&train, registered, alpha, &mut rng),
-        None => partition::iid(&train, registered, &mut rng),
-    };
-    (test, shards)
+    (test, partition::iid(&train, registered, &mut rng))
 }
 
 /// The one set-up behind every transport: the held-out test set,
@@ -386,8 +382,9 @@ impl<'a> Client<'a> {
             _ => {}
         }
 
-        // Train. `load_state_dict` resets optimizer state, so the broadcast
-        // fully determines the network whatever it trained on before.
+        // Train one local epoch (the paper's setting). `load_state_dict`
+        // resets optimizer state, so the broadcast fully determines the
+        // network whatever it trained on before.
         let cfg = self.cfg;
         let net = self
             .net
@@ -396,9 +393,7 @@ impl<'a> Client<'a> {
         let mut lrng =
             SplitMix64::new(cfg.seed ^ ((round as u64) << 32) ^ (id as u64).wrapping_mul(0x9E37));
         let t0 = Instant::now();
-        for _ in 0..cfg.local_epochs {
-            net.train_epoch(shard, cfg.batch_size, cfg.lr, cfg.momentum, &mut lrng);
-        }
+        net.train_epoch(shard, cfg.batch_size, cfg.lr, cfg.momentum, &mut lrng);
         let train_s = t0.elapsed().as_secs_f64();
         let mut update = net.state_dict();
         // Size of the honest update, measured before any poison reshapes it.

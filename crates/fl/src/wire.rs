@@ -394,23 +394,9 @@ fn drain_exact<R: Read>(r: &mut R, mut n: usize, pace: &mut Pace) -> Result<(), 
 /// read timeout configured the read blocks, mirroring the channel
 /// transport's behaviour without a deadline).
 pub fn read_frame<R: Read>(r: &mut R, frame_budget: Duration) -> Result<Frame, WireError> {
-    read_frame_reusing(r, frame_budget, &mut Vec::new())
-}
-
-/// [`read_frame`] with a caller-owned scratch buffer for the frame body.
-///
-/// Long-lived readers (the server's per-connection reader threads, the
-/// client's receive loop) call this in a loop with one persistent buffer,
-/// so steady-state traffic performs zero body allocations: the buffer grows
-/// to the largest frame seen on the connection and is reused from then on.
-/// Only the buffer's length is touched between calls — a hostile length
-/// still cannot make it grow past [`MAX_BODY`].
-pub fn read_frame_reusing<R: Read>(
-    r: &mut R,
-    frame_budget: Duration,
-    scratch: &mut Vec<u8>,
-) -> Result<Frame, WireError> {
-    read_frame_gated(r, frame_budget, 0, scratch, |_| HeaderVerdict::Admit)
+    read_frame_gated(r, frame_budget, 0, &mut Vec::new(), |_| {
+        HeaderVerdict::Admit
+    })
 }
 
 /// Verdict of the header-time admission callback in
@@ -428,12 +414,16 @@ pub enum HeaderVerdict {
     Abort,
 }
 
-/// [`read_frame_reusing`] plus the server's overload defenses: a
-/// minimum byte-rate floor (`min_byte_rate` bytes/second, 0 disables;
-/// see [`WireError::TooSlow`]) and a header-time admission callback
-/// receiving each frame's announced body length. Admission runs after
-/// the [`MAX_BODY`] check, so the callback sees only lengths the
+/// [`read_frame`] with a caller-owned body buffer and the server's overload
+/// defenses: a minimum byte-rate floor (`min_byte_rate` bytes/second, 0
+/// disables; see [`WireError::TooSlow`]) and a header-time admission
+/// callback receiving each frame's announced body length. Admission runs
+/// after the [`MAX_BODY`] check, so the callback sees only lengths the
 /// protocol itself would accept.
+///
+/// Long-lived readers call this in a loop with one persistent `scratch`,
+/// so steady-state traffic performs zero body allocations; a hostile
+/// length still cannot make it grow past [`MAX_BODY`].
 pub fn read_frame_gated<R: Read>(
     r: &mut R,
     frame_budget: Duration,

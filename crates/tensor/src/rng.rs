@@ -76,43 +76,6 @@ impl SplitMix64 {
         -b * u.signum() * (1.0 - 2.0 * u.abs()).ln()
     }
 
-    /// Sample from a symmetric Dirichlet distribution of the given
-    /// concentration over `k` categories, using Gamma(alpha, 1) marginals
-    /// (Marsaglia–Tsang for alpha >= 1, boosted for alpha < 1).
-    pub fn dirichlet(&mut self, alpha: f64, k: usize) -> Vec<f64> {
-        let mut draws: Vec<f64> = (0..k).map(|_| self.gamma(alpha)).collect();
-        let sum: f64 = draws.iter().sum();
-        if sum <= 0.0 {
-            // Degenerate draw (possible only for tiny alpha): fall back to uniform.
-            return vec![1.0 / k as f64; k];
-        }
-        for d in &mut draws {
-            *d /= sum;
-        }
-        draws
-    }
-
-    fn gamma(&mut self, alpha: f64) -> f64 {
-        if alpha < 1.0 {
-            // Boost: Gamma(a) = Gamma(a + 1) * U^{1/a}.
-            let u = self.next_f64().max(f64::MIN_POSITIVE);
-            return self.gamma(alpha + 1.0) * u.powf(1.0 / alpha);
-        }
-        let d = alpha - 1.0 / 3.0;
-        let c = 1.0 / (9.0 * d).sqrt();
-        loop {
-            let x = self.normal();
-            let v = (1.0 + c * x).powi(3);
-            if v <= 0.0 {
-                continue;
-            }
-            let u = self.next_f64().max(f64::MIN_POSITIVE);
-            if u.ln() < 0.5 * x * x + d - d * v + d * v.ln() {
-                return d * v;
-            }
-        }
-    }
-
     /// Fisher–Yates shuffle.
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {
@@ -184,18 +147,6 @@ mod tests {
         let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.02, "mean {mean}");
         assert!((var - 2.0 * b * b).abs() < 0.05, "var {var}");
-    }
-
-    #[test]
-    fn dirichlet_sums_to_one() {
-        let mut r = SplitMix64::new(17);
-        for &alpha in &[0.1, 0.5, 1.0, 10.0] {
-            let w = r.dirichlet(alpha, 8);
-            assert_eq!(w.len(), 8);
-            let s: f64 = w.iter().sum();
-            assert!((s - 1.0).abs() < 1e-9, "alpha {alpha} sum {s}");
-            assert!(w.iter().all(|&x| x >= 0.0));
-        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 use std::time::Duration;
 
 use fedsz::{compress, decompress, CompressedUpdate, FedSzConfig};
-use fedsz_fl::{run_with, FaultPlan, FlConfig, FlError, RunSpec, Transport};
+use fedsz_fl::{run_with, FaultKind, FaultPlan, FlConfig, FlError, RunSpec, Transport};
 use fedsz_tensor::{SplitMix64, StateDict, Tensor, TensorKind};
 
 fn sample_update() -> CompressedUpdate {
@@ -176,7 +176,7 @@ fn in_process_under(faults: FaultPlan) -> RunSpec<'static> {
 #[test]
 fn corrupt_uplink_is_rejected_and_round_completes_on_quorum() {
     let spec = RunSpec {
-        faults: FaultPlan::new().corrupt(1, 1),
+        faults: FaultPlan::new().with(1, 1, FaultKind::Corrupt),
         ..channel()
     };
     let result = run_with(&fl_cfg(4, 3), &spec).expect("fl run");
@@ -197,7 +197,7 @@ fn corrupt_uplink_is_rejected_and_round_completes_on_quorum() {
 fn dead_client_does_not_deadlock_the_server() {
     let spec = RunSpec {
         round_deadline: Some(Duration::from_secs(5)),
-        faults: FaultPlan::new().crash(2, 1),
+        faults: FaultPlan::new().with(2, 1, FaultKind::Crash),
         ..channel()
     };
     let result = run_with(&fl_cfg(4, 3), &spec).expect("fl run");
@@ -216,7 +216,7 @@ fn dead_client_does_not_deadlock_the_server() {
 fn straggler_past_the_deadline_is_dropped_and_counted() {
     let spec = RunSpec {
         round_deadline: Some(Duration::from_millis(1500)),
-        faults: FaultPlan::new().delay(0, 1, Duration::from_secs(4)),
+        faults: FaultPlan::new().with(0, 1, FaultKind::Delay(Duration::from_secs(4))),
         ..channel()
     };
     let result = run_with(&fl_cfg(4, 2), &spec).expect("fl run");
@@ -233,7 +233,9 @@ fn straggler_past_the_deadline_is_dropped_and_counted() {
 fn quorum_not_met_is_a_typed_error_not_a_panic() {
     let spec = RunSpec {
         min_quorum: 2,
-        faults: FaultPlan::new().corrupt(0, 0).corrupt(1, 0),
+        faults: FaultPlan::new()
+            .with(0, 0, FaultKind::Corrupt)
+            .with(1, 0, FaultKind::Corrupt),
         ..channel()
     };
     let err = run_with(&fl_cfg(2, 2), &spec).unwrap_err();
@@ -254,7 +256,7 @@ fn quorum_starved_round_recovers_on_retry() {
     let spec = RunSpec {
         min_quorum: 2,
         max_round_retries: 1,
-        faults: FaultPlan::new().corrupt(0, 0),
+        faults: FaultPlan::new().with(0, 0, FaultKind::Corrupt),
         ..channel()
     };
     let result = run_with(&fl_cfg(2, 2), &spec).expect("fl run");
@@ -271,7 +273,7 @@ fn non_finite_update_is_quarantined_with_exact_accounting() {
     // cleanly, and must be caught by semantic validation — quarantined, not
     // rejected, and never aggregated.
     let spec = RunSpec {
-        faults: FaultPlan::new().non_finite(1, 1),
+        faults: FaultPlan::new().with(1, 1, FaultKind::NonFiniteUpdate),
         ..channel()
     };
     let result = run_with(&fl_cfg(4, 3), &spec).expect("fl run");
@@ -302,11 +304,11 @@ fn wrong_shape_update_is_quarantined_and_excluded_like_a_rejection() {
     // corrupt: both aggregate over the identical surviving quorum.
     let cfg = fl_cfg(4, 3);
     let quarantine = RunSpec {
-        faults: FaultPlan::new().wrong_shape(1, 1),
+        faults: FaultPlan::new().with(1, 1, FaultKind::WrongShape),
         ..channel()
     };
     let reject = RunSpec {
-        faults: FaultPlan::new().corrupt(1, 1),
+        faults: FaultPlan::new().with(1, 1, FaultKind::Corrupt),
         ..channel()
     };
     let q = run_with(&cfg, &quarantine).expect("quarantine run");
@@ -355,7 +357,11 @@ fn parallel_ingest_is_bit_identical_to_serial_under_faults() {
     // reject / quarantine them with exactly the serial server's accounting
     // while the surviving quorum aggregates to the same bits.
     let spec = RunSpec {
-        faults: FaultPlan::new().corrupt(1, 1).non_finite(2, 1),
+        faults: FaultPlan::new().with(1, 1, FaultKind::Corrupt).with(
+            2,
+            1,
+            FaultKind::NonFiniteUpdate,
+        ),
         ..channel()
     };
     let mut base = fl_cfg(4, 3);
@@ -387,7 +393,7 @@ fn replayed_updates_are_discarded_first_wins() {
     let cfg = fl_cfg(4, 3);
     let clean = run_with(&cfg, &channel()).expect("clean run");
     let spec = RunSpec {
-        faults: FaultPlan::new().replay(2, 1, 7),
+        faults: FaultPlan::new().with(2, 1, FaultKind::Replay(7)),
         ..channel()
     };
     let replayed = run_with(&cfg, &spec).expect("replayed run");
@@ -408,10 +414,10 @@ fn in_process_faults_match_the_channel_transport_on_real_bytes() {
     // reports must equal what the channel transport reports.
     let cfg = fl_cfg(4, 3);
     let plan = FaultPlan::new()
-        .truncate_frame(0, 0)
-        .flip_bytes(1, 0, 16)
-        .replay(2, 1, 3)
-        .corrupt(3, 1);
+        .with(0, 0, FaultKind::TruncateFrame)
+        .with(1, 0, FaultKind::FlipBytes(16))
+        .with(2, 1, FaultKind::Replay(3))
+        .with(3, 1, FaultKind::Corrupt);
     let in_process = run_with(&cfg, &in_process_under(plan.clone())).expect("in-process run");
     let spec = RunSpec {
         faults: plan,
@@ -456,8 +462,11 @@ fn in_process_faults_match_the_channel_transport_on_real_bytes() {
         compression: None,
         ..fl_cfg(4, 1)
     };
-    let raw =
-        run_with(&raw_cfg, &in_process_under(FaultPlan::new().corrupt(0, 0))).expect("raw run");
+    let raw = run_with(
+        &raw_cfg,
+        &in_process_under(FaultPlan::new().with(0, 0, FaultKind::Corrupt)),
+    )
+    .expect("raw run");
     let r0 = &raw.rounds[0];
     assert_eq!((r0.faults.delivered, r0.faults.rejected), (3, 1));
     assert!(r0.bytes_on_wire > 0);
@@ -472,7 +481,11 @@ fn sampled_rounds_under_faults_are_bit_identical_across_worker_counts() {
     // cohort members the faults hit, serial and parallel ingest must land
     // on the same bits with the same accounting.
     let spec = RunSpec {
-        faults: FaultPlan::new().corrupt(1, 1).non_finite(2, 1),
+        faults: FaultPlan::new().with(1, 1, FaultKind::Corrupt).with(
+            2,
+            1,
+            FaultKind::NonFiniteUpdate,
+        ),
         ..channel()
     };
     let mut base = fl_cfg(4, 3);
@@ -504,9 +517,9 @@ fn combined_faults_complete_all_rounds_with_exact_accounting() {
     let spec = RunSpec {
         round_deadline: Some(Duration::from_millis(1500)),
         faults: FaultPlan::new()
-            .corrupt(1, 0)
-            .crash(2, 1)
-            .delay(3, 3, Duration::from_secs(4)),
+            .with(1, 0, FaultKind::Corrupt)
+            .with(2, 1, FaultKind::Crash)
+            .with(3, 3, FaultKind::Delay(Duration::from_secs(4))),
         ..channel()
     };
     let result = run_with(&fl_cfg(4, 4), &spec).expect("fl run");

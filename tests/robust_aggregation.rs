@@ -10,7 +10,8 @@
 use std::path::PathBuf;
 
 use fedsz_fl::{
-    run, run_with, Aggregation, FaultPlan, FlConfig, FlError, FlRunResult, RunSpec, Transport,
+    run, run_with, Aggregation, FaultKind, FaultPlan, FlConfig, FlError, FlRunResult, RunSpec,
+    Transport,
 };
 
 fn base_cfg() -> FlConfig {
@@ -155,7 +156,7 @@ fn planned_adversaries_are_suspected_with_exact_counts() {
         ingest_budget_bytes: Some(0),
         ..FlConfig::default()
     };
-    let plan = FaultPlan::new().scale_update(2, 0, 1000.0);
+    let plan = FaultPlan::new().with(2, 0, FaultKind::ScaleUpdate(1000.0));
     for mode in [
         Aggregation::ClippedMean { clip_factor: 3.0 },
         Aggregation::TrimmedMean { trim_k: 1 },
@@ -198,9 +199,9 @@ fn byzantine_chaos_is_bit_identical_across_transports_and_workers() {
     // clients: every transport x worker count must screen the same
     // updates and land on the same model bits and the same counters.
     let plan = FaultPlan::new()
-        .sign_flip(1, 0)
-        .scale_update(2, 0, 1000.0)
-        .drift_toward(3, 1);
+        .with(1, 0, FaultKind::SignFlip)
+        .with(2, 0, FaultKind::ScaleUpdate(1000.0))
+        .with(3, 1, FaultKind::DriftToward);
     let cfg = |workers: usize| FlConfig {
         n_clients: 6,
         rounds: 2,

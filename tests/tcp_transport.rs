@@ -8,7 +8,8 @@ use std::net::TcpListener;
 use std::time::{Duration, Instant};
 
 use fedsz_fl::{
-    run_tcp_client, run_with, FaultPlan, FlConfig, FlError, NetConfig, RunSpec, Transport,
+    run_tcp_client, run_with, FaultKind, FaultPlan, FlConfig, FlError, NetConfig, RunSpec,
+    Transport,
 };
 
 /// Small, fast FL setup (mirrors tests/fault_injection.rs).
@@ -99,7 +100,7 @@ fn disconnected_client_rejoins_via_backoff_with_exact_accounting() {
     // late client that round and serves the rejoined connection from the
     // next broadcast on — no other round is disturbed.
     let spec = RunSpec {
-        faults: FaultPlan::new().disconnect(1, 1),
+        faults: FaultPlan::new().with(1, 1, FaultKind::Disconnect),
         ..backstop(Transport::Tcp)
     };
     let result = run_with(&fl_cfg(4, 4), &spec).expect("tcp run");
@@ -121,7 +122,7 @@ fn truncated_frame_is_rejected_and_the_client_rejoins() {
     // the server sees a mid-frame EOF, counts the half-frame as rejected,
     // and the client is back for the next round.
     let spec = RunSpec {
-        faults: FaultPlan::new().truncate_frame(2, 1),
+        faults: FaultPlan::new().with(2, 1, FaultKind::TruncateFrame),
         ..backstop(Transport::Tcp)
     };
     let result = run_with(&fl_cfg(4, 3), &spec).expect("tcp run");
@@ -137,7 +138,7 @@ fn flipped_bytes_fail_the_crc_without_losing_the_connection() {
     // frame arrives whole, fails its CRC-32, and is rejected — while the
     // connection (and every later round) survives untouched.
     let spec = RunSpec {
-        faults: FaultPlan::new().flip_bytes(0, 1, 16),
+        faults: FaultPlan::new().with(0, 1, FaultKind::FlipBytes(16)),
         ..backstop(Transport::Tcp)
     };
     let result = run_with(&fl_cfg(4, 3), &spec).expect("tcp run");
@@ -153,7 +154,7 @@ fn crashed_tcp_client_is_late_then_dropped() {
     // (no deadline needs to run out), and from the next broadcast on the
     // slot is dropped after its one rejoin grace goes unused.
     let spec = RunSpec {
-        faults: FaultPlan::new().crash(2, 1),
+        faults: FaultPlan::new().with(2, 1, FaultKind::Crash),
         ..backstop(Transport::Tcp)
     };
     let spec = RunSpec {
@@ -177,7 +178,7 @@ fn corrupt_payload_over_tcp_matches_channel_semantics_exactly() {
     // same accounting and the same accuracies as the channel transport.
     let cfg = fl_cfg(4, 3);
     let spec = |transport| RunSpec {
-        faults: FaultPlan::new().corrupt(1, 1),
+        faults: FaultPlan::new().with(1, 1, FaultKind::Corrupt),
         ..over(transport)
     };
     let over_channels = run_with(&cfg, &spec(Transport::Channel)).expect("threaded run");
@@ -196,7 +197,7 @@ fn poisoned_update_over_tcp_is_quarantined_with_channel_parity() {
     // channel transport.
     let cfg = fl_cfg(4, 3);
     let spec = |transport| RunSpec {
-        faults: FaultPlan::new().non_finite(2, 1),
+        faults: FaultPlan::new().with(2, 1, FaultKind::NonFiniteUpdate),
         ..over(transport)
     };
     let over_channels = run_with(&cfg, &spec(Transport::Channel)).expect("threaded run");
@@ -220,7 +221,7 @@ fn parallel_ingest_over_tcp_is_bit_identical_to_serial() {
     // serial server's exact bits — same final model, same per-round
     // accuracies, same fault accounting.
     let spec = RunSpec {
-        faults: FaultPlan::new().corrupt(1, 1),
+        faults: FaultPlan::new().with(1, 1, FaultKind::Corrupt),
         ..over(Transport::Tcp)
     };
     let mut base = fl_cfg(4, 2);
@@ -256,7 +257,7 @@ fn replayed_tcp_frames_are_discarded_first_wins() {
     let cfg = fl_cfg(4, 3);
     let clean = run_with(&cfg, &backstop(Transport::Tcp)).expect("clean run");
     let spec = RunSpec {
-        faults: FaultPlan::new().replay(1, 1, 5),
+        faults: FaultPlan::new().with(1, 1, FaultKind::Replay(5)),
         ..backstop(Transport::Tcp)
     };
     let replayed = run_with(&cfg, &spec).expect("replayed run");
@@ -272,7 +273,9 @@ fn replayed_tcp_frames_are_discarded_first_wins() {
 fn quorum_not_met_over_tcp_is_a_typed_error() {
     let spec = RunSpec {
         min_quorum: 2,
-        faults: FaultPlan::new().corrupt(0, 0).corrupt(1, 0),
+        faults: FaultPlan::new()
+            .with(0, 0, FaultKind::Corrupt)
+            .with(1, 0, FaultKind::Corrupt),
         ..backstop(Transport::Tcp)
     };
     let err = run_with(&fl_cfg(2, 2), &spec).unwrap_err();
@@ -372,10 +375,10 @@ fn chaos_fault_accounting_is_identical_across_transports() {
     // Twice the auto budget (4x model), so the header-time shed fires on
     // every transport regardless of how the junk payload would compress.
     let plan = FaultPlan::new()
-        .flood_oversized(0, 0, model_bytes * 8)
-        .slow_drip(1, 0)
-        .hold_connection(2, 1, Duration::from_millis(600))
-        .non_finite(3, 1);
+        .with(0, 0, FaultKind::FloodOversized(model_bytes * 8))
+        .with(1, 0, FaultKind::SlowDrip)
+        .with(2, 1, FaultKind::HoldConnection(Duration::from_millis(600)))
+        .with(3, 1, FaultKind::NonFiniteUpdate);
     let spec = |transport| RunSpec {
         faults: plan.clone(),
         net: NetConfig {

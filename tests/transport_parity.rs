@@ -5,7 +5,7 @@
 
 use std::time::Duration;
 
-use fedsz_fl::{run_with, FaultPlan, FlConfig, FlError, NetConfig, RunSpec, Transport};
+use fedsz_fl::{run_with, FaultKind, FaultPlan, FlConfig, FlError, NetConfig, RunSpec, Transport};
 
 /// Small, fast FL setup (mirrors tests/tcp_transport.rs).
 fn fl_cfg(n_clients: usize, rounds: usize) -> FlConfig {
@@ -48,7 +48,7 @@ fn a_replayed_frame_that_can_never_fit_is_shed_once_on_every_transport() {
         ingest_budget_bytes: Some(50_000),
         ..fl_cfg(3, 1)
     };
-    let plan = FaultPlan::new().replay(2, 0, 2);
+    let plan = FaultPlan::new().with(2, 0, FaultKind::Replay(2));
     let expected = FlError::Overloaded {
         round: 0,
         shed: 3,
@@ -72,7 +72,7 @@ fn eight_tcp_clients_keep_their_moved_in_shards_through_a_reconnect() {
     // and rejoins via backoff; the shard lives on in its thread, so round
     // 2 is back at full strength on the right data.
     let cfg = fl_cfg(8, 3);
-    let plan = FaultPlan::new().disconnect(5, 1);
+    let plan = FaultPlan::new().with(5, 1, FaultKind::Disconnect);
     let tcp = run_with(&cfg, &with_plan(Transport::Tcp, &plan)).expect("tcp run");
     let counts: Vec<_> = tcp
         .rounds
@@ -94,7 +94,7 @@ fn eight_tcp_clients_keep_their_moved_in_shards_through_a_reconnect() {
     // A channel cannot be re-opened, so its double for "missing this round,
     // back the next" is a shed update: the same seven updates fold in round
     // 1 and the same eight around it — the same model, bit for bit.
-    let stand_in = FaultPlan::new().slow_drip(5, 1);
+    let stand_in = FaultPlan::new().with(5, 1, FaultKind::SlowDrip);
     let channel = run_with(&cfg, &with_plan(Transport::Channel, &stand_in)).expect("channel run");
     assert_eq!(channel.rounds[1].faults.shed, 1);
     for (t, c) in tcp.rounds.iter().zip(&channel.rounds) {
