@@ -35,6 +35,7 @@ pub fn route_of(name: &str, numel: usize, threshold: usize) -> Route {
 
 /// Census of how a state dict splits under the rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+// fedsz-lint: allow(dead-pub) -- returned by `census`, which the bench figures call
 pub struct PartitionCensus {
     /// Entries routed lossy.
     pub lossy_entries: usize,

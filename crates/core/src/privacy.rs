@@ -44,6 +44,7 @@ pub fn compression_errors(
 
 /// Maximum-likelihood Laplace fit.
 #[derive(Debug, Clone, Copy, PartialEq)]
+// fedsz-lint: allow(dead-pub) -- returned by `laplace_fit`, which fig10 and the privacy example call
 pub struct LaplaceFit {
     /// Location (the sample median).
     pub mu: f64,
@@ -53,7 +54,7 @@ pub struct LaplaceFit {
 
 impl LaplaceFit {
     /// Laplace CDF at `x`.
-    pub fn cdf(&self, x: f64) -> f64 {
+    pub(crate) fn cdf(&self, x: f64) -> f64 {
         if self.b <= 0.0 {
             return if x < self.mu { 0.0 } else { 1.0 };
         }

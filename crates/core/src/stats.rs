@@ -5,6 +5,7 @@ use crate::partition::Route;
 
 /// Per-entry compression outcome.
 #[derive(Debug, Clone, PartialEq, Eq)]
+// fedsz-lint: allow(dead-pub) -- the element type of `UpdateStats::entries`, which the benchmark and the suite read
 pub struct EntryStats {
     /// State-dict entry name.
     pub name: String,
@@ -30,10 +31,12 @@ impl EntryStats {
 ///
 /// A fault-tolerant server aggregates over whichever subset of clients
 /// delivered a valid update in time; these counters make the degradation
-/// observable round by round. The sum of `delivered`, `rejected`,
-/// `quarantined`, `suspected`, `shed`, and `late` equals the number of
-/// clients the round expected an answer from, and `dropped` counts clients
-/// excluded up front because their channel was already gone.
+/// observable round by round. `dropped` counts clients excluded up front
+/// because their channel was already gone. On a round settled by its first
+/// attempt the seven counters sum to the clients it sampled. A quorum retry
+/// breaks that sum: `rejected`, `quarantined`, `shed` and `late` add up over
+/// all attempts, `delivered`, `suspected` and `dropped` count the last one
+/// (2 clients, 1 rejected, then both delivered on the retry: 2 + 1).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultCounters {
     /// Clients whose valid update made it into the aggregate.
@@ -70,12 +73,13 @@ impl FaultCounters {
         }
     }
 
-    /// Clients that did not contribute to the aggregate this round.
+    /// Failures over every attempt of the round (see the type docs).
     pub fn failed(&self) -> usize {
         self.rejected + self.quarantined + self.suspected + self.shed + self.late + self.dropped
     }
 
-    /// Clients the round was configured with (participants plus exclusions).
+    /// `delivered` plus [`failed`](Self::failed): the clients sampled, or
+    /// more after a quorum retry (see the type docs).
     pub fn population(&self) -> usize {
         self.delivered + self.failed()
     }
@@ -148,6 +152,7 @@ impl SuspectReasons {
 
 /// Whole-update compression outcome.
 #[derive(Debug, Clone, PartialEq)]
+// fedsz-lint: allow(dead-pub) -- returned by `compress_with_stats`, which the bench and benchmark call
 pub struct UpdateStats {
     /// Outcome per entry, in state-dict order.
     pub entries: Vec<EntryStats>,

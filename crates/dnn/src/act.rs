@@ -3,7 +3,7 @@
 
 /// A batch of activations.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Act {
+pub(crate) struct Act {
     /// Dense values, `n * c * h * w` long, row-major NCHW.
     pub data: Vec<f32>,
     /// Batch size.
@@ -38,7 +38,7 @@ impl Act {
     }
 
     /// Values per sample.
-    pub fn sample_len(&self) -> usize {
+    pub(crate) fn sample_len(&self) -> usize {
         self.c * self.h * self.w
     }
 
@@ -49,13 +49,13 @@ impl Act {
     }
 
     /// Mutable slice of one sample's values.
-    pub fn sample_mut(&mut self, i: usize) -> &mut [f32] {
+    pub(crate) fn sample_mut(&mut self, i: usize) -> &mut [f32] {
         let len = self.sample_len();
         &mut self.data[i * len..(i + 1) * len]
     }
 
     /// Reinterpret as `[N, C*H*W, 1, 1]` (flatten spatial dims).
-    pub fn flattened(mut self) -> Act {
+    pub(crate) fn flattened(mut self) -> Act {
         self.c *= self.h * self.w;
         self.h = 1;
         self.w = 1;

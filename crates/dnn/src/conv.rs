@@ -3,7 +3,7 @@
 //!
 //! A group's convolution is a product with the `kvol × l` matrix of image
 //! patches (`kvol = icg·k·k` taps, `l = oh·ow` output positions). That matrix
-//! is never built: its `B` panels for [`crate::math::mul`] are filled
+//! is never built: its `B` panels for `crate::math::mul` are filled
 //! straight from the image, one at a time, in the lane order each product
 //! wants. The weight panels are packed once per batch. Depthwise layers (one
 //! input and one output channel per group, where a product would have
@@ -20,7 +20,7 @@ use crate::layer::Layer;
 use crate::math::{mul, Acc, Mat, PackedA, Panels, NR};
 
 /// 2-D convolution layer.
-pub struct Conv2d {
+pub(crate) struct Conv2d {
     in_ch: usize,
     out_ch: usize,
     k: usize,
@@ -483,6 +483,7 @@ impl Layer for Conv2d {
         self.vb.fill(0.0);
     }
 
+    #[cfg(test)]
     fn param_count(&self) -> usize {
         self.weight.len() + self.bias.as_ref().map_or(0, Vec::len)
     }

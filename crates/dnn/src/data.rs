@@ -37,12 +37,12 @@ pub struct Dataset {
 
 impl Dataset {
     /// Values per image.
-    pub fn image_len(&self) -> usize {
+    pub(crate) fn image_len(&self) -> usize {
         self.c * self.h * self.w
     }
 
     /// Gather a batch of images by index.
-    pub fn batch(&self, indices: &[usize]) -> (Act, Vec<usize>) {
+    pub(crate) fn batch(&self, indices: &[usize]) -> (Act, Vec<usize>) {
         let len = self.image_len();
         let mut data = Vec::with_capacity(indices.len() * len);
         let mut labels = Vec::with_capacity(indices.len());

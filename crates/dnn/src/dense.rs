@@ -7,7 +7,7 @@ use crate::layer::Layer;
 use crate::math::{Acc, Gemm, Mat};
 
 /// Dense (fully-connected) layer: `y = x Wᵀ + b`.
-pub struct Dense {
+pub(crate) struct Dense {
     in_f: usize,
     out_f: usize,
     weight: Vec<f32>, // [out_f, in_f]
@@ -143,6 +143,7 @@ impl Layer for Dense {
         self.vb.fill(0.0);
     }
 
+    #[cfg(test)]
     fn param_count(&self) -> usize {
         self.weight.len() + self.bias.len()
     }

@@ -10,7 +10,7 @@ use crate::act::Act;
 /// `forward` caches whatever `backward` needs; one `backward` per `forward`.
 /// Gradients are overwritten per batch (the loss gradient is already
 /// mean-normalized), and `sgd_step` applies momentum SGD in place.
-pub trait Layer: Send {
+pub(crate) trait Layer: Send {
     /// Forward pass. `train` enables batch statistics and caching.
     fn forward(&mut self, x: Act, train: bool) -> Act;
     /// Backward pass from the output gradient to the input gradient.
@@ -22,6 +22,7 @@ pub trait Layer: Send {
     /// Import parameters from a state dict under `prefix`.
     fn import(&mut self, _prefix: &str, _sd: &StateDict) {}
     /// Number of trainable scalars.
+    #[cfg(test)]
     fn param_count(&self) -> usize {
         0
     }
@@ -38,7 +39,7 @@ pub fn join(prefix: &str, name: &str) -> String {
 
 /// Named chain of layers.
 #[derive(Default)]
-pub struct Sequential {
+pub(crate) struct Sequential {
     items: Vec<(String, Box<dyn Layer>)>,
 }
 
@@ -52,16 +53,6 @@ impl Sequential {
     pub fn add(mut self, name: impl Into<String>, layer: impl Layer + 'static) -> Self {
         self.items.push((name.into(), Box::new(layer)));
         self
-    }
-
-    /// Number of layers.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Whether the chain is empty.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
     }
 }
 
@@ -98,6 +89,7 @@ impl Layer for Sequential {
         }
     }
 
+    #[cfg(test)]
     fn param_count(&self) -> usize {
         self.items.iter().map(|(_, l)| l.param_count()).sum()
     }
@@ -106,7 +98,7 @@ impl Layer for Sequential {
 /// Identity skip connection around a body: `y = x + body(x)`.
 ///
 /// The body must preserve the activation shape.
-pub struct Residual {
+pub(crate) struct Residual {
     body: Sequential,
 }
 
@@ -151,6 +143,7 @@ impl Layer for Residual {
         self.body.import(prefix, sd);
     }
 
+    #[cfg(test)]
     fn param_count(&self) -> usize {
         self.body.param_count()
     }
@@ -158,7 +151,7 @@ impl Layer for Residual {
 
 /// Rectified linear unit.
 #[derive(Default)]
-pub struct ReLU {
+pub(crate) struct ReLU {
     mask: Vec<bool>,
 }
 
@@ -200,7 +193,7 @@ impl Layer for ReLU {
 
 /// Flatten spatial dimensions into channels.
 #[derive(Default)]
-pub struct Flatten {
+pub(crate) struct Flatten {
     dims: (usize, usize, usize),
 }
 

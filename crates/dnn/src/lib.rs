@@ -23,7 +23,6 @@ pub mod network;
 pub mod norm;
 pub mod pool;
 
-pub use act::Act;
 pub use data::{Dataset, DatasetKind};
 pub use models::ModelArch;
 pub use network::Network;

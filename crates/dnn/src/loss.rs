@@ -5,7 +5,7 @@ use crate::act::Act;
 /// Compute mean cross-entropy loss and the gradient w.r.t. the logits.
 ///
 /// `logits` must be `[N, C, 1, 1]`; `labels[i] < C`.
-pub fn softmax_cross_entropy(logits: &Act, labels: &[usize]) -> (f64, Act) {
+pub(crate) fn softmax_cross_entropy(logits: &Act, labels: &[usize]) -> (f64, Act) {
     assert_eq!(logits.h * logits.w, 1, "logits must be flat");
     assert_eq!(logits.n, labels.len(), "label count mismatch");
     let n = logits.n;
@@ -32,7 +32,7 @@ pub fn softmax_cross_entropy(logits: &Act, labels: &[usize]) -> (f64, Act) {
 }
 
 /// Argmax class per sample.
-pub fn predictions(logits: &Act) -> Vec<usize> {
+pub(crate) fn predictions(logits: &Act) -> Vec<usize> {
     (0..logits.n)
         .map(|i| {
             logits

@@ -2,7 +2,7 @@
 //!
 //! `C (+)= A × B`, row-major `C`, operands described by strides so that a
 //! transpose is a stride setting and not a second loop. `A` is packed whole
-//! into zero-padded `[k][MR]` panels ([`PackedA`]); `B` is anything that can
+//! into zero-padded `[k][MR]` panels (`PackedA`); `B` is anything that can
 //! fill one zero-padded `[k][NR]` panel at a time ([`Panels`]: a strided
 //! matrix, or image patches that are never built as a matrix), so the only
 //! `B` storage is one panel that stays in cache while every `A` panel is
@@ -21,9 +21,9 @@
 //! oracle. Terms are never skipped: `0 × inf` is NaN, as IEEE 754 says.
 
 /// Rows of `C` per register tile.
-pub const MR: usize = 4;
+pub(crate) const MR: usize = 4;
 /// Columns of `C` per register tile.
-pub const NR: usize = 8;
+pub(crate) const NR: usize = 8;
 
 /// Where a tile's accumulators start.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,7 +92,7 @@ fn interleave<const W: usize>(panel: &mut [f32], src: &[f32], lanes: usize, vs: 
 /// The left operand, packed whole: panel `i / MR` holds `[k][MR]`, the rows
 /// past `m` in the last panel zero.
 #[derive(Debug, Default)]
-pub struct PackedA {
+pub(crate) struct PackedA {
     panels: Vec<f32>,
     m: usize,
     k: usize,
@@ -100,7 +100,7 @@ pub struct PackedA {
 
 impl PackedA {
     /// Pack `a`, reusing the buffer.
-    pub fn pack(&mut self, a: Mat<'_>) {
+    pub(crate) fn pack(&mut self, a: Mat<'_>) {
         (self.m, self.k) = (a.rows, a.cols);
         self.panels.clear();
         self.panels.resize(self.m.div_ceil(MR) * self.k * MR, 0.0);
@@ -173,7 +173,7 @@ fn kernel(k: usize, a_panel: &[f32], b_panel: &[f32], tile: &mut [[f32; NR]; MR]
 ///
 /// # Panics
 /// Panics if the shapes of `a`, `b` and `c` do not agree.
-pub fn mul(a: &PackedA, b: &impl Panels, panel: &mut Vec<f32>, c: &mut [f32], acc: Acc) {
+pub(crate) fn mul(a: &PackedA, b: &impl Panels, panel: &mut Vec<f32>, c: &mut [f32], acc: Acc) {
     let (m, k, n) = (a.m, a.k, b.n());
     assert_eq!(b.k(), k, "inner dimensions");
     assert_eq!(c.len(), m * n, "C shape");

@@ -61,7 +61,7 @@ impl ModelArch {
 }
 
 /// AlexNet analogue: three conv+pool stages and a two-layer classifier.
-pub fn alexnet_s(in_ch: usize, hw: usize, classes: usize, seed: u64) -> Network {
+pub(crate) fn alexnet_s(in_ch: usize, hw: usize, classes: usize, seed: u64) -> Network {
     let mut rng = SplitMix64::new(seed);
     let s = hw / 2 / 2 / 2; // three 2x2 pools
     assert!(s >= 1, "input {hw} too small for AlexNetS");
@@ -88,7 +88,7 @@ pub fn alexnet_s(in_ch: usize, hw: usize, classes: usize, seed: u64) -> Network 
         .add("classifier.1", Dense::new(64 * s * s, 128, &mut rng))
         .add("relu3", ReLU::new())
         .add("classifier.4", Dense::new(128, classes, &mut rng));
-    Network::new("AlexNet", root, classes)
+    Network::new(root)
 }
 
 /// One inverted residual block: expand (1×1) → depthwise (3×3) → project (1×1).
@@ -123,7 +123,7 @@ fn inverted_residual(
 /// MobileNetV2 analogue: stem + four inverted-residual blocks + head.
 ///
 /// Every convolution pads its 3×3 window, so any non-empty input works.
-pub fn mobilenet_v2_s(in_ch: usize, hw: usize, classes: usize, seed: u64) -> Network {
+pub(crate) fn mobilenet_v2_s(in_ch: usize, hw: usize, classes: usize, seed: u64) -> Network {
     assert!(hw >= 1, "input {hw} too small for MobileNetV2S");
     let mut rng = SplitMix64::new(seed);
     let root = Sequential::new()
@@ -154,7 +154,7 @@ pub fn mobilenet_v2_s(in_ch: usize, hw: usize, classes: usize, seed: u64) -> Net
         .add("gap", GlobalAvgPool::new())
         .add("flatten", Flatten::new())
         .add("classifier.1", Dense::new(128, classes, &mut rng));
-    Network::new("MobileNet-V2", root, classes)
+    Network::new(root)
 }
 
 /// One shape-preserving basic residual body (conv-bn-relu-conv-bn).
@@ -170,7 +170,7 @@ fn res_body(ch: usize, rng: &mut SplitMix64) -> Sequential {
 /// ResNet analogue: stem + three residual stages with stride-2 transitions.
 ///
 /// Every convolution pads its 3×3 window, so any non-empty input works.
-pub fn resnet_s(in_ch: usize, hw: usize, classes: usize, seed: u64) -> Network {
+pub(crate) fn resnet_s(in_ch: usize, hw: usize, classes: usize, seed: u64) -> Network {
     assert!(hw >= 1, "input {hw} too small for ResNetS");
     let mut rng = SplitMix64::new(seed);
     let root = Sequential::new()
@@ -195,7 +195,7 @@ pub fn resnet_s(in_ch: usize, hw: usize, classes: usize, seed: u64) -> Network {
         .add("gap", GlobalAvgPool::new())
         .add("flatten", Flatten::new())
         .add("fc", Dense::new(64, classes, &mut rng));
-    Network::new("ResNet50", root, classes)
+    Network::new(root)
 }
 
 #[cfg(test)]

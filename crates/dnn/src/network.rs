@@ -9,45 +9,31 @@ use crate::data::Dataset;
 use crate::layer::{Layer, Sequential};
 use crate::loss::{predictions, softmax_cross_entropy};
 
-/// A model with its architecture name and class count.
+/// A model: its layer graph.
 pub struct Network {
-    name: &'static str,
     root: Sequential,
-    num_classes: usize,
 }
 
 impl Network {
     /// Wrap a layer graph.
-    pub fn new(name: &'static str, root: Sequential, num_classes: usize) -> Self {
-        Self {
-            name,
-            root,
-            num_classes,
-        }
-    }
-
-    /// Architecture name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Number of output classes.
-    pub fn num_classes(&self) -> usize {
-        self.num_classes
+    pub(crate) fn new(root: Sequential) -> Self {
+        Self { root }
     }
 
     /// Trainable scalar count.
-    pub fn param_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn param_count(&self) -> usize {
         self.root.param_count()
     }
 
     /// Forward pass.
-    pub fn forward(&mut self, x: Act, train: bool) -> Act {
+    #[cfg(test)]
+    pub(crate) fn forward(&mut self, x: Act, train: bool) -> Act {
         self.root.forward(x, train)
     }
 
     /// One SGD step on a batch; returns the batch loss.
-    pub fn train_batch(&mut self, images: Act, labels: &[usize], lr: f32, momentum: f32) -> f64 {
+    fn train_batch(&mut self, images: Act, labels: &[usize], lr: f32, momentum: f32) -> f64 {
         let logits = self.root.forward(images, true);
         let (loss, grad) = softmax_cross_entropy(&logits, labels);
         self.root.backward(grad);
@@ -127,7 +113,7 @@ mod tests {
             .add("pool0", MaxPool2d::new(4))
             .add("flatten", Flatten::new())
             .add("classifier.1", Dense::new(8 * 8 * 8, 10, &mut rng));
-        Network::new("TinyNet", root, 10)
+        Network::new(root)
     }
 
     #[test]

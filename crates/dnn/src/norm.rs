@@ -14,7 +14,7 @@ const EPS: f64 = 1e-5;
 const MOMENTUM: f64 = 0.1;
 
 /// 2-D batch normalization.
-pub struct BatchNorm2d {
+pub(crate) struct BatchNorm2d {
     ch: usize,
     gamma: Vec<f32>,
     beta: Vec<f32>,
@@ -219,6 +219,7 @@ impl Layer for BatchNorm2d {
         self.v_beta.fill(0.0);
     }
 
+    #[cfg(test)]
     fn param_count(&self) -> usize {
         self.gamma.len() + self.beta.len()
     }

@@ -4,7 +4,7 @@ use crate::act::Act;
 use crate::layer::Layer;
 
 /// Max pooling with a square window and stride equal to the window.
-pub struct MaxPool2d {
+pub(crate) struct MaxPool2d {
     k: usize,
     argmax: Vec<u32>,
     in_dims: (usize, usize, usize, usize),
@@ -76,7 +76,7 @@ impl Layer for MaxPool2d {
 
 /// Global average pooling to `[N, C, 1, 1]`.
 #[derive(Default)]
-pub struct GlobalAvgPool {
+pub(crate) struct GlobalAvgPool {
     in_dims: (usize, usize, usize, usize),
 }
 

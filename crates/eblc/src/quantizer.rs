@@ -9,10 +9,10 @@
 
 /// Half the code-book size; codes span `1 ..= 2*RADIUS - 1`, code `0` marks
 /// an unpredictable value. 2^15 matches SZ2's default `quantization_intervals`.
-pub const RADIUS: i64 = 1 << 15;
+pub(crate) const RADIUS: i64 = 1 << 15;
 
 /// Total number of quantization symbols (including the escape code 0).
-pub const NUM_CODES: usize = (2 * RADIUS) as usize;
+pub(crate) const NUM_CODES: usize = (2 * RADIUS) as usize;
 
 /// `x.round() as i64`, without the libm call that would sit inside the
 /// serial Lorenzo feedback loop. The addend is the largest double below 0.5:
@@ -24,7 +24,7 @@ fn round_half_away(x: f64) -> i64 {
 
 /// Linear quantizer with bin width `2ε`.
 #[derive(Debug, Clone, Copy)]
-pub struct Quantizer {
+pub(crate) struct Quantizer {
     abs_eb: f64,
     bin: f64,
 }
@@ -99,7 +99,7 @@ impl Quantizer {
     /// case of the scalar form); every dispatch level is bit-identical to
     /// calling [`Self::quantize`] element by element.
     #[inline]
-    pub fn quantize_slice(
+    pub(crate) fn quantize_slice(
         &self,
         values: &[f32],
         preds: &[f32],
@@ -114,7 +114,7 @@ impl Quantizer {
     /// chain this is `(code, prev) = self.quantize(v, prev).unwrap_or((0,
     /// v))` from `prev = 0`, element by element.
     #[inline]
-    pub fn quantize_chains(&self, values_t: &[f32], lanes: usize, codes_t: &mut [u32]) {
+    pub(crate) fn quantize_chains(&self, values_t: &[f32], lanes: usize, codes_t: &mut [u32]) {
         fedsz_simd::lorenzo_quantize(values_t, lanes, self.params(), codes_t);
     }
 
@@ -122,7 +122,7 @@ impl Quantizer {
     /// (`codes[i] == 0`) are written as `0.0` for the caller to patch from
     /// the literal stream.
     #[inline]
-    pub fn reconstruct_slice(&self, preds: &[f32], codes: &[u32], out: &mut [f32]) {
+    pub(crate) fn reconstruct_slice(&self, preds: &[f32], codes: &[u32], out: &mut [f32]) {
         fedsz_simd::reconstruct(preds, codes, self.params(), out);
     }
 }

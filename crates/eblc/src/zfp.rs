@@ -99,7 +99,7 @@ fn exponent_of(v: f32) -> i32 {
 }
 
 /// Derive the bit-plane precision from the requested bound.
-pub fn precision_for(eb: ErrorBound, data: &[f32]) -> u32 {
+pub(crate) fn precision_for(eb: ErrorBound, data: &[f32]) -> u32 {
     let rel = match eb {
         ErrorBound::Rel(r) => r,
         ErrorBound::Abs(a) => {

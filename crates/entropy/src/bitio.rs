@@ -71,11 +71,6 @@ impl BitWriter {
         self.write_bits(value as u64, 32);
     }
 
-    /// Number of complete bytes plus any pending partial byte.
-    pub fn byte_len(&self) -> usize {
-        self.out.len() + self.nbits.div_ceil(8) as usize
-    }
-
     /// Pad the final partial byte with zeros and return the buffer.
     pub fn finish(mut self) -> Vec<u8> {
         if self.nbits > 0 {
@@ -191,7 +186,7 @@ impl<'a> BitReader<'a> {
     /// Peek the next `n` bits without consuming them, zero-padding past the
     /// end of the input. Used by table-accelerated Huffman decoding.
     #[inline]
-    pub fn peek_bits(&mut self, n: u32) -> u64 {
+    pub(crate) fn peek_bits(&mut self, n: u32) -> u64 {
         debug_assert!((1..=56).contains(&n));
         self.fill(n);
         self.top_bits(n)
@@ -199,7 +194,7 @@ impl<'a> BitReader<'a> {
 
     /// Consume `n` bits previously peeked.
     #[inline]
-    pub fn consume(&mut self, n: u32) -> Result<(), CodecError> {
+    pub(crate) fn consume(&mut self, n: u32) -> Result<(), CodecError> {
         self.fill(n);
         if self.nbits < n {
             return Err(CodecError::UnexpectedEof);
@@ -249,18 +244,6 @@ mod tests {
         let mut r = BitReader::new(&[0xAB]);
         assert_eq!(r.read_bits(8).unwrap(), 0xAB);
         assert_eq!(r.read_bits(1), Err(CodecError::UnexpectedEof));
-    }
-
-    #[test]
-    fn byte_len_tracks_partial_bytes() {
-        let mut w = BitWriter::new();
-        assert_eq!(w.byte_len(), 0);
-        w.write_bits(1, 1);
-        assert_eq!(w.byte_len(), 1);
-        w.write_bits(0x7F, 7);
-        assert_eq!(w.byte_len(), 1);
-        w.write_bits(1, 1);
-        assert_eq!(w.byte_len(), 2);
     }
 
     #[test]
@@ -317,10 +300,6 @@ mod tests {
             }
         }
 
-        fn byte_len(&self) -> usize {
-            self.out.len() + usize::from(self.nbits > 0)
-        }
-
         fn finish(mut self) -> Vec<u8> {
             if self.nbits > 0 {
                 self.acc <<= 8 - self.nbits;
@@ -350,7 +329,6 @@ mod tests {
                 let v = masked(next(), n);
                 fast.write_bits(v, n);
                 slow.write_bits(v, n);
-                assert_eq!(fast.byte_len(), slow.byte_len());
             }
             assert_eq!(fast.finish(), slow.finish(), "round {round}");
         }
@@ -370,7 +348,6 @@ mod tests {
                         fast.write_bits(v, n);
                         slow.write_bits(v, n);
                     }
-                    assert_eq!(fast.byte_len(), slow.byte_len());
                     assert_eq!(fast.finish(), slow.finish(), "{lead} + {n} + {tail}");
                 }
             }

@@ -225,11 +225,6 @@ impl HuffmanEncoder {
             self.encode(w, sym);
         }
     }
-
-    /// Code length in bits for a symbol (0 if absent).
-    pub fn len_of(&self, sym: u32) -> u8 {
-        self.entry(sym as usize).1
-    }
 }
 
 /// Bits resolved by the primary decode lookup table.
@@ -300,7 +295,7 @@ impl Entry {
 
 /// Decoder side of a canonical Huffman code.
 ///
-/// Decoding is table-accelerated: codes up to [`LOOKUP_BITS`] long resolve
+/// Decoding is table-accelerated: codes up to `LOOKUP_BITS` long resolve
 /// with one peek + table hit; longer codes fall back to a canonical
 /// length-first walk.
 #[derive(Debug, Clone)]
@@ -342,7 +337,7 @@ impl HuffmanDecoder {
     }
 
     /// Build directly from code lengths.
-    pub fn from_lengths(lens: &[u8]) -> Result<Self, CodecError> {
+    pub(crate) fn from_lengths(lens: &[u8]) -> Result<Self, CodecError> {
         if lens.len() > MAX_ALPHABET {
             return Err(CodecError::Corrupt("huffman alphabet too large"));
         }
@@ -433,9 +428,9 @@ impl HuffmanDecoder {
     /// reader position are those of calling [`Self::decode`] once per slot.
     ///
     /// While eight input bytes remain, one word refill serves
-    /// [`HITS_PER_REFILL`] table hits of one or two symbols each, with no
+    /// `HITS_PER_REFILL` table hits of one or two symbols each, with no
     /// per-symbol refill or end-of-input check. A code longer than
-    /// [`LOOKUP_BITS`], and the last bytes of the stream and of `out`, go
+    /// `LOOKUP_BITS`, and the last bytes of the stream and of `out`, go
     /// through [`Self::decode`].
     pub fn decode_run(&self, r: &mut BitReader<'_>, out: &mut [u32]) -> Result<(), CodecError> {
         let mut done = 0usize;
@@ -541,7 +536,7 @@ mod tests {
         freqs[2] = 10;
         freqs[3] = 10;
         let enc = HuffmanEncoder::from_frequencies(&freqs);
-        assert!(enc.len_of(0) < enc.len_of(1));
+        assert!(enc.entry(0).1 < enc.entry(1).1);
     }
 
     #[test]
@@ -556,7 +551,10 @@ mod tests {
         for &s in &syms {
             enc.encode(&mut w, s);
         }
-        let actual_bits = syms.iter().map(|&s| enc.len_of(s) as u64).sum::<u64>();
+        let actual_bits = syms
+            .iter()
+            .map(|&s| enc.entry(s as usize).1 as u64)
+            .sum::<u64>();
         assert_eq!(w.finish().len(), actual_bits.div_ceil(8) as usize);
     }
 
@@ -590,7 +588,7 @@ mod tests {
         let enc = HuffmanEncoder::from_frequencies(&freqs);
         let kraft: f64 = (0..300u32)
             .map(|s| {
-                let l = enc.len_of(s);
+                let l = enc.entry(s as usize).1;
                 if l == 0 {
                     0.0
                 } else {

@@ -84,7 +84,7 @@ pub fn claimed_span(
 /// `chunks_exact(4)` yields). Shorter chunks decode as zero instead of
 /// panicking, so the conversion is total.
 #[inline]
-pub fn f32_from_le_chunk(c: &[u8]) -> f32 {
+pub(crate) fn f32_from_le_chunk(c: &[u8]) -> f32 {
     match c {
         &[a, b, c, d] => f32::from_le_bytes([a, b, c, d]),
         _ => 0.0,

@@ -44,7 +44,7 @@
 //!
 //! 384 bits per parameter is what *any* finite `f32` at *any* weight needs;
 //! it is not what a trained tensor needs. One contribution `n·m·2^s`
-//! (`s` = the value's scaled exponent, [`ShiftRange`]) spans at most 56
+//! (`s` = the value's scaled exponent, `ShiftRange`) spans at most 56
 //! bits above bit `s`, and the values of one tensor sit in a narrow
 //! exponent band. So each tensor starts out in a **narrow** form: one
 //! `i128` per parameter plus a per-tensor bit offset `base`, holding the
@@ -69,7 +69,7 @@
 //!
 //! **Anchor rule.** The window is placed on a tensor's first non-zero
 //! fold, at the *top*: `base = max_s + 24 + H − 126` (clamped at 0) with
-//! `H` = [`ANCHOR_HEADROOM`] bits reserved above for total weight and
+//! `H` = `ANCHOR_HEADROOM` bits reserved above for total weight and
 //! exponent growth, and all the remaining slack — 126 − 24 − `H` = 70
 //! bits — spent *below* the tensor's largest exponent. It is anchored at
 //! the top because that is where the hard limit is (the largest values
@@ -192,11 +192,6 @@ impl StreamingFedAvg {
     /// Number of updates folded so far.
     pub fn folded(&self) -> usize {
         self.folded
-    }
-
-    /// Σ samples over the folded updates.
-    pub fn total_samples(&self) -> u64 {
-        self.total
     }
 
     /// Live bytes of the accumulator: 16 per parameter of every narrow
@@ -742,7 +737,7 @@ pub(crate) mod tests {
         poisoned.entries_mut()[0].tensor.data_mut()[0] = f32::NAN;
         assert!(acc.fold(&poisoned, 8).is_err());
         assert_eq!(acc.folded(), 1);
-        assert_eq!(acc.total_samples(), 8);
+        assert_eq!(acc.total, 8);
         assert_eq!(acc.finish().expect("finish"), dict(2.0));
     }
 

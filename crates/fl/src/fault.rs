@@ -255,7 +255,7 @@ impl FaultPlan {
     }
 
     /// The round after whose broadcast the server dies, if planned.
-    pub fn server_kill_round(&self) -> Option<usize> {
+    pub(crate) fn server_kill_round(&self) -> Option<usize> {
         self.server_kill
     }
 

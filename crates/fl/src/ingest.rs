@@ -96,6 +96,7 @@ pub struct Job {
 
 /// Result of one [`Job`], carrying the job's bookkeeping back with it.
 #[derive(Debug)]
+// fedsz-lint: allow(dead-pub) -- returned by `IngestPool::recv`, which the ingest bench and benchmark call
 pub struct Outcome {
     /// The job's submission sequence number.
     pub seq: u64,
@@ -245,7 +246,7 @@ impl IngestPool {
     }
 
     /// A finished outcome, if one is ready right now.
-    pub fn try_recv(&mut self) -> Option<Outcome> {
+    pub(crate) fn try_recv(&mut self) -> Option<Outcome> {
         match &mut self.mode {
             Mode::Serial(done) => done.pop_front(),
             Mode::Pool { results, .. } => results.try_recv().ok(),

@@ -1,11 +1,11 @@
 //! Socket-backed FL transport: the framed, CRC-checked wire protocol of
 //! [`crate::wire`] over real TCP, with client reconnect and backoff.
 //!
-//! The server side implements [`ServerTransport`], so the round loop —
+//! The server side implements `ServerTransport`, so the round loop —
 //! broadcast → collect under a deadline → quorum/retry → FedAvg — is the
-//! *same code* ([`crate::transport::serve`]) that drives the channel
+//! *same code* (`crate::transport::serve`) that drives the channel
 //! transport and the in-process loopback; only the byte-moving differs.
-//! The client side takes the shared client turn ([`Client::turn`]) and
+//! The client side takes the shared client turn (`Client::turn`) and
 //! keeps to itself only the socket — connect, reconnect, backoff — and the
 //! faults that damage a *frame*, which takes one. The pieces:
 //!
@@ -14,7 +14,7 @@
 //!   its slot) on a short-lived thread and then handed to the server as a
 //!   `Joined` event.
 //! * A **reader thread per connection** decodes uplink frames into the
-//!   [`Uplink`] the collector sees. Frames with a bad CRC or body stay on
+//!   `Uplink` the collector sees. Frames with a bad CRC or body stay on
 //!   the connection (the length prefix keeps the stream framed) and surface
 //!   as `Garbage` — counted `rejected`, exactly like a payload that fails
 //!   to decode. A mid-frame EOF or stall is `Garbage` + `Gone`; a clean

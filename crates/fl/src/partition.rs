@@ -4,7 +4,7 @@ use fedsz_dnn::Dataset;
 use fedsz_tensor::SplitMix64;
 
 /// Split a dataset into `n_clients` IID shards of (near-)equal size.
-pub fn iid(ds: &Dataset, n_clients: usize, rng: &mut SplitMix64) -> Vec<Dataset> {
+pub(crate) fn iid(ds: &Dataset, n_clients: usize, rng: &mut SplitMix64) -> Vec<Dataset> {
     assert!(n_clients > 0);
     let mut order: Vec<usize> = (0..ds.n).collect();
     rng.shuffle(&mut order);

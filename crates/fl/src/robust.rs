@@ -36,11 +36,11 @@
 //! updates — the clipped threshold is a function of *all* norms, and the
 //! trimmed mean is a function of all values per coordinate — so they cost
 //! O(cohort × model). That cost is surfaced, not hidden: at run start the
-//! resolved ingest budget ([`FlConfig::ingest_budget_bytes`]
-//! (crate::session::FlConfig::ingest_budget_bytes)) must be disabled or at
-//! least cohort × model bytes ([`Aggregation::check_ingest_budget`]),
-//! otherwise the run refuses to start with a typed
-//! [`FlError::Aggregate`] naming the flag to raise.
+//! resolved ingest budget
+//! ([`FlConfig::ingest_budget_bytes`](crate::session::FlConfig::ingest_budget_bytes))
+//! must be disabled or at least cohort × model bytes
+//! (`Aggregation::check_ingest_budget`), otherwise the run refuses to start
+//! with a typed [`FlError::Aggregate`] naming the flag to raise.
 //!
 //! # Determinism
 //!
@@ -118,7 +118,7 @@ impl Aggregation {
 
     /// Does this mode buffer the cohort's decoded updates (O(cohort ×
     /// model) server memory) instead of streaming them?
-    pub fn buffers_cohort(&self) -> bool {
+    pub(crate) fn buffers_cohort(&self) -> bool {
         !matches!(self, Aggregation::Mean)
     }
 
@@ -127,7 +127,7 @@ impl Aggregation {
     /// the budget disabled or at least cohort × model bytes, or the run
     /// would admit updates it cannot afford to keep. Checked once at run
     /// start — deterministic, typed, and it names the flag to raise.
-    pub fn check_ingest_budget(
+    pub(crate) fn check_ingest_budget(
         &self,
         resolved_budget: Option<usize>,
         cohort: usize,

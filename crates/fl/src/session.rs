@@ -146,7 +146,7 @@ impl FlConfig {
     /// `n_clients` (and exactly `n_clients` when `population` is 0, the
     /// cross-silo default). Client ids, data shards, and transport slots
     /// all range over `0..registered()`.
-    pub fn registered(&self) -> usize {
+    pub(crate) fn registered(&self) -> usize {
         self.population.max(self.n_clients)
     }
 
@@ -168,7 +168,7 @@ impl FlConfig {
     /// `ingest_budget_bytes = Some(0)` → disabled, `Some(n)` → `n` bytes,
     /// `None` → 4 × `model_bytes` (one frame in flight per connection plus
     /// headroom for the settle window, never below one byte).
-    pub fn resolve_ingest_budget(&self, model_bytes: usize) -> Option<usize> {
+    pub(crate) fn resolve_ingest_budget(&self, model_bytes: usize) -> Option<usize> {
         match self.ingest_budget_bytes {
             Some(0) => None,
             Some(n) => Some(n),

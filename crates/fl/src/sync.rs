@@ -6,7 +6,7 @@
 //! [`ingest`](crate::ingest) pool, and the queues the channel and TCP
 //! transports carry updates and events over. In a normal build `Mutex` and
 //! `Condvar` *are* the `std::sync` types — zero cost, identical behavior.
-//! With the `interleave` cargo feature they switch to the [`interleave`]
+//! With the `interleave` cargo feature they switch to the `interleave`
 //! model checker's shims, whose every operation is a scheduling point, so
 //! `tests/model_check.rs` can exhaustively explore thread interleavings of
 //! the reserve/shed/settle machinery (see DESIGN.md §15). [`channel`] is
@@ -65,11 +65,13 @@ pub mod channel {
     }
 
     /// Sending half; cloneable (multi-producer).
+    // fedsz-lint: allow(dead-pub) -- returned by `channel::bounded`, which the model-check test drives
     pub struct Sender<T> {
         chan: Arc<Chan<T>>,
     }
 
     /// Receiving half; cloneable (multi-consumer).
+    // fedsz-lint: allow(dead-pub) -- returned by `channel::bounded`, which the model-check test drives
     pub struct Receiver<T> {
         chan: Arc<Chan<T>>,
     }
@@ -93,7 +95,7 @@ pub mod channel {
 
     /// Why a [`Receiver::try_recv`] returned without a message.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum TryRecvError {
+    pub(crate) enum TryRecvError {
         Empty,
         Disconnected,
     }
@@ -171,7 +173,7 @@ pub mod channel {
         }
 
         /// Take the next message if one is already queued.
-        pub fn try_recv(&self) -> Result<T, TryRecvError> {
+        pub(crate) fn try_recv(&self) -> Result<T, TryRecvError> {
             self.take(Wait::Never).map_err(|e| match e {
                 RecvTimeoutError::Timeout => TryRecvError::Empty,
                 RecvTimeoutError::Disconnected => TryRecvError::Disconnected,

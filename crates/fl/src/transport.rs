@@ -1,9 +1,9 @@
-//! The one round engine — [`serve`] and the client turn every transport
+//! The one round engine — `serve` and the client turn every transport
 //! shares — plus the threaded channel-backed transport (the APPFL/gRPC
 //! analogue).
 //!
-//! [`serve`] runs the server loop — broadcast → collect under a deadline →
-//! quorum/retry → FedAvg — over a small [`ServerTransport`] trait with
+//! `serve` runs the server loop — broadcast → collect under a deadline →
+//! quorum/retry → FedAvg — over a small `ServerTransport` trait with
 //! three implementations: the channel-backed one here (every client an OS
 //! thread exchanging *serialized bitstreams* over bounded
 //! [`crate::sync::channel`]s), the socket-backed one in [`crate::net`]
@@ -11,7 +11,7 @@
 //! loopback in [`crate::session`], which runs each cohort member's turn on
 //! demand on the collector thread. The client side of a round — look the
 //! planned fault up, train, poison, encode, mangle, size the frame — is
-//! [`Client::turn`] for all three, so the same seeds produce the same
+//! `Client::turn` for all three, so the same seeds produce the same
 //! payload bytes whichever way they travel; a transport's own client loop
 //! only moves what the turn returns.
 //!
@@ -37,7 +37,7 @@
 //!
 //! Each round aggregates FedAvg over the quorum of valid, on-time updates —
 //! *streamed*: every accepted update folds into an exact O(model)
-//! accumulator ([`StreamingFedAvg`]) the moment it settles and is then
+//! accumulator (`StreamingFedAvg`) the moment it settles and is then
 //! dropped, so server memory is independent of how many clients answer.
 //! With cross-device sampling ([`FlConfig::population`]) each round first
 //! draws its cohort and broadcasts to those clients only.
@@ -68,8 +68,8 @@ use crate::sync::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use crate::validate::validate_update;
 use crate::wire::{self, Frame, HeaderVerdict};
 
-/// Which way a run's updates travel. All three run [`serve`] and
-/// [`Client::turn`], so the same seeds give bit-identical models.
+/// Which way a run's updates travel. All three run `serve` and
+/// `Client::turn`, so the same seeds give bit-identical models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Transport {
     /// Each turn runs on the collector thread; nothing is serialized.

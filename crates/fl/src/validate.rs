@@ -29,6 +29,7 @@ pub const MAX_SAMPLES: usize = 1 << 32;
 
 /// Why a decoded update was refused before aggregation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+// fedsz-lint: allow(dead-pub) -- returned by `validate_update`, which the benchmark calls
 pub enum UpdateRejection {
     /// At least one tensor value is NaN or infinite.
     NonFinite,
@@ -42,7 +43,7 @@ pub enum UpdateRejection {
 impl UpdateRejection {
     /// Count this rejection into the matching per-reason bucket of the
     /// round's [`QuarantineReasons`] breakdown.
-    pub fn tally(&self, reasons: &mut QuarantineReasons) {
+    pub(crate) fn tally(&self, reasons: &mut QuarantineReasons) {
         match self {
             UpdateRejection::NonFinite => reasons.non_finite += 1,
             UpdateRejection::StructureMismatch => reasons.wrong_shape += 1,
@@ -95,7 +96,7 @@ pub(crate) fn check_structure(
 
 /// Validate one decoded update against the broadcast global model.
 ///
-/// Checks, in order: the structure ([`check_structure`]: sample count,
+/// Checks, in order: the structure (`check_structure`: sample count,
 /// then entry-by-entry names, kinds, and shapes); every value is finite.
 /// Returns the first failure, or `Ok(())` for an aggregatable update.
 pub fn validate_update(

@@ -41,14 +41,14 @@ use fedsz_entropy::crc32::Crc32;
 use fedsz_entropy::{reader, varint};
 
 /// Frame magic: "FedSZ WiRe" + format version 1.
-pub const MAGIC: [u8; 4] = *b"FWR1";
+pub(crate) const MAGIC: [u8; 4] = *b"FWR1";
 /// Bytes before the body: magic + kind + length.
-pub const HEADER_LEN: usize = 9;
+pub(crate) const HEADER_LEN: usize = 9;
 /// Bytes after the body: the CRC-32.
-pub const TRAILER_LEN: usize = 4;
+pub(crate) const TRAILER_LEN: usize = 4;
 /// Upper bound on a frame body; a hostile length above this is rejected
 /// before any allocation happens.
-pub const MAX_BODY: usize = 1 << 28; // 256 MiB
+pub(crate) const MAX_BODY: usize = 1 << 28; // 256 MiB
 
 /// How long a frame may be in flight before the minimum byte-rate
 /// enforcer starts judging it. Shields honest peers from transient
@@ -123,7 +123,7 @@ pub enum WireError {
     },
     /// The CRC matched but the body failed validation.
     BadBody(&'static str),
-    /// The length prefix exceeds [`MAX_BODY`].
+    /// The length prefix exceeds `MAX_BODY`.
     TooLarge(usize),
     /// A frame was in flight past [`RATE_GRACE`] while the peer
     /// delivered fewer bytes than the configured minimum byte rate
@@ -211,7 +211,7 @@ fn encode_body(frame: &Frame) -> Vec<u8> {
 
 /// Serialize a frame into its wire bytes (header + body + CRC trailer).
 ///
-/// Panics if the body would exceed [`MAX_BODY`] — the transport never
+/// Panics if the body would exceed `MAX_BODY` — the transport never
 /// produces such frames (the largest payload is one compressed model).
 pub fn encode(frame: &Frame) -> Vec<u8> {
     let body = encode_body(frame);
@@ -241,7 +241,7 @@ pub fn encode(frame: &Frame) -> Vec<u8> {
 /// make byte-identical shed decisions for the same logical update: the
 /// shed set becomes a pure function of the update's fields on every
 /// transport.
-pub fn update_body_len(
+pub(crate) fn update_body_len(
     round: usize,
     attempt: usize,
     client_id: usize,
@@ -418,12 +418,12 @@ pub enum HeaderVerdict {
 /// defenses: a minimum byte-rate floor (`min_byte_rate` bytes/second, 0
 /// disables; see [`WireError::TooSlow`]) and a header-time admission
 /// callback receiving each frame's announced body length. Admission runs
-/// after the [`MAX_BODY`] check, so the callback sees only lengths the
+/// after the `MAX_BODY` check, so the callback sees only lengths the
 /// protocol itself would accept.
 ///
 /// Long-lived readers call this in a loop with one persistent `scratch`,
 /// so steady-state traffic performs zero body allocations; a hostile
-/// length still cannot make it grow past [`MAX_BODY`].
+/// length still cannot make it grow past `MAX_BODY`.
 pub fn read_frame_gated<R: Read>(
     r: &mut R,
     frame_budget: Duration,

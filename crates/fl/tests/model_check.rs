@@ -434,6 +434,7 @@ pub fn collector_loop(state: &Mutex<u64>, out_rx: &Receiver<u64>, job_tx: &Sende
 "#;
     let diags = fedsz_lint::lint_sources(
         &[("fl/src/collector.rs".to_owned(), seeded.to_owned())],
+        &[],
         &fedsz_lint::Config::default(),
     );
     assert_eq!(diags.len(), 1, "exactly the blocking recv: {diags:?}");

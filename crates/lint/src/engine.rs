@@ -1,8 +1,11 @@
 //! The lint engine: file discovery, pragma handling, rule orchestration.
 //!
 //! The engine runs the per-file rules from [`crate::rules`], applies inline
-//! suppression pragmas, then runs the cross-file `error-enum-coverage`
-//! audit over the facts every file reported.
+//! suppression pragmas, then runs the cross-file `error-enum-coverage`,
+//! `lock-order` and `dead-pub` audits over the facts every file reported.
+//! `dead-pub` also reads the reference files (integration tests, benches,
+//! examples, the benchmark): their identifiers count as uses, but no rule
+//! runs on them.
 //!
 //! # Suppression pragmas
 //!
@@ -19,14 +22,15 @@
 //! nothing is reported as an `unused-pragma` warning so stale exemptions
 //! get cleaned up (warnings do not affect the exit code).
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 
 use crate::diag::{Diagnostic, Severity};
 use crate::lexer::{lex, Tok, Token};
 use crate::rules::{
-    check_enum_coverage, check_file, check_lock_order, Config, LockEdge, BAD_PRAGMA,
-    SUPPRESSIBLE_RULES, UNUSED_PRAGMA,
+    check_dead_pub, check_enum_coverage, check_file, check_lock_order, lib_crate_of, Config,
+    LockEdge, BAD_PRAGMA, SUPPRESSIBLE_RULES, UNUSED_PRAGMA,
 };
 
 /// One parsed `fedsz-lint: allow(...)` pragma.
@@ -132,7 +136,7 @@ fn apply_pragmas(pragmas: &mut [Pragma], diags: Vec<Diagnostic>) -> Vec<Diagnost
         .collect()
 }
 
-/// R5 and R7 facts pooled across files.
+/// R5, R7 and R10 facts pooled across files.
 #[derive(Default)]
 struct Pool {
     defined: Vec<(String, String, u32, String)>,
@@ -141,22 +145,34 @@ struct Pool {
     any_reporter: bool,
     /// `(crate, edge, file)` lock-acquisition edges for the R7 graph.
     lock_edges: Vec<(String, LockEdge, String)>,
+    /// `(crate, kind, name, line, file)` `pub` items for R10.
+    pub_items: Vec<(String, &'static str, String, u32, String)>,
+    /// R10: identifier → the crates naming it ([`lib_crate_of`], or the
+    /// path of a binary, test, bench, example or suite file).
+    users: BTreeMap<String, BTreeSet<String>>,
 }
 
-/// The crate a workspace-relative path belongs to, for pooling R7 edges:
-/// the path segment before `/src/` (`crates/fl/src/budget.rs` → `fl`,
-/// fixture `fl/src/a.rs` → `fl`), else the first segment.
-fn crate_of(path: &str) -> &str {
-    match path.find("/src/") {
-        Some(pos) => path[..pos].rsplit('/').next().unwrap_or(&path[..pos]),
-        None => path.split('/').next().unwrap_or(path),
+impl Pool {
+    fn add_users(&mut self, path: &str, tokens: &[Token]) {
+        for t in tokens {
+            if let Tok::Ident(name) = &t.tok {
+                let krate = lib_crate_of(path).unwrap_or(path).to_owned();
+                self.users.entry(name.clone()).or_default().insert(krate);
+            }
+        }
     }
 }
 
-/// Lint in-memory sources: `(display path, contents)` pairs. This is the
-/// whole engine; the filesystem layer below is a thin wrapper, so tests can
-/// drive everything from string fixtures.
-pub fn lint_sources(sources: &[(String, String)], cfg: &Config) -> Vec<Diagnostic> {
+/// Lint in-memory sources: `(display path, contents)` pairs. `refs` are
+/// read for R10 and never linted; R10 runs only when `refs` is non-empty,
+/// since without the tests and benches it would call their callees dead.
+/// This is the whole engine; the filesystem layer below is a thin wrapper,
+/// so tests can drive everything from string fixtures.
+pub fn lint_sources(
+    sources: &[(String, String)],
+    refs: &[(String, String)],
+    cfg: &Config,
+) -> Vec<Diagnostic> {
     let mut all = Vec::new();
     let mut pool = Pool::default();
     // Pragmas are kept per file so the cross-file R5 findings (anchored at
@@ -181,11 +197,20 @@ pub fn lint_sources(sources: &[(String, String)], cfg: &Config) -> Vec<Diagnosti
             }
         }
         pool.any_reporter |= report.is_reporter;
+        // A library's files share one crate; every other file is its own.
+        let krate = lib_crate_of(path).unwrap_or(path);
         for e in report.lock_edges {
-            pool.lock_edges
-                .push((crate_of(path).to_owned(), e, path.clone()));
+            pool.lock_edges.push((krate.to_owned(), e, path.clone()));
         }
+        for (kind, name, line) in report.pub_items {
+            pool.pub_items
+                .push((krate.to_owned(), kind, name, line, path.clone()));
+        }
+        pool.add_users(path, &tokens);
         file_pragmas.push((path.clone(), pragmas));
+    }
+    for (path, src) in refs {
+        pool.add_users(path, &lex(src));
     }
 
     let mut cross = check_enum_coverage(
@@ -195,6 +220,9 @@ pub fn lint_sources(sources: &[(String, String)], cfg: &Config) -> Vec<Diagnosti
         pool.any_reporter,
     );
     cross.extend(check_lock_order(&pool.lock_edges));
+    if !refs.is_empty() {
+        cross.extend(check_dead_pub(&pool.pub_items, &pool.users));
+    }
     for d in cross {
         let suppressed = match file_pragmas.iter_mut().find(|(p, _)| *p == d.file) {
             Some((_, pragmas)) => apply_pragmas(pragmas, vec![d.clone()]).is_empty(),
@@ -230,12 +258,12 @@ pub fn lint_sources(sources: &[(String, String)], cfg: &Config) -> Vec<Diagnosti
     all
 }
 
-/// Directories never walked: build output, test code (the invariants bind
+/// Directories never linted: build output, test code (the invariants bind
 /// production code; tests exercise hostile inputs *on purpose*), lint
 /// fixtures (which are violations by design), and demo examples.
 const SKIP_DIRS: &[&str] = &["target", "tests", "benches", "fixtures", "examples", ".git"];
 
-fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
+fn walk(dir: &Path, skip: &[&str], out: &mut Vec<PathBuf>) {
     let Ok(entries) = fs::read_dir(dir) else {
         return;
     };
@@ -244,55 +272,78 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
     for path in entries {
         if path.is_dir() {
             let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            if SKIP_DIRS.contains(&name) {
+            if skip.contains(&name) {
                 continue;
             }
-            walk(&path, out);
+            walk(&path, skip, out);
         } else if path.extension().is_some_and(|e| e == "rs") {
             out.push(path);
         }
     }
 }
 
-/// All production `.rs` files of the workspace rooted at `root`, as
-/// `(display path, absolute path)` with forward-slash workspace-relative
-/// display paths.
-pub fn collect_workspace_files(root: &Path) -> Vec<(String, PathBuf)> {
-    let mut files = Vec::new();
-    for top in ["crates", "src_suite"] {
-        walk(&root.join(top), &mut files);
-    }
-    files
-        .into_iter()
-        .map(|abs| {
-            let rel = abs
-                .strip_prefix(root)
-                .unwrap_or(&abs)
-                .to_string_lossy()
-                .replace('\\', "/");
-            (rel, abs)
-        })
-        .collect()
+/// The workspace rooted at `root` as `(display path, absolute path)` pairs,
+/// with forward-slash workspace-relative display paths: every production
+/// `.rs` file, then the files R10 reads but nothing lints — each crate's
+/// `tests/` and `benches/`, the root `tests/` and `examples/`, and the
+/// benchmark.
+pub fn collect_workspace_files(root: &Path) -> [Vec<(String, PathBuf)>; 2] {
+    let refs = [
+        "crates",
+        "tests",
+        "examples",
+        "benchmark/src",
+        "benchmark/tests",
+    ];
+    let sets: [(&[&str], &[&str]); 2] = [
+        (&["crates", "src_suite"], SKIP_DIRS),
+        (&refs, &["target", "fixtures", "src"]),
+    ];
+    sets.map(|(tops, skip)| {
+        let mut files = Vec::new();
+        for top in tops {
+            walk(&root.join(top), skip, &mut files);
+        }
+        files
+            .into_iter()
+            .map(|abs| {
+                let rel = abs
+                    .strip_prefix(root)
+                    .unwrap_or(&abs)
+                    .to_string_lossy()
+                    .replace('\\', "/");
+                (rel, abs)
+            })
+            .collect()
+    })
 }
 
-/// Lint files on disk. Unreadable files produce a diagnostic rather than an
-/// abort, so one bad path cannot mask real findings elsewhere.
-pub fn lint_files(files: &[(String, PathBuf)], cfg: &Config) -> Vec<Diagnostic> {
-    let mut sources = Vec::new();
+/// Lint files on disk, reading `refs` for R10 as [`lint_sources`] does.
+/// Unreadable files produce a diagnostic rather than an abort, so one bad
+/// path cannot mask real findings elsewhere.
+pub fn lint_files(
+    files: &[(String, PathBuf)],
+    refs: &[(String, PathBuf)],
+    cfg: &Config,
+) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    for (display, abs) in files {
-        match fs::read_to_string(abs) {
-            Ok(src) => sources.push((display.clone(), src)),
-            Err(e) => diags.push(Diagnostic {
-                file: display.clone(),
-                line: 0,
-                rule: "io",
-                severity: Severity::Error,
-                message: format!("cannot read file: {e}"),
-            }),
+    let [sources, refs] = [files, refs].map(|set| {
+        let mut sources = Vec::new();
+        for (display, abs) in set {
+            match fs::read_to_string(abs) {
+                Ok(src) => sources.push((display.clone(), src)),
+                Err(e) => diags.push(Diagnostic {
+                    file: display.clone(),
+                    line: 0,
+                    rule: "io",
+                    severity: Severity::Error,
+                    message: format!("cannot read file: {e}"),
+                }),
+            }
         }
-    }
-    diags.extend(lint_sources(&sources, cfg));
+        sources
+    });
+    diags.extend(lint_sources(&sources, &refs, cfg));
     diags
 }
 
@@ -305,7 +356,7 @@ mod tests {
             .iter()
             .map(|(p, s)| (p.to_string(), s.to_string()))
             .collect();
-        lint_sources(&sources, &Config::default())
+        lint_sources(&sources, &[], &Config::default())
     }
 
     #[test]

@@ -17,7 +17,9 @@ use fedsz_lint::{
 
 const USAGE: &str = "usage: fedsz-lint [--workspace] [--format <fmt>] [--root <dir>] [paths...]
 
-  --workspace     lint every production .rs file under the workspace root
+  --workspace     lint every production .rs file under the workspace root;
+                  only this mode runs dead-pub, which also reads the tests,
+                  benches, examples and the benchmark
   --format <fmt>  output format: text (default), json, or github
                   (GitHub Actions ::error/::warning annotations)
   --json          shorthand for --format json
@@ -90,7 +92,7 @@ fn main() -> ExitCode {
     }
 
     let cfg = Config::default();
-    let files: Vec<(String, PathBuf)> = if workspace {
+    let [files, refs]: [Vec<(String, PathBuf)>; 2] = if workspace {
         let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
         let root = match root_arg.or_else(|| find_workspace_root(&cwd)) {
             Some(r) => r,
@@ -112,10 +114,10 @@ fn main() -> ExitCode {
                 out.push((p.to_string_lossy().replace('\\', "/"), p.clone()));
             }
         }
-        out
+        [out, Vec::new()]
     };
 
-    let diags = lint_files(&files, &cfg);
+    let diags = lint_files(&files, &refs, &cfg);
     match format {
         Format::Json => println!("{}", to_json(&diags)),
         Format::Github => print!("{}", to_github(&diags)),

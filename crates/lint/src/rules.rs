@@ -39,6 +39,10 @@
 //! * `bounded-channels-only` (R9) — `mpsc::channel()` and `unbounded(..)`
 //!   constructors are errors in production code: the overload design
 //!   (DESIGN.md §7/§15) depends on every queue exerting backpressure.
+//! * `dead-pub` (R10) — every `pub` free fn, inherent method, struct, enum,
+//!   const and type alias of a library crate must be named, as a whole
+//!   identifier, in some other crate; otherwise it is `pub(crate)` at most,
+//!   so rustc's `dead_code` lint can see it.
 
 use crate::diag::{Diagnostic, Severity};
 use crate::lexer::{is_keyword, Tok, Token};
@@ -62,6 +66,8 @@ pub const LOCK_ORDER: &str = "lock-order";
 pub const NO_BLOCKING_WHILE_LOCKED: &str = "no-blocking-while-locked";
 /// R9: an unbounded channel constructor in production code.
 pub const BOUNDED_CHANNELS_ONLY: &str = "bounded-channels-only";
+/// R10: a library crate's `pub` item that no other crate names.
+pub const DEAD_PUB: &str = "dead-pub";
 /// Meta-rule: malformed or unknown suppression pragmas.
 pub const BAD_PRAGMA: &str = "bad-pragma";
 /// Meta-rule: an `allow(...)` pragma that suppressed nothing.
@@ -78,6 +84,7 @@ pub const SUPPRESSIBLE_RULES: &[&str] = &[
     LOCK_ORDER,
     NO_BLOCKING_WHILE_LOCKED,
     BOUNDED_CHANNELS_ONLY,
+    DEAD_PUB,
 ];
 
 /// Where each rule applies. Paths are workspace-relative with forward
@@ -107,6 +114,9 @@ pub struct Config {
     /// `unsafe` anywhere else is an error, and `#[target_feature]` functions
     /// inside them must carry `// simd-safety:` comments.
     pub unsafe_crate_fragments: Vec<&'static str>,
+    /// R10: the library crates (as [`lib_crate_of`] names them) whose `pub`
+    /// items another crate must name.
+    pub dead_pub_crates: Vec<&'static str>,
 }
 
 impl Default for Config {
@@ -151,6 +161,10 @@ impl Default for Config {
             reporter_fragment: "cli/src/",
             error_enums: vec!["FlError", "CodecError"],
             unsafe_crate_fragments: vec!["simd/src/"],
+            dead_pub_crates: vec![
+                "core", "dnn", "eblc", "entropy", "fl", "lossless", "models", "netsim", "simd",
+                "tensor",
+            ],
         }
     }
 }
@@ -205,6 +219,9 @@ pub struct FileReport {
     pub lock_edges: Vec<LockEdge>,
     /// Whether this file is part of the CLI reporter (R5).
     pub is_reporter: bool,
+    /// R10: `(kind, name, line)` of each `pub` item outside test code, when
+    /// the file belongs to a covered library crate.
+    pub pub_items: Vec<(&'static str, String, u32)>,
 }
 
 /// Code tokens only (comments stripped), with a parallel "inside a test
@@ -492,13 +509,56 @@ pub fn check_file(path: &str, tokens: &[Token], cfg: &Config) -> FileReport {
     }
 
     let lock_edges = check_concurrency(path, &code, &mut diags);
+    let pub_items = match lib_crate_of(path) {
+        Some(krate) if cfg.dead_pub_crates.contains(&krate) => collect_pub_items(&code),
+        _ => Vec::new(),
+    };
 
     FileReport {
         diagnostics: diags,
         enum_facts: facts,
         lock_edges,
         is_reporter,
+        pub_items,
     }
+}
+
+/// The library crate whose `src/` holds `path` (`crates/fl/src/net.rs` and
+/// fixture `fl/src/net.rs` → `fl`). `None` for every other target: binaries
+/// (`src/main.rs`, `src/bin/`), integration tests, benches, examples and
+/// the root suite, each of which is a crate of its own for R10.
+pub fn lib_crate_of(path: &str) -> Option<&str> {
+    let (dir, tail) = path.split_once("/src/")?;
+    let binary = tail == "main.rs" || tail.starts_with("bin/");
+    (!binary).then(|| dir.rsplit_once('/').map_or(dir, |(_, krate)| krate))
+}
+
+/// R10 facts: `(kind, name, line)` for every `pub` free fn, inherent
+/// method, struct, enum, const and type alias outside test code.
+/// Restricted visibility (`pub(crate)`) is not `pub` followed by an item
+/// keyword, and a `macro_rules!` item named by a `$` fragment has no name
+/// token, so neither is collected.
+fn collect_pub_items(code: &Code) -> Vec<(&'static str, String, u32)> {
+    let fn_qualifier = |j: usize| matches!(code.ident(j), Some("unsafe" | "async" | "extern"));
+    let mut items = Vec::new();
+    for i in (0..code.toks.len()).filter(|&i| !code.in_test[i] && code.ident(i) == Some("pub")) {
+        // Skip `const`/`unsafe`/`async`/`extern "C"` before `fn`; a `const`
+        // followed by anything else is the item itself.
+        let mut j = i + 1;
+        while fn_qualifier(j)
+            || matches!(code.tok(j), Some(Tok::Str))
+            || (code.ident(j) == Some("const")
+                && (fn_qualifier(j + 1) || code.ident(j + 1) == Some("fn")))
+        {
+            j += 1;
+        }
+        let kinds = ["fn", "struct", "enum", "const", "type"];
+        let kind = kinds.into_iter().find(|&k| code.ident(j) == Some(k));
+        if let (Some(kind), Some(name)) = (kind, code.ident(j + 1)) {
+            items.push((kind, name.to_owned(), code.line(i)));
+        }
+    }
+    items
 }
 
 /// The condvar wait family: blocking, but releases a guard passed as an
@@ -1190,4 +1250,32 @@ pub fn check_enum_coverage(
         });
     }
     diags
+}
+
+/// R10, cross-file: each `(crate, kind, name, line, file)` item is an error
+/// unless `users[name]` — the crates whose files contain `name` as an
+/// identifier token — holds some crate other than the item's own.
+pub fn check_dead_pub(
+    items: &[(String, &'static str, String, u32, String)],
+    users: &std::collections::BTreeMap<String, std::collections::BTreeSet<String>>,
+) -> Vec<Diagnostic> {
+    items
+        .iter()
+        .filter(|(krate, _, name, _, _)| {
+            users
+                .get(name)
+                .is_none_or(|crates| crates.iter().all(|c| c == krate))
+        })
+        .map(|(krate, kind, name, line, file)| {
+            diag(
+                file,
+                *line,
+                DEAD_PUB,
+                format!(
+                    "`pub {kind} {name}` is named in no crate but `{krate}`: make it \
+                     `pub(crate)` (rustc's dead_code lint then sees it) or delete it"
+                ),
+            )
+        })
+        .collect()
 }

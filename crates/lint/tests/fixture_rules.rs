@@ -39,8 +39,15 @@ fn collect(root: &Path, dir: &Path, out: &mut Vec<(String, PathBuf)>) {
     }
 }
 
+/// Lint a fixture set the way `--workspace` does: files under a `tests/`,
+/// `benches/` or `examples/` directory or the benchmark are only read, for
+/// R10's uses.
 fn lint_set(set: &str) -> Vec<Diagnostic> {
-    lint_files(&fixture_set(set), &Config::default())
+    let (refs, files): (Vec<_>, Vec<_>) = fixture_set(set).into_iter().partition(|(rel, _)| {
+        rel.split('/')
+            .any(|s| matches!(s, "tests" | "benches" | "examples" | "benchmark"))
+    });
+    lint_files(&files, &refs, &Config::default())
 }
 
 fn rules_hit(diags: &[Diagnostic]) -> Vec<&str> {
@@ -278,6 +285,33 @@ fn r9_bounded_constructors_and_test_code_pass() {
 #[test]
 fn r9_allow_pragma_suppresses() {
     let diags = lint_set("r9_allow");
+    assert!(diags.is_empty(), "{diags:?}");
+}
+
+#[test]
+fn r10_flags_every_public_item_kind_no_other_crate_names() {
+    let diags = lint_set("r10_hits");
+    assert_eq!(rules_hit(&diags), vec!["dead-pub"], "{diags:?}");
+    let sites: Vec<(&str, u32)> = diags.iter().map(|d| (d.file.as_str(), d.line)).collect();
+    // fn, struct, const fn, const, type alias, enum, inherent method, and a
+    // fn only its own crate calls; comments and strings elsewhere are not
+    // uses, and neither `pub(crate)` nor test code is collected.
+    let lines = [3, 4, 5, 8, 9, 10, 14, 16];
+    let expected: Vec<(&str, u32)> = lines.iter().map(|&l| ("core/src/lib.rs", l)).collect();
+    assert_eq!(sites, expected, "{diags:?}");
+    assert!(diags.iter().all(|d| d.severity == Severity::Error));
+}
+
+#[test]
+fn r10_names_from_other_crates_tests_and_benchmark_count_as_uses() {
+    let diags = lint_set("r10_clean");
+    assert!(diags.is_empty(), "{diags:?}");
+}
+
+#[test]
+fn r10_allow_pragma_suppresses() {
+    // An unused pragma would warn, so this also shows that R10 ran.
+    let diags = lint_set("r10_allow");
     assert!(diags.is_empty(), "{diags:?}");
 }
 

@@ -14,13 +14,13 @@ fn workspace_has_no_lint_errors() {
         .join("../..")
         .canonicalize()
         .expect("workspace root resolves");
-    let files = collect_workspace_files(&root);
+    let [files, refs] = collect_workspace_files(&root);
     assert!(
         files.len() > 20,
         "workspace walk found only {} files — wrong root?",
         files.len()
     );
-    let diags = lint_files(&files, &Config::default());
+    let diags = lint_files(&files, &refs, &Config::default());
     let errors: Vec<String> = diags
         .iter()
         .filter(|d| d.severity == Severity::Error)

@@ -20,7 +20,7 @@ const DIST_SLOTS: u32 = 32;
 
 /// Compress `data` with the given matcher profile. Self-contained format:
 /// `[varint orig_len][min_match u8][bit-packed tables + tokens]`.
-pub fn compress(data: &[u8], params: &MatcherParams) -> Vec<u8> {
+pub(crate) fn compress(data: &[u8], params: &MatcherParams) -> Vec<u8> {
     encode(data, &sequences(data, params), params.min_match)
 }
 
@@ -70,7 +70,7 @@ fn encode(data: &[u8], seqs: &[Sequence], min_match: usize) -> Vec<u8> {
     out
 }
 
-/// Decompress a buffer produced by [`compress`], writing literals and match
+/// Decompress a buffer produced by `compress`, writing literals and match
 /// copies straight into the output buffer.
 pub fn decompress(data: &[u8]) -> Result<Vec<u8>, CodecError> {
     let mut pos = 0usize;

@@ -1,13 +1,13 @@
 //! Shared LZ77 matcher with hash-chain match finding.
 //!
 //! All byte-oriented codecs in this crate (zlib/gzip/zstd/xz analogues) share
-//! this matcher and differ only in their [`MatcherParams`] (window size,
+//! this matcher and differ only in their `MatcherParams` (window size,
 //! chain depth, lazy evaluation) and in how sequences are entropy-coded.
 
 /// One LZ77 sequence: a run of literal bytes taken straight from the input,
 /// followed by one match. Inputs are addressed with `u32` positions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Sequence {
+pub(crate) struct Sequence {
     /// Literal bytes preceding the match.
     pub lit_len: u32,
     /// Match length in bytes (`>= MatcherParams::min_match`).
@@ -34,7 +34,7 @@ pub(crate) fn unslot(slot: u32, extra: u32) -> u32 {
 
 /// Tuning knobs for the hash-chain matcher.
 #[derive(Debug, Clone, Copy)]
-pub struct MatcherParams {
+pub(crate) struct MatcherParams {
     /// Window size = `1 << window_log` bytes.
     pub window_log: u32,
     /// Maximum hash-chain nodes visited per position.
@@ -49,7 +49,7 @@ pub struct MatcherParams {
 
 impl MatcherParams {
     /// Deflate-like profile (zlib analogue).
-    pub fn deflate() -> Self {
+    pub(crate) fn deflate() -> Self {
         Self {
             window_log: 15,
             chain_depth: 16,
@@ -60,7 +60,7 @@ impl MatcherParams {
     }
 
     /// Deeper deflate (gzip analogue at high effort).
-    pub fn deflate_deep() -> Self {
+    pub(crate) fn deflate_deep() -> Self {
         Self {
             window_log: 15,
             chain_depth: 64,
@@ -82,7 +82,7 @@ impl MatcherParams {
     }
 
     /// Exhaustive profile (xz analogue: best ratio, slow).
-    pub fn thorough() -> Self {
+    pub(crate) fn thorough() -> Self {
         Self {
             window_log: 21,
             chain_depth: 128,
@@ -182,7 +182,7 @@ const SEARCH_STRENGTH: u32 = 8;
 
 /// Split `data` into sequences. Bytes after the last sequence's match are
 /// trailing literals.
-pub fn sequences(data: &[u8], p: &MatcherParams) -> Vec<Sequence> {
+pub(crate) fn sequences(data: &[u8], p: &MatcherParams) -> Vec<Sequence> {
     scan(data, p, !p.lazy)
 }
 
@@ -240,7 +240,7 @@ fn scan(data: &[u8], p: &MatcherParams, sparse: bool) -> Vec<Sequence> {
 
 /// Walk `seqs` over `data`: one `(literals, Some(sequence))` per sequence,
 /// then `(trailing literals, None)`.
-pub fn literal_runs<'a>(
+pub(crate) fn literal_runs<'a>(
     data: &'a [u8],
     seqs: &'a [Sequence],
 ) -> impl Iterator<Item = (&'a [u8], Option<&'a Sequence>)> {
@@ -260,7 +260,7 @@ pub fn literal_runs<'a>(
 ///
 /// Returns `false`, leaving `out` untouched, if the match reaches before the
 /// start of the output or the result would exceed `max_len`.
-pub fn copy_match(out: &mut Vec<u8>, dist: usize, len: usize, max_len: usize) -> bool {
+pub(crate) fn copy_match(out: &mut Vec<u8>, dist: usize, len: usize, max_len: usize) -> bool {
     if dist == 0 || dist > out.len() || len > max_len.saturating_sub(out.len()) {
         return false;
     }

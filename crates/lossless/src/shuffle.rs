@@ -2,19 +2,13 @@
 //! floating-point arrays: grouping the k-th byte of every element together
 //! puts the highly-correlated sign/exponent bytes side by side.
 
-/// Transpose `data` so all byte-0s come first, then all byte-1s, etc.
-/// Elements are `typesize` bytes wide; a trailing remainder (when the length
-/// is not a multiple of `typesize`) is appended unshuffled.
-pub fn shuffle(data: &[u8], typesize: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len());
-    shuffle_into(data, typesize, &mut out);
-    out
-}
-
-/// [`shuffle`] into a caller-owned buffer (cleared first), so hot paths can
-/// reuse one scratch allocation across payloads. The 4-byte element case —
-/// every f32 update — runs through the runtime-dispatched SIMD transpose.
-pub fn shuffle_into(data: &[u8], typesize: usize, out: &mut Vec<u8>) {
+/// Transpose `data` so all byte-0s come first, then all byte-1s, etc.,
+/// into a caller-owned buffer (cleared first), so hot paths can reuse one
+/// scratch allocation across payloads. Elements are `typesize` bytes wide; a
+/// trailing remainder (when the length is not a multiple of `typesize`) is
+/// appended unshuffled. The 4-byte element case — every f32 update — runs
+/// through the runtime-dispatched SIMD transpose.
+pub(crate) fn shuffle_into(data: &[u8], typesize: usize, out: &mut Vec<u8>) {
     out.clear();
     if typesize <= 1 || data.len() < typesize {
         out.extend_from_slice(data);
@@ -35,16 +29,8 @@ pub fn shuffle_into(data: &[u8], typesize: usize, out: &mut Vec<u8>) {
     out[body..].copy_from_slice(&data[body..]);
 }
 
-/// Inverse of [`shuffle`].
-pub fn unshuffle(data: &[u8], typesize: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len());
-    unshuffle_into(data, typesize, &mut out);
-    out
-}
-
-/// [`unshuffle`] into a caller-owned buffer (cleared first); see
-/// [`shuffle_into`].
-pub fn unshuffle_into(data: &[u8], typesize: usize, out: &mut Vec<u8>) {
+/// Inverse of [`shuffle_into`], into a caller-owned buffer (cleared first).
+pub(crate) fn unshuffle_into(data: &[u8], typesize: usize, out: &mut Vec<u8>) {
     out.clear();
     if typesize <= 1 || data.len() < typesize {
         out.extend_from_slice(data);
@@ -68,6 +54,18 @@ pub fn unshuffle_into(data: &[u8], typesize: usize, out: &mut Vec<u8>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn shuffle(data: &[u8], typesize: usize) -> Vec<u8> {
+        let mut out = Vec::new();
+        shuffle_into(data, typesize, &mut out);
+        out
+    }
+
+    fn unshuffle(data: &[u8], typesize: usize) -> Vec<u8> {
+        let mut out = Vec::new();
+        unshuffle_into(data, typesize, &mut out);
+        out
+    }
 
     #[test]
     fn round_trip_various_sizes() {

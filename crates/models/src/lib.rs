@@ -11,7 +11,7 @@ pub mod spec;
 pub mod synth;
 pub mod zoo;
 
-pub use spec::{ModelSpec, ParamSpec};
+pub use spec::ModelSpec;
 
 use fedsz_tensor::StateDict;
 

@@ -5,7 +5,7 @@ use fedsz_tensor::TensorKind;
 
 /// Description of one state-dict entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParamSpec {
+pub(crate) struct ParamSpec {
     /// Dotted PyTorch-style name (ends in `weight`, `bias`, `running_mean`,
     /// `running_var`, or `num_batches_tracked`).
     pub name: String,
@@ -24,17 +24,18 @@ impl ParamSpec {
 
 /// A full architecture description.
 #[derive(Debug, Clone)]
+// fedsz-lint: allow(dead-pub) -- returned by `ModelKind::spec`, which the bench tables call
 pub struct ModelSpec {
     /// Human-readable architecture name.
     pub name: &'static str,
     /// Every state-dict entry in order.
-    pub params: Vec<ParamSpec>,
+    pub(crate) params: Vec<ParamSpec>,
 }
 
 impl ModelSpec {
     /// Total scalar count across all state-dict entries (including
     /// non-trainable running statistics and counters).
-    pub fn num_state_values(&self) -> usize {
+    pub(crate) fn num_state_values(&self) -> usize {
         self.params.iter().map(|p| p.numel()).sum()
     }
 

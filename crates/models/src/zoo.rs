@@ -5,7 +5,7 @@
 use crate::spec::ModelSpec;
 
 /// torchvision AlexNet.
-pub fn alexnet(num_classes: usize) -> ModelSpec {
+pub(crate) fn alexnet(num_classes: usize) -> ModelSpec {
     let mut s = ModelSpec {
         name: "AlexNet",
         params: Vec::new(),
@@ -22,7 +22,7 @@ pub fn alexnet(num_classes: usize) -> ModelSpec {
 }
 
 /// torchvision ResNet50 (Bottleneck blocks, layers = [3, 4, 6, 3]).
-pub fn resnet50(num_classes: usize) -> ModelSpec {
+pub(crate) fn resnet50(num_classes: usize) -> ModelSpec {
     let mut s = ModelSpec {
         name: "ResNet50",
         params: Vec::new(),
@@ -59,7 +59,7 @@ pub fn resnet50(num_classes: usize) -> ModelSpec {
 }
 
 /// torchvision MobileNetV2 (inverted residuals, width multiplier 1.0).
-pub fn mobilenet_v2(num_classes: usize) -> ModelSpec {
+pub(crate) fn mobilenet_v2(num_classes: usize) -> ModelSpec {
     let mut s = ModelSpec {
         name: "MobileNet-V2",
         params: Vec::new(),

@@ -76,7 +76,7 @@ mod tests {
             1.0,
             100_000_000,
             10_000_000,
-            Bandwidth::gbps(10.0)
+            Bandwidth::mbps(10_000.0)
         ));
     }
 
@@ -99,7 +99,7 @@ mod tests {
     #[test]
     fn free_codec_always_worthwhile() {
         assert!(crossover_bandwidth(0.0, 0.0, 1000, 500).is_none());
-        assert!(worthwhile(0.0, 0.0, 1000, 500, Bandwidth::gbps(100.0)));
+        assert!(worthwhile(0.0, 0.0, 1000, 500, Bandwidth::mbps(100_000.0)));
     }
 
     #[test]

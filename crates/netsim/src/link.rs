@@ -9,7 +9,7 @@ impl Bandwidth {
     ///
     /// # Panics
     /// Panics unless positive and finite.
-    pub fn bps(bits_per_second: f64) -> Self {
+    pub(crate) fn bps(bits_per_second: f64) -> Self {
         assert!(
             bits_per_second.is_finite() && bits_per_second > 0.0,
             "invalid bandwidth {bits_per_second}"
@@ -21,11 +21,6 @@ impl Bandwidth {
     /// 10 Gbps datacenter).
     pub fn mbps(v: f64) -> Self {
         Self::bps(v * 1e6)
-    }
-
-    /// From gigabits per second.
-    pub fn gbps(v: f64) -> Self {
-        Self::bps(v * 1e9)
     }
 
     /// Bits per second.
@@ -61,8 +56,8 @@ mod tests {
     #[test]
     fn unit_constructors_agree() {
         assert_eq!(
-            Bandwidth::gbps(1.0).bits_per_second(),
-            Bandwidth::mbps(1000.0).bits_per_second()
+            Bandwidth::mbps(1000.0).bits_per_second(),
+            Bandwidth::bps(1e9).bits_per_second()
         );
     }
 

@@ -42,7 +42,12 @@ impl ClientCosts {
 }
 
 /// Simulated round time for `clients` spread over `procs` processes.
-pub fn round_time(costs: &ClientCosts, clients: usize, procs: usize, bandwidth: Bandwidth) -> f64 {
+pub(crate) fn round_time(
+    costs: &ClientCosts,
+    clients: usize,
+    procs: usize,
+    bandwidth: Bandwidth,
+) -> f64 {
     assert!(procs > 0, "need at least one process");
     if clients == 0 {
         return 0.0;
@@ -174,7 +179,7 @@ mod tests {
 
     #[test]
     fn waves_model_ceil_division() {
-        let bw = Bandwidth::gbps(100.0); // make comm negligible
+        let bw = Bandwidth::mbps(100_000.0); // make comm negligible
         let c = ClientCosts::uncompressed(1.0, 1);
         // 5 clients on 2 procs = 3 waves of training.
         let t = round_time(&c, 5, 2, bw);

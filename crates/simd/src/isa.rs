@@ -128,7 +128,7 @@ pub(crate) trait Isa: Copy {
 /// arithmetic. Every other ISA is tested bit-identical against this one,
 /// and generic kernels delegate sub-vector remainders to it.
 #[derive(Clone, Copy)]
-pub struct ScalarIsa;
+pub(crate) struct ScalarIsa;
 
 impl Isa for ScalarIsa {
     const W64: usize = 1;

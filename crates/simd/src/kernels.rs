@@ -1,12 +1,12 @@
-//! One generic implementation of every kernel, written against [`Isa`].
+//! One generic implementation of every kernel, written against `Isa`.
 //!
-//! A kernel is an argument struct that implements [`Kernel`]: `crate::run_at`
-//! picks the ISA for a [`crate::Level`] and calls [`Kernel::run`] with that
+//! A kernel is an argument struct that implements `Kernel`: `crate::run_at`
+//! picks the ISA for a [`crate::Level`] and calls `Kernel::run` with that
 //! ISA's token. Each kernel runs whole vectors through the ISA, then hands
-//! the sub-vector remainder to the same code monomorphised with [`ScalarIsa`]
+//! the sub-vector remainder to the same code monomorphised with `ScalarIsa`
 //! (whose lane width 1 always divides the remainder). That structure keeps
 //! exactly two code paths per element — vector or scalar twin — and the
-//! parity tests pin them bit-identical. [`LorenzoQuantize`], whose lanes
+//! parity tests pin them bit-identical. `LorenzoQuantize`, whose lanes
 //! are chains rather than elements, pads its last vector instead.
 //!
 //! Everything is `#[inline(always)]`: the one `#[target_feature]` entry point

@@ -13,8 +13,8 @@
 //!
 //! # Architecture
 //!
-//! * [`isa`] defines the portable lane-width trait [`isa::Isa`] plus the
-//!   always-available [`isa::ScalarIsa`] reference implementation.
+//! * [`isa`] defines the portable lane-width trait `isa::Isa` plus the
+//!   always-available `isa::ScalarIsa` reference implementation.
 //! * [`kernels`] holds one generic implementation of each kernel, written
 //!   against the trait: an argument struct implementing the `Kernel`
 //!   visitor. Monomorphised with `ScalarIsa` it *is* the scalar twin;
@@ -104,7 +104,7 @@ pub fn detected_level() -> Level {
 }
 
 /// Whether `level` can run on this host.
-pub fn supported(level: Level) -> bool {
+pub(crate) fn supported(level: Level) -> bool {
     available_levels().contains(&level)
 }
 

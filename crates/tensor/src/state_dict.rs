@@ -12,6 +12,7 @@ use crate::tensor::{Tensor, TensorKind};
 /// Every failure mode of [`StateDict::from_bytes`] is a value of this type:
 /// hostile or truncated input must never panic, however it was damaged.
 #[derive(Debug, Clone, PartialEq, Eq)]
+// fedsz-lint: allow(dead-pub) -- returned by `StateDict::from_bytes`, which fl, the CLI and the benchmark call
 pub enum DecodeError {
     /// The input ended before the advertised structure was complete.
     Truncated,

@@ -16,7 +16,7 @@ pub struct Summary {
     pub mean: f64,
     /// Population standard deviation.
     pub std: f64,
-    /// Sum of |x[i+1] - x[i]| over the series.
+    /// Sum of `|x[i+1] - x[i]|` over the series.
     pub total_variation: f64,
     /// Number of elements.
     pub count: usize,

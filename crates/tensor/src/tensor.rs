@@ -137,17 +137,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Reinterpret the tensor with a new shape of identical element count.
-    ///
-    /// # Panics
-    /// Panics if the element counts differ.
-    pub fn reshape(mut self, shape: Vec<usize>) -> Self {
-        let numel: usize = shape.iter().product();
-        assert_eq!(numel, self.data.len(), "reshape to {shape:?} changes numel");
-        self.shape = shape;
-        self
-    }
-
     /// Maximum absolute element-wise difference to another tensor.
     ///
     /// # Panics
@@ -184,19 +173,6 @@ mod tests {
     fn zeros_and_full() {
         assert!(Tensor::zeros(vec![4]).data().iter().all(|&x| x == 0.0));
         assert!(Tensor::full(vec![4], 2.5).data().iter().all(|&x| x == 2.5));
-    }
-
-    #[test]
-    fn reshape_preserves_data() {
-        let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0]).reshape(vec![2, 2]);
-        assert_eq!(t.shape(), &[2, 2]);
-        assert_eq!(t.data(), &[1.0, 2.0, 3.0, 4.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "changes numel")]
-    fn reshape_rejects_bad_shape() {
-        Tensor::from_vec(vec![1.0; 4]).reshape(vec![3, 2]);
     }
 
     #[test]
