@@ -1,12 +1,20 @@
-//! Deterministic chaos-soak harness for the overload-safe server: N seeded
-//! rounds under combined faults — oversized floods, slow drips, wedged
+//! Deterministic chaos-and-scale harness for the overload-safe server and
+//! its streaming aggregator: an O(model) fold of 10 000 updates, then N
+//! seeded rounds under combined faults — oversized floods, slow drips, wedged
 //! connections, poisoned and corrupt updates — asserting that every
 //! transport and every ingest worker count produces the **bit-identical**
 //! final model and the **exact same** shed / quarantined / rejected / late
 //! counters, with zero panics.
 //!
-//! Two tiers:
+//! Four tiers, in this order:
 //!
+//! * **fold** — streams 10 000 updates of 65 536 parameters (1 000 of
+//!   16 384 under `--smoke`), cycled from 32 distinct sources, through one
+//!   [`StreamingFedAvg`] on a still-quiet heap. The accumulator must stay
+//!   in the 128-bit window and under 24 B a parameter plus the model, and
+//!   resident-set growth within 4× the accumulator + 4 MiB: O(model),
+//!   where materializing the round would buffer O(clients × model), which
+//!   the report states beside it.
 //! * **parity** — a cross-device config (sampled cohorts) with a chaos
 //!   fault plan derived from the per-round cohorts, run over the matrix
 //!   {in-process, channel, tcp} × ingest workers. The first run is the
@@ -20,7 +28,8 @@
 //!   matrix. Every cell must screen the same updates (`suspected`
 //!   counters and per-reason breakdowns exact) and land on the same
 //!   model bits; the baseline must suspect someone, or the attack —
-//!   and hence the whole tier — would be vacuous.
+//!   and hence the whole tier — would be vacuous, and not everyone, or
+//!   the screen would be.
 //! * **scale** — the same chaos plan against 10 000 registered clients
 //!   (cohort 16) with an ingest budget of 2× the model size, on the
 //!   channel transport cross-checked bit-for-bit against in-process.
@@ -38,9 +47,10 @@
 use std::time::{Duration, Instant};
 
 use fedsz::FaultCounters;
-use fedsz_bench::{proc_status_kb, Args};
+use fedsz_bench::{proc_status_kb, synth_update, Args};
 use fedsz_fl::{
-    Aggregation, FaultKind, FaultPlan, FlConfig, FlRunResult, NetConfig, RunSpec, Transport,
+    Aggregation, FaultKind, FaultPlan, FlConfig, FlRunResult, NetConfig, RunSpec, StreamingFedAvg,
+    Transport,
 };
 
 /// State-dict size of the model `cfg` builds — the reference for the
@@ -161,19 +171,135 @@ fn assert_identical(label: &str, baseline: &FlRunResult, got: &FlRunResult) {
     }
 }
 
-struct Cell {
-    transport: &'static str,
-    workers: usize,
-    seconds: f64,
-    shed: usize,
+/// Stream `folds` updates of `params` parameters through one accumulator
+/// and return the tier's JSON. Panics if any tensor left the 128-bit
+/// window, or if the accumulator, the resident-set growth or the output
+/// is not what an O(model) fold must give.
+fn fold_tier(params: usize, folds: usize) -> String {
+    let distinct = 32.min(folds.max(1));
+    let sources: Vec<_> = (0..distinct)
+        .map(|i| (synth_update(params, i as u64), 10 + i))
+        .collect();
+    let rss_before_kb = proc_status_kb("VmRSS");
+    let t0 = Instant::now();
+    let mut agg = StreamingFedAvg::new(&sources[0].0);
+    for i in 0..folds {
+        let (sd, n) = &sources[i % distinct];
+        agg.fold(sd, *n).expect("fold");
+    }
+    assert_eq!(agg.folded(), folds);
+    let accumulator_bytes = agg.accumulator_bytes();
+    let wide_tensors = agg.wide_tensors();
+    let global = agg.finish().expect("finish");
+    let seconds = t0.elapsed().as_secs_f64();
+    let rss_after_kb = proc_status_kb("VmRSS");
+    assert!(global
+        .entries()
+        .iter()
+        .all(|e| e.tensor.data().iter().all(|v| v.is_finite())));
+
+    let model_bytes = global.nbytes();
+    // A window-policy regression that promotes everything would only show
+    // as "slower"; make it a failure. Narrow is 16 B per parameter.
+    assert_eq!(
+        wide_tensors, 0,
+        "synthetic updates must stay in the 128-bit window"
+    );
+    assert!(
+        accumulator_bytes < 24 * global.num_params() + model_bytes,
+        "accumulator is {accumulator_bytes} B for {params} params"
+    );
+    // The whole point: resident growth across the fold stays a small
+    // multiple of the accumulator, nowhere near the materialized buffer.
+    let grown = rss_after_kb.saturating_sub(rss_before_kb) * 1024;
+    assert!(
+        grown < accumulator_bytes as u64 * 4 + (1 << 22),
+        "fold grew RSS by {grown} B — not O(model)"
+    );
+    let materialized_bytes = folds * model_bytes;
+    println!(
+        "fold: {folds} updates x {params} params in {seconds:.2}s; accumulator {:.1} kB \
+         ({wide_tensors} wide tensors) vs {:.1} MB materialized; rss {rss_before_kb} -> \
+         {rss_after_kb} kB",
+        accumulator_bytes as f64 / 1e3,
+        materialized_bytes as f64 / 1e6,
+    );
+    format!(
+        "  \"fold\": {{\n    \"folds\": {folds}, \"params\": {params}, \"distinct_updates\": {distinct},\n    \
+         \"accumulator_bytes\": {accumulator_bytes}, \"wide_tensors\": {wide_tensors}, \
+         \"materialized_bytes\": {materialized_bytes},\n    \
+         \"rss_before_kb\": {rss_before_kb}, \"rss_after_kb\": {rss_after_kb}, \"seconds\": {seconds:.4}\n  }}"
+    )
 }
 
-struct AdvCell {
+/// One cell of a transport × ingest-workers matrix.
+struct Cell {
     mode: &'static str,
     transport: &'static str,
     workers: usize,
     seconds: f64,
+    shed: usize,
     suspected: usize,
+}
+
+impl Cell {
+    fn json(&self) -> String {
+        format!(
+            "    {{\"mode\": \"{}\", \"transport\": \"{}\", \"ingest_workers\": {}, \
+             \"seconds\": {:.4}, \"shed\": {}, \"suspected\": {}}}",
+            self.mode, self.transport, self.workers, self.seconds, self.shed, self.suspected
+        )
+    }
+}
+
+/// Run `cfg` under `plan` over {in-process, channel, tcp} × `worker_counts`.
+/// The first cell is the baseline: `check` vets it, and every other cell
+/// must be bit-identical to it.
+fn matrix(
+    tier: &str,
+    cfg: &FlConfig,
+    plan: &FaultPlan,
+    worker_counts: &[usize],
+    check: impl Fn(&FlRunResult),
+) -> Vec<Cell> {
+    let mode = cfg.aggregation.name();
+    let mut baseline: Option<FlRunResult> = None;
+    let mut cells = Vec::new();
+    for transport in [Transport::InProcess, Transport::Channel, Transport::Tcp] {
+        for &workers in worker_counts {
+            let cfg = FlConfig {
+                ingest_workers: workers,
+                ..cfg.clone()
+            };
+            let t0 = Instant::now();
+            let result = run_cell(&cfg, plan, transport);
+            let cell = Cell {
+                mode,
+                transport: transport.name(),
+                workers,
+                seconds: t0.elapsed().as_secs_f64(),
+                shed: result.rounds.iter().map(|r| r.faults.shed).sum(),
+                suspected: result.rounds.iter().map(|r| r.faults.suspected).sum(),
+            };
+            let label = format!("{mode} {} x {workers} workers", cell.transport);
+            println!(
+                "{tier}: {label}: {:.2}s, {} shed, {} suspected, accuracy {:.3}",
+                cell.seconds,
+                cell.shed,
+                cell.suspected,
+                result.final_accuracy()
+            );
+            match &baseline {
+                None => {
+                    check(&result);
+                    baseline = Some(result);
+                }
+                Some(b) => assert_identical(&label, b, &result),
+            }
+            cells.push(cell);
+        }
+    }
+    cells
 }
 
 fn main() {
@@ -184,6 +310,14 @@ fn main() {
     args.finish();
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!("# chaos-soak: overload-safe server determinism ({cores} cores available)");
+
+    // ---- fold tier -------------------------------------------------------
+    // First, while the heap is quiet, so its RSS growth is the fold's own.
+    let fold_json = if smoke {
+        fold_tier(16_384, 1_000)
+    } else {
+        fold_tier(65_536, 10_000)
+    };
 
     // ---- parity tier -----------------------------------------------------
     // Cohorts large enough that every fault kind fires each round, small
@@ -212,56 +346,23 @@ fn main() {
     let flood = model * 4;
     let (plan, expected) = chaos_plan(&base_cfg, flood);
     let worker_counts: &[usize] = if smoke { &[0, 2] } else { &[1, 4, 8] };
-    let transports = [Transport::InProcess, Transport::Channel, Transport::Tcp];
 
-    let mut baseline: Option<FlRunResult> = None;
-    let mut cells: Vec<Cell> = Vec::new();
-    for &transport in &transports {
-        for &workers in worker_counts {
-            let cfg = FlConfig {
-                ingest_workers: workers,
-                ingest_budget_bytes: Some(budget),
-                ..base_cfg.clone()
-            };
-            let t0 = Instant::now();
-            let result = run_cell(&cfg, &plan, transport);
-            let seconds = t0.elapsed().as_secs_f64();
-            let shed: usize = result.rounds.iter().map(|r| r.faults.shed).sum();
-            println!(
-                "parity: {} x {} workers: {:.2}s, {} shed, accuracy {:.3}",
-                transport.name(),
-                workers,
-                seconds,
-                shed,
-                result.final_accuracy()
+    let parity_cfg = FlConfig {
+        ingest_budget_bytes: Some(budget),
+        ..base_cfg
+    };
+    let cells = matrix("parity", &parity_cfg, &plan, worker_counts, |result| {
+        // The baseline must realize exactly the counters the plan
+        // predicts — sheds included — or the whole matrix would vacuously
+        // agree on the wrong behavior.
+        for (r, want) in result.rounds.iter().zip(&expected) {
+            assert_eq!(
+                r.faults, *want,
+                "baseline round {} diverged from the plan's prediction",
+                r.round
             );
-            match &baseline {
-                None => {
-                    // The baseline must realize exactly the counters the
-                    // plan predicts — sheds included — or the whole matrix
-                    // would vacuously agree on the wrong behavior.
-                    for (r, want) in result.rounds.iter().zip(&expected) {
-                        assert_eq!(
-                            r.faults, *want,
-                            "baseline round {} diverged from the plan's prediction",
-                            r.round
-                        );
-                    }
-                    baseline = Some(result);
-                }
-                Some(b) => {
-                    let label = format!("{} x {} workers", transport.name(), workers);
-                    assert_identical(&label, b, &result);
-                }
-            }
-            cells.push(Cell {
-                transport: transport.name(),
-                workers,
-                seconds,
-                shed,
-            });
         }
-    }
+    });
     let parity_shed = cells.first().map_or(0, |c| c.shed);
     println!("parity: all {} cells bit-identical", cells.len());
 
@@ -277,70 +378,43 @@ fn main() {
         .with(1, 0, FaultKind::SignFlip)
         .with(2, 0, FaultKind::ScaleUpdate(1000.0))
         .with(3, 1, FaultKind::DriftToward);
-    let adv_base = FlConfig {
-        n_clients: 8,
-        rounds: 2,
-        samples_per_client: 4,
-        test_samples: 16,
-        batch_size: 2,
-        compression: FlConfig::with_fedsz(1e-2).compression,
-        ingest_budget_bytes: Some(0),
-        seed: 42,
-        ..FlConfig::default()
-    };
-    let modes = [
-        (
-            "clipped-mean",
-            Aggregation::ClippedMean { clip_factor: 3.0 },
-        ),
-        ("trimmed-mean", Aggregation::TrimmedMean { trim_k: 3 }),
-    ];
-    let mut adv_cells: Vec<AdvCell> = Vec::new();
-    for (mode_name, mode) in modes {
-        let mut mode_baseline: Option<FlRunResult> = None;
-        for &transport in &transports {
-            for &workers in worker_counts {
-                let cfg = FlConfig {
-                    aggregation: mode,
-                    ingest_workers: workers,
-                    ..adv_base.clone()
-                };
-                let t0 = Instant::now();
-                let result = run_cell(&cfg, &adv_plan, transport);
-                let seconds = t0.elapsed().as_secs_f64();
-                let suspected: usize = result.rounds.iter().map(|r| r.faults.suspected).sum();
-                println!(
-                    "adversarial: {} x {} x {} workers: {:.2}s, {} suspected, accuracy {:.3}",
-                    mode_name,
-                    transport.name(),
-                    workers,
-                    seconds,
-                    suspected,
-                    result.final_accuracy()
-                );
-                match &mode_baseline {
-                    None => {
-                        assert!(
-                            suspected > 0,
-                            "{mode_name}: the planned adversaries went unsuspected — attack inert"
-                        );
-                        mode_baseline = Some(result);
-                    }
-                    Some(b) => {
-                        let label =
-                            format!("{mode_name} {} x {} workers", transport.name(), workers);
-                        assert_identical(&label, b, &result);
-                    }
-                }
-                adv_cells.push(AdvCell {
-                    mode: mode_name,
-                    transport: transport.name(),
-                    workers,
-                    seconds,
-                    suspected,
-                });
-            }
-        }
+    let (adv_clients, adv_rounds) = (8, 2);
+    let mut adv_cells: Vec<Cell> = Vec::new();
+    for mode in [
+        Aggregation::ClippedMean { clip_factor: 3.0 },
+        Aggregation::TrimmedMean { trim_k: 3 },
+    ] {
+        let cfg = FlConfig {
+            n_clients: adv_clients,
+            rounds: adv_rounds,
+            samples_per_client: 4,
+            test_samples: 16,
+            batch_size: 2,
+            compression: FlConfig::with_fedsz(1e-2).compression,
+            ingest_budget_bytes: Some(0),
+            aggregation: mode,
+            seed: 42,
+            ..FlConfig::default()
+        };
+        let name = mode.name();
+        let screens_some = |result: &FlRunResult| {
+            let suspected: usize = result.rounds.iter().map(|r| r.faults.suspected).sum();
+            assert!(
+                suspected > 0,
+                "{name}: the planned adversaries went unsuspected — attack inert"
+            );
+            assert!(
+                suspected < adv_clients * adv_rounds,
+                "{name}: every update was suspected — the screen tells no one apart"
+            );
+        };
+        adv_cells.extend(matrix(
+            "adversarial",
+            &cfg,
+            &adv_plan,
+            worker_counts,
+            screens_some,
+        ));
     }
     println!(
         "adversarial: all {} cells bit-identical per mode",
@@ -412,39 +486,22 @@ fn main() {
     );
 
     // ---- report ----------------------------------------------------------
-    let cells_json: Vec<String> = cells
-        .iter()
-        .map(|c| {
-            format!(
-                "    {{\"transport\": \"{}\", \"ingest_workers\": {}, \"seconds\": {:.4}, \"shed\": {}}}",
-                c.transport, c.workers, c.seconds, c.shed
-            )
-        })
-        .collect();
-    let adv_json: Vec<String> = adv_cells
-        .iter()
-        .map(|c| {
-            format!(
-                "    {{\"mode\": \"{}\", \"transport\": \"{}\", \"ingest_workers\": {}, \
-                 \"seconds\": {:.4}, \"suspected\": {}}}",
-                c.mode, c.transport, c.workers, c.seconds, c.suspected
-            )
-        })
-        .collect();
+    let cells_json = |cells: &[Cell]| cells.iter().map(Cell::json).collect::<Vec<_>>().join(",\n");
     let json = format!(
         "{{\n  \"benchmark\": \"soak\",\n  \"available_parallelism\": {cores},\n  \"smoke\": {smoke},\n\
+         \n{fold_json},\n\
          \n  \"parity\": {{\n    \"population\": {population}, \"rounds\": {rounds},\n    \
          \"budget_bytes\": {budget}, \"model_bytes\": {model},\n    \
          \"shed_per_run\": {parity_shed}, \"bit_identical\": true,\n    \
          \"note\": \"{IN_PROCESS_NOTE}\",\n    \"cells\": [\n{}\n    ]\n  }},\n\
-         \n  \"adversarial\": {{\n    \"clients\": 8, \"byzantine\": 3, \"rounds\": 2,\n    \
+         \n  \"adversarial\": {{\n    \"clients\": {adv_clients}, \"byzantine\": 3, \"rounds\": {adv_rounds},\n    \
          \"bit_identical\": true,\n    \"cells\": [\n{}\n    ]\n  }},\n\
          \n  \"scale\": {{\n    \"population\": {scale_population}, \"cohort\": {cohort},\n    \
          \"budget_bytes\": {scale_budget}, \"model_bytes\": {scale_model},\n    \
          \"shed\": {scale_shed}, \"seconds\": {scale_seconds:.4},\n    \
          \"rss_before_kb\": {rss_before_kb}, \"rss_after_kb\": {rss_after_kb}, \"vm_hwm_kb\": {}\n  }}\n}}\n",
-        cells_json.join(",\n"),
-        adv_json.join(",\n"),
+        cells_json(&cells),
+        cells_json(&adv_cells),
         proc_status_kb("VmHWM"),
     );
     std::fs::write(&out, &json).expect("write benchmark JSON");

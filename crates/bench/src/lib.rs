@@ -20,10 +20,12 @@ pub fn time<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (out, t0.elapsed().as_secs_f64())
 }
 
-/// Median wall seconds of `reps` calls of `f` (`reps` ≥ 1), after one
-/// untimed warm-up call that sizes buffers and warms caches. Each result
-/// goes through `black_box`, so the work is not optimised away.
+/// Median wall seconds of `reps` calls of `f`, after one untimed warm-up
+/// call that sizes buffers and warms caches. Each result goes through
+/// `black_box`, so the work is not optimised away. Panics when `reps` is 0:
+/// no sample has a median.
 pub fn median_s<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
+    assert!(reps > 0, "median_s: reps must be at least 1, got 0");
     black_box(f());
     let mut secs: Vec<f64> = (0..reps).map(|_| time(|| black_box(f())).1).collect();
     secs.sort_by(f64::total_cmp);
@@ -208,6 +210,12 @@ mod tests {
         let args = args(&["--rounds", "3", "--rouds", "3"]);
         assert_eq!(args.value("--rounds", 10usize), 3);
         args.finish();
+    }
+
+    #[test]
+    #[should_panic(expected = "median_s: reps must be at least 1, got 0")]
+    fn median_s_refuses_zero_reps() {
+        median_s(0, || ());
     }
 
     #[test]

@@ -138,8 +138,9 @@ pub struct SuspectReasons {
     /// The update's L2 distance from the broadcast model exceeded the
     /// clipped-mean threshold (median-of-norms x clip factor).
     pub norm_outlier: usize,
-    /// The trimmed mean discarded the update's value on a strict majority
-    /// of model coordinates.
+    /// The trimmed mean discarded the update's value on more than halfway
+    /// between an honest client's share of the coordinates (2k/n) and all
+    /// of them.
     pub trim_eliminated: usize,
 }
 

@@ -26,8 +26,9 @@
 //!   model coordinate the k smallest and k largest client values are
 //!   dropped and the rest are sample-weight averaged with the same exact
 //!   limb arithmetic as [`StreamingFedAvg`] (`k = 0` is bit-identical to
-//!   `Mean`). A client trimmed on a strict majority of coordinates is
-//!   counted as `suspected` (trim-eliminated).
+//!   `Mean`). A client trimmed on more than halfway between the honest
+//!   share of coordinates (2k/n) and all of them is counted as
+//!   `suspected` (trim-eliminated).
 //!
 //! # Memory trade-off
 //!
@@ -357,8 +358,9 @@ fn clipped_finish(
 
 /// Coordinate-wise trimmed mean over the buffered cohort, using the exact
 /// limb arithmetic of [`StreamingFedAvg`] per coordinate so `trim_k = 0`
-/// reproduces the plain mean bit for bit. A client whose value is trimmed
-/// on a strict majority of coordinates counts as suspected.
+/// reproduces the plain mean bit for bit. A client trimmed on more than
+/// halfway between the honest share of coordinates (2k/n) and all of them
+/// counts as suspected.
 fn trimmed_finish(
     reference: &StateDict,
     trim_k: usize,
@@ -402,11 +404,14 @@ fn trimmed_finish(
         }
     }
 
+    // An honest client is trimmed on a share of about 2k/n of the
+    // coordinates; flag one trimmed beyond halfway between that share and
+    // all of them: t / total > (2k/n + 1) / 2.
     let suspected = SuspectReasons {
         norm_outlier: 0,
         trim_eliminated: trimmed_per_client
             .iter()
-            .filter(|&&t| t * 2 > total_coords)
+            .filter(|&&t| 2 * n * t > total_coords * (n + 2 * k))
             .count(),
     };
     Ok(RobustOutcome {
@@ -523,6 +528,29 @@ mod tests {
             out.model,
             fedavg(&[(dict(2.0), 8), (dict(3.0), 8), (dict(4.0), 8)]).unwrap()
         );
+    }
+
+    #[test]
+    fn trimmed_suspects_only_the_outlier_once_4k_reaches_n() {
+        // k = 3 of 8: an honest client is trimmed on a share of 2k/n = 3/4
+        // of the coordinates, so a majority rule would flag all eight.
+        let mut rng = fedsz_tensor::SplitMix64::new(7);
+        let mut noise = || {
+            let mut sd = StateDict::new();
+            let w = (0..256).map(|_| rng.normal_with(0.0, 1.0) as f32).collect();
+            sd.insert("w.weight", TensorKind::Weight, Tensor::from_vec(w));
+            sd
+        };
+        let mut updates: Vec<(StateDict, usize)> = (0..7).map(|_| (noise(), 8)).collect();
+        let mut outlier = StateDict::new();
+        outlier.insert(
+            "w.weight",
+            TensorKind::Weight,
+            Tensor::from_vec(vec![1000.0; 256]),
+        );
+        updates.push((outlier, 8));
+        let out = fold_all(Aggregation::TrimmedMean { trim_k: 3 }, &updates);
+        assert_eq!(out.suspected.trim_eliminated, 1);
     }
 
     #[test]

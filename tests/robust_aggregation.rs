@@ -197,60 +197,70 @@ fn planned_adversaries_are_suspected_with_exact_counts() {
 fn byzantine_chaos_is_bit_identical_across_transports_and_workers() {
     // Three poison kinds through the real lossy path on three of six
     // clients: every transport x worker count must screen the same
-    // updates and land on the same model bits and the same counters.
+    // updates and land on the same model bits and the same counters,
+    // under both robust fold modes.
     let plan = FaultPlan::new()
         .with(1, 0, FaultKind::SignFlip)
         .with(2, 0, FaultKind::ScaleUpdate(1000.0))
         .with(3, 1, FaultKind::DriftToward);
-    let cfg = |workers: usize| FlConfig {
-        n_clients: 6,
-        rounds: 2,
-        samples_per_client: 24,
-        test_samples: 32,
-        ingest_budget_bytes: Some(0),
-        ingest_workers: workers,
-        aggregation: Aggregation::ClippedMean { clip_factor: 3.0 },
-        compression: FlConfig::with_fedsz(1e-2).compression,
-        ..FlConfig::default()
-    };
     let over = |transport| faulted(transport, &plan);
+    for mode in [
+        Aggregation::ClippedMean { clip_factor: 3.0 },
+        Aggregation::TrimmedMean { trim_k: 1 },
+    ] {
+        let cfg = |workers: usize| FlConfig {
+            n_clients: 6,
+            rounds: 2,
+            samples_per_client: 24,
+            test_samples: 32,
+            ingest_budget_bytes: Some(0),
+            ingest_workers: workers,
+            aggregation: mode,
+            compression: FlConfig::with_fedsz(1e-2).compression,
+            ..FlConfig::default()
+        };
 
-    let baseline = run_with(&cfg(0), &over(Transport::InProcess)).expect("in-process serial");
-    // The round-0 norm attacks must be screened; the round-1 drift halves
-    // the update but stays under 3x the median distance, so it folds.
-    assert_eq!(baseline.rounds[0].faults.suspected, 2);
-    assert_eq!(baseline.rounds[0].suspect_reasons.norm_outlier, 2);
+        let baseline = run_with(&cfg(0), &over(Transport::InProcess)).expect("in-process serial");
+        if let Aggregation::ClippedMean { .. } = mode {
+            // The round-0 norm attacks must be screened; the round-1 drift
+            // halves the update but stays under 3x the median distance, so
+            // it folds.
+            assert_eq!(baseline.rounds[0].faults.suspected, 2);
+            assert_eq!(baseline.rounds[0].suspect_reasons.norm_outlier, 2);
+        }
 
-    for workers in [1usize, 4] {
-        let in_process = run_with(&cfg(workers), &over(Transport::InProcess)).expect("in-process");
-        let threaded = run_with(&cfg(workers), &over(Transport::Channel)).expect("threaded");
-        let tcp = run_with(&cfg(workers), &over(Transport::Tcp)).expect("tcp");
-        for (name, result) in [
-            ("in-process", &in_process),
-            ("threaded", &threaded),
-            ("tcp", &tcp),
-        ] {
-            assert_eq!(
-                result.final_model, baseline.final_model,
-                "{name} workers={workers}"
-            );
-            for (b, r) in baseline.rounds.iter().zip(&result.rounds) {
+        for workers in [1usize, 4] {
+            let in_process =
+                run_with(&cfg(workers), &over(Transport::InProcess)).expect("in-process");
+            let threaded = run_with(&cfg(workers), &over(Transport::Channel)).expect("threaded");
+            let tcp = run_with(&cfg(workers), &over(Transport::Tcp)).expect("tcp");
+            for (name, result) in [
+                ("in-process", &in_process),
+                ("threaded", &threaded),
+                ("tcp", &tcp),
+            ] {
                 assert_eq!(
-                    r.faults.suspected, b.faults.suspected,
-                    "{name} workers={workers} round {}",
-                    b.round
+                    result.final_model, baseline.final_model,
+                    "{mode:?} {name} workers={workers}"
                 );
-                assert_eq!(
-                    r.suspect_reasons, b.suspect_reasons,
-                    "{name} workers={workers} round {}",
-                    b.round
-                );
-                assert_eq!(
-                    r.accuracy.to_bits(),
-                    b.accuracy.to_bits(),
-                    "{name} workers={workers} round {}",
-                    b.round
-                );
+                for (b, r) in baseline.rounds.iter().zip(&result.rounds) {
+                    assert_eq!(
+                        r.faults.suspected, b.faults.suspected,
+                        "{mode:?} {name} workers={workers} round {}",
+                        b.round
+                    );
+                    assert_eq!(
+                        r.suspect_reasons, b.suspect_reasons,
+                        "{mode:?} {name} workers={workers} round {}",
+                        b.round
+                    );
+                    assert_eq!(
+                        r.accuracy.to_bits(),
+                        b.accuracy.to_bits(),
+                        "{mode:?} {name} workers={workers} round {}",
+                        b.round
+                    );
+                }
             }
         }
     }
