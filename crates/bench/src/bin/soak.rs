@@ -440,27 +440,16 @@ fn main() {
     let (scale_plan, _) = chaos_plan(&scale_cfg, scale_model * 4);
     let cohort = scale_cfg.cohort_size();
 
-    let inproc = run_cell(
-        &FlConfig {
-            ingest_workers: if smoke { 2 } else { 4 },
-            ingest_budget_bytes: Some(scale_budget),
-            ..scale_cfg.clone()
-        },
-        &scale_plan,
-        Transport::InProcess,
-    );
+    let scale_cfg = FlConfig {
+        ingest_workers: if smoke { 2 } else { 4 },
+        ingest_budget_bytes: Some(scale_budget),
+        ..scale_cfg
+    };
+    let inproc = run_cell(&scale_cfg, &scale_plan, Transport::InProcess);
 
     let rss_before_kb = proc_status_kb("VmRSS");
     let t0 = Instant::now();
-    let channel = run_cell(
-        &FlConfig {
-            ingest_workers: if smoke { 2 } else { 4 },
-            ingest_budget_bytes: Some(scale_budget),
-            ..scale_cfg
-        },
-        &scale_plan,
-        Transport::Channel,
-    );
+    let channel = run_cell(&scale_cfg, &scale_plan, Transport::Channel);
     let scale_seconds = t0.elapsed().as_secs_f64();
     let rss_after_kb = proc_status_kb("VmRSS");
     assert_identical("scale channel vs in-process", &inproc, &channel);
