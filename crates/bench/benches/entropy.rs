@@ -31,13 +31,28 @@ fn row<R>(name: &str, reps: usize, work: f64, unit: &str, f: impl FnMut() -> R) 
     );
 }
 
+/// Code length of each alphabet symbol, read back from a serialized table.
+fn table_lengths(table: &[u8]) -> Vec<u8> {
+    let mut r = BitReader::new(table);
+    let n = r.read_u32().unwrap() as usize;
+    let mut lens = Vec::with_capacity(n);
+    while lens.len() < n {
+        let len = r.read_bits(6).unwrap() as u8;
+        let run = r.read_bits(16).unwrap() as usize;
+        lens.resize(lens.len() + run, len);
+    }
+    lens
+}
+
 fn bench_huffman() {
-    // "wide": ~7 bits per symbol over a few hundred live symbols, as SZ2
-    // codes at rel 1e-4; one symbol per table hit (a tight bound) going in,
-    // fewer codes per joined write going out. "narrow": ~3 bits per symbol,
-    // as SZ2 codes at rel 1e-2, where a table hit of the bulk decode yields
+    // "wide": MobileNetV2's update at rel 1e-4 codes ~9.9 bits per symbol,
+    // lengths 8-19, 3.9 % of its symbols past the 12-bit lookup table;
+    // sigma = 260 sends the same share there (~10.1 bits, lengths 9-20,
+    // ~2 000 live symbols). One symbol per table hit going in, the fewest
+    // codes per joined write going out. "narrow": ~3 bits per symbol, as
+    // SZ2 codes at rel 1e-2, where a table hit of the bulk decode yields
     // two symbols and the bulk encode joins the most codes per write.
-    for (shape, sigma) in [("wide", 40.0), ("narrow", 2.5)] {
+    for (shape, sigma, long_share) in [("wide", 260.0, 0.03..0.05), ("narrow", 2.5, 0.0..0.001)] {
         let syms = quant_codes(1 << 20, sigma);
         let msyms = syms.len() as f64 / 1e6;
         let name = |op: &str| format!("huffman/{op}/{shape}");
@@ -67,6 +82,27 @@ fn bench_huffman() {
             let mut w = BitWriter::with_capacity(syms.len() / 2);
             enc.encode_run(&mut w, &syms);
             w.finish()
+        });
+
+        let mut w = BitWriter::new();
+        enc.write_table(&mut w);
+        let table = w.finish();
+        let lens = table_lengths(&table);
+        let long = syms.iter().filter(|&&s| lens[s as usize] > 12).count() as f64;
+        let bits: f64 = syms.iter().map(|&s| f64::from(lens[s as usize])).sum();
+        let share = long / syms.len() as f64;
+        println!(
+            "# {shape}: {:.2} bits per symbol, {:.2} % of symbols past 12 bits",
+            bits / syms.len() as f64,
+            share * 100.0
+        );
+        assert!(
+            long_share.contains(&share),
+            "{shape}: {share} of the symbols past 12 bits, outside {long_share:?}"
+        );
+        // The decoder's table build from the serialized header.
+        row(&name("read_table"), 10, 1.0, "table/s", || {
+            HuffmanDecoder::read_table(&mut BitReader::new(&table)).unwrap()
         });
 
         let mut w = BitWriter::with_capacity(syms.len() / 2);

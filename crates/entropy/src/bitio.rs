@@ -145,6 +145,12 @@ impl<'a> BitReader<'a> {
         self.acc >> (64 - n)
     }
 
+    /// Real stream bits buffered in the accumulator.
+    #[inline]
+    pub(crate) fn buffered(&self) -> u32 {
+        self.nbits
+    }
+
     /// Drop `n` buffered bits (`n <= nbits`, `n < 64`).
     #[inline]
     pub(crate) fn skip(&mut self, n: u32) {

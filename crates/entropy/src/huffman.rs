@@ -230,6 +230,9 @@ impl HuffmanEncoder {
 /// Bits resolved by the primary decode lookup table.
 const LOOKUP_BITS: u32 = 12;
 
+/// Entries of a table indexed by code length, `0..=MAX_LEN`.
+const LENGTHS: usize = MAX_LEN as usize + 1;
+
 /// Largest alphabet [`HuffmanDecoder::read_table`] admits. No format in the
 /// workspace codes more than the 2^16 SZ quantization symbols, and a table
 /// header is a few bytes per 65 535-symbol run, so without a cap a
@@ -254,6 +257,7 @@ const HITS_PER_REFILL: usize = (56 / LOOKUP_BITS) as usize;
 /// The total sits in the low six bits, all a 64-bit shift reads of its
 /// count, so the bulk loop's shift can take the entry as loaded.
 #[derive(Debug, Clone, Copy, Default)]
+#[cfg_attr(test, derive(PartialEq))]
 struct Entry(u64);
 
 impl Entry {
@@ -296,31 +300,41 @@ impl Entry {
 /// Decoder side of a canonical Huffman code.
 ///
 /// Decoding is table-accelerated: codes up to `LOOKUP_BITS` long resolve
-/// with one peek + table hit; longer codes fall back to a canonical
-/// length-first walk.
+/// with one peek + table hit; longer codes resolve from one 32-bit peek by
+/// a canonical compare per length.
 #[derive(Debug, Clone)]
+#[cfg_attr(test, derive(PartialEq))]
 pub struct HuffmanDecoder {
     /// Primary table, one [`Entry`] per LOOKUP_BITS-bit prefix.
     lookup: Box<[Entry; 1 << LOOKUP_BITS]>,
     /// Symbols sorted by (len, symbol).
     syms: Vec<u32>,
     /// For each length 1..=MAX_LEN: canonical code of the first symbol.
-    first_code: [u32; MAX_LEN as usize + 1],
+    first_code: [u32; LENGTHS],
     /// For each length: index into `syms` of the first symbol.
-    offset: [u32; MAX_LEN as usize + 1],
+    offset: [u32; LENGTHS],
     /// For each length: number of symbols.
-    count: [u32; MAX_LEN as usize + 1],
+    count: [u32; LENGTHS],
     max_len: u8,
 }
 
 impl HuffmanDecoder {
     /// Rebuild the decoder from a serialized table.
+    ///
+    /// The work follows the header's runs and coded symbols, not the
+    /// alphabet: the coded runs are kept and counted per length, then each
+    /// symbol is placed at its (length, symbol) rank. Refusals, in order: an
+    /// alphabet over 2^16 symbols, a bad run (or the input ending inside
+    /// the header), a length over 32 bits, a Kraft violation.
     pub fn read_table(r: &mut BitReader<'_>) -> Result<Self, CodecError> {
         let n = r.read_u32()? as usize;
         if n > MAX_ALPHABET {
             return Err(CodecError::Corrupt("huffman alphabet too large"));
         }
-        let mut lens = vec![0u8; n];
+        // Coded runs as (first symbol, run, length), ascending by symbol.
+        let mut runs: Vec<(u32, u32, u8)> = Vec::new();
+        let mut count = [0u32; LENGTHS];
+        let mut too_long = false;
         let mut filled = 0usize;
         while filled < n {
             let len = r.read_bits(6)? as u8;
@@ -328,35 +342,30 @@ impl HuffmanDecoder {
             if run == 0 || filled + run > n {
                 return Err(CodecError::Corrupt("bad huffman RLE run"));
             }
-            for l in &mut lens[filled..filled + run] {
-                *l = len;
+            // A bad run later in the header is refused first.
+            if len > MAX_LEN {
+                too_long = true;
+            } else if len > 0 {
+                count[len as usize] += run as u32;
+                runs.push((filled as u32, run as u32, len));
             }
             filled += run;
         }
-        Self::from_lengths(&lens)
+        if too_long {
+            return Err(CodecError::Corrupt("huffman length exceeds limit"));
+        }
+        Self::from_runs(&runs, count)
     }
 
-    /// Build directly from code lengths.
-    pub(crate) fn from_lengths(lens: &[u8]) -> Result<Self, CodecError> {
-        if lens.len() > MAX_ALPHABET {
-            return Err(CodecError::Corrupt("huffman alphabet too large"));
-        }
-        let mut syms: Vec<u32> = (0..lens.len() as u32)
-            .filter(|&s| lens[s as usize] > 0)
-            .collect();
-        syms.sort_unstable_by_key(|&s| (lens[s as usize], s));
-        let mut first_code = [0u32; MAX_LEN as usize + 1];
-        let mut offset = [0u32; MAX_LEN as usize + 1];
-        let mut count = [0u32; MAX_LEN as usize + 1];
-        let mut max_len = 0u8;
-        for &s in &syms {
-            let l = lens[s as usize];
-            if l > MAX_LEN {
-                return Err(CodecError::Corrupt("huffman length exceeds limit"));
-            }
-            count[l as usize] += 1;
-            max_len = max_len.max(l);
-        }
+    /// Build from the coded runs, ascending by symbol, and the number of
+    /// codes of each length, all at most [`MAX_LEN`].
+    fn from_runs(runs: &[(u32, u32, u8)], count: [u32; LENGTHS]) -> Result<Self, CodecError> {
+        let mut first_code = [0u32; LENGTHS];
+        let mut offset = [0u32; LENGTHS];
+        let max_len = (1..=MAX_LEN)
+            .rev()
+            .find(|&l| count[l as usize] > 0)
+            .unwrap_or(0);
         // 64 bits wide: a complete code with `MAX_LEN`-bit members steps to
         // 2^32 past its last code. The Kraft check keeps `code <= 2^l`, so a
         // first code that has any member fits 32 bits.
@@ -373,6 +382,17 @@ impl HuffmanDecoder {
                 return Err(CodecError::Corrupt("huffman lengths violate Kraft"));
             }
             idx += count[l as usize];
+        }
+        // Counting placement: each length's symbols start at its offset, and
+        // the runs ascend, so each length fills in symbol order.
+        let mut syms = vec![0u32; idx as usize];
+        let mut next = offset;
+        for &(first, run, len) in runs {
+            let at = next[len as usize];
+            for k in 0..run {
+                syms[(at + k) as usize] = first + k;
+            }
+            next[len as usize] = at + run;
         }
         // Primary lookup table: first every prefix's leading short code ...
         let mut lookup = Box::new([Entry::default(); 1 << LOOKUP_BITS]);
@@ -430,8 +450,9 @@ impl HuffmanDecoder {
     /// While eight input bytes remain, one word refill serves
     /// `HITS_PER_REFILL` table hits of one or two symbols each, with no
     /// per-symbol refill or end-of-input check. A code longer than
-    /// `LOOKUP_BITS`, and the last bytes of the stream and of `out`, go
-    /// through [`Self::decode`].
+    /// `LOOKUP_BITS` resolves from the buffered bits, once they hold the
+    /// longest code, and ends the group. The last bytes of the stream and of
+    /// `out` go through [`Self::decode`].
     pub fn decode_run(&self, r: &mut BitReader<'_>, out: &mut [u32]) -> Result<(), CodecError> {
         let mut done = 0usize;
         // Every hit stores two slots and keeps as many as its entry holds.
@@ -439,9 +460,18 @@ impl HuffmanDecoder {
             for _ in 0..HITS_PER_REFILL {
                 let entry = self.lookup[r.top_bits(LOOKUP_BITS) as usize];
                 if entry.total_len() == 0 {
-                    if let Some(slot) = out.get_mut(done) {
-                        *slot = self.decode_slow(r)?;
-                        done += 1;
+                    // A longer code: resolved from the buffer once all of it
+                    // is there, else after the refill (56 bits). The group
+                    // ends either way.
+                    if r.buffered() >= u32::from(self.max_len) {
+                        let (sym, len) = self
+                            .resolve_long(r.top_bits(u32::from(MAX_LEN)))
+                            .ok_or(CodecError::Corrupt("invalid huffman code"))?;
+                        if let Some(slot) = out.get_mut(done) {
+                            *slot = sym;
+                            done += 1;
+                            r.skip(len);
+                        }
                     }
                     break;
                 }
@@ -459,21 +489,40 @@ impl HuffmanDecoder {
         Ok(())
     }
 
-    /// Length-first canonical walk for codes longer than the lookup table.
+    /// A code the lookup table missed, resolved from one zero-padded peek.
+    /// The errors are a bit-at-a-time walk's: `UnexpectedEof` when the input
+    /// ends before the code (or, for no code, `max_len` bits) completes,
+    /// `Corrupt` otherwise.
     #[cold]
     fn decode_slow(&self, r: &mut BitReader<'_>) -> Result<u32, CodecError> {
-        let mut code = 0u32;
-        for l in 1..=self.max_len {
-            code = (code << 1) | r.read_bits(1)? as u32;
-            let li = l as usize;
-            if self.count[li] > 0 {
-                let rel = code.wrapping_sub(self.first_code[li]);
-                if rel < self.count[li] {
-                    return Ok(self.syms[(self.offset[li] + rel) as usize]);
-                }
+        match self.resolve_long(r.peek_bits(u32::from(MAX_LEN))) {
+            Some((sym, len)) => {
+                r.consume(len)?;
+                Ok(sym)
+            }
+            None => {
+                r.consume(u32::from(self.max_len))?;
+                Err(CodecError::Corrupt("invalid huffman code"))
             }
         }
-        Err(CodecError::Corrupt("invalid huffman code"))
+    }
+
+    /// Symbol and length of the code longer than [`LOOKUP_BITS`] that
+    /// begins `top`, the next [`MAX_LEN`] bits, if one does: the canonical
+    /// compare of each length's prefix against that length's codes.
+    #[inline]
+    fn resolve_long(&self, top: u64) -> Option<(u32, u32)> {
+        let mut len = LOOKUP_BITS + 1;
+        while len <= u32::from(self.max_len) {
+            let li = len as usize;
+            let rel =
+                ((top >> (u32::from(MAX_LEN) - len)) as u32).wrapping_sub(self.first_code[li]);
+            if rel < self.count[li] {
+                return Some((self.syms[(self.offset[li] + rel) as usize], len));
+            }
+            len += 1;
+        }
+        None
     }
 }
 
@@ -627,7 +676,26 @@ mod tests {
         for &s in symbols {
             enc.encode(&mut w, s);
         }
-        (HuffmanDecoder::from_lengths(lens).unwrap(), w.finish())
+        (decoder_for(lens).unwrap(), w.finish())
+    }
+
+    /// The serialized table of any code-length list, lengths over
+    /// [`MAX_LEN`] and zero lengths included: the header `write_table` emits.
+    fn table_bytes(lens: &[u8]) -> Vec<u8> {
+        let mut w = BitWriter::new();
+        w.write_u32(lens.len() as u32);
+        for group in lens.chunk_by(|a, b| a == b) {
+            for chunk in group.chunks(u16::MAX as usize) {
+                w.write_bits(u64::from(chunk[0]), 6);
+                w.write_bits(chunk.len() as u64, 16);
+            }
+        }
+        w.finish()
+    }
+
+    /// The decoder `read_table` builds for a code-length list.
+    fn decoder_for(lens: &[u8]) -> Result<HuffmanDecoder, CodecError> {
+        HuffmanDecoder::read_table(&mut BitReader::new(&table_bytes(lens)))
     }
 
     /// What calling `decode` once per slot gives: the symbols decoded before
@@ -637,10 +705,19 @@ mod tests {
         bytes: &[u8],
         count: usize,
     ) -> (Vec<u32>, Option<CodecError>, usize) {
+        per_symbol_with(bytes, count, |r| dec.decode(r))
+    }
+
+    /// `per_symbol` for any one-symbol decode.
+    fn per_symbol_with(
+        bytes: &[u8],
+        count: usize,
+        decode: impl Fn(&mut BitReader<'_>) -> Result<u32, CodecError>,
+    ) -> (Vec<u32>, Option<CodecError>, usize) {
         let mut r = BitReader::new(bytes);
         let mut out = Vec::new();
         for _ in 0..count {
-            match dec.decode(&mut r) {
+            match decode(&mut r) {
                 Ok(s) => out.push(s),
                 Err(e) => return (out, Some(e), r.bits_consumed()),
             }
@@ -744,7 +821,7 @@ mod tests {
     #[test]
     fn decode_run_rejects_what_decode_rejects() {
         // An incomplete code: the all-ones prefix is assigned to no symbol.
-        let dec = HuffmanDecoder::from_lengths(&[1, 2]).unwrap();
+        let dec = decoder_for(&[1, 2]).unwrap();
         for bytes in [
             vec![0xFFu8; 32],
             vec![0x00, 0x5F, 0xFF, 0xFF, 0, 0, 0, 0, 0, 0, 0, 0],
@@ -966,7 +1043,7 @@ mod tests {
         }
         for (name, lens) in &shapes {
             let enc = encoder_for(lens);
-            let dec = HuffmanDecoder::from_lengths(lens).unwrap();
+            let dec = decoder_for(lens).unwrap();
             for count in (0..=HITS_PER_REFILL + 1).chain([7, 8, 9, 63, 64, 65, 1000]) {
                 // Mostly the code's own probabilities, and the deepest codes
                 // back to back so joined writes reach their widest.
@@ -1014,7 +1091,299 @@ mod tests {
             HuffmanDecoder::read_table(&mut BitReader::new(&bytes)).err(),
             Some(CodecError::Corrupt("huffman alphabet too large"))
         );
-        assert!(HuffmanDecoder::from_lengths(&vec![0u8; MAX_ALPHABET + 1]).is_err());
-        assert!(HuffmanDecoder::from_lengths(&vec![16u8; MAX_ALPHABET]).is_ok());
+        assert!(decoder_for(&vec![0u8; MAX_ALPHABET + 1]).is_err());
+        assert!(decoder_for(&vec![16u8; MAX_ALPHABET]).is_ok());
+    }
+
+    // -----------------------------------------------------------------------
+    // The decoder this module had before `read_table` built from the coded
+    // runs: a length per alphabet symbol, scanned and sorted, and a code
+    // past the lookup table read one bit at a time. Kept as the oracle for
+    // tables, symbols and errors.
+    // -----------------------------------------------------------------------
+
+    impl HuffmanDecoder {
+        fn read_table_reference(r: &mut BitReader<'_>) -> Result<Self, CodecError> {
+            let n = r.read_u32()? as usize;
+            if n > MAX_ALPHABET {
+                return Err(CodecError::Corrupt("huffman alphabet too large"));
+            }
+            let mut lens = vec![0u8; n];
+            let mut filled = 0usize;
+            while filled < n {
+                let len = r.read_bits(6)? as u8;
+                let run = r.read_bits(16)? as usize;
+                if run == 0 || filled + run > n {
+                    return Err(CodecError::Corrupt("bad huffman RLE run"));
+                }
+                for l in &mut lens[filled..filled + run] {
+                    *l = len;
+                }
+                filled += run;
+            }
+            Self::from_lengths_reference(&lens)
+        }
+
+        fn from_lengths_reference(lens: &[u8]) -> Result<Self, CodecError> {
+            if lens.len() > MAX_ALPHABET {
+                return Err(CodecError::Corrupt("huffman alphabet too large"));
+            }
+            let mut syms: Vec<u32> = (0..lens.len() as u32)
+                .filter(|&s| lens[s as usize] > 0)
+                .collect();
+            syms.sort_unstable_by_key(|&s| (lens[s as usize], s));
+            let mut first_code = [0u32; MAX_LEN as usize + 1];
+            let mut offset = [0u32; MAX_LEN as usize + 1];
+            let mut count = [0u32; MAX_LEN as usize + 1];
+            let mut max_len = 0u8;
+            for &s in &syms {
+                let l = lens[s as usize];
+                if l > MAX_LEN {
+                    return Err(CodecError::Corrupt("huffman length exceeds limit"));
+                }
+                count[l as usize] += 1;
+                max_len = max_len.max(l);
+            }
+            let mut code = 0u64;
+            let mut idx = 0u32;
+            for l in 1..=max_len {
+                code <<= 1;
+                first_code[l as usize] = code as u32;
+                offset[l as usize] = idx;
+                code += u64::from(count[l as usize]);
+                if code > 1u64 << l {
+                    return Err(CodecError::Corrupt("huffman lengths violate Kraft"));
+                }
+                idx += count[l as usize];
+            }
+            let mut lookup = Box::new([Entry::default(); 1 << LOOKUP_BITS]);
+            {
+                let mut code = 0u32;
+                let mut idx = 0usize;
+                for l in 1..=max_len.min(LOOKUP_BITS as u8) {
+                    code <<= 1;
+                    for k in 0..count[l as usize] {
+                        let sym = syms[idx + k as usize];
+                        let prefix = ((code + k) as usize) << (LOOKUP_BITS - l as u32);
+                        lookup[prefix..prefix + (1usize << (LOOKUP_BITS - l as u32))]
+                            .fill(Entry::one(sym, l));
+                    }
+                    code += count[l as usize];
+                    idx += count[l as usize] as usize;
+                }
+            }
+            for prefix in 0..lookup.len() {
+                let first = lookup[prefix];
+                let rest = (prefix << first.first_len()) & (lookup.len() - 1);
+                let next = lookup[rest];
+                let spare = LOOKUP_BITS as u8 - first.first_len();
+                if first.symbols() == 1 && next.symbols() >= 1 && next.first_len() <= spare {
+                    lookup[prefix] = first.then(next);
+                }
+            }
+            Ok(Self {
+                lookup,
+                syms,
+                first_code,
+                offset,
+                count,
+                max_len,
+            })
+        }
+
+        /// `decode` with the bit-at-a-time walk behind the lookup table.
+        fn decode_reference(&self, r: &mut BitReader<'_>) -> Result<u32, CodecError> {
+            let entry = self.lookup[r.peek_bits(LOOKUP_BITS) as usize];
+            if entry.total_len() != 0 {
+                r.consume(u32::from(entry.first_len()))?;
+                return Ok(entry.first());
+            }
+            self.decode_slow_reference(r)
+        }
+
+        fn decode_slow_reference(&self, r: &mut BitReader<'_>) -> Result<u32, CodecError> {
+            let mut code = 0u32;
+            for l in 1..=self.max_len {
+                code = (code << 1) | r.read_bits(1)? as u32;
+                let li = l as usize;
+                if self.count[li] > 0 {
+                    let rel = code.wrapping_sub(self.first_code[li]);
+                    if rel < self.count[li] {
+                        return Ok(self.syms[(self.offset[li] + rel) as usize]);
+                    }
+                }
+            }
+            Err(CodecError::Corrupt("invalid huffman code"))
+        }
+    }
+
+    /// `read_table` against the reference on one header: the same decoder,
+    /// field for field, and reader position, or the same error.
+    fn assert_table_matches_reference(bytes: &[u8], ctx: &str) {
+        let (mut got_r, mut want_r) = (BitReader::new(bytes), BitReader::new(bytes));
+        let got = HuffmanDecoder::read_table(&mut got_r);
+        let want = HuffmanDecoder::read_table_reference(&mut want_r);
+        assert!(
+            got == want,
+            "{ctx}: {:?} against {:?}",
+            got.err(),
+            want.err()
+        );
+        if want.is_ok() {
+            assert_eq!(
+                got_r.bits_consumed(),
+                want_r.bits_consumed(),
+                "{ctx}: reader position"
+            );
+        }
+    }
+
+    /// Code lengths of a Huffman code over `alphabet` symbols, `occupancy`
+    /// in one coded, weights spread geometrically up to `2^spread`.
+    fn random_lengths(
+        alphabet: usize,
+        occupancy: u64,
+        spread: u64,
+        next: &mut impl FnMut() -> u64,
+    ) -> Vec<u8> {
+        let freqs: Vec<u64> = (0..alphabet)
+            .map(|_| match next() % occupancy {
+                0 => 1 + (next() & ((1u64 << (next() % (spread + 1))) - 1)),
+                _ => 0,
+            })
+            .collect();
+        let enc = HuffmanEncoder::from_frequencies(&freqs);
+        (0..alphabet).map(|s| enc.entry(s).1).collect()
+    }
+
+    #[test]
+    fn read_table_equals_the_sort_based_reference() {
+        let mut next = xorshift(0x7AB1_E5EE);
+        // One code of each length 1..=32, and the last twice.
+        let mut ladder: Vec<u8> = (1..=MAX_LEN).collect();
+        ladder.push(MAX_LEN);
+        let mut tables = vec![vec![], vec![0u8; 10], vec![1], vec![1, 1], ladder];
+        for round in 0..160 {
+            let alphabet = match round % 4 {
+                0 => 1 + (next() % 40) as usize,
+                1 => 300,
+                2 => 4096,
+                _ => 65_536,
+            };
+            let occupancy = [1u64, 2, 9, 300][round / 4 % 4];
+            let spread = [0u64, 4, 20, 40][round / 16 % 4];
+            let mut lens = random_lengths(alphabet, occupancy, spread, &mut next);
+            let at = (next() % alphabet as u64) as usize;
+            // Valid as built; an incomplete code; one length out of Kraft or
+            // past `MAX_LEN`; lengths 1..=32 drawn at random.
+            match round / 64 {
+                0 => {}
+                1 => lens[at] = 0,
+                _ if round % 2 == 0 => lens[at] = lens[at].saturating_sub(1).max(1),
+                _ if round % 3 == 0 => lens[at] = 33 + (next() % 31) as u8,
+                _ => lens.iter_mut().for_each(|l| *l = 1 + (next() % 32) as u8),
+            }
+            tables.push(lens);
+        }
+        for (i, lens) in tables.iter().enumerate() {
+            let ctx = format!("table {i}, {} symbols", lens.len());
+            assert_table_matches_reference(&table_bytes(lens), &ctx);
+        }
+
+        // Hostile headers. A length over `MAX_LEN` is refused after the bad
+        // run that follows it; one under it, after the runs, by Kraft.
+        let header = |n: u32, runs: &[(u64, u64)]| {
+            let mut w = BitWriter::new();
+            w.write_u32(n);
+            for &(len, run) in runs {
+                w.write_bits(len, 6);
+                w.write_bits(run, 16);
+            }
+            w.finish()
+        };
+        let mut hostile: Vec<(&str, Vec<u8>)> = vec![
+            ("empty stream", vec![]),
+            ("empty table", header(0, &[])),
+            ("zero run", header(10, &[(3, 4), (3, 0)])),
+            ("run past n", header(10, &[(3, 4), (3, 7)])),
+            ("length 33", header(4, &[(33, 4)])),
+            ("length 63", header(4, &[(1, 1), (63, 3)])),
+            ("length 40 then a bad run", header(8, &[(40, 4), (2, 0)])),
+            ("length 40 then Kraft", header(8, &[(1, 4), (40, 4)])),
+            ("Kraft", header(3, &[(1, 3)])),
+            (
+                "alphabet 2^16 + 1",
+                header(MAX_ALPHABET as u32 + 1, &[(16, 65_535), (16, 2)]),
+            ),
+            (
+                "alphabet 2^16",
+                header(MAX_ALPHABET as u32, &[(16, 65_535), (16, 1)]),
+            ),
+            ("runs cut short", header(10, &[(4, 4)])),
+        ];
+        let valid = table_bytes(&random_lengths(300, 2, 20, &mut next));
+        for cut in [1, 4, 5, valid.len() / 2, valid.len() - 1] {
+            hostile.push(("a valid table cut short", valid[..cut].to_vec()));
+        }
+        for (name, bytes) in &hostile {
+            assert_table_matches_reference(bytes, name);
+        }
+        // Random bits under a random small alphabet: mostly bad runs.
+        for i in 0..2000 {
+            let mut bytes = (next() % 600).to_be_bytes()[4..].to_vec();
+            bytes.extend((0..next() % 40).map(|_| next() as u8));
+            assert_table_matches_reference(&bytes, &format!("random header {i}"));
+        }
+    }
+
+    #[test]
+    fn truncation_inside_a_long_code_fails_as_the_bitwise_walk() {
+        let mut next = xorshift(0x0C07_10F6);
+        // Long codes of 19 bits; a complete code with one code of each
+        // length 1..=32; an incomplete one, lengths 1..=12 and then eight
+        // of 16 bits, so that a prefix of 13 ones is no code's. Its stream
+        // ends in ones: a cut leaves a code unfinished (end of input), too
+        // few ones to tell (end of input) or a prefix of no code (corrupt).
+        let mut ladder: Vec<u8> = (1..=32).collect();
+        ladder.push(32);
+        let mut incomplete: Vec<u8> = (1..=12).collect();
+        incomplete.extend([16; 8]);
+        let shapes = [
+            ("19-bit codes", lengths_with_long_codes(300, 290), 0),
+            ("lengths 1..=32", ladder, 0),
+            ("incomplete", incomplete, 32),
+        ];
+        for (name, lens, ones) in &shapes {
+            let enc = encoder_for(lens);
+            let dec = decoder_for(lens).unwrap();
+            let deepest = (0..lens.len() as u32)
+                .max_by_key(|&s| lens[s as usize])
+                .unwrap();
+            for count in [200usize, 201, 203, 206, 1000] {
+                // The last codes are the longest, so every cut of the last
+                // eight bytes lands inside one.
+                let mut symbols = draw(lens, count, &mut next);
+                symbols[count - 6..].fill(deepest);
+                let mut w = BitWriter::new();
+                enc.encode_run(&mut w, &symbols);
+                w.write_bits((1 << ones) - 1, *ones);
+                let bytes = w.finish();
+                for cut in bytes.len() - 8..=bytes.len() {
+                    let bytes = &bytes[..cut];
+                    let ctx = format!("{name}, {count} symbols cut to {cut} bytes");
+                    // Where a failed read leaves the reader is not part of
+                    // the contract; the symbols and the error are.
+                    let (want, want_err, _) =
+                        per_symbol_with(bytes, count + 9, |r| dec.decode_reference(r));
+                    assert!(want_err.is_some(), "{ctx}: the cut must fail");
+                    let (got, got_err, _) = per_symbol(&dec, bytes, count + 9);
+                    assert_eq!((&got, &got_err), (&want, &want_err), "{ctx}: decode");
+                    let mut out = vec![u32::MAX; count + 9];
+                    let run_err = dec.decode_run(&mut BitReader::new(bytes), &mut out).err();
+                    assert_eq!(run_err, want_err, "{ctx}: decode_run");
+                    assert_eq!(out[..want.len()], want[..], "{ctx}: decode_run's symbols");
+                }
+            }
+        }
     }
 }
