@@ -1238,8 +1238,8 @@ mod tests {
         }
     }
 
-    /// Code lengths of a Huffman code over `alphabet` symbols, `occupancy`
-    /// in one coded, weights spread geometrically up to `2^spread`.
+    /// Code lengths of a Huffman code over `alphabet` symbols, about one in
+    /// `occupancy` of them coded, with weights below `2^spread`.
     fn random_lengths(
         alphabet: usize,
         occupancy: u64,
