@@ -1,11 +1,16 @@
 //! Contracts that hold across all three transports because they share one
-//! client turn and one run set-up: a verdict counts once per cohort slot
-//! however many frames carried it, and an in-process TCP client trains on
-//! the shard it was handed — through a reconnect too.
+//! client turn, one run set-up and one attempt core: a verdict counts once
+//! per cohort slot however many frames carried it, a quorum-starved round
+//! retries or fails with the same counters and the same typed error, and
+//! an in-process TCP client trains on the shard it was handed — through a
+//! reconnect too.
 
 use std::time::Duration;
 
+use fedsz::FaultCounters;
 use fedsz_fl::{run_with, FaultKind, FaultPlan, FlConfig, FlError, NetConfig, RunSpec, Transport};
+
+const TRANSPORTS: [Transport; 3] = [Transport::InProcess, Transport::Channel, Transport::Tcp];
 
 /// Small, fast FL setup (mirrors tests/tcp_transport.rs).
 fn fl_cfg(n_clients: usize, rounds: usize) -> FlConfig {
@@ -63,6 +68,55 @@ fn a_replayed_frame_that_can_never_fit_is_shed_once_on_every_transport() {
     assert_eq!(in_process, expected, "in-process");
     assert_eq!(channel, expected, "channel");
     assert_eq!(tcp, expected, "tcp");
+}
+
+#[test]
+fn a_starved_round_retries_to_the_same_counters_on_every_transport() {
+    // Client 0's update is corrupt on attempt 0 only (planned faults fire
+    // on the first attempt), so a quorum of two starves once and the retry
+    // delivers both: every counter of both rounds, not only `delivered`
+    // and `rejected`, must be the same whichever way the updates travel.
+    let plan = FaultPlan::new().with(0, 0, FaultKind::Corrupt);
+    let healed = FaultCounters {
+        rejected: 1,
+        ..FaultCounters::full(2)
+    };
+    for transport in TRANSPORTS {
+        let spec = RunSpec {
+            min_quorum: 2,
+            max_round_retries: 1,
+            ..with_plan(transport, &plan)
+        };
+        let result = run_with(&fl_cfg(2, 2), &spec).expect("the retry meets the quorum");
+        let counters: Vec<FaultCounters> = result.rounds.iter().map(|r| r.faults).collect();
+        assert_eq!(counters, [healed, FaultCounters::full(2)], "{transport:?}");
+    }
+}
+
+#[test]
+fn a_round_that_sheds_everything_is_overloaded_on_every_transport() {
+    // No frame fits a one-byte budget: every attempt sheds all three
+    // clients, the retry too, and the run fails with the typed overload
+    // error — not `QuorumNotMet` — carrying the last attempt's counts.
+    let cfg = FlConfig {
+        ingest_budget_bytes: Some(1),
+        ..fl_cfg(3, 1)
+    };
+    let expected = FlError::Overloaded {
+        round: 0,
+        shed: 3,
+        delivered: 0,
+        required: 2,
+    };
+    for transport in TRANSPORTS {
+        let spec = RunSpec {
+            min_quorum: 2,
+            max_round_retries: 1,
+            ..with_plan(transport, &FaultPlan::new())
+        };
+        let err = run_with(&cfg, &spec).expect_err("every update is shed");
+        assert_eq!(err, expected, "{transport:?}");
+    }
 }
 
 #[test]
