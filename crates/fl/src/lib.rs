@@ -61,6 +61,7 @@
 //! across transports and worker counts.
 
 pub mod aggregate;
+mod attempt;
 pub mod budget;
 pub mod checkpoint;
 pub mod error;

@@ -474,10 +474,8 @@ impl ServerTransport for Loopback<'_> {
             Uplink::Shed { client_id }
         } else if let Some(update) = reply.raw {
             Uplink::Raw {
-                client_id,
+                msg: reply.msg,
                 update,
-                samples: reply.msg.samples,
-                train_s: reply.msg.train_s,
             }
         } else {
             Uplink::Msg(reply.msg)

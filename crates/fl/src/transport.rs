@@ -48,24 +48,22 @@
 //! including the wire-level kinds (`TruncateFrame`, `FlipBytes`,
 //! `Disconnect`) that only a real socket can produce faithfully.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use fedsz::{CompressedUpdate, FedSzConfig, QuarantineReasons};
+use fedsz::{CompressedUpdate, FedSzConfig};
 use fedsz_dnn::{Dataset, Network};
 use fedsz_tensor::{SplitMix64, StateDict, Tensor};
 
+use crate::attempt::{Attempt, Step};
 use crate::budget::Ledger;
 use crate::error::FlError;
 use crate::fault::{poison_update, FaultKind, FaultPlan, FaultStage};
-use crate::ingest::{self, IngestPool, Verdict};
+use crate::ingest::IngestPool;
 use crate::net::NetConfig;
 use crate::partition;
-use crate::robust::{Aggregation, RobustFold};
 use crate::session::{maybe_checkpoint, resume_point, FlConfig, FlRunResult, RoundMetrics};
 use crate::sync::channel::{bounded, Receiver, RecvTimeoutError, Sender};
-use crate::validate::validate_update;
 use crate::wire::{self, Frame, HeaderVerdict};
 
 /// Which way a run's updates travel. All three run `serve` and
@@ -161,14 +159,10 @@ pub(crate) enum Uplink {
     /// nothing is spent compressing. Only the in-process loopback, which
     /// has no bytes to move, produces this.
     Raw {
-        /// Client the update came from.
-        client_id: usize,
+        /// Who sent it and what it claims; the payload is empty.
+        msg: ClientMsg,
         /// The trained update.
         update: Box<StateDict>,
-        /// Sample count the client claims (checked by validation).
-        samples: usize,
-        /// Local training time.
-        train_s: f64,
     },
     /// A frame that failed wire-level validation — bad CRC-32 or a
     /// truncated read — attributed to the connection it arrived on.
@@ -211,12 +205,6 @@ pub(crate) struct BroadcastOutcome {
     pub(crate) reached: Vec<bool>,
     /// Bytes put on the wire by this broadcast (0 for unreachable clients).
     pub(crate) bytes_down: usize,
-}
-
-impl BroadcastOutcome {
-    pub(crate) fn expected(&self) -> usize {
-        self.reached.iter().filter(|r| **r).count()
-    }
 }
 
 /// Server-side endpoint of a transport: broadcast downlink, receive uplink.
@@ -744,77 +732,34 @@ pub(crate) fn serve<T: ServerTransport>(
             ..Default::default()
         };
 
-        let agg = 'attempts: {
-            for attempt in 0..=spec.max_round_retries {
-                let outcome = transport.broadcast(round, attempt, &cohort, &global);
-                // The server-kill hook fires after the broadcast goes out
-                // but before any update is collected — the deterministic
-                // double for a SIGKILL mid-round. Rounds before this one
-                // are already checkpointed; this one is lost in flight.
-                if attempt == 0 && spec.faults.server_kill_round() == Some(round) {
-                    return Err(FlError::ServerKilled { round });
-                }
-                let expected = outcome.expected();
-                // Saturating: a transport may report reaching a client the
-                // cohort did not name (e.g. a rejoin raced the sample), and
-                // an underflow here was once an abort-on-subtract panic.
-                metrics.faults.dropped = cohort.len().saturating_sub(expected);
-                metrics.bytes_down_wire += outcome.bytes_down;
-                if expected == 0 {
-                    return Err(FlError::AllClientsDead { round });
-                }
-
-                let collected = collect_attempt(
-                    round,
-                    attempt,
-                    &outcome.reached,
-                    spec.round_deadline,
-                    transport,
-                    &global,
-                    cfg.aggregation,
-                    &mut pool,
-                    ledger,
-                    &mut metrics,
-                )?;
-                if collected.delivered >= spec.quorum() {
-                    break 'attempts collected.agg;
-                }
-                if attempt == spec.max_round_retries {
-                    // A starved round that shed updates gets its own error
-                    // so operators can tell "clients failed" from "the
-                    // server turned clients away".
-                    return Err(if collected.shed > 0 {
-                        FlError::Overloaded {
-                            round,
-                            shed: collected.shed,
-                            delivered: collected.delivered,
-                            required: spec.quorum(),
-                        }
-                    } else {
-                        FlError::QuorumNotMet {
-                            round,
-                            delivered: collected.delivered,
-                            required: spec.quorum(),
-                        }
-                    });
-                }
-                // Quorum starved: the partial aggregate of this attempt is
-                // dropped with `collected`; the retry starts fresh.
+        let mut attempt = 0;
+        let model = loop {
+            let outcome = transport.broadcast(round, attempt, &cohort, &global);
+            // The server-kill hook fires after the broadcast goes out
+            // but before any update is collected — the deterministic
+            // double for a SIGKILL mid-round. Rounds before this one
+            // are already checkpointed; this one is lost in flight.
+            if attempt == 0 && spec.faults.server_kill_round() == Some(round) {
+                return Err(FlError::ServerKilled { round });
             }
-            unreachable!("attempt loop either breaks with a quorum or returns an error");
+            let core = Attempt::new(
+                (round, attempt),
+                cohort.len(),
+                &outcome,
+                spec.round_deadline.map(|d| Instant::now() + d),
+                cfg.aggregation,
+                &global,
+                &mut metrics,
+            )?;
+            let core = collect_attempt(core, transport, &mut pool, ledger)?;
+            match core.finish(spec.quorum(), attempt == spec.max_round_retries)? {
+                Some(model) => break model,
+                // Quorum starved: this attempt's partial aggregate is
+                // dropped; the retry starts fresh.
+                None => attempt += 1,
+            }
         };
-
-        // Quorum was checked on the pre-screen accepted count; the robust
-        // screen decides `suspected` at finish, and delivered is what
-        // actually contributed to the aggregate.
-        let outcome = agg.finish()?;
-        metrics.suspect_reasons = outcome.suspected;
-        metrics.faults.suspected = outcome.suspected.total();
-        metrics.faults.delivered = metrics
-            .faults
-            .delivered
-            .saturating_sub(outcome.suspected.total());
-        global = Arc::new(outcome.model);
+        global = Arc::new(model);
         server.load_state_dict(&global);
         metrics.accuracy = server.evaluate(test);
         rounds.push(metrics);
@@ -832,303 +777,50 @@ pub(crate) fn serve<T: ServerTransport>(
     })
 }
 
-/// Result of collecting one round attempt.
-struct AttemptOutcome {
-    /// The running aggregation accumulator with every valid update of
-    /// this attempt already folded in — O(model) under the default mean,
-    /// O(cohort × model) under the buffering robust modes.
-    agg: RobustFold,
-    /// Number of valid updates folded.
-    delivered: usize,
-    /// Updates deterministically turned away by admission control — frames
-    /// that could never fit the ingest budget or trickled below the
-    /// minimum byte rate.
-    shed: usize,
-}
-
-/// Settles ingest outcomes in contiguous submission order, folding each
-/// accepted update straight into the streaming FedAvg accumulator.
-///
-/// Parallel workers finish in arbitrary order, but nothing downstream may
-/// observe that: the `delivered` count and the `f64` metric sums must
-/// behave exactly as the serial collector did, or the same seeds stop
-/// producing bit-identical runs (the fold itself is an exact fixed-point
-/// sum, indifferent to order). Out-of-order outcomes are buffered and
-/// applied only once every earlier submission has settled; since the
-/// collector admits at most one submission per client per attempt, the
-/// buffer holds at most the in-flight worker window — the server never
-/// materializes the cohort's updates.
-struct Settle {
-    agg: RobustFold,
-    delivered: usize,
-    rejected: usize,
-    quarantined: QuarantineReasons,
-    next: u64,
-    buffered: BTreeMap<u64, ingest::Outcome>,
-}
-
-impl Settle {
-    fn new(mode: Aggregation, global: &Arc<StateDict>) -> Self {
-        Self {
-            agg: RobustFold::new(mode, global),
-            delivered: 0,
-            rejected: 0,
-            quarantined: QuarantineReasons::default(),
-            next: 0,
-            buffered: BTreeMap::new(),
-        }
-    }
-
-    fn push(
-        &mut self,
-        out: ingest::Outcome,
-        ledger: &Ledger,
-        metrics: &mut RoundMetrics,
-    ) -> Result<(), FlError> {
-        self.buffered.insert(out.seq, out);
-        while let Some(out) = self.buffered.remove(&self.next) {
-            self.next += 1;
-            self.apply(out, ledger, metrics)?;
-        }
-        Ok(())
-    }
-
-    fn apply(
-        &mut self,
-        out: ingest::Outcome,
-        ledger: &Ledger,
-        metrics: &mut RoundMetrics,
-    ) -> Result<(), FlError> {
-        // The frame's budget reservation is held from admission until its
-        // outcome settles; release it before anything else so a fold error
-        // cannot leak capacity.
-        ledger.release(out.reserved);
-        // Decompression is timed for every decode attempt — rejected and
-        // quarantined payloads cost the server real wall time too.
-        metrics.decompress_s_total += out.decompress_s;
-        match out.verdict {
-            Verdict::Accept(sd) => {
-                metrics.train_s_total += out.train_s;
-                metrics.compress_s_total += out.compress_s;
-                metrics.bytes_on_wire += out.wire_bytes;
-                metrics.bytes_uncompressed += out.raw_bytes;
-                // Validation upstream guarantees structure and finiteness,
-                // so the only fold failure left is total-weight overflow —
-                // a typed error, never a worker panic.
-                self.agg.fold(out.client_id, sd, out.samples)?;
-                self.delivered += 1;
-                // Under the default mean the update's storage dies as soon
-                // as it folds; the robust modes buffer it until finish.
-            }
-            Verdict::Quarantine(reason) => reason.tally(&mut self.quarantined),
-            Verdict::Reject(_) => self.rejected += 1,
-        }
-        Ok(())
-    }
-}
-
-/// Collect uplink messages for `(round, attempt)` until every expected
-/// client has answered (or provably cannot) or the deadline passes.
-/// Corrupt payloads and broken wire frames count as rejected; updates that
-/// decode cleanly but fail semantic validation against the broadcast
-/// `global` count as quarantined; missing clients as late; stale messages
-/// from earlier rounds or attempts are discarded (they were already
-/// accounted when they ran late).
-///
-/// Admission is **first-wins**: each reached client gets exactly one
-/// submission per attempt, and every later message carrying its id —
-/// a replayed frame, a stuck retry loop, a spoofed duplicate — is
-/// discarded before it is decoded or buffered. That bounds the ingest
-/// pool's queue and the settle buffer by the cohort size no matter how
-/// hard a hostile peer floods the uplink, and it makes the fold count
-/// (hence the aggregate) independent of duplication.
-///
-/// Decode + validate runs on the ingest `pool` while this thread keeps
-/// draining the transport; every payload received before the cutoff is
-/// still decoded (the serial contract — decode work always extended past
-/// the deadline), and outcomes settle in submission order, each accepted
-/// update folding immediately into the streaming aggregate, so the result
-/// is bit-identical for any worker count and the server's update memory
-/// stays O(model).
-#[allow(clippy::too_many_arguments)]
-fn collect_attempt<T: ServerTransport>(
-    round: usize,
-    attempt: usize,
-    reached: &[bool],
-    deadline: Option<Duration>,
+/// Drive one attempt's [`Attempt`] core: the transport `recv`, the ingest
+/// `pool`, the `ledger` and the clock are this function's, every decision
+/// the core's. It receives until no reached client can still answer or the
+/// deadline passes, then settles every job still in flight: a payload
+/// received before the cutoff is always decoded (the serial contract).
+fn collect_attempt<'a, T: ServerTransport>(
+    mut core: Attempt<'a>,
     transport: &mut T,
-    global: &Arc<StateDict>,
-    mode: Aggregation,
     pool: &mut IngestPool,
     ledger: &Ledger,
-    metrics: &mut RoundMetrics,
-) -> Result<AttemptOutcome, FlError> {
-    let cutoff = deadline.map(|d| Instant::now() + d);
-    let mut settle = Settle::new(mode, global);
-    let mut outstanding = reached.to_vec();
-    let mut pending = outstanding.iter().filter(|o| **o).count();
-    let expected = pending;
-    let mut seq = 0u64;
-    let mut in_flight = 0usize;
-    let mut shed = 0usize;
-    // Resolve `id`'s slot; `false` when it was not outstanding — an id
-    // outside the broadcast set, or one that already answered this attempt.
-    let resolve = |outstanding: &mut [bool], pending: &mut usize, id: usize| {
-        let open = outstanding.get_mut(id).is_some_and(std::mem::take);
-        *pending -= usize::from(open);
-        open
-    };
-
-    // How often the collect loop wakes to settle finished decodes while
-    // blocked on the transport. Settling is what releases ledger capacity,
-    // so waiting on the transport *without* draining would deadlock with
-    // every remaining client parked in `Ledger::reserve`: their sends are
-    // gated on releases only this loop can perform. The poll changes when
-    // outcomes settle, never which updates are admitted, so accounting
-    // and the aggregate stay bit-identical.
-    const SETTLE_POLL: Duration = Duration::from_millis(5);
-
-    while pending > 0 {
-        let wait_until = if in_flight > 0 {
-            let poll = Instant::now() + SETTLE_POLL;
-            Some(cutoff.map_or(poll, |c| c.min(poll)))
-        } else {
-            cutoff
-        };
-        let msg = match transport.recv(wait_until) {
-            Ok(m) => m,
-            Err(RecvEnd::Timeout) if cutoff.is_none_or(|c| Instant::now() < c) => {
-                // The settle poll expired, not the round deadline: fold
-                // whatever the pool finished (freeing budget for parked
-                // clients) and go back to waiting.
-                while let Some(out) = pool.try_recv() {
-                    in_flight -= 1;
-                    settle.push(out, ledger, metrics)?;
-                }
-                continue;
-            }
-            Err(RecvEnd::Timeout) | Err(RecvEnd::Closed) => break,
-        };
-        match msg {
-            Uplink::Msg(msg) => {
-                // Stale straggler output (already accounted when it ran
-                // late) is discarded. So is — first-wins admission — an id
-                // outside the broadcast set (nonsense, out of cohort, or
-                // `cfg.n_clients` spoofing) or one that already submitted
-                // this attempt: dropped here, undecoded. Either way the
-                // budget reservation is handed back, or a duplicate flood
-                // would pin the budget forever.
-                if msg.round != round
-                    || msg.attempt != attempt
-                    || !resolve(&mut outstanding, &mut pending, msg.client_id)
-                {
-                    ledger.release(msg.reserved);
-                    continue;
-                }
-                let wire_bytes = msg.payload.nbytes();
-                pool.submit(ingest::Job {
-                    seq,
-                    client_id: msg.client_id,
-                    payload: msg.payload,
-                    samples: msg.samples,
-                    train_s: msg.train_s,
-                    compress_s: msg.compress_s,
-                    raw_bytes: msg.raw_bytes,
-                    wire_bytes,
-                    reserved: msg.reserved,
-                    global: Arc::clone(global),
-                });
-                seq += 1;
-                in_flight += 1;
-            }
-            Uplink::Raw {
-                client_id,
-                update,
-                samples,
-                train_s,
-            } => {
-                if !resolve(&mut outstanding, &mut pending, client_id) {
-                    continue;
-                }
-                // Nothing to decode: validate in line and settle the state
-                // dict itself, in sequence with the pool's outcomes. What
-                // travelled is the raw update, so wire bytes = raw bytes.
-                let raw_bytes = update.nbytes();
-                let verdict = match validate_update(&update, global, samples) {
-                    Ok(()) => Verdict::Accept(update),
-                    Err(reason) => Verdict::Quarantine(reason),
+) -> Result<Attempt<'a>, FlError> {
+    let mut receiving = true;
+    while receiving || core.in_flight() > 0 {
+        if receiving {
+            receiving = core.waiting()
+                && match transport.recv(core.wake_at(Instant::now())) {
+                    Ok(uplink) => {
+                        match core.on_uplink(uplink)? {
+                            Step::Submit(job) => pool.submit(job),
+                            Step::Release(bytes) => ledger.release(bytes),
+                        }
+                        true
+                    }
+                    // The settle poll expired, not the round deadline:
+                    // settle whatever the pool finished (freeing budget for
+                    // parked clients) and go back to waiting.
+                    Err(RecvEnd::Timeout) => !core.expired(Instant::now()),
+                    Err(RecvEnd::Closed) => false,
                 };
-                let out = ingest::Outcome {
-                    seq,
-                    client_id,
-                    samples,
-                    train_s,
-                    compress_s: 0.0,
-                    raw_bytes,
-                    wire_bytes: raw_bytes,
-                    reserved: 0,
-                    verdict,
-                    decompress_s: 0.0,
-                };
-                seq += 1;
-                settle.push(out, ledger, metrics)?;
-            }
-            // Shed and Garbage are verdicts on a cohort slot, counted when
-            // they resolve it — first-wins, like a message. A replayed
-            // frame that is refused again says nothing new, and counting
-            // it made the counters depend on how many copies beat the end
-            // of the round: on the transport, and on the scheduler.
-            Uplink::Shed { client_id } => {
-                // Admission control turned this update away at the frame
-                // header — over budget or too slow.
-                if resolve(&mut outstanding, &mut pending, client_id) {
-                    shed += 1;
-                }
-            }
-            Uplink::Garbage { client_id } => {
-                // Wire-level rejection (bad CRC / truncated frame): counted
-                // like a corrupt payload, attributed to the connection. It
-                // never reaches the pool — there is nothing to decode.
-                if resolve(&mut outstanding, &mut pending, client_id) {
-                    settle.rejected += 1;
-                }
-            }
-            Uplink::Gone { client_id } => {
-                // The connection closed before an answer: this client runs
-                // out as late without forcing the server to sit out the
-                // whole deadline for it.
-                resolve(&mut outstanding, &mut pending, client_id);
-            }
         }
-        // Drain whatever finished while we were waiting on the transport so
-        // the out-of-order buffer stays small.
-        while let Some(out) = pool.try_recv() {
-            in_flight -= 1;
-            settle.push(out, ledger, metrics)?;
+        // The one drain: what the pool has finished, and once receiving is
+        // over, every job still in flight.
+        while core.in_flight() > 0 {
+            let Some(out) = (if receiving {
+                pool.try_recv()
+            } else {
+                Some(pool.recv())
+            }) else {
+                break;
+            };
+            ledger.release(core.on_outcome(out)?);
         }
     }
-
-    while in_flight > 0 {
-        let out = pool.recv();
-        in_flight -= 1;
-        settle.push(out, ledger, metrics)?;
-    }
-
-    metrics.faults.rejected += settle.rejected;
-    metrics.faults.quarantined += settle.quarantined.total();
-    metrics.quarantine_reasons += settle.quarantined;
-    metrics.faults.shed += shed;
-    // Every verdict counted above resolved a slot of its own, so together
-    // they cannot exceed `expected`; whoever is left never answered.
-    let delivered = settle.delivered;
-    metrics.faults.late +=
-        expected - (delivered + settle.rejected + settle.quarantined.total() + shed);
-    metrics.faults.delivered = delivered;
-    Ok(AttemptOutcome {
-        agg: settle.agg,
-        delivered,
-        shed,
-    })
+    Ok(core)
 }
 
 #[cfg(test)]

@@ -137,6 +137,7 @@ impl Default for Config {
             ],
             deterministic_files: vec![
                 "fl/src/aggregate.rs",
+                "fl/src/attempt.rs",
                 "fl/src/robust.rs",
                 "fl/src/checkpoint.rs",
                 "fl/src/session.rs",

@@ -125,6 +125,23 @@ fn r3_flags_clocks_and_rng_outside_timing_modules() {
 }
 
 #[test]
+fn the_attempt_core_may_neither_read_the_clock_nor_hash() {
+    // R2 covers the core like the other deterministic modules, and it is
+    // no timing module: R3 refuses `Instant::now` in it.
+    let diags = lint_set("core_clock");
+    assert_eq!(
+        rules_hit(&diags),
+        vec!["no-ambient-entropy", "no-unordered-iteration"],
+        "{diags:?}"
+    );
+    let clock: Vec<u32> = (diags.iter())
+        .filter(|d| d.rule == "no-ambient-entropy")
+        .map(|d| d.line)
+        .collect();
+    assert_eq!(clock, vec![15], "{diags:?}");
+}
+
+#[test]
 fn r4_flags_unchecked_length_arithmetic_only() {
     let diags = lint_set("r4_hits");
     assert_eq!(
