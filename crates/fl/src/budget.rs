@@ -23,7 +23,7 @@
 //!
 //! [`RoundGate`] is the frame-level replay defense for the TCP path: at
 //! most one update frame per cohort slot per `(round, attempt)` crosses
-//! from a reader thread into the server. The settle loop stays the
+//! from a reader thread into the server. The attempt core stays the
 //! authoritative first-wins arbiter; the gate only keeps replayed or
 //! stale frames from occupying ledger space and event-queue slots.
 

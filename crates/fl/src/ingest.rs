@@ -9,8 +9,8 @@
 //! payload becomes a [`Job`] tagged with a submission sequence number, a
 //! pool of worker threads decodes and validates jobs concurrently, and the
 //! collector settles the resulting [`Outcome`]s — counts them and folds
-//! each accepted update — in **submission order** (see
-//! [`transport`](crate::transport)'s `Settle`).
+//! each accepted update — in **submission order** (the attempt core in
+//! `attempt.rs` decides; `transport`'s `collect_attempt` drives it).
 //!
 //! # Determinism
 //!
@@ -87,8 +87,8 @@ pub struct Job {
     /// Size of `payload` on the wire (accounted on accept).
     pub wire_bytes: usize,
     /// Bytes this update holds reserved on the ingest
-    /// [`Ledger`](crate::budget::Ledger); released by the settle loop
-    /// once the outcome is applied. 0 when budgeting is disabled.
+    /// [`Ledger`](crate::budget::Ledger); released by the collector once
+    /// the outcome settles. 0 when budgeting is disabled.
     pub reserved: usize,
     /// The broadcast model this round's updates must match structurally.
     pub global: Arc<StateDict>,
@@ -188,7 +188,7 @@ enum Mode {
 ///
 /// `submit` hands a payload to the pool; `try_recv`/`recv` return finished
 /// [`Outcome`]s in *completion* order — callers that need serial semantics
-/// re-order by [`Outcome::seq`] (the transport's `Settle` does). The caller
+/// re-order by [`Outcome::seq`] (the attempt core does). The caller
 /// is responsible for draining exactly as many outcomes as it submitted.
 pub struct IngestPool {
     mode: Mode,

@@ -22,7 +22,7 @@
 //! * **Generation counters** per slot make reconnects race-free: reports
 //!   (`Garbage`/`Shed`/`Gone`) from a replaced connection are discarded,
 //!   while genuine `Msg` updates are never filtered by generation — the
-//!   round/attempt check in the collect loop already handles staleness.
+//!   round/attempt check in the attempt core already handles staleness.
 //! * Clients **reconnect with exponential backoff** (deterministic jitter)
 //!   whenever the socket dies, and a rejoining client is served again from
 //!   the next broadcast. The server grants each lost slot one bounded
@@ -267,7 +267,7 @@ impl TcpServer {
     /// should see of it. A join is installed and passes nothing on. A report
     /// from a replaced connection is dropped, and `Gone` from the current
     /// one uninstalls it. Updates are never filtered by generation: a valid
-    /// update is a valid update, and the collect loop's round/attempt check
+    /// update is a valid update, and the attempt core's round/attempt check
     /// already discards stale ones.
     fn apply(&mut self, inbound: Inbound) -> Option<Uplink> {
         let (gen, uplink) = match inbound {
@@ -296,7 +296,7 @@ impl TcpServer {
         Some(uplink)
     }
 
-    /// [`apply`](Self::apply) outside the collect loop (joining, leaving).
+    /// [`apply`](Self::apply) outside an attempt (joining, leaving).
     /// Between rounds every update is stale, but it still holds a budget
     /// reservation that must be handed back; every other report was
     /// already accounted when it ran late.

@@ -327,9 +327,11 @@ fn recv_timeout_can_give_up_inside_a_model() {
 }
 
 /// The collector's settle poll: hand a job to the worker, then wait for
-/// its outcome with the timed receive a poll at a time, the way
-/// `collect_attempt` waits `SETTLE_POLL` and goes back to waiting when the
-/// poll expires. The explorer must reach both "a poll timed out before
+/// its outcome with the timed receive a poll at a time, the way the
+/// attempt core's `wake_at` has its driver wake every `SETTLE_POLL` while
+/// jobs are in flight and go back to waiting when the poll expires (the
+/// core decides the wake; the driver, `transport`'s `collect_attempt`,
+/// does the receive). The explorer must reach both "a poll timed out before
 /// the outcome arrived" and "the outcome arrived within the first poll",
 /// and no schedule may deadlock or diverge on replay.
 #[cfg(feature = "interleave")]
