@@ -76,8 +76,8 @@ pub(crate) struct Attempt<'a> {
 }
 
 impl<'a> Attempt<'a> {
-    /// Open `id` on what its broadcast to a `cohort` of that many clients
-    /// `sent`; the round fails when it reached nobody.
+    /// Open attempt `id` on its broadcast to `cohort` clients, which `sent`
+    /// describes; a broadcast that reached nobody fails the round.
     pub(crate) fn new(
         id: (usize, usize),
         cohort: usize,
