@@ -310,7 +310,8 @@ impl<'a> Attempt<'a> {
 #[cfg(test)]
 mod tests {
     use fedsz::{CodecError, CompressedUpdate, FaultCounters};
-    use fedsz_tensor::{SplitMix64, Tensor, TensorKind};
+    use fedsz_tensor::{Tensor, TensorKind};
+    use proptest::prelude::*;
 
     use super::*;
     use crate::transport::ClientMsg;
@@ -568,8 +569,9 @@ mod tests {
         (metrics, model)
     }
 
-    #[test]
-    fn every_interleaving_of_an_attempt_settles_to_the_same_verdicts() {
+    /// What every order must settle to: the planned verdicts, and the fold
+    /// of 0, 3 and 8 alone.
+    fn planned() -> (FaultCounters, StateDict) {
         let verdicts = FaultCounters {
             delivered: 3,
             rejected: 2,
@@ -586,24 +588,41 @@ mod tests {
                 .fold(id, Box::new(update(id as f32)), id + 1)
                 .expect("fold");
         }
-        let folded = reference.finish().expect("finish").model;
+        (verdicts, reference.finish().expect("finish").model)
+    }
 
-        // Arrival order, with every outcome straight after its submit.
+    #[test]
+    fn arrival_order_and_its_reverse_settle_to_the_planned_verdicts() {
+        let (verdicts, folded) = planned();
+        // Uplinks in scenario order, outcomes only once every uplink is in.
         let (metrics, model) = play(|_| 0);
         assert_eq!(metrics.faults, verdicts);
         assert_eq!(metrics.quarantine_reasons.non_finite, 2);
         assert_eq!(model, folded);
-        // Uplinks last-first, outcomes only once every uplink is in.
+        // Uplinks last-first, every outcome straight after its submit.
         let (metrics, model) = play(|n| n - 1);
-        assert_eq!((metrics.faults, model), (verdicts, folded.clone()));
-        for seed in 0..2000 {
-            let mut rng = SplitMix64::new(seed);
-            let (metrics, model) = play(|n| rng.below(n));
-            assert_eq!(metrics.faults, verdicts, "seed {seed}");
+        assert_eq!((metrics.faults, model), (verdicts, folded));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// Any interleaving of the scenario's uplinks and pool outcomes
+        /// (each outcome after its submit): one pick per step, 24 steps.
+        #[test]
+        fn every_interleaving_of_an_attempt_settles_to_the_same_verdicts(
+            picks in collection::vec(any::<u64>(), 24)
+        ) {
+            let (verdicts, folded) = planned();
+            let mut picks = picks.into_iter();
+            let (metrics, model) = play(|n| {
+                let pick = picks.next().expect("one pick per step");
+                (pick % n as u64) as usize
+            });
             let f = metrics.faults;
-            let total = f.delivered + f.rejected + f.quarantined + f.shed + f.late;
-            assert_eq!(total, REACHED, "seed {seed}");
-            assert_eq!(model, folded, "seed {seed}");
+            prop_assert_eq!(f, verdicts);
+            prop_assert_eq!(f.delivered + f.rejected + f.quarantined + f.shed + f.late, REACHED);
+            prop_assert_eq!(model, folded);
         }
     }
 
