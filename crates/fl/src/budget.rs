@@ -1,7 +1,4 @@
-//! Overload protection primitives: the per-round ingest memory ledger
-//! and the per-round frame-admission gate.
-//!
-//! # Ledger
+//! Overload protection: the per-round ingest memory ledger.
 //!
 //! [`Ledger`] tracks how many bytes of admitted-but-unsettled update
 //! frames the server currently holds. Every reader **reserves** a
@@ -18,14 +15,6 @@
 //! independent of arrival order, worker count, and transport, which is
 //! what lets the chaos soak assert bit-identical fault counters across
 //! {in-process, channel, TCP} × ingest workers.
-//!
-//! # RoundGate
-//!
-//! [`RoundGate`] is the frame-level replay defense for the TCP path: at
-//! most one update frame per cohort slot per `(round, attempt)` crosses
-//! from a reader thread into the server. The attempt core stays the
-//! authoritative first-wins arbiter; the gate only keeps replayed or
-//! stale frames from occupying ledger space and event-queue slots.
 
 use std::time::Duration;
 
@@ -103,7 +92,7 @@ impl Ledger {
     ///
     /// Returns `false` when the ledger was [`close`](Self::close)d
     /// (server shutting down) or when `n` could never fit —
-    /// [`admit`](Self::admit) sheds such a frame before it gets here;
+    /// `admit` sheds such a frame before it gets here;
     /// hitting it here is a defensive refusal, not a verdict.
     pub fn reserve(&self, n: usize) -> bool {
         let mut s = lock(&self.state);
@@ -133,7 +122,7 @@ impl Ledger {
     /// wait for room and reserve it (backpressure), and abort when the
     /// ledger closes under the wait. On `Admit` the caller owns a
     /// reservation of `n` bytes.
-    pub fn admit(&self, n: usize) -> HeaderVerdict {
+    pub(crate) fn admit(&self, n: usize) -> HeaderVerdict {
         if self.would_never_fit(n) {
             HeaderVerdict::Shed
         } else if self.reserve(n) {
@@ -162,80 +151,6 @@ impl Ledger {
     pub fn close(&self) {
         lock(&self.state).closed = true;
         self.freed.notify_all();
-    }
-}
-
-struct GateState {
-    /// `(round, attempt)` the gate currently admits; `None` before the
-    /// first broadcast.
-    open_for: Option<(usize, usize)>,
-    /// Which client slots already had an update frame admitted for the
-    /// current `(round, attempt)`.
-    submitted: Vec<bool>,
-    /// Which client slots are in the current cohort at all.
-    eligible: Vec<bool>,
-}
-
-/// Per-`(round, attempt)` frame-admission gate: at most one update
-/// frame per eligible cohort slot crosses into the server per attempt.
-pub struct RoundGate {
-    state: Mutex<GateState>,
-}
-
-impl RoundGate {
-    /// A gate over `n` registered client slots, initially closed.
-    pub fn new(n: usize) -> Self {
-        RoundGate {
-            state: Mutex::new(GateState {
-                open_for: None,
-                submitted: vec![false; n],
-                eligible: vec![false; n],
-            }),
-        }
-    }
-
-    /// Open the gate for `(round, attempt)` with `cohort` (client ids)
-    /// eligible. Resets the per-attempt submission marks.
-    pub fn open(&self, round: usize, attempt: usize, cohort: &[usize]) {
-        let mut s = lock(&self.state);
-        s.open_for = Some((round, attempt));
-        s.submitted.iter_mut().for_each(|b| *b = false);
-        s.eligible.iter_mut().for_each(|b| *b = false);
-        for &id in cohort {
-            if let Some(slot) = s.eligible.get_mut(id) {
-                *slot = true;
-            }
-        }
-    }
-
-    /// Should an update frame from `client` for `(round, attempt)` be
-    /// admitted? `true` exactly once per eligible slot per open
-    /// attempt; stale, early, out-of-cohort, and repeated frames are
-    /// refused (the caller drops them without buffering the payload).
-    pub fn admit(&self, client: usize, round: usize, attempt: usize) -> bool {
-        let mut s = lock(&self.state);
-        if s.open_for != Some((round, attempt)) {
-            return false;
-        }
-        if !s.eligible.get(client).copied().unwrap_or(false) {
-            return false;
-        }
-        match s.submitted.get_mut(client) {
-            Some(slot) if !*slot => {
-                *slot = true;
-                true
-            }
-            _ => false,
-        }
-    }
-}
-
-impl std::fmt::Debug for RoundGate {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = lock(&self.state);
-        f.debug_struct("RoundGate")
-            .field("open_for", &s.open_for)
-            .finish()
     }
 }
 
@@ -296,21 +211,5 @@ mod tests {
         assert!(l.reserve(10));
         l.release(50);
         assert_eq!(l.in_use(), 0);
-    }
-
-    #[test]
-    fn gate_admits_once_per_slot_per_attempt() {
-        let g = RoundGate::new(4);
-        assert!(!g.admit(0, 0, 0), "closed gate admits nothing");
-        g.open(0, 0, &[0, 2]);
-        assert!(g.admit(0, 0, 0));
-        assert!(!g.admit(0, 0, 0), "replay refused");
-        assert!(!g.admit(1, 0, 0), "out-of-cohort refused");
-        assert!(g.admit(2, 0, 0));
-        assert!(!g.admit(0, 1, 0), "stale round refused");
-        assert!(!g.admit(0, 0, 1), "stale attempt refused");
-        assert!(!g.admit(99, 0, 0), "out-of-range slot refused");
-        g.open(0, 1, &[0, 2]);
-        assert!(g.admit(0, 0, 1), "new attempt readmits the slot");
     }
 }

@@ -78,7 +78,7 @@ pub mod validate;
 pub mod wire;
 
 pub use aggregate::StreamingFedAvg;
-pub use budget::{Ledger, RoundGate};
+pub use budget::Ledger;
 pub use checkpoint::{config_fingerprint, Checkpoint};
 pub use error::FlError;
 pub use fault::{FaultKind, FaultPlan};

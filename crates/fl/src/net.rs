@@ -43,7 +43,7 @@ use std::time::{Duration, Instant};
 
 use fedsz_tensor::SplitMix64;
 
-use crate::budget::{Ledger, RoundGate};
+use crate::budget::Ledger;
 use crate::error::FlError;
 use crate::fault::FaultKind;
 use crate::session::{FlConfig, FlRunResult};
@@ -175,7 +175,6 @@ struct TcpServer {
     /// Lossless codec the broadcast model is encoded with.
     bcast_cfg: fedsz::FedSzConfig,
     ledger: Arc<Ledger>,
-    gate: Arc<RoundGate>,
 }
 
 impl TcpServer {
@@ -216,7 +215,6 @@ impl TcpServer {
             ncfg,
             bcast_cfg,
             ledger,
-            gate: Arc::new(RoundGate::new(n_clients)),
         })
     }
 
@@ -248,9 +246,8 @@ impl TcpServer {
         let gen = slot.gen;
         let min_rate = self.ncfg.min_byte_rate;
         let ledger = Arc::clone(&self.ledger);
-        let gate = Arc::clone(&self.gate);
         self.readers.push(std::thread::spawn(move || {
-            reader_loop(reader, client_id, gen, min_rate, ledger, gate, tx)
+            reader_loop(reader, client_id, gen, min_rate, ledger, tx)
         }));
     }
 
@@ -390,12 +387,6 @@ impl ServerTransport for TcpServer {
             }
         }
 
-        // Arm per-round admission before any client can answer: each
-        // cohort slot gets exactly one update frame past the readers for
-        // this `(round, attempt)`; replays and strays are dropped at the
-        // socket, undecoded.
-        self.gate.open(round, attempt, cohort);
-
         let bytes = wire::encode(&Frame::Broadcast {
             round,
             attempt,
@@ -463,7 +454,7 @@ fn handshake(mut stream: TcpStream, tx: Sender<Inbound>, stop: Arc<AtomicBool>) 
         if stop.load(Ordering::SeqCst) || Instant::now() >= deadline {
             return;
         }
-        match wire::read_frame(&mut stream, HANDSHAKE_TIMEOUT) {
+        match read_hello(&mut stream) {
             Ok(Frame::Hello { client_id }) => {
                 // Refused only at shutdown; the stream closes as it drops.
                 let _ = tx.send(Inbound::Joined { client_id, stream });
@@ -474,6 +465,24 @@ fn handshake(mut stream: TcpStream, tx: Sender<Inbound>, stop: Arc<AtomicBool>) 
             Err(_) => return,
         }
     }
+}
+
+/// Read one frame from a connection that has not named its slot yet.
+/// A header announcing a body longer than any Hello's is refused there,
+/// before a body byte is buffered: an unknown dialer gets no more memory
+/// than a Hello takes.
+fn read_hello<R: std::io::Read>(r: &mut R) -> Result<Frame, WireError> {
+    let hello = wire::encode(&Frame::Hello {
+        client_id: usize::MAX,
+    });
+    let longest = hello.len() - wire::HEADER_LEN - wire::TRAILER_LEN;
+    wire::read_frame_gated(r, HANDSHAKE_TIMEOUT, 0, &mut Vec::new(), |len| {
+        if len <= longest {
+            HeaderVerdict::Admit
+        } else {
+            HeaderVerdict::Abort
+        }
+    })
 }
 
 /// Decode uplink frames from one connection until it dies.
@@ -500,7 +509,6 @@ fn reader_loop(
     gen: u64,
     min_rate: u64,
     ledger: Arc<Ledger>,
-    gate: Arc<RoundGate>,
     tx: Sender<Inbound>,
 ) {
     // One body buffer for the connection's lifetime: it grows to the
@@ -511,7 +519,7 @@ fn reader_loop(
     let shed = || Uplink::Shed { client_id };
     loop {
         // Bytes this iteration holds in the ledger; nonzero from the
-        // moment the gate admits until the frame's fate is known.
+        // moment the ledger admits until the frame is handed on or dropped.
         let mut reserved = 0usize;
         let res =
             wire::read_frame_gated(&mut stream, FRAME_BUDGET, min_rate, &mut scratch, |len| {
@@ -535,15 +543,13 @@ fn reader_loop(
                 payload,
             }) => {
                 // A frame claiming another client's identity is garbage,
-                // not a message — the handshake owns the slot binding.
-                // A frame for a closed `(round, attempt)` — a replayed
-                // duplicate, a stray for an unsampled slot, a straggler
-                // from a finished attempt — is dropped right here,
-                // already accounted (late) where it mattered.
+                // not a message — the handshake owns the slot binding. A
+                // replay, a stray or a straggler is still a message: the
+                // attempt core discards it and hands its reservation back.
                 let uplink = if echoed != client_id {
-                    Some(garbage())
-                } else if gate.admit(client_id, round, attempt) {
-                    Some(Uplink::Msg(ClientMsg {
+                    garbage()
+                } else {
+                    Uplink::Msg(ClientMsg {
                         client_id,
                         round,
                         attempt,
@@ -554,17 +560,15 @@ fn reader_loop(
                         raw_bytes,
                         // Handed on: the reservation now rides in the message.
                         reserved: std::mem::take(&mut reserved),
-                    }))
-                } else {
-                    None
+                    })
                 };
-                (uplink, false)
+                (Some(uplink), false)
             }
             // A well-formed frame of the wrong kind: protocol violation,
             // but the stream is still framed — reject and keep reading.
             Ok(_) => (Some(garbage()), false),
             Err(WireError::Idle) => (None, false), // no frame yet; wait on
-            // The gate shed this frame at its header: the body was
+            // The ledger shed this frame at its header: the body was
             // drained, the stream stays framed, the connection lives.
             Err(WireError::OverBudget(_)) => (Some(shed()), false),
             // Dripping below the minimum byte rate: shed the frame and
@@ -944,6 +948,57 @@ mod tests {
         assert_eq!(r.faults.delivered, 2);
         assert!(r.bytes_down_wire > 0);
         assert!(r.bytes_on_wire > 0);
+    }
+
+    #[test]
+    fn handshake_refuses_an_oversized_hello_at_the_header() {
+        // A 9-byte header announcing a body longer than any Hello's, then
+        // some of that body: refused where it stands, nothing buffered.
+        let hello = wire::encode(&Frame::Hello {
+            client_id: usize::MAX,
+        });
+        let longest = hello.len() - wire::HEADER_LEN - wire::TRAILER_LEN;
+        for announced in [longest + 1, wire::MAX_BODY] {
+            let mut bytes = hello[..5].to_vec();
+            bytes.extend_from_slice(&(announced as u32).to_le_bytes());
+            bytes.extend_from_slice(&[0; 64]);
+            let mut stream = std::io::Cursor::new(bytes);
+            assert_eq!(
+                read_hello(&mut stream),
+                Err(WireError::Closed),
+                "{announced}"
+            );
+            assert_eq!(stream.position(), wire::HEADER_LEN as u64, "{announced}");
+        }
+        // The longest real Hello still reads.
+        let mut stream = std::io::Cursor::new(hello.clone());
+        assert_eq!(
+            read_hello(&mut stream),
+            Ok(Frame::Hello {
+                client_id: usize::MAX
+            })
+        );
+
+        // Over a socket: the bomb's connection is dropped at once, with no
+        // join, and a real Hello still handshakes.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let mut bomb = hello[..5].to_vec();
+        bomb.extend_from_slice(&(wire::MAX_BODY as u32).to_le_bytes());
+        for (bytes, joins) in [
+            (bomb, false),
+            (wire::encode(&Frame::Hello { client_id: 3 }), true),
+        ] {
+            let mut dialer = TcpStream::connect(addr).expect("connect");
+            wire::write_frame_bytes(&mut dialer, &bytes).expect("write");
+            let (conn, _) = listener.accept().expect("accept");
+            let (tx, rx) = bounded(1);
+            let t0 = Instant::now();
+            handshake(conn, tx, Arc::new(AtomicBool::new(false)));
+            assert!(t0.elapsed() < HANDSHAKE_TIMEOUT, "{:?}", t0.elapsed());
+            let joined = matches!(rx.try_recv(), Ok(Inbound::Joined { client_id: 3, .. }));
+            assert_eq!(joined, joins);
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Every structure in this crate that parks a thread on shared state takes
 //! its mutexes, condvars, channels and (for the ingest pool) thread spawns
-//! from here: [`budget`](crate::budget)'s ledger and gate, the
+//! from here: [`budget`](crate::budget)'s ledger, the
 //! [`ingest`](crate::ingest) pool, and the queues the channel and TCP
 //! transports carry updates and events over. In a normal build `Mutex` and
 //! `Condvar` *are* the `std::sync` types — zero cost, identical behavior.

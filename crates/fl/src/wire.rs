@@ -409,8 +409,9 @@ pub enum HeaderVerdict {
     /// Refuse the frame: drain its body without buffering and return
     /// [`WireError::OverBudget`]. The connection stays framed.
     Shed,
-    /// The server is shutting down; stop reading and report
-    /// [`WireError::Closed`] so the caller winds the connection down.
+    /// Stop reading — the server is shutting down, or the frame has no
+    /// business on this connection — and report [`WireError::Closed`]
+    /// so the caller winds the connection down.
     Abort,
 }
 

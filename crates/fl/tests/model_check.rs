@@ -1,9 +1,10 @@
 //! Deterministic-interleaving model check of the overload path.
 //!
-//! The system under test is the reserve → admit → forward → settle →
-//! release machinery from [`fedsz_fl::budget`] (`Ledger`, `RoundGate`)
-//! plus a collector/worker lane pair shaped like the
-//! [`fedsz_fl::ingest`] outcome lane. The harness runs it with real
+//! The system under test is the reserve → forward → admit → settle →
+//! release machinery around [`fedsz_fl::budget`]'s `Ledger`: clients
+//! reserving frame bytes, a collector that applies first-wins admission
+//! the way the attempt core does, and a collector/worker lane pair shaped
+//! like the [`fedsz_fl::ingest`] outcome lane. The harness runs it with real
 //! threads over the primitives in [`fedsz_fl::sync`]:
 //!
 //! * Without the `interleave` cargo feature, those primitives are plain
@@ -27,13 +28,12 @@
 //! pattern. The bug exists only inside this file — product code carries
 //! the fixed ordering.
 
-#[cfg(feature = "interleave")]
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex as StdMutex};
 #[cfg(feature = "interleave")]
 use std::time::{Duration, Instant};
 
-use fedsz_fl::budget::{Ledger, RoundGate};
+use fedsz_fl::budget::Ledger;
 use fedsz_fl::sync::channel::bounded;
 #[cfg(feature = "interleave")]
 use fedsz_fl::sync::channel::{RecvError, RecvTimeoutError, SendError};
@@ -54,8 +54,8 @@ const OVERSIZED: usize = 150;
 struct RoundOutcome {
     /// Clients shed before reserving (would_never_fit).
     shed: Vec<usize>,
-    /// Clients refused by the round gate (duplicate frames), released
-    /// without forwarding.
+    /// Clients refused by first-wins admission (duplicate frames),
+    /// released without forwarding.
     refused: Vec<usize>,
     /// Clients settled, in settle order (seq order by construction).
     settled: Vec<usize>,
@@ -68,8 +68,6 @@ struct RoundOutcome {
 /// the offending schedule into a reported failure.
 fn overload_round() -> RoundOutcome {
     let ledger = Arc::new(Ledger::new(Some(CAP)));
-    let gate = Arc::new(RoundGate::new(3));
-    gate.open(0, 0, &[0, 1, 2]);
 
     // Admission lane (client -> collector), job lane (collector -> worker),
     // outcome lane (worker -> collector). All bounded, all capacity 1, so
@@ -86,16 +84,18 @@ fn overload_round() -> RoundOutcome {
     });
 
     let ledger_c = Arc::clone(&ledger);
-    let gate_c = Arc::clone(&gate);
     let collector = thread::spawn(move || {
         // 3 admission messages reach the collector: client 0 twice
         // (duplicate) and client 1 once; client 2 is shed before sending.
+        // First-wins, as in the attempt core: a slot is open until its
+        // first message arrives.
+        let mut open = BTreeSet::from([0usize, 1, 2]);
         let mut refused = Vec::new();
         let mut settled = Vec::new();
         let mut seq = 0u64;
         for _ in 0..3 {
             let (client, size) = admit_rx.recv().expect("clients outlive admission");
-            if gate_c.admit(client, 0, 0) {
+            if open.remove(&client) {
                 job_tx.send((seq, client, size)).expect("worker alive");
                 let (oseq, oclient, osize) = out_rx.recv().expect("worker alive");
                 // The settle loop's core invariant: outcomes settle in

@@ -431,7 +431,9 @@ fn tight_budget_backpressures_without_shedding_and_stays_bit_identical() {
     // could only come from settling finished decodes. Nothing may be
     // shed — no single update comes near the cap — and the run must stay
     // bit-identical to the unconstrained one: backpressure changes when
-    // updates are admitted, never whether.
+    // updates are admitted, never whether. Client 1 also replays its
+    // round-1 frame five times: each copy holds its reservation until the
+    // collector discards it, and none may wedge the round.
     let cfg = fl_cfg(4, 2);
     let baseline =
         run_with(&cfg, &backstop(Transport::Channel)).expect("unconstrained channel run");
@@ -445,9 +447,13 @@ fn tight_budget_backpressures_without_shedding_and_stays_bit_identical() {
         ingest_budget_bytes: Some(max_round_wire / 2 + 256),
         ..cfg
     };
+    let replayed = |transport| RunSpec {
+        faults: FaultPlan::new().with(1, 1, FaultKind::Replay(5)),
+        ..backstop(transport)
+    };
     let channel =
-        run_with(&tight, &backstop(Transport::Channel)).expect("backpressured channel run");
-    let tcp = run_with(&tight, &backstop(Transport::Tcp)).expect("backpressured tcp run");
+        run_with(&tight, &replayed(Transport::Channel)).expect("backpressured channel run");
+    let tcp = run_with(&tight, &replayed(Transport::Tcp)).expect("backpressured tcp run");
     for (transport, run) in [("channel", &channel), ("tcp", &tcp)] {
         for r in &run.rounds {
             assert_eq!(
