@@ -130,6 +130,32 @@ fn bench_huffman() {
         });
         assert_eq!(out, syms, "decode_run must reproduce the encoded symbols");
     }
+
+    // "e4": a table alone, at the spread of the widest MobileNetV2 tensors
+    // at rel 1e-4 (sigma ~ 2 000 bins, over ten thousand live symbols),
+    // built over the span of codes that occur, as the SZ container builds
+    // it: what the leaf sort and the code table cost when the live symbols
+    // number in the thousands.
+    let syms = quant_codes(1 << 20, 2000.0);
+    let mut freqs = vec![0u64; 1 << 16];
+    let (mut least, mut greatest) = (u32::MAX, 0u32);
+    for &s in &syms {
+        freqs[s as usize] += 1;
+        least = least.min(s);
+        greatest = greatest.max(s);
+    }
+    let spans = [0..1, least as usize..greatest as usize + 1];
+    let live = freqs.iter().filter(|&&f| f > 0).count();
+    println!(
+        "# e4: {live} live symbols over a span of {}",
+        spans[1].len()
+    );
+    row("huffman/table_build/e4", 10, 1.0, "table/s", || {
+        let enc = HuffmanEncoder::from_frequencies_in(&freqs, &spans);
+        let mut w = BitWriter::new();
+        enc.write_table(&mut w);
+        w.finish()
+    });
 }
 
 fn bench_rangecoder() {

@@ -143,13 +143,28 @@ pub(crate) fn compress<P: Predictor>(data: &[f32], eb: ErrorBound) -> Vec<u8> {
     let mut codes = vec![0u32; data.len()];
     let mut literals = Vec::new();
     let mut freqs = vec![0u64; NUM_CODES];
+    // Least and greatest quantization code, escapes (code 0) aside: the
+    // Huffman build reads the counts of those codes and of code 0 only.
+    // Held with the top bit flipped, as `i16`: codes are below 2^16, the
+    // flip makes their order signed, and SSE2's 16-bit min and max then
+    // fold them several at a time.
+    let (mut least, mut greatest) = (i16::MAX, i16::MIN);
     for (values, codes) in data.chunks(P::UNIT).zip(codes.chunks_mut(P::UNIT)) {
         predictor.encode_unit(values, &q, codes, &mut literals);
-        // The unit's codes are still in cache.
+        // The unit's codes are still in cache. The extremes are a loop of
+        // their own, which vectorizes; beside the counts they would be a
+        // chain of dependent compares.
         for &code in codes.iter() {
             freqs[code as usize] += 1;
         }
+        for &code in codes.iter() {
+            // Code 0 less one wraps to the top, where it lowers nothing.
+            least = least.min((code.wrapping_sub(1) as u16 ^ 0x8000) as i16);
+            greatest = greatest.max((code as u16 ^ 0x8000) as i16);
+        }
     }
+    let unflip = |code: i16| usize::from(code as u16 ^ 0x8000);
+    let quantized = unflip(least) + 1..unflip(greatest) + 1;
 
     // ---- assemble payload, behind the mode byte that stores it as it is ----
     let mut payload = Vec::with_capacity(data.len() / 2 + 64);
@@ -164,24 +179,29 @@ pub(crate) fn compress<P: Predictor>(data: &[f32], eb: ErrorBound) -> Vec<u8> {
     }
 
     // Huffman-coded quantization codes.
-    let enc = HuffmanEncoder::from_frequencies(&freqs);
+    let enc = HuffmanEncoder::from_frequencies_in(&freqs, &[0..1, quantized]);
     let mut w = BitWriter::with_capacity(data.len() / 2);
     enc.write_table(&mut w);
     enc.encode_run(&mut w, &codes);
     payload.extend_from_slice(&w.finish());
 
     // ---- lossless backend (Zstd analogue, as in SZ2), where it pays ----
-    // Kept only if it saves more than zstd's `ZSTD_minGain` at its fast
-    // strategies, a 64th of the payload and two bytes: zstd stores a block
-    // that saves less raw.
-    let len = payload.len() - 1;
-    let backend = zstd::compress(&payload[1..]);
-    let stream = if backend.len() + len / 64 + 2 < len {
-        [&[MODE_SZ][..], &backend].concat()
-    } else {
-        payload
+    let stream = match backend_if_it_pays(&payload[1..]) {
+        Some(backend) => [&[MODE_SZ][..], &backend].concat(),
+        None => payload,
     };
     unless_raw_is_smaller(stream, data)
+}
+
+/// The Zstd analogue's stream of `payload`, if it saves more than zstd's
+/// `ZSTD_minGain` at its fast strategies, a 64th of the payload and two
+/// bytes: zstd stores a block that saves less raw. The rule is handed to
+/// the backend as a length limit, so a stream it would not keep is priced
+/// and never written.
+fn backend_if_it_pays(payload: &[u8]) -> Option<Vec<u8>> {
+    let len = payload.len();
+    // `backend + len / 64 + 2 < len`, solved for the backend's length.
+    zstd::compress_within(payload, len.checked_sub(len / 64 + 3)?)
 }
 
 /// Decompress a [`compress`] stream of the same predictor.
@@ -657,6 +677,44 @@ pub(crate) mod tests {
         for (name, data, mode) in [("noise", &noise, MODE_SZ_STORED), ("flat", &flat, MODE_SZ)] {
             check::<Sz2>(data, mode, &format!("SZ2 {name}"));
             check::<Sz3>(data, mode, &format!("SZ3 {name}"));
+        }
+    }
+
+    #[test]
+    fn the_backend_limit_keeps_exactly_what_compress_then_compare_keeps() {
+        let compare = |payload: &[u8]| {
+            let backend = zstd::compress(payload);
+            let len = payload.len();
+            (backend.len() + len / 64 + 2 < len).then_some(backend)
+        };
+        // Real payloads of both predictors: MobileNetV2's tensors at a tight
+        // bound (mostly kept) and a loose one (mostly stored), and payloads
+        // too short for any backend stream to pay.
+        let model = fedsz_models::ModelKind::MobileNetV2.synthesize(10, 42);
+        let mut payloads: Vec<(String, Vec<u8>)> = (0..4usize)
+            .map(|n| (format!("{n} bytes"), vec![9u8; n]))
+            .collect();
+        for entry in model.entries().iter().step_by(5).take(24) {
+            for rel in [1e-4, 1e-2] {
+                let data = entry.tensor.data();
+                for (codec, stream) in [
+                    ("SZ2", compress::<Sz2>(data, ErrorBound::Rel(rel))),
+                    ("SZ3", compress::<Sz3>(data, ErrorBound::Rel(rel))),
+                ] {
+                    if let Some(payload) = payload_of(&stream) {
+                        payloads.push((format!("{codec} {rel:e} {}", entry.name), payload));
+                    }
+                }
+            }
+        }
+        let kept = payloads
+            .iter()
+            .filter(|(_, p)| compare(p).is_some())
+            .count();
+        let stored = payloads.len() - kept;
+        assert!(kept >= 4 && stored >= 4, "{kept} kept, {stored} stored");
+        for (ctx, payload) in &payloads {
+            assert_eq!(backend_if_it_pays(payload), compare(payload), "{ctx}");
         }
     }
 

@@ -5,6 +5,8 @@
 //! encoding so that sparse alphabets (e.g. 2^16 quantization bins of which a
 //! few hundred occur) cost little header space.
 
+use std::ops::Range;
+
 use crate::bitio::{BitReader, BitWriter};
 use crate::CodecError;
 
@@ -18,13 +20,55 @@ const MAX_LEN: u8 = 32;
 fn code_lengths(mut weights: Vec<u64>) -> Vec<u8> {
     loop {
         let lens = code_lengths_once(&weights);
-        if lens.iter().all(|&l| l <= MAX_LEN) {
+        let mut longest = 0u8;
+        for &len in &lens {
+            longest = longest.max(len);
+        }
+        if longest <= MAX_LEN {
             return lens;
         }
-        for w in &mut weights {
-            *w = w.div_ceil(2);
+        for weight in &mut weights {
+            *weight = weight.div_ceil(2);
         }
     }
+}
+
+/// `(weight, leaf)` of every leaf in `(weight, leaf)` order: an LSD radix
+/// sort on the weight, a byte a pass, of the leaves in id order. Each pass
+/// is stable, so equal weights keep their ids ascending. The passes stop
+/// at the highest byte a weight sets, and a pass over a byte that every
+/// weight shares is skipped: the work and the tables follow the leaves,
+/// whatever the alphabet they were drawn from.
+fn leaves_by_weight(weights: &[u64]) -> Vec<(u64, u32)> {
+    let n = weights.len();
+    let mut sorted: Vec<(u64, u32)> = Vec::with_capacity(n);
+    let mut any = 0u64;
+    for (leaf, &weight) in (0u32..).zip(weights) {
+        sorted.push((weight, leaf));
+        any |= weight;
+    }
+    let mut spare = vec![(0u64, 0u32); n];
+    let mut shift = 0u32;
+    while shift < 64 && any >> shift != 0 {
+        let mut start = [0usize; 256];
+        for &(weight, _) in &sorted {
+            start[(weight >> shift) as usize & 255] += 1;
+        }
+        if n > 0 && start[(sorted[0].0 >> shift) as usize & 255] < n {
+            let mut at = 0usize;
+            for slot in &mut start {
+                (*slot, at) = (at, at + *slot);
+            }
+            for &leaf in &sorted {
+                let digit = (leaf.0 >> shift) as usize & 255;
+                spare[start[digit]] = leaf;
+                start[digit] += 1;
+            }
+            std::mem::swap(&mut sorted, &mut spare);
+        }
+        shift += 8;
+    }
+    sorted
 }
 
 /// One Huffman construction over non-zero `weights`, one leaf each.
@@ -46,27 +90,34 @@ fn code_lengths_once(weights: &[u64]) -> Vec<u8> {
         // A single distinct symbol still needs one bit on the wire.
         return vec![1; leaves];
     }
-    let mut sorted: Vec<(u64, u32)> = weights.iter().copied().zip(0u32..).collect();
-    sorted.sort_unstable();
-    let mut sorted = sorted.into_iter().peekable();
-    // Weight of internal node `leaves + k` at index `k`; `joined` counts
-    // those that already have a parent.
-    let mut internal: Vec<u64> = Vec::with_capacity(leaves - 1);
-    let mut joined = 0usize;
+    // A weight no node has closes each queue, so the choice of queue is a
+    // compare and never a branch.
+    let mut sorted = leaves_by_weight(weights);
+    sorted.push((u64::MAX, 0));
+    // Weight of internal node `leaves + k` at index `k`, the unmade ones
+    // closed; `next_leaf` and `joined` count the leaves and internal nodes
+    // that have a parent.
+    let mut internal = vec![u64::MAX; leaves];
+    let (mut next_leaf, mut joined) = (0usize, 0usize);
     let mut parent = vec![0u32; 2 * leaves - 1];
-    for id in leaves..2 * leaves - 1 {
+    for k in 0..leaves - 1 {
         let mut weight = 0u64;
         for _ in 0..2 {
+            let (leaf_weight, leaf) = sorted[next_leaf];
+            let node_weight = internal[joined];
             // On equal weights the leaf goes first: its id is the smaller.
-            let leaf = sorted.next_if(|&(w, _)| internal.get(joined).is_none_or(|&i| w <= i));
-            let (w, child) = leaf.unwrap_or_else(|| {
-                joined += 1;
-                (internal[joined - 1], (leaves + joined - 1) as u32)
-            });
-            parent[child as usize] = id as u32;
-            weight += w;
+            let take_leaf = leaf_weight <= node_weight;
+            let child = if take_leaf {
+                leaf as usize
+            } else {
+                leaves + joined
+            };
+            parent[child] = (leaves + k) as u32;
+            weight += leaf_weight.min(node_weight);
+            next_leaf += usize::from(take_leaf);
+            joined += usize::from(!take_leaf);
         }
-        internal.push(weight);
+        internal[k] = weight;
     }
     // A parent is created after its children, so one backward sweep from
     // the root (the last node, depth 0) sees every parent before its child.
@@ -74,17 +125,31 @@ fn code_lengths_once(weights: &[u64]) -> Vec<u8> {
     for id in (0..parent.len() - 1).rev() {
         depth[id] = depth[parent[id] as usize] + 1;
     }
-    depth[..leaves].iter().map(|&d| d.min(255) as u8).collect()
+    let mut lens = vec![0u8; leaves];
+    for i in 0..leaves {
+        lens[i] = depth[i].min(255) as u8;
+    }
+    lens
 }
 
 /// Encoder side of a canonical Huffman code.
 #[derive(Debug, Clone)]
 pub struct HuffmanEncoder {
-    /// Per symbol of the alphabet, the code in the low 32 bits and its
-    /// length above them; 0 = no code. One integer per symbol so that the
-    /// table starts as untouched zero pages and only the neighbourhood of
-    /// the coded symbols is ever written.
+    /// Per symbol of `base..base + codes.len() - 1`, the code in the low
+    /// 32 bits and its length above them; 0 = no code. The span runs from
+    /// the first coded symbol to the last, so its size follows the live
+    /// symbols, not the alphabet — but for a first symbol lying farther
+    /// below the second than the rest span (SZ's escape code 0 beneath its
+    /// quantization codes), whose entry takes the one slot past the span.
+    /// Every symbol outside the span reads that slot, so a coded symbol's
+    /// lookup is a clamp and a load, with no branch.
     codes: Vec<u64>,
+    /// First symbol of the span.
+    base: usize,
+    /// The coded symbol below the span; `usize::MAX` for none.
+    below: usize,
+    /// Symbols of the alphabet, coded or not: what the table header states.
+    alphabet: usize,
     /// The symbols that have a code, ascending.
     live: Vec<u32>,
     /// Longest code of the table.
@@ -92,22 +157,50 @@ pub struct HuffmanEncoder {
 }
 
 impl HuffmanEncoder {
-    /// Build a code from symbol frequencies (index = symbol). Beyond one
-    /// scan of `freqs`, the work is proportional to the symbols that occur.
+    /// Build a code from symbol frequencies (index = symbol).
     pub fn from_frequencies(freqs: &[u64]) -> Self {
+        Self::from_frequencies_in(freqs, std::slice::from_ref(&(0..freqs.len())))
+    }
+
+    /// [`Self::from_frequencies`] for a caller that knows where its symbols
+    /// occur: every non-zero frequency lies in one of `spans`, which ascend
+    /// and do not overlap. Only the spans are read, and beyond them the
+    /// work and the tables follow the symbols that occur.
+    pub fn from_frequencies_in(freqs: &[u64], spans: &[Range<usize>]) -> Self {
         // A code book is mostly zeros: pass over those sixteen at a time.
+        // In a chunk that has a count, every symbol is written and only the
+        // ones that occur are kept: in a code book's thinning tails, a
+        // branch on the count would be a coin toss.
         const STRIDE: usize = 16;
-        let mut live: Vec<u32> = Vec::new();
-        for (chunk, base) in freqs.chunks(STRIDE).zip((0u32..).step_by(STRIDE)) {
-            if chunk.iter().fold(0, |any, &f| any | f) != 0 {
-                live.extend(
-                    (base..)
-                        .zip(chunk)
-                        .filter_map(|(s, &f)| (f > 0).then_some(s)),
-                );
+        let (mut live, mut weights) = (Vec::new(), Vec::new());
+        let mut kept = 0usize;
+        for span in spans {
+            let mut at = span.start;
+            while at < span.end {
+                let end = span.end.min(at + STRIDE);
+                let chunk = &freqs[at..end];
+                let mut any = 0u64;
+                for &f in chunk {
+                    any |= f;
+                }
+                if any != 0 {
+                    live.resize(kept + STRIDE, 0u32);
+                    weights.resize(kept + STRIDE, 0u64);
+                    for (k, &f) in chunk.iter().enumerate() {
+                        live[kept] = (at + k) as u32;
+                        weights[kept] = f;
+                        kept += usize::from(f != 0);
+                    }
+                }
+                at = end;
             }
         }
-        let weights: Vec<u64> = live.iter().map(|&s| freqs[s as usize]).collect();
+        live.truncate(kept);
+        weights.truncate(kept);
+        debug_assert!(
+            live.windows(2).all(|w| w[0] < w[1]),
+            "spans must ascend without overlap"
+        );
         let lens = code_lengths(weights);
         Self::from_live_lengths(freqs.len(), live, &lens)
     }
@@ -118,8 +211,8 @@ impl HuffmanEncoder {
     /// shorter ones, extended by a zero bit, left off.
     fn from_live_lengths(alphabet: usize, live: Vec<u32>, lens: &[u8]) -> Self {
         let mut count = [0u64; MAX_LEN as usize + 1];
-        for &len in lens {
-            count[len as usize] += 1;
+        for i in 0..lens.len() {
+            count[lens[i] as usize] += 1;
         }
         // 64 bits wide: the step past the last code of a complete code with
         // `MAX_LEN`-bit members is 2^32.
@@ -129,54 +222,105 @@ impl HuffmanEncoder {
             code = (code + count[len - 1]) << 1;
             next_code[len] = code;
         }
-        let mut codes = vec![0u64; alphabet];
-        for (&sym, &len) in live.iter().zip(lens) {
+        // The span of `codes`: all live symbols, or all but a far first one.
+        let (mut base, mut end) = (0usize, 0usize);
+        if let (Some(&first), Some(&last)) = (live.first(), live.last()) {
+            (base, end) = (first as usize, last as usize + 1);
+        }
+        if live.len() >= 2 && (live[1] - live[0]) as usize > end - live[1] as usize {
+            base = live[1] as usize;
+        }
+        let mut codes = vec![0u64; end - base + 1];
+        let mut below = usize::MAX;
+        let mut max_len = 0u8;
+        for i in 0..live.len() {
+            let (sym, len) = (live[i] as usize, lens[i]);
             let code = &mut next_code[len as usize];
-            codes[sym as usize] = u64::from(len) << 32 | *code & 0xFFFF_FFFF;
+            let packed = u64::from(len) << 32 | *code & 0xFFFF_FFFF;
             *code += 1;
+            if sym < base {
+                below = sym;
+            }
+            codes[sym.wrapping_sub(base).min(end - base)] = packed;
+            max_len = max_len.max(len);
         }
         Self {
             codes,
+            base,
+            below,
+            alphabet,
             live,
-            max_len: lens.iter().copied().max().unwrap_or(0),
+            max_len,
         }
+    }
+
+    /// The packed entry of a coded symbol; a symbol without a code reads 0
+    /// inside the span and the slot past it outside.
+    #[inline]
+    fn packed(&self, sym: usize) -> u64 {
+        let past = self.codes.len() - 1;
+        self.codes[sym.wrapping_sub(self.base).min(past)]
     }
 
     /// `(code, len)` of a symbol of the alphabet; `len == 0` = no code.
     #[inline]
     fn entry(&self, sym: usize) -> (u32, u8) {
-        let packed = self.codes[sym];
+        let inside = sym.wrapping_sub(self.base) < self.codes.len() - 1;
+        let packed = if inside || sym == self.below {
+            self.packed(sym)
+        } else {
+            0
+        };
         (packed as u32, (packed >> 32) as u8)
+    }
+
+    /// The runs of the serialized table, in order: `(length, symbols)`,
+    /// zero lengths included, each run as long as it reaches.
+    fn table_runs(&self, mut run: impl FnMut(u8, usize)) {
+        // Walk the coded symbols only: between two of them lies one run of
+        // zero lengths, and neighbours of equal length share a run.
+        let mut next = 0usize;
+        let mut i = 0usize;
+        while i < self.live.len() {
+            let first = self.live[i] as usize;
+            run(0, first - next);
+            let len = self.entry(first).1;
+            next = first + 1;
+            i += 1;
+            while i < self.live.len() && self.live[i] as usize == next && self.entry(next).1 == len
+            {
+                next += 1;
+                i += 1;
+            }
+            run(len, next - first);
+        }
+        run(0, self.alphabet - next);
     }
 
     /// Serialize the code-length table (RLE of equal lengths).
     pub fn write_table(&self, w: &mut BitWriter) {
-        fn run(w: &mut BitWriter, len: u8, mut count: usize) {
+        w.write_u32(self.alphabet as u32);
+        self.table_runs(|len, mut count| {
             while count > 0 {
                 let chunk = count.min(u16::MAX as usize);
                 w.write_bits(len as u64, 6);
                 w.write_bits(chunk as u64, 16);
                 count -= chunk;
             }
+        });
+    }
+
+    /// Bits that [`Self::write_table`] and then one [`Self::encode`] per
+    /// counted symbol write, `freqs[s]` being the count of symbol `s`: the
+    /// price of a stream, known before a bit of it is written.
+    pub fn bits(&self, freqs: &[u64]) -> u64 {
+        let mut bits = 32u64;
+        self.table_runs(|_, count| bits += 22 * count.div_ceil(u16::MAX as usize) as u64);
+        for i in 0..self.live.len() {
+            let sym = self.live[i] as usize;
+            bits += freqs.get(sym).copied().unwrap_or(0) * u64::from(self.entry(sym).1);
         }
-        w.write_u32(self.codes.len() as u32);
-        // Walk the coded symbols only: between two of them lies one run of
-        // zero lengths, and neighbours of equal length share a run.
-        let mut next = 0usize;
-        let mut live = self.live.iter().map(|&s| s as usize).peekable();
-        while let Some(first) = live.next() {
-            run(w, 0, first - next);
-            let len = self.entry(first).1;
-            next = first + 1;
-            while live
-                .next_if(|&s| s == next && self.entry(s).1 == len)
-                .is_some()
-            {
-                next += 1;
-            }
-            run(w, len, next - first);
-        }
-        run(w, 0, self.codes.len() - next);
+        bits
     }
 
     /// Emit one symbol.
@@ -185,44 +329,45 @@ impl HuffmanEncoder {
     /// Panics (debug) if the symbol had zero frequency at build time.
     #[inline]
     pub fn encode(&self, w: &mut BitWriter, sym: u32) {
-        let (code, len) = self.entry(sym as usize);
         debug_assert!(
-            len > 0,
+            self.entry(sym as usize).1 > 0,
             "encoding symbol {sym} absent from the frequency table"
         );
-        w.write_bits(code as u64, len as u32);
+        let packed = self.packed(sym as usize);
+        w.write_bits(packed & 0xFFFF_FFFF, (packed >> 32) as u32);
     }
 
     /// Emit `syms` in order: the bits of calling [`Self::encode`] once per
     /// symbol, with as many codes joined into one [`BitWriter::write_bits`]
     /// as its 57-bit limit admits for this table's longest code.
-    pub fn encode_run(&self, w: &mut BitWriter, syms: &[u32]) {
+    pub fn encode_run<S: Copy + Into<u32>>(&self, w: &mut BitWriter, syms: &[S]) {
         match self.max_len {
-            0..=14 => self.encode_joined::<4>(w, syms),
-            15..=19 => self.encode_joined::<3>(w, syms),
-            20..=28 => self.encode_joined::<2>(w, syms),
-            _ => self.encode_joined::<1>(w, syms),
+            0..=14 => self.encode_joined::<4, S>(w, syms),
+            15..=19 => self.encode_joined::<3, S>(w, syms),
+            20..=28 => self.encode_joined::<2, S>(w, syms),
+            _ => self.encode_joined::<1, S>(w, syms),
         }
     }
 
     #[inline]
-    fn encode_joined<const K: usize>(&self, w: &mut BitWriter, syms: &[u32]) {
+    fn encode_joined<const K: usize, S: Copy + Into<u32>>(&self, w: &mut BitWriter, syms: &[S]) {
         let mut chunks = syms.chunks_exact(K);
         for chunk in &mut chunks {
             let (mut bits, mut n) = (0u64, 0u32);
             for &sym in chunk {
-                let (code, len) = self.entry(sym as usize);
+                let sym: u32 = sym.into();
                 debug_assert!(
-                    len > 0,
+                    self.entry(sym as usize).1 > 0,
                     "encoding symbol {sym} absent from the frequency table"
                 );
-                bits = bits << len | u64::from(code);
-                n += u32::from(len);
+                let packed = self.packed(sym as usize);
+                bits = bits << (packed >> 32) | packed & 0xFFFF_FFFF;
+                n += (packed >> 32) as u32;
             }
             w.write_bits(bits, n);
         }
         for &sym in chunks.remainder() {
-            self.encode(w, sym);
+            self.encode(w, sym.into());
         }
     }
 }
@@ -913,7 +1058,9 @@ mod tests {
         codes
     }
 
-    fn dense_write_table(codes: &[(u32, u8)], w: &mut BitWriter) {
+    /// Writes the table and returns how many bits that took.
+    fn dense_write_table(codes: &[(u32, u8)], w: &mut BitWriter) -> u64 {
+        let mut bits = 32u64;
         w.write_u32(codes.len() as u32);
         let mut i = 0usize;
         while i < codes.len() {
@@ -927,23 +1074,48 @@ mod tests {
                 let chunk = remaining.min(u16::MAX as usize);
                 w.write_bits(len as u64, 6);
                 w.write_bits(chunk as u64, 16);
+                bits += 22;
                 remaining -= chunk;
             }
             i += run;
         }
+        bits
     }
 
+    /// Both builds — over the whole alphabet, and over symbol 0 plus the
+    /// span from the second occurring symbol to the last, as SZ calls it —
+    /// against the dense build: every symbol's code, the longest code, the
+    /// table bytes, and the price of the table and one code per count.
     fn assert_build_matches_dense(freqs: &[u64], ctx: &str) {
-        let enc = HuffmanEncoder::from_frequencies(freqs);
         let dense = dense_canonical_codes(&dense_code_lengths(freqs, MAX_LEN));
-        let table: Vec<(u32, u8)> = (0..freqs.len()).map(|s| enc.entry(s)).collect();
-        assert_eq!(table, dense, "{ctx}: (code, len) table");
         let longest = dense.iter().map(|&(_, l)| l).max().unwrap_or(0);
-        assert_eq!(enc.max_len, longest, "{ctx}: longest code");
-        let (mut got, mut want) = (BitWriter::new(), BitWriter::new());
-        enc.write_table(&mut got);
-        dense_write_table(&dense, &mut want);
-        assert_eq!(got.finish(), want.finish(), "{ctx}: table bytes");
+        let mut want = BitWriter::new();
+        let table_bits = dense_write_table(&dense, &mut want);
+        let want_table = want.finish();
+        let occurring: Vec<usize> = (1..freqs.len()).filter(|&s| freqs[s] > 0).collect();
+        let mut spans = Vec::new();
+        spans.push(0..freqs.len().min(1));
+        if let (Some(&first), Some(&last)) = (occurring.first(), occurring.last()) {
+            spans.push(first..last + 1);
+        }
+        let builds = [
+            ("whole alphabet", HuffmanEncoder::from_frequencies(freqs)),
+            ("spans", HuffmanEncoder::from_frequencies_in(freqs, &spans)),
+        ];
+        for (build, enc) in &builds {
+            let ctx = format!("{ctx}, {build}");
+            let table: Vec<(u32, u8)> = (0..freqs.len()).map(|s| enc.entry(s)).collect();
+            assert_eq!(table, dense, "{ctx}: (code, len) table");
+            assert_eq!(enc.max_len, longest, "{ctx}: longest code");
+            let mut got = BitWriter::new();
+            enc.write_table(&mut got);
+            let got_table = got.finish();
+            assert_eq!(got_table, want_table, "{ctx}: table bytes");
+            let coded: u64 = (0..freqs.len())
+                .map(|s| freqs[s] * u64::from(dense[s].1))
+                .sum();
+            assert_eq!(enc.bits(freqs), table_bits + coded, "{ctx}: priced bits");
+        }
     }
 
     #[test]
@@ -978,6 +1150,49 @@ mod tests {
             }
             assert_build_matches_dense(&freqs, &format!("round {round}, {alphabet} symbols"));
         }
+
+        // The SZ shape at rel 1e-4 and wider: 22 000 codes live, nearly all
+        // tied at four small weights, a peak, and symbol 0 far below them.
+        let mut wide = vec![0u64; 65_536];
+        wide[0] = 977;
+        for f in &mut wide[22_000..44_000] {
+            *f = 1 + next() % 4;
+        }
+        for d in 0..200 {
+            wide[32_900 + d] += (1u64 << 20) >> (d / 10);
+        }
+        assert_build_matches_dense(&wide, "22 000 live symbols, heavy ties");
+
+        // Weights past 2^32, where the sort's high bytes decide: ties among
+        // them, and small weights beside them.
+        let mut high = vec![0u64; 4096];
+        for (s, f) in high.iter_mut().enumerate() {
+            *f = match s % 3 {
+                0 => (1u64 << 32) * (1 + next() % 3) + next() % 3,
+                1 => (1u64 << (33 + next() % 20)) + (next() & 0xFF),
+                _ => next() % 5,
+            };
+        }
+        assert_build_matches_dense(&high, "weights past 2^32");
+
+        // 20 000 tied leaves under a Fibonacci chain up to ~2^40: deeper
+        // than `MAX_LEN`, so the flattening loop runs at this size too.
+        let mut deep = vec![0u64; 65_536];
+        for f in &mut deep[30_000..50_000] {
+            *f = 1;
+        }
+        let (mut a, mut b) = (1u64, 1u64);
+        for f in deep.iter_mut().skip(50_001).step_by(7).take(60) {
+            *f = a;
+            (a, b) = (b, a + b);
+        }
+        let weights: Vec<u64> = deep.iter().copied().filter(|&f| f > 0).collect();
+        assert!(
+            code_lengths_once(&weights).iter().any(|&l| l > MAX_LEN),
+            "the tree must need flattening"
+        );
+        assert!(a > 1 << 32, "the chain must pass 2^32");
+        assert_build_matches_dense(&deep, "20 000 ties under a Fibonacci chain");
     }
 
     #[test]

@@ -37,7 +37,7 @@
 //! runs.
 
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -75,6 +75,19 @@ const FRAME_BUDGET: Duration = Duration::from_secs(10);
 /// so a dialer that connects and goes silent cannot pin handshake threads
 /// forever.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Handshakes in flight per client slot: a client's reconnect may overlap
+/// the handshake of its own dying connection. Connections past
+/// [`handshake_cap`] are closed as they are accepted, so a connect flood
+/// costs no thread beyond the cap.
+const HANDSHAKES_PER_SLOT: usize = 2;
+
+/// Handshakes a server with `n_clients` slots runs at once.
+fn handshake_cap(n_clients: usize) -> usize {
+    n_clients
+        .saturating_mul(HANDSHAKES_PER_SLOT)
+        .max(HANDSHAKES_PER_SLOT)
+}
 
 /// First reconnect delay; doubles per failed attempt.
 const BACKOFF_BASE: Duration = Duration::from_millis(25);
@@ -197,7 +210,8 @@ impl TcpServer {
         let acceptor = {
             let tx = events_tx.clone();
             let stop = Arc::clone(&shutdown);
-            std::thread::spawn(move || acceptor_loop(listener, tx, stop))
+            let cap = handshake_cap(n_clients);
+            std::thread::spawn(move || acceptor_loop(listener, tx, stop, cap))
         };
         Ok(Self {
             slots: (0..n_clients)
@@ -426,18 +440,27 @@ impl ServerTransport for TcpServer {
 }
 
 /// Accept connections and hand each to a short-lived handshake thread
-/// (so one stalling client cannot block later joiners).
-fn acceptor_loop(listener: TcpListener, tx: Sender<Inbound>, stop: Arc<AtomicBool>) {
+/// (so one stalling client cannot block later joiners), at most `cap` of
+/// them at once: a connection accepted while `cap` handshakes run is
+/// closed at once, and its client reconnects as after any refusal.
+fn acceptor_loop(listener: TcpListener, tx: Sender<Inbound>, stop: Arc<AtomicBool>, cap: usize) {
+    let in_flight = Arc::new(AtomicUsize::new(0));
     loop {
         if stop.load(Ordering::SeqCst) {
             return;
         }
         match listener.accept() {
-            Ok((stream, _)) => {
+            Ok((stream, _)) if in_flight.load(Ordering::SeqCst) < cap => {
+                in_flight.fetch_add(1, Ordering::SeqCst);
                 let tx = tx.clone();
                 let stop = Arc::clone(&stop);
-                std::thread::spawn(move || handshake(stream, tx, stop));
+                let in_flight = Arc::clone(&in_flight);
+                std::thread::spawn(move || {
+                    handshake(stream, tx, stop);
+                    in_flight.fetch_sub(1, Ordering::SeqCst);
+                });
             }
+            Ok((stream, _)) => drop(stream),
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }
@@ -999,6 +1022,56 @@ mod tests {
             let joined = matches!(rx.try_recv(), Ok(Inbound::Joined { client_id: 3, .. }));
             assert_eq!(joined, joins);
         }
+    }
+
+    #[test]
+    fn handshakes_past_the_cap_are_closed_at_once() {
+        use std::io::Read;
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        listener.set_nonblocking(true).expect("nonblocking");
+        let addr = listener.local_addr().expect("addr");
+        let cap = handshake_cap(1);
+        let (tx, rx) = bounded(4);
+        let stop = Arc::new(AtomicBool::new(false));
+        let acceptor = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || acceptor_loop(listener, tx, stop, cap))
+        };
+        // Silent dialers fill the cap; the acceptor takes connections in
+        // order, so the two after them find it full.
+        let silent: Vec<TcpStream> = (0..cap)
+            .map(|_| TcpStream::connect(addr).expect("connect"))
+            .collect();
+        for _ in 0..2 {
+            let mut extra = TcpStream::connect(addr).expect("connect");
+            extra
+                .set_read_timeout(Some(Duration::from_secs(1)))
+                .expect("timeout");
+            let t0 = Instant::now();
+            let read = extra.read(&mut [0u8; 1]);
+            assert!(matches!(read, Ok(0)), "{read:?} after {:?}", t0.elapsed());
+            assert!(t0.elapsed() < Duration::from_secs(1), "{:?}", t0.elapsed());
+        }
+        // Once the silent ones hang up, their handshakes end and a real
+        // Hello joins, redialled as a client does after a refusal.
+        drop(silent);
+        let hello = wire::encode(&Frame::Hello { client_id: 0 });
+        let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
+        let joined = loop {
+            let mut dialer = TcpStream::connect(addr).expect("connect");
+            // A refused dial may fail its write; the join decides.
+            let _ = wire::write_frame_bytes(&mut dialer, &hello);
+            let wait = Instant::now() + Duration::from_millis(200);
+            if let Ok(Inbound::Joined { client_id, .. }) = rx.recv_deadline(wait) {
+                break Some(client_id);
+            }
+            if Instant::now() >= deadline {
+                break None;
+            }
+        };
+        stop.store(true, Ordering::SeqCst);
+        acceptor.join().expect("acceptor");
+        assert_eq!(joined, Some(0), "a real Hello must join once the cap frees");
     }
 
     #[test]

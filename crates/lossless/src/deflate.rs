@@ -18,15 +18,33 @@ const LEN_SLOTS: u32 = 32;
 /// Number of distance slots.
 const DIST_SLOTS: u32 = 32;
 
-/// Compress `data` with the given matcher profile. Self-contained format:
+/// `prefix`, then `data` compressed with the given matcher profile, in at
+/// most `max_len` bytes all told, or `None` when they would be more.
+/// Self-contained format after the prefix:
 /// `[varint orig_len][min_match u8][bit-packed tables + tokens]`.
-pub(crate) fn compress(data: &[u8], params: &MatcherParams) -> Vec<u8> {
-    encode(data, &sequences(data, params), params.min_match)
+pub(crate) fn compress(
+    data: &[u8],
+    params: &MatcherParams,
+    prefix: &[u8],
+    max_len: usize,
+) -> Option<Vec<u8>> {
+    let seqs = sequences(data, params);
+    encode(data, &seqs, params.min_match, prefix, max_len)
 }
 
-/// Entropy-code `seqs` over `data`; literal bytes are counted and coded
-/// straight from the input slice.
-fn encode(data: &[u8], seqs: &[Sequence], min_match: usize) -> Vec<u8> {
+/// Entropy-code `seqs` over `data` behind `prefix`; literal bytes are
+/// counted and coded straight from the input slice.
+///
+/// The counts fix the tables, and the tables and counts fix the length of
+/// the stream to the bit, so the stream is priced before any token is
+/// written, and written only if it fits `max_len` bytes.
+fn encode(
+    data: &[u8],
+    seqs: &[Sequence],
+    min_match: usize,
+    prefix: &[u8],
+    max_len: usize,
+) -> Option<Vec<u8>> {
     let mut lit_freq = vec![0u64; (LEN_BASE + LEN_SLOTS) as usize];
     let mut dist_freq = vec![0u64; DIST_SLOTS as usize];
     for (literals, seq) in literal_runs(data, seqs) {
@@ -45,17 +63,29 @@ fn encode(data: &[u8], seqs: &[Sequence], min_match: usize) -> Vec<u8> {
     let lit_enc = HuffmanEncoder::from_frequencies(&lit_freq);
     let dist_enc = HuffmanEncoder::from_frequencies(&dist_freq);
 
-    let mut out = Vec::with_capacity(data.len() / 2 + 64);
-    varint::write_usize(&mut out, data.len());
-    out.push(min_match as u8);
+    let mut head = prefix.to_vec();
+    varint::write_usize(&mut head, data.len());
+    head.push(min_match as u8);
+    // A slot's number is also the count of extra bits it carries.
+    let mut bits = lit_enc.bits(&lit_freq) + dist_enc.bits(&dist_freq);
+    for slot in 0..LEN_SLOTS {
+        bits += lit_freq[(LEN_BASE + slot) as usize] * u64::from(slot);
+        bits += dist_freq[slot as usize] * u64::from(slot);
+    }
+    let priced = head.len() + bits.div_ceil(8) as usize;
+    if priced > max_len {
+        return None;
+    }
 
-    let mut w = BitWriter::with_capacity(data.len() / 2);
+    // The head is whole bytes, so it goes through the writer unchanged.
+    let mut w = BitWriter::with_capacity(priced + 8);
+    for &byte in &head {
+        w.write_bits(u64::from(byte), 8);
+    }
     lit_enc.write_table(&mut w);
     dist_enc.write_table(&mut w);
     for (literals, seq) in literal_runs(data, seqs) {
-        for &b in literals {
-            lit_enc.encode(&mut w, b as u32);
-        }
+        lit_enc.encode_run(&mut w, literals);
         if let Some(s) = seq {
             let (ls, lbits, lextra) = slot_of(s.match_len - min_match as u32);
             lit_enc.encode(&mut w, LEN_BASE + ls);
@@ -66,8 +96,9 @@ fn encode(data: &[u8], seqs: &[Sequence], min_match: usize) -> Vec<u8> {
         }
     }
     lit_enc.encode(&mut w, EOB);
-    out.extend_from_slice(&w.finish());
-    out
+    let out = w.finish();
+    debug_assert_eq!(out.len(), priced, "the priced length is the written one");
+    Some(out)
 }
 
 /// Decompress a buffer produced by `compress`, writing literals and match
@@ -123,8 +154,13 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>, CodecError> {
 mod tests {
     use super::*;
 
+    /// The stream of `data` under `p`, with no prefix and no length limit.
+    fn full(data: &[u8], p: &MatcherParams) -> Vec<u8> {
+        compress(data, p, &[], usize::MAX).unwrap()
+    }
+
     fn round_trip(data: &[u8]) -> usize {
-        let c = compress(data, &MatcherParams::deflate());
+        let c = full(data, &MatcherParams::deflate());
         assert_eq!(decompress(&c).unwrap(), data);
         c.len()
     }
@@ -167,7 +203,7 @@ mod tests {
             MatcherParams::wide(),
             MatcherParams::thorough(),
         ] {
-            let c = compress(&data, &p);
+            let c = full(&data, &p);
             assert_eq!(decompress(&c).unwrap(), data, "profile {p:?}");
             assert!(c.len() < data.len() / 2);
         }
@@ -176,7 +212,7 @@ mod tests {
     #[test]
     fn truncated_stream_errors() {
         let data = b"hello world hello world hello world".to_vec();
-        let mut c = compress(&data, &MatcherParams::deflate());
+        let mut c = full(&data, &MatcherParams::deflate());
         c.truncate(c.len() / 2);
         assert!(decompress(&c).is_err());
     }
@@ -237,9 +273,10 @@ mod tests {
             ("two identical halves", halves),
             ("sz2-like payload", sz2_like_payload(400_000)),
         ] {
-            let sparse = compress(&data, &p);
+            let sparse = full(&data, &p);
             assert_eq!(decompress(&sparse).unwrap(), data, "{name}");
-            let dense = encode(&data, &crate::lz::sequences_dense(&data, &p), p.min_match);
+            let seqs = crate::lz::sequences_dense(&data, &p);
+            let dense = encode(&data, &seqs, p.min_match, &[], usize::MAX).unwrap();
             assert_eq!(decompress(&dense).unwrap(), data, "{name}");
             assert!(
                 sparse.len() as f64 <= dense.len() as f64 * 1.005,
@@ -250,10 +287,120 @@ mod tests {
         }
     }
 
+    /// The entropy stage before it priced its stream: tables, then one
+    /// `encode` per literal, always written. Kept as the oracle for the
+    /// bytes of [`encode`].
+    fn encode_reference(data: &[u8], seqs: &[Sequence], min_match: usize) -> Vec<u8> {
+        let mut lit_freq = vec![0u64; (LEN_BASE + LEN_SLOTS) as usize];
+        let mut dist_freq = vec![0u64; DIST_SLOTS as usize];
+        for (literals, seq) in literal_runs(data, seqs) {
+            for &b in literals {
+                lit_freq[b as usize] += 1;
+            }
+            if let Some(s) = seq {
+                let (ls, _, _) = slot_of(s.match_len - min_match as u32);
+                lit_freq[(LEN_BASE + ls) as usize] += 1;
+                let (ds, _, _) = slot_of(s.dist - 1);
+                dist_freq[ds as usize] += 1;
+            }
+        }
+        lit_freq[EOB as usize] = 1;
+
+        let lit_enc = HuffmanEncoder::from_frequencies(&lit_freq);
+        let dist_enc = HuffmanEncoder::from_frequencies(&dist_freq);
+
+        let mut out = Vec::with_capacity(data.len() / 2 + 64);
+        varint::write_usize(&mut out, data.len());
+        out.push(min_match as u8);
+
+        let mut w = BitWriter::with_capacity(data.len() / 2);
+        lit_enc.write_table(&mut w);
+        dist_enc.write_table(&mut w);
+        for (literals, seq) in literal_runs(data, seqs) {
+            for &b in literals {
+                lit_enc.encode(&mut w, b as u32);
+            }
+            if let Some(s) = seq {
+                let (ls, lbits, lextra) = slot_of(s.match_len - min_match as u32);
+                lit_enc.encode(&mut w, LEN_BASE + ls);
+                w.write_bits(lextra as u64, lbits);
+                let (ds, dbits, dextra) = slot_of(s.dist - 1);
+                dist_enc.encode(&mut w, ds);
+                w.write_bits(dextra as u64, dbits);
+            }
+        }
+        lit_enc.encode(&mut w, EOB);
+        out.extend_from_slice(&w.finish());
+        out
+    }
+
+    /// Text with words reused at random, as metadata and logs have.
+    fn text_like(n: usize) -> Vec<u8> {
+        let words = [
+            "fedsz ", "tensor ", "round ", "client ", "bound ", "the ", "of ", "1e-2 ",
+        ];
+        let mut state = 0x7E57_u64;
+        let mut out = Vec::with_capacity(n + 8);
+        while out.len() < n {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            out.extend_from_slice(words[(state >> 61) as usize].as_bytes());
+        }
+        out.truncate(n);
+        out
+    }
+
+    #[test]
+    fn priced_length_is_the_written_length_on_every_profile() {
+        let mut inputs = vec![
+            ("empty", Vec::new()),
+            ("one byte", vec![42]),
+            ("random", xorshift_bytes(0x5EED_0040, 60_000)),
+            ("constant", vec![7u8; 50_000]),
+            ("text-like", text_like(40_000)),
+            ("sz2-like payload", sz2_like_payload(200_000)),
+        ];
+        // Literal runs of every length against the joined writes.
+        let mut mixed = xorshift_bytes(0x0D15_EA5E, 3_000);
+        for k in 0..40 {
+            mixed.extend_from_slice(&text_like(k * 7 % 23 + 3));
+            mixed.extend(xorshift_bytes(k as u64 + 1, k % 9));
+        }
+        inputs.push(("mixed runs", mixed));
+        let profiles = [
+            ("zlib", MatcherParams::deflate()),
+            ("gzip", MatcherParams::deflate_deep()),
+            ("zstd", MatcherParams::wide()),
+        ];
+        let prefix = [0x28, 0xB5];
+        for (profile, p) in &profiles {
+            for (name, data) in &inputs {
+                let ctx = format!("{profile}, {name}");
+                let seqs = sequences(data, p);
+                let want = encode_reference(data, &seqs, p.min_match);
+                let written = encode(data, &seqs, p.min_match, &[], usize::MAX).unwrap();
+                assert_eq!(written, want, "{ctx}: bytes of the per-literal writer");
+                assert_eq!(decompress(&written).unwrap(), *data, "{ctx}: round trip");
+                // Kept exactly when "compress, then compare" keeps it: the
+                // price is the written length to the byte.
+                let len = prefix.len() + want.len();
+                let whole = [&prefix[..], &want].concat();
+                for limit in [len - 1, len, len + 1] {
+                    assert_eq!(
+                        compress(data, p, &prefix, limit),
+                        (whole.len() <= limit).then(|| whole.clone()),
+                        "{ctx}: limit {limit} for {len} bytes"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn claimed_length_is_a_bound_not_an_allocation() {
         let data = b"hello world hello world hello world".to_vec();
-        let c = compress(&data, &MatcherParams::deflate());
+        let c = full(&data, &MatcherParams::deflate());
         let mut body = 0usize;
         varint::read_usize(&c, &mut body).unwrap();
         let claiming = |claimed: usize| {

@@ -13,9 +13,8 @@ const MAGIC: [u8; 3] = [0x1F, 0x8B, 0x5A];
 
 /// Compress with the deep deflate profile and append a CRC-32 trailer.
 pub fn compress(data: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() / 2 + 16);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&deflate::compress(data, &MatcherParams::deflate_deep()));
+    let mut out = deflate::compress(data, &MatcherParams::deflate_deep(), &MAGIC, usize::MAX)
+        .expect("a stream without a length limit is always written");
     out.extend_from_slice(&crc32(data).to_le_bytes());
     out
 }

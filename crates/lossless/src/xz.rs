@@ -165,7 +165,9 @@ mod tests {
         }
         let xz_len = round_trip(&data);
         let deflate_len =
-            crate::deflate::compress(&data, &crate::lz::MatcherParams::deflate()).len();
+            crate::deflate::compress(&data, &crate::lz::MatcherParams::deflate(), &[], usize::MAX)
+                .unwrap()
+                .len();
         assert!(
             xz_len <= deflate_len + deflate_len / 20,
             "xz {xz_len} vs deflate {deflate_len}"

@@ -9,10 +9,8 @@ const MAGIC: [u8; 2] = [0x78, 0x5A]; // "xZ'lib'" marker for this format
 
 /// Compress with the standard deflate profile.
 pub fn compress(data: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() / 2 + 16);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&deflate::compress(data, &MatcherParams::deflate()));
-    out
+    deflate::compress(data, &MatcherParams::deflate(), &MAGIC, usize::MAX)
+        .expect("a stream without a length limit is always written")
 }
 
 /// Decompress a [`compress`] buffer.

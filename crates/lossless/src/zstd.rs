@@ -11,10 +11,14 @@ const MAGIC: [u8; 2] = [0x28, 0xB5];
 
 /// Compress with the wide-window profile.
 pub fn compress(data: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() / 2 + 16);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&deflate::compress(data, &MatcherParams::wide()));
-    out
+    compress_within(data, usize::MAX).expect("a stream without a length limit is always written")
+}
+
+/// [`compress`] if its stream takes at most `max_len` bytes, else `None`.
+/// The length is known once the matcher has run and the tables are
+/// built, so a stream over the limit costs no token writing.
+pub fn compress_within(data: &[u8], max_len: usize) -> Option<Vec<u8>> {
+    deflate::compress(data, &MatcherParams::wide(), &MAGIC, max_len)
 }
 
 /// Decompress a [`compress`] buffer.
@@ -37,6 +41,30 @@ mod tests {
         let c = compress(&data);
         assert_eq!(decompress(&c).unwrap(), data);
         assert!(c.len() < data.len() / 2);
+    }
+
+    #[test]
+    fn a_limit_keeps_exactly_what_compress_then_compare_keeps() {
+        let data: Vec<u8> = (0..40_000u32)
+            .flat_map(|i| ((i / 5) as u16 ^ (i % 3) as u16).to_le_bytes())
+            .collect();
+        let full = compress(&data);
+        for limit in [
+            0,
+            1,
+            2,
+            full.len() - 1,
+            full.len(),
+            full.len() + 1,
+            usize::MAX,
+        ] {
+            assert_eq!(
+                compress_within(&data, limit),
+                (full.len() <= limit).then(|| full.clone()),
+                "limit {limit} for {} bytes",
+                full.len()
+            );
+        }
     }
 
     #[test]
