@@ -682,6 +682,7 @@ pub(crate) mod tests {
 
     #[test]
     fn the_backend_limit_keeps_exactly_what_compress_then_compare_keeps() {
+        use fedsz_lossless::LosslessKind;
         let compare = |payload: &[u8]| {
             let backend = zstd::compress(payload);
             let len = payload.len();
@@ -715,6 +716,12 @@ pub(crate) mod tests {
         assert!(kept >= 4 && stored >= 4, "{kept} kept, {stored} stored");
         for (ctx, payload) in &payloads {
             assert_eq!(backend_if_it_pays(payload), compare(payload), "{ctx}");
+            // The other deflate-family profiles on the same payloads: each
+            // encode asserts (debug) that it wrote the length it priced.
+            for kind in [LosslessKind::Zlib, LosslessKind::Gzip] {
+                let back = kind.decompress(&kind.compress(payload));
+                assert_eq!(back.as_ref(), Ok(payload), "{ctx}, {}", kind.name());
+            }
         }
     }
 

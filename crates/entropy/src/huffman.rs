@@ -211,8 +211,8 @@ impl HuffmanEncoder {
     /// shorter ones, extended by a zero bit, left off.
     fn from_live_lengths(alphabet: usize, live: Vec<u32>, lens: &[u8]) -> Self {
         let mut count = [0u64; MAX_LEN as usize + 1];
-        for i in 0..lens.len() {
-            count[lens[i] as usize] += 1;
+        for &len in lens {
+            count[len as usize] += 1;
         }
         // 64 bits wide: the step past the last code of a complete code with
         // `MAX_LEN`-bit members is 2^32.

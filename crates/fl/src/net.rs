@@ -37,7 +37,7 @@
 //! runs.
 
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -443,24 +443,20 @@ impl ServerTransport for TcpServer {
 /// (so one stalling client cannot block later joiners), at most `cap` of
 /// them at once: a connection accepted while `cap` handshakes run is
 /// closed at once, and its client reconnects as after any refusal.
+/// Handshakes are not joined at shutdown: one inside a frame may wait out
+/// its budget, and they watch `stop` themselves.
 fn acceptor_loop(listener: TcpListener, tx: Sender<Inbound>, stop: Arc<AtomicBool>, cap: usize) {
-    let in_flight = Arc::new(AtomicUsize::new(0));
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
+    let mut handshakes: Vec<std::thread::JoinHandle<()>> = Vec::new();
+    while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
-            Ok((stream, _)) if in_flight.load(Ordering::SeqCst) < cap => {
-                in_flight.fetch_add(1, Ordering::SeqCst);
-                let tx = tx.clone();
-                let stop = Arc::clone(&stop);
-                let in_flight = Arc::clone(&in_flight);
-                std::thread::spawn(move || {
-                    handshake(stream, tx, stop);
-                    in_flight.fetch_sub(1, Ordering::SeqCst);
-                });
+            Ok((stream, _)) => {
+                handshakes.retain(|h| !h.is_finished());
+                if handshakes.len() < cap {
+                    let tx = tx.clone();
+                    let stop = Arc::clone(&stop);
+                    handshakes.push(std::thread::spawn(move || handshake(stream, tx, stop)));
+                }
             }
-            Ok((stream, _)) => drop(stream),
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }
