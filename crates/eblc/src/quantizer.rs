@@ -118,6 +118,16 @@ impl Quantizer {
         fedsz_simd::lorenzo_quantize(values_t, lanes, self.params(), codes_t);
     }
 
+    /// `lanes` Lorenzo chains, their codes stored lane-major in `codes_t`,
+    /// reconstructed side by side into `out_t` (same layout), where each
+    /// zero code's slot holds its literal beforehand; SIMD-dispatched. Per
+    /// chain this is `prev = if code == 0 { literal } else {
+    /// self.reconstruct(prev, code) }` from `prev = 0`, element by element.
+    #[inline]
+    pub(crate) fn reconstruct_chains(&self, codes_t: &[u32], lanes: usize, out_t: &mut [f32]) {
+        fedsz_simd::lorenzo_reconstruct(codes_t, lanes, self.params(), out_t);
+    }
+
     /// Batch [`Self::reconstruct`], SIMD-dispatched. Escape lanes
     /// (`codes[i] == 0`) are written as `0.0` for the caller to patch from
     /// the literal stream.

@@ -35,15 +35,26 @@ fn residual_bits(d: f64, bin: f64) -> f64 {
 /// Elements in a group of [`GROUP_BLOCKS`] blocks.
 const GROUP: usize = GROUP_BLOCKS * BLOCK;
 
+/// Blocks whose predictor choice's serial sums are stepped side by side. A
+/// sum is an add latency per element; eight in flight keep the adder busy,
+/// and their sixteen cache lines (blocks lie 1 KB apart, so they share few
+/// L1 sets) still fit the ways of those sets.
+const LANES: usize = 8;
+
 /// Elements in [`LANES`] whole blocks: the blocks whose predictor choice's
 /// serial sums are stepped side by side.
 const SET: usize = LANES * BLOCK;
 
-/// Lorenzo blocks quantized in one `quantize_chains` call: eight AVX2 or
-/// sixteen SSE4.1/NEON vectors a step. Lane-major in the scratch, the blocks
-/// no longer lie 1 KB apart, so the L1 aliasing that caps [`LANES`] does not
+/// Lorenzo blocks quantized in one `quantize_chains` call (eight AVX2 or
+/// sixteen SSE4.1/NEON vectors a step), or reconstructed in one
+/// `reconstruct_chains` call. Lane-major in the scratch, the blocks no
+/// longer lie 1 KB apart, so the L1 aliasing that caps [`LANES`] does not
 /// apply.
 const CHAINS: usize = 32;
+
+/// Lanes a batch of Lorenzo blocks is decoded in a multiple of: the widest
+/// register tile of the lane-major copies.
+const TILE: usize = 8;
 
 /// Least-squares fit of `x[i] ~ a*i + b` over `n` elements, from
 /// `sum_x = Σ x[i]` and `sum_ix = Σ i·x[i]`.
@@ -143,6 +154,17 @@ impl Scratch {
             codes_t: vec![0; CHAINS * BLOCK],
         }
     }
+
+    /// Room in the lane-major buffers for a batch of `lanes` blocks. A
+    /// decoder's scratch starts empty and grows to the largest batch its
+    /// tensor has.
+    fn grow_chains(&mut self, lanes: usize) {
+        let len = lanes * BLOCK;
+        if self.codes_t.len() < len {
+            self.codes_t.resize(len, 0);
+            self.values_t.resize(len, 0.0);
+        }
+    }
 }
 
 /// The regression fit of every block of `set` that should use it, `None`
@@ -196,7 +218,7 @@ fn choose_predictors(set: &[f32], bin: f64, scratch: &mut Scratch) -> [Option<(f
 /// A chain is serial — each prediction is the previous reconstruction — and
 /// one step of it is a subtract, divide, round, multiply, add and two
 /// conversions deep. Blocks restart from `prev = 0` and write only their own
-/// codes, so chains are independent exactly as in `decode_lorenzo_chains`.
+/// codes, so chains are independent exactly as in `decode_lorenzo_blocks`.
 /// Copied lane-major into the scratch, a batch's blocks take each step as
 /// whole vectors, and the codes are scattered back.
 fn encode_lorenzo_blocks(
@@ -215,20 +237,10 @@ fn encode_lorenzo_blocks(
     for batch in starts.chunks(CHAINS) {
         let lanes = batch.len();
         let values_t = &mut scratch.values_t[..lanes * BLOCK];
-        for (lane, &start) in batch.iter().enumerate() {
-            let block = &values[start..start + BLOCK];
-            for i in 0..BLOCK {
-                values_t[i * lanes + lane] = block[i];
-            }
-        }
+        fedsz_simd::to_lane_major(values, batch, values_t);
         let codes_t = &mut scratch.codes_t[..lanes * BLOCK];
         q.quantize_chains(values_t, lanes, codes_t);
-        for (lane, &start) in batch.iter().enumerate() {
-            let block = &mut codes[start..start + BLOCK];
-            for i in 0..BLOCK {
-                block[i] = codes_t[i * lanes + lane];
-            }
-        }
+        fedsz_simd::from_lane_major(codes_t, batch, codes);
     }
     if let Some(start) = short {
         q.quantize_chains(&values[start..], 1, &mut codes[start..]);
@@ -347,37 +359,27 @@ impl Predictor for Sz2 {
         q: &Quantizer,
         out: &mut [f32],
     ) -> Result<(), CodecError> {
-        let mut chains = Vec::with_capacity(GROUP_BLOCKS);
-        let fits = self.fits.iter().skip(index * GROUP_BLOCKS);
-        for ((codes, out), fit) in codes.chunks(BLOCK).zip(out.chunks_mut(BLOCK)).zip(fits) {
-            // Per block, because the Lorenzo chains below each read their
-            // own literals.
+        let Sz2 { fits, scratch } = self;
+        // Where each Lorenzo block of the unit starts, and its literals.
+        let mut starts = [0usize; GROUP_BLOCKS];
+        let mut block_literals = [&[][..]; GROUP_BLOCKS];
+        let mut chains = 0usize;
+        let fits = fits.iter().skip(index * GROUP_BLOCKS);
+        let blocks = codes.chunks(BLOCK).zip(out.chunks_mut(BLOCK));
+        for ((start, (codes, out)), fit) in (0..).step_by(BLOCK).zip(blocks).zip(fits) {
             let literals = take_literals(literals, codes)?;
             if let &Some((a, b)) = fit {
                 decode_regression_block(codes, out, literals, a, b, q);
             } else {
-                chains.push(LorenzoChain {
-                    codes,
-                    out,
-                    literals: literals.iter(),
-                    prev: 0.0,
-                });
+                starts[chains] = start;
+                block_literals[chains] = literals;
+                chains += 1;
             }
         }
-        decode_lorenzo_chains(&mut chains, q);
+        let blocks = (&starts[..chains], &block_literals[..chains]);
+        decode_lorenzo_blocks(codes, out, blocks, q, scratch);
         Ok(())
     }
-}
-
-/// One Lorenzo block of a group, mid-reconstruction.
-struct LorenzoChain<'a> {
-    codes: &'a [u32],
-    out: &'a mut [f32],
-    /// Exactly the literals this block's zero codes consume.
-    literals: std::slice::Iter<'a, f32>,
-    /// The value reconstructed last; a block's first element is predicted
-    /// by 0.
-    prev: f32,
 }
 
 fn decode_regression_block(
@@ -393,43 +395,86 @@ fn decode_regression_block(
     fedsz_simd::linear_preds(a, b, 0, preds);
     q.reconstruct_slice(preds, codes, out);
     // Escape lanes come back as 0.0; patch them from the literals in order.
-    if !literals.is_empty() {
-        let mut literals = literals.iter();
-        for (v, &code) in out.iter_mut().zip(codes) {
-            if code == 0 {
-                *v = literals.next().copied().unwrap_or(0.0);
+    put_literals(codes, literals, |i, v| out[i] = v);
+}
+
+/// `put(i, literal)` for the `i` of every zero code of `codes`, the
+/// literals taken in order: exactly as many as there are zero codes.
+fn put_literals(codes: &[u32], literals: &[f32], mut put: impl FnMut(usize, f32)) {
+    if literals.is_empty() {
+        return;
+    }
+    let mut next = 0;
+    for (i, &code) in codes.iter().enumerate() {
+        if code == 0 {
+            if let Some(&v) = literals.get(next) {
+                put(i, v);
             }
+            next += 1;
         }
     }
 }
 
-/// Lorenzo chains stepped side by side. One chain is a serial
-/// `f32 → f64, add, → f32` dependency of ~14 cycles per element; eight in
-/// flight keep the adder busy, and their sixteen cache lines (blocks lie 1 KB
-/// apart, so they share few L1 sets) still fit the ways of those sets.
-const LANES: usize = 8;
-
-/// Reconstruct a group's Lorenzo blocks, [`LANES`] at a time.
+/// Reconstruct the unit's Lorenzo blocks, the ones starting at `starts`
+/// with their `literals`, at most [`CHAINS`] to a `reconstruct_chains`
+/// call.
 ///
-/// Every block restarts from `prev = 0` and reads only its own codes and
-/// literals, so the chains are independent: stepping them side by side
-/// performs, per block, exactly the operations of a block-at-a-time loop in
-/// the same order — the bits agree — while their latencies overlap.
-fn decode_lorenzo_chains(chains: &mut [LorenzoChain<'_>], q: &Quantizer) {
-    for lanes in chains.chunks_mut(LANES) {
-        for i in 0..BLOCK {
-            for chain in lanes.iter_mut() {
-                // Only the tensor's last block can be short.
-                let (Some(&code), Some(v)) = (chain.codes.get(i), chain.out.get_mut(i)) else {
-                    continue;
-                };
-                chain.prev = if code == 0 {
-                    chain.literals.next().copied().unwrap_or(0.0)
-                } else {
-                    q.reconstruct(chain.prev, code)
-                };
-                *v = chain.prev;
-            }
+/// A chain is serial — each prediction is the previous value — and a step
+/// of it is an add, a narrowing, a widening and a select deep. Blocks
+/// restart from `prev = 0` and read only their own codes and literals, so
+/// the chains are independent: copied lane-major into the scratch, with
+/// each literal in its escape's slot, a batch's blocks take each step as
+/// whole vectors, and the values are copied back.
+///
+/// A batch is padded to a multiple of [`TILE`] lanes with copies of its
+/// last block, so the copies move whole register tiles. A copy's chain
+/// reads what its block's does and yields the same bits, so writing both
+/// back leaves the block as one chain would.
+fn decode_lorenzo_blocks(
+    codes: &[u32],
+    out: &mut [f32],
+    (starts, literals): (&[usize], &[&[f32]]),
+    q: &Quantizer,
+    scratch: &mut Scratch,
+) {
+    // Only the tensor's last block can be short; it is a chain of its own,
+    // which needs no copy.
+    let mut whole = starts.len();
+    if starts
+        .last()
+        .is_some_and(|&last| codes.len() - last < BLOCK)
+    {
+        whole -= 1;
+        let (start, literals) = (starts[whole], literals[whole]);
+        let (codes, out) = (&codes[start..], &mut out[start..]);
+        put_literals(codes, literals, |i, v| out[i] = v);
+        q.reconstruct_chains(codes, 1, out);
+        put_literals(codes, literals, |i, v| out[i] = v);
+    }
+    for (starts, literals) in starts[..whole].chunks(CHAINS).zip(literals.chunks(CHAINS)) {
+        let lanes = starts.len().next_multiple_of(TILE);
+        let mut padded_starts = [0usize; CHAINS];
+        let mut padded_literals = [&[][..]; CHAINS];
+        for lane in 0..lanes {
+            let real = lane.min(starts.len() - 1);
+            padded_starts[lane] = starts[real];
+            padded_literals[lane] = literals[real];
+        }
+        let (starts, literals) = (&padded_starts[..lanes], &padded_literals[..lanes]);
+        scratch.grow_chains(lanes);
+        let codes_t = &mut scratch.codes_t[..lanes * BLOCK];
+        let values_t = &mut scratch.values_t[..lanes * BLOCK];
+        fedsz_simd::to_lane_major(codes, starts, codes_t);
+        for (lane, (&start, literals)) in starts.iter().zip(literals).enumerate() {
+            let codes = &codes[start..start + BLOCK];
+            put_literals(codes, literals, |i, v| values_t[i * lanes + lane] = v);
+        }
+        q.reconstruct_chains(codes_t, lanes, values_t);
+        fedsz_simd::from_lane_major(values_t, starts, out);
+        // The literals' own bits, a signaling NaN's included.
+        for (&start, literals) in starts.iter().zip(literals) {
+            let out = &mut out[start..start + BLOCK];
+            put_literals(&codes[start..start + BLOCK], literals, |i, v| out[i] = v);
         }
     }
 }

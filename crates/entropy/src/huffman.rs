@@ -388,16 +388,17 @@ const MAX_ALPHABET: usize = 1 << 16;
 /// accumulator holds at least 56 bits.
 const HITS_PER_REFILL: usize = (56 / LOOKUP_BITS) as usize;
 
-/// One primary-table entry: the one or two symbols a [`LOOKUP_BITS`]-bit
+/// One primary-table entry: the one to three symbols a [`LOOKUP_BITS`]-bit
 /// prefix fully determines. Symbols fit 16 bits under [`MAX_ALPHABET`].
 ///
 /// | bits   | field                                                    |
 /// |--------|----------------------------------------------------------|
 /// | 0..6   | bits all symbols of the entry consume; 0 = a longer code |
-/// | 6..8   | symbols in the entry, 1 or 2                             |
+/// | 6..8   | symbols in the entry, 1 to 3                             |
 /// | 8..16  | bits the first symbol alone consumes                     |
 /// | 16..32 | first symbol                                             |
 /// | 32..48 | second symbol                                            |
+/// | 48..64 | third symbol                                             |
 ///
 /// The total sits in the low six bits, all a 64-bit shift reads of its
 /// count, so the bulk loop's shift can take the entry as loaded.
@@ -410,10 +411,25 @@ impl Entry {
         Self(u64::from(len) | 1 << 6 | u64::from(len) << 8 | u64::from(sym) << 16)
     }
 
-    /// `self` followed by the single-symbol entry `next`.
-    fn then(self, next: Entry) -> Self {
-        let total = u64::from(self.first_len() + next.first_len());
-        Self(total | 2 << 6 | (self.0 & 0xFFFF_FF00) | u64::from(next.first()) << 32)
+    /// `self`, one symbol, followed by the first symbol of `next`.
+    #[inline]
+    fn pair(self, next: Entry) -> Self {
+        let total = self.0 + u64::from(next.first_len());
+        Self(total & !(3 << 6) | 2 << 6 | (next.0 & 0xFFFF_0000) << 16)
+    }
+
+    /// `self`, two symbols, followed by the first symbol of `next`.
+    #[inline]
+    fn triple(self, next: Entry) -> Self {
+        let total = self.0 + u64::from(next.first_len());
+        Self(total & !(3 << 6) | 3 << 6 | (next.0 & 0xFFFF_0000) << 32)
+    }
+
+    /// `if take { a } else { b }`, with no branch.
+    #[inline]
+    fn pick(take: bool, a: Entry, b: Entry) -> Entry {
+        let mask = u64::from(take).wrapping_neg();
+        Entry(b.0 ^ (a.0 ^ b.0) & mask)
     }
 
     #[inline]
@@ -439,6 +455,11 @@ impl Entry {
     #[inline]
     fn second(self) -> u32 {
         u32::from((self.0 >> 32) as u16)
+    }
+
+    #[inline]
+    fn third(self) -> u32 {
+        u32::from((self.0 >> 48) as u16)
     }
 }
 
@@ -556,16 +577,54 @@ impl HuffmanDecoder {
                 idx += count[l as usize] as usize;
             }
         }
-        // ... then the second code, where the bits left over hold all of it.
-        // Shifting the prefix pads with zeros, so the padded lookup is only
-        // trusted when the code it finds ends inside the real bits.
-        for prefix in 0..lookup.len() {
-            let first = lookup[prefix];
-            let rest = (prefix << first.first_len()) & (lookup.len() - 1);
-            let next = lookup[rest];
-            let spare = LOOKUP_BITS as u8 - first.first_len();
-            if first.symbols() == 1 && next.symbols() >= 1 && next.first_len() <= spare {
-                lookup[prefix] = first.then(next);
+        // ... then a second code and a third, each where the bits left over
+        // hold all of it. Shifting the prefix pads with zeros, so a padded
+        // lookup is only trusted when the code it finds ends inside the real
+        // bits. Only a code's own fields are read at the shifted prefixes,
+        // and this pass leaves those as they are.
+        //
+        // Left-aligned canonical codes ascend in (length, symbol) order, so
+        // the prefixes each short code begins fill one range after another
+        // from 0 (those past them begin a longer code and keep a 0 entry):
+        // within a range the first code is fixed and the prefix shifted past
+        // it steps by a constant. Every choice is a select, not a branch:
+        // which prefixes take a second or a third code follows the lengths,
+        // not a pattern a predictor learns. Once a first code and the
+        // shortest code overfill the window, the ranges left keep one code a
+        // prefix, and where the first and twice the shortest do, no third
+        // code is looked for.
+        let shortest = (1..=max_len).find(|&l| count[l as usize] > 0);
+        let room = |used: u32, codes: u32| {
+            shortest.is_some_and(|l| used + codes * u32::from(l) <= LOOKUP_BITS)
+        };
+        let mask = lookup.len() - 1;
+        let mut start = 0usize;
+        for l in 1..=max_len.min(LOOKUP_BITS as u8) {
+            let used = u32::from(l);
+            let width = 1usize << (LOOKUP_BITS - used);
+            if !room(used, 1) {
+                break;
+            }
+            let thirds = room(used, 2);
+            for _ in 0..count[l as usize] {
+                let first = lookup[start];
+                for r in 0..width {
+                    let rest = r << used;
+                    let next = lookup[rest];
+                    let two_len = used + u32::from(next.first_len());
+                    let two = (next.symbols() != 0) & (two_len <= LOOKUP_BITS);
+                    let pair = first.pair(next);
+                    let mut entry = Entry::pick(two, pair, first);
+                    if thirds {
+                        let last = lookup[(rest << next.first_len()) & mask];
+                        let three = two
+                            & (last.symbols() != 0)
+                            & (two_len + u32::from(last.first_len()) <= LOOKUP_BITS);
+                        entry = Entry::pick(three, pair.triple(last), entry);
+                    }
+                    lookup[start + r] = entry;
+                }
+                start += width;
             }
         }
         Ok(Self {
@@ -593,15 +652,15 @@ impl HuffmanDecoder {
     /// reader position are those of calling [`Self::decode`] once per slot.
     ///
     /// While eight input bytes remain, one word refill serves
-    /// `HITS_PER_REFILL` table hits of one or two symbols each, with no
+    /// `HITS_PER_REFILL` table hits of one to three symbols each, with no
     /// per-symbol refill or end-of-input check. A code longer than
     /// `LOOKUP_BITS` resolves from the buffered bits, once they hold the
     /// longest code, and ends the group. The last bytes of the stream and of
     /// `out` go through [`Self::decode`].
     pub fn decode_run(&self, r: &mut BitReader<'_>, out: &mut [u32]) -> Result<(), CodecError> {
         let mut done = 0usize;
-        // Every hit stores two slots and keeps as many as its entry holds.
-        while out.len() - done >= 2 * HITS_PER_REFILL && r.refill_word() {
+        // Every hit stores three slots and keeps as many as its entry holds.
+        while out.len() - done >= 3 * HITS_PER_REFILL && r.refill_word() {
             for _ in 0..HITS_PER_REFILL {
                 let entry = self.lookup[r.top_bits(LOOKUP_BITS) as usize];
                 if entry.total_len() == 0 {
@@ -620,9 +679,10 @@ impl HuffmanDecoder {
                     }
                     break;
                 }
-                if let Some([a, b]) = out.get_mut(done..).and_then(|o| o.first_chunk_mut()) {
+                if let Some([a, b, c]) = out.get_mut(done..).and_then(|o| o.first_chunk_mut()) {
                     *a = entry.first();
                     *b = entry.second();
+                    *c = entry.third();
                 }
                 done += entry.symbols();
                 r.skip(entry.total_len());
@@ -910,6 +970,49 @@ mod tests {
             .collect()
     }
 
+    /// `count` symbols of a Gaussian of `sigma` bins around symbol 128 of a
+    /// 256-symbol alphabet, as SZ's quantization codes are.
+    fn gaussian_symbols(sigma: f64, count: usize, next: &mut impl FnMut() -> u64) -> Vec<u32> {
+        let mut symbols = Vec::with_capacity(count);
+        for _ in 0..count {
+            let u = ((next() >> 11) as f64 / (1u64 << 53) as f64).max(f64::MIN_POSITIVE);
+            let v = (next() >> 11) as f64 / (1u64 << 53) as f64;
+            let z = (-2.0 * u.ln()).sqrt() * (std::f64::consts::TAU * v).cos();
+            symbols.push((128.0 + z * sigma).round().clamp(1.0, 255.0) as u32);
+        }
+        symbols
+    }
+
+    /// The code lengths of a Gaussian of `sigma` bins (see
+    /// [`gaussian_symbols`]), built from 20 000 draws. At sigma 1 and 2.5
+    /// most codes take two to four bits, so table hits of three codes form.
+    fn gaussian_lengths(sigma: f64, next: &mut impl FnMut() -> u64) -> Vec<u8> {
+        let mut freqs = vec![0u64; 256];
+        let symbols = gaussian_symbols(sigma, 20_000, next);
+        for i in 0..symbols.len() {
+            freqs[symbols[i] as usize] += 1;
+        }
+        let enc = HuffmanEncoder::from_frequencies(&freqs);
+        (0..freqs.len()).map(|s| enc.entry(s).1).collect()
+    }
+
+    /// `count` symbols of `lens`'s Gaussian, redrawn until coded.
+    fn gaussian_draw(
+        sigma: f64,
+        lens: &[u8],
+        count: usize,
+        next: &mut impl FnMut() -> u64,
+    ) -> Vec<u32> {
+        let mut symbols = Vec::with_capacity(count);
+        while symbols.len() < count {
+            let sym = gaussian_symbols(sigma, 1, next)[0];
+            if lens[sym as usize] > 0 {
+                symbols.push(sym);
+            }
+        }
+        symbols
+    }
+
     #[test]
     fn decode_run_equals_per_symbol_decode_on_every_alphabet_shape() {
         let mut next = xorshift(0xC0DE_D1FF);
@@ -926,16 +1029,27 @@ mod tests {
         ] {
             sparse[sym] = len;
         }
-        let shapes: Vec<(&str, Vec<u8>)> = vec![
-            ("one symbol", vec![0, 0, 1, 0]),
-            ("two symbols", vec![1, 1]),
-            ("300 symbols, long codes", lengths_with_long_codes(300, 290)),
-            ("65536 sparse", sparse),
-            ("65536 dense", vec![16u8; 65_536]),
+        // And SZ's narrow code books, sigma 1 and 2.5 bins, where a table
+        // hit takes up to three codes.
+        let shapes: Vec<(&str, Vec<u8>, Option<f64>)> = vec![
+            ("one symbol", vec![0, 0, 1, 0], None),
+            ("two symbols", vec![1, 1], None),
+            (
+                "300 symbols, long codes",
+                lengths_with_long_codes(300, 290),
+                None,
+            ),
+            ("65536 sparse", sparse, None),
+            ("65536 dense", vec![16u8; 65_536], None),
+            ("sigma 1", gaussian_lengths(1.0, &mut next), Some(1.0)),
+            ("sigma 2.5", gaussian_lengths(2.5, &mut next), Some(2.5)),
         ];
-        for (name, lens) in &shapes {
+        for (name, lens, sigma) in &shapes {
             for count in (0..=9).chain([11, 12, 13, 15, 16, 17, 63, 64, 65, 1000]) {
-                let symbols = draw(lens, count, &mut next);
+                let symbols = match *sigma {
+                    Some(sigma) => gaussian_draw(sigma, lens, count, &mut next),
+                    None => draw(lens, count, &mut next),
+                };
                 let (dec, bytes) = coded(lens, &symbols);
                 let ctx = format!("{name}, {count} symbols in {} bytes", bytes.len());
                 assert_eq!(per_symbol(&dec, &bytes, count).0, symbols, "{ctx}");
@@ -950,11 +1064,17 @@ mod tests {
     #[test]
     fn decode_run_equals_per_symbol_decode_at_every_truncation_point() {
         let mut next = xorshift(0x7B0C_A7ED);
+        let narrow = gaussian_lengths(2.5, &mut next);
+        let narrow_symbols = gaussian_draw(2.5, &narrow, 120, &mut next);
         for (name, lens) in [
             ("short codes", vec![2u8, 2, 3, 3, 3, 4, 4]),
             ("long codes", lengths_with_long_codes(40, 30)),
+            ("sigma 2.5", narrow),
         ] {
-            let symbols = draw(&lens, 120, &mut next);
+            let symbols = match name {
+                "sigma 2.5" => narrow_symbols.clone(),
+                _ => draw(&lens, 120, &mut next),
+            };
             let (dec, bytes) = coded(&lens, &symbols);
             for cut in 0..=bytes.len() {
                 let ctx = format!("{name} cut to {cut} of {} bytes", bytes.len());
@@ -1387,14 +1507,23 @@ mod tests {
                     idx += count[l as usize] as usize;
                 }
             }
+            // Every prefix walked on its own: as many codes as end inside
+            // its bits, up to three, read from the one-code table.
+            let single = lookup.clone();
             for prefix in 0..lookup.len() {
-                let first = lookup[prefix];
-                let rest = (prefix << first.first_len()) & (lookup.len() - 1);
-                let next = lookup[rest];
-                let spare = LOOKUP_BITS as u8 - first.first_len();
-                if first.symbols() == 1 && next.symbols() >= 1 && next.first_len() <= spare {
-                    lookup[prefix] = first.then(next);
+                let mut entry = single[prefix];
+                while entry.symbols() >= 1 && entry.symbols() < 3 {
+                    let used = entry.total_len();
+                    let next = single[(prefix << used) & (single.len() - 1)];
+                    if next.symbols() == 0 || u32::from(next.first_len()) > LOOKUP_BITS - used {
+                        break;
+                    }
+                    entry = match entry.symbols() {
+                        1 => entry.pair(next),
+                        _ => entry.triple(next),
+                    };
                 }
+                lookup[prefix] = entry;
             }
             Ok(Self {
                 lookup,
@@ -1548,6 +1677,87 @@ mod tests {
             let mut bytes = (next() % 600).to_be_bytes()[4..].to_vec();
             bytes.extend((0..next() % 40).map(|_| next() as u8));
             assert_table_matches_reference(&bytes, &format!("random header {i}"));
+        }
+    }
+
+    /// What the bitwise walk reads from `prefix`, [`LOOKUP_BITS`] bits
+    /// followed by `pad` bytes: the symbols whose codes end inside the
+    /// prefix, at most three, and where each of them ends.
+    fn codes_in_prefix(dec: &HuffmanDecoder, prefix: usize, pad: u8) -> (Vec<u32>, Vec<u32>) {
+        let high = (prefix >> 4) as u8;
+        let low = ((prefix & 15) << 4) as u8 | pad >> 4;
+        let bytes = [high, low, pad, pad, pad, pad];
+        let mut r = BitReader::new(&bytes);
+        let (mut symbols, mut ends) = (Vec::new(), Vec::new());
+        while symbols.len() < 3 {
+            let Ok(sym) = dec.decode_slow_reference(&mut r) else {
+                break;
+            };
+            let end = r.bits_consumed() as u32;
+            if end > LOOKUP_BITS {
+                break;
+            }
+            symbols.push(sym);
+            ends.push(end);
+        }
+        (symbols, ends)
+    }
+
+    #[test]
+    fn every_table_entry_holds_what_the_bitwise_walk_reads_from_its_prefix() {
+        // The walk knows nothing of the table: it reads a code a bit at a
+        // time against the canonical first codes. Each prefix's entry must
+        // hold the symbols whose codes end inside the prefix, up to three,
+        // their total length and the first one's; a prefix that begins a
+        // longer code, or none, holds an empty entry. Both paddings read
+        // alike, so no entry leans on the bits past the prefix.
+        let mut next = xorshift(0xE7_7AB1E);
+        let mut ladder: Vec<u8> = (1..=MAX_LEN).collect();
+        ladder.push(MAX_LEN);
+        let mut incomplete: Vec<u8> = (1..=12).collect();
+        incomplete.extend([16; 8]);
+        let mut tables: Vec<(String, Vec<u8>)> = vec![
+            ("one symbol".into(), vec![0, 0, 1, 0]),
+            ("two symbols".into(), vec![1, 1]),
+            ("lengths 1..=32".into(), ladder),
+            ("incomplete".into(), incomplete),
+            (
+                "300 symbols, long codes".into(),
+                lengths_with_long_codes(300, 290),
+            ),
+            ("sigma 1".into(), gaussian_lengths(1.0, &mut next)),
+            ("sigma 2.5".into(), gaussian_lengths(2.5, &mut next)),
+            ("sigma 6".into(), gaussian_lengths(6.0, &mut next)),
+            ("sigma 40".into(), gaussian_lengths(40.0, &mut next)),
+        ];
+        for round in 0..24 {
+            let alphabet = [3, 20, 300, 4096][round % 4];
+            let spread = [2u64, 8, 20][round / 4 % 3];
+            let lens = random_lengths(alphabet, 1 + (round as u64 / 12), spread, &mut next);
+            tables.push((format!("random {round}"), lens));
+        }
+        for (name, lens) in &tables {
+            let dec = decoder_for(lens).unwrap();
+            if name == "sigma 1" || name == "sigma 2.5" {
+                let triples = dec.lookup.iter().filter(|e| e.symbols() == 3).count();
+                assert!(triples > 1000, "{name}: {triples} entries of three codes");
+            }
+            for prefix in 0..1usize << LOOKUP_BITS {
+                let ctx = format!("{name}, prefix {prefix:012b}");
+                let (symbols, ends) = codes_in_prefix(&dec, prefix, 0x00);
+                assert_eq!(
+                    codes_in_prefix(&dec, prefix, 0xFF),
+                    (symbols.clone(), ends.clone()),
+                    "{ctx}: the walk depends on the padding"
+                );
+                let entry = dec.lookup[prefix];
+                let held = [entry.first(), entry.second(), entry.third()];
+                assert_eq!(&held[..entry.symbols()], &symbols[..], "{ctx}: symbols");
+                let total = ends.last().copied().unwrap_or(0);
+                assert_eq!(entry.total_len(), total, "{ctx}: total length");
+                let first = ends.first().copied().unwrap_or(0);
+                assert_eq!(u32::from(entry.first_len()), first, "{ctx}: first length");
+            }
         }
     }
 

@@ -219,6 +219,174 @@ fn lorenzo_row<I: Isa>(q: QuantLanes<I>, values: &[f32], prev: &mut [I::F64], co
     }
 }
 
+/// Vectors of chains [`LorenzoReconstruct`] steps side by side, each
+/// chain's last value held in a register from row to row. A step is an add,
+/// a narrowing, a widening and a select deep, ~20 cycles, against a few of
+/// issue: eight vectors in flight keep the adder busy. That is 32 chains at
+/// AVX2, 16 at SSE4.1 and NEON, and 8 on the scalar twin.
+const CHAIN_VECTORS: usize = 8;
+
+/// [`crate::lorenzo_reconstruct`]`(codes_t, lanes, p, out_t)`; scalar
+/// original: the per-block `prev = if code == 0 { literal } else {
+/// q.reconstruct(prev, code) }` chain of `decode_payload_reference`,
+/// `crates/eblc/src/sz2.rs`.
+///
+/// Row `i` holds element `i` of every chain, and a row's lanes are
+/// independent, so each vector of them takes one step, and every lane sees
+/// the operations of a chain stepped on its own, in the same order. The
+/// chains go [`CHAIN_VECTORS`] vectors at a time; the ones left over go
+/// together, whole vectors and the last `lanes % W64` chains on the scalar
+/// twin's lanes, in one pass over the rows.
+pub(crate) struct LorenzoReconstruct<'a>(
+    pub(crate) &'a [u32],
+    pub(crate) usize,
+    pub(crate) QuantParams,
+    pub(crate) &'a mut [f32],
+);
+
+impl Kernel for LorenzoReconstruct<'_> {
+    type Out = ();
+    #[inline(always)]
+    fn run<I: Isa>(self, isa: I) {
+        let LorenzoReconstruct(codes_t, lanes, p, out_t) = self;
+        let n = codes_t.len();
+        assert!(
+            lanes > 0 && n.is_multiple_of(lanes) && out_t.len() == n,
+            "lorenzo_reconstruct: slices are not whole rows of {lanes} lanes"
+        );
+        // Most batches have no escape, and their step skips the literal's
+        // load and select; which step a batch takes changes no bit.
+        if codes_t.contains(&0) {
+            reconstruct_groups::<I, true>(isa, codes_t, lanes, p, out_t);
+        } else {
+            reconstruct_groups::<I, false>(isa, codes_t, lanes, p, out_t);
+        }
+    }
+}
+
+/// [`LorenzoReconstruct`] over its chains, group by group; `ESCAPES` is
+/// whether any code may be zero.
+#[inline(always)]
+fn reconstruct_groups<I: Isa, const ESCAPES: bool>(
+    isa: I,
+    codes_t: &[u32],
+    lanes: usize,
+    p: QuantParams,
+    out_t: &mut [f32],
+) {
+    let w = I::W64;
+    let group = CHAIN_VECTORS * w;
+    let mut lane = 0;
+    while lanes - lane >= group {
+        let chains = Chains::new(lane, CHAIN_VECTORS, 0);
+        chains.reconstruct::<I, ESCAPES>(isa, codes_t, lanes, p, out_t);
+        lane += group;
+    }
+    let rest = lanes - lane;
+    if rest > 0 {
+        let chains = Chains::new(lane, rest / w, rest % w);
+        chains.reconstruct::<I, ESCAPES>(isa, codes_t, lanes, p, out_t);
+    }
+}
+
+/// A group of chains of [`LorenzoReconstruct`]: `vectors` whole vectors of
+/// them from lane `first`, then `scalars` more on the scalar twin's lanes.
+#[derive(Clone, Copy)]
+struct Chains {
+    first: usize,
+    vectors: usize,
+    scalars: usize,
+}
+
+impl Chains {
+    #[inline(always)]
+    fn new(first: usize, vectors: usize, scalars: usize) -> Self {
+        debug_assert!(vectors <= CHAIN_VECTORS && scalars <= CHAIN_VECTORS);
+        Chains {
+            first,
+            vectors,
+            scalars,
+        }
+    }
+
+    /// Step the group's chains through every row. The loops over the
+    /// vectors have a constant trip count, so the `prev` arrays are
+    /// registers; a vector past the group's count is skipped, the same way
+    /// every row.
+    #[inline(always)]
+    fn reconstruct<I: Isa, const ESCAPES: bool>(
+        self,
+        isa: I,
+        codes_t: &[u32],
+        lanes: usize,
+        p: QuantParams,
+        out_t: &mut [f32],
+    ) {
+        let w = I::W64;
+        let step = ReconLanes::new(isa, p);
+        let tail = ReconLanes::new(ScalarIsa, p);
+        let mut prev = [step.zero; CHAIN_VECTORS];
+        let mut prev_tail = [0.0f64; CHAIN_VECTORS];
+        let scalar_from = self.first + self.vectors * w;
+        let mut row = 0;
+        while row < codes_t.len() {
+            for (k, last) in prev.iter_mut().enumerate() {
+                if k < self.vectors {
+                    let at = row + self.first + k * w;
+                    *last = step.step::<ESCAPES>(*last, &codes_t[at..], &mut out_t[at..]);
+                }
+            }
+            for (j, last) in prev_tail.iter_mut().enumerate() {
+                if j < self.scalars {
+                    let at = row + scalar_from + j;
+                    *last = tail.step::<ESCAPES>(*last, &codes_t[at..], &mut out_t[at..]);
+                }
+            }
+            row += lanes;
+        }
+    }
+}
+
+/// One reconstruct step on `I::W64` chains: the arithmetic of
+/// `Quantizer::reconstruct`, and the escape rule of the decoder.
+#[derive(Clone, Copy)]
+struct ReconLanes<I: Isa> {
+    isa: I,
+    bin: I::F64,
+    radius: I::F64,
+    zero: I::F64,
+}
+
+impl<I: Isa> ReconLanes<I> {
+    #[inline(always)]
+    fn new(isa: I, p: QuantParams) -> Self {
+        ReconLanes {
+            isa,
+            bin: isa.splat(p.bin),
+            radius: isa.splat(p.radius),
+            zero: isa.splat(0.0),
+        }
+    }
+
+    /// The next value of each chain from its last, `prev`: `(prev + (code -
+    /// radius) * bin) as f32`, or for a zero code the literal `out` holds,
+    /// if `ESCAPES` says there may be one. Stores it to `out` and returns it
+    /// widened, which loses nothing.
+    #[inline(always)]
+    fn step<const ESCAPES: bool>(self, prev: I::F64, codes: &[u32], out: &mut [f32]) -> I::F64 {
+        let isa = self.isa;
+        let c = isa.load_u32_wide(codes);
+        let delta = isa.mul(isa.sub(c, self.radius), self.bin);
+        let mut next = isa.f32_round_trip(isa.add(prev, delta));
+        if ESCAPES {
+            let literal = isa.load_f32_wide(out);
+            next = isa.select(isa.cmp_eq(c, self.zero), literal, next);
+        }
+        isa.narrow_store(next, out);
+        next
+    }
+}
+
 /// [`crate::reconstruct`]`(preds, codes, p, out)`; scalar original:
 /// `Quantizer::reconstruct`.
 pub(crate) struct Reconstruct<'a>(
@@ -698,5 +866,65 @@ pub(crate) fn unshuffle4_scalar(src: &[u8], dst: &mut [u8], from_elem: usize) {
         dst[base + 1] = src[n + e];
         dst[base + 2] = src[2 * n + e];
         dst[base + 3] = src[3 * n + e];
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Lane-major copies. Blocks to and from the layout of the chain kernels:
+// pure 32-bit moves, so the scalar forms live here and the x86 bodies
+// transpose register tiles in `x86.rs`, delegating the lanes and rows past
+// their last whole tile to these.
+// ---------------------------------------------------------------------------
+
+/// Rows of a lane-major copy between blocks in a buffer of `len` words,
+/// starting at `starts`, and `lane_major` words: panics unless `starts` is
+/// not empty, `lane_major` is whole rows and every block lies inside.
+pub(crate) fn lane_major_rows(len: usize, starts: &[usize], lane_major: usize) -> usize {
+    let lanes = starts.len();
+    assert!(
+        lanes > 0 && lane_major.is_multiple_of(lanes),
+        "lane-major copy: {lane_major} words are not whole rows of {lanes} lanes"
+    );
+    let rows = lane_major / lanes;
+    for &start in starts {
+        assert!(
+            start <= len && len - start >= rows,
+            "lane-major copy: a block of {rows} at {start} runs past {len} words"
+        );
+    }
+    rows
+}
+
+/// Scalar [`crate::to_lane_major`] over the given lanes and rows.
+pub(crate) fn to_lane_major_scalar(
+    src: &[u32],
+    starts: &[usize],
+    dst_t: &mut [u32],
+    lanes: std::ops::Range<usize>,
+    rows: std::ops::Range<usize>,
+) {
+    let width = starts.len();
+    for lane in lanes {
+        let block = &src[starts[lane]..];
+        for i in rows.clone() {
+            dst_t[i * width + lane] = block[i];
+        }
+    }
+}
+
+/// Scalar [`crate::from_lane_major`] over the given lanes and rows.
+pub(crate) fn from_lane_major_scalar(
+    src_t: &[u32],
+    starts: &[usize],
+    dst: &mut [u32],
+    lanes: std::ops::Range<usize>,
+    rows: std::ops::Range<usize>,
+) {
+    let width = starts.len();
+    for lane in lanes {
+        let block = &mut dst[starts[lane]..];
+        for i in rows.clone() {
+            block[i] = src_t[i * width + lane];
+        }
     }
 }

@@ -46,8 +46,8 @@ use std::sync::atomic::{AtomicU8, Ordering};
 
 use isa::ScalarIsa;
 use kernels::{
-    AbsResiduals, CubicPreds, Kernel, LinearPreds, LorenzoQuantize, MidpointPreds, MinmaxFinite,
-    PackOffsets, Quantize, Reconstruct, ResidualCosts, UnpackOffsets,
+    AbsResiduals, CubicPreds, Kernel, LinearPreds, LorenzoQuantize, LorenzoReconstruct,
+    MidpointPreds, MinmaxFinite, PackOffsets, Quantize, Reconstruct, ResidualCosts, UnpackOffsets,
 };
 
 /// A dispatch level, ordered from the universal fallback upward.
@@ -269,6 +269,37 @@ pub fn lorenzo_quantize_at(
     run_at(level, LorenzoQuantize(values_t, lanes, p, codes_t))
 }
 
+/// Lorenzo chains reconstructed side by side: the decoder's side of
+/// [`lorenzo_quantize`]. `codes_t` holds the codes of `lanes` chains
+/// lane-major — element `i` of chain `lane` at `codes_t[i * lanes + lane]`
+/// — and `out_t` receives their values in the same layout. A chain's first
+/// element is predicted by 0 and every later one by the value before it:
+/// `(prev + (code - radius) * bin) as f32`. A zero code is an escape: its
+/// slot of `out_t` must hold the literal beforehand, and the chain goes on
+/// from it. The literal passes through f64 on the way, which may quiet a
+/// signaling NaN and changes nothing else.
+///
+/// Panics if `lanes` is 0 or the slices are not the same whole number of
+/// rows.
+///
+/// Scalar twin: `prev = if code == 0 { literal } else {
+/// q.reconstruct(prev, code) }` per element of one block,
+/// `Quantizer::reconstruct` in `crates/eblc/src/quantizer.rs`.
+pub fn lorenzo_reconstruct(codes_t: &[u32], lanes: usize, p: QuantParams, out_t: &mut [f32]) {
+    lorenzo_reconstruct_at(active_level(), codes_t, lanes, p, out_t);
+}
+
+/// [`lorenzo_reconstruct`] at an explicit dispatch level.
+pub fn lorenzo_reconstruct_at(
+    level: Level,
+    codes_t: &[u32],
+    lanes: usize,
+    p: QuantParams,
+    out_t: &mut [f32],
+) {
+    run_at(level, LorenzoReconstruct(codes_t, lanes, p, out_t))
+}
+
 /// Batch decoder-side reconstruction: `out[i] = (preds[i] + (codes[i] -
 /// radius) * bin) as f32` for non-zero codes; escape lanes (`codes[i] == 0`)
 /// are written as `0.0` for the caller to patch from the literal stream.
@@ -390,6 +421,106 @@ pub fn unpack_offsets(codes: &[u32], min: f64, bin: f64, out: &mut [f32]) {
 /// [`unpack_offsets`] at an explicit dispatch level.
 pub fn unpack_offsets_at(level: Level, codes: &[u32], min: f64, bin: f64, out: &mut [f32]) {
     run_at(level, UnpackOffsets(codes, min, bin, out))
+}
+
+/// A 32-bit element the lane-major copies move bit for bit: the `u32`
+/// codes and the `f32` values of the chain kernels.
+pub trait Word: Copy + sealed::Sealed {
+    /// The words of `s` as `u32`s, bit for bit.
+    fn words(s: &[Self]) -> &[u32];
+    /// The words of `s` as `u32`s, bit for bit, to write.
+    fn words_mut(s: &mut [Self]) -> &mut [u32];
+}
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for u32 {}
+    impl Sealed for f32 {}
+}
+
+impl Word for u32 {
+    fn words(s: &[u32]) -> &[u32] {
+        s
+    }
+    fn words_mut(s: &mut [u32]) -> &mut [u32] {
+        s
+    }
+}
+
+impl Word for f32 {
+    fn words(s: &[f32]) -> &[u32] {
+        // SAFETY: f32 and u32 have the same size and alignment, and every
+        // bit pattern is a valid value of both.
+        unsafe { std::slice::from_raw_parts(s.as_ptr().cast::<u32>(), s.len()) }
+    }
+    fn words_mut(s: &mut [f32]) -> &mut [u32] {
+        // SAFETY: as in `words`; the borrow is carried over unchanged.
+        unsafe { std::slice::from_raw_parts_mut(s.as_mut_ptr().cast::<u32>(), s.len()) }
+    }
+}
+
+/// Lay blocks out lane-major, for the chain kernels: element `i` of the
+/// block that starts at `src[starts[lane]]` goes to `dst_t[i * lanes +
+/// lane]`, `lanes` being `starts.len()`, for each of the `dst_t.len() /
+/// lanes` rows. AVX2 and SSE4.1 move whole register tiles, 8 lanes by 4
+/// rows and 4 by 4; the other levels, and the lanes and rows past the last
+/// whole tile, go element by element.
+///
+/// Panics if `starts` is empty, `dst_t` is not whole rows, or a block runs
+/// past the end of `src`.
+///
+/// Scalar twin: `dst_t[i * lanes + lane] = src[starts[lane] + i]` per
+/// element.
+pub fn to_lane_major<T: Word>(src: &[T], starts: &[usize], dst_t: &mut [T]) {
+    to_lane_major_at(active_level(), src, starts, dst_t);
+}
+
+/// [`to_lane_major`] at an explicit dispatch level.
+pub fn to_lane_major_at<T: Word>(level: Level, src: &[T], starts: &[usize], dst_t: &mut [T]) {
+    let (src, dst_t) = (T::words(src), T::words_mut(dst_t));
+    match level {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: level installed only after feature detection (see run_at).
+        Level::Sse41 => unsafe { x86::to_lane_major_sse41(src, starts, dst_t) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above.
+        Level::Avx2 => unsafe { x86::to_lane_major_avx2(src, starts, dst_t) },
+        _ => {
+            let rows = kernels::lane_major_rows(src.len(), starts, dst_t.len());
+            kernels::to_lane_major_scalar(src, starts, dst_t, 0..starts.len(), 0..rows);
+        }
+    }
+}
+
+/// The inverse of [`to_lane_major`]: row `i` of `src_t` goes back to
+/// `dst[starts[lane] + i]`, lane by lane. The blocks must not overlap:
+/// where they do, which lane's word a shared slot ends with is not
+/// specified.
+///
+/// Panics if `starts` is empty, `src_t` is not whole rows, or a block runs
+/// past the end of `dst`.
+///
+/// Scalar twin: `dst[starts[lane] + i] = src_t[i * lanes + lane]` per
+/// element.
+pub fn from_lane_major<T: Word>(src_t: &[T], starts: &[usize], dst: &mut [T]) {
+    from_lane_major_at(active_level(), src_t, starts, dst);
+}
+
+/// [`from_lane_major`] at an explicit dispatch level.
+pub fn from_lane_major_at<T: Word>(level: Level, src_t: &[T], starts: &[usize], dst: &mut [T]) {
+    let (src_t, dst) = (T::words(src_t), T::words_mut(dst));
+    match level {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: level installed only after feature detection (see run_at).
+        Level::Sse41 => unsafe { x86::from_lane_major_sse41(src_t, starts, dst) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above.
+        Level::Avx2 => unsafe { x86::from_lane_major_avx2(src_t, starts, dst) },
+        _ => {
+            let rows = kernels::lane_major_rows(dst.len(), starts, src_t.len());
+            kernels::from_lane_major_scalar(src_t, starts, dst, 0..starts.len(), 0..rows);
+        }
+    }
 }
 
 /// Byte-shuffle for 4-byte elements: transpose `src` (N elements × 4 bytes)

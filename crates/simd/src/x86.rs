@@ -729,3 +729,200 @@ pub(crate) unsafe fn unshuffle4_avx2(src: &[u8], dst: &mut [u8]) {
     }
     kernels::unshuffle4_scalar(src, dst, e);
 }
+
+// ---------------------------------------------------------------------------
+// Lane-major copies: register-tile transposes of 32-bit words, with the
+// lanes and rows past the last whole tile delegated to the scalar forms.
+// ---------------------------------------------------------------------------
+
+/// [`crate::to_lane_major_at`] at AVX2: tiles of 8 lanes by 4 rows. A row
+/// of four words of block `a` and of block `a + 4` share a register; two
+/// rounds of in-lane shuffles turn four such registers into four rows of
+/// the tile.
+///
+/// # Safety
+/// Requires AVX2; verified by the dispatcher at detection time.
+// simd-safety: feature presence guaranteed by dispatch-time detection;
+// `lane_major_rows` checks that every block holds `rows` words inside `src`
+// and that `dst_t` is `rows` rows of `lanes` words, and every load reads
+// words `i..i + 4 <= rows` of a block and every store writes words
+// `l0..l0 + 8 <= lanes` of a row `< rows`.
+#[target_feature(enable = "avx2")]
+pub(crate) unsafe fn to_lane_major_avx2(src: &[u32], starts: &[usize], dst_t: &mut [u32]) {
+    let rows = kernels::lane_major_rows(src.len(), starts, dst_t.len());
+    let lanes = starts.len();
+    let (tiled_lanes, tiled_rows) = (lanes - lanes % 8, rows - rows % 4);
+    let sp = src.as_ptr().cast::<f32>();
+    let dp = dst_t.as_mut_ptr().cast::<f32>();
+    for l0 in (0..tiled_lanes).step_by(8) {
+        let s = &starts[l0..l0 + 8];
+        let mut i = 0;
+        while i < tiled_rows {
+            // SAFETY: see the simd-safety comment above.
+            unsafe {
+                let r0 = _mm256_insertf128_ps::<1>(
+                    _mm256_castps128_ps256(_mm_loadu_ps(sp.add(s[0] + i))),
+                    _mm_loadu_ps(sp.add(s[4] + i)),
+                );
+                let r1 = _mm256_insertf128_ps::<1>(
+                    _mm256_castps128_ps256(_mm_loadu_ps(sp.add(s[1] + i))),
+                    _mm_loadu_ps(sp.add(s[5] + i)),
+                );
+                let r2 = _mm256_insertf128_ps::<1>(
+                    _mm256_castps128_ps256(_mm_loadu_ps(sp.add(s[2] + i))),
+                    _mm_loadu_ps(sp.add(s[6] + i)),
+                );
+                let r3 = _mm256_insertf128_ps::<1>(
+                    _mm256_castps128_ps256(_mm_loadu_ps(sp.add(s[3] + i))),
+                    _mm_loadu_ps(sp.add(s[7] + i)),
+                );
+                let t0 = _mm256_unpacklo_ps(r0, r1);
+                let t1 = _mm256_unpackhi_ps(r0, r1);
+                let t2 = _mm256_unpacklo_ps(r2, r3);
+                let t3 = _mm256_unpackhi_ps(r2, r3);
+                let row = dp.add(i * lanes + l0);
+                _mm256_storeu_ps(row, _mm256_shuffle_ps::<0x44>(t0, t2));
+                _mm256_storeu_ps(row.add(lanes), _mm256_shuffle_ps::<0xEE>(t0, t2));
+                _mm256_storeu_ps(row.add(2 * lanes), _mm256_shuffle_ps::<0x44>(t1, t3));
+                _mm256_storeu_ps(row.add(3 * lanes), _mm256_shuffle_ps::<0xEE>(t1, t3));
+            }
+            i += 4;
+        }
+    }
+    kernels::to_lane_major_scalar(src, starts, dst_t, tiled_lanes..lanes, 0..rows);
+    kernels::to_lane_major_scalar(src, starts, dst_t, 0..tiled_lanes, tiled_rows..rows);
+}
+
+/// [`crate::from_lane_major_at`] at AVX2: the tiles of
+/// [`to_lane_major_avx2`] taken apart by the same shuffles, the low half of
+/// each register to block `a` and the high half to block `a + 4`.
+///
+/// # Safety
+/// Requires AVX2; verified by the dispatcher at detection time.
+// simd-safety: feature presence guaranteed by dispatch-time detection;
+// `lane_major_rows` checks that every block holds `rows` words inside `dst`
+// and that `src_t` is `rows` rows of `lanes` words, and every load reads
+// words `l0..l0 + 8 <= lanes` of a row `< rows` and every store writes
+// words `i..i + 4 <= rows` of a block.
+#[target_feature(enable = "avx2")]
+pub(crate) unsafe fn from_lane_major_avx2(src_t: &[u32], starts: &[usize], dst: &mut [u32]) {
+    let rows = kernels::lane_major_rows(dst.len(), starts, src_t.len());
+    let lanes = starts.len();
+    let (tiled_lanes, tiled_rows) = (lanes - lanes % 8, rows - rows % 4);
+    let sp = src_t.as_ptr().cast::<f32>();
+    let dp = dst.as_mut_ptr().cast::<f32>();
+    for l0 in (0..tiled_lanes).step_by(8) {
+        let s = &starts[l0..l0 + 8];
+        let mut i = 0;
+        while i < tiled_rows {
+            // SAFETY: see the simd-safety comment above.
+            unsafe {
+                let row = sp.add(i * lanes + l0);
+                let r0 = _mm256_loadu_ps(row);
+                let r1 = _mm256_loadu_ps(row.add(lanes));
+                let r2 = _mm256_loadu_ps(row.add(2 * lanes));
+                let r3 = _mm256_loadu_ps(row.add(3 * lanes));
+                let t0 = _mm256_unpacklo_ps(r0, r1);
+                let t1 = _mm256_unpackhi_ps(r0, r1);
+                let t2 = _mm256_unpacklo_ps(r2, r3);
+                let t3 = _mm256_unpackhi_ps(r2, r3);
+                let b0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+                let b1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
+                let b2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+                let b3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
+                _mm_storeu_ps(dp.add(s[0] + i), _mm256_castps256_ps128(b0));
+                _mm_storeu_ps(dp.add(s[1] + i), _mm256_castps256_ps128(b1));
+                _mm_storeu_ps(dp.add(s[2] + i), _mm256_castps256_ps128(b2));
+                _mm_storeu_ps(dp.add(s[3] + i), _mm256_castps256_ps128(b3));
+                _mm_storeu_ps(dp.add(s[4] + i), _mm256_extractf128_ps::<1>(b0));
+                _mm_storeu_ps(dp.add(s[5] + i), _mm256_extractf128_ps::<1>(b1));
+                _mm_storeu_ps(dp.add(s[6] + i), _mm256_extractf128_ps::<1>(b2));
+                _mm_storeu_ps(dp.add(s[7] + i), _mm256_extractf128_ps::<1>(b3));
+            }
+            i += 4;
+        }
+    }
+    kernels::from_lane_major_scalar(src_t, starts, dst, tiled_lanes..lanes, 0..rows);
+    kernels::from_lane_major_scalar(src_t, starts, dst, 0..tiled_lanes, tiled_rows..rows);
+}
+
+/// [`crate::to_lane_major_at`] at SSE4.1: tiles of 4 lanes by 4 rows, the
+/// shuffles of [`to_lane_major_avx2`] on one 128-bit lane.
+///
+/// # Safety
+/// Requires SSE4.1; verified by the dispatcher at detection time.
+// simd-safety: feature presence guaranteed by dispatch-time detection;
+// bounds as in `to_lane_major_avx2`, with tiles 4 lanes wide.
+#[target_feature(enable = "sse4.1")]
+pub(crate) unsafe fn to_lane_major_sse41(src: &[u32], starts: &[usize], dst_t: &mut [u32]) {
+    let rows = kernels::lane_major_rows(src.len(), starts, dst_t.len());
+    let lanes = starts.len();
+    let (tiled_lanes, tiled_rows) = (lanes - lanes % 4, rows - rows % 4);
+    let sp = src.as_ptr().cast::<f32>();
+    let dp = dst_t.as_mut_ptr().cast::<f32>();
+    for l0 in (0..tiled_lanes).step_by(4) {
+        let s = &starts[l0..l0 + 4];
+        let mut i = 0;
+        while i < tiled_rows {
+            // SAFETY: see the simd-safety comment above.
+            unsafe {
+                let r0 = _mm_loadu_ps(sp.add(s[0] + i));
+                let r1 = _mm_loadu_ps(sp.add(s[1] + i));
+                let r2 = _mm_loadu_ps(sp.add(s[2] + i));
+                let r3 = _mm_loadu_ps(sp.add(s[3] + i));
+                let t0 = _mm_unpacklo_ps(r0, r1);
+                let t1 = _mm_unpackhi_ps(r0, r1);
+                let t2 = _mm_unpacklo_ps(r2, r3);
+                let t3 = _mm_unpackhi_ps(r2, r3);
+                let row = dp.add(i * lanes + l0);
+                _mm_storeu_ps(row, _mm_shuffle_ps::<0x44>(t0, t2));
+                _mm_storeu_ps(row.add(lanes), _mm_shuffle_ps::<0xEE>(t0, t2));
+                _mm_storeu_ps(row.add(2 * lanes), _mm_shuffle_ps::<0x44>(t1, t3));
+                _mm_storeu_ps(row.add(3 * lanes), _mm_shuffle_ps::<0xEE>(t1, t3));
+            }
+            i += 4;
+        }
+    }
+    kernels::to_lane_major_scalar(src, starts, dst_t, tiled_lanes..lanes, 0..rows);
+    kernels::to_lane_major_scalar(src, starts, dst_t, 0..tiled_lanes, tiled_rows..rows);
+}
+
+/// [`crate::from_lane_major_at`] at SSE4.1: tiles of 4 lanes by 4 rows.
+///
+/// # Safety
+/// Requires SSE4.1; verified by the dispatcher at detection time.
+// simd-safety: feature presence guaranteed by dispatch-time detection;
+// bounds as in `from_lane_major_avx2`, with tiles 4 lanes wide.
+#[target_feature(enable = "sse4.1")]
+pub(crate) unsafe fn from_lane_major_sse41(src_t: &[u32], starts: &[usize], dst: &mut [u32]) {
+    let rows = kernels::lane_major_rows(dst.len(), starts, src_t.len());
+    let lanes = starts.len();
+    let (tiled_lanes, tiled_rows) = (lanes - lanes % 4, rows - rows % 4);
+    let sp = src_t.as_ptr().cast::<f32>();
+    let dp = dst.as_mut_ptr().cast::<f32>();
+    for l0 in (0..tiled_lanes).step_by(4) {
+        let s = &starts[l0..l0 + 4];
+        let mut i = 0;
+        while i < tiled_rows {
+            // SAFETY: see the simd-safety comment above.
+            unsafe {
+                let row = sp.add(i * lanes + l0);
+                let r0 = _mm_loadu_ps(row);
+                let r1 = _mm_loadu_ps(row.add(lanes));
+                let r2 = _mm_loadu_ps(row.add(2 * lanes));
+                let r3 = _mm_loadu_ps(row.add(3 * lanes));
+                let t0 = _mm_unpacklo_ps(r0, r1);
+                let t1 = _mm_unpackhi_ps(r0, r1);
+                let t2 = _mm_unpacklo_ps(r2, r3);
+                let t3 = _mm_unpackhi_ps(r2, r3);
+                _mm_storeu_ps(dp.add(s[0] + i), _mm_shuffle_ps::<0x44>(t0, t2));
+                _mm_storeu_ps(dp.add(s[1] + i), _mm_shuffle_ps::<0xEE>(t0, t2));
+                _mm_storeu_ps(dp.add(s[2] + i), _mm_shuffle_ps::<0x44>(t1, t3));
+                _mm_storeu_ps(dp.add(s[3] + i), _mm_shuffle_ps::<0xEE>(t1, t3));
+            }
+            i += 4;
+        }
+    }
+    kernels::from_lane_major_scalar(src_t, starts, dst, tiled_lanes..lanes, 0..rows);
+    kernels::from_lane_major_scalar(src_t, starts, dst, 0..tiled_lanes, tiled_rows..rows);
+}

@@ -10,9 +10,10 @@
 //! under the parallel test runner.
 
 use fedsz_simd::{
-    abs_residuals_at, available_levels, cubic_preds_at, linear_preds_at, lorenzo_quantize_at,
-    midpoint_preds_at, minmax_finite_at, pack_offsets_at, quantize_at, reconstruct_at,
-    residual_costs_at, shuffle4_into_at, unpack_offsets_at, unshuffle4_into_at, Level, QuantParams,
+    abs_residuals_at, available_levels, cubic_preds_at, from_lane_major_at, linear_preds_at,
+    lorenzo_quantize_at, lorenzo_reconstruct_at, midpoint_preds_at, minmax_finite_at,
+    pack_offsets_at, quantize_at, reconstruct_at, residual_costs_at, shuffle4_into_at,
+    to_lane_major_at, unpack_offsets_at, unshuffle4_into_at, Level, QuantParams,
 };
 
 /// xorshift64* — deterministic, dependency-free.
@@ -206,6 +207,166 @@ fn lorenzo_quantize_parity() {
                         lorenzo_quantize_at(lvl, &values_t, lanes, p, &mut codes);
                         assert_eq!(codes, codes_ref, "codes diverged at {lvl:?}, {ctx}");
                     }
+                }
+            }
+        }
+    }
+}
+
+/// Each of `lanes` lane-major chains stepped on its own, as the decoder's
+/// block loop does: a zero code takes its literal, any other code
+/// `(prev as f64 + (code as f64 - radius) * bin) as f32`, from `prev = 0`.
+fn lorenzo_chains_by_hand(
+    codes_t: &[u32],
+    literals_t: &[f32],
+    lanes: usize,
+    p: QuantParams,
+) -> Vec<f32> {
+    let mut out = vec![0f32; codes_t.len()];
+    for lane in 0..lanes {
+        let mut prev = 0f32;
+        let mut at = lane;
+        while at < codes_t.len() {
+            prev = if codes_t[at] == 0 {
+                literals_t[at]
+            } else {
+                (prev as f64 + (codes_t[at] as f64 - p.radius) * p.bin) as f32
+            };
+            out[at] = prev;
+            at += lanes;
+        }
+    }
+    out
+}
+
+#[test]
+fn lorenzo_reconstruct_parity() {
+    // Lane counts 1..=35: whole vectors, a last vector short of W64 (2 or
+    // 4), and more chains than one group of eight vectors (16 at SSE4.1 and
+    // NEON, 32 at AVX2); rows 1, 2, 37 (with one lane, a tensor's short
+    // last block) and 256. Escapes in the first and last row, in the first
+    // and last lane of every vector at either width, and scattered, with
+    // finite, signed-zero, infinite and NaN literals (quiet, with payloads:
+    // the contract lets a signaling NaN come back quiet). Also a corpus
+    // without any escape, which takes the kernel's other step.
+    let mut rng = Rng::new(0x10E3_DEC0);
+    let literal_pool = [
+        1.5f32,
+        -0.0,
+        0.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+        f32::from_bits(0xFFC0_0001),
+        f32::from_bits(0x7FC1_2345),
+        3.0e38,
+        f32::from_bits(0x8000_0007),
+    ];
+    for &abs_eb in &[0.25f64, 1e-3, 1e-7] {
+        let p = QuantParams {
+            abs_eb,
+            bin: 2.0 * abs_eb,
+            radius: (1u32 << 15) as f64,
+        };
+        for lanes in 1..=35 {
+            for rows in [1usize, 2, 37, 256] {
+                let n = lanes * rows;
+                for escapes in [true, false] {
+                    let mut codes_t = vec![0u32; n];
+                    let mut literals_t = vec![0f32; n];
+                    for i in 0..n {
+                        let (row, lane) = (i / lanes, i % lanes);
+                        let edge_row = row == 0 || row == rows - 1;
+                        let edge_lane = matches!(lane % 4, 0 | 3) || lane % 2 == 1;
+                        let escape = escapes
+                            && ((edge_row && rng.next().is_multiple_of(3))
+                                || (edge_lane && row % 17 == 5)
+                                || rng.next().is_multiple_of(23));
+                        if escape {
+                            let pick = rng.next() as usize % literal_pool.len();
+                            literals_t[i] = literal_pool[pick];
+                        } else if rng.next().is_multiple_of(16) {
+                            codes_t[i] = (rng.next() % ((1 << 16) - 1) + 1) as u32;
+                        } else {
+                            codes_t[i] = (32_768 + rng.next() % 101) as u32 - 50;
+                        }
+                    }
+                    let ctx = format!("eb={abs_eb} lanes={lanes} rows={rows} escapes={escapes}");
+                    let want = lorenzo_chains_by_hand(&codes_t, &literals_t, lanes, p);
+                    for lvl in available_levels() {
+                        // Only the escapes' slots hold anything beforehand.
+                        let mut out = vec![f32::from_bits(0x7FA0_0BAD); n];
+                        for i in 0..n {
+                            if codes_t[i] == 0 {
+                                out[i] = literals_t[i];
+                            }
+                        }
+                        lorenzo_reconstruct_at(lvl, &codes_t, lanes, p, &mut out);
+                        assert_eq!(bits32(&out), bits32(&want), "diverged at {lvl:?}, {ctx}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn lane_major_copies_parity() {
+    // Blocks in a scrambled order across a buffer, lane counts 1..=35 (the
+    // tiles' 4 and 8 lanes and every remainder), rows 0..=9 and 256 (every
+    // remainder of the tiles' 4 rows): both copies at every level against
+    // the scalar twin and against the definition, u32 codes and f32 values
+    // with NaN payloads, which move bit for bit.
+    let mut rng = Rng::new(0x7A1E_5EED);
+    for lanes in 1..=35 {
+        for rows in (0..=9).chain([256]) {
+            let len = lanes * rows + 11;
+            let mut order: Vec<usize> = (0..lanes).collect();
+            for i in (1..lanes).rev() {
+                order.swap(i, rng.next() as usize % (i + 1));
+            }
+            let mut starts = vec![0usize; lanes];
+            for lane in 0..lanes {
+                starts[lane] = 3 + order[lane] * rows;
+            }
+            let src: Vec<u32> = (0..len).map(|_| rng.next() as u32).collect();
+            let src_f: Vec<f32> = (0..len).map(|_| hostile_f32(&mut rng)).collect();
+            let ctx = format!("lanes={lanes} rows={rows}");
+
+            let mut want_t = vec![0u32; lanes * rows];
+            for i in 0..rows {
+                for lane in 0..lanes {
+                    want_t[i * lanes + lane] = src[starts[lane] + i];
+                }
+            }
+            let mut want_back = vec![0u32; len];
+            for i in 0..len {
+                want_back[i] = !src[i];
+            }
+            for lane in 0..lanes {
+                for i in 0..rows {
+                    want_back[starts[lane] + i] = want_t[i * lanes + lane];
+                }
+            }
+            let mut want_f = vec![0f32; lanes * rows];
+            to_lane_major_at(Level::Scalar, &src_f, &starts, &mut want_f);
+            for lvl in available_levels() {
+                let mut got_t = vec![u32::MAX; lanes * rows];
+                to_lane_major_at(lvl, &src, &starts, &mut got_t);
+                assert_eq!(got_t, want_t, "to_lane_major at {lvl:?}, {ctx}");
+                let mut got_back: Vec<u32> = src.iter().map(|&w| !w).collect();
+                from_lane_major_at(lvl, &got_t, &starts, &mut got_back);
+                assert_eq!(got_back, want_back, "from_lane_major at {lvl:?}, {ctx}");
+
+                let mut got_f = vec![0f32; lanes * rows];
+                to_lane_major_at(lvl, &src_f, &starts, &mut got_f);
+                assert_eq!(bits32(&got_f), bits32(&want_f), "f32 at {lvl:?}, {ctx}");
+                let mut back_f = vec![0f32; len];
+                from_lane_major_at(lvl, &got_f, &starts, &mut back_f);
+                for lane in 0..lanes {
+                    let block = &back_f[starts[lane]..starts[lane] + rows];
+                    let orig = &src_f[starts[lane]..starts[lane] + rows];
+                    assert_eq!(bits32(block), bits32(orig), "f32 back at {lvl:?}, {ctx}");
                 }
             }
         }
