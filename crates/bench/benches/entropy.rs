@@ -50,8 +50,8 @@ fn bench_huffman() {
     // sigma = 260 sends the same share there (~10.1 bits, lengths 9-20,
     // ~2 000 live symbols). One symbol per table hit going in, the fewest
     // codes per joined write going out. "narrow": ~3 bits per symbol, as
-    // SZ2 codes at rel 1e-2, where a table hit of the bulk decode yields
-    // two symbols and the bulk encode joins the most codes per write.
+    // SZ2 codes at rel 1e-2, where a table hit of the bulk decode yields up
+    // to three symbols and the bulk encode joins the most codes per write.
     for (shape, sigma, long_share) in [("wide", 260.0, 0.03..0.05), ("narrow", 2.5, 0.0..0.001)] {
         let syms = quant_codes(1 << 20, sigma);
         let msyms = syms.len() as f64 / 1e6;

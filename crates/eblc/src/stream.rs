@@ -278,7 +278,7 @@ fn decode_payload<P: Predictor>(payload: &[u8]) -> Result<Vec<f32>, CodecError> 
     let mut h = decode_header::<P>(payload)?;
     let mut literals = h.literals.as_slice();
     let mut r = BitReader::new(h.bitstream);
-    let dec = HuffmanDecoder::read_table(&mut r)?;
+    let dec = HuffmanDecoder::read_table_for(&mut r, h.n)?;
     let table_bits = r.bits_consumed();
 
     let mut scratch = vec![0u32; P::UNIT];

@@ -415,6 +415,14 @@ fn put_literals(codes: &[u32], literals: &[f32], mut put: impl FnMut(usize, f32)
     }
 }
 
+/// Reconstruct one Lorenzo block in place, a chain of one lane, with the
+/// literals' own bits (a signaling NaN's included) in their slots.
+fn decode_lorenzo_alone(codes: &[u32], out: &mut [f32], literals: &[f32], q: &Quantizer) {
+    put_literals(codes, literals, |i, v| out[i] = v);
+    q.reconstruct_chains(codes, 1, out);
+    put_literals(codes, literals, |i, v| out[i] = v);
+}
+
 /// Reconstruct the unit's Lorenzo blocks, the ones starting at `starts`
 /// with their `literals`, at most [`CHAINS`] to a `reconstruct_chains`
 /// call.
@@ -429,7 +437,8 @@ fn put_literals(codes: &[u32], literals: &[f32], mut put: impl FnMut(usize, f32)
 /// A batch is padded to a multiple of [`TILE`] lanes with copies of its
 /// last block, so the copies move whole register tiles. A copy's chain
 /// reads what its block's does and yields the same bits, so writing both
-/// back leaves the block as one chain would.
+/// back leaves the block as one chain would. A block alone — the tensor's
+/// short last block, or a batch of one — is a one-lane chain in place.
 fn decode_lorenzo_blocks(
     codes: &[u32],
     out: &mut [f32],
@@ -437,21 +446,22 @@ fn decode_lorenzo_blocks(
     q: &Quantizer,
     scratch: &mut Scratch,
 ) {
-    // Only the tensor's last block can be short; it is a chain of its own,
-    // which needs no copy.
+    // Only the tensor's last block can be short.
     let mut whole = starts.len();
     if starts
         .last()
         .is_some_and(|&last| codes.len() - last < BLOCK)
     {
         whole -= 1;
-        let (start, literals) = (starts[whole], literals[whole]);
-        let (codes, out) = (&codes[start..], &mut out[start..]);
-        put_literals(codes, literals, |i, v| out[i] = v);
-        q.reconstruct_chains(codes, 1, out);
-        put_literals(codes, literals, |i, v| out[i] = v);
+        let start = starts[whole];
+        decode_lorenzo_alone(&codes[start..], &mut out[start..], literals[whole], q);
     }
     for (starts, literals) in starts[..whole].chunks(CHAINS).zip(literals.chunks(CHAINS)) {
+        if let ([start], [literals]) = (starts, literals) {
+            let (codes, out) = (&codes[*start..][..BLOCK], &mut out[*start..][..BLOCK]);
+            decode_lorenzo_alone(codes, out, literals, q);
+            continue;
+        }
         let lanes = starts.len().next_multiple_of(TILE);
         let mut padded_starts = [0usize; CHAINS];
         let mut padded_literals = [&[][..]; CHAINS];

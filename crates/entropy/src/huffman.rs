@@ -375,6 +375,12 @@ impl HuffmanEncoder {
 /// Bits resolved by the primary decode lookup table.
 const LOOKUP_BITS: u32 = 12;
 
+/// Codes a stream must hold for [`HuffmanDecoder::read_table_for`] to give
+/// table entries a third code. At ~3 bits a code the third-code work adds
+/// ~5 µs to a build and saves ~0.5 ns a code in `decode_run`, so it pays
+/// from ~10 000 codes; an SZ2 group is 16 384.
+const THIRDS_FROM: usize = 1 << 14;
+
 /// Entries of a table indexed by code length, `0..=MAX_LEN`.
 const LENGTHS: usize = MAX_LEN as usize + 1;
 
@@ -493,6 +499,15 @@ impl HuffmanDecoder {
     /// alphabet over 2^16 symbols, a bad run (or the input ending inside
     /// the header), a length over 32 bits, a Kraft violation.
     pub fn read_table(r: &mut BitReader<'_>) -> Result<Self, CodecError> {
+        Self::read_table_for(r, usize::MAX)
+    }
+
+    /// [`Self::read_table`] for a stream of about `codes` codes: below
+    /// [`THIRDS_FROM`] codes no entry is given a third code. The symbols,
+    /// the errors and the reader position of every decode are the same
+    /// either way; a short stream just does not decode enough codes to pay
+    /// for the third-code work of the build.
+    pub fn read_table_for(r: &mut BitReader<'_>, codes: usize) -> Result<Self, CodecError> {
         let n = r.read_u32()? as usize;
         if n > MAX_ALPHABET {
             return Err(CodecError::Corrupt("huffman alphabet too large"));
@@ -520,12 +535,17 @@ impl HuffmanDecoder {
         if too_long {
             return Err(CodecError::Corrupt("huffman length exceeds limit"));
         }
-        Self::from_runs(&runs, count)
+        Self::from_runs(&runs, count, codes >= THIRDS_FROM)
     }
 
     /// Build from the coded runs, ascending by symbol, and the number of
-    /// codes of each length, all at most [`MAX_LEN`].
-    fn from_runs(runs: &[(u32, u32, u8)], count: [u32; LENGTHS]) -> Result<Self, CodecError> {
+    /// codes of each length, all at most [`MAX_LEN`]; `thirds` is whether
+    /// entries may hold a third code.
+    fn from_runs(
+        runs: &[(u32, u32, u8)],
+        count: [u32; LENGTHS],
+        thirds: bool,
+    ) -> Result<Self, CodecError> {
         let mut first_code = [0u32; LENGTHS];
         let mut offset = [0u32; LENGTHS];
         let max_len = (1..=MAX_LEN)
@@ -605,7 +625,7 @@ impl HuffmanDecoder {
             if !room(used, 1) {
                 break;
             }
-            let thirds = room(used, 2);
+            let thirds = thirds && room(used, 2);
             for _ in 0..count[l as usize] {
                 let first = lookup[start];
                 for r in 0..width {
@@ -1710,7 +1730,8 @@ mod tests {
         // hold the symbols whose codes end inside the prefix, up to three,
         // their total length and the first one's; a prefix that begins a
         // longer code, or none, holds an empty entry. Both paddings read
-        // alike, so no entry leans on the bits past the prefix.
+        // alike, so no entry leans on the bits past the prefix. A table
+        // read for a stream too short for third codes holds up to two.
         let mut next = xorshift(0xE7_7AB1E);
         let mut ladder: Vec<u8> = (1..=MAX_LEN).collect();
         ladder.push(MAX_LEN);
@@ -1738,6 +1759,10 @@ mod tests {
         }
         for (name, lens) in &tables {
             let dec = decoder_for(lens).unwrap();
+            let bytes = table_bytes(lens);
+            let short =
+                HuffmanDecoder::read_table_for(&mut BitReader::new(&bytes), THIRDS_FROM - 1);
+            let short = short.unwrap();
             if name == "sigma 1" || name == "sigma 2.5" {
                 let triples = dec.lookup.iter().filter(|e| e.symbols() == 3).count();
                 assert!(triples > 1000, "{name}: {triples} entries of three codes");
@@ -1750,13 +1775,17 @@ mod tests {
                     (symbols.clone(), ends.clone()),
                     "{ctx}: the walk depends on the padding"
                 );
-                let entry = dec.lookup[prefix];
-                let held = [entry.first(), entry.second(), entry.third()];
-                assert_eq!(&held[..entry.symbols()], &symbols[..], "{ctx}: symbols");
-                let total = ends.last().copied().unwrap_or(0);
-                assert_eq!(entry.total_len(), total, "{ctx}: total length");
-                let first = ends.first().copied().unwrap_or(0);
-                assert_eq!(u32::from(entry.first_len()), first, "{ctx}: first length");
+                for (table, most) in [(&dec, 3), (&short, 2)] {
+                    let ctx = format!("{ctx}, up to {most} codes");
+                    let fit = symbols.len().min(most);
+                    let entry = table.lookup[prefix];
+                    let held = [entry.first(), entry.second(), entry.third()];
+                    assert_eq!(&held[..entry.symbols()], &symbols[..fit], "{ctx}: symbols");
+                    let total = if fit > 0 { ends[fit - 1] } else { 0 };
+                    assert_eq!(entry.total_len(), total, "{ctx}: total length");
+                    let first = ends.first().copied().unwrap_or(0);
+                    assert_eq!(u32::from(entry.first_len()), first, "{ctx}: first length");
+                }
             }
         }
     }

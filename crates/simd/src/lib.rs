@@ -493,8 +493,8 @@ pub fn to_lane_major_at<T: Word>(level: Level, src: &[T], starts: &[usize], dst_
 }
 
 /// The inverse of [`to_lane_major`]: row `i` of `src_t` goes back to
-/// `dst[starts[lane] + i]`, lane by lane. The blocks must not overlap:
-/// where they do, which lane's word a shared slot ends with is not
+/// `dst[starts[lane] + i]`, lane by lane. Blocks may overlap: a slot two
+/// lanes share ends with the word of one of them, which one is not
 /// specified.
 ///
 /// Panics if `starts` is empty, `src_t` is not whole rows, or a block runs
