@@ -503,7 +503,7 @@ impl HuffmanDecoder {
     }
 
     /// [`Self::read_table`] for a stream of about `codes` codes: below
-    /// [`THIRDS_FROM`] codes no entry is given a third code. The symbols,
+    /// 16 384 codes no entry is given a third code. The symbols,
     /// the errors and the reader position of every decode are the same
     /// either way; a short stream just does not decode enough codes to pay
     /// for the third-code work of the build.
