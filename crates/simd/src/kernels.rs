@@ -221,9 +221,9 @@ fn lorenzo_row<I: Isa>(q: QuantLanes<I>, values: &[f32], prev: &mut [I::F64], co
 
 /// Vectors of chains [`LorenzoReconstruct`] steps side by side, each
 /// chain's last value held in a register from row to row. A step is an add,
-/// a narrowing, a widening and a select deep, ~20 cycles, against a few of
-/// issue: eight vectors in flight keep the adder busy. That is 32 chains at
-/// AVX2, 16 at SSE4.1 and NEON, and 8 on the scalar twin.
+/// a narrowing, a widening and a select deep, ~20 cycles of latency against
+/// a few of throughput: eight vectors in flight keep the adder busy. That is
+/// 32 chains at AVX2, 16 at SSE4.1 and NEON, and 8 on the scalar twin.
 const CHAIN_VECTORS: usize = 8;
 
 /// [`crate::lorenzo_reconstruct`]`(codes_t, lanes, p, out_t)`; scalar
