@@ -237,10 +237,20 @@ fn encode_lorenzo_blocks(
     for batch in starts.chunks(CHAINS) {
         let lanes = batch.len();
         let values_t = &mut scratch.values_t[..lanes * BLOCK];
-        fedsz_simd::to_lane_major(values, batch, values_t);
+        for (lane, &start) in batch.iter().enumerate() {
+            let block = &values[start..start + BLOCK];
+            for i in 0..BLOCK {
+                values_t[i * lanes + lane] = block[i];
+            }
+        }
         let codes_t = &mut scratch.codes_t[..lanes * BLOCK];
         q.quantize_chains(values_t, lanes, codes_t);
-        fedsz_simd::from_lane_major(codes_t, batch, codes);
+        for (lane, &start) in batch.iter().enumerate() {
+            let block = &mut codes[start..start + BLOCK];
+            for i in 0..BLOCK {
+                block[i] = codes_t[i * lanes + lane];
+            }
+        }
     }
     if let Some(start) = short {
         q.quantize_chains(&values[start..], 1, &mut codes[start..]);
