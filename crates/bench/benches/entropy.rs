@@ -131,6 +131,47 @@ fn bench_huffman() {
         assert_eq!(out, syms, "decode_run must reproduce the encoded symbols");
     }
 
+    // Short streams: a tensor's table and its codes, drawn from the same
+    // few hundred to few thousand symbols, as the SZ container reads them
+    // (`read_table_for` with the stream's length). `one` builds one code an
+    // entry (what a stream of 0 codes gets), `pairs` two (what one just
+    // short of the third-code threshold gets); where `pairs` overtakes `one`
+    // is where `read_table_for` starts pairing. Each row times 100 tables.
+    for (shape, sigma) in [("narrow", 2.5), ("wide", 260.0)] {
+        for n in [256usize, 1024, 2048, 4096, 8192] {
+            let syms = quant_codes(n, sigma);
+            let mut freqs = vec![0u64; 1 << 16];
+            for &s in &syms {
+                freqs[s as usize] += 1;
+            }
+            let enc = HuffmanEncoder::from_frequencies(&freqs);
+            let mut w = BitWriter::new();
+            enc.write_table(&mut w);
+            enc.encode_run(&mut w, &syms);
+            let bytes = w.finish();
+            let mut out = vec![0u32; n];
+            for (entries, codes) in [("one", 0), ("pairs", (1 << 14) - 1)] {
+                row(
+                    &format!("huffman/short/{shape}/{n}/{entries}"),
+                    21,
+                    100.0 * n as f64 / 1e6,
+                    "Msym/s",
+                    || {
+                        for _ in 0..100 {
+                            let mut r = BitReader::new(&bytes);
+                            let dec = HuffmanDecoder::read_table_for(&mut r, codes).unwrap();
+                            dec.decode_run(&mut r, &mut out).unwrap();
+                        }
+                    },
+                );
+                assert_eq!(
+                    out, syms,
+                    "{shape}/{n}/{entries}: decode_run must reproduce the codes"
+                );
+            }
+        }
+    }
+
     // "e4": a table alone, at the spread of the widest MobileNetV2 tensors
     // at rel 1e-4 (sigma ~ 2 000 bins, over ten thousand live symbols),
     // built over the span of codes that occur, as the SZ container builds

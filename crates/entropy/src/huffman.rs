@@ -376,6 +376,14 @@ impl HuffmanEncoder {
 const LOOKUP_BITS: u32 = 12;
 
 /// Codes a stream must hold for [`HuffmanDecoder::read_table_for`] to give
+/// table entries a second code. At ~3 bits a code the pair pass adds
+/// ~7.5 µs to a build and saves ~1.8 ns a code in `decode_run`, so it pays
+/// from ~4 000 codes; at ~10 bits a code, where few prefixes hold two codes,
+/// it costs and saves next to nothing (the `huffman/short` rows of
+/// `cargo bench -p fedsz-bench --bench entropy`, two-core AVX2 box).
+const PAIRS_FROM: usize = 1 << 12;
+
+/// Codes a stream must hold for [`HuffmanDecoder::read_table_for`] to give
 /// table entries a third code. At ~3 bits a code the third-code work adds
 /// ~5 µs to a build and saves ~0.5 ns a code in `decode_run`, so it pays
 /// from ~10 000 codes; an SZ2 group is 16 384.
@@ -503,10 +511,10 @@ impl HuffmanDecoder {
     }
 
     /// [`Self::read_table`] for a stream of about `codes` codes: below
-    /// 16 384 codes no entry is given a third code. The symbols,
-    /// the errors and the reader position of every decode are the same
-    /// either way; a short stream just does not decode enough codes to pay
-    /// for the third-code work of the build.
+    /// 16 384 codes no entry is given a third code, and below 4 096 none a
+    /// second. The symbols, the errors and the reader position of
+    /// every decode are the same either way; a short stream just does not
+    /// decode enough codes to pay for the multi-code work of the build.
     pub fn read_table_for(r: &mut BitReader<'_>, codes: usize) -> Result<Self, CodecError> {
         let n = r.read_u32()? as usize;
         if n > MAX_ALPHABET {
@@ -535,16 +543,21 @@ impl HuffmanDecoder {
         if too_long {
             return Err(CodecError::Corrupt("huffman length exceeds limit"));
         }
-        Self::from_runs(&runs, count, codes >= THIRDS_FROM)
+        let most = match codes {
+            THIRDS_FROM.. => 3,
+            PAIRS_FROM.. => 2,
+            _ => 1,
+        };
+        Self::from_runs(&runs, count, most)
     }
 
     /// Build from the coded runs, ascending by symbol, and the number of
-    /// codes of each length, all at most [`MAX_LEN`]; `thirds` is whether
-    /// entries may hold a third code.
+    /// codes of each length, all at most [`MAX_LEN`]; `most` is how many
+    /// codes, 1 to 3, an entry may hold.
     fn from_runs(
         runs: &[(u32, u32, u8)],
         count: [u32; LENGTHS],
-        thirds: bool,
+        most: usize,
     ) -> Result<Self, CodecError> {
         let mut first_code = [0u32; LENGTHS];
         let mut offset = [0u32; LENGTHS];
@@ -622,10 +635,10 @@ impl HuffmanDecoder {
         for l in 1..=max_len.min(LOOKUP_BITS as u8) {
             let used = u32::from(l);
             let width = 1usize << (LOOKUP_BITS - used);
-            if !room(used, 1) {
+            if most < 2 || !room(used, 1) {
                 break;
             }
-            let thirds = thirds && room(used, 2);
+            let thirds = most > 2 && room(used, 2);
             for _ in 0..count[l as usize] {
                 let first = lookup[start];
                 for r in 0..width {
@@ -1458,7 +1471,7 @@ mod tests {
     // -----------------------------------------------------------------------
 
     impl HuffmanDecoder {
-        fn read_table_reference(r: &mut BitReader<'_>) -> Result<Self, CodecError> {
+        fn read_table_reference(r: &mut BitReader<'_>, most: usize) -> Result<Self, CodecError> {
             let n = r.read_u32()? as usize;
             if n > MAX_ALPHABET {
                 return Err(CodecError::Corrupt("huffman alphabet too large"));
@@ -1476,10 +1489,10 @@ mod tests {
                 }
                 filled += run;
             }
-            Self::from_lengths_reference(&lens)
+            Self::from_lengths_reference(&lens, most)
         }
 
-        fn from_lengths_reference(lens: &[u8]) -> Result<Self, CodecError> {
+        fn from_lengths_reference(lens: &[u8], most: usize) -> Result<Self, CodecError> {
             if lens.len() > MAX_ALPHABET {
                 return Err(CodecError::Corrupt("huffman alphabet too large"));
             }
@@ -1528,11 +1541,11 @@ mod tests {
                 }
             }
             // Every prefix walked on its own: as many codes as end inside
-            // its bits, up to three, read from the one-code table.
+            // its bits, up to `most`, read from the one-code table.
             let single = lookup.clone();
             for prefix in 0..lookup.len() {
                 let mut entry = single[prefix];
-                while entry.symbols() >= 1 && entry.symbols() < 3 {
+                while entry.symbols() >= 1 && entry.symbols() < most {
                     let used = entry.total_len();
                     let next = single[(prefix << used) & (single.len() - 1)];
                     if next.symbols() == 0 || u32::from(next.first_len()) > LOOKUP_BITS - used {
@@ -1581,24 +1594,35 @@ mod tests {
         }
     }
 
-    /// `read_table` against the reference on one header: the same decoder,
-    /// field for field, and reader position, or the same error.
+    /// `read_table_for` against the reference on one header, for streams of
+    /// each length on either side of [`PAIRS_FROM`] and [`THIRDS_FROM`]: the
+    /// same decoder, field for field, and reader position, or the same error.
     fn assert_table_matches_reference(bytes: &[u8], ctx: &str) {
-        let (mut got_r, mut want_r) = (BitReader::new(bytes), BitReader::new(bytes));
-        let got = HuffmanDecoder::read_table(&mut got_r);
-        let want = HuffmanDecoder::read_table_reference(&mut want_r);
-        assert!(
-            got == want,
-            "{ctx}: {:?} against {:?}",
-            got.err(),
-            want.err()
-        );
-        if want.is_ok() {
-            assert_eq!(
-                got_r.bits_consumed(),
-                want_r.bits_consumed(),
-                "{ctx}: reader position"
+        let tables = [
+            (usize::MAX, 3),
+            (THIRDS_FROM, 3),
+            (THIRDS_FROM - 1, 2),
+            (PAIRS_FROM, 2),
+            (PAIRS_FROM - 1, 1),
+        ];
+        for (codes, most) in tables {
+            let (mut got_r, mut want_r) = (BitReader::new(bytes), BitReader::new(bytes));
+            let got = HuffmanDecoder::read_table_for(&mut got_r, codes);
+            let want = HuffmanDecoder::read_table_reference(&mut want_r, most);
+            let ctx = format!("{ctx}, {codes} codes");
+            assert!(
+                got == want,
+                "{ctx}: {:?} against {:?}",
+                got.err(),
+                want.err()
             );
+            if want.is_ok() {
+                assert_eq!(
+                    got_r.bits_consumed(),
+                    want_r.bits_consumed(),
+                    "{ctx}: reader position"
+                );
+            }
         }
     }
 
@@ -1731,7 +1755,8 @@ mod tests {
         // their total length and the first one's; a prefix that begins a
         // longer code, or none, holds an empty entry. Both paddings read
         // alike, so no entry leans on the bits past the prefix. A table
-        // read for a stream too short for third codes holds up to two.
+        // read for a stream too short for third codes holds up to two, and
+        // one for a stream too short for second codes holds one.
         let mut next = xorshift(0xE7_7AB1E);
         let mut ladder: Vec<u8> = (1..=MAX_LEN).collect();
         ladder.push(MAX_LEN);
@@ -1760,9 +1785,9 @@ mod tests {
         for (name, lens) in &tables {
             let dec = decoder_for(lens).unwrap();
             let bytes = table_bytes(lens);
-            let short =
-                HuffmanDecoder::read_table_for(&mut BitReader::new(&bytes), THIRDS_FROM - 1);
-            let short = short.unwrap();
+            let read_for =
+                |codes| HuffmanDecoder::read_table_for(&mut BitReader::new(&bytes), codes).unwrap();
+            let (short, shortest) = (read_for(THIRDS_FROM - 1), read_for(PAIRS_FROM - 1));
             if name == "sigma 1" || name == "sigma 2.5" {
                 let triples = dec.lookup.iter().filter(|e| e.symbols() == 3).count();
                 assert!(triples > 1000, "{name}: {triples} entries of three codes");
@@ -1775,7 +1800,7 @@ mod tests {
                     (symbols.clone(), ends.clone()),
                     "{ctx}: the walk depends on the padding"
                 );
-                for (table, most) in [(&dec, 3), (&short, 2)] {
+                for (table, most) in [(&dec, 3), (&short, 2), (&shortest, 1)] {
                     let ctx = format!("{ctx}, up to {most} codes");
                     let fit = symbols.len().min(most);
                     let entry = table.lookup[prefix];

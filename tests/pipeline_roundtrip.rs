@@ -136,37 +136,19 @@ fn decode_payload(cfg: &FedSzConfig, route: Route, payload: &[u8]) -> Result<Vec
     }
 }
 
-/// Two MobileNetV2s side by side: 628 entries and 18 MB, which is over the
-/// 16 MiB below which `vendor/rayon` keeps a call on one thread, so
-/// `compress` and `decompress` take helper threads where the machine has
-/// them, and no tensor is larger than 1.6 MB, so eight callers at once stay
-/// small.
-fn two_mobilenets(seed: u64) -> StateDict {
-    let mut sd = StateDict::new();
-    for (prefix, seed) in [("a.", seed), ("b.", seed + 1)] {
-        for e in ModelKind::MobileNetV2.synthesize(10, seed).entries() {
-            sd.insert(format!("{prefix}{}", e.name), e.kind, e.tensor.clone());
-        }
-    }
-    assert!(sd.len() == 628 && sd.nbytes() >= 16 << 20);
-    sd
-}
-
-#[test]
-fn the_shared_out_pipeline_equals_the_serial_reference_also_under_concurrent_callers() {
-    // Bytes and values must be those of one codec call per entry in order,
-    // on one thread.
-    let sd = two_mobilenets(104);
-    let cfg = FedSzConfig::with_rel_bound(1e-4);
-    let payloads = serial_payloads(&sd, &cfg);
-    let reference = framed(&sd, &cfg, &payloads);
+/// `compress` and `decompress` of `sd` under `cfg` against one codec call
+/// per entry in order, on one thread: the same bytes and the same values,
+/// also with eight callers at once contending for the same helper budget.
+fn assert_pipeline_equals_the_serial_reference(sd: &StateDict, cfg: &FedSzConfig) {
+    let payloads = serial_payloads(sd, cfg);
+    let reference = framed(sd, cfg, &payloads);
     let values: Vec<Vec<f32>> = payloads
         .iter()
-        .map(|(route, payload)| decode_payload(&cfg, *route, payload).unwrap())
+        .map(|(route, payload)| decode_payload(cfg, *route, payload).unwrap())
         .collect();
 
     let check = || {
-        let update = compress(&sd, &cfg);
+        let update = compress(sd, cfg);
         assert!(update == reference, "compressed bytes differ");
         let restored = decompress(&update).expect("round trip");
         assert_eq!(restored.len(), sd.len());
@@ -186,13 +168,50 @@ fn the_shared_out_pipeline_equals_the_serial_reference_also_under_concurrent_cal
         }
     };
     check();
-    // Eight callers at once contend for the same helper budget; what each
-    // gets must not show in its output.
+    // What each caller gets of the budget must not show in its output.
     std::thread::scope(|scope| {
         for _ in 0..8 {
             scope.spawn(check);
         }
     });
+}
+
+/// The 4 MiB below which `vendor/rayon` keeps a call on one thread; a
+/// model over it takes helper threads where the machine has them.
+const PARALLEL_GATE_BYTES: usize = 4 << 20;
+
+/// Two MobileNetV2s side by side: 628 entries and 18 MB, four times the
+/// size gate, with no tensor larger than 1.6 MB, so that eight callers at
+/// once stay small.
+fn two_mobilenets(seed: u64) -> StateDict {
+    let mut sd = StateDict::new();
+    for (prefix, seed) in [("a.", seed), ("b.", seed + 1)] {
+        for e in ModelKind::MobileNetV2.synthesize(10, seed).entries() {
+            sd.insert(format!("{prefix}{}", e.name), e.kind, e.tensor.clone());
+        }
+    }
+    assert!(sd.len() == 628 && sd.nbytes() >= 4 * PARALLEL_GATE_BYTES);
+    sd
+}
+
+#[test]
+fn the_shared_out_pipeline_equals_the_serial_reference_also_under_concurrent_callers() {
+    assert_pipeline_equals_the_serial_reference(
+        &two_mobilenets(104),
+        &FedSzConfig::with_rel_bound(1e-4),
+    );
+}
+
+#[test]
+fn one_mobilenet_shared_out_equals_the_serial_reference_at_both_bounds() {
+    // The update `codec_mobilenet_e4` and `server_ingest` code: 314 entries
+    // and 9 MB, over the gate, so its entries are shared out where the
+    // machine has a spare core.
+    let sd = ModelKind::MobileNetV2.synthesize(10, 106);
+    assert!(sd.len() == 314 && sd.nbytes() >= PARALLEL_GATE_BYTES);
+    for rel in [1e-2, 1e-4] {
+        assert_pipeline_equals_the_serial_reference(&sd, &FedSzConfig::with_rel_bound(rel));
+    }
 }
 
 #[test]
