@@ -136,6 +136,24 @@ fn decode_payload(cfg: &FedSzConfig, route: Route, payload: &[u8]) -> Result<Vec
     }
 }
 
+/// The 4 MiB below which `vendor/rayon` keeps a call on one thread; a
+/// model over it takes helper threads where the machine has them.
+const PARALLEL_GATE_BYTES: usize = 4 << 20;
+
+/// Two MobileNetV2s side by side: 628 entries and 18 MB, four times the
+/// size gate, with no tensor larger than 1.6 MB, so that eight callers at
+/// once stay small.
+fn two_mobilenets(seed: u64) -> StateDict {
+    let mut sd = StateDict::new();
+    for (prefix, seed) in [("a.", seed), ("b.", seed + 1)] {
+        for e in ModelKind::MobileNetV2.synthesize(10, seed).entries() {
+            sd.insert(format!("{prefix}{}", e.name), e.kind, e.tensor.clone());
+        }
+    }
+    assert!(sd.len() == 628 && sd.nbytes() >= 4 * PARALLEL_GATE_BYTES);
+    sd
+}
+
 /// `compress` and `decompress` of `sd` under `cfg` against one codec call
 /// per entry in order, on one thread: the same bytes and the same values,
 /// also with eight callers at once contending for the same helper budget.
@@ -174,24 +192,6 @@ fn assert_pipeline_equals_the_serial_reference(sd: &StateDict, cfg: &FedSzConfig
             scope.spawn(check);
         }
     });
-}
-
-/// The 4 MiB below which `vendor/rayon` keeps a call on one thread; a
-/// model over it takes helper threads where the machine has them.
-const PARALLEL_GATE_BYTES: usize = 4 << 20;
-
-/// Two MobileNetV2s side by side: 628 entries and 18 MB, four times the
-/// size gate, with no tensor larger than 1.6 MB, so that eight callers at
-/// once stay small.
-fn two_mobilenets(seed: u64) -> StateDict {
-    let mut sd = StateDict::new();
-    for (prefix, seed) in [("a.", seed), ("b.", seed + 1)] {
-        for e in ModelKind::MobileNetV2.synthesize(10, seed).entries() {
-            sd.insert(format!("{prefix}{}", e.name), e.kind, e.tensor.clone());
-        }
-    }
-    assert!(sd.len() == 628 && sd.nbytes() >= 4 * PARALLEL_GATE_BYTES);
-    sd
 }
 
 #[test]
