@@ -181,6 +181,11 @@ enum Mode {
         jobs: Sender<Job>,
         results: Receiver<Outcome>,
         workers: Vec<JoinHandle<()>>,
+        /// The workers' cores, out of the codec's helper budget while they
+        /// live: a decode on a worker, or a codec call on the collector,
+        /// then runs on its own thread instead of adding a helper to
+        /// threads that already fill the cores (DESIGN.md §14).
+        cores: rayon::Reservation,
     },
 }
 
@@ -200,13 +205,17 @@ impl IngestPool {
     /// the number of outcomes one round attempt can produce (the cohort
     /// size); the pool clamps it to at least one slot per worker. The
     /// queue is bounded even in serial mode's VecDeque analogue sense:
-    /// no configuration retains an unbounded channel.
+    /// no configuration retains an unbounded channel. Until the pool drops,
+    /// its workers hold up to `workers` spare cores out of the codec's
+    /// helper budget (`rayon::reserve`), so codec calls in the process run
+    /// on their callers' threads while the spare cores are taken.
     pub fn new(workers: usize, outcome_capacity: usize) -> Self {
         if workers == 0 {
             return Self {
                 mode: Mode::Serial(VecDeque::new()),
             };
         }
+        let cores = rayon::reserve(workers);
         let (results_tx, results_rx) = bounded::<Outcome>(outcome_capacity.max(workers));
         let (jobs_tx, jobs_rx) = bounded::<Job>(workers.saturating_mul(2));
         let workers = (0..workers)
@@ -230,6 +239,7 @@ impl IngestPool {
                 jobs: jobs_tx,
                 results: results_rx,
                 workers,
+                cores,
             },
         }
     }
@@ -268,13 +278,18 @@ impl IngestPool {
 
 impl Drop for IngestPool {
     fn drop(&mut self) {
-        if let Mode::Pool { jobs, workers, .. } =
-            std::mem::replace(&mut self.mode, Mode::Serial(VecDeque::new()))
+        if let Mode::Pool {
+            jobs,
+            workers,
+            cores,
+            ..
+        } = std::mem::replace(&mut self.mode, Mode::Serial(VecDeque::new()))
         {
             drop(jobs); // closes the job queue: workers drain it and exit
             for h in workers {
                 let _ = h.join();
             }
+            drop(cores);
         }
     }
 }
