@@ -1,13 +1,13 @@
 //! The attempt core: every decision of one round attempt's collection —
 //! first-wins admission, the stale filter, the Shed / Garbage / Gone
-//! verdicts, the settle order, the `late` arithmetic and the quorum
+//! verdicts, settling each outcome, the `late` arithmetic and the quorum
 //! verdict — as a state machine that holds no channel, thread, ledger,
 //! pool or clock. Its driver, `transport`'s `collect_attempt`, does every
 //! I/O call and passes the time in as a value, so the core decides the same
 //! under every transport and worker count, and its tests explore event
 //! orders with no threads.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -41,18 +41,16 @@ pub(crate) enum Step {
 /// Admission is **first-wins**: each reached client gets exactly one
 /// verdict per attempt, and every later message carrying its id — a
 /// replayed frame, a stuck retry loop, a spoofed duplicate — is discarded
-/// before it is decoded or buffered. That bounds the ingest pool's queue
-/// and the settle buffer by the cohort size however hard a hostile peer
-/// floods the uplink, and makes the fold count (hence the aggregate)
-/// independent of duplication.
+/// before it is decoded. That bounds the ingest pool's queue by the cohort
+/// size however hard a hostile peer floods the uplink, and makes the fold
+/// count (hence the aggregate) independent of duplication.
 ///
-/// Outcomes settle in contiguous submission (`seq`) order. Parallel
-/// workers finish in arbitrary order, but nothing downstream may observe
-/// that: the `delivered` count and the `f64` metric sums must behave
-/// exactly as the serial collector did, or the same seeds stop producing
-/// bit-identical runs (the fold itself is an exact fixed-point sum,
-/// indifferent to order). Out-of-order outcomes wait in `buffered`, which
-/// first-wins admission bounds by the in-flight worker window.
+/// Each outcome settles as soon as the pool hands it back: it is counted,
+/// folded, and its ledger reservation returned, whatever the pool still
+/// owes. Completion order cannot reach the result: the counters are
+/// integers, the fold is an exact fixed-point sum, and the robust screens
+/// decide on the set of updates. It decides only the last bits of the
+/// wall-clock `f64` sums, which no two runs reproduce anyway.
 pub(crate) struct Attempt<'a> {
     /// The `(round, attempt)` collected.
     id: (usize, usize),
@@ -61,15 +59,11 @@ pub(crate) struct Attempt<'a> {
     cutoff: Option<Instant>,
     /// Reached clients that have not answered yet.
     open: BTreeSet<usize>,
-    seq: u64,
     in_flight: usize,
     delivered: usize,
     shed: usize,
     /// Reached clients that hung up instead of answering.
     gone: usize,
-    /// The next `seq` to settle.
-    next: u64,
-    buffered: BTreeMap<u64, ingest::Outcome>,
     agg: RobustFold,
     /// The round's row, which the attempt's sums and counters join.
     metrics: &'a mut RoundMetrics,
@@ -103,13 +97,10 @@ impl<'a> Attempt<'a> {
             global,
             cutoff,
             open,
-            seq: 0,
             in_flight: 0,
             delivered: 0,
             shed: 0,
             gone: 0,
-            next: 0,
-            buffered: BTreeMap::new(),
             agg: RobustFold::new(mode, global),
             metrics,
         })
@@ -180,10 +171,11 @@ impl<'a> Attempt<'a> {
         if (msg.round, msg.attempt) != self.id || !self.open.remove(&msg.client_id) {
             return Ok(Step::Release(msg.reserved));
         }
-        let seq = self.seq;
-        self.seq += 1;
-        self.in_flight += 1;
+        // First-wins makes the client id unique in the attempt, so it is
+        // the job's id.
+        let seq = msg.client_id as u64;
         let Some(update) = raw else {
+            self.in_flight += 1;
             return Ok(Step::Submit(ingest::Job {
                 seq,
                 client_id: msg.client_id,
@@ -197,9 +189,8 @@ impl<'a> Attempt<'a> {
                 global: Arc::clone(self.global),
             }));
         };
-        // Nothing to decode: a job that finishes in line — validate and
-        // settle the state dict itself, in sequence with the pool's
-        // outcomes. What travelled is the raw update, so wire bytes = raw
+        // Nothing to decode: validate the state dict itself and settle it
+        // in line. What travelled is the raw update, so wire bytes = raw
         // bytes.
         let raw_bytes = update.nbytes();
         let verdict = match validate_update(&update, self.global, msg.samples) {
@@ -218,27 +209,19 @@ impl<'a> Attempt<'a> {
             verdict,
             decompress_s: 0.0,
         };
-        self.on_outcome(out).map(Step::Release)
+        self.apply(out).map(Step::Release)
     }
 
-    /// One finished job; returns the ledger bytes that settling it, and
-    /// every outcome it unblocked, frees.
+    /// One finished job; returns the ledger bytes that settling it frees.
     pub(crate) fn on_outcome(&mut self, out: ingest::Outcome) -> Result<usize, FlError> {
         self.in_flight -= 1;
-        self.buffered.insert(out.seq, out);
-        let mut released = 0;
-        while let Some(out) = self.buffered.remove(&self.next) {
-            self.next += 1;
-            // The frame's budget reservation is held from admission until
-            // its outcome settles. A fold error aborts the run, and with it
-            // the ledger, so bytes this loop has not returned yet are moot.
-            released += out.reserved;
-            self.apply(out)?;
-        }
-        Ok(released)
+        self.apply(out)
     }
 
-    fn apply(&mut self, out: ingest::Outcome) -> Result<(), FlError> {
+    /// Count and fold `out`, returning the budget reservation its frame
+    /// held from admission until now. A fold error aborts the run, and
+    /// with it the ledger, so the bytes it does not return are moot.
+    fn apply(&mut self, out: ingest::Outcome) -> Result<usize, FlError> {
         let m = &mut *self.metrics;
         // Decompression is timed for every decode attempt — rejected and
         // quarantined payloads cost the server real wall time too.
@@ -263,7 +246,7 @@ impl<'a> Attempt<'a> {
             }
             Verdict::Reject(_) => m.faults.rejected += 1,
         }
-        Ok(())
+        Ok(out.reserved)
     }
 
     /// Close the attempt once the pool owes nothing and decide: the
@@ -496,7 +479,7 @@ mod tests {
 
     /// Play the scenario with uplinks and pool outcomes interleaved as
     /// `pick` chooses — any outcome after its submit — checking at every
-    /// step that bytes come back exactly as outcomes settle in `seq` order.
+    /// step that each settle hands back exactly its own reservation.
     /// Returns the round's row and the folded model.
     fn play(mut pick: impl FnMut(usize) -> usize) -> (RoundMetrics, StateDict) {
         let global = Arc::new(update(0.0));
@@ -512,13 +495,13 @@ mod tests {
             })
             .sum();
         let mut running: Vec<ingest::Job> = Vec::new();
-        // Submitted jobs by `seq`: (reserved, finished, decode time).
-        let mut owed: BTreeMap<u64, (usize, bool, f64)> = BTreeMap::new();
+        // The pool's decode times in settle order; a raw hand-over settles
+        // in line and adds 0.
         let mut decode_times = Vec::new();
         let mut released = 0;
         while !events.is_empty() || !running.is_empty() {
             let k = pick(events.len() + running.len());
-            let (got, mut want) = if k < events.len() {
+            let (got, want) = if k < events.len() {
                 let event = events.remove(k);
                 match core.on_uplink(uplink(event)).expect("no fold error") {
                     Step::Submit(job) => {
@@ -526,11 +509,11 @@ mod tests {
                             matches!(event, Event::Msg { reserved, .. } if reserved == job.reserved)
                         );
                         assert_eq!(job.samples, job.client_id + 1, "a stale message got in");
-                        owed.insert(job.seq, (job.reserved, false, 0.0));
                         running.push(job);
                         (0, 0)
                     }
-                    // A discarded message hands its own reservation back.
+                    // A discarded message hands its own reservation back; a
+                    // raw hand-over holds none.
                     Step::Release(bytes) => match event {
                         Event::Msg { reserved, .. } => (bytes, reserved),
                         _ => (bytes, 0),
@@ -538,21 +521,11 @@ mod tests {
                 }
             } else {
                 let out = run_job(running.swap_remove(k - events.len()));
-                owed.insert(out.seq, (out.reserved, true, out.decompress_s));
-                (core.on_outcome(out).expect("no fold error"), 0)
+                let want = out.reserved;
+                decode_times.push(out.decompress_s);
+                (core.on_outcome(out).expect("no fold error"), want)
             };
-            // What settles now is the finished prefix of `seq`s: a raw
-            // hand-over's seq, never owed, settles as soon as it is reached.
-            while let Some(entry) = owed.first_entry() {
-                let (reserved, finished, decode_s) = *entry.get();
-                if !finished {
-                    break;
-                }
-                entry.remove();
-                want += reserved;
-                decode_times.push(decode_s);
-            }
-            assert_eq!(got, want, "released bytes out of seq order");
+            assert_eq!(got, want, "a settle released other bytes than its own");
             released += got;
         }
         assert_eq!(core.in_flight(), 0);
@@ -564,8 +537,8 @@ mod tests {
             .expect("quorum of three")
             .expect("aggregate");
         assert_eq!(released, reserved_total, "every reservation back once");
-        let serial: f64 = decode_times.iter().sum();
-        assert_eq!(metrics.decompress_s_total.to_bits(), serial.to_bits());
+        let settled: f64 = decode_times.iter().sum();
+        assert_eq!(metrics.decompress_s_total.to_bits(), settled.to_bits());
         (metrics, model)
     }
 
@@ -711,6 +684,23 @@ mod tests {
             &mut metrics,
         );
         assert_eq!(core.err(), Some(FlError::AllClientsDead { round: 2 }));
+    }
+
+    #[test]
+    fn an_outcome_frees_its_bytes_while_an_earlier_job_is_still_decoding() {
+        let global = Arc::new(update(0.0));
+        let mut metrics = RoundMetrics::default();
+        let mut core = open((ROUND, ATTEMPT), vec![true; 4], None, &global, &mut metrics);
+        let [first, later] = [msg(0, 100), msg(3, 30)].map(|event| {
+            match core.on_uplink(uplink(event)).expect("no fold error") {
+                Step::Submit(job) => job,
+                Step::Release(_) => panic!("an admitted message is submitted"),
+            }
+        });
+        assert_eq!(core.on_outcome(run_job(later)), Ok(30));
+        assert_eq!(core.in_flight(), 1);
+        assert_eq!(core.on_outcome(run_job(first)), Ok(100));
+        assert_eq!(core.in_flight(), 0);
     }
 
     #[test]

@@ -6,23 +6,20 @@
 //! (paper §VIII-D): with N clients the serial server pays
 //! N × (decompress + validate) on the single collector thread before it can
 //! aggregate. This module moves that work off the collector: each uplink
-//! payload becomes a [`Job`] tagged with a submission sequence number, a
-//! pool of worker threads decodes and validates jobs concurrently, and the
-//! collector settles the resulting [`Outcome`]s — counts them and folds
-//! each accepted update — in **submission order** (the attempt core in
+//! payload becomes a [`Job`], a pool of worker threads decodes and
+//! validates jobs concurrently, and the collector settles each resulting
+//! [`Outcome`] — counts it, folds an accepted update and releases its
+//! ledger bytes — as soon as the pool hands it back (the attempt core in
 //! `attempt.rs` decides; `transport`'s `collect_attempt` drives it).
 //!
 //! # Determinism
 //!
-//! Parallel workers finish in arbitrary order, but nothing downstream may
-//! observe that order: the `delivered` counter and the `f64` metric sums
-//! must behave exactly as the serial server did, or the same seeds stop producing bit-identical runs. The
-//! collector therefore buffers out-of-order outcomes and applies them only
-//! in contiguous sequence order — reproducing serial arrival-order
-//! semantics while the decode work itself runs concurrently. The aggregate
-//! is unaffected either way — the exact fold is a pure function of the
-//! multiset of accepted updates — so the kill-and-resume tests keep passing
-//! unmodified.
+//! Parallel workers finish in arbitrary order, and outcomes settle in that
+//! order. Nothing the run reproduces can observe it: the counters are
+//! integers, and the exact fold is a pure function of the multiset of
+//! accepted updates, so any worker count lands on the same model bits and
+//! the kill-and-resume tests pass unmodified. Only the last bits of the
+//! wall-clock `f64` timing sums follow completion order.
 //!
 //! With `workers == 0` the pool degenerates to a serial in-line path on the
 //! caller's thread — byte-for-byte the seed behaviour, used as the
@@ -69,8 +66,8 @@ pub enum Verdict {
 /// One decode + validate work item.
 #[derive(Debug)]
 pub struct Job {
-    /// Collector-assigned submission sequence number, starting at 0 each
-    /// round attempt. Outcomes are settled in this order.
+    /// The caller's job id, handed back in the job's [`Outcome`]; the pool
+    /// does not read it.
     pub seq: u64,
     /// Client the payload came from.
     pub client_id: usize,
@@ -98,7 +95,7 @@ pub struct Job {
 #[derive(Debug)]
 // fedsz-lint: allow(dead-pub) -- returned by `IngestPool::recv`, which the ingest bench and benchmark call
 pub struct Outcome {
-    /// The job's submission sequence number.
+    /// The job's [`Job::seq`].
     pub seq: u64,
     /// Client the payload came from.
     pub client_id: usize,
@@ -189,12 +186,12 @@ enum Mode {
     },
 }
 
-/// A bounded decompress/validate worker pool with deterministic settlement.
+/// A bounded decompress/validate worker pool.
 ///
 /// `submit` hands a payload to the pool; `try_recv`/`recv` return finished
-/// [`Outcome`]s in *completion* order — callers that need serial semantics
-/// re-order by [`Outcome::seq`] (the attempt core does). The caller
-/// is responsible for draining exactly as many outcomes as it submitted.
+/// [`Outcome`]s in *completion* order, each tagged with its job's
+/// [`Outcome::seq`]. The caller is responsible for draining exactly as many
+/// outcomes as it submitted.
 pub struct IngestPool {
     mode: Mode,
 }

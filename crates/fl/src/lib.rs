@@ -36,13 +36,13 @@
 //!
 //! Server-side decode + validate runs on a bounded worker pool
 //! ([`ingest`], sized by [`FlConfig::ingest_workers`]) while the collector
-//! keeps draining the transport; outcomes settle in submission order and
-//! fold one at a time into a streaming [`aggregate::StreamingFedAvg`]
-//! accumulator, so the server holds O(model) memory — never
-//! O(cohort × model) — and any worker count, including 0, the serial path,
-//! produces bit-identical runs and differs only in wall time. The
-//! accumulator is an exact fixed-point superaccumulator, so the fold order
-//! cannot change the result either.
+//! keeps draining the transport; each outcome settles as it finishes and
+//! folds into a streaming [`aggregate::StreamingFedAvg`] accumulator, so
+//! the server holds O(model) memory — never O(cohort × model). The
+//! accumulator is an exact fixed-point superaccumulator, so completion
+//! order cannot change the result: any worker count, including 0, the
+//! serial path, produces the same models and counters and differs only in
+//! wall time.
 //!
 //! Beyond the paper's four-client cross-silo testbed, [`sampling`] scales
 //! the loop to the cross-device regime: a server registers a large

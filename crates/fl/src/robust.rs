@@ -46,13 +46,15 @@
 //! # Determinism
 //!
 //! Screen decisions depend only on the *set* of settled updates, never on
-//! arrival order: buffered updates are sorted by client id before any
-//! statistic is computed (ids are unique per attempt — first-wins
-//! admission), `f64` norms are totally ordered with `total_cmp`, and the
-//! per-coordinate trim uses a stable sort keyed on value with client order
-//! breaking ties. The same cohort therefore produces bit-identical models
-//! and identical `suspected` counters in-process, over channels, and over
-//! TCP, for any ingest worker count.
+//! settle order. The clipped screen needs no order: each norm is a
+//! function of its update, the median comes from norms totally ordered
+//! with `total_cmp`, and the survivors fold exactly. The trimmed mean
+//! sorts its buffered updates by client id (ids are unique per attempt —
+//! first-wins admission), and its per-coordinate trim uses a stable sort
+//! keyed on value, so client order breaks ties and decides who counts as
+//! trimmed. The same cohort therefore produces bit-identical models and
+//! identical `suspected` counters in-process, over channels, and over TCP,
+//! for any ingest worker count.
 
 use std::sync::Arc;
 
@@ -322,16 +324,13 @@ fn l2_delta_norm(update: &StateDict, reference: &StateDict) -> f64 {
 fn clipped_finish(
     reference: &StateDict,
     clip_factor: f64,
-    mut buffered: Vec<Buffered>,
+    buffered: Vec<Buffered>,
 ) -> Result<RobustOutcome, FlError> {
     if buffered.is_empty() {
         return Err(FlError::Aggregate(
             "no updates folded: nothing to average".into(),
         ));
     }
-    // Client ids are unique per attempt, so this order — hence every
-    // statistic below — is a pure function of the update set.
-    buffered.sort_by_key(|b| b.client_id);
     let norms: Vec<f64> = buffered
         .iter()
         .map(|b| l2_delta_norm(&b.update, reference))
@@ -371,6 +370,8 @@ fn trimmed_finish(
             "no updates folded: nothing to average".into(),
         ));
     }
+    // Client ids are unique per attempt, so this order — hence which
+    // client a tie trims — is a pure function of the update set.
     buffered.sort_by_key(|b| b.client_id);
     let n = buffered.len();
     // Cap so 2k < n: at least one value survives every coordinate.

@@ -21,9 +21,9 @@
 //!   the full population, truncated to the cohort size — O(population)
 //!   time and memory per round, independent of the model.
 //!
-//! The selected ids are returned **sorted ascending**, so aggregation
-//! folds settle in client-id order on every path and the full-population
-//! cohort is exactly `0..population` (the seed cross-silo behaviour).
+//! The selected ids are returned **sorted ascending**, so every path walks
+//! the cohort in the same order and the full-population cohort is exactly
+//! `0..population` (the seed cross-silo behaviour).
 
 use fedsz_tensor::SplitMix64;
 

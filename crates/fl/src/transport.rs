@@ -849,8 +849,8 @@ mod tests {
 
     #[test]
     fn threaded_matches_sequential_session_exactly() {
-        // Same seeds, same client order at aggregation → identical
-        // accuracies, proving the wire round trip is transparent.
+        // Same seeds → identical accuracies, proving the wire round trip
+        // is transparent.
         let cfg = quick_cfg();
         let sequential = crate::session::run(&cfg).expect("fl run");
         let threaded = run_channel(&cfg, &RunSpec::default()).expect("fl run");
